@@ -1,17 +1,16 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short lint fuzz-smoke chaos \
-	telemetry-smoke trace-smoke concurrent-smoke bench-concurrent \
-	bench-cache bench-multiplex bench-trace bench-placement bench-delta
+.PHONY: check vet build test test-short test-perfbench lint fuzz-smoke chaos \
+	telemetry-smoke trace-smoke concurrent-smoke
 
-## check: the tier-1 gate — vet, lint, build, race-enabled tests, fuzz
-## smoke, the concurrent race smoke, the end-to-end telemetry and
-## distributed-tracing smokes, the verified-content-cache acceptance
-## bench, the multiplexed-transport acceptance bench, the tracing-cost
-## ablation, the sharded-fleet replica-selection bench, and the
-## Merkle-delta replication bench.
-check: vet lint build test fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke bench-cache bench-multiplex bench-trace bench-placement bench-delta
+## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
+## perfbench module's included), fuzz smoke, the concurrent race smoke,
+## the end-to-end telemetry and distributed-tracing smokes, and the
+## acceptance gates of the cache, multiplex, traceoverhead, placement
+## and delta experiments (DESIGN.md §3 has the gate table).
+check: vet lint build test test-perfbench fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke \
+	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
 ## serving path, run explicitly so a vet default change cannot drop them.
@@ -35,17 +34,31 @@ test:
 test-short:
 	$(GO) test -race -short ./...
 
-## fuzz-smoke: a short budget per fuzz target over the wire decoders.
-## `go test -fuzz` accepts one target per invocation, hence one line each.
+## test-perfbench: perfbench/ is its own module, which ./... above does
+## not reach; an API change that breaks the benchmark fails here.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+## fuzz-smoke: a short budget per fuzz target. `go test -fuzz` accepts
+## one target per invocation, hence the loop; TestFuzzTargetsListed
+## fails when a Fuzz function in the tree is missing from FUZZ_TARGETS.
+FUZZ_TARGETS = \
+	internal/cert:FuzzUnmarshalIntegrityCertificate \
+	internal/cert:FuzzUnmarshalNameCertificate \
+	internal/document:FuzzParseHybrid \
+	internal/document:FuzzExtractLinks \
+	internal/lint:FuzzLintSuppression \
+	internal/naming:FuzzUnmarshalChain \
+	internal/policy:FuzzParse \
+	internal/server:FuzzUnmarshalBundle \
+	internal/server:FuzzDeltaDecode \
+	internal/transport:FuzzFrameDecode \
+	internal/transport:FuzzVersionNegotiation
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalIntegrityCertificate$$ -fuzztime=$(FUZZTIME) ./internal/cert/
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalNameCertificate$$ -fuzztime=$(FUZZTIME) ./internal/cert/
-	$(GO) test -run=^$$ -fuzz=FuzzParseHybrid$$ -fuzztime=$(FUZZTIME) ./internal/document/
-	$(GO) test -run=^$$ -fuzz=FuzzExtractLinks$$ -fuzztime=$(FUZZTIME) ./internal/document/
-	$(GO) test -run=^$$ -fuzz=FuzzLintSuppression$$ -fuzztime=$(FUZZTIME) ./internal/lint/
-	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode$$ -fuzztime=$(FUZZTIME) ./internal/transport/
-	$(GO) test -run=^$$ -fuzz=FuzzVersionNegotiation$$ -fuzztime=$(FUZZTIME) ./internal/transport/
-	$(GO) test -run=^$$ -fuzz=FuzzDeltaDecode$$ -fuzztime=$(FUZZTIME) ./internal/server/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run='^$$' -fuzz="$${t#*:}\$$" -fuzztime=$(FUZZTIME) "./$${t%:*}/"; \
+	done
 
 ## chaos: the seeded fault-injection suite (SEED overrides the schedule)
 ## plus the fleet degradation scenario (a bound replica dies mid-run and
@@ -60,12 +73,6 @@ concurrent-smoke:
 	$(GO) test -race -count=1 -run 'Concurrent|Pool|Cancel|Leak|ClosedLoop' \
 		./internal/core/ ./internal/transport/ ./internal/workload/
 
-## bench-concurrent: the closed-loop concurrency experiment + acceptance
-## check (exactly one binding pipeline per cold OID; >= MIN_SPEEDUP x
-## throughput at CONCURRENCY vs serial).
-bench-concurrent:
-	GO=$(GO) sh scripts/concurrency_bench.sh
-
 ## telemetry-smoke: boot services + proxy with -debug-addr, curl /debugz,
 ## validate the snapshot schema with cmd/globedoc-debugz.
 telemetry-smoke:
@@ -78,34 +85,8 @@ telemetry-smoke:
 trace-smoke:
 	GO=$(GO) sh scripts/trace_smoke.sh
 
-## bench-cache: the verified-content-cache experiment + acceptance check
-## (warm cached fetch >= MIN_SPEEDUP x faster than cold; byte-identical
-## ablation with the cache disabled).
-bench-cache:
-	GO=$(GO) sh scripts/cache_bench.sh
-
-## bench-multiplex: the batched-element-fetch experiment + acceptance
-## check (cold 16-element fetch <= MAX_RATIO x cold single-element fetch
-## over the v2 transport; byte-identical serial-RPC ablation).
-bench-multiplex:
-	GO=$(GO) sh scripts/multiplex_bench.sh
-
-## bench-delta: the Merkle-delta replication experiment + acceptance
-## check (a one-element update to the 64-element document moves >=
-## MIN_RATIO x fewer bytes over obj.getdelta than a full pull; the
-## full-pull ablation replica ends byte-identical).
-bench-delta:
-	GO=$(GO) sh scripts/delta_bench.sh
-
-## bench-trace: the tracing-cost ablation + acceptance check (cold-fetch
-## p50 at sample rate 1.0 within MAX_RATIO of the -trace-sample 0
-## ablation; spans really exported / really dropped per phase).
-bench-trace:
-	GO=$(GO) sh scripts/trace_bench.sh
-
-## bench-placement: the sharded-fleet replica-selection experiment +
-## acceptance check (health-ranked selector cold and warm fetch p99 at
-## most MAX_RATIO x the location-order ablation; byte-identical
-## ablation).
-bench-placement:
-	GO=$(GO) sh scripts/placement_bench.sh
+## bench-%: run one row of the experiment table (internal/bench) at the
+## configuration its acceptance gate is defined at and fail if the gate
+## does — `make bench-cache`, `make bench-concurrent`, `make bench-fig4`.
+bench-%:
+	$(GO) run ./cmd/benchmark -experiment $*

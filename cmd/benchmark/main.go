@@ -1,237 +1,114 @@
 // Command benchmark regenerates the paper's evaluation tables and
-// figures on the simulated testbed (see DESIGN.md §3 for the experiment
-// index and EXPERIMENTS.md for measured-vs-paper results).
+// figures on the simulated testbed and evaluates the acceptance gates of
+// the optimisations built since. The experiments are the rows of
+// internal/bench.Experiments; DESIGN.md §3 indexes them and states each
+// gate's claim, EXPERIMENTS.md has the measured-vs-paper results.
 //
-//	benchmark -experiment all
-//	benchmark -experiment fig4 -iterations 10
-//	benchmark -experiment fig6 -scale 0.5
 //	benchmark -experiment all -json results.json
-//	benchmark -experiment concurrent -concurrency 16
-//	benchmark -experiment cache
+//	benchmark -experiment fig6 -scale 0.5 -iterations 10
 //	benchmark -experiment cache -disable-vcache
-//	benchmark -experiment multiplex
-//	benchmark -experiment traceoverhead
-//	benchmark -experiment placement
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, concurrent, cache,
-// multiplex, traceoverhead, placement, all.
-// The concurrent experiment drives a closed-loop warm-fetch workload at
-// concurrency 1 and at -concurrency, reporting throughput, tail latency
-// and the singleflight dedup counters from the cold burst. The cache
-// experiment measures cold/warm/revalidate fetch latency through the
-// verified-content cache; -disable-vcache runs the same workload with
-// the cache off (ablation — the bytes fetched must be identical). The
-// multiplex experiment measures a cold 16-element whole-object fetch
-// through the batched GetElements exchange against a cold
-// single-element fetch and the serial-RPC ablation. The traceoverhead
-// experiment measures the cost of distributed tracing: the same cold
-// fetch at -trace-sample 1.0 (every span exported) and at 0 (the
-// ablation — spans timed but dropped), reporting the p50 ratio. The
-// placement experiment measures replica selection over the sharded
-// twelve-server fleet: cold and warm fetch latency for the default
-// health-ranked selector against the location-order ablation, reporting
-// the p99 ratios.
-//
-// With -json the measured series are also written to the given file as a
-// machine-readable report (schema "globedoc-bench/1", see
-// internal/bench.Report); the human tables still print to stdout.
+// A run without -scale / -iterations / -concurrency uses each row's own
+// configuration, the one its gate is defined at. Every run prints the
+// human tables, then one `gate <experiment>: <verdict>` line per gated
+// experiment it ran, and exits non-zero if a gate failed — after
+// writing the -json report (schema "globedoc-bench/1", see
+// internal/bench.Report) when one was asked for.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"globedoc/internal/bench"
-	"globedoc/internal/netsim"
 )
 
 func main() {
+	names := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		names[i] = e.Name
+	}
 	var (
-		experiment  = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | concurrent | cache | multiplex | traceoverhead | placement | delta | all")
-		scale       = flag.Float64("scale", 1.0, "time scale for simulated link delays (1.0 = the paper's latencies)")
-		iterations  = flag.Int("iterations", 5, "samples per measured point")
-		concurrency = flag.Int("concurrency", 16, "closed-loop workers for the concurrent experiment")
+		experiment  = flag.String("experiment", "all", strings.Join(names, " | ")+" | all")
+		scale       = flag.Float64("scale", 0, "time scale for simulated link delays, 1.0 = the paper's latencies (default: the experiment's own)")
+		iterations  = flag.Int("iterations", 0, "samples per measured point (default: the experiment's own)")
+		concurrency = flag.Int("concurrency", 0, "closed-loop workers for the concurrent experiment (default: the experiment's own)")
 		noVCache    = flag.Bool("disable-vcache", false, "run the cache experiment without the verified-content cache (ablation)")
 		jsonOut     = flag.String("json", "", "also write a machine-readable report to this file")
 	)
 	flag.Parse()
-	if err := run(*experiment, *scale, *iterations, *concurrency, *noVCache, *jsonOut); err != nil {
+	// configure lays the flags that were given over a row's configuration.
+	configure := func(cfg bench.Config) bench.Config {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scale":
+				cfg.TimeScale = *scale
+			case "iterations":
+				cfg.Iterations = *iterations
+			case "concurrency":
+				cfg.Concurrency = *concurrency
+			}
+		})
+		cfg.DisableVCache = *noVCache
+		return cfg
+	}
+	if err := run(*experiment, configure, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchmark:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, scale float64, iterations, concurrency int, noVCache bool, jsonOut string) error {
-	cfg := bench.Config{TimeScale: scale, Iterations: iterations}
-	start := time.Now()
-	report := bench.NewReport(cfg, start)
-	switch experiment {
-	case "table1":
-		fmt.Println(bench.RunTable1(scale))
-	case "fig4":
-		if err := runFig4(cfg, report); err != nil {
-			return err
-		}
-	case "fig5", "fig6", "fig7":
-		client := map[string]string{
-			"fig5": netsim.AmsterdamSecondary,
-			"fig6": netsim.Paris,
-			"fig7": netsim.Ithaca,
-		}[experiment]
-		if err := runFig5(client, cfg, report); err != nil {
-			return err
-		}
-	case "concurrent":
-		if err := runConcurrent(cfg, concurrency, report); err != nil {
-			return err
-		}
-	case "cache":
-		if err := runCache(cfg, noVCache, report); err != nil {
-			return err
-		}
-	case "multiplex":
-		if err := runMultiplex(cfg, report); err != nil {
-			return err
-		}
-	case "traceoverhead":
-		if err := runTraceOverhead(cfg, report); err != nil {
-			return err
-		}
-	case "placement":
-		if err := runPlacement(cfg, report); err != nil {
-			return err
-		}
-	case "delta":
-		if err := runDelta(cfg, report); err != nil {
-			return err
-		}
-	case "all":
-		fmt.Println(bench.RunTable1(scale))
-		if err := runFig4(cfg, report); err != nil {
-			return err
-		}
-		for _, client := range netsim.ClientHosts {
-			if err := runFig5(client, cfg, report); err != nil {
-				return err
-			}
-		}
-		if err := runConcurrent(cfg, concurrency, report); err != nil {
-			return err
-		}
-		if err := runCache(cfg, noVCache, report); err != nil {
-			return err
-		}
-		if err := runMultiplex(cfg, report); err != nil {
-			return err
-		}
-		if err := runTraceOverhead(cfg, report); err != nil {
-			return err
-		}
-		if err := runPlacement(cfg, report); err != nil {
-			return err
-		}
-		if err := runDelta(cfg, report); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
+func run(experiment string, configure func(bench.Config) bench.Config, jsonOut string) error {
+	selected, err := bench.Select(experiment)
+	if err != nil {
+		return err
 	}
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
+	start := time.Now()
+	// Meta records the first row's configuration; the table says which
+	// rows pin a different one.
+	report := bench.NewReport(configure(selected[0].Config), start)
+	for _, e := range selected {
+		table, err := e.Run(configure(e.Config), report)
 		if err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
+		fmt.Println(table)
+	}
+	if jsonOut != "" {
+		var buf bytes.Buffer
+		if err := report.WriteJSON(&buf); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(jsonOut, buf.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("\n(machine-readable report written to %s)\n", jsonOut)
 	}
 	fmt.Printf("\n(total benchmark wall time: %s)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
 
-func runFig4(cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunFig4(cfg)
-	if err != nil {
-		return err
+	var failed []string
+	for _, e := range selected {
+		if e.Gate == nil {
+			continue
+		}
+		verdict, err := e.Gate(report)
+		switch {
+		case err == nil:
+			fmt.Printf("gate %s: %s\n", e.Name, verdict)
+		case errors.Is(err, bench.ErrNotApplicable):
+			fmt.Printf("gate %s: %v\n", e.Name, err)
+		default:
+			fmt.Printf("gate %s: FAILED: %v\n", e.Name, err)
+			failed = append(failed, e.Name)
+		}
 	}
-	report.Fig4 = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runFig5(client string, cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunFig5(client, cfg)
-	if err != nil {
-		return err
+	if len(failed) > 0 {
+		return fmt.Errorf("acceptance gate failed: %s", strings.Join(failed, ", "))
 	}
-	report.Fig5 = append(report.Fig5, res)
-	fmt.Println(res.Format(bench.FigureNumber(client)))
-	return nil
-}
-
-func runConcurrent(cfg bench.Config, concurrency int, report *bench.Report) error {
-	res, err := bench.RunConcurrentComparison(cfg, concurrency)
-	if err != nil {
-		return err
-	}
-	report.Concurrent = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runCache(cfg bench.Config, disableVCache bool, report *bench.Report) error {
-	res, err := bench.RunCache(cfg, disableVCache)
-	if err != nil {
-		return err
-	}
-	report.Cache = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runMultiplex(cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunMultiplex(cfg)
-	if err != nil {
-		return err
-	}
-	report.Multiplex = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runDelta(cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunDelta(cfg)
-	if err != nil {
-		return err
-	}
-	report.Delta = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runTraceOverhead(cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunTraceOverhead(cfg)
-	if err != nil {
-		return err
-	}
-	report.TraceOverhead = res
-	fmt.Println(res.Format())
-	return nil
-}
-
-func runPlacement(cfg bench.Config, report *bench.Report) error {
-	res, err := bench.RunPlacement(cfg)
-	if err != nil {
-		return err
-	}
-	report.Placement = res
-	fmt.Println(res.Format())
 	return nil
 }

@@ -35,6 +35,11 @@ import (
 // runs can substitute a deterministic clock.
 var now = time.Now
 
+// benchEpoch is where the experiments' virtual clocks start (the
+// paper's publication month); certificate validity is expired from here
+// by advancing the clock, never by waiting.
+var benchEpoch = time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
+
 // Config controls experiment scale.
 type Config struct {
 	// TimeScale scales simulated link delays (1.0 = the paper's
@@ -55,6 +60,12 @@ type Config struct {
 	// KeyAlgorithm for object keys (defaults to RSA2048 as in the
 	// paper's prototype).
 	KeyAlgorithm keys.Algorithm
+	// Concurrency is the closed-loop worker count of the concurrent
+	// experiment.
+	Concurrency int
+	// DisableVCache runs the cache experiment without the
+	// verified-content cache (the ablation).
+	DisableVCache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -103,6 +114,35 @@ func Collect(values []time.Duration) Sample {
 		Mean: time.Duration(mean),
 		Std:  time.Duration(math.Sqrt(sq / float64(len(values)))),
 	}
+}
+
+// Phase is the latency distribution of one measured phase of an
+// experiment: a cold fetch, a warm fetch, a revalidation, a replica
+// pull.
+type Phase struct {
+	Ops  int           `json:"ops"`
+	Mean time.Duration `json:"latency_mean_ns"`
+	P50  time.Duration `json:"latency_p50_ns"`
+	P95  time.Duration `json:"latency_p95_ns"`
+	P99  time.Duration `json:"latency_p99_ns"`
+	Max  time.Duration `json:"latency_max_ns"`
+}
+
+func toPhase(samples []time.Duration) Phase {
+	s := workload.ComputeLatencyStats(samples)
+	return Phase{Ops: s.N, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
+}
+
+// phaseHeader and Phase.row render the "ops mean p50 p95 p99" table
+// the experiments share; width is the name column's.
+func phaseHeader(b *strings.Builder, width int, label string) {
+	fmt.Fprintf(b, "  %-*s %6s %12s %12s %12s %12s\n", width, label, "ops", "mean", "p50", "p95", "p99")
+}
+
+func (p Phase) row(b *strings.Builder, width int, name string) {
+	fmt.Fprintf(b, "  %-*s %6d %12s %12s %12s %12s\n", width, name, p.Ops,
+		p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
+		p.P95.Round(time.Microsecond), p.P99.Round(time.Microsecond))
 }
 
 // --- Table 1 --------------------------------------------------------------
@@ -383,18 +423,4 @@ func (r *Fig5Result) Format(figureNumber int) string {
 			row.HTTPS.Mean.Round(100*time.Microsecond))
 	}
 	return b.String()
-}
-
-// FigureNumber maps a client site to the paper's figure number.
-func FigureNumber(client string) int {
-	switch client {
-	case netsim.AmsterdamSecondary:
-		return 5
-	case netsim.Paris:
-		return 6
-	case netsim.Ithaca:
-		return 7
-	default:
-		return 0
-	}
 }

@@ -85,48 +85,3 @@ func TestRunFig5Quick(t *testing.T) {
 		t.Errorf("Format output:\n%s", out)
 	}
 }
-
-func TestFigureNumber(t *testing.T) {
-	if bench.FigureNumber(netsim.AmsterdamSecondary) != 5 ||
-		bench.FigureNumber(netsim.Paris) != 6 ||
-		bench.FigureNumber(netsim.Ithaca) != 7 {
-		t.Error("figure numbering wrong")
-	}
-	if bench.FigureNumber("mars") != 0 {
-		t.Error("unknown client should map to 0")
-	}
-}
-
-// TestFig4ShapeAtScale runs Figure 4 at a reduced but non-zero time scale
-// and asserts the paper's qualitative shape: overhead falls as size
-// grows, and at the largest size the LAN client has the highest relative
-// overhead.
-func TestFig4ShapeAtScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaled-latency experiment")
-	}
-	cfg := bench.Config{
-		TimeScale:  0.05, // 5% of real latencies keeps the test quick
-		Iterations: 3,
-		Sizes:      []int{1 * workload.KB, 1024 * workload.KB},
-		Clients:    []string{netsim.AmsterdamSecondary, netsim.Paris, netsim.Ithaca},
-	}
-	res, err := bench.RunFig4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, client := range cfg.Clients {
-		small := res.Points[1*workload.KB][client].OverheadPercent
-		large := res.Points[1024*workload.KB][client].OverheadPercent
-		if small <= large {
-			t.Errorf("%s: overhead did not fall with size: %.1f%% -> %.1f%%",
-				netsim.ClientLabel(client), small, large)
-		}
-	}
-	largeAms := res.Points[1024*workload.KB][netsim.AmsterdamSecondary].OverheadPercent
-	largeIth := res.Points[1024*workload.KB][netsim.Ithaca].OverheadPercent
-	if largeAms <= largeIth {
-		t.Errorf("at 1MB, LAN overhead (%.2f%%) should exceed transatlantic (%.2f%%)",
-			largeAms, largeIth)
-	}
-}

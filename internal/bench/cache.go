@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/globeid"
@@ -18,25 +19,6 @@ import (
 	"globedoc/internal/vcache"
 	"globedoc/internal/workload"
 )
-
-// CachePhase is the latency distribution of one verified-content-cache
-// phase: cold (empty cache, full pipeline + element transfer), warm
-// (bytes served from the cache against the current certificate), or
-// revalidate (certificate lapsed; only a fresh certificate is fetched,
-// the cached bytes are reused).
-type CachePhase struct {
-	Ops  int           `json:"ops"`
-	Mean time.Duration `json:"latency_mean_ns"`
-	P50  time.Duration `json:"latency_p50_ns"`
-	P95  time.Duration `json:"latency_p95_ns"`
-	P99  time.Duration `json:"latency_p99_ns"`
-	Max  time.Duration `json:"latency_max_ns"`
-}
-
-func toCachePhase(samples []time.Duration) CachePhase {
-	s := workload.ComputeLatencyStats(samples)
-	return CachePhase{Ops: s.N, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
-}
 
 // CacheResult is the -experiment cache output: cold/warm/revalidate
 // fetch latency through the verified-content cache, the cache counters
@@ -50,12 +32,15 @@ type CacheResult struct {
 	// ElementBytes is the size of the measured element.
 	ElementBytes int `json:"element_bytes"`
 
-	Cold CachePhase `json:"cold"`
-	Warm CachePhase `json:"warm"`
+	// Cold samples start from an empty cache (full pipeline + element
+	// transfer); Warm samples are served from the cache against the
+	// current certificate.
+	Cold Phase `json:"cold"`
+	Warm Phase `json:"warm"`
 	// Revalidate is measured only when the cache is enabled: each sample
 	// expires the certificate, reissues it, and fetches — paying for a
 	// certificate but not for the element bytes.
-	Revalidate *CachePhase `json:"revalidate,omitempty"`
+	Revalidate *Phase `json:"revalidate,omitempty"`
 
 	// WarmSpeedup is Cold.Mean / Warm.Mean.
 	WarmSpeedup float64 `json:"warm_speedup"`
@@ -74,26 +59,6 @@ type CacheResult struct {
 	AblationIdentical bool `json:"ablation_identical"`
 }
 
-// benchClock is a mutable virtual clock shared by the publication and
-// the measured client, so certificate validity can be expired on demand
-// without real waiting.
-type benchClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *benchClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *benchClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // cacheTTL is the certificate validity used by the cache experiment;
 // each revalidation sample advances the virtual clock past it.
 const cacheTTL = time.Hour
@@ -110,10 +75,11 @@ const cacheTTL = time.Hour
 //     pipeline but reuses the cached bytes instead of transferring them.
 //
 // Every run finishes with the ablation check: a cache-disabled client
-// fetches the same element and the bytes are compared.
-func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
+// fetches the same element and the bytes are compared. With
+// cfg.DisableVCache the measured client itself runs without the cache.
+func RunCache(cfg Config) (*CacheResult, error) {
 	cfg = cfg.withDefaults()
-	clk := &benchClock{t: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(benchEpoch)
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale, Telemetry: tel, Clock: clk.Now})
 	if err != nil {
@@ -136,7 +102,7 @@ func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
 	}
 
 	var vc *vcache.Cache
-	if !disableVCache {
+	if !cfg.DisableVCache {
 		vc = vcache.New(vcache.Config{})
 	}
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
@@ -151,7 +117,7 @@ func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
 	//lint:ignore ctxfirst the benchmark harness is the top of the call tree; there is no caller context to inherit
 	ctx := context.Background()
 
-	res := &CacheResult{VCacheEnabled: !disableVCache, ElementBytes: elementBytes}
+	res := &CacheResult{VCacheEnabled: !cfg.DisableVCache, ElementBytes: elementBytes}
 	var content []byte
 
 	// Cold: every sample starts from an empty binding cache and (when
@@ -170,7 +136,7 @@ func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
 		cold = append(cold, now().Sub(start))
 		content = r.Element.Data
 	}
-	res.Cold = toCachePhase(cold)
+	res.Cold = toPhase(cold)
 
 	// Warm: the binding and (when enabled) the content cache stay hot.
 	var warm []time.Duration
@@ -188,7 +154,7 @@ func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
 			return nil, fmt.Errorf("cache warm fetch %d returned different bytes", i)
 		}
 	}
-	res.Warm = toCachePhase(warm)
+	res.Warm = toPhase(warm)
 	if res.Warm.Mean > 0 {
 		res.WarmSpeedup = float64(res.Cold.Mean) / float64(res.Warm.Mean)
 	}
@@ -215,7 +181,7 @@ func RunCache(cfg Config, disableVCache bool) (*CacheResult, error) {
 				return nil, fmt.Errorf("cache revalidate fetch %d returned different bytes", i)
 			}
 		}
-		p := toCachePhase(reval)
+		p := toPhase(reval)
 		res.Revalidate = &p
 	}
 
@@ -250,20 +216,41 @@ func (r *CacheResult) Format() string {
 	}
 	fmt.Fprintf(&b, "Verified-content cache (%s element, client at %s, cache %s)\n\n",
 		fmtSize(r.ElementBytes), netsim.Paris, state)
-	fmt.Fprintf(&b, "  %-12s %6s %12s %12s %12s %12s\n", "phase", "ops", "mean", "p50", "p95", "p99")
-	row := func(name string, p CachePhase) {
-		fmt.Fprintf(&b, "  %-12s %6d %12s %12s %12s %12s\n", name, p.Ops,
-			p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
-			p.P95.Round(time.Microsecond), p.P99.Round(time.Microsecond))
-	}
-	row("cold", r.Cold)
-	row("warm", r.Warm)
+	phaseHeader(&b, 12, "phase")
+	r.Cold.row(&b, 12, "cold")
+	r.Warm.row(&b, 12, "warm")
 	if r.Revalidate != nil {
-		row("revalidate", *r.Revalidate)
+		r.Revalidate.row(&b, 12, "revalidate")
 	}
 	fmt.Fprintf(&b, "\n  warm speedup (cold mean / warm mean): %.1fx\n", r.WarmSpeedup)
 	fmt.Fprintf(&b, "  counters: hits=%d misses=%d revalidations=%d signature_cache_hits=%d\n",
 		r.Hits, r.Misses, r.Revalidations, r.SigCacheHits)
 	fmt.Fprintf(&b, "  ablation (uncached client fetches identical bytes): %v\n", r.AblationIdentical)
 	return b.String()
+}
+
+// cacheMinWarmSpeedup is the cache gate's bar on WarmSpeedup.
+const cacheMinWarmSpeedup = 5.0
+
+// gate: the warm path beats the cold one by the bar, the counters show
+// every warm and revalidate sample served from the cache, and the
+// cache-disabled client fetched identical bytes.
+func (c *CacheResult) gate() (string, error) {
+	switch {
+	case !c.VCacheEnabled:
+		return "", ErrNotApplicable
+	case c.Cold.Ops == 0 || c.Warm.Ops == 0 || c.Revalidate == nil || c.Revalidate.Ops == 0:
+		return "", fmt.Errorf("missing phase samples: cold=%d warm=%d revalidate=%v", c.Cold.Ops, c.Warm.Ops, c.Revalidate)
+	case c.WarmSpeedup < cacheMinWarmSpeedup:
+		return "", fmt.Errorf("warm fetch speedup %.2fx is below the required %.1fx (cold %s, warm %s)",
+			c.WarmSpeedup, cacheMinWarmSpeedup, c.Cold.Mean, c.Warm.Mean)
+	case c.Hits < uint64(c.Warm.Ops+c.Revalidate.Ops):
+		return "", fmt.Errorf("vcache hits = %d, want >= %d (warm + revalidate samples)", c.Hits, c.Warm.Ops+c.Revalidate.Ops)
+	case c.Revalidations != uint64(c.Revalidate.Ops):
+		return "", fmt.Errorf("revalidations = %d, want %d", c.Revalidations, c.Revalidate.Ops)
+	case !c.AblationIdentical:
+		return "", errors.New("ablation check failed: cache-disabled client fetched different bytes")
+	}
+	return fmt.Sprintf("cold %s, warm %s (%.0fx >= %.1fx), revalidate %s, hits=%d reval=%d, ablation identical",
+		c.Cold.Mean, c.Warm.Mean, c.WarmSpeedup, cacheMinWarmSpeedup, c.Revalidate.Mean, c.Hits, c.Revalidations), nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunCacheQuick(t *testing.T) {
-	res, err := bench.RunCache(quickCfg(), false)
+	res, err := bench.RunCache(quickCfg())
 	if err != nil {
 		t.Fatalf("RunCache: %v", err)
 	}
@@ -46,7 +46,9 @@ func TestRunCacheQuick(t *testing.T) {
 }
 
 func TestRunCacheAblation(t *testing.T) {
-	res, err := bench.RunCache(quickCfg(), true)
+	cfg := quickCfg()
+	cfg.DisableVCache = true
+	res, err := bench.RunCache(cfg)
 	if err != nil {
 		t.Fatalf("RunCache(disable): %v", err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -154,15 +155,15 @@ func RunConcurrent(cfg Config, concurrency int) (*ConcurrentResult, error) {
 }
 
 // RunConcurrentComparison runs the closed-loop workload at concurrency 1
-// and at `concurrency`, returning both points and the throughput
+// and at cfg.Concurrency, returning both points and the throughput
 // speedup between them.
-func RunConcurrentComparison(cfg Config, concurrency int) (*ConcurrentComparison, error) {
+func RunConcurrentComparison(cfg Config) (*ConcurrentComparison, error) {
 	cfg = cfg.withDefaults()
 	serial, err := RunConcurrent(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	parallel, err := RunConcurrent(cfg, concurrency)
+	parallel, err := RunConcurrent(cfg, cfg.Concurrency)
 	if err != nil {
 		return nil, err
 	}
@@ -198,4 +199,32 @@ func (c *ConcurrentComparison) Format() string {
 		c.Parallel.Concurrency, c.Parallel.ColdPipelineRuns,
 		c.Parallel.ColdSingleflightShared, c.Parallel.Concurrency)
 	return b.String()
+}
+
+// concurrentMinSpeedup is the concurrent gate's bar on Speedup.
+const concurrentMinSpeedup = 4.0
+
+// gate: the parallel cold burst ran one binding pipeline that every
+// other racing fetch shared (singleflight), the closed loops saw no
+// errors, and parallel throughput beats serial by the bar.
+func (c *ConcurrentComparison) gate() (string, error) {
+	if c.Serial == nil || c.Parallel == nil {
+		return "", errors.New("report has no concurrent comparison")
+	}
+	par := c.Parallel
+	switch {
+	case par.ColdPipelineRuns != 1:
+		return "", fmt.Errorf("cold burst at concurrency %d ran %d binding pipelines, want exactly 1 (singleflight)",
+			par.Concurrency, par.ColdPipelineRuns)
+	case par.ColdSingleflightShared != uint64(par.Concurrency-1):
+		return "", fmt.Errorf("cold burst shared %d pipeline runs, want %d of %d fetches",
+			par.ColdSingleflightShared, par.Concurrency-1, par.Concurrency)
+	case c.Serial.Errors != 0 || par.Errors != 0:
+		return "", fmt.Errorf("closed loop saw errors: serial %d, parallel %d", c.Serial.Errors, par.Errors)
+	case c.Speedup < concurrentMinSpeedup:
+		return "", fmt.Errorf("throughput speedup %.2fx at concurrency %d is below the required %.1fx",
+			c.Speedup, par.Concurrency, concurrentMinSpeedup)
+	}
+	return fmt.Sprintf("%.1f ops/s serial, %.1f ops/s at %d (%.2fx >= %.1fx), cold pipelines = 1, shared = %d",
+		c.Serial.Throughput, par.Throughput, par.Concurrency, c.Speedup, concurrentMinSpeedup, par.ColdSingleflightShared), nil
 }

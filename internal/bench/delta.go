@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -30,8 +31,8 @@ type DeltaResult struct {
 	// DeltaPull times Puller.CheckOnce over obj.getdelta; FullPull is
 	// the ablation with the delta path disabled, replaying the identical
 	// signed bundles.
-	DeltaPull MuxPhase `json:"delta_pull"`
-	FullPull  MuxPhase `json:"full_pull"`
+	DeltaPull Phase `json:"delta_pull"`
+	FullPull  Phase `json:"full_pull"`
 
 	// BytesDeltaPerPull / BytesFullPerPull are wire bytes per pull
 	// (request + reply), averaged over the run.
@@ -75,7 +76,6 @@ func deltaBundles(cfg Config, iterations int) (globeid.OID, []*server.Bundle, er
 	}
 	oid := globeid.FromPublicKey(owner.Public())
 	doc := workload.WideDoc(deltaElements, deltaElementBytes, WorkloadSeed)
-	t0 := time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
 	r := workload.NewRand(WorkloadSeed + 1)
 
 	bundles := make([]*server.Bundle, 0, iterations+1)
@@ -83,7 +83,7 @@ func deltaBundles(cfg Config, iterations int) (globeid.OID, []*server.Bundle, er
 		elems, _ := doc.Snapshot()
 		doc.Replace(elems, version)
 		icert, err := document.IssueCertificate(doc, oid, owner,
-			t0.Add(time.Duration(version)*time.Second), document.UniformTTL(24*time.Hour))
+			benchEpoch.Add(time.Duration(version)*time.Second), document.UniformTTL(24*time.Hour))
 		if err != nil {
 			return err
 		}
@@ -113,25 +113,25 @@ func deltaBundles(cfg Config, iterations int) (globeid.OID, []*server.Bundle, er
 // runDeltaOnce replays the precomputed bundle sequence into a fresh
 // primary/secondary world and times every CheckOnce on the secondary's
 // puller, with the delta path on or off.
-func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disableDelta bool) (phase MuxPhase, bytesPerPull uint64, p *server.Puller, final []byte, err error) {
+func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disableDelta bool) (phase Phase, bytesPerPull uint64, p *server.Puller, final []byte, err error) {
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale})
 	if err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
 	defer w.Close()
 	primary, err := w.StartServer(netsim.AmsterdamPrimary, "srv-ams", nil, nil, server.Limits{})
 	if err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
 	secondary, err := w.StartServer(netsim.Paris, "srv-paris", nil, nil, server.Limits{})
 	if err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
 	if err := primary.Install(bundles[0], deltaOwner); err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
 	if err := secondary.Install(bundles[0], deltaOwner); err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
 	puller := server.NewPuller(secondary, oid, deltaOwner,
 		w.Addrs[netsim.AmsterdamPrimary], w.DialFrom(netsim.Paris), time.Hour)
@@ -143,16 +143,16 @@ func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disable
 	var samples []time.Duration
 	for _, b := range bundles[1:] {
 		if err := primary.Update(b, deltaOwner); err != nil {
-			return MuxPhase{}, 0, nil, nil, err
+			return Phase{}, 0, nil, nil, err
 		}
 		start := now()
 		pulled, err := puller.CheckOnce(ctx)
 		if err != nil {
-			return MuxPhase{}, 0, nil, nil, fmt.Errorf("delta bench pull: %w", err)
+			return Phase{}, 0, nil, nil, fmt.Errorf("delta bench pull: %w", err)
 		}
 		samples = append(samples, now().Sub(start))
 		if !pulled {
-			return MuxPhase{}, 0, nil, nil, fmt.Errorf("delta bench: secondary did not pull update %d", b.Version)
+			return Phase{}, 0, nil, nil, fmt.Errorf("delta bench: secondary did not pull update %d", b.Version)
 		}
 	}
 	pulls := uint64(len(samples))
@@ -162,9 +162,9 @@ func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disable
 	}
 	fb, err := secondary.ExportBundle(oid)
 	if err != nil {
-		return MuxPhase{}, 0, nil, nil, err
+		return Phase{}, 0, nil, nil, err
 	}
-	return toMuxPhase(samples), totalBytes / pulls, puller, fb.Marshal(), nil
+	return toPhase(samples), totalBytes / pulls, puller, fb.Marshal(), nil
 }
 
 // RunDelta measures Merkle-delta replication (the -experiment delta
@@ -213,7 +213,7 @@ func (r *DeltaResult) Format() string {
 	fmt.Fprintf(&b, "Merkle-delta replication (%d x %s elements, %d changed per update, secondary at %s)\n\n",
 		r.Elements, fmtSize(r.ElementBytes), r.ChangedPerUpdate, netsim.Paris)
 	fmt.Fprintf(&b, "  %-12s %6s %12s %12s %12s %14s\n", "path", "pulls", "mean", "p50", "p99", "bytes/pull")
-	row := func(name string, p MuxPhase, bytesPer uint64) {
+	row := func(name string, p Phase, bytesPer uint64) {
 		fmt.Fprintf(&b, "  %-12s %6d %12s %12s %12s %14d\n", name, p.Ops,
 			p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
 			p.P99.Round(time.Microsecond), bytesPer)
@@ -225,4 +225,32 @@ func (r *DeltaResult) Format() string {
 		r.DeltaPulls, r.DeltaDeclines, r.DeltaFallbacks)
 	fmt.Fprintf(&b, "  ablation (full-pull replica byte-identical): %v\n", r.AblationIdentical)
 	return b.String()
+}
+
+// deltaMinByteRatio is the delta gate's bar on ByteRatio.
+const deltaMinByteRatio = 4.0
+
+// gate: a one-element update moves the bar's multiple fewer bytes than a
+// full transfer, every pull took the delta path (a decline or fallback
+// would hide full-bundle bytes in the delta column), and the full-pull
+// ablation replica ended byte-identical.
+func (d *DeltaResult) gate() (string, error) {
+	switch {
+	case d.DeltaPull.Ops == 0 || d.FullPull.Ops == 0:
+		return "", fmt.Errorf("missing phase samples: delta=%d full=%d", d.DeltaPull.Ops, d.FullPull.Ops)
+	case d.BytesDeltaPerPull == 0 || d.BytesFullPerPull == 0:
+		return "", fmt.Errorf("missing byte counters: delta=%d full=%d", d.BytesDeltaPerPull, d.BytesFullPerPull)
+	case d.ByteRatio < deltaMinByteRatio:
+		return "", fmt.Errorf("delta pull moved %d bytes vs %d full (%.2fx), want >= %.1fx reduction",
+			d.BytesDeltaPerPull, d.BytesFullPerPull, d.ByteRatio, deltaMinByteRatio)
+	case d.DeltaPulls != uint64(d.DeltaPull.Ops):
+		return "", fmt.Errorf("delta_pulls = %d, want %d (one per sample)", d.DeltaPulls, d.DeltaPull.Ops)
+	case d.DeltaDeclines != 0 || d.DeltaFallbacks != 0:
+		return "", fmt.Errorf("delta run was not pure: declines=%d fallbacks=%d", d.DeltaDeclines, d.DeltaFallbacks)
+	case !d.AblationIdentical:
+		return "", errors.New("ablation check failed: full-pull replica ended with different bytes")
+	}
+	return fmt.Sprintf("%d bytes/pull vs %d full (%.2fx >= %.1fx), p50 %s vs %s, pulls=%d declines=%d fallbacks=%d",
+		d.BytesDeltaPerPull, d.BytesFullPerPull, d.ByteRatio, deltaMinByteRatio,
+		d.DeltaPull.P50, d.FullPull.P50, d.DeltaPulls, d.DeltaDeclines, d.DeltaFallbacks), nil
 }

@@ -1,0 +1,87 @@
+package bench
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+	"time"
+
+	"globedoc/internal/deploy"
+	"globedoc/internal/netsim"
+	"globedoc/internal/server"
+	"globedoc/internal/workload"
+)
+
+// TestFig4ShapeAtScale runs Figure 4 at a reduced but non-zero time scale
+// and asserts the paper's qualitative shape: overhead falls as size
+// grows, and at the largest size the LAN client has the highest relative
+// overhead.
+//
+// Each point is the median of single-fetch overhead percentages, not
+// RunFig4's ratio of means, with the two sizes fetched alternately so
+// ambient load lands on both. The sample count follows the noise: at 5%
+// scale a LAN fetch takes ~8 ms and its overhead swings between 20% and
+// 55% from one fetch to the next around a ~12-point margin, which a mean
+// of three loses a few times in a hundred runs; the WAN clients' margins
+// are 25 points and more on fetches of up to 350 ms, where three to
+// five samples were always enough.
+func TestFig4ShapeAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scaled-latency experiment")
+	}
+	const small, large = 1 * workload.KB, 1024 * workload.KB
+	fetches := map[string]int{netsim.AmsterdamSecondary: 25, netsim.Paris: 5, netsim.Ithaca: 3}
+	cfg := Config{
+		TimeScale: 0.05, // 5% of real latencies keeps the test quick
+		Sizes:     []int{small, large},
+		Clients:   []string{netsim.AmsterdamSecondary, netsim.Paris, netsim.Ithaca},
+	}.withDefaults()
+	// RunFig4's world: one object per size on the Amsterdam primary.
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv-ams", nil, nil, server.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	pubs := make(map[int]*deploy.Publication)
+	for i, size := range cfg.Sizes {
+		pubs[size], err = w.Publish(workload.SingleElementDoc(size, uint64(i+1)), deploy.PublishOptions{
+			Name: fmt.Sprintf("fig4-%d.bench", size), TTL: 24 * time.Hour, KeyAlgorithm: cfg.KeyAlgorithm,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	overhead := func(client string, size int) float64 {
+		p, err := measureFig4Point(w, pubs[size], client, size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.OverheadPercent
+	}
+	median := func(v []float64) float64 {
+		sort.Float64s(v)
+		return v[len(v)/2]
+	}
+	atLarge := make(map[string]float64)
+	for _, client := range cfg.Clients {
+		var smalls, larges []float64
+		for i := 0; i < fetches[client]; i++ {
+			smalls = append(smalls, overhead(client, small))
+			larges = append(larges, overhead(client, large))
+		}
+		s, l := median(smalls), median(larges)
+		if s <= l {
+			t.Errorf("%s: overhead did not fall with size: %.1f%% -> %.1f%%",
+				netsim.ClientLabel(client), s, l)
+		}
+		atLarge[client] = l
+	}
+	if atLarge[netsim.AmsterdamSecondary] <= atLarge[netsim.Ithaca] {
+		t.Errorf("at 1MB, LAN overhead (%.2f%%) should exceed transatlantic (%.2f%%)",
+			atLarge[netsim.AmsterdamSecondary], atLarge[netsim.Ithaca])
+	}
+}

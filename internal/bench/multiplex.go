@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/netsim"
@@ -14,23 +16,6 @@ import (
 	"globedoc/internal/telemetry"
 	"globedoc/internal/workload"
 )
-
-// MuxPhase is the latency distribution of one multiplex-experiment
-// phase: a cold single-element fetch, a cold whole-object fetch through
-// the batched GetElements exchange, or the serial-RPC ablation.
-type MuxPhase struct {
-	Ops  int           `json:"ops"`
-	Mean time.Duration `json:"latency_mean_ns"`
-	P50  time.Duration `json:"latency_p50_ns"`
-	P95  time.Duration `json:"latency_p95_ns"`
-	P99  time.Duration `json:"latency_p99_ns"`
-	Max  time.Duration `json:"latency_max_ns"`
-}
-
-func toMuxPhase(samples []time.Duration) MuxPhase {
-	s := workload.ComputeLatencyStats(samples)
-	return MuxPhase{Ops: s.N, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
-}
 
 // MultiplexResult is the -experiment multiplex output: cold fetch
 // latency for one element vs. the whole wide object over the batched v2
@@ -44,13 +29,13 @@ type MultiplexResult struct {
 
 	// SingleCold fetches one element from cold bindings: the full secure
 	// pipeline plus one element round trip.
-	SingleCold MuxPhase `json:"single_cold"`
+	SingleCold Phase `json:"single_cold"`
 	// BatchCold fetches all elements from cold bindings: the same
 	// pipeline plus ONE GetElements exchange carrying every element.
-	BatchCold MuxPhase `json:"batch_cold"`
+	BatchCold Phase `json:"batch_cold"`
 	// SerialCold is the ablation: batch fetch disabled and one fetch
 	// worker, so every element pays its own round trip in sequence.
-	SerialCold MuxPhase `json:"serial_cold"`
+	SerialCold Phase `json:"serial_cold"`
 
 	// BatchRatio is BatchCold.Mean / SingleCold.Mean — the acceptance
 	// metric (a wide object over the multiplexed transport must cost at
@@ -95,7 +80,7 @@ const (
 // byte-identical content.
 func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 	cfg = cfg.withDefaults()
-	clk := &benchClock{t: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(benchEpoch)
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale, Telemetry: tel, Clock: clk.Now})
 	if err != nil {
@@ -145,47 +130,39 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		}
 		single = append(single, now().Sub(start))
 	}
-	res.SingleCold = toMuxPhase(single)
+	res.SingleCold = toPhase(single)
 
-	// Batched whole-object fetch: one GetElements exchange per sample.
-	content := make(map[string][]byte, muxElements)
-	var batch []time.Duration
-	for i := 0; i < cfg.Iterations; i++ {
-		batched.FlushBindings()
-		start := now()
-		results, err := batched.FetchAll(ctx, pub.OID)
-		if err != nil {
-			return nil, fmt.Errorf("multiplex batch fetch: %w", err)
+	// Whole-object fetch from cold bindings, returning the bytes of the
+	// last sample per element for the ablation compare.
+	fetchAllCold := func(label string, c *core.Client) (Phase, map[string][]byte, error) {
+		content := make(map[string][]byte, muxElements)
+		var samples []time.Duration
+		for i := 0; i < cfg.Iterations; i++ {
+			c.FlushBindings()
+			start := now()
+			results, err := c.FetchAll(ctx, pub.OID)
+			if err != nil {
+				return Phase{}, nil, fmt.Errorf("multiplex %s fetch: %w", label, err)
+			}
+			samples = append(samples, now().Sub(start))
+			if len(results) != muxElements {
+				return Phase{}, nil, fmt.Errorf("multiplex %s fetch %d returned %d elements, want %d", label, i, len(results), muxElements)
+			}
+			for _, r := range results {
+				content[r.Element.Name] = r.Element.Data
+			}
 		}
-		batch = append(batch, now().Sub(start))
-		if len(results) != muxElements {
-			return nil, fmt.Errorf("multiplex batch fetch %d returned %d elements, want %d", i, len(results), muxElements)
-		}
-		for _, r := range results {
-			content[r.Element.Name] = r.Element.Data
-		}
+		return toPhase(samples), content, nil
 	}
-	res.BatchCold = toMuxPhase(batch)
-
-	// Serial ablation: individual sequential GetElement calls.
-	serialContent := make(map[string][]byte, muxElements)
-	var ser []time.Duration
-	for i := 0; i < cfg.Iterations; i++ {
-		serial.FlushBindings()
-		start := now()
-		results, err := serial.FetchAll(ctx, pub.OID)
-		if err != nil {
-			return nil, fmt.Errorf("multiplex serial fetch: %w", err)
-		}
-		ser = append(ser, now().Sub(start))
-		if len(results) != muxElements {
-			return nil, fmt.Errorf("multiplex serial fetch %d returned %d elements, want %d", i, len(results), muxElements)
-		}
-		for _, r := range results {
-			serialContent[r.Element.Name] = r.Element.Data
-		}
+	// Batched: one GetElements exchange per sample. Serial ablation:
+	// individual sequential GetElement calls.
+	var content, serialContent map[string][]byte
+	if res.BatchCold, content, err = fetchAllCold("batch", batched); err != nil {
+		return nil, err
 	}
-	res.SerialCold = toMuxPhase(ser)
+	if res.SerialCold, serialContent, err = fetchAllCold("serial", serial); err != nil {
+		return nil, err
+	}
 
 	if res.SingleCold.Mean > 0 {
 		res.BatchRatio = float64(res.BatchCold.Mean) / float64(res.SingleCold.Mean)
@@ -211,19 +188,43 @@ func (r *MultiplexResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Multiplexed transport with batched element fetch (%d x %s elements, client at %s)\n\n",
 		r.Elements, fmtSize(r.ElementBytes), netsim.Paris)
-	fmt.Fprintf(&b, "  %-14s %6s %12s %12s %12s %12s\n", "phase", "ops", "mean", "p50", "p95", "p99")
-	row := func(name string, p MuxPhase) {
-		fmt.Fprintf(&b, "  %-14s %6d %12s %12s %12s %12s\n", name, p.Ops,
-			p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
-			p.P95.Round(time.Microsecond), p.P99.Round(time.Microsecond))
-	}
-	row("single cold", r.SingleCold)
-	row("batch cold", r.BatchCold)
-	row("serial cold", r.SerialCold)
+	phaseHeader(&b, 14, "phase")
+	r.SingleCold.row(&b, 14, "single cold")
+	r.BatchCold.row(&b, 14, "batch cold")
+	r.SerialCold.row(&b, 14, "serial cold")
 	fmt.Fprintf(&b, "\n  batch ratio (batch cold / single cold): %.2fx (serial ablation: %.2fx)\n",
 		r.BatchRatio, r.SerialRatio)
 	fmt.Fprintf(&b, "  counters: batch_fetches=%d batch_elements=%d streams_opened=%d negotiations{v2}=%d\n",
 		r.BatchFetches, r.BatchElements, r.StreamsOpened, r.NegotiatedV2)
 	fmt.Fprintf(&b, "  ablation (serial client fetches identical bytes): %v\n", r.AblationIdentical)
 	return b.String()
+}
+
+// multiplexMaxBatchRatio is the multiplex gate's bar on BatchRatio.
+const multiplexMaxBatchRatio = 2.0
+
+// gate: a cold wide-object fetch stays within the bar of a cold
+// single-element fetch, the batch path really ran over negotiated v2,
+// and the serial-RPC ablation fetched identical bytes.
+func (m *MultiplexResult) gate() (string, error) {
+	wantFetches := uint64(m.BatchCold.Ops)
+	switch {
+	case m.SingleCold.Ops == 0 || m.BatchCold.Ops == 0 || m.SerialCold.Ops == 0:
+		return "", fmt.Errorf("missing phase samples: single=%d batch=%d serial=%d", m.SingleCold.Ops, m.BatchCold.Ops, m.SerialCold.Ops)
+	case m.BatchRatio > multiplexMaxBatchRatio:
+		return "", fmt.Errorf("cold %d-element fetch is %.2fx a cold single-element fetch, want <= %.1fx (single %s, batch %s)",
+			m.Elements, m.BatchRatio, multiplexMaxBatchRatio, m.SingleCold.Mean, m.BatchCold.Mean)
+	case m.BatchFetches < wantFetches:
+		return "", fmt.Errorf("batch_fetch_total = %d, want >= %d (one exchange per batch sample)", m.BatchFetches, wantFetches)
+	case m.BatchElements < wantFetches*uint64(m.Elements):
+		return "", fmt.Errorf("batch_fetch_elements_total = %d, want >= %d (%d elements per exchange)",
+			m.BatchElements, wantFetches*uint64(m.Elements), m.Elements)
+	case m.NegotiatedV2 == 0:
+		return "", errors.New("negotiations{v2} = 0: the run never negotiated the multiplexed transport")
+	case !m.AblationIdentical:
+		return "", errors.New("ablation check failed: serial-RPC client fetched different bytes")
+	}
+	return fmt.Sprintf("single %s, batch %s (%.2fx <= %.1fx), serial %s (%.2fx), batch_fetches=%d batch_elements=%d",
+		m.SingleCold.Mean, m.BatchCold.Mean, m.BatchRatio, multiplexMaxBatchRatio,
+		m.SerialCold.Mean, m.SerialRatio, m.BatchFetches, m.BatchElements), nil
 }

@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/globeid"
@@ -46,10 +48,10 @@ type PlacementVariant struct {
 	// Selector is the Selector.Name() of the ranking policy measured.
 	Selector string `json:"selector"`
 	// Cold fetches run the full secure pipeline from flushed bindings.
-	Cold MuxPhase `json:"cold"`
+	Cold Phase `json:"cold"`
 	// Warm fetches reuse the cached verified binding (one element round
 	// trip to whichever replica the selector bound).
-	Warm MuxPhase `json:"warm"`
+	Warm Phase `json:"warm"`
 }
 
 // PlacementResult is the -experiment placement output: cold and warm
@@ -106,7 +108,7 @@ type placementObject struct {
 // fetched byte-identical content.
 func RunPlacement(cfg Config) (*PlacementResult, error) {
 	cfg = cfg.withDefaults()
-	clk := &benchClock{t: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(benchEpoch)
 	w, err := deploy.NewFleetWorld(deploy.Options{TimeScale: cfg.TimeScale, Clock: clk.Now})
 	if err != nil {
 		return nil, err
@@ -134,7 +136,7 @@ func RunPlacement(cfg Config) (*PlacementResult, error) {
 
 	telHR := telemetry.New(nil)
 	primeHealth(ctx, w, client, telHR)
-	hr, hrBytes, err := measurePlacementVariant(ctx, w, client, cfg, clk, objects, core.Options{
+	hr, hrBytes, err := measurePlacementVariant(ctx, w, client, cfg, objects, core.Options{
 		Now:           clk.Now,
 		CacheBindings: true,
 		Telemetry:     telHR,
@@ -145,7 +147,7 @@ func RunPlacement(cfg Config) (*PlacementResult, error) {
 	hr.Selector = core.HealthRankedSelector{Zone: netsim.ContinentEurope}.Name()
 	res.HealthRanked = hr
 
-	ord, ordBytes, err := measurePlacementVariant(ctx, w, client, cfg, clk, objects, core.Options{
+	ord, ordBytes, err := measurePlacementVariant(ctx, w, client, cfg, objects, core.Options{
 		Now:           clk.Now,
 		CacheBindings: true,
 		Telemetry:     telemetry.New(nil),
@@ -180,7 +182,7 @@ func RunPlacement(cfg Config) (*PlacementResult, error) {
 // continents but miss the client's. Degenerate draws (every replica on
 // one far continent) are rejected — they measure placement luck, not
 // selection policy.
-func publishPlacementWorkload(w *deploy.FleetWorld, client string, cfg Config, clk *benchClock) ([]placementObject, int, error) {
+func publishPlacementWorkload(w *deploy.FleetWorld, client string, cfg Config, clk *clock.Fake) ([]placementObject, int, error) {
 	clientZone := netsim.FleetContinentOf(client)
 	nearWant := placementObjects - placementFarObjects
 	farWant := placementFarObjects
@@ -252,7 +254,7 @@ func primeHealth(ctx context.Context, w *deploy.FleetWorld, client string, tel *
 // (bindings flushed before every sample) then warm fetches (cached
 // bindings) across every object, returning the two distributions and the
 // bytes fetched per object for the ablation check.
-func measurePlacementVariant(ctx context.Context, w *deploy.FleetWorld, client string, cfg Config, clk *benchClock, objects []placementObject, opts core.Options) (PlacementVariant, map[globeid.OID][]byte, error) {
+func measurePlacementVariant(ctx context.Context, w *deploy.FleetWorld, client string, cfg Config, objects []placementObject, opts core.Options) (PlacementVariant, map[globeid.OID][]byte, error) {
 	var v PlacementVariant
 	c, err := w.NewSecureClientOpts(client, opts)
 	if err != nil {
@@ -287,8 +289,8 @@ func measurePlacementVariant(ctx context.Context, w *deploy.FleetWorld, client s
 			}
 		}
 	}
-	v.Cold = toMuxPhase(cold)
-	v.Warm = toMuxPhase(warm)
+	v.Cold = toPhase(cold)
+	v.Warm = toPhase(warm)
 	return v, fetched, nil
 }
 
@@ -298,18 +300,42 @@ func (r *PlacementResult) Format() string {
 	fmt.Fprintf(&b, "Sharded fleet replica selection (%d servers / %d continents, factor %d; %d objects, %d without a %s replica; client at %s)\n\n",
 		r.Servers, r.Continents, r.ReplicationFactor, r.Objects, r.FarObjects,
 		netsim.FleetContinentOf(r.Client), r.Client)
-	fmt.Fprintf(&b, "  %-22s %6s %12s %12s %12s %12s\n", "selector / phase", "ops", "mean", "p50", "p95", "p99")
-	row := func(name string, p MuxPhase) {
-		fmt.Fprintf(&b, "  %-22s %6d %12s %12s %12s %12s\n", name, p.Ops,
-			p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
-			p.P95.Round(time.Microsecond), p.P99.Round(time.Microsecond))
-	}
-	row(r.HealthRanked.Selector+" cold", r.HealthRanked.Cold)
-	row(r.Ordered.Selector+" cold", r.Ordered.Cold)
-	row(r.HealthRanked.Selector+" warm", r.HealthRanked.Warm)
-	row(r.Ordered.Selector+" warm", r.Ordered.Warm)
+	phaseHeader(&b, 22, "selector / phase")
+	r.HealthRanked.Cold.row(&b, 22, r.HealthRanked.Selector+" cold")
+	r.Ordered.Cold.row(&b, 22, r.Ordered.Selector+" cold")
+	r.HealthRanked.Warm.row(&b, 22, r.HealthRanked.Selector+" warm")
+	r.Ordered.Warm.row(&b, 22, r.Ordered.Selector+" warm")
 	fmt.Fprintf(&b, "\n  p99 ratio (health-ranked / ordered): cold %.2fx, warm %.2fx\n", r.ColdP99Ratio, r.WarmP99Ratio)
 	fmt.Fprintf(&b, "  workload: %d key draws for %d accepted placements\n", r.PublishAttempts, r.Objects)
 	fmt.Fprintf(&b, "  ablation (ordered client fetches identical bytes): %v\n", r.AblationIdentical)
 	return b.String()
+}
+
+// placementMaxP99Ratio is the placement gate's bar on both P99 ratios.
+const placementMaxP99Ratio = 0.7
+
+// gate: health-ranked cold AND warm fetch p99 are within the bar of the
+// location-order ablation's, over a workload that differentiates the
+// two, and the ordered client fetched identical bytes.
+func (p *PlacementResult) gate() (string, error) {
+	for _, v := range []PlacementVariant{p.HealthRanked, p.Ordered} {
+		if v.Cold.Ops == 0 || v.Warm.Ops == 0 {
+			return "", fmt.Errorf("missing %s phase samples: cold=%d warm=%d", v.Selector, v.Cold.Ops, v.Warm.Ops)
+		}
+	}
+	switch {
+	case p.FarObjects == 0:
+		return "", errors.New("workload has no far-placed objects; the selectors were never differentiated")
+	case p.ColdP99Ratio <= 0 || p.ColdP99Ratio > placementMaxP99Ratio:
+		return "", fmt.Errorf("cold p99 ratio %.2fx exceeds the required <= %.2fx (health-ranked %s, ordered %s)",
+			p.ColdP99Ratio, placementMaxP99Ratio, p.HealthRanked.Cold.P99, p.Ordered.Cold.P99)
+	case p.WarmP99Ratio <= 0 || p.WarmP99Ratio > placementMaxP99Ratio:
+		return "", fmt.Errorf("warm p99 ratio %.2fx exceeds the required <= %.2fx (health-ranked %s, ordered %s)",
+			p.WarmP99Ratio, placementMaxP99Ratio, p.HealthRanked.Warm.P99, p.Ordered.Warm.P99)
+	case !p.AblationIdentical:
+		return "", errors.New("ablation check failed: ordered client fetched different bytes")
+	}
+	return fmt.Sprintf("cold p99 %s vs %s (%.2fx <= %.2fx), warm p99 %s vs %s (%.2fx), %d objects (%d far), ablation identical",
+		p.HealthRanked.Cold.P99, p.Ordered.Cold.P99, p.ColdP99Ratio, placementMaxP99Ratio,
+		p.HealthRanked.Warm.P99, p.Ordered.Warm.P99, p.WarmP99Ratio, p.Objects, p.FarObjects), nil
 }

@@ -35,8 +35,8 @@ func TestRunPlacementQuick(t *testing.T) {
 		t.Errorf("selector names: %q / %q", res.HealthRanked.Selector, res.Ordered.Selector)
 	}
 	// At TimeScale 0 the latency ratios are CPU noise, so only their
-	// presence is asserted here; scripts/placement_bench.sh gates the
-	// real-latency run.
+	// presence is asserted here; the placement gate (make
+	// bench-placement) checks the real-latency run.
 	if res.ColdP99Ratio <= 0 || res.WarmP99Ratio <= 0 {
 		t.Errorf("ratios: cold=%v warm=%v", res.ColdP99Ratio, res.WarmP99Ratio)
 	}

@@ -2,6 +2,8 @@ package bench_test
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,9 +54,9 @@ func sampleReport(t *testing.T) *bench.Report {
 	r.Cache = &bench.CacheResult{
 		VCacheEnabled: true,
 		ElementBytes:  65536,
-		Cold:          bench.CachePhase{Ops: 3, Mean: 40 * time.Millisecond, P50: 39 * time.Millisecond, P95: 44 * time.Millisecond, P99: 45 * time.Millisecond, Max: 45 * time.Millisecond},
-		Warm:          bench.CachePhase{Ops: 3, Mean: 50 * time.Microsecond, P50: 48 * time.Microsecond, P95: 60 * time.Microsecond, P99: 61 * time.Microsecond, Max: 61 * time.Microsecond},
-		Revalidate: &bench.CachePhase{
+		Cold:          bench.Phase{Ops: 3, Mean: 40 * time.Millisecond, P50: 39 * time.Millisecond, P95: 44 * time.Millisecond, P99: 45 * time.Millisecond, Max: 45 * time.Millisecond},
+		Warm:          bench.Phase{Ops: 3, Mean: 50 * time.Microsecond, P50: 48 * time.Microsecond, P95: 60 * time.Microsecond, P99: 61 * time.Microsecond, Max: 61 * time.Microsecond},
+		Revalidate: &bench.Phase{
 			Ops: 3, Mean: 20 * time.Millisecond, P50: 19 * time.Millisecond,
 			P95: 22 * time.Millisecond, P99: 23 * time.Millisecond, Max: 23 * time.Millisecond,
 		},
@@ -112,5 +114,73 @@ func TestReadReportRejectsWrongSchema(t *testing.T) {
 	bad := `{"schema":"` + bench.ReportSchema + `","meta":{"key_algorithm":"rot13"}}`
 	if _, err := bench.ReadReport(strings.NewReader(bad)); err == nil {
 		t.Fatal("unknown key algorithm accepted")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// populate sets every field reachable from v to a fixed non-zero value
+// (one element per slice and map), so omitempty hides nothing.
+func populate(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem()))
+		populate(v.Elem())
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(time.Time{}) {
+			v.Set(reflect.ValueOf(time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)))
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			populate(v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		populate(v.Index(0))
+	case reflect.Map:
+		key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		populate(key)
+		populate(elem)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(key, elem)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint8, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.String:
+		v.SetString("s")
+	default:
+		panic("populate: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestReportJSONLayoutIsFrozen pins the globedoc-bench/1 layout: a
+// report with every field populated must marshal to the bytes the
+// golden file holds (written by this same test at the commit before the
+// CachePhase/MuxPhase merge), so no refactor can rename, drop or
+// reorder a key.
+func TestReportJSONLayoutIsFrozen(t *testing.T) {
+	var r bench.Report
+	populate(reflect.ValueOf(&r).Elem())
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/report_layout.golden.json"
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report JSON layout changed; got:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }

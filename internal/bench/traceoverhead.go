@@ -2,10 +2,12 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/globeid"
@@ -27,11 +29,11 @@ type TraceOverheadResult struct {
 	// SampledCold fetches with sample rate 1.0: the full pipeline with
 	// every span exported to the ring and exemplar trace IDs recorded on
 	// the latency histogram.
-	SampledCold MuxPhase `json:"sampled_cold"`
+	SampledCold Phase `json:"sampled_cold"`
 	// UnsampledCold is the ablation at sample rate 0: identical fetches,
 	// spans still timed (core.Timing needs the durations) but dropped at
 	// End() instead of exported.
-	UnsampledCold MuxPhase `json:"unsampled_cold"`
+	UnsampledCold Phase `json:"unsampled_cold"`
 
 	// P50Ratio is SampledCold.P50 / UnsampledCold.P50 — the acceptance
 	// metric (full tracing must stay within a few percent of the
@@ -88,7 +90,7 @@ func (p *tracePhase) fetchCold(ctx context.Context, record bool) error {
 }
 
 func newTracePhase(cfg Config, rate float64) (*tracePhase, error) {
-	clk := &benchClock{t: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(benchEpoch)
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale, Telemetry: tel, Clock: clk.Now})
 	if err != nil {
@@ -176,8 +178,8 @@ func RunTraceOverhead(cfg Config) (*TraceOverheadResult, error) {
 
 	res := &TraceOverheadResult{
 		ElementBytes:   traceOverheadElementBytes,
-		SampledCold:    toMuxPhase(sampled.samples),
-		UnsampledCold:  toMuxPhase(unsampled.samples),
+		SampledCold:    toPhase(sampled.samples),
+		UnsampledCold:  toPhase(unsampled.samples),
 		SpansSampled:   sampled.tel.Ring.Total(),
 		SpansUnsampled: unsampled.tel.Ring.Total(),
 	}
@@ -198,16 +200,37 @@ func (r *TraceOverheadResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Trace overhead ablation (%s element, client at %s, cold fetches)\n\n",
 		fmtSize(r.ElementBytes), netsim.Paris)
-	fmt.Fprintf(&b, "  %-22s %6s %12s %12s %12s %12s\n", "phase", "ops", "mean", "p50", "p95", "p99")
-	row := func(name string, p MuxPhase) {
-		fmt.Fprintf(&b, "  %-22s %6d %12s %12s %12s %12s\n", name, p.Ops,
-			p.Mean.Round(time.Microsecond), p.P50.Round(time.Microsecond),
-			p.P95.Round(time.Microsecond), p.P99.Round(time.Microsecond))
-	}
-	row("sampled (rate 1.0)", r.SampledCold)
-	row("ablation (rate 0)", r.UnsampledCold)
+	phaseHeader(&b, 22, "phase")
+	r.SampledCold.row(&b, 22, "sampled (rate 1.0)")
+	r.UnsampledCold.row(&b, 22, "ablation (rate 0)")
 	fmt.Fprintf(&b, "\n  p50 ratio (sampled / ablation): %.3fx\n", r.P50Ratio)
 	fmt.Fprintf(&b, "  spans exported: sampled=%d ablation=%d; exemplar buckets=%d\n",
 		r.SpansSampled, r.SpansUnsampled, r.ExemplarBuckets)
 	return b.String()
+}
+
+// traceMaxP50Ratio is the traceoverhead gate's bar on P50Ratio.
+const traceMaxP50Ratio = 1.05
+
+// gate: the fully traced cold-fetch p50 stays within the bar of the
+// rate-0 ablation, the sampled phase really traced (at least the fetch
+// root and one child per sample) and the ablation exported nothing —
+// nothing errored, so nothing may export at rate 0.
+func (t *TraceOverheadResult) gate() (string, error) {
+	switch {
+	case t.SampledCold.Ops == 0 || t.UnsampledCold.Ops == 0:
+		return "", fmt.Errorf("missing phase samples: sampled=%d ablation=%d", t.SampledCold.Ops, t.UnsampledCold.Ops)
+	case t.P50Ratio > traceMaxP50Ratio:
+		return "", fmt.Errorf("cold-fetch p50 with full tracing is %.3fx the untraced ablation, want <= %.2fx (sampled %s, ablation %s)",
+			t.P50Ratio, traceMaxP50Ratio, t.SampledCold.P50, t.UnsampledCold.P50)
+	case t.SpansSampled < uint64(t.SampledCold.Ops)*2:
+		return "", fmt.Errorf("sampled phase exported %d spans, want >= %d", t.SpansSampled, t.SampledCold.Ops*2)
+	case t.ExemplarBuckets == 0:
+		return "", errors.New("sampled phase left no exemplar trace IDs on the fetch-latency histogram")
+	case t.SpansUnsampled != 0:
+		return "", fmt.Errorf("ablation phase exported %d spans at sample rate 0, want 0", t.SpansUnsampled)
+	}
+	return fmt.Sprintf("sampled p50 %s, ablation p50 %s (%.3fx <= %.2fx), spans sampled=%d ablation=%d, exemplar buckets=%d",
+		t.SampledCold.P50, t.UnsampledCold.P50, t.P50Ratio, traceMaxP50Ratio,
+		t.SpansSampled, t.SpansUnsampled, t.ExemplarBuckets), nil
 }

@@ -488,10 +488,8 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 	now := c.now()
 
 	// Step 2: consult the verified-binding cache.
-	var vb *verifiedBinding
-	var warm bool
 	cacheSp := p.root.StartChild(StepBindingCache)
-	vb, warm = c.cachedBinding(oid, now)
+	vb, warm := c.cachedBinding(oid, now)
 	if warm {
 		cacheSp.Annotate("outcome", "hit")
 	} else {
@@ -533,43 +531,30 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 	//   - lapsed entry, cold binding -> the replica handed over a
 	//     certificate that is already stale: replayed old signed state,
 	//     rejected as a freshness security failure.
-	var vcEntry cert.ElementEntry
-	vcFresh := false
-	if c.vcache != nil {
-		if entry, cerr := vb.icert.CheckConsistency(element); cerr == nil {
-			if ferr := entry.CheckFreshness(now); ferr == nil {
-				vcEntry, vcFresh = entry, true
-				if cached, hit := c.vcacheGet(p, entry, now); hit {
-					res := FetchResult{
-						Element:       document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data},
-						CertifiedAs:   vb.certifiedAs,
-						ReplicaAddr:   vb.client.Addr(),
-						Timing:        p.timing,
-						WarmBinding:   warm,
-						SharedBinding: shared,
-						FromCache:     true,
-					}
-					if owned {
-						vb.client.Close()
-					}
-					return res, nil
-				}
-			} else if warm {
-				// The cached certificate's interval lapsed. Revalidate by
-				// re-binding — which moves only a fresh certificate — and
-				// count it when the bytes themselves are still cached, so
-				// vcache_revalidations_total measures transfers avoided.
-				if c.vcache.Contains(entry.Hash) {
-					p.tel.VCacheRevalidations.Inc()
-				}
-				c.dropBinding(oid, vb)
-				return c.refetchFresh(ctx, p, oid, element, excluded)
-			} else {
-				c.dropBinding(oid, vb)
-				c.invalidateContent(oid)
-				return FetchResult{}, c.secErr("freshness", ferr)
+	b := boundFetch{vb: vb, now: now, warm: warm, shared: shared}
+	vcEntry, vcFresh, lapsed := c.vcacheEntry(b, element)
+	switch {
+	case vcFresh:
+		if res, hit := c.serveCached(p, b, element, vcEntry); hit {
+			if owned {
+				vb.client.Close()
 			}
+			return res, nil
 		}
+	case lapsed != nil && warm:
+		// The cached certificate's interval lapsed. Revalidate by
+		// re-binding — which moves only a fresh certificate — and
+		// count it when the bytes themselves are still cached, so
+		// vcache_revalidations_total measures transfers avoided.
+		if c.vcache.Contains(vcEntry.Hash) {
+			p.tel.VCacheRevalidations.Inc()
+		}
+		c.dropBinding(oid, vb)
+		return c.refetchFresh(ctx, p, oid, element, excluded)
+	case lapsed != nil:
+		c.dropBinding(oid, vb)
+		c.invalidateContent(oid)
+		return FetchResult{}, c.secErr("freshness", lapsed)
 	}
 
 	// Step 11: retrieve the page element from the (untrusted) replica.
@@ -656,43 +641,76 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 		c.invalidateContent(oid)
 		return FetchResult{}, c.secErr("element", err)
 	}
-	if c.vcache != nil && vcFresh {
-		c.vcache.Put(oid, vcEntry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, vcEntry.Expires)
-	}
-
-	res := FetchResult{
-		Element:       elem,
-		CertifiedAs:   vb.certifiedAs,
-		ReplicaAddr:   vb.client.Addr(),
-		Timing:        p.timing,
-		WarmBinding:   warm,
-		SharedBinding: shared,
-	}
+	res := c.deliver(p, b, elem, vcEntry, vcFresh)
 	if owned {
 		vb.client.Close()
 	}
 	return res, nil
 }
 
-// vcacheGet consults the verified-content cache for an entry the caller
-// has just checked for consistency and freshness against the current
-// verified certificate, under a vcache.lookup span. It counts the
-// hit/miss and re-arms a hit's TTL to the entry's validity bound.
-func (c *Client) vcacheGet(p *pipeline, entry cert.ElementEntry, now time.Time) (vcache.Element, bool) {
+// boundFetch is what one operation's element fetches share: its verified
+// binding and how that was come by, and its clock reading. Only verified
+// state belongs here — trustflow tracks taint per object, so the batch
+// prefetch's unverified bytes travel beside it, not inside it.
+type boundFetch struct {
+	vb           *verifiedBinding
+	now          time.Time
+	warm, shared bool
+}
+
+// result is the FetchResult for elem served under b's binding.
+func (b boundFetch) result(p *pipeline, elem document.Element, fromCache bool) FetchResult {
+	return FetchResult{
+		Element:       elem,
+		CertifiedAs:   b.vb.certifiedAs,
+		ReplicaAddr:   b.vb.client.Addr(),
+		Timing:        p.timing,
+		WarmBinding:   b.warm,
+		SharedBinding: b.shared,
+		FromCache:     fromCache,
+	}
+}
+
+// vcacheEntry looks element up in b's verified certificate for the
+// verified-content cache. fresh: listed and within its validity interval,
+// so bytes under entry.Hash may be served from the cache and stored into
+// it. lapsed: a listed entry's freshness failure.
+func (c *Client) vcacheEntry(b boundFetch, element string) (entry cert.ElementEntry, fresh bool, lapsed error) {
+	if c.vcache != nil {
+		var cerr error
+		if entry, cerr = b.vb.icert.CheckConsistency(element); cerr == nil {
+			lapsed = entry.CheckFreshness(b.now)
+			fresh = lapsed == nil
+		}
+	}
+	return entry, fresh, lapsed
+}
+
+// serveCached answers a fetch from the verified-content cache when it
+// holds the bytes of a fresh entry, under a vcache.lookup span. It counts
+// the hit/miss and re-arms a hit's TTL to the entry's validity bound.
+func (c *Client) serveCached(p *pipeline, b boundFetch, element string, entry cert.ElementEntry) (FetchResult, bool) {
 	sp := p.root.StartChild(StepVCacheLookup)
-	cached, hit := c.vcache.Get(entry.Hash, now, entry.Expires)
-	if hit {
-		sp.Annotate("outcome", "hit")
-	} else {
+	cached, hit := c.vcache.Get(entry.Hash, b.now, entry.Expires)
+	if !hit {
 		sp.Annotate("outcome", "miss")
-	}
-	sp.End()
-	if hit {
-		p.tel.VCacheHits.Inc()
-	} else {
+		sp.End()
 		p.tel.VCacheMisses.Inc()
+		return FetchResult{}, false
 	}
-	return cached, hit
+	sp.Annotate("outcome", "hit")
+	sp.End()
+	p.tel.VCacheHits.Inc()
+	return b.result(p, document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data}, true), true
+}
+
+// deliver ends a fetch whose bytes passed verifyElement: they enter the
+// verified-content cache when their entry is fresh.
+func (c *Client) deliver(p *pipeline, b boundFetch, elem document.Element, entry cert.ElementEntry, fresh bool) FetchResult {
+	if fresh {
+		c.vcache.Put(b.vb.icert.ObjectID, entry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, entry.Expires)
+	}
+	return b.result(p, elem, false)
 }
 
 // refetchFresh re-runs the fetch through the certificate-refresh retry
@@ -1093,6 +1111,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 	// from the prefetched bytes and fall back to individual fetches for
 	// anything the batch could not carry.
 	prefetched, batchShare := c.batchPrefetch(ctx, p, vb, entries, now)
+	b := boundFetch{vb: vb, now: now, warm: warm, shared: shared}
 
 	workers := c.fetchWorkers
 	if workers > len(entries) {
@@ -1119,7 +1138,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 				if i >= len(entries) || gctx.Err() != nil {
 					return
 				}
-				res, err := c.fetchVia(gctx, p.fresh(), vb, entries[i].Name, now, warm, shared, prefetched, batchShare)
+				res, err := c.fetchVia(gctx, p.fresh(), b, entries[i].Name, prefetched, batchShare)
 				out[i] = slot{res: res, err: err, done: true}
 				if err != nil {
 					failOnce.Do(func() {
@@ -1198,28 +1217,17 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 	return got, sp.Duration() / time.Duration(len(got))
 }
 
-func (c *Client) fetchVia(ctx context.Context, p *pipeline, vb *verifiedBinding, element string, now time.Time, warm, shared bool, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
-	// The verified-content cache serves FetchAll workers too; a
-	// whole-document download re-transfers only the elements whose bytes
-	// are not already held under the current certificate. Lapsed entries
-	// are left to the normal post-fetch freshness check — FetchAll's
-	// caller handles the failure, there is no per-element re-bind here.
-	var vcEntry cert.ElementEntry
-	vcFresh := false
-	if c.vcache != nil {
-		if entry, cerr := vb.icert.CheckConsistency(element); cerr == nil && entry.CheckFreshness(now) == nil {
-			vcEntry, vcFresh = entry, true
-			if cached, hit := c.vcacheGet(p, entry, now); hit {
-				return FetchResult{
-					Element:       document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data},
-					CertifiedAs:   vb.certifiedAs,
-					ReplicaAddr:   vb.client.Addr(),
-					Timing:        p.timing,
-					WarmBinding:   warm,
-					SharedBinding: shared,
-					FromCache:     true,
-				}, nil
-			}
+// fetchVia fetches one element over the binding FetchAll's workers
+// share. The verified-content cache serves them too: a whole-document
+// download re-transfers only the elements whose bytes are not already
+// held under the current certificate. Lapsed entries are left to the
+// post-fetch freshness check — FetchAll's caller handles the failure,
+// there is no per-element re-bind here.
+func (c *Client) fetchVia(ctx context.Context, p *pipeline, b boundFetch, element string, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
+	vcEntry, vcFresh, _ := c.vcacheEntry(b, element)
+	if vcFresh {
+		if res, hit := c.serveCached(p, b, element, vcEntry); hit {
+			return res, nil
 		}
 	}
 	var elem document.Element
@@ -1235,25 +1243,15 @@ func (c *Client) fetchVia(ctx context.Context, p *pipeline, vb *verifiedBinding,
 	} else {
 		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
 			var ferr error
-			elem, ferr = vb.client.GetElement(ctx, element)
+			elem, ferr = b.vb.client.GetElement(ctx, element)
 			return ferr
 		})
 		if err != nil {
 			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
 		}
 	}
-	if err := c.verifyElement(p, vb, element, elem.Data, now); err != nil {
+	if err := c.verifyElement(p, b.vb, element, elem.Data, b.now); err != nil {
 		return FetchResult{}, c.secErr("element", err)
 	}
-	if c.vcache != nil && vcFresh {
-		c.vcache.Put(vb.icert.ObjectID, vcEntry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, vcEntry.Expires)
-	}
-	return FetchResult{
-		Element:       elem,
-		CertifiedAs:   vb.certifiedAs,
-		ReplicaAddr:   vb.client.Addr(),
-		Timing:        p.timing,
-		WarmBinding:   warm,
-		SharedBinding: shared,
-	}, nil
+	return c.deliver(p, b, elem, vcEntry, vcFresh), nil
 }
