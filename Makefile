@@ -13,10 +13,14 @@ check: vet lint build test test-perfbench fuzz-smoke concurrent-smoke telemetry-
 	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
-## serving path, run explicitly so a vet default change cannot drop them.
+## serving path, run explicitly so a vet default change cannot drop them,
+## and gofmt: any file `gofmt -l` names fails the target (perfbench/ is
+## the benchmark's own module and is left to its own checks).
 vet:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
+	@unformatted=$$(gofmt -l . | grep -v '^perfbench/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l is not clean:"; echo "$$unformatted"; exit 1; fi
 
 ## lint: the project-invariant analyzer suite (cmd/globedoclint),
 ## including the trustflow taint pass (unverified wire bytes must never

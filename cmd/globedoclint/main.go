@@ -115,9 +115,9 @@ type ReportSuppression struct {
 
 // ReportSummary aggregates counts per rule.
 type ReportSummary struct {
-	Findings   int                      `json:"findings"`
-	Suppressed int                      `json:"suppressed"`
-	ByRule     map[string]RuleCounts    `json:"by_rule"`
+	Findings   int                   `json:"findings"`
+	Suppressed int                   `json:"suppressed"`
+	ByRule     map[string]RuleCounts `json:"by_rule"`
 }
 
 // RuleCounts is the per-rule finding/suppression tally.

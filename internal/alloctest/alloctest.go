@@ -1,0 +1,34 @@
+// Package alloctest measures the heap bytes a function allocates, for the
+// tests that pin each layer's payload-copy budget (DESIGN.md, "Life of a
+// payload byte"): testing.AllocsPerRun counts objects, a copy budget is
+// in bytes.
+package alloctest
+
+import (
+	"runtime"
+	"testing"
+)
+
+// raceEnabled is set by race.go, which only a -race build compiles.
+var raceEnabled bool
+
+// BytesPerRun returns the average number of heap bytes allocated per call
+// of f, by every goroutine of the process — so the far side of a loopback
+// exchange is included. Like testing.AllocsPerRun it pins GOMAXPROCS to 1
+// and calls f once before measuring. The race detector's instrumentation
+// allocates on its own account, so under -race the test is skipped.
+func BytesPerRun(t testing.TB, runs int, f func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}

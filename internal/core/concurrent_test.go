@@ -7,9 +7,11 @@ package core_test
 // connection-pool gauge. Run with -race (make check does).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/location"
 	"globedoc/internal/netsim"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
@@ -72,11 +75,35 @@ func concurrentWorld(t *testing.T) (*deploy.World, *deploy.Publication, *telemet
 	return w, pub, tel
 }
 
+// gatedSelector holds the one fetch that runs the binding pipeline at its
+// ranking step until release is closed. Only the pipeline leader ranks
+// candidates, so the flight stays open for as long as the gate is shut.
+type gatedSelector struct {
+	core.HealthRankedSelector
+	release <-chan struct{}
+}
+
+func (g gatedSelector) Rank(candidates []location.ContactAddress, health *telemetry.HealthTracker) []location.ContactAddress {
+	<-g.release
+	return g.HealthRankedSelector.Rank(candidates, health)
+}
+
+// flightFollowers counts the goroutines inside core.(*Client).joinFlight,
+// read off a stack dump: a fetch there holds the leader's flight and can
+// only finish by sharing its outcome.
+func flightFollowers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("core.(*Client).joinFlight("))
+}
+
 func TestConcurrentColdBurstSingleflight(t *testing.T) {
 	w, pub, tel := concurrentWorld(t)
+	release := make(chan struct{})
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
 		PoolSize:      16,
+		Selector:      gatedSelector{release: release},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +122,18 @@ func TestConcurrentColdBurstSingleflight(t *testing.T) {
 			results[i], errs[i] = client.Fetch(context.Background(), pub.OID, "index.html")
 		}(i)
 	}
+	// The leader's pipeline waits at the gate until every other worker
+	// has joined its flight. Without that a worker the scheduler starts
+	// after the leader has finished (TimeScale 0: microseconds) finds the
+	// binding warm and never shares, and the count below is off by it.
+	for deadline := time.Now().Add(10 * time.Second); flightFollowers() < workers-1; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d of %d workers joined the leader's flight within 10s", flightFollowers(), workers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

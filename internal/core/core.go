@@ -238,6 +238,12 @@ type FetchResult struct {
 	// verified-content cache: the current verified certificate lists
 	// their hash, so no element transfer or hashing was needed.
 	FromCache bool
+	// VerifiedHash is the SHA-1 the verified integrity certificate lists
+	// for the element — the hash the bytes passed CheckAuthenticity
+	// against, or the vcache key on a hit. Never a replica-supplied
+	// value; consumers needing the content hash (the proxy's ETag) use it
+	// instead of hashing Element.Data again.
+	VerifiedHash [globeid.Size]byte
 }
 
 // verifiedBinding is a cached, fully verified attachment to one object
@@ -596,7 +602,7 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 	}
 
 	// Steps 12–14: consistency, authenticity, freshness (paper §3.2.2).
-	err = c.verifyElement(p, vb, element, elem.Data, now)
+	entry, err := c.verifyElement(p, vb, element, elem.Data, now)
 	if err != nil {
 		if warm && errors.Is(err, cert.ErrFreshness) {
 			// The cached certificate may simply have expired; re-bind
@@ -641,7 +647,7 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 		c.invalidateContent(oid)
 		return FetchResult{}, c.secErr("element", err)
 	}
-	res := c.deliver(p, b, elem, vcEntry, vcFresh)
+	res := c.deliver(p, b, elem, entry, vcFresh)
 	if owned {
 		vb.client.Close()
 	}
@@ -658,10 +664,12 @@ type boundFetch struct {
 	warm, shared bool
 }
 
-// result is the FetchResult for elem served under b's binding.
-func (b boundFetch) result(p *pipeline, elem document.Element, fromCache bool) FetchResult {
+// result is the FetchResult for elem, whose bytes b's verified
+// certificate vouches for under hash, served under b's binding.
+func (b boundFetch) result(p *pipeline, elem document.Element, hash [globeid.Size]byte, fromCache bool) FetchResult {
 	return FetchResult{
 		Element:       elem,
+		VerifiedHash:  hash,
 		CertifiedAs:   b.vb.certifiedAs,
 		ReplicaAddr:   b.vb.client.Addr(),
 		Timing:        p.timing,
@@ -701,16 +709,18 @@ func (c *Client) serveCached(p *pipeline, b boundFetch, element string, entry ce
 	sp.Annotate("outcome", "hit")
 	sp.End()
 	p.tel.VCacheHits.Inc()
-	return b.result(p, document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data}, true), true
+	return b.result(p, document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data}, entry.Hash, true), true
 }
 
-// deliver ends a fetch whose bytes passed verifyElement: they enter the
-// verified-content cache when their entry is fresh.
+// deliver ends a fetch whose bytes passed verifyElement against entry:
+// they enter the verified-content cache when the consult found the entry
+// fresh. The cache copies them in, so the caller's elem.Data — the frame
+// buffer the bytes arrived in — stays the caller's to keep or mutate.
 func (c *Client) deliver(p *pipeline, b boundFetch, elem document.Element, entry cert.ElementEntry, fresh bool) FetchResult {
 	if fresh {
 		c.vcache.Put(b.vb.icert.ObjectID, entry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, entry.Expires)
 	}
-	return b.result(p, elem, false)
+	return b.result(p, elem, entry.Hash, false)
 }
 
 // refetchFresh re-runs the fetch through the certificate-refresh retry
@@ -738,25 +748,30 @@ func (c *Client) refetchFresh(ctx context.Context, p *pipeline, oid globeid.OID,
 }
 
 // verifyElement runs the three per-element checks as separate pipeline
-// steps, all credited to Timing.ElementVerify. The decomposed cert
-// methods are the same code VerifyElement composes, in the same order.
-func (c *Client) verifyElement(p *pipeline, vb *verifiedBinding, element string, content []byte, now time.Time) error {
+// steps, all credited to Timing.ElementVerify, and returns the
+// certificate entry the content was verified against. The decomposed
+// cert methods are the same code VerifyElement composes, in the same
+// order. CheckAuthenticity is the one SHA-1 a fetched element costs.
+func (c *Client) verifyElement(p *pipeline, vb *verifiedBinding, element string, content []byte, now time.Time) (cert.ElementEntry, error) {
 	var entry cert.ElementEntry
 	if err := p.step(StepVerifyConsistency, &p.timing.ElementVerify, func() error {
 		var cerr error
 		entry, cerr = vb.icert.CheckConsistency(element)
 		return cerr
 	}); err != nil {
-		return err
+		return cert.ElementEntry{}, err
 	}
 	if err := p.step(StepVerifyAuthenticity, &p.timing.ElementVerify, func() error {
 		return entry.CheckAuthenticity(content)
 	}); err != nil {
-		return err
+		return cert.ElementEntry{}, err
 	}
-	return p.step(StepVerifyFreshness, &p.timing.ElementVerify, func() error {
+	if err := p.step(StepVerifyFreshness, &p.timing.ElementVerify, func() error {
 		return entry.CheckFreshness(now)
-	})
+	}); err != nil {
+		return cert.ElementEntry{}, err
+	}
+	return entry, nil
 }
 
 // establish performs phases 2–5: locate candidate replicas, then for
@@ -1250,8 +1265,9 @@ func (c *Client) fetchVia(ctx context.Context, p *pipeline, b boundFetch, elemen
 			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
 		}
 	}
-	if err := c.verifyElement(p, b.vb, element, elem.Data, b.now); err != nil {
+	entry, err := c.verifyElement(p, b.vb, element, elem.Data, b.now)
+	if err != nil {
 		return FetchResult{}, c.secErr("element", err)
 	}
-	return c.deliver(p, b, elem, vcEntry, vcFresh), nil
+	return c.deliver(p, b, elem, entry, vcFresh), nil
 }

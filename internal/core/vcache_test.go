@@ -127,6 +127,90 @@ func TestVCacheHitSkipsElementTransfer(t *testing.T) {
 	}
 }
 
+// TestMissResultIsTheCallersToMutate: a miss hands the caller the frame
+// buffer its bytes arrived in, and the cache keeps a copy of its own
+// (vcache.Put copies in) — so scribbling over the result, to the end of
+// its capacity, does not change what a later hit serves.
+func TestMissResultIsTheCallersToMutate(t *testing.T) {
+	_, pub, client, _, _, _ := vcacheWorld(t, time.Hour)
+	ctx := context.Background()
+	miss, err := client.Fetch(ctx, pub.OID, "index.html")
+	if err != nil || miss.FromCache {
+		t.Fatalf("first fetch: FromCache=%v err=%v", miss.FromCache, err)
+	}
+	want := string(miss.Element.Data)
+	data := miss.Element.Data[:cap(miss.Element.Data)]
+	for i := range data {
+		data[i] = 0xFF
+	}
+	hit, err := client.Fetch(ctx, pub.OID, "index.html")
+	if err != nil || !hit.FromCache {
+		t.Fatalf("second fetch: FromCache=%v err=%v", hit.FromCache, err)
+	}
+	if string(hit.Element.Data) != want {
+		t.Fatalf("cache hit serves %q after the miss result was scribbled over, want %q", hit.Element.Data, want)
+	}
+}
+
+// TestVerifiedHashIsTheOneHashPerElement: every FetchResult carries the
+// certificate-listed SHA-1 of its bytes — on a miss, a hit and a batch-
+// prefetched FetchAll element alike — and computing it cost exactly one
+// authenticity check per element that moved, none per hit.
+func TestVerifiedHashIsTheOneHashPerElement(t *testing.T) {
+	w, pub, client, _, tel, clk := vcacheWorld(t, time.Hour)
+	ctx := context.Background()
+	authChecks := func(tel *telemetry.Telemetry) (n int) {
+		for _, rec := range tel.Ring.Spans() {
+			if rec.Name == core.StepVerifyAuthenticity {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(what string, res core.FetchResult) {
+		t.Helper()
+		if res.VerifiedHash != globeid.HashElement(res.Element.Data) || res.VerifiedHash != elementHash(t, pub, res.Element.Name) {
+			t.Errorf("%s: VerifiedHash %x is not the certificate's SHA-1 of the body", what, res.VerifiedHash)
+		}
+	}
+	miss, err := client.Fetch(ctx, pub.OID, "index.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("miss", miss)
+	if got := authChecks(tel); got != 1 {
+		t.Errorf("a miss ran %d authenticity checks, want 1", got)
+	}
+	hit, err := client.Fetch(ctx, pub.OID, "index.html")
+	if err != nil || !hit.FromCache {
+		t.Fatalf("second fetch: FromCache=%v err=%v", hit.FromCache, err)
+	}
+	check("hit", hit)
+	if got := authChecks(tel); got != 1 {
+		t.Errorf("a hit hashed the body again: %d authenticity checks, want still 1", got)
+	}
+
+	allTel := telemetry.New(nil)
+	all, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Now: clk.Now, Telemetry: allTel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(all.Close)
+	results, err := all.FetchAll(ctx, pub.OID)
+	if err != nil || len(results) != 2 {
+		t.Fatalf("FetchAll: %d results, %v", len(results), err)
+	}
+	if allTel.BatchElements.Value() != 2 {
+		t.Fatalf("FetchAll batched %d elements, want both", allTel.BatchElements.Value())
+	}
+	for _, res := range results {
+		check("prefetched "+res.Element.Name, res)
+	}
+	if got := authChecks(allTel); got != len(results) {
+		t.Errorf("FetchAll ran %d authenticity checks for %d elements", got, len(results))
+	}
+}
+
 func TestVCacheSignatureMemoized(t *testing.T) {
 	_, pub, client, _, tel, _ := vcacheWorld(t, time.Hour)
 	ctx := context.Background()

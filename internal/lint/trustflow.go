@@ -717,7 +717,7 @@ func (fp *tfPass) objTaintAt(obj types.Object, at token.Pos) *tfTaint {
 	}
 	if fp.seedParams && obj == fp.seedObj {
 		if idx, ok := fp.st.params[obj]; ok {
-			return &tfTaint{root: idx, steps: []string{fp.stepAt(obj.Pos(), "parameter " + obj.Name())}}
+			return &tfTaint{root: idx, steps: []string{fp.stepAt(obj.Pos(), "parameter "+obj.Name())}}
 		}
 	}
 	return nil

@@ -378,8 +378,36 @@ type shapedConn struct {
 }
 
 func (c *shapedConn) Write(p []byte) (int, error) {
+	c.shape(len(p))
+	return c.Conn.Write(p)
+}
+
+// WriteBuffers sends bufs as one burst: it charges what one Write of
+// their concatenation would, then writes them in order. The transport
+// sends a large frame's header and body this way, so a Read that
+// completes between the two cannot restart the burst and charge the
+// frame a second propagation delay.
+func (c *shapedConn) WriteBuffers(bufs ...[]byte) (int, error) {
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	c.shape(total)
+	written := 0
+	for _, b := range bufs {
+		n, err := c.Conn.Write(b)
+		written += n
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// shape sleeps for the delay a write of n bytes incurs now.
+func (c *shapedConn) shape(n int) {
 	c.mu.Lock()
-	delay := c.prof.TransferTime(len(p))
+	delay := c.prof.TransferTime(n)
 	if !c.midSend {
 		delay += c.prof.Latency
 		c.midSend = true
@@ -388,7 +416,6 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	if c.scale > 0 && delay > 0 {
 		c.clk.Sleep(time.Duration(float64(delay) * c.scale))
 	}
-	return c.Conn.Write(p)
 }
 
 func (c *shapedConn) Read(p []byte) (int, error) {

@@ -3,9 +3,11 @@ package netsim_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/netsim"
 	"globedoc/internal/transport"
 )
@@ -263,5 +265,63 @@ func TestClientLabel(t *testing.T) {
 	}
 	if netsim.ClientLabel("other") != "other" {
 		t.Error("ClientLabel default wrong")
+	}
+}
+
+// sleepLog is a clock whose Sleep returns at once and records the delay
+// it was asked for, so a test reads off what the simulator charged.
+type sleepLog struct {
+	clock.Clock
+	mu    sync.Mutex
+	slept []time.Duration
+}
+
+func (s *sleepLog) Sleep(d time.Duration) {
+	s.mu.Lock()
+	s.slept = append(s.slept, d)
+	s.mu.Unlock()
+}
+
+func (s *sleepLog) count(d time.Duration) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, got := range s.slept {
+		if got == d {
+			n++
+		}
+	}
+	return n
+}
+
+// A frame too large to be coalesced leaves the transport as header and
+// body. The simulator must charge the pair what it charged the joined
+// frame — one propagation delay plus the transfer time of all its bytes,
+// in one piece — whatever the connection's reader does meanwhile.
+func TestSplitFrameIsChargedAsOneWrite(t *testing.T) {
+	log := &sleepLog{Clock: clock.Real}
+	n := netsim.NewNetwork()
+	n.TimeScale = 1.0
+	n.Clock = log
+	link := netsim.LinkProfile{Latency: 30 * time.Millisecond, Bandwidth: 1e6}
+	n.SetLink("a", "b", link)
+	defer n.Close()
+	l, err := n.Listen("b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer()
+	srv.Handle("get", func(body []byte) ([]byte, error) { return make([]byte, 200_000), nil })
+	srv.Start(l)
+	defer srv.Close()
+
+	c := transport.NewClient(n.Dialer("a", "b:svc"))
+	defer c.Close()
+	if _, err := c.Call(context.Background(), "get", nil); err != nil {
+		t.Fatal(err)
+	}
+	frame := int(c.BytesReceived.Load()) // the response frame, headers included
+	if want := link.Latency + link.TransferTime(frame); log.count(want) != 1 {
+		t.Errorf("simulator slept %v; want one delay of %v for the %d-byte response frame", log.slept, want, frame)
 	}
 }

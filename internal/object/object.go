@@ -115,13 +115,17 @@ func EncodeElement(e document.Element) []byte {
 	return w.Bytes()
 }
 
-// DecodeElement decodes an element from the wire.
+// DecodeElement decodes an element from the wire. The element's Data
+// aliases body: a response body handed out by transport.Client.Call is
+// the caller's alone (received frame buffers are never reused), so the
+// payload is not copied to be decoded. A caller decoding from a buffer
+// it will reuse or mutate must copy first.
 func DecodeElement(body []byte) (document.Element, error) {
 	r := enc.NewReader(body)
 	var e document.Element
 	e.Name = r.String()
 	e.ContentType = r.String()
-	e.Data = append([]byte(nil), r.BytesPrefixed()...)
+	e.Data = r.BytesPrefixed()
 	if err := r.Finish(); err != nil {
 		return document.Element{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
@@ -207,7 +211,9 @@ func EncodeElementsResponse(items []BatchWireItem) []byte {
 	return w.Bytes()
 }
 
-// DecodeElementsResponse decodes a batch response.
+// DecodeElementsResponse decodes a batch response. Every item's element
+// Data aliases body (see DecodeElement), so one retained element keeps
+// the whole reply's buffer reachable until it is released.
 func DecodeElementsResponse(body []byte) ([]BatchItem, error) {
 	r := enc.NewReader(body)
 	n := r.Uvarint()

@@ -3,10 +3,12 @@ package object_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
@@ -109,13 +111,17 @@ func TestCertListRoundTrip(t *testing.T) {
 	}
 }
 
-// clientFixture serves one real document and returns a connected Client.
-func clientFixture(t *testing.T) (*object.Client, globeid.OID) {
+// clientFixture serves one real document — index.html plus any extra
+// elements — and returns a connected Client.
+func clientFixture(t *testing.T, extra ...document.Element) (*object.Client, globeid.OID) {
 	t.Helper()
 	owner := keytest.Ed()
 	oid := binderTestOID(owner)
 	doc := document.New()
 	doc.Put(document.Element{Name: "index.html", Data: []byte("served")})
+	for _, e := range extra {
+		doc.Put(e)
+	}
 	t0 := time.Now()
 	icert, err := document.IssueCertificate(doc, oid, owner, t0, document.UniformTTL(time.Hour))
 	if err != nil {
@@ -185,6 +191,78 @@ func TestClientAccessors(t *testing.T) {
 	ncs, err := c.GetNameCerts(context.Background())
 	if err != nil || len(ncs) != 0 {
 		t.Fatalf("GetNameCerts = %v, %v", ncs, err)
+	}
+}
+
+// TestDecodeElementAliasesItsInput pins object's share of the payload
+// budget: decoding a 1 MiB element allocates nothing payload-sized — the
+// element's Data is a window onto the frame it arrived in.
+func TestDecodeElementAliasesItsInput(t *testing.T) {
+	const size = 1 << 20
+	wire := object.EncodeElement(document.Element{Name: "big.bin", ContentType: "application/octet-stream", Data: make([]byte, size)})
+	e, err := object.DecodeElement(wire)
+	if err != nil || len(e.Data) != size {
+		t.Fatalf("DecodeElement: %d bytes, %v", len(e.Data), err)
+	}
+	if &e.Data[size-1] != &wire[len(wire)-1] {
+		t.Fatal("decoded Data does not alias the wire bytes")
+	}
+	perDecode := alloctest.BytesPerRun(t, 100, func() {
+		if _, err := object.DecodeElement(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDecode > 256 {
+		t.Fatalf("DecodeElement allocates %.0f bytes for a 1 MiB element, want only its two strings", perDecode)
+	}
+}
+
+// TestGetElementResultsShareNoMemory is the other half of the aliasing
+// rule: every call's frame buffer is its own, so scribbling over one
+// result — to the end of its capacity — reaches neither a sibling's
+// result nor the server's wire table, whether the calls ran one after
+// the other or at once, in a coalesced frame or a split one.
+func TestGetElementResultsShareNoMemory(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 8<<10) // 128 KiB: a split frame
+	c, _ := clientFixture(t, document.Element{Name: "big.bin", Data: big})
+	ctx := context.Background()
+	scribble := func(e document.Element) {
+		data := e.Data[:cap(e.Data)]
+		for i := range data {
+			data[i] = 0xFF
+		}
+	}
+	for name, want := range map[string][]byte{"index.html": []byte("served"), "big.bin": big} {
+		get := func() document.Element {
+			e, err := c.GetElement(ctx, name)
+			if err != nil {
+				t.Errorf("GetElement(%q): %v", name, err)
+			}
+			return e
+		}
+		first, second := get(), get()
+		scribble(first)
+		if !bytes.Equal(second.Data, want) {
+			t.Errorf("%s: scribbling one result changed the next call's", name)
+		}
+
+		var pair [2]document.Element
+		var wg sync.WaitGroup
+		for i := range pair {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pair[i] = get()
+			}(i)
+		}
+		wg.Wait()
+		scribble(pair[0])
+		if !bytes.Equal(pair[1].Data, want) {
+			t.Errorf("%s: concurrent calls share backing memory", name)
+		}
+		if again := get(); !bytes.Equal(again.Data, want) {
+			t.Errorf("%s: scribbling a result reached the server's wire table", name)
+		}
 	}
 }
 

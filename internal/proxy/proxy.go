@@ -16,18 +16,21 @@ package proxy
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"html"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"globedoc/internal/core"
 	"globedoc/internal/document"
+	"globedoc/internal/globeid"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
@@ -205,6 +208,12 @@ func (p *Proxy) serveSecure(w http.ResponseWriter, r *http.Request, ref document
 	p.bump(&p.secureOK)
 	p.observe("secure", "ok")
 	sp.Annotate("outcome", "ok")
+	serveVerified(w, r, res)
+}
+
+// serveVerified writes a verified element to the browser, or a 304 when
+// the browser already holds it.
+func serveVerified(w http.ResponseWriter, r *http.Request, res core.FetchResult) {
 	h := w.Header()
 	h.Set(HeaderReplica, res.ReplicaAddr)
 	if res.CertifiedAs != "" {
@@ -219,23 +228,26 @@ func (p *Proxy) serveSecure(w http.ResponseWriter, r *http.Request, ref document
 	// Conditional GET: the ETag is the element's verified content hash,
 	// so a browser revalidation costs no body transfer when the (still
 	// fully verified) content is unchanged.
-	etag := elementETag(res.Element)
+	etag := elementETag(res.VerifiedHash)
 	h.Set("ETag", etag)
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	h.Set("Content-Type", res.Element.ContentType)
-	h.Set("Content-Length", fmt.Sprint(len(res.Element.Data)))
+	h.Set("Content-Length", strconv.Itoa(len(res.Element.Data)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res.Element.Data) // response write failure means the browser went away
 }
 
-// elementETag derives a strong ETag from the element's verified SHA-1
-// content hash.
-func elementETag(e document.Element) string {
-	hash := e.Hash()
-	return fmt.Sprintf("%q", fmt.Sprintf("%x", hash))
+// elementETag renders a strong ETag — the quoted lower-case hex of the
+// element's SHA-1 — from the hash core verified the bytes against. The
+// body is not hashed again: FetchResult.VerifiedHash is that hash.
+func elementETag(hash [globeid.Size]byte) string {
+	var etag [2 + 2*globeid.Size]byte
+	etag[0], etag[len(etag)-1] = '"', '"'
+	hex.Encode(etag[1:], hash[:])
+	return string(etag[:])
 }
 
 // etagMatches implements the If-None-Match comparison for strong ETags,

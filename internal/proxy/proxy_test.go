@@ -2,6 +2,7 @@ package proxy_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
+	"globedoc/internal/globeid"
 	"globedoc/internal/httpbase"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
@@ -308,6 +310,65 @@ func TestProxyConditionalGet(t *testing.T) {
 	defer third.Body.Close()
 	if third.StatusCode != http.StatusOK {
 		t.Fatalf("status = %s, want 200", third.Status)
+	}
+}
+
+// TestProxyETagIsTheVerifiedHash is the golden test for the ETag now
+// that it is the hash core verified and no longer a second SHA-1 of the
+// body: on a content-cache miss, on a hit, and on an element that entered
+// the cache through FetchAll's batch prefetch, it is byte for byte what
+// the old fmt.Sprintf("%q", fmt.Sprintf("%x", sha1(body))) produced, and
+// If-None-Match on it answers 304.
+func TestProxyETagIsTheVerifiedHash(t *testing.T) {
+	w, p, browser := proxyWorldOpts(t, core.Options{
+		CacheBindings: true,
+		VCache:        vcache.New(vcache.Config{}),
+	})
+	album := document.New()
+	album.Put(document.Element{Name: "a.jpg", Data: []byte("first photograph")})
+	album.Put(document.Element{Name: "b.jpg", Data: []byte("second photograph")})
+	pub, err := w.Publish(album, deploy.PublishOptions{Name: "album.vu.nl", OwnerKey: keytest.Ed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Secure.FetchAll(context.Background(), pub.OID); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		what, object, element, body, cache string
+	}{
+		{"content-cache miss", "home.vu.nl", "index.html", "<html>secure home</html>", ""},
+		{"content-cache hit", "home.vu.nl", "index.html", "<html>secure home</html>", "hit"},
+		{"FetchAll-prefetched element", "album.vu.nl", "b.jpg", "second photograph", "hit"},
+	} {
+		url := "http://proxy" + proxy.HybridURL(tc.object, tc.element)
+		resp, err := browser.Get(url)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != tc.body {
+			t.Fatalf("%s: %s, body %q", tc.what, resp.Status, body)
+		}
+		if got := resp.Header.Get(proxy.HeaderCache); got != tc.cache {
+			t.Errorf("%s: %s = %q, want %q", tc.what, proxy.HeaderCache, got, tc.cache)
+		}
+		golden := fmt.Sprintf("%q", fmt.Sprintf("%x", globeid.HashElement(body)))
+		if got := resp.Header.Get("ETag"); got != golden {
+			t.Errorf("%s: ETag = %s, want %s", tc.what, got, golden)
+		}
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		req.Header.Set("If-None-Match", golden)
+		cond, err := browser.Do(req)
+		if err != nil {
+			t.Fatalf("%s: conditional GET: %v", tc.what, err)
+		}
+		cond.Body.Close()
+		if cond.StatusCode != http.StatusNotModified {
+			t.Errorf("%s: If-None-Match answered %s, want 304", tc.what, cond.Status)
+		}
 	}
 }
 

@@ -65,9 +65,9 @@ type DeltaReply struct {
 	NewVersion uint64
 	// Headers is the retained chain from the have-version to the current
 	// version inclusive, oldest first.
-	Headers []*VersionHeader
-	Key     keys.PublicKey
-	Cert    *cert.IntegrityCertificate
+	Headers   []*VersionHeader
+	Key       keys.PublicKey
+	Cert      *cert.IntegrityCertificate
 	NameCerts []*cert.NameCertificate
 	// Items lists every element of the new version, sorted by name.
 	Items []DeltaItem

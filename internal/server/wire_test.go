@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
@@ -213,6 +214,36 @@ func TestGetCertZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("handleGetCert allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
+// TestGetElementServesTheWireTableUncopied pins the server's share of
+// the payload budget: a 1 MiB element is answered with the precomputed
+// wire bytes themselves (the transport then sends them from there), so a
+// request allocates nothing payload-sized.
+func TestGetElementServesTheWireTableUncopied(t *testing.T) {
+	const size = 1 << 20
+	s, oid, _ := newWireServer(t, size)
+	req := object.EncodeElementRequest(oid, "index.html", "")
+	h, err := s.replica(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := h.wire.elements["index.html"].wire
+	got, err := s.handleGetElement(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(table) || &got[0] != &table[0] {
+		t.Fatal("handleGetElement answered with a copy of the wire table entry")
+	}
+	perRequest := alloctest.BytesPerRun(t, 100, func() {
+		if _, err := s.handleGetElement(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRequest > 4096 {
+		t.Fatalf("handleGetElement allocates %.0f bytes serving a 1 MiB element, want no payload-sized allocation", perRequest)
 	}
 }
 

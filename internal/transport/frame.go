@@ -134,6 +134,16 @@ type v2Frame struct {
 	Trace telemetry.SpanContext
 }
 
+// wireLen is the size a parsed frame had on the wire: length prefix,
+// fixed header, the trace extension when flagged, and the payload.
+func (f v2Frame) wireLen() int {
+	n := 4 + v2FrameOverhead + len(f.Payload)
+	if f.Flags&flagTrace != 0 {
+		n += traceExtLen
+	}
+	return n
+}
+
 // appendTraceExt encodes sc as the 17-byte trace-context extension.
 func appendTraceExt(buf []byte, sc telemetry.SpanContext) []byte {
 	var ext [traceExtLen]byte
@@ -154,31 +164,34 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 	}
 }
 
-// writeV2Frame sends one v2 frame with a single Write call, so the
-// network simulator charges one latency per frame. A valid f.Trace is
-// written as the trace-context extension with flagTrace set.
-func writeV2Frame(w io.Writer, f v2Frame) error {
-	if len(f.Payload) > MaxFrame {
-		return ErrFrameTooLarge
+// writeV2Frame sends one v2 frame and returns the bytes it put on the
+// wire. The frame's payload is head‖f.Payload: head, which may be nil,
+// is the short leading part (a response's envelope header) and is copied
+// behind the frame header; f.Payload is not (see writeSplit). A valid
+// f.Trace is written as the trace-context extension with flagTrace set.
+func writeV2Frame(w io.Writer, f v2Frame, head []byte) (int, error) {
+	n := len(head) + len(f.Payload)
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
 	}
 	ext := 0
 	if f.Trace.Valid() {
 		f.Flags |= flagTrace
 		ext = traceExtLen
 	}
-	buf := make([]byte, 0, 4+v2FrameOverhead+ext+len(f.Payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+len(f.Payload)))
+	buf := frameBuf(4+v2FrameOverhead+ext+len(head), f.Payload)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+n))
 	buf = append(buf, f.Type, f.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
 	if ext > 0 {
 		buf = appendTraceExt(buf, f.Trace)
 	}
-	buf = append(buf, f.Payload...)
-	_, err := w.Write(buf)
-	return err
+	buf = append(buf, head...)
+	return writeSplit(w, buf, f.Payload)
 }
 
-// readV2Frame receives and validates one v2 frame.
+// readV2Frame receives and validates one v2 frame. The frame's Payload
+// aliases a buffer allocated for this frame alone (see readFrameBody).
 func readV2Frame(r io.Reader) (v2Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,0 +1,232 @@
+package transport
+
+// Wire compatibility of the frame writers. refEncodeResponse,
+// refWriteFrame and refWriteV2Frame are the concatenating encoders this
+// package used before a frame was written as header + body without
+// joining them; they stay here as the reference the writers must match
+// byte for byte, on both sides of coalesceMax.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"testing"
+
+	"globedoc/internal/enc"
+	"globedoc/internal/telemetry"
+)
+
+func refEncodeResponse(body []byte, callErr error) []byte {
+	w := enc.NewWriter(16 + len(body))
+	if callErr != nil {
+		w.Byte(1)
+		w.String(callErr.Error())
+		w.BytesPrefixed(nil)
+	} else {
+		w.Byte(0)
+		w.String("")
+		w.BytesPrefixed(body)
+	}
+	return w.Bytes()
+}
+
+func refWriteFrame(w io.Writer, payload []byte) error {
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	_, err := w.Write(frame)
+	return err
+}
+
+func refWriteV2Frame(w io.Writer, f v2Frame) error {
+	ext := 0
+	if f.Trace.Valid() {
+		f.Flags |= flagTrace
+		ext = traceExtLen
+	}
+	buf := make([]byte, 0, 4+v2FrameOverhead+ext+len(f.Payload))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+len(f.Payload)))
+	buf = append(buf, f.Type, f.Flags)
+	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
+	if ext > 0 {
+		buf = appendTraceExt(buf, f.Trace)
+	}
+	buf = append(buf, f.Payload...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// writeCounter records what was written and in how many Write calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// frameBodySizes straddle the coalescing threshold.
+var frameBodySizes = []int{0, 1, 100, coalesceMax - 1, coalesceMax, coalesceMax + 1, 3*coalesceMax + 7}
+
+// sameFrame runs a frame writer and its concatenating reference and
+// fails unless they produced the same bytes, the writer reported their
+// count, and a body of bodyLen bytes cost the Write calls it should: one
+// when coalesced, header + body otherwise. It returns the frame for
+// reading back.
+func sameFrame(t *testing.T, name string, bodyLen int, write func(io.Writer) (int, error), ref func(io.Writer) error) *bytes.Buffer {
+	t.Helper()
+	var want bytes.Buffer
+	if err := ref(&want); err != nil {
+		t.Fatal(err)
+	}
+	var got writeCounter
+	n, err := write(&got)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: frame differs from the reference", name)
+	}
+	writes := 1
+	if bodyLen > coalesceMax {
+		writes = 2
+	}
+	if n != want.Len() || got.writes != writes {
+		t.Fatalf("%s: wrote %d bytes in %d writes, want %d in %d", name, n, got.writes, want.Len(), writes)
+	}
+	return &got.Buffer
+}
+
+func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20050404))
+	for _, size := range frameBodySizes {
+		body := make([]byte, size)
+		rng.Read(body)
+		for _, callErr := range []error{nil, errors.New("server: no such element")} {
+			name := fmt.Sprintf("response, %d bytes, err=%v", size, callErr != nil)
+			sent := body // what dispatch hands the writer: an error drops the body
+			if callErr != nil {
+				sent = nil
+			}
+			head, envelope := responseHead(len(sent), callErr), refEncodeResponse(body, callErr)
+
+			wire := sameFrame(t, "v1 "+name, len(sent),
+				func(w io.Writer) (int, error) { return writeFrame(w, head, sent) },
+				func(w io.Writer) error { return refWriteFrame(w, envelope) })
+			payload, err := readFrame(wire)
+			if err != nil {
+				t.Fatalf("v1 %s: reading the frame back: %v", name, err)
+			}
+			checkDecodedResponse(t, "v1 "+name, payload, body, callErr)
+
+			wire = sameFrame(t, "v2 "+name, len(sent),
+				func(w io.Writer) (int, error) {
+					return writeV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: sent}, head)
+				},
+				func(w io.Writer) error {
+					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
+				})
+			n := wire.Len()
+			f, err := readV2Frame(wire)
+			if err != nil {
+				t.Fatalf("v2 %s: reading the frame back: %v", name, err)
+			}
+			if f.wireLen() != n {
+				t.Fatalf("v2 %s: wireLen = %d, the frame is %d bytes", name, f.wireLen(), n)
+			}
+			checkDecodedResponse(t, "v2 "+name, f.Payload, body, callErr)
+		}
+
+		// Requests: the whole envelope is the frame's body.
+		req := encodeRequest("obj.getelement", body, telemetry.SpanContext{})
+		sameFrame(t, fmt.Sprintf("v1 request, %d bytes", size), len(req),
+			func(w io.Writer) (int, error) { return writeFrame(w, nil, req) },
+			func(w io.Writer) error { return refWriteFrame(w, req) })
+		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
+			f := v2Frame{Type: frameRequest, StreamID: 3, Payload: req, Trace: sc}
+			sameFrame(t, fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid()), len(req),
+				func(w io.Writer) (int, error) { return writeV2Frame(w, f, nil) },
+				func(w io.Writer) error { return refWriteV2Frame(w, f) })
+		}
+	}
+}
+
+// checkDecodedResponse asserts decode∘encode is the identity on a
+// response envelope.
+func checkDecodedResponse(t *testing.T, name string, payload, body []byte, callErr error) {
+	t.Helper()
+	got, err := decodeResponse("op", payload)
+	if callErr != nil {
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Message != callErr.Error() {
+			t.Fatalf("%s: decoded error %v, want remote %q", name, err, callErr)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("%s: decoded %d bytes, err %v; want the %d sent", name, len(got), err, len(body))
+	}
+}
+
+func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
+	body := make([]byte, MaxFrame)
+	head := responseHead(len(body), nil)
+	if n, err := writeFrame(io.Discard, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+		t.Fatalf("v1: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
+	}
+	if n, err := writeV2Frame(io.Discard, v2Frame{Type: frameResponse, StreamID: 1, Payload: body}, head); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+		t.Fatalf("v2: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
+	}
+}
+
+// burstRecorder is a buffersWriter: it records the lengths of the
+// buffers each WriteBuffers call was handed.
+type burstRecorder struct {
+	bytes.Buffer
+	bursts [][]int // per WriteBuffers call, the length of each buffer
+}
+
+func (b *burstRecorder) WriteBuffers(bufs ...[]byte) (int, error) {
+	var lens []int
+	n := 0
+	for _, p := range bufs {
+		lens = append(lens, len(p))
+		m, _ := b.Buffer.Write(p)
+		n += m
+	}
+	b.bursts = append(b.bursts, lens)
+	return n, nil
+}
+
+// A connection that takes several buffers at once is handed a large
+// frame whole, header and body in one call; a small frame still arrives
+// as one plain Write.
+func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
+	for _, size := range []int{coalesceMax, coalesceMax + 1} {
+		body := bytes.Repeat([]byte{0xa5}, size)
+		head := responseHead(len(body), nil)
+		var want bytes.Buffer
+		if err := refWriteV2Frame(&want, v2Frame{Type: frameResponse, StreamID: 3, Payload: refEncodeResponse(body, nil)}); err != nil {
+			t.Fatal(err)
+		}
+		var got burstRecorder
+		n, err := writeV2Frame(&got, v2Frame{Type: frameResponse, StreamID: 3, Payload: body}, head)
+		if err != nil || n != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d-byte body: wrote %d bytes, err %v; want the reference's %d", size, n, err, want.Len())
+		}
+		if size <= coalesceMax {
+			if len(got.bursts) != 0 {
+				t.Errorf("%d-byte body: coalesced frame went through WriteBuffers %v", size, got.bursts)
+			}
+			continue
+		}
+		if len(got.bursts) != 1 || len(got.bursts[0]) != 2 || got.bursts[0][1] != size {
+			t.Errorf("%d-byte body: WriteBuffers calls %v, want one of [header, %d]", size, got.bursts, size)
+		}
+	}
+}

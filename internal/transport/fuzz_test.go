@@ -21,14 +21,14 @@ func FuzzFrameDecode(f *testing.F) {
 	// truncated header, unknown type, reserved flags, huge length.
 	ok := func(t byte, id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload}); err != nil {
+		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload}, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	okTraced := func(t byte, id uint32, payload []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload, Trace: sc}); err != nil {
+		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload, Trace: sc}, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -47,6 +47,21 @@ func FuzzFrameDecode(f *testing.F) {
 		[]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x30}...)) // reserved trace flag bits
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
 	f.Add([]byte("GD\xF2\x02"))           // a preamble is not a frame
+	// Response frames as the servers write them — envelope head apart
+	// from the body — coalesced and split, ok and refused.
+	resp := func(body []byte, callErr error) []byte {
+		var buf bytes.Buffer
+		if callErr != nil {
+			body = nil
+		}
+		if _, err := writeV2Frame(&buf, v2Frame{Type: frameResponse, StreamID: 9, Payload: body}, responseHead(len(body), callErr)); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(resp([]byte("small body"), nil))
+	f.Add(resp(make([]byte, coalesceMax+1), nil))
+	f.Add(resp(nil, errors.New("unknown operation \"obj.nope\"")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readV2Frame(bytes.NewReader(data))
@@ -78,7 +93,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// ...and round-trip: re-encoding reproduces the consumed bytes.
 		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, fr); err != nil {
+		if _, err := writeV2Frame(&buf, fr, nil); err != nil {
 			t.Fatalf("re-encoding accepted frame: %v", err)
 		}
 		consumed := 4 + binary.BigEndian.Uint32(data[:4])

@@ -114,7 +114,7 @@ func (mc *muxConn) readLoop(conn net.Conn) {
 			mc.fail(fmt.Errorf("%w: unexpected frame type 0x%02x from server", ErrProtocol, f.Type))
 			return
 		}
-		mc.c.BytesReceived.Add(uint64(len(f.Payload)) + 4 + v2FrameOverhead)
+		mc.c.BytesReceived.Add(uint64(f.wireLen()))
 		mc.mu.Lock()
 		ch, ok := mc.streams[f.StreamID]
 		if ok {
@@ -429,8 +429,9 @@ func (c *Client) muxRoundTrip(ctx context.Context, mc *muxConn, sc telemetry.Spa
 	if !deadline.IsZero() {
 		werr = mc.conn.SetWriteDeadline(deadline)
 	}
+	sent := 0
 	if werr == nil {
-		werr = writeV2Frame(mc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: req, Trace: sc})
+		sent, werr = writeV2Frame(mc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: req, Trace: sc}, nil)
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = mc.conn.SetWriteDeadline(time.Time{})
@@ -443,7 +444,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, mc *muxConn, sc telemetry.Spa
 		mc.fail(fmt.Errorf("%w (send failed: %v)", ErrClosed, werr))
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
 	}
-	c.BytesSent.Add(uint64(len(req)) + 4 + v2FrameOverhead)
+	c.BytesSent.Add(uint64(sent))
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {

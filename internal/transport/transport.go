@@ -68,17 +68,62 @@ func IsUnknownOp(err error) bool {
 	return errors.As(err, &re) && strings.HasPrefix(re.Message, unknownOpPrefix)
 }
 
-// writeFrame sends a length-prefixed payload with a single Write call, so
-// the network simulator charges one latency per frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
+// coalesceMax is the largest frame body that is copied behind its header
+// and sent with one Write. A larger body goes out in a Write of its own,
+// after the header's, so a payload is never copied just to be framed.
+const coalesceMax = 16 << 10
+
+// frameBuf returns an empty buffer with room for hdr header bytes, plus
+// the body when it is small enough to ride in the same Write.
+func frameBuf(hdr int, body []byte) []byte {
+	if len(body) <= coalesceMax {
+		hdr += len(body)
 	}
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	_, err := w.Write(frame)
-	return err
+	return make([]byte, 0, hdr)
+}
+
+// buffersWriter is a connection that takes a frame's header and body in
+// one call. The network simulator's connections do, and charge the two
+// parts as the one burst they are.
+type buffersWriter interface {
+	WriteBuffers(bufs ...[]byte) (int, error)
+}
+
+// writeSplit sends prefix‖body and returns the bytes written. A body
+// within coalesceMax is appended to prefix (sized by frameBuf) and the
+// frame is one Write. A larger body is sent from where it lies — in one
+// call on a buffersWriter, otherwise in a second Write — and the caller
+// must leave it unmodified until the call returns; callers already
+// serialise a connection's frame writes, so the two parts cannot be
+// interleaved with another frame's.
+func writeSplit(w io.Writer, prefix, body []byte) (int, error) {
+	if len(body) <= coalesceMax {
+		return w.Write(append(prefix, body...))
+	}
+	if bw, ok := w.(buffersWriter); ok {
+		return bw.WriteBuffers(prefix, body)
+	}
+	n, err := w.Write(prefix)
+	if err != nil {
+		return n, err
+	}
+	m, err := w.Write(body)
+	return n + m, err
+}
+
+// writeFrame sends one v1 frame — a length prefix covering head‖body —
+// and returns the bytes it put on the wire. head, which may be nil, is
+// the short leading part of the payload (a response's envelope header);
+// it is copied behind the length prefix, body is not (see writeSplit).
+func writeFrame(w io.Writer, head, body []byte) (int, error) {
+	n := len(head) + len(body)
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
+	}
+	buf := frameBuf(4+len(head), body)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, head...)
+	return writeSplit(w, buf, body)
 }
 
 // readFrame receives one length-prefixed payload.
@@ -94,6 +139,12 @@ func readFrame(r io.Reader) ([]byte, error) {
 // header has already been consumed — the server peeks the first bytes
 // of every connection to detect the v2 negotiation preamble and hands
 // the header here when the peer turned out to speak v1.
+//
+// Ownership: the buffer a frame is read into (here and in readV2Frame)
+// is allocated for that frame, handed to exactly one call and never
+// pooled or reused. That is what lets everything decoded from it —
+// decodeResponse's body, the element object.DecodeElement cuts out of
+// that — alias it instead of copying.
 func readFrameBody(r io.Reader, hdr []byte) ([]byte, error) {
 	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
@@ -145,20 +196,26 @@ func decodeRequest(payload []byte) (op string, body []byte, sc telemetry.SpanCon
 	return op, body, sc, nil
 }
 
-func encodeResponse(body []byte, callErr error) []byte {
-	w := enc.NewWriter(16 + len(body))
+// responseHead encodes a response envelope up to, and not including, its
+// body: status, error string and the body's length prefix. The envelope
+// is head‖body; the frame writers send the two parts without joining
+// them, so a handler's body reaches the socket uncopied. A failed call
+// carries its message and an empty body.
+func responseHead(bodyLen int, callErr error) []byte {
+	var status byte
+	var msg string
 	if callErr != nil {
-		w.Byte(1)
-		w.String(callErr.Error())
-		w.BytesPrefixed(nil)
-	} else {
-		w.Byte(0)
-		w.String("")
-		w.BytesPrefixed(body)
+		status, msg, bodyLen = 1, callErr.Error(), 0
 	}
+	w := enc.NewWriter(2 + 2*binary.MaxVarintLen64 + len(msg))
+	w.Byte(status)
+	w.String(msg)
+	w.Uvarint(uint64(bodyLen))
 	return w.Bytes()
 }
 
+// decodeResponse decodes a response envelope. The returned body aliases
+// payload (see readFrameBody for why that is safe).
 func decodeResponse(op string, payload []byte) ([]byte, error) {
 	r := enc.NewReader(payload)
 	status := r.Byte()
@@ -174,7 +231,10 @@ func decodeResponse(op string, payload []byte) ([]byte, error) {
 }
 
 // Handler processes one request body and returns a response body. Errors
-// are transported to the caller as RemoteError.
+// are transported to the caller as RemoteError. The request body aliases
+// the frame it arrived in and is the handler's alone; the response body
+// is written to the connection as returned, uncopied, so it must not be
+// modified after the handler returns.
 type Handler func(body []byte) ([]byte, error)
 
 // HandlerCtx is a Handler that also receives the request's context,
@@ -362,13 +422,13 @@ func (s *Server) serveV1(conn net.Conn, preread []byte) {
 		if err != nil {
 			return
 		}
-		resp := s.dispatch(payload, telemetry.SpanContext{})
+		head, body := s.dispatch(payload, telemetry.SpanContext{})
 		if s.IdleTimeout > 0 {
 			if derr := conn.SetDeadline(s.clock().Now().Add(s.IdleTimeout)); derr != nil {
 				return
 			}
 		}
-		if werr := writeFrame(conn, resp); werr != nil {
+		if _, werr := writeFrame(conn, head, body); werr != nil {
 			return
 		}
 	}
@@ -422,14 +482,14 @@ func (s *Server) serveV2(conn net.Conn) {
 		wg.Add(1)
 		go func(f v2Frame) {
 			defer wg.Done()
-			resp := s.dispatch(f.Payload, f.Trace)
+			head, body := s.dispatch(f.Payload, f.Trace)
 			wmu.Lock()
 			var werr error
 			if s.IdleTimeout > 0 {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				werr = writeV2Frame(conn, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: resp})
+				_, werr = writeV2Frame(conn, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: body}, head)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -447,13 +507,17 @@ func (s *Server) serveV2(conn net.Conn) {
 }
 
 // dispatch decodes one request payload, runs its handler and returns
-// the encoded response. Shared by the v1 loop and every v2 stream.
+// the response envelope in two parts: the encoded head and the handler's
+// body, which is written to the connection as returned — a handler
+// answers with bytes it will not modify afterwards (the object server's
+// precomputed wire tables are replaced whole, never edited in place).
+// Shared by the v1 loop and every v2 stream.
 // frameTrace is the span context a v2 frame header carried (the zero
 // value for v1, whose context rides in the request envelope instead);
 // either way, a valid incoming context is adopted so the rpc.serve span
 // — and every handler span under it — exports with the caller's trace
 // ID.
-func (s *Server) dispatch(payload []byte, frameTrace telemetry.SpanContext) []byte {
+func (s *Server) dispatch(payload []byte, frameTrace telemetry.SpanContext) (head, resp []byte) {
 	op, body, sc, err := decodeRequest(payload)
 	if frameTrace.Valid() {
 		sc = frameTrace
@@ -487,7 +551,10 @@ func (s *Server) dispatch(payload []byte, frameTrace telemetry.SpanContext) []by
 			tel.RPCServed.With(op, outcome).Inc()
 		}
 	}
-	return encodeResponse(respBody, err)
+	if err != nil {
+		respBody = nil
+	}
+	return responseHead(len(respBody), err), respBody
 }
 
 // Close stops accepting connections on all listeners passed to Serve,
@@ -571,8 +638,9 @@ type Client struct {
 	muxDialing       int           // dials in flight, counted against MaxConns
 	muxNotify        chan struct{} // closed+replaced when stream capacity frees up
 
-	// BytesSent and BytesReceived count frame payload bytes, used by the
-	// benchmark harness to report protocol overhead.
+	// BytesSent and BytesReceived count the bytes of every frame written
+	// and read, headers included (the negotiation preamble is not a
+	// frame), used by the benchmark harness to report protocol overhead.
 	BytesSent     atomic.Uint64
 	BytesReceived atomic.Uint64
 	// Calls counts completed calls.
@@ -782,11 +850,12 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, sc telemetry.SpanC
 	}
 	stopWatch := watchCancel(ctx, conn)
 	req := encodeRequest(op, body, sc)
-	if err := writeFrame(conn, req); err != nil {
+	sent, err := writeFrame(conn, nil, req)
+	if err != nil {
 		stopWatch()
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, err))
 	}
-	c.BytesSent.Add(uint64(len(req)) + 4)
+	c.BytesSent.Add(uint64(sent))
 	payload, err := readFrame(conn)
 	stopWatch()
 	if err != nil {

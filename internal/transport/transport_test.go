@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
@@ -226,20 +228,106 @@ func TestConcurrentCallers(t *testing.T) {
 	}
 }
 
+// countingConn counts every byte that crosses one client connection.
+type countingConn struct {
+	net.Conn
+	sent, received *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent.Add(int64(n))
+	return n, err
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.received.Add(int64(n))
+	return n, err
+}
+
+// TestByteCounters holds BytesSent and BytesReceived to what a counting
+// connection saw: every frame byte, headers and the v2 trace extension
+// included, on v1 and v2, traced and untraced. The first call is a
+// warm-up so the negotiation preamble (not a frame) is out of the way.
 func TestByteCounters(t *testing.T) {
-	dial := startServer(t, func(s *transport.Server) {
-		s.Handle("echo", func(body []byte) ([]byte, error) { return body, nil })
-	})
-	c := transport.NewClient(dial)
-	defer c.Close()
-	if _, err := c.Call(context.Background(), "echo", make([]byte, 1000)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		maxVersion byte
+		traced     bool
+	}{
+		{"v2 untraced", transport.V2, false},
+		{"v2 traced", transport.V2, true},
+		{"v1 untraced", transport.V1, false},
+		{"v1 traced", transport.V1, true}, // context rides the envelope trailer
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New(nil)
+			dial := startServer(t, func(s *transport.Server) {
+				s.MaxVersion = tc.maxVersion
+				s.Telemetry = tel
+				s.Handle("echo", func(body []byte) ([]byte, error) { return body, nil })
+			})
+			var sent, received atomic.Int64
+			c := transport.NewClient(func() (net.Conn, error) {
+				conn, err := dial()
+				if err != nil {
+					return nil, err
+				}
+				return countingConn{Conn: conn, sent: &sent, received: &received}, nil
+			}).Configure(transport.Config{Telemetry: tel})
+			defer c.Close()
+
+			ctx := context.Background()
+			if tc.traced {
+				root := tel.Tracer.StartSpan("test.root")
+				defer root.End()
+				ctx = telemetry.ContextWith(ctx, root.Context())
+			}
+			if _, err := c.Call(ctx, "echo", []byte("warm-up")); err != nil {
+				t.Fatal(err)
+			}
+			sent0, received0 := sent.Load(), received.Load()
+			counted0, countedRecv0 := c.BytesSent.Load(), c.BytesReceived.Load()
+			for _, size := range []int{0, 1000, 100 << 10} {
+				if _, err := c.Call(ctx, "echo", make([]byte, size)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wire, counted := sent.Load()-sent0, c.BytesSent.Load()-counted0
+			if uint64(wire) != counted || wire < 101000 {
+				t.Errorf("BytesSent grew by %d, the connection carried %d", counted, wire)
+			}
+			wire, counted = received.Load()-received0, c.BytesReceived.Load()-countedRecv0
+			if uint64(wire) != counted || wire < 101000 {
+				t.Errorf("BytesReceived grew by %d, the connection carried %d", counted, wire)
+			}
+		})
 	}
-	if c.BytesSent.Load() < 1000 {
-		t.Errorf("BytesSent = %d, want >= 1000", c.BytesSent.Load())
-	}
-	if c.BytesReceived.Load() < 1000 {
-		t.Errorf("BytesReceived = %d, want >= 1000", c.BytesReceived.Load())
+}
+
+// TestLargeCallAllocatesOnePayload pins the transport layer's copy
+// budget: a 1 MiB response crosses client and server for one payload's
+// worth of allocation — the client's frame buffer. The server sends the
+// handler's bytes from where they lie.
+func TestLargeCallAllocatesOnePayload(t *testing.T) {
+	const size = 1 << 20
+	payload := make([]byte, size)
+	for _, version := range []byte{transport.V1, transport.V2} {
+		dial := startServer(t, func(s *transport.Server) {
+			s.Handle("get", func([]byte) ([]byte, error) { return payload, nil })
+		})
+		c := transport.NewClient(dial).Configure(transport.Config{Version: version})
+		t.Cleanup(c.Close)
+		perCall := alloctest.BytesPerRun(t, 20, func() {
+			resp, err := c.Call(context.Background(), "get", nil)
+			if err != nil || len(resp) != size {
+				t.Fatalf("v%d: %d bytes, err %v", version, len(resp), err)
+			}
+		})
+		if ratio := perCall / size; ratio > 1.05 {
+			t.Errorf("v%d: %.0f bytes allocated per 1 MiB call (%.2f per payload byte), want <= 1.05", version, perCall, ratio)
+		}
 	}
 }
 
