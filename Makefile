@@ -2,14 +2,14 @@ GO ?= go
 FUZZTIME ?= 5s
 
 .PHONY: check vet build test test-short test-perfbench lint fuzz-smoke chaos \
-	telemetry-smoke trace-smoke concurrent-smoke
+	telemetry-smoke trace-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
-## perfbench module's included), fuzz smoke, the concurrent race smoke,
-## the end-to-end telemetry and distributed-tracing smokes, and the
-## acceptance gates of the cache, multiplex, traceoverhead, placement
-## and delta experiments (DESIGN.md §3 has the gate table).
-check: vet lint build test test-perfbench fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke \
+## perfbench module's included), fuzz smoke, the end-to-end telemetry
+## and distributed-tracing smokes, and the acceptance gates of the cache,
+## multiplex, traceoverhead, placement and delta experiments (DESIGN.md
+## §3 has the gate table).
+check: vet lint build test test-perfbench fuzz-smoke telemetry-smoke trace-smoke \
 	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
@@ -70,12 +70,6 @@ fuzz-smoke:
 SEED ?= 20050404
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|FleetSelector' ./internal/deploy/ -seed $(SEED)
-
-## concurrent-smoke: the concurrent fetch engine under the race detector —
-## pool bounds, singleflight dedup, cancellation, leak regressions.
-concurrent-smoke:
-	$(GO) test -race -count=1 -run 'Concurrent|Pool|Cancel|Leak|ClosedLoop' \
-		./internal/core/ ./internal/transport/ ./internal/workload/
 
 ## telemetry-smoke: boot services + proxy with -debug-addr, curl /debugz,
 ## validate the snapshot schema with cmd/globedoc-debugz.

@@ -162,53 +162,6 @@ func TestConcurrentColdBurstSingleflight(t *testing.T) {
 	}
 }
 
-func TestDisableSingleflightRunsEveryPipeline(t *testing.T) {
-	w, pub, tel := concurrentWorld(t)
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
-		CacheBindings:       true,
-		PoolSize:            8,
-		DisableSingleflight: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
-
-	// Without dedup, racing cold fetches each run their own pipeline
-	// (>1; the exact count depends on interleaving with the cache, so
-	// the burst starts behind a barrier and retries on the unlucky
-	// schedule where one fetch finishes before another starts).
-	const workers = 8
-	for attempt := 0; attempt < 5; attempt++ {
-		client.FlushBindings()
-		runsBefore := tel.PipelineRuns.Value()
-		start := make(chan struct{})
-		var ready, wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			ready.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ready.Done()
-				<-start
-				if _, err := client.Fetch(context.Background(), pub.OID, "index.html"); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		ready.Wait()
-		close(start)
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		if runs := tel.PipelineRuns.Value() - runsBefore; runs >= 2 {
-			return
-		}
-	}
-	t.Error("DisableSingleflight cold bursts never ran >1 pipeline across 5 attempts")
-}
-
 func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 	// Eight goroutines share a client across cold fetches (periodic
 	// flushes), warm fetches, and a mid-run replica crash forcing

@@ -260,8 +260,11 @@ type verifiedBinding struct {
 // Timing fields are credited from the step spans' own durations, so the
 // benchmark harness and the tracer always report the same intervals.
 type pipeline struct {
-	tel    *telemetry.Telemetry
-	root   *telemetry.Span
+	tel  *telemetry.Telemetry
+	root *telemetry.Span
+	// single marks a one-element fetch, the one operation whose consult of
+	// the binding cache (step 2) is traced and counted as a hit or miss.
+	single bool
 	timing Timing
 }
 
@@ -287,7 +290,7 @@ func (p *pipeline) step(name string, field *time.Duration, f func() error) error
 // too: each element's pipeline hangs off the shared root span with its
 // own Timing.
 func (p *pipeline) fresh() *pipeline {
-	return &pipeline{tel: p.tel, root: p.root}
+	return &pipeline{tel: p.tel, root: p.root, single: p.single}
 }
 
 // Client runs the GlobeDoc security pipeline. Construct with NewClient;
@@ -305,7 +308,6 @@ type Client struct {
 	telem           *telemetry.Telemetry
 	nowFn           func() time.Time
 	fetchWorkers    int
-	noSingleflight  bool
 	noBatchFetch    bool
 	vcache          *vcache.Cache
 	maxBindings     int
@@ -370,7 +372,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		telem:           opts.Telemetry,
 		nowFn:           nowFn,
 		fetchWorkers:    workers,
-		noSingleflight:  opts.DisableSingleflight,
 		noBatchFetch:    opts.DisableBatchFetch,
 		vcache:          opts.VCache,
 		maxBindings:     maxBindings,
@@ -470,6 +471,7 @@ func (p *pipeline) finish(outcome string) {
 // the root span, and feeds the fetch-latency and security-overhead
 // histograms from the same Timing the caller receives.
 func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, element string) (FetchResult, error) {
+	p.single = true
 	res, err := c.fetchExcluding(ctx, p, oid, element, nil)
 	if err != nil {
 		p.finish("error")
@@ -491,40 +493,11 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 // addresses already caught misbehaving during this operation; they are
 // skipped when re-binding.
 func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (FetchResult, error) {
-	now := c.now()
-
-	// Step 2: consult the verified-binding cache.
-	cacheSp := p.root.StartChild(StepBindingCache)
-	vb, warm := c.cachedBinding(oid, now)
-	if warm {
-		cacheSp.Annotate("outcome", "hit")
-	} else {
-		cacheSp.Annotate("outcome", "miss")
+	b, err := c.bind(ctx, p, oid, c.now(), excluded)
+	if err != nil {
+		return FetchResult{}, err
 	}
-	if !c.cacheBindings {
-		cacheSp.Annotate("enabled", "false")
-	}
-	cacheSp.End()
-	if c.cacheBindings {
-		if warm {
-			p.tel.BindingCacheHits.Inc()
-		} else {
-			p.tel.BindingCacheMisses.Inc()
-		}
-	}
-
-	shared := false
-	if !warm {
-		var err error
-		vb, shared, err = c.establishBinding(ctx, p, oid, now, excluded)
-		if err != nil {
-			return FetchResult{}, err
-		}
-	}
-	// An operation owns (and must close) its binding only when nothing
-	// else can reach it: cold, not shared with a concurrent fetch, and
-	// not parked in the cache.
-	owned := !warm && !shared && !c.cacheBindings
+	vb, now, warm := b.vb, b.now, b.warm
 
 	// Verified-content cache consult (Options.VCache). The verified
 	// certificate in hand names the element's hash and validity interval,
@@ -537,14 +510,11 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 	//   - lapsed entry, cold binding -> the replica handed over a
 	//     certificate that is already stale: replayed old signed state,
 	//     rejected as a freshness security failure.
-	b := boundFetch{vb: vb, now: now, warm: warm, shared: shared}
 	vcEntry, vcFresh, lapsed := c.vcacheEntry(b, element)
 	switch {
 	case vcFresh:
 		if res, hit := c.serveCached(p, b, element, vcEntry); hit {
-			if owned {
-				vb.client.Close()
-			}
+			b.release()
 			return res, nil
 		}
 	case lapsed != nil && warm:
@@ -565,7 +535,7 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 
 	// Step 11: retrieve the page element from the (untrusted) replica.
 	var elem document.Element
-	err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
+	err = p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
 		var ferr error
 		elem, ferr = vb.client.GetElement(ctx, element)
 		return ferr
@@ -588,11 +558,7 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 		p.tel.Failovers.Inc()
 		next := excluded
 		if !warm {
-			next = make(map[string]bool, len(excluded)+1)
-			for a := range excluded {
-				next[a] = true
-			}
-			next[addr] = true
+			next = excluding(excluded, addr)
 		}
 		res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, next)
 		if retryErr == nil {
@@ -629,12 +595,7 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 			// detected attack as failure evidence so the selector stops
 			// preferring this replica on future establishments.
 			p.tel.Health.RecordFailure(addr)
-			next := make(map[string]bool, len(excluded)+1)
-			for a := range excluded {
-				next[a] = true
-			}
-			next[addr] = true
-			res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, next)
+			res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, excluding(excluded, addr))
 			if retryErr == nil {
 				return res, nil
 			}
@@ -648,10 +609,19 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 		return FetchResult{}, c.secErr("element", err)
 	}
 	res := c.deliver(p, b, elem, entry, vcFresh)
-	if owned {
-		vb.client.Close()
-	}
+	b.release()
 	return res, nil
+}
+
+// excluding returns set plus addr, leaving set — which an enclosing
+// attempt still ranks candidates against — as it was.
+func excluding(set map[string]bool, addr string) map[string]bool {
+	next := make(map[string]bool, len(set)+1)
+	for a := range set {
+		next[a] = true
+	}
+	next[addr] = true
+	return next
 }
 
 // boundFetch is what one operation's element fetches share: its verified
@@ -662,6 +632,51 @@ type boundFetch struct {
 	vb           *verifiedBinding
 	now          time.Time
 	warm, shared bool
+	// owned: nothing else can reach the binding — it is cold, not shared
+	// with a concurrent fetch and not parked in the cache — so the
+	// operation must close its connection (release).
+	owned bool
+}
+
+// bind returns the verified binding oid's fetches run over: the cached
+// one (step 2) when there is one, otherwise one established — or shared
+// with a concurrent fetch of oid — past the excluded replicas.
+func (c *Client) bind(ctx context.Context, p *pipeline, oid globeid.OID, now time.Time, excluded map[string]bool) (boundFetch, error) {
+	var cacheSp *telemetry.Span
+	if p.single {
+		cacheSp = p.root.StartChild(StepBindingCache)
+	}
+	b := boundFetch{now: now}
+	b.vb, b.warm = c.cachedBinding(oid, now)
+	if p.single {
+		outcome, counter := "miss", p.tel.BindingCacheMisses
+		if b.warm {
+			outcome, counter = "hit", p.tel.BindingCacheHits
+		}
+		cacheSp.Annotate("outcome", outcome)
+		if c.cacheBindings {
+			counter.Inc()
+		} else {
+			cacheSp.Annotate("enabled", "false")
+		}
+		cacheSp.End()
+	}
+	if !b.warm {
+		var err error
+		if b.vb, b.shared, err = c.establishBinding(ctx, p, oid, now, excluded); err != nil {
+			return boundFetch{}, err
+		}
+		b.owned = !b.shared && !c.cacheBindings
+	}
+	return b, nil
+}
+
+// release ends the operation's use of the binding, on every exit that
+// did not already drop it.
+func (b boundFetch) release() {
+	if b.owned {
+		b.vb.client.Close()
+	}
 }
 
 // result is the FetchResult for elem, whose bytes b's verified
@@ -1059,20 +1074,12 @@ func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementE
 }
 
 func (c *Client) elements(ctx context.Context, p *pipeline, oid globeid.OID) ([]cert.ElementEntry, error) {
-	now := c.now()
-	vb, warm := c.cachedBinding(oid, now)
-	if !warm {
-		var shared bool
-		var err error
-		vb, shared, err = c.establishBinding(ctx, p, oid, now, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !shared && !c.cacheBindings {
-			defer vb.client.Close()
-		}
+	b, err := c.bind(ctx, p, oid, c.now(), nil)
+	if err != nil {
+		return nil, err
 	}
-	return append([]cert.ElementEntry(nil), vb.icert.Entries...), nil
+	defer b.release()
+	return append([]cert.ElementEntry(nil), b.vb.icert.Entries...), nil
 }
 
 // FetchAll securely fetches every element listed in the object's
@@ -1100,22 +1107,12 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 	// over a bounded worker pool sharing the verified binding. Each
 	// element runs its own fresh pipeline under the fetch.all root span,
 	// so per-element spans and Timing stay attributable.
-	now := c.now()
-	vb, warm := c.cachedBinding(oid, now)
-	shared := false
-	if !warm {
-		var err error
-		vb, shared, err = c.establishBinding(ctx, p, oid, now, nil)
-		if err != nil {
-			return nil, err
-		}
+	b, err := c.bind(ctx, p, oid, c.now(), nil)
+	if err != nil {
+		return nil, err
 	}
-	owned := !warm && !shared && !c.cacheBindings
-	if owned {
-		// Close on every exit: the historical code leaked the conn when
-		// an element failed mid-loop (and never covered the warm path).
-		defer vb.client.Close()
-	}
+	defer b.release()
+	vb := b.vb
 	entries := vb.icert.Entries
 	if len(entries) == 0 {
 		return nil, nil
@@ -1125,8 +1122,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 	// verified-content cache cannot already serve; workers then verify
 	// from the prefetched bytes and fall back to individual fetches for
 	// anything the batch could not carry.
-	prefetched, batchShare := c.batchPrefetch(ctx, p, vb, entries, now)
-	b := boundFetch{vb: vb, now: now, warm: warm, shared: shared}
+	prefetched, batchShare := c.batchPrefetch(ctx, p, vb, entries, b.now)
 
 	workers := c.fetchWorkers
 	if workers > len(entries) {

@@ -66,10 +66,6 @@ type Options struct {
 	// before any connection is made. 0 keeps the binder's own setting
 	// (transport.DefaultMaxConns when that too is zero).
 	PoolSize int
-	// DisableSingleflight turns off deduplication of concurrent binding
-	// establishment, making every cold fetch run its own pipeline — an
-	// ablation/debugging knob.
-	DisableSingleflight bool
 	// DisableBatchFetch makes FetchAll retrieve every element with
 	// individual GetElement calls instead of one pipelined GetElements
 	// exchange — the serial-RPC ablation the multiplex benchmark compares

@@ -31,7 +31,7 @@ type flight struct {
 // deduplication: they must re-verify against a different replica, and
 // sharing a possibly-tainted run would defeat that.
 func (c *Client) establishBinding(ctx context.Context, p *pipeline, oid globeid.OID, now time.Time, excluded map[string]bool) (vb *verifiedBinding, shared bool, err error) {
-	if !c.cacheBindings || c.noSingleflight || excluded != nil {
+	if !c.cacheBindings || excluded != nil {
 		vb, err = c.establish(ctx, p, oid, now, excluded)
 		if err != nil {
 			return nil, false, err

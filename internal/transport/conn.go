@@ -1,0 +1,346 @@
+package transport
+
+// One pooled client connection, in either framing.
+//
+// A poolConn carries up to budget concurrent calls. Each call reserves a
+// stream, writes one request frame, and parks on a per-stream channel
+// until the connection's read loop — its only reader — delivers the
+// response. On a v2 connection frames name their stream, responses
+// arrive in whatever order the server finishes them, and one slow call
+// never blocks its siblings. A v1 frame names nothing: the budget is one
+// and a response belongs to the single pending stream.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"sync"
+	"time"
+
+	"globedoc/internal/telemetry"
+)
+
+// DefaultStreamBudget is the per-connection concurrent-stream bound
+// used when PoolConfig.StreamBudget is zero.
+const DefaultStreamBudget = 32
+
+type streamResult struct {
+	payload []byte
+	err     error
+}
+
+// poolConn is one pooled connection and the streams in flight on it.
+type poolConn struct {
+	c    *Client
+	conn net.Conn
+
+	// How the connection was opened; fixed before it is shared.
+	version byte // V1 or V2 framing
+	// negotiated records that the peer answered the preamble with a
+	// well-formed accept. On a v1 connection that is the only proof the
+	// peer post-dates the trace-context request trailer: a pre-v2
+	// decoder rejects trailing envelope bytes, so a plainly dialled v1
+	// connection drops the trace at the process boundary instead.
+	negotiated bool
+	budget     int // concurrent streams: 1 for v1, Pool.streamBudget() for v2
+
+	wmu sync.Mutex // serialises frame writes
+
+	mu        sync.Mutex
+	streams   map[uint32]chan streamResult // in-flight calls by stream ID
+	nextID    uint32
+	inflight  int       // reserved stream slots (also counts calls mid-setup)
+	idleSince time.Time // when inflight last dropped to zero
+	draining  bool      // Close was called mid-flight: close when drained
+	dead      bool
+	deadErr   error
+}
+
+// register reserves a fresh stream ID and its response channel.
+func (pc *poolConn) register() (uint32, chan streamResult, error) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.dead {
+		return 0, nil, pc.deadErr
+	}
+	pc.nextID++
+	id := pc.nextID
+	ch := make(chan streamResult, 1)
+	pc.streams[id] = ch
+	return id, ch, nil
+}
+
+// take removes and returns the stream a response belongs to: the one the
+// frame names on a v2 connection, the only pending one on a v1
+// connection (stream IDs start at 1, so with none pending nothing
+// matches).
+func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.version < V2 {
+		for id = range pc.streams {
+		}
+	}
+	ch, ok := pc.streams[id]
+	delete(pc.streams, id)
+	return ch, ok
+}
+
+// abandon gives up on a stream whose caller stopped waiting (timeout or
+// cancellation). A late v2 response names its stream and readLoop drops
+// it, so the connection and its sibling streams stay healthy. A late v1
+// response names nothing and would be handed to the connection's next
+// caller, so a v1 connection dies with its abandoned call.
+func (pc *poolConn) abandon(id uint32, why error) {
+	if pc.version < V2 {
+		pc.fail(fmt.Errorf("call abandoned: %v", why))
+		return
+	}
+	pc.mu.Lock()
+	delete(pc.streams, id)
+	pc.mu.Unlock()
+}
+
+// idle reports whether the connection is live with no stream in flight.
+func (pc *poolConn) idle() bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return !pc.dead && pc.inflight == 0
+}
+
+// retireLocked marks a connection no stream is using dead and closes it
+// — an idle reap, a drain, Client.Close — reporting false when it already
+// was dead. The caller holds pc.mu.
+func (pc *poolConn) retireLocked() bool {
+	if pc.dead {
+		return false
+	}
+	pc.dead = true
+	pc.deadErr = ErrClosed
+	pc.conn.Close()
+	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
+	return true
+}
+
+// fail marks the connection dead, closes it and fails every pending
+// stream with an error that is ErrClosed and wraps cause, so callers can
+// still match what went wrong underneath. Idempotent: only the first
+// failure counts — the read loop ends here too when the pool itself
+// closed the connection, and then nothing is built or delivered.
+func (pc *poolConn) fail(cause error) {
+	pc.mu.Lock()
+	if pc.dead {
+		pc.mu.Unlock()
+		return
+	}
+	err := fmt.Errorf("%w (%w)", ErrClosed, cause)
+	pc.dead = true
+	pc.deadErr = err
+	pending := pc.streams
+	pc.streams = make(map[uint32]chan streamResult)
+	pc.mu.Unlock()
+	pc.conn.Close()
+	for _, ch := range pending {
+		ch <- streamResult{err: err}
+	}
+	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
+	pc.c.wake()
+}
+
+// writeRequest sends one request frame and returns its size on the wire.
+// v2 carries the trace context in the frame header extension, v1 as a
+// trailer of the request envelope — and only on a negotiated connection.
+// The caller holds wmu.
+func (pc *poolConn) writeRequest(id uint32, op string, body []byte, sc telemetry.SpanContext) (int, error) {
+	if pc.version >= V2 {
+		req := encodeRequest(op, body, telemetry.SpanContext{})
+		return writeV2Frame(pc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: req, Trace: sc}, nil)
+	}
+	if !pc.negotiated {
+		sc = telemetry.SpanContext{}
+	}
+	return writeFrame(pc.conn, nil, encodeRequest(op, body, sc))
+}
+
+// readResponse receives one response frame: the stream it names (zero on
+// v1), its payload and its size on the wire.
+func (pc *poolConn) readResponse(conn net.Conn) (id uint32, payload []byte, wire int, err error) {
+	if pc.version < V2 {
+		payload, err = readFrame(conn)
+		return 0, payload, 4 + len(payload), err
+	}
+	f, err := readV2Frame(conn)
+	if err == nil && f.Type != frameResponse {
+		err = fmt.Errorf("%w: unexpected frame type 0x%02x from server", ErrProtocol, f.Type)
+	}
+	return f.StreamID, f.Payload, f.wireLen(), err
+}
+
+// readLoop is the single reader of a connection: it hands each response
+// frame to the stream waiting for it. A v2 response for an unknown stream
+// is dropped (the caller timed out first); an unsolicited v1 response,
+// any read error and any protocol violation kill the connection and fail
+// every pending stream. conn is the shutdown handle: closing it (fail, a
+// reap, Client.Close) unblocks the read and ends the loop.
+func (pc *poolConn) readLoop(conn net.Conn) {
+	for {
+		id, payload, wire, err := pc.readResponse(conn)
+		if err != nil {
+			pc.fail(err)
+			return
+		}
+		pc.c.BytesReceived.Add(uint64(wire))
+		ch, ok := pc.take(id)
+		if ok {
+			ch <- streamResult{payload: payload} // buffered: never blocks
+		} else if pc.version < V2 {
+			pc.fail(fmt.Errorf("%w: v1 response with no call pending", ErrProtocol))
+			return
+		}
+	}
+}
+
+// roundTrip performs one framed exchange on a reserved stream, bounded
+// by the tighter of CallTimeout and ctx (see abandon for what giving up
+// costs). A genuinely dead conn is detected by the read loop and fails
+// every stream at once.
+func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
+	c := pc.c
+	tel := telemetry.Or(c.Telemetry)
+	id, ch, err := pc.register()
+	if err != nil {
+		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, err))
+	}
+	tel.StreamsOpened.Inc()
+	tel.StreamsActive.Add(1)
+	defer tel.StreamsActive.Add(-1)
+
+	deadline := c.deadline(ctx, c.CallTimeout)
+	pc.wmu.Lock()
+	var werr error
+	if !deadline.IsZero() {
+		werr = pc.conn.SetWriteDeadline(deadline)
+	}
+	sent := 0
+	if werr == nil {
+		sent, werr = pc.writeRequest(id, op, body, sc)
+	}
+	if werr == nil && !deadline.IsZero() {
+		werr = pc.conn.SetWriteDeadline(time.Time{})
+	}
+	pc.wmu.Unlock()
+	if werr != nil {
+		// A failed or half-finished write leaves the shared conn in an
+		// unknown framing state: kill it for everyone.
+		pc.fail(fmt.Errorf("send failed: %v", werr))
+		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
+	}
+	c.BytesSent.Add(uint64(sent))
+
+	var timeout <-chan time.Time
+	if c.CallTimeout > 0 {
+		timeout = c.clock().After(c.CallTimeout)
+	}
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			return nil, ctxError(ctx, fmt.Errorf("transport: receive %q: %w", op, r.err))
+		}
+		return decodeResponse(op, r.payload)
+	case <-ctx.Done():
+		err = fmt.Errorf("transport: awaiting %q: %w", op, ctx.Err())
+	case <-timeout:
+		err = fmt.Errorf("transport: awaiting %q on stream %d: %w", op, id, os.ErrDeadlineExceeded)
+	}
+	pc.abandon(id, err)
+	return nil, err
+}
+
+// dialConn opens one connection for the pool and alone decides its
+// framing. A client pinned to V1, or one whose peer once hung up on the
+// preamble, dials plain v1. Any other negotiates, and keeps what the peer
+// agreed to: a negotiation-aware server capped at v1 is already serving
+// classic frames on that very connection. A peer that hangs up on the
+// preamble (a pre-negotiation server reads it as an oversized length
+// header) latches preV2Peer and is redialled plain here; any other I/O
+// failure stays an error so a flaky network cannot silently pin the
+// client to v1 — at worst a genuine reset downgrades to v1, which every
+// v2 server still speaks.
+func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
+	tel := telemetry.Or(c.Telemetry)
+	for {
+		conn, err := c.dialContext(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("transport: dial: %w", err)
+		}
+		tel.PoolDials.Inc()
+		pc := &poolConn{c: c, conn: conn, version: V1, budget: 1, streams: make(map[uint32]chan streamResult)}
+		if c.Version != V1 && !c.preV2Peer.Load() {
+			agreed, hungUp, err := c.negotiate(ctx, conn)
+			switch {
+			case hungUp && c.Version != V2:
+				conn.Close()
+				c.preV2Peer.Store(true)
+				tel.Negotiations.With("fallback").Inc()
+				continue
+			case hungUp:
+				err = Permanent(fmt.Errorf("%w (peer hung up on the v2 preamble: %v)", ErrVersionMismatch, err))
+			case err == nil:
+				tel.Negotiations.With(versionLabel(agreed)).Inc()
+				if agreed < V2 && c.Version == V2 {
+					err = Permanent(fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed))
+				}
+			}
+			if err != nil {
+				conn.Close()
+				return nil, err
+			}
+			pc.negotiated = true
+			if agreed >= V2 {
+				pc.version, pc.budget = V2, c.Pool.streamBudget()
+			}
+		}
+		pc.idleSince = c.clock().Now()
+		tel.PoolConns.Add(1)
+		go pc.readLoop(pc.conn)
+		return pc, nil
+	}
+}
+
+// negotiate proposes MaxSupportedVersion on a fresh connection and
+// returns the version the peer accepted. The exchange is part of a call
+// attempt, so it honours the dial budget, the call budget and ctx — a
+// peer that accepts the connection but never answers must not hang the
+// caller. hungUp reports that the peer tore the connection down instead
+// of answering: any I/O error except a deadline expiry or one ctx
+// induced. Timeouts stay plain errors — silence is ambiguous and must not
+// latch a downgrade.
+func (c *Client) negotiate(ctx context.Context, conn net.Conn) (agreed byte, hungUp bool, err error) {
+	if deadline := c.deadline(ctx, c.DialTimeout, c.CallTimeout); !deadline.IsZero() {
+		if err := conn.SetDeadline(deadline); err != nil {
+			return 0, false, fmt.Errorf("transport: arming negotiation deadline: %w", err)
+		}
+	}
+	stopWatch := watchCancel(ctx, conn)
+	_, err = conn.Write(clientPreamble(MaxSupportedVersion))
+	var accept [preambleLen]byte
+	if err == nil {
+		_, err = io.ReadFull(conn, accept[:])
+	}
+	stopWatch()
+	if err != nil {
+		hungUp = ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded)
+		return 0, hungUp, ctxError(ctx, fmt.Errorf("transport: version negotiation: %w", err))
+	}
+	if agreed, err = parseAccept(accept[:], MaxSupportedVersion); err != nil {
+		return 0, false, err
+	}
+	// Clears the watcher's forced expiry as well as the deadline above.
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return 0, false, fmt.Errorf("transport: clearing negotiation deadline: %w", err)
+	}
+	return agreed, false, nil
+}

@@ -94,7 +94,9 @@ func readRequestFrame(t *testing.T, conn net.Conn) {
 func TestCallErrorPaths(t *testing.T) {
 	cases := []struct {
 		name string
-		// misbehave drives the raw server end after the request arrives.
+		// misbehave drives the raw server end: v1 frames after the request
+		// arrives, unless cfg pins V2 — then it answers the negotiation
+		// preamble first.
 		misbehave func(t *testing.T, conn net.Conn)
 		cfg       transport.Config
 		check     func(t *testing.T, err error)
@@ -107,6 +109,27 @@ func TestCallErrorPaths(t *testing.T) {
 				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+1)
 				conn.Write(hdr[:])
 			},
+			check: func(t *testing.T, err error) {
+				if !errors.Is(err, transport.ErrFrameTooLarge) {
+					t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+				}
+			},
+		},
+		{
+			name: "oversized v2 length prefix",
+			misbehave: func(t *testing.T, conn net.Conn) {
+				var preamble [4]byte
+				if _, err := io.ReadFull(conn, preamble[:]); err != nil {
+					t.Errorf("server reading preamble: %v", err)
+					return
+				}
+				conn.Write(rawPreamble) // accept v2
+				readRequestFrame(t, conn)
+				var hdr [4]byte
+				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+64) // past the v2 header allowance too
+				conn.Write(hdr[:])
+			},
+			cfg: transport.Config{Version: transport.V2},
 			check: func(t *testing.T, err error) {
 				if !errors.Is(err, transport.ErrFrameTooLarge) {
 					t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -159,11 +182,13 @@ func TestCallErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clientEnd, serverEnd := net.Pipe()
 			go tc.misbehave(t, serverEnd)
-			// These peers hand-speak raw v1 frames: the client must be
-			// pinned to v1 so it does not open with a negotiation
-			// preamble they would misread as a gigantic length header.
+			// Peers that hand-speak raw v1 frames need a client pinned to
+			// v1, so it does not open with a negotiation preamble they
+			// would misread as a gigantic length header.
 			cfg := tc.cfg
-			cfg.Version = transport.V1
+			if cfg.Version == 0 {
+				cfg.Version = transport.V1
+			}
 			c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).Configure(cfg)
 			defer c.Close()
 			_, err := c.Call(context.Background(), "echo", []byte("payload"))

@@ -1,10 +1,9 @@
 package transport_test
 
-// v2 multiplexing semantics: the per-connection stream budget replaces
-// the v1 one-call-per-slot rule, saturation waits honour the caller's
-// context, and a stream that times out abandons only itself — sibling
-// streams and the connection survive (no head-of-line blocking, no
-// poisoned pool).
+// What a v2 connection's larger stream budget adds to the pool cases of
+// pool_test.go: ceil(calls/budget) connections, and a stream that times
+// out abandons only itself — sibling streams and the connection survive
+// (no head-of-line blocking, no poisoned pool).
 
 import (
 	"context"
@@ -50,29 +49,6 @@ func TestMuxStreamBudgetBoundsConnections(t *testing.T) {
 	}
 	if got := cd.count.Load(); got != 3 {
 		t.Errorf("6 calls at budget 2 dialed %d conns, want 3", got)
-	}
-}
-
-func TestMuxSaturationWaitCancelledByContext(t *testing.T) {
-	// One conn, one stream: a second call must wait for stream capacity
-	// and honour its context while waiting.
-	release := make(chan struct{})
-	defer close(release)
-	dial, arrived := parkingServer(t, release)
-	c := transport.NewClient(dial)
-	c.Pool = transport.PoolConfig{MaxConns: 1, StreamBudget: 1}
-	defer c.Close()
-
-	go func() {
-		_, _ = c.Call(context.Background(), "park", nil)
-	}()
-	<-arrived // the parked call owns the only stream slot
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err := c.Call(ctx, "park", nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded while awaiting a stream slot", err)
 	}
 }
 

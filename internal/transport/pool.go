@@ -15,21 +15,22 @@ const DefaultMaxConns = 4
 
 // PoolConfig bounds a Client's connection pool.
 type PoolConfig struct {
-	// MaxConns bounds how many calls may be in flight at once — each
-	// in-flight call holds one connection. 0 means DefaultMaxConns.
+	// MaxConns bounds how many connections are open at once. A v1
+	// connection carries one call, so against a v1 peer it is also the
+	// bound on calls in flight. 0 means DefaultMaxConns.
 	MaxConns int
 	// MaxIdle bounds how many warm connections are kept for reuse after
-	// their call returns. 0 means MaxConns; negative disables idle
-	// pooling entirely (every connection closes after its call).
+	// their calls return. 0 means MaxConns; negative disables idle
+	// pooling entirely (every connection closes after its last call).
 	MaxIdle int
 	// IdleTimeout, when positive, discards idle connections that have
 	// sat unused longer than this. Reaping is lazy: a stale conn is
 	// closed when a call would otherwise reuse it.
 	IdleTimeout time.Duration
 	// StreamBudget bounds concurrent streams per negotiated-v2
-	// connection (0 = DefaultStreamBudget). It replaces the v1
-	// one-call-per-connection rule: a v2 client carries up to
-	// MaxConns × StreamBudget calls in flight. Ignored for v1 conns.
+	// connection (0 = DefaultStreamBudget): a v2 client carries up to
+	// MaxConns × StreamBudget calls in flight. A v1 connection's budget
+	// is always one.
 	StreamBudget int
 }
 
@@ -57,95 +58,137 @@ func (p PoolConfig) maxIdle() int {
 	return p.maxConns()
 }
 
-// idleConn is a warm pooled connection and when it went idle.
-type idleConn struct {
-	conn  net.Conn
-	since time.Time
-}
-
-// acquire checks a connection out of the pool: it first waits for an
-// in-flight slot (bounding concurrent calls at Pool.MaxConns), then
-// reuses the most recently parked idle connection — lazily reaping any
-// that outlived IdleTimeout — or dials a new one. reused reports whether
-// the returned conn served an earlier call.
-func (c *Client) acquire(ctx context.Context) (conn net.Conn, reused bool, err error) {
-	c.mu.Lock()
-	c.closed = false
-	if c.slots == nil {
-		c.slots = make(chan struct{}, c.Pool.maxConns())
-	}
-	slots := c.slots
-	c.mu.Unlock()
-
-	select {
-	case slots <- struct{}{}:
-	default:
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, fmt.Errorf("transport: awaiting connection slot: %w", ctx.Err())
-		}
-	}
-
+// acquireStream reserves a stream slot on a pooled connection — the one
+// way a call gets a connection, whatever its framing. It prefers the
+// least-loaded live connection with budget headroom, dials a new
+// connection while the MaxConns bound has headroom, and otherwise blocks
+// until a stream finishes or ctx is cancelled. The bool reports whether
+// the stream rides a connection that was already open.
+func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 	tel := telemetry.Or(c.Telemetry)
-	now := c.clock().Now()
 	c.mu.Lock()
-	for len(c.idle) > 0 {
-		ic := c.idle[len(c.idle)-1]
-		c.idle = c.idle[:len(c.idle)-1]
-		if c.Pool.IdleTimeout > 0 && now.Sub(ic.since) > c.Pool.IdleTimeout {
+	for {
+		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
-			ic.conn.Close()
-			tel.PoolIdleClosed.Inc()
-			tel.PoolConns.Add(-1)
-			c.mu.Lock()
-			continue
+			return nil, false, fmt.Errorf("transport: awaiting stream slot: %w", err)
 		}
-		c.mu.Unlock()
-		tel.PoolReuse.Inc()
-		return ic.conn, true, nil
-	}
-	c.mu.Unlock()
+		now := c.clock().Now()
+		// Drop dead conns from the list and lazily reap idle ones that
+		// outlived IdleTimeout.
+		kept := c.conns[:0]
+		for _, pc := range c.conns {
+			pc.mu.Lock()
+			stale := c.Pool.IdleTimeout > 0 && pc.inflight == 0 && now.Sub(pc.idleSince) > c.Pool.IdleTimeout
+			if stale && pc.retireLocked() {
+				tel.PoolIdleClosed.Inc()
+			}
+			if !pc.dead {
+				kept = append(kept, pc)
+			}
+			pc.mu.Unlock()
+		}
+		c.conns = kept
 
-	conn, err = c.dialContext(ctx)
-	if err != nil {
-		c.releaseSlot()
-		return nil, false, fmt.Errorf("transport: dial: %w", err)
+		// Least-loaded live conn with stream headroom wins.
+		var best *poolConn
+		bestLoad := 0
+		for _, pc := range c.conns {
+			pc.mu.Lock()
+			ok := !pc.dead && pc.inflight < pc.budget
+			load := pc.inflight
+			pc.mu.Unlock()
+			if ok && (best == nil || load < bestLoad) {
+				best, bestLoad = pc, load
+			}
+		}
+		if best != nil {
+			best.mu.Lock()
+			if !best.dead && best.inflight < best.budget {
+				best.inflight++
+				best.mu.Unlock()
+				c.mu.Unlock()
+				tel.PoolReuse.Inc()
+				return best, true, nil
+			}
+			best.mu.Unlock()
+			continue // raced with conn death; re-scan
+		}
+
+		// Dials are singleflight: a cold burst coalesces onto the one
+		// connection being opened instead of racing a dial per call
+		// (waiters park below and re-check when the dial lands). Another
+		// dial starts only once every live conn is stream-saturated.
+		if !c.dialing && len(c.conns) < c.Pool.maxConns() {
+			c.dialing = true
+			c.mu.Unlock()
+			pc, err := c.dialConn(ctx)
+			c.mu.Lock()
+			c.dialing = false
+			c.wakeLocked() // a dial slot or fresh stream capacity opened up
+			if err != nil {
+				c.mu.Unlock()
+				return nil, false, err
+			}
+			pc.inflight = 1
+			c.conns = append(c.conns, pc)
+			c.mu.Unlock()
+			return pc, false, nil
+		}
+
+		// Every conn is saturated and the conn bound is reached: park
+		// until capacity frees up or ctx is cancelled.
+		if c.notify == nil {
+			c.notify = make(chan struct{})
+		}
+		ready := c.notify
+		c.mu.Unlock()
+		select {
+		case <-ready:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
 	}
-	tel.PoolDials.Inc()
-	tel.PoolConns.Add(1)
-	return conn, false, nil
 }
 
-// release returns a healthy connection to the idle pool (or closes it
-// when the pool is full or the client was closed) and frees its
-// in-flight slot.
-func (c *Client) release(conn net.Conn) {
-	now := c.clock().Now()
+// releaseStream returns a stream slot to its connection. The last
+// stream out closes the conn when a Close-initiated drain is pending or
+// when MaxIdle other connections already sit warm (always, when idle
+// pooling is disabled).
+func (c *Client) releaseStream(pc *poolConn) {
 	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.Pool.maxIdle() {
-		c.idle = append(c.idle, idleConn{conn: conn, since: now})
-		c.mu.Unlock()
-		c.releaseSlot()
-		return
+	pc.mu.Lock()
+	pc.inflight--
+	if pc.inflight == 0 {
+		pc.idleSince = c.clock().Now()
+		warm := 0
+		for _, other := range c.conns {
+			// Holding c.mu is what makes taking a second conn's lock safe.
+			if other != pc && other.idle() {
+				warm++
+			}
+		}
+		if pc.draining || warm >= c.Pool.maxIdle() {
+			pc.retireLocked()
+		}
 	}
+	pc.mu.Unlock()
+	c.wakeLocked()
 	c.mu.Unlock()
-	conn.Close()
-	telemetry.Or(c.Telemetry).PoolConns.Add(-1)
-	c.releaseSlot()
 }
 
-// discard closes a broken connection and frees its in-flight slot.
-func (c *Client) discard(conn net.Conn) {
-	conn.Close()
-	telemetry.Or(c.Telemetry).PoolConns.Add(-1)
-	c.releaseSlot()
+// wake wakes every caller waiting in acquireStream for stream capacity;
+// waiters re-check the pool state and park again if nothing is free for
+// them.
+func (c *Client) wake() {
+	c.mu.Lock()
+	c.wakeLocked()
+	c.mu.Unlock()
 }
 
-func (c *Client) releaseSlot() {
-	select {
-	case <-c.slots:
-	default:
+func (c *Client) wakeLocked() {
+	if c.notify != nil {
+		close(c.notify)
+		c.notify = nil
 	}
 }
 
@@ -190,82 +233,52 @@ func (c *Client) dialContext(ctx context.Context) (net.Conn, error) {
 	}
 }
 
-// Close closes every idle pooled connection and marks the client closed:
-// in-flight calls finish, but their connections are closed on return
-// instead of being pooled. Multiplexed conns with streams in flight
-// drain — the last stream to finish closes them. A later Call reopens
-// the pool.
+// Close closes every idle pooled connection. Connections with calls in
+// flight drain: their calls finish and the last one to return closes the
+// connection instead of pooling it. A later Call reopens the pool.
 func (c *Client) Close() {
 	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
+	conns := c.conns
+	c.conns = nil
+	c.wakeLocked()
 	c.mu.Unlock()
-	tel := telemetry.Or(c.Telemetry)
-	for _, ic := range idle {
-		ic.conn.Close()
-		tel.PoolConns.Add(-1)
-	}
-	c.muxMu.Lock()
-	mconns := c.muxConns
-	c.muxConns = nil
-	c.muxWakeLocked()
-	c.muxMu.Unlock()
-	for _, mc := range mconns {
-		mc.mu.Lock()
-		if mc.dead {
-			mc.mu.Unlock()
-			continue
+	for _, pc := range conns {
+		pc.mu.Lock()
+		if pc.inflight > 0 {
+			pc.draining = true
+		} else {
+			pc.retireLocked()
 		}
-		if mc.inflight > 0 {
-			mc.draining = true
-			mc.mu.Unlock()
-			continue
-		}
-		mc.dead = true
-		mc.deadErr = ErrClosed
-		mc.mu.Unlock()
-		mc.conn.Close()
-		tel.PoolConns.Add(-1)
+		pc.mu.Unlock()
 	}
 }
 
 // ConnsInUse reports how many connections are currently serving calls —
-// a test and debugging aid. For v1 that is one per in-flight call; a
-// multiplexed conn counts once however many streams it carries.
+// a test and debugging aid. A connection counts once however many
+// streams it carries.
 func (c *Client) ConnsInUse() int {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	if c.slots != nil {
-		n = len(c.slots)
-	}
-	c.mu.Unlock()
-	c.muxMu.Lock()
-	for _, mc := range c.muxConns {
-		mc.mu.Lock()
-		if !mc.dead && mc.inflight > 0 {
+	for _, pc := range c.conns {
+		pc.mu.Lock()
+		if !pc.dead && pc.inflight > 0 {
 			n++
 		}
-		mc.mu.Unlock()
+		pc.mu.Unlock()
 	}
-	c.muxMu.Unlock()
 	return n
 }
 
-// IdleConns reports how many warm connections are parked for reuse:
-// v1 pooled conns plus multiplexed conns with no streams in flight.
+// IdleConns reports how many warm connections are parked for reuse.
 func (c *Client) IdleConns() int {
 	c.mu.Lock()
-	n := len(c.idle)
-	c.mu.Unlock()
-	c.muxMu.Lock()
-	for _, mc := range c.muxConns {
-		mc.mu.Lock()
-		if !mc.dead && mc.inflight == 0 {
+	defer c.mu.Unlock()
+	n := 0
+	for _, pc := range c.conns {
+		if pc.idle() {
 			n++
 		}
-		mc.mu.Unlock()
 	}
-	c.muxMu.Unlock()
 	return n
 }

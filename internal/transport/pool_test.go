@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"globedoc/internal/clock"
+	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
 
@@ -67,114 +68,201 @@ func TestPoolReusesIdleConnection(t *testing.T) {
 	}
 }
 
+// framings is the one table the pool's bound, slot-wait, idle-reap,
+// no-idle-pooling and close-while-in-flight cases run against: a client
+// pinned to v1 frames, and a v2 client whose stream budget is one. Either
+// way a connection carries one call at a time, so one pool must show the
+// same behaviour through both.
+var framings = []struct {
+	name    string
+	version byte
+	budget  int
+}{
+	{"v1", transport.V1, 0},
+	{"v2 budget 1", 0, 1},
+}
+
+// forEachFraming runs the case once per row of framings; newClient builds
+// the row's client over dial with the case's pool bounds.
+func forEachFraming(t *testing.T, run func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client)) {
+	for _, f := range framings {
+		t.Run(f.name, func(t *testing.T) {
+			run(t, func(dial transport.DialFunc, pool transport.PoolConfig) *transport.Client {
+				pool.StreamBudget = f.budget
+				c := transport.NewClient(dial)
+				c.Pool = pool
+				c.Version = f.version
+				t.Cleanup(c.Close)
+				return c
+			})
+		})
+	}
+}
+
 func TestPoolBoundsConcurrentConnections(t *testing.T) {
 	// Handlers park until released so all in-flight calls overlap; the
-	// pool must never open more than MaxConns connections. Pinned to v1
-	// (one call per conn) — the v2 stream budget has its own bounds
-	// test in mux_test.go.
-	release := make(chan struct{})
-	dial, arrived := parkingServer(t, release)
-	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn())
-	c.Pool = transport.PoolConfig{MaxConns: 3}
-	c.Version = transport.V1
-	defer c.Close()
+	// pool must never open more than MaxConns connections. (What a larger
+	// stream budget does to the count is TestMuxStreamBudgetBoundsConnections.)
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		release := make(chan struct{})
+		dial, arrived := parkingServer(t, release)
+		cd := &countingDial{dial: dial}
+		c := newClient(cd.fn(), transport.PoolConfig{MaxConns: 3})
 
-	const calls = 12
-	var wg sync.WaitGroup
-	errs := make([]error, calls)
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Call(context.Background(), "park", nil)
-		}(i)
-	}
-	// Let the first wave occupy every slot, then drain.
-	for i := 0; i < 3; i++ {
-		<-arrived
-	}
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+		const calls = 12
+		var wg sync.WaitGroup
+		errs := make([]error, calls)
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, errs[i] = c.Call(context.Background(), "park", nil)
+			}(i)
 		}
-	}
-	if got := cd.count.Load(); got > 3 {
-		t.Errorf("%d concurrent calls dialed %d connections, want <= MaxConns=3", calls, got)
-	}
+		// Let the first wave occupy every connection, then drain.
+		for i := 0; i < 3; i++ {
+			<-arrived
+		}
+		if inUse := c.ConnsInUse(); inUse != 3 {
+			t.Errorf("ConnsInUse = %d with every connection occupied, want 3", inUse)
+		}
+		close(release)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if got := cd.count.Load(); got != 3 {
+			t.Errorf("%d concurrent calls dialed %d connections, want MaxConns=3", calls, got)
+		}
+	})
 }
 
 func TestPoolIdleTimeoutReapsStaleConns(t *testing.T) {
-	dial := startServer(t, func(s *transport.Server) {
-		s.Handle("ping", func(body []byte) ([]byte, error) { return nil, nil })
-	})
-	cd := &countingDial{dial: dial}
-	clk := clock.NewFake(time.Unix(1_000_000, 0))
-	c := transport.NewClient(cd.fn())
-	c.Pool = transport.PoolConfig{IdleTimeout: 10 * time.Millisecond}
-	c.Clock = clk
-	defer c.Close()
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		dial := startServer(t, func(s *transport.Server) {
+			s.Handle("ping", func(body []byte) ([]byte, error) { return nil, nil })
+		})
+		cd := &countingDial{dial: dial}
+		clk := clock.NewFake(time.Unix(1_000_000, 0))
+		c := newClient(cd.fn(), transport.PoolConfig{IdleTimeout: 10 * time.Millisecond})
+		c.Clock = clk
 
-	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(30 * time.Millisecond)
-	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := cd.count.Load(); got != 2 {
-		t.Errorf("dialed %d connections, want 2 (stale idle conn reaped, fresh dial)", got)
-	}
-}
-
-func TestPoolNegativeMaxIdleDisablesPooling(t *testing.T) {
-	dial := startServer(t, func(s *transport.Server) {
-		s.Handle("ping", func(body []byte) ([]byte, error) { return nil, nil })
-	})
-	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn())
-	c.Pool = transport.PoolConfig{MaxIdle: -1}
-	defer c.Close()
-
-	for i := 0; i < 3; i++ {
 		if _, err := c.Call(context.Background(), "ping", nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := cd.count.Load(); got != 3 {
-		t.Errorf("dialed %d connections with MaxIdle=-1, want 3 (no pooling)", got)
-	}
-	if idle := c.IdleConns(); idle != 0 {
-		t.Errorf("IdleConns = %d, want 0", idle)
-	}
+		clk.Advance(30 * time.Millisecond)
+		if _, err := c.Call(context.Background(), "ping", nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := cd.count.Load(); got != 2 {
+			t.Errorf("dialed %d connections, want 2 (stale idle conn reaped, fresh dial)", got)
+		}
+	})
+}
+
+func TestPoolNegativeMaxIdleDisablesPooling(t *testing.T) {
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		dial := startServer(t, func(s *transport.Server) {
+			s.Handle("ping", func(body []byte) ([]byte, error) { return nil, nil })
+		})
+		cd := &countingDial{dial: dial}
+		c := newClient(cd.fn(), transport.PoolConfig{MaxIdle: -1})
+
+		for i := 0; i < 3; i++ {
+			if _, err := c.Call(context.Background(), "ping", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cd.count.Load(); got != 3 {
+			t.Errorf("dialed %d connections with MaxIdle=-1, want 3 (no pooling)", got)
+		}
+		if idle := c.IdleConns(); idle != 0 {
+			t.Errorf("IdleConns = %d, want 0", idle)
+		}
+	})
+}
+
+func TestPoolMaxIdleBoundsWarmConnections(t *testing.T) {
+	// Three overlapping calls open three connections; with MaxIdle=1 only
+	// one of them may stay warm once they return.
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		release := make(chan struct{})
+		dial, arrived := parkingServer(t, release)
+		c := newClient(dial, transport.PoolConfig{MaxConns: 3, MaxIdle: 1})
+
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.Call(context.Background(), "park", nil); err != nil {
+					t.Errorf("parked call: %v", err)
+				}
+			}()
+		}
+		for i := 0; i < 3; i++ {
+			<-arrived
+		}
+		close(release)
+		wg.Wait()
+		if idle := c.IdleConns(); idle != 1 {
+			t.Errorf("IdleConns = %d after three connections went idle, want MaxIdle=1", idle)
+		}
+	})
 }
 
 func TestPoolSlotWaitCancelledByContext(t *testing.T) {
-	// v1 semantics: one call per conn, so with MaxConns=1 a second call
-	// waits for the slot and must honour ctx while waiting. (A v2
-	// client would multiplex the second call onto the same conn; the
-	// stream-saturation wait has its own test in mux_test.go.)
-	release := make(chan struct{})
-	defer close(release)
-	dial, arrived := parkingServer(t, release)
-	c := transport.NewClient(dial)
-	c.Pool = transport.PoolConfig{MaxConns: 1}
-	c.Version = transport.V1
-	defer c.Close()
+	// One connection carrying one call: a second call waits for the slot
+	// and must honour ctx while waiting.
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		release := make(chan struct{})
+		defer close(release)
+		dial, arrived := parkingServer(t, release)
+		c := newClient(dial, transport.PoolConfig{MaxConns: 1})
 
-	go func() {
-		_, _ = c.Call(context.Background(), "park", nil)
-	}()
-	<-arrived // the parked call owns the only slot
+		go func() {
+			_, _ = c.Call(context.Background(), "park", nil)
+		}()
+		<-arrived // the parked call owns the only slot
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err := c.Call(ctx, "park", nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded while waiting for a slot", err)
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		_, err := c.Call(ctx, "park", nil)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded while waiting for a slot", err)
+		}
+	})
+}
+
+func TestCloseWhileInFlightDoesNotLeakConns(t *testing.T) {
+	forEachFraming(t, func(t *testing.T, newClient func(transport.DialFunc, transport.PoolConfig) *transport.Client) {
+		release := make(chan struct{})
+		dial, arrived := parkingServer(t, release)
+		tel := telemetry.New(nil)
+		c := newClient(dial, transport.PoolConfig{})
+		c.Telemetry = tel
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Call(context.Background(), "park", nil)
+			done <- err
+		}()
+		<-arrived // the call is in flight on its conn
+		c.Close()
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("in-flight call after Close: %v", err)
+		}
+		// The in-flight conn must have been closed on return, not pooled.
+		if idle := c.IdleConns(); idle != 0 {
+			t.Errorf("IdleConns = %d after Close raced an in-flight call, want 0", idle)
+		}
+		if open := tel.PoolConns.Value(); open != 0 {
+			t.Errorf("transport_pool_conns = %d after the drained call returned, want 0", open)
+		}
+	})
 }
 
 func TestCallContextCancelInFlight(t *testing.T) {
@@ -202,33 +290,13 @@ func TestCallContextCancelInFlight(t *testing.T) {
 	}
 }
 
-func TestCloseWhileInFlightDoesNotLeakConns(t *testing.T) {
-	release := make(chan struct{})
-	dial, arrived := parkingServer(t, release)
-	c := transport.NewClient(dial)
-	defer c.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Call(context.Background(), "park", nil)
-		done <- err
-	}()
-	<-arrived // the call is in flight on its conn
-	c.Close()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("in-flight call after Close: %v", err)
-	}
-	// The in-flight conn must have been closed on return, not pooled.
-	if idle := c.IdleConns(); idle != 0 {
-		t.Errorf("IdleConns = %d after Close raced an in-flight call, want 0", idle)
-	}
-}
-
 func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
-	// A v1 call that times out poisons its connection (discarded); the
-	// next call must succeed on a fresh conn, and a successful call
-	// must not leave a stale deadline armed on the pooled conn.
+	// A v1 frame names no stream, so the reply to a call its caller
+	// abandoned would be read by whoever used the connection next. The
+	// abandoned call must therefore take its connection with it: the
+	// gauge returns to its value before the call, and the next call —
+	// issued after the slow handler was released to send its late reply —
+	// gets its own answer on a fresh conn.
 	slow := make(chan struct{})
 	dial := startServer(t, func(s *transport.Server) {
 		s.Handle("slow", func(body []byte) ([]byte, error) {
@@ -237,26 +305,27 @@ func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
 		})
 		s.Handle("ping", func(body []byte) ([]byte, error) { return []byte("pong"), nil })
 	})
-	c := transport.NewClient(dial)
-	c.Version = transport.V1 // v1 arms real conn deadlines; v2 streams never touch read deadlines
+	tel := telemetry.New(nil)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: transport.V1})
 	defer c.Close()
-	defer close(slow)
 
+	before := tel.PoolConns.Value()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if _, err := c.Call(ctx, "slow", nil); err == nil {
 		t.Fatal("slow call under a 30ms ctx succeeded")
 	}
-	// Fresh conn: fast call works.
-	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
-		t.Fatalf("call after timeout: %v", err)
+	if open := tel.PoolConns.Value(); open != before {
+		t.Errorf("transport_pool_conns = %d after the abandoned v1 call, want %d (its connection closed)", open, before)
 	}
-	// Reused pooled conn: still healthy long after the earlier deadline.
-	// This wait must be real time — conn deadlines live in the kernel's
-	// clock, not the injectable one — and only needs to outlast the
-	// 30ms deadline armed above, so it cannot flake, only detect.
-	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
-		t.Fatalf("reused-conn call: %v", err)
+	close(slow)
+	for i := 0; i < 2; i++ {
+		resp, err := c.Call(context.Background(), "ping", nil)
+		if err != nil {
+			t.Fatalf("call %d after the timeout: %v", i, err)
+		}
+		if string(resp) != "pong" {
+			t.Fatalf("call %d after the timeout answered %q, want its own \"pong\"", i, resp)
+		}
 	}
 }

@@ -7,10 +7,12 @@
 // encoded by the callers with package enc, keeping this layer free of any
 // knowledge of the messages it carries.
 //
-// The protocol is intentionally simple: one outstanding call per
-// connection, client-side connection reuse, and a hard frame-size limit
-// as a defence against malicious peers — remember that GlobeDoc clients
-// routinely talk to untrusted servers.
+// Two framings carry that exchange: the classic v1 frame, one call at a
+// time per connection, and the negotiated v2 frame, which names a stream
+// so many calls interleave on one connection (frame.go). The client keeps
+// one bounded pool of connections for both (pool.go, conn.go). A hard
+// frame-size limit defends against malicious peers — remember that
+// GlobeDoc clients routinely talk to untrusted servers.
 package transport
 
 import (
@@ -578,10 +580,11 @@ func (s *Server) Close() {
 type DialFunc func() (net.Conn, error)
 
 // Client issues calls to one server over a bounded pool of connections.
-// Each call checks a connection out of the pool (reusing an idle one or
-// dialling), performs one framed exchange on it, and returns it. Calls
-// from different goroutines therefore proceed in parallel up to the
-// pool's connection bound instead of serialising on a single conn.
+// Each call reserves a stream on a pooled connection (sharing a v2
+// connection with its siblings, owning a v1 connection outright, or
+// dialling), performs one framed exchange on it, and gives it back. Calls
+// from different goroutines therefore proceed in parallel instead of
+// serialising on a single exchange.
 type Client struct {
 	dial DialFunc
 
@@ -592,9 +595,9 @@ type Client struct {
 	// replica then costs one timeout, not a hang.
 	CallTimeout time.Duration
 	// Retry, when set, governs redialling and re-issuing after transient
-	// failures with exponential backoff. When nil, the legacy behaviour
-	// applies: one immediate retry, and only when the failure hit a
-	// reused (possibly stale) pooled connection.
+	// failures with exponential backoff. When nil, a call is retried
+	// once, at once, and only when the failure hit a reused (possibly
+	// stale) pooled connection.
 	Retry *RetryPolicy
 	// Telemetry records per-op call counts, retry counts, pool activity
 	// and spans; nil falls back to the process-wide telemetry.Default().
@@ -606,11 +609,11 @@ type Client struct {
 	// checks (nil = real clock). Tests inject a fake so deadline and
 	// reaping behaviour replays deterministically.
 	Clock clock.Clock
-	// Version pins the wire protocol: 0 negotiates on first contact
+	// Version pins the wire protocol: 0 negotiates on every dial
 	// (preferring v2, falling back to v1 against pre-negotiation
-	// servers), V1 forces classic framing with no preamble, V2 refuses
-	// peers that cannot speak v2. The negotiation outcome is latched for
-	// the client's lifetime. Set before the first call.
+	// servers, which is latched), V1 forces classic framing with no
+	// preamble, V2 refuses peers that cannot speak v2. Set before the
+	// first call.
 	Version byte
 	// Addr, when set, is the contact address this client dials, used
 	// purely as the telemetry key for per-address replica health: every
@@ -619,24 +622,15 @@ type Client struct {
 	// recording. Set before the first call.
 	Addr string
 
-	mu     sync.Mutex
-	slots  chan struct{} // in-flight call permits; cap latched on first use
-	idle   []idleConn    // LIFO stack of warm connections
-	closed bool          // set by Close; cleared by the next acquire
+	// preV2Peer latches that the peer hung up on the negotiation
+	// preamble — what a server older than negotiation does — so every
+	// later connection is dialled as plain v1 (see dialConn).
+	preV2Peer atomic.Bool
 
-	// v2 multiplexing state (see mux.go).
-	peerVersion atomic.Uint32 // latched negotiation outcome (0 = unknown)
-	// peerTrailerAware latches that the v1 peer is positively known to
-	// tolerate the trace-context request-envelope trailer: only a
-	// negotiation-aware server capped at v1 proves it (it answered a
-	// well-formed accept, so it post-dates the trailer). A pre-v2 peer's
-	// decoder rejects trailing envelope bytes, so without this proof a
-	// traced v1 call drops its context at the process boundary instead.
-	peerTrailerAware atomic.Bool
-	muxMu            sync.Mutex
-	muxConns         []*muxConn    // live negotiated-v2 connections
-	muxDialing       int           // dials in flight, counted against MaxConns
-	muxNotify        chan struct{} // closed+replaced when stream capacity frees up
+	mu      sync.Mutex
+	conns   []*poolConn   // live pooled connections, of either framing
+	dialing bool          // a dial is in flight (there is at most one)
+	notify  chan struct{} // closed+replaced when stream capacity frees up
 
 	// BytesSent and BytesReceived count the bytes of every frame written
 	// and read, headers included (the negotiation preamble is not a
@@ -692,11 +686,10 @@ type Config struct {
 }
 
 // Call sends op with body and waits for the response. ctx cancellation
-// aborts slot acquisition, dialling and the in-flight exchange (the
-// connection is closed rather than returned to the pool). With a
-// RetryPolicy configured it retries transient failures with backoff;
-// otherwise it retries once when the failure hit a reused pooled
-// connection. Every call is recorded as one rpc.call span (annotated
+// aborts the wait for a stream slot, dialling and the wait for the
+// response. With a RetryPolicy configured it retries transient failures
+// with backoff; otherwise it retries once when the failure hit a reused
+// pooled connection. Every call is recorded as one rpc.call span (annotated
 // with the attempt count) and one rpc_calls_total{op,outcome} increment;
 // extra attempts also count into rpc_retries_total. When ctx carries a
 // span context the rpc.call span joins that trace, and the span's own
@@ -724,9 +717,19 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	if caller.Valid() {
 		wire = sp.Context()
 	}
-	run := func() ([]byte, bool, error) {
+	// Without a policy a call gets one immediate second attempt, and only
+	// for a failure on a connection that might simply have gone stale in
+	// the pool.
+	maxAttempts := 2
+	if c.Retry != nil {
+		maxAttempts = c.Retry.Attempts()
+	}
+	var resp []byte
+	var err error
+	for {
 		start := c.clock().Now()
-		resp, reused, err := c.attempt(ctx, wire, op, body)
+		var reused bool
+		resp, reused, err = c.attempt(ctx, wire, op, body)
 		switch {
 		case err == nil:
 			tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
@@ -736,35 +739,15 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 			// wanted count as failure evidence.
 			tel.Health.RecordFailure(c.Addr)
 		}
-		return resp, reused, err
-	}
-
-	var resp []byte
-	var err error
-	if c.Retry == nil {
-		// Legacy semantics: one immediate retry, only for failures on a
-		// connection that might simply have gone stale in the pool.
-		var reused bool
-		resp, reused, err = run()
-		if err != nil && reused && Retryable(err) && ctx.Err() == nil {
-			c.Retries.Add(1)
-			tel.RPCRetries.Inc()
-			attempts++
-			resp, _, err = run()
+		if err == nil || !Retryable(err) || ctx.Err() != nil || attempts == maxAttempts || (c.Retry == nil && !reused) {
+			break
 		}
-	} else {
-		for attempt := 0; attempt < c.Retry.Attempts(); attempt++ {
-			if attempt > 0 {
-				c.Retries.Add(1)
-				tel.RPCRetries.Inc()
-				attempts++
-				c.Retry.clock().Sleep(c.Retry.Backoff(attempt))
-			}
-			resp, _, err = run()
-			if err == nil || !Retryable(err) || ctx.Err() != nil {
-				break
-			}
+		c.Retries.Add(1)
+		tel.RPCRetries.Inc()
+		if c.Retry != nil {
+			c.Retry.clock().Sleep(c.Retry.Backoff(attempts))
 		}
+		attempts++
 	}
 	if err == nil {
 		c.Calls.Add(1)
@@ -785,92 +768,19 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	return resp, nil
 }
 
-// attempt routes one call attempt to the negotiated protocol: v2
-// multiplexed streams by default, classic v1 framing when pinned or
-// when negotiation latched a v1-only peer. A fallback discovered
-// mid-dial re-routes the same attempt through the v1 path. sc is the
-// trace context to propagate (frame extension on v2, envelope trailer
-// on v1) — but the trailer is only emitted toward a peer that latched
-// peerTrailerAware: a genuinely old server's decoder rejects trailing
-// envelope bytes, so against one (or a pinned-V1 peer of unknown
-// vintage) the trace ends at the process boundary instead of failing
-// every traced call.
+// attempt performs one complete call attempt: reserve a stream on a
+// pooled connection (dialling if necessary), exchange one frame pair on
+// it, and give the stream back. sc is the trace context to propagate.
+// reused reports whether the attempt rode an already-open (possibly
+// stale) connection.
 func (c *Client) attempt(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	if !c.useV1() {
-		resp, reused, err = c.attemptMux(ctx, sc, op, body)
-		if !errors.Is(err, errFellBackToV1) {
-			return resp, reused, err
-		}
-	}
-	if !c.peerTrailerAware.Load() {
-		sc = telemetry.SpanContext{}
-	}
-	return c.attemptV1(ctx, sc, op, body)
-}
-
-// useV1 reports whether calls must speak classic v1 framing: either the
-// client is pinned to V1, or auto-negotiation already learned the peer
-// cannot speak v2.
-func (c *Client) useV1() bool {
-	if c.Version == V1 {
-		return true
-	}
-	return c.Version != V2 && byte(c.peerVersion.Load()) == V1
-}
-
-// attemptV1 performs one complete v1 call attempt: check a connection
-// out of the pool (dialling if necessary), exchange one frame pair, and
-// return the connection. Transport-level failures discard the
-// connection so a retry dials fresh; remote errors keep it warm. reused
-// reports whether the attempt ran on a pooled (possibly stale)
-// connection.
-func (c *Client) attemptV1(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	conn, reused, err := c.acquire(ctx)
+	pc, reused, err := c.acquireStream(ctx)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err = c.exchange(ctx, conn, sc, op, body)
-	if err != nil && Retryable(err) {
-		// The stream is broken or in an unknown state (includes a
-		// malformed, possibly corrupted, response): drop the conn.
-		c.discard(conn)
-		return nil, reused, err
-	}
-	c.release(conn)
+	defer c.releaseStream(pc)
+	resp, err = pc.roundTrip(ctx, sc, op, body)
 	return resp, reused, err
-}
-
-// exchange runs one framed request/response on conn, bounded by the
-// tighter of CallTimeout and ctx's deadline; ctx cancellation force-fails
-// the in-flight I/O.
-func (c *Client) exchange(ctx context.Context, conn net.Conn, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
-	armed, err := c.armDeadline(ctx, conn)
-	if err != nil {
-		return nil, ctxError(ctx, fmt.Errorf("transport: arming deadline for %q: %w", op, err))
-	}
-	stopWatch := watchCancel(ctx, conn)
-	req := encodeRequest(op, body, sc)
-	sent, err := writeFrame(conn, nil, req)
-	if err != nil {
-		stopWatch()
-		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, err))
-	}
-	c.BytesSent.Add(uint64(sent))
-	payload, err := readFrame(conn)
-	stopWatch()
-	if err != nil {
-		return nil, ctxError(ctx, fmt.Errorf("transport: receive %q: %w", op, err))
-	}
-	c.BytesReceived.Add(uint64(len(payload)) + 4)
-	if armed {
-		// A conn whose deadline cannot be cleared must not be pooled:
-		// the stale deadline would poison the next call on it. The
-		// error is retryable, so attempt discards the conn.
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return nil, fmt.Errorf("transport: clearing deadline after %q: %w", op, err)
-		}
-	}
-	return decodeResponse(op, payload)
 }
 
 // clock returns the client's time source.
@@ -881,23 +791,19 @@ func (c *Client) clock() clock.Clock {
 	return clock.Real
 }
 
-// armDeadline sets conn's deadline to the tighter of CallTimeout and
-// ctx's deadline, reporting whether any deadline was armed.
-func (c *Client) armDeadline(ctx context.Context, conn net.Conn) (bool, error) {
-	var deadline time.Time
-	if c.CallTimeout > 0 {
-		deadline = c.clock().Now().Add(c.CallTimeout)
+// deadline returns the tightest of ctx's deadline and now plus each
+// positive limit — the zero time when nothing bounds the wait.
+func (c *Client) deadline(ctx context.Context, limits ...time.Duration) time.Time {
+	deadline, _ := ctx.Deadline()
+	for _, limit := range limits {
+		if limit <= 0 {
+			continue
+		}
+		if d := c.clock().Now().Add(limit); deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if deadline.IsZero() {
-		return false, nil
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return false, err
-	}
-	return true, nil
+	return deadline
 }
 
 // watchCancel force-expires conn's deadline when ctx is cancelled, so a
