@@ -1,15 +1,16 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short test-perfbench lint fuzz-smoke chaos \
-	telemetry-smoke trace-smoke
+.PHONY: check vet build test test-short budgets test-perfbench lint fuzz-smoke \
+	chaos telemetry-smoke trace-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
-## perfbench module's included), fuzz smoke, the end-to-end telemetry
+## perfbench module's included), the allocation and retained-heap
+## budgets the race detector skips, fuzz smoke, the end-to-end telemetry
 ## and distributed-tracing smokes, and the acceptance gates of the cache,
 ## multiplex, traceoverhead, placement and delta experiments (DESIGN.md
 ## §3 has the gate table).
-check: vet lint build test test-perfbench fuzz-smoke telemetry-smoke trace-smoke \
+check: vet lint build test budgets test-perfbench fuzz-smoke telemetry-smoke trace-smoke \
 	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
@@ -37,6 +38,13 @@ test:
 
 test-short:
 	$(GO) test -race -short ./...
+
+## budgets: internal/alloctest's byte and retained-heap budgets skip under
+## the race detector, which `test` and CI's test step run with, so every
+## package whose tests import alloctest is run once more without it.
+budgets:
+	$(GO) test $$($(GO) list -f '{{.ImportPath}} {{.TestImports}} {{.XTestImports}}' ./... \
+		| grep '\[.*globedoc/internal/alloctest' | cut -d' ' -f1)
 
 ## test-perfbench: perfbench/ is its own module, which ./... above does
 ## not reach; an API change that breaks the benchmark fails here.

@@ -1,7 +1,8 @@
 // Package alloctest measures the heap bytes a function allocates, for the
 // tests that pin each layer's payload-copy budget (DESIGN.md, "Life of a
 // payload byte"): testing.AllocsPerRun counts objects, a copy budget is
-// in bytes.
+// in bytes. HeapRetained measures what stays live afterwards. Both skip
+// under the race detector; `make budgets` runs their callers without it.
 package alloctest
 
 import (
@@ -31,4 +32,26 @@ func BytesPerRun(t testing.TB, runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// HeapRetained returns how many more heap bytes are live after f than
+// before it: what f built and the caller still holds. Each reading
+// follows two collections, so what f merely used has been swept. The race
+// detector keeps shadow state per allocation, so under -race it skips.
+func HeapRetained(t testing.TB, f func()) int64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("retained-heap budgets are measured without the race detector")
+	}
+	before := liveHeap()
+	f()
+	return liveHeap() - before
+}
+
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

@@ -82,3 +82,36 @@ func HandleAdminUnchecked(ctx context.Context, tc *transport.Client) error {
 	InstallUnchecked(b)
 	return nil
 }
+
+// Update is the clean update path. Install and update share the one
+// table builder, so the sink row covers a pulled or admin-sent update as
+// it covers a first install — behind the same Validate gate.
+func Update(ctx context.Context, tc *transport.Client, pk keys.PublicKey) (map[string][]byte, error) {
+	body, err := tc.Call(ctx, "obj.getbundle", nil)
+	if err != nil {
+		return nil, err
+	}
+	b, err := UnmarshalBundle(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Validate(pk); err != nil {
+		return nil, err
+	}
+	return buildWire(b), nil
+}
+
+// UpdateUnchecked is the network-fed update path (a puller's transfer,
+// an admin update verb) handing the bundle to the builder unvalidated:
+// flagged at the builder itself.
+func UpdateUnchecked(ctx context.Context, tc *transport.Client) (map[string][]byte, error) {
+	body, err := tc.Call(ctx, "obj.getbundle", nil)
+	if err != nil {
+		return nil, err
+	}
+	b, err := UnmarshalBundle(body)
+	if err != nil {
+		return nil, err
+	}
+	return buildWire(b), nil
+}

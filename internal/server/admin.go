@@ -123,7 +123,7 @@ func (s *Server) handleAdmin(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.update(b, principal)
+		return nil, s.Update(b, principal)
 	case VerbDelete:
 		oid, err := globeid.FromBytes(payload)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"globedoc/internal/document"
-	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/merkle"
 	"globedoc/internal/object"
@@ -20,15 +19,11 @@ import (
 // transfers. Everything in the bundle is public data the anonymous read
 // protocol already exposes piecewise.
 func (s *Server) handleGetBundle(body []byte) ([]byte, error) {
-	oid, err := object.DecodeOIDRequest(body)
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	b, err := s.ExportBundle(oid)
-	if err != nil {
-		return nil, err
-	}
-	return b.Marshal(), nil
+	return h.head().bundle(h.key).Marshal(), nil
 }
 
 // Puller implements pull-based replica consistency — the replication
@@ -142,12 +137,12 @@ func (p *Puller) CheckOnce(ctx context.Context) (bool, error) {
 		p.failures.Add(1)
 		return false, err
 	}
-	have := h.doc.Version()
-	if have >= remoteVersion {
+	local := h.head()
+	if local.header.Version >= remoteVersion {
 		return false, nil
 	}
 	if !p.DisableDelta && !p.deltaUnsupported.Load() {
-		pulled, derr := p.pullDelta(ctx, h, have)
+		pulled, derr := p.pullDelta(ctx, local)
 		if derr == nil && pulled {
 			p.pulls.Add(1)
 			return true, nil
@@ -204,14 +199,15 @@ func (p *Puller) pullFull(ctx context.Context) error {
 }
 
 // pullDelta attempts the Merkle-delta transfer: fetch only the elements
-// whose cert-listed hash changed since have, compose a candidate bundle
-// from local unchanged elements plus the fetched ones, and hand it to
-// the SAME Update validation a full pull goes through. Nothing in the
-// reply is trusted before that validation passes; the chain check here
-// exists to reject malformed or non-extending replies cheaply, before
-// signature verification. It returns (false, nil) on a decline.
-func (p *Puller) pullDelta(ctx context.Context, h *hostedReplica, have uint64) (bool, error) {
-	req := EncodeDeltaRequest(p.oid, have)
+// whose cert-listed hash changed since local, the replica's head, compose
+// a candidate bundle from local's unchanged elements (by reference — no
+// local byte is copied) plus the fetched ones, and hand it to the SAME
+// Update validation a full pull goes through. Nothing in the reply is
+// trusted before that validation passes; the chain check here exists to
+// reject malformed or non-extending replies cheaply, before signature
+// verification. It returns (false, nil) on a decline.
+func (p *Puller) pullDelta(ctx context.Context, local *versionSnapshot) (bool, error) {
+	req := EncodeDeltaRequest(p.oid, local.header.Version)
 	body, err := p.client.Call(ctx, OpGetDelta, req)
 	if err != nil {
 		return false, err
@@ -229,10 +225,7 @@ func (p *Puller) pullDelta(ctx context.Context, h *hostedReplica, have uint64) (
 		tel.PullerDeltaDeclines.Inc()
 		return false, nil
 	}
-	h.mu.RLock()
-	local := h.chain[len(h.chain)-1].header
-	h.mu.RUnlock()
-	if err := verifyDeltaChain(d, p.oid, local); err != nil {
+	if err := verifyDeltaChain(d, p.oid, local.header); err != nil {
 		return false, err
 	}
 	elems := make([]document.Element, 0, len(d.Items))
@@ -243,11 +236,11 @@ func (p *Puller) pullDelta(ctx context.Context, h *hostedReplica, have uint64) (
 			changed++
 			continue
 		}
-		e, err := h.doc.Get(it.Name)
-		if err != nil {
-			return false, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, err)
+		held, ok := local.wire.elements[it.Name]
+		if !ok {
+			return false, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
 		}
-		elems = append(elems, e)
+		elems = append(elems, held.element(it.Name))
 	}
 	bundle := &Bundle{
 		OID:       p.oid,
@@ -326,12 +319,7 @@ func (p *Puller) remoteVersion(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := enc.NewReader(body)
-	v := r.Uvarint()
-	if err := r.Finish(); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return decodeVersion(body)
 }
 
 // Start launches the periodic check loop; ctx cancellation and Stop

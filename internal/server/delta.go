@@ -229,15 +229,27 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 // DeltaSince computes the delta reply for a hosted replica from the
 // client's have-version to the current head. When have is not among the
 // retained versions (evicted, never existed, or from a divergent reset
-// history) the reply is a full-required decline.
+// history) the reply is a full-required decline. The reply's element
+// bytes are the caller's own copies.
 func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
+	d, err := s.deltaSince(oid, have)
+	if err != nil {
+		return nil, err
+	}
+	for i := range d.Items {
+		d.Items[i].Element.Data = append([]byte(nil), d.Items[i].Element.Data...)
+	}
+	return d, nil
+}
+
+// deltaSince is DeltaSince with the changed elements' Data aliasing the
+// head's wire payloads — for marshalling only.
+func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	h, err := s.replica(oid)
 	if err != nil {
 		return nil, err
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	chain := h.chain
+	chain := h.versions()
 	head := chain[len(chain)-1]
 	base := -1
 	for i, snap := range chain {
@@ -263,15 +275,11 @@ func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	for _, snap := range chain[base:] {
 		d.Headers = append(d.Headers, snap.header)
 	}
-	for _, name := range h.doc.Names() {
+	for _, name := range head.wire.names {
 		it := DeltaItem{Name: name}
 		if changedSet[name] {
-			e, err := h.doc.Get(name)
-			if err != nil {
-				return nil, err
-			}
 			it.Changed = true
-			it.Element = e
+			it.Element = head.wire.elements[name].element(name)
 		}
 		d.Items = append(d.Items, it)
 	}
@@ -286,7 +294,7 @@ func (s *Server) handleGetDelta(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.DeltaSince(oid, have)
+	d, err := s.deltaSince(oid, have)
 	if err != nil {
 		return nil, err
 	}

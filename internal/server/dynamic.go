@@ -14,16 +14,18 @@ import (
 )
 
 // ExportBundle snapshots a hosted replica into a transferable bundle,
-// the unit pushed to peer servers during dynamic replication.
+// the unit pushed to peer servers during dynamic replication. The whole
+// bundle is one version, and its element bytes are the caller's own.
 func (s *Server) ExportBundle(oid globeid.OID) (*Bundle, error) {
 	h, err := s.replica(oid)
 	if err != nil {
 		return nil, err
 	}
-	h.mu.RLock()
-	icert, nameCerts := h.icert, h.nameCerts
-	h.mu.RUnlock()
-	return BundleFromDocument(oid, h.key, h.doc, icert, nameCerts), nil
+	b := h.head().bundle(h.key)
+	for i := range b.Elements {
+		b.Elements[i].Data = append([]byte(nil), b.Elements[i].Data...)
+	}
+	return b, nil
 }
 
 // Peer describes a cooperating object server at another site.

@@ -1,0 +1,341 @@
+package server
+
+// Tests for the one representation of hosted state: a replica is its
+// immutable head version. The head holds each payload byte once, an
+// update shares what did not change, superseded versions hold no bytes,
+// and every request — a batch, an export — is answered from one head.
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"globedoc/internal/alloctest"
+	"globedoc/internal/cert"
+	"globedoc/internal/document"
+	"globedoc/internal/globeid"
+	"globedoc/internal/keys"
+	"globedoc/internal/keys/keytest"
+	"globedoc/internal/object"
+)
+
+// headNames returns n element names, sorted.
+func headNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("e%02d.html", i)
+	}
+	return names
+}
+
+// headBundle signs a bundle at version whose elements are size bytes of
+// fill, except the one named changed, which is size bytes of version's
+// low byte — so bundles of different versions differ in that element.
+func headBundle(tb testing.TB, owner *keys.KeyPair, version uint64, names []string, size int, fill byte, changed string) *Bundle {
+	tb.Helper()
+	elems := make([]document.Element, len(names))
+	for i, name := range names {
+		data := make([]byte, size)
+		b := fill
+		if name == changed {
+			b = byte(version)
+		}
+		for j := range data {
+			data[j] = b
+		}
+		elems[i] = document.Element{Name: name, ContentType: "text/html", Data: data}
+	}
+	doc := document.New()
+	doc.Replace(elems, version)
+	oid := globeid.FromPublicKey(owner.Public())
+	icert, err := document.IssueCertificate(doc, oid, owner, wireT0.Add(time.Duration(version)*time.Second), document.UniformTTL(time.Hour))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Bundle{OID: oid, Key: owner.Public(), Elements: elems, Version: version, Cert: icert}
+}
+
+// servedPayload returns obj.getelement's reply for name.
+func servedPayload(tb testing.TB, s *Server, oid globeid.OID, name string) []byte {
+	tb.Helper()
+	got, err := s.handleGetElement(context.Background(), object.EncodeElementRequest(oid, name, ""))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return got
+}
+
+// TestRetainedHeapTracksStoredBytes pins what the process holds per
+// hosted byte — the quantity Limits.MaxBytes is meant to bound: one copy
+// of the payloads after Install, and still about one after ten updates,
+// because superseded versions keep no bytes.
+func TestRetainedHeapTracksStoredBytes(t *testing.T) {
+	const n, size = 64, 64 << 10
+	owner := keytest.RSA()
+	names := headNames(n)
+	s := New("heap-srv", "site", nil, nil, Limits{})
+	installed := alloctest.HeapRetained(t, func() {
+		if err := s.Install(headBundle(t, owner, 1, names, size, 0x42, ""), "owner"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stored := s.StoredBytes()
+	if stored != n*size {
+		t.Fatalf("StoredBytes = %d, want %d", stored, n*size)
+	}
+	if limit := stored + stored/4; installed > limit {
+		t.Errorf("server retains %d heap bytes after Install of %d stored bytes (%.2fx), want <= 1.25x", installed, stored, float64(installed)/float64(stored))
+	}
+	updated := alloctest.HeapRetained(t, func() {
+		for v := uint64(2); v <= 11; v++ {
+			if err := s.Update(headBundle(t, owner, v, names, size, 0x42, names[0]), "owner"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if total, limit := installed+updated, stored+stored/2; total > limit {
+		t.Errorf("server retains %d heap bytes after ten one-element updates of %d stored bytes (%.2fx), want <= 1.5x", total, stored, float64(total)/float64(stored))
+	}
+	t.Logf("retained/stored: %.2fx after Install, %.2fx after ten updates", float64(installed)/float64(stored), float64(installed+updated)/float64(stored))
+	if got := s.StoredBytes(); got != stored {
+		t.Errorf("StoredBytes = %d after same-size updates, want %d", got, stored)
+	}
+}
+
+// TestSupersededVersionsHoldNoPayloads is the white-box half of the
+// retention rule: every retained version but the head is a header and
+// its leaf hashes, the chain never shares a backing array with a
+// previous one (which would pin evicted versions), and VersionChain
+// still reports retention headers.
+func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
+	s, oid, owner := newWireServer(t, 64)
+	s.VersionRetention = 3
+	h, err := s.replica(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mustVersion(t, s, oid)
+	for i := 1; i <= 5; i++ {
+		before := h.versions()
+		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
+		after := h.versions()
+		if &before[0] == &after[0] {
+			t.Fatalf("update %d reused the previous chain's backing array", i)
+		}
+		if cap(after) > s.VersionRetention {
+			t.Fatalf("update %d: chain capacity %d exceeds retention %d", i, cap(after), s.VersionRetention)
+		}
+	}
+	chain := h.versions()
+	for i, snap := range chain[:len(chain)-1] {
+		if snap.wire.elements != nil || snap.wire.icert != nil || snap.cert != nil || snap.size != 0 {
+			t.Errorf("superseded version at index %d still holds servable state", i)
+		}
+		if snap.header == nil || len(snap.hashes) != 3 {
+			t.Errorf("superseded version at index %d lost its header or leaf hashes", i)
+		}
+	}
+	if head := chain[len(chain)-1]; len(head.wire.elements) != 3 || head.cert == nil {
+		t.Error("head does not hold the served state")
+	}
+	headers, err := s.VersionChain(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(headers) != s.VersionRetention {
+		t.Fatalf("VersionChain returned %d headers, want retention %d", len(headers), s.VersionRetention)
+	}
+	// A retained base still yields a delta.
+	d, err := s.DeltaSince(oid, headers[0].Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.FullRequired || len(d.Headers) != s.VersionRetention {
+		t.Fatalf("delta from the oldest retained version: FullRequired=%v, %d headers", d.FullRequired, len(d.Headers))
+	}
+}
+
+// TestUpdateCopiesOnlyWhatChanged pins Server.Update's allocation: with
+// one of 64 x 4 KiB elements changed it copies that element, not the
+// replica (256 KiB).
+func TestUpdateCopiesOnlyWhatChanged(t *testing.T) {
+	const n, size, runs = 64, 4 << 10, 10
+	owner := keytest.RSA()
+	names := headNames(n)
+	s := New("update-srv", "site", nil, nil, Limits{})
+	if err := s.Install(headBundle(t, owner, 1, names, size, 0x42, ""), "owner"); err != nil {
+		t.Fatal(err)
+	}
+	// One bundle per measured call and one for the warm-up call.
+	bundles := make([]*Bundle, runs+1)
+	for i := range bundles {
+		bundles[i] = headBundle(t, owner, uint64(i+2), names, size, 0x42, names[0])
+	}
+	next := 0
+	perUpdate := alloctest.BytesPerRun(t, runs, func() {
+		if err := s.Update(bundles[next], "owner"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("Update allocates %.0f bytes", perUpdate)
+	if perUpdate > 64<<10 {
+		t.Fatalf("Update of a %d-byte replica with one changed element allocates %.0f bytes, want <= %d", n*size, perUpdate, 64<<10)
+	}
+}
+
+// TestUpdateSharesUnchangedPayloads: across an update an unchanged
+// element is served from the very same wire entry, a changed one from a
+// new entry, and one whose content type alone changed is not shared.
+func TestUpdateSharesUnchangedPayloads(t *testing.T) {
+	owner := keytest.RSA()
+	names := headNames(3)
+	s := New("share-srv", "site", nil, nil, Limits{})
+	first := headBundle(t, owner, 1, names, 256, 0x42, "")
+	if err := s.Install(first, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	oid := first.OID
+	before := map[string][]byte{}
+	for _, name := range names {
+		before[name] = servedPayload(t, s, oid, name)
+	}
+	second := headBundle(t, owner, 2, names, 256, 0x42, names[0])
+	second.Elements[1].ContentType = "text/plain" // same bytes, same hash
+	if err := s.Update(second, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		got := servedPayload(t, s, oid, name)
+		shared := &got[0] == &before[name][0]
+		if want := i == 2; shared != want {
+			t.Errorf("%s: payload shared across the update = %v, want %v", name, shared, want)
+		}
+		e, err := object.DecodeElement(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.ContentType != second.Elements[i].ContentType || string(e.Data) != string(second.Elements[i].Data) {
+			t.Errorf("%s: served element is not the updated one", name)
+		}
+	}
+}
+
+// raceReaders runs read in four goroutines, rounds times each, beside an
+// updater flipping the replica between bundles a and b.
+func raceReaders(t *testing.T, s *Server, a, b *Bundle, rounds int, read func() error) {
+	t.Helper()
+	stop := make(chan struct{})
+	var updater, readers sync.WaitGroup
+	updater.Add(1)
+	go func() {
+		defer updater.Done()
+		for next, other := b, a; ; next, other = other, next {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Update(next, "owner"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < rounds; i++ {
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	updater.Wait()
+}
+
+// TestExportBundleNeverTorn: an export racing an update is one version —
+// certificate and elements together — so it always validates at the
+// puller or peer that receives it. The stress half hunts a window that
+// was a few instructions wide; the first half states the reason it is
+// closed: the view a request loads stays one valid version whatever is
+// published after it.
+func TestExportBundleNeverTorn(t *testing.T) {
+	owner := keytest.RSA()
+	names := headNames(8)
+	a := headBundle(t, owner, 1, names, 512, 0xa1, "")
+	b := headBundle(t, owner, 2, names, 512, 0xb2, "")
+	s := New("export-srv", "site", nil, nil, Limits{})
+	if err := s.Install(a, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.replica(a.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := h.head()
+	if err := s.Update(b, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	if got := view.bundle(h.key); got.Version != a.Version || got.Validate() != nil {
+		t.Fatalf("a view loaded before an update exports version %d, Validate: %v", got.Version, got.Validate())
+	}
+	raceReaders(t, s, a, b, 100, func() error {
+		got, err := s.ExportBundle(a.OID)
+		if err != nil {
+			return err
+		}
+		if err := got.Validate(); err != nil {
+			return fmt.Errorf("exported bundle at version %d is torn: %w", got.Version, err)
+		}
+		return nil
+	})
+}
+
+// TestGetElementsAnswersFromOneHead: every element of a batch reply
+// comes from the same version, so all of them verify against one
+// certificate however the batch races an update.
+func TestGetElementsAnswersFromOneHead(t *testing.T) {
+	owner := keytest.RSA()
+	names := headNames(32)
+	a := headBundle(t, owner, 1, names, 64, 0xa1, "")
+	b := headBundle(t, owner, 2, names, 64, 0xb2, "")
+	s := New("batch-srv", "site", nil, nil, Limits{})
+	if err := s.Install(a, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	req := object.EncodeElementsRequest(a.OID, names, "")
+	verifiesAgainst := func(items []object.BatchItem, c *cert.IntegrityCertificate) bool {
+		for _, it := range items {
+			entry, err := c.Lookup(it.Name)
+			if err != nil || it.Err != nil || entry.Hash != it.Element.Hash() {
+				return false
+			}
+		}
+		return true
+	}
+	raceReaders(t, s, a, b, 500, func() error {
+		resp, err := s.handleGetElements(context.Background(), req)
+		if err != nil {
+			return err
+		}
+		items, err := object.DecodeElementsResponse(resp)
+		if err != nil {
+			return err
+		}
+		if len(items) != len(names) {
+			return fmt.Errorf("batch returned %d items, want %d", len(items), len(names))
+		}
+		if !verifiesAgainst(items, a.Cert) && !verifiesAgainst(items, b.Cert) {
+			return fmt.Errorf("batch reply mixes elements of two versions")
+		}
+		return nil
+	})
+}

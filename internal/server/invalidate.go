@@ -101,19 +101,15 @@ func (s *Server) handleWaitVersion(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v := h.doc.Version(); v > known {
-			w := enc.NewWriter(8)
-			w.Uvarint(v)
-			return w.Bytes(), nil
+		if v := h.head().header.Version; v > known {
+			return encodeVersion(v), nil
 		}
 		updated, cancelWait := s.waiters.wait(oid)
 		// Re-check after subscribing: an update may have landed between
 		// the version read and the subscription.
-		if v := h.doc.Version(); v > known {
+		if v := h.head().header.Version; v > known {
 			cancelWait()
-			w := enc.NewWriter(8)
-			w.Uvarint(v)
-			return w.Bytes(), nil
+			return encodeVersion(v), nil
 		}
 		select {
 		case <-updated:
@@ -123,9 +119,7 @@ func (s *Server) handleWaitVersion(body []byte) ([]byte, error) {
 			// long-poll leaves a dead channel parked until the next
 			// update for the OID.
 			cancelWait()
-			w := enc.NewWriter(8)
-			w.Uvarint(h.doc.Version())
-			return w.Bytes(), nil
+			return encodeVersion(h.head().header.Version), nil
 		}
 	}
 }
@@ -152,12 +146,7 @@ func (p *Puller) WaitVersion(ctx context.Context, known uint64, timeout time.Dur
 	if err != nil {
 		return 0, err
 	}
-	r := enc.NewReader(body)
-	v := r.Uvarint()
-	if err := r.Finish(); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return decodeVersion(body)
 }
 
 // RunInvalidationLoop keeps the local replica synchronized with
@@ -177,7 +166,7 @@ func (p *Puller) RunInvalidationLoop(ctx context.Context, stop <-chan struct{}, 
 		if err != nil {
 			return // replica withdrawn locally
 		}
-		local := h.doc.Version()
+		local := h.head().header.Version
 		remote, err := p.WaitVersion(ctx, local, pollTimeout)
 		if err != nil {
 			p.failures.Add(1)

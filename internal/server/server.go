@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
@@ -37,85 +36,78 @@ type Limits struct {
 	MaxBytes int64
 }
 
-// hostedReplica is one replica local representative, decomposed into the
-// four classic Globe subobjects:
-//
-//	semantics     — the document state itself,
-//	replication   — the consistency bookkeeping (version),
-//	communication — handled by the shared transport server,
-//	control       — the handler glue in this package.
+// hostedReplica is one replica local representative: its identity and
+// the hash chain of its versions. Everything a replica must store (paper
+// §3.2.2) — the elements, the object key, the integrity certificate and
+// the name certificates — lives exactly once, in the chain's last entry,
+// the immutable head (version.go, DESIGN.md §16). Of the four classic
+// Globe subobjects, semantics and replication are that head, communication
+// is the shared transport server, and control is the handler glue in this
+// package.
 type hostedReplica struct {
-	oid globeid.OID
-	key keys.PublicKey
-
-	// semantics subobject
-	doc *document.Document
-	// security state every replica must store (paper §3.2.2)
-	mu        sync.RWMutex
-	icert     *cert.IntegrityCertificate
-	nameCerts []*cert.NameCertificate
-	// wire holds the marshalled response payloads, precomputed once per
-	// document version (rebuilt only by Install/update, the sole state
-	// mutation points). Handlers serve these shared slices copy-free:
-	// the table and certificate payloads for a version are immutable, so
-	// per-request marshalling — dominated by the O(elements) certificate
-	// table — would be pure waste.
-	wire wirePayloads
-	// chain holds the retained versions as immutable snapshots linked by
-	// a hash chain, oldest first; the last entry is the version currently
-	// served (its wire payloads ARE h.wire). Guarded by mu. See
-	// version.go and DESIGN.md §16.
-	chain []*versionSnapshot
-
-	// administrative metadata
+	oid   globeid.OID
+	key   keys.PublicKey
 	owner string // principal that created this replica (may manage it)
 
 	// access statistics feeding dynamic replication
 	reads atomic.Uint64
+
+	// chain holds the retained versions oldest first; only the last, the
+	// head, carries servable state. publish, the one writer, stores a
+	// freshly allocated slice and never writes to a published one.
+	chain atomic.Pointer[[]*versionSnapshot]
 }
 
-// wirePayloads are a replica's precomputed wire responses for one
-// document version. The byte slices are shared with every response and
-// must never be mutated.
+// versions returns the retained chain. A handler loads it (or head)
+// once and answers from that one view, so a reply never mixes two
+// versions (DESIGN.md §9).
+func (h *hostedReplica) versions() []*versionSnapshot { return *h.chain.Load() }
+
+// head returns the version currently served.
+func (h *hostedReplica) head() *versionSnapshot {
+	chain := h.versions()
+	return chain[len(chain)-1]
+}
+
+// wirePayloads are one version's precomputed wire responses. Handlers
+// serve these shared slices copy-free — per-request marshalling,
+// dominated by the O(elements) certificate table, would be pure waste —
+// so they must never be mutated.
 type wirePayloads struct {
 	key       []byte
 	icert     []byte
 	nameCerts []byte
+	names     []string // sorted
 	elements  map[string]elementPayload
 }
 
-// elementPayload pairs an element's encoded response with its content
-// size (the stats and AccessObserver inputs).
+// elementPayload is an element's encoded response — the one place the
+// server holds its bytes — with what is needed to view the element in it:
+// the content is the wire entry's last size bytes (size also feeds the
+// served-bytes stats).
 type elementPayload struct {
-	wire []byte
-	size int
+	wire        []byte
+	contentType string
+	size        int
 }
 
-// buildWire precomputes every response payload for the replica's current
-// state. Callers must hold h.mu (or have exclusive access to a replica
-// not yet published).
-func buildWire(key keys.PublicKey, doc *document.Document, icert *cert.IntegrityCertificate, nameCerts []*cert.NameCertificate) wirePayloads {
-	w := wirePayloads{
-		key:       key.Marshal(),
-		icert:     icert.Marshal(),
-		nameCerts: object.EncodeCertList(nameCerts),
-		elements:  make(map[string]elementPayload),
-	}
-	for _, name := range doc.Names() {
-		e, err := doc.Get(name)
-		if err != nil {
-			continue
-		}
-		w.elements[name] = elementPayload{wire: object.EncodeElement(e), size: len(e.Data)}
-	}
-	return w
+// element views the payload as the element named name; its Data aliases
+// the wire entry and must not be mutated.
+func (p elementPayload) element(name string) document.Element {
+	return document.Element{Name: name, ContentType: p.contentType, Data: p.wire[len(p.wire)-p.size:]}
 }
 
-// wireFromBundle precomputes the wire payloads for a validated bundle's
-// state, byte-identical to buildWire over a document holding the same
-// elements. update uses it so the version chain can be extended and
-// verified before the bundle's state commits.
-func wireFromBundle(b *Bundle) wirePayloads {
+// errNoSuchElement refuses an element name the served version lacks.
+func errNoSuchElement(name string) error {
+	return fmt.Errorf("%w: %q", document.ErrNoSuchElement, name)
+}
+
+// buildWire precomputes every response payload for a validated bundle,
+// whose cert-listed element hashes are leaves. An element whose hash and
+// content type are those of prev's entry (prev, the validated version
+// being superseded, may be nil) shares that entry; any other is copied,
+// once, into a new one.
+func buildWire(b *Bundle, leaves map[string][globeid.Size]byte, prev *versionSnapshot) wirePayloads {
 	w := wirePayloads{
 		key:       b.Key.Marshal(),
 		icert:     b.Cert.Marshal(),
@@ -123,8 +115,21 @@ func wireFromBundle(b *Bundle) wirePayloads {
 		elements:  make(map[string]elementPayload, len(b.Elements)),
 	}
 	for _, e := range b.Elements {
-		w.elements[e.Name] = elementPayload{wire: object.EncodeElement(e), size: len(e.Data)}
+		p, held := elementPayload{}, false
+		if prev != nil {
+			p, held = prev.wire.elements[e.Name]
+			held = held && p.contentType == e.ContentType && prev.hashes[e.Name] == leaves[e.Name]
+		}
+		if !held {
+			p = elementPayload{wire: object.EncodeElement(e), contentType: e.ContentType, size: len(e.Data)}
+		}
+		w.elements[e.Name] = p
 	}
+	w.names = make([]string, 0, len(w.elements))
+	for name := range w.elements {
+		w.names = append(w.names, name)
+	}
+	sort.Strings(w.names)
 	return w
 }
 
@@ -266,86 +271,61 @@ func (s *Server) StoredBytes() int64 {
 // owners co-located with their permanent-storage server; remote callers
 // go through the admin protocol). owner is the managing principal.
 func (s *Server) Install(b *Bundle, owner string) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.hosted[b.OID]; exists {
-		return fmt.Errorf("%w: %s", ErrAlreadyHosted, b.OID.Short())
-	}
-	size := int64(b.TotalBytes())
-	if s.limits.MaxObjects > 0 && len(s.hosted) >= s.limits.MaxObjects {
-		return fmt.Errorf("%w: object limit %d", ErrOverCapacity, s.limits.MaxObjects)
-	}
-	if s.limits.MaxBytes > 0 && s.bytes+size > s.limits.MaxBytes {
-		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
-	}
-	doc := document.New()
-	doc.Replace(b.Elements, b.Version)
-	wire := buildWire(b.Key, doc, b.Cert, b.NameCerts)
-	chain := []*versionSnapshot{newSnapshot(b, [globeid.Size]byte{}, wire)}
-	if err := verifyChain(chain); err != nil {
-		return err
-	}
-	s.hosted[b.OID] = &hostedReplica{
-		oid:       b.OID,
-		key:       b.Key,
-		doc:       doc,
-		icert:     b.Cert,
-		nameCerts: b.NameCerts,
-		owner:     owner,
-		wire:      wire,
-		chain:     chain,
-	}
-	s.bytes += size
-	return nil
+	return s.publish(b, owner, true)
 }
 
 // Update replaces a hosted replica's state; principal must match the
 // owner recorded at Install time. This is the in-process owner path; the
 // remote path is AdminClient.UpdateReplica.
 func (s *Server) Update(b *Bundle, principal string) error {
-	return s.update(b, principal)
+	return s.publish(b, principal, false)
 }
 
-// update replaces a hosted replica's state; principal must be the owner.
-func (s *Server) update(b *Bundle, principal string) error {
+// publish makes b the served version of its object — of a new replica
+// owned by principal (install) or of the one principal already owns. It
+// is the only writer of hosted state: validate, admit against the limits,
+// build the version and link it to the chain, check the chain, and only
+// then swap it in.
+func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.hosted[b.OID]
-	if !ok {
+	h, hosted := s.hosted[b.OID]
+	var old []*versionSnapshot // the chain b extends: none on install
+	switch {
+	case install && hosted:
+		return fmt.Errorf("%w: %s", ErrAlreadyHosted, b.OID.Short())
+	case install:
+		if s.limits.MaxObjects > 0 && len(s.hosted) >= s.limits.MaxObjects {
+			return fmt.Errorf("%w: object limit %d", ErrOverCapacity, s.limits.MaxObjects)
+		}
+		h = &hostedReplica{oid: b.OID, key: b.Key, owner: principal}
+	case !hosted:
 		return fmt.Errorf("%w: %s", ErrNotHosted, b.OID.Short())
-	}
-	if h.owner != principal {
+	case h.owner != principal:
 		return fmt.Errorf("%w: replica owned by %q", ErrAccessDenied, h.owner)
+	default:
+		old = h.versions()
 	}
-	oldSize := int64(h.doc.TotalSize())
-	newSize := int64(b.TotalBytes())
-	if s.limits.MaxBytes > 0 && s.bytes-oldSize+newSize > s.limits.MaxBytes {
+	growth := int64(b.TotalBytes())
+	if len(old) > 0 {
+		growth -= old[len(old)-1].size
+	}
+	if s.limits.MaxBytes > 0 && s.bytes+growth > s.limits.MaxBytes {
 		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
 	}
-	// The new wire table is computed from the validated bundle directly
-	// so the chain can be extended and checked before any state commits;
-	// it is byte-identical to rebuilding from the document afterwards.
-	wire := wireFromBundle(b)
-	h.mu.Lock()
-	chain, err := appendVersion(h.chain, b, wire, s.retention())
+	chain, err := appendVersion(old, b, s.retention())
 	if err != nil {
-		h.mu.Unlock()
 		return err
 	}
-	h.doc.Replace(b.Elements, b.Version)
-	h.icert = b.Cert
-	h.nameCerts = b.NameCerts
-	h.wire = wire
-	h.chain = chain
-	h.mu.Unlock()
-	s.bytes += newSize - oldSize
-	s.waiters.notify(b.OID)
+	h.chain.Store(&chain)
+	s.hosted[b.OID] = h
+	s.bytes += growth
+	if !install {
+		s.waiters.notify(b.OID)
+	}
 	return nil
 }
 
@@ -360,7 +340,7 @@ func (s *Server) remove(oid globeid.OID, principal string) error {
 	if h.owner != principal {
 		return fmt.Errorf("%w: replica owned by %q", ErrAccessDenied, h.owner)
 	}
-	s.bytes -= int64(h.doc.TotalSize())
+	s.bytes -= h.head().size
 	delete(s.hosted, oid)
 	return nil
 }
@@ -395,61 +375,52 @@ func (s *Server) traced(name string, h transport.HandlerCtx) transport.HandlerCt
 	}
 }
 
-func (s *Server) handleGetKey(ctx context.Context, body []byte) ([]byte, error) {
+// requested decodes an OID request and returns the replica it names.
+func (s *Server) requested(body []byte) (*hostedReplica, error) {
 	oid, err := object.DecodeOIDRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.replica(oid)
+	return s.replica(oid)
+}
+
+func (s *Server) handleGetKey(ctx context.Context, body []byte) ([]byte, error) {
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
 	s.statKeyFetches.Add(1)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.wire.key, nil
+	return h.head().wire.key, nil
 }
 
 func (s *Server) handleGetCert(ctx context.Context, body []byte) ([]byte, error) {
-	oid, err := object.DecodeOIDRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	h, err := s.replica(oid)
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
 	s.statCertFetches.Add(1)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.wire.icert, nil
+	return h.head().wire.icert, nil
 }
 
 func (s *Server) handleGetNameCerts(ctx context.Context, body []byte) ([]byte, error) {
-	oid, err := object.DecodeOIDRequest(body)
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.replica(oid)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.wire.nameCerts, nil
+	return h.head().wire.nameCerts, nil
 }
 
 // serveElement records stats, fires the access observer and emits the
 // per-element payload-serve span common to the single and batched
 // element paths.
-func (s *Server) serveElement(ctx context.Context, h *hostedReplica, oid globeid.OID, name, fromSite string, size int) {
+func (s *Server) serveElement(ctx context.Context, h *hostedReplica, name, fromSite string, size int) {
 	sp := telemetry.Or(s.srv.Telemetry).Tracer.StartSpanFrom("serve.element", telemetry.SpanContextFrom(ctx))
 	sp.Annotate("element", name)
 	h.reads.Add(1)
 	s.statElementFetches.Add(1)
 	s.statBytesServed.Add(uint64(size))
 	if obs := s.AccessObserver; obs != nil {
-		obs(oid, name, fromSite)
+		obs(h.oid, name, fromSite)
 	}
 	sp.End()
 }
@@ -463,17 +434,11 @@ func (s *Server) handleGetElement(ctx context.Context, body []byte) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	h.mu.RLock()
-	p, ok := h.wire.elements[name]
-	h.mu.RUnlock()
+	p, ok := h.head().wire.elements[name]
 	if !ok {
-		// Fall through to the document for the precise not-found error.
-		if _, derr := h.doc.Get(name); derr != nil {
-			return nil, derr
-		}
-		return nil, fmt.Errorf("server: element %q has no precomputed payload", name)
+		return nil, errNoSuchElement(name)
 	}
-	s.serveElement(ctx, h, oid, name, fromSite, p.size)
+	s.serveElement(ctx, h, name, fromSite, p.size)
 	return p.wire, nil
 }
 
@@ -493,26 +458,21 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, er
 		return nil, err
 	}
 	const budget = transport.MaxFrame - 64*1024 // headroom for item framing
+	elements := h.head().wire.elements
 	items := make([]object.BatchWireItem, 0, len(names))
 	total := 0
 	for _, name := range names {
 		it := object.BatchWireItem{Name: name}
-		h.mu.RLock()
-		p, ok := h.wire.elements[name]
-		h.mu.RUnlock()
+		p, ok := elements[name]
 		switch {
 		case !ok:
-			if _, derr := h.doc.Get(name); derr != nil {
-				it.ErrMsg = derr.Error()
-			} else {
-				it.ErrMsg = fmt.Sprintf("element %q has no precomputed payload", name)
-			}
+			it.ErrMsg = errNoSuchElement(name).Error()
 		case total+len(p.wire) > budget:
 			it.ErrMsg = "batch response frame budget exceeded; fetch element individually"
 		default:
 			it.Wire = p.wire
 			total += len(p.wire)
-			s.serveElement(ctx, h, oid, name, fromSite, p.size)
+			s.serveElement(ctx, h, name, fromSite, p.size)
 		}
 		items = append(items, it)
 	}
@@ -520,29 +480,36 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, er
 }
 
 func (s *Server) handleListElements(ctx context.Context, body []byte) ([]byte, error) {
-	oid, err := object.DecodeOIDRequest(body)
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.replica(oid)
-	if err != nil {
-		return nil, err
-	}
-	return object.EncodeStringList(h.doc.Names()), nil
+	return object.EncodeStringList(h.head().wire.names), nil
 }
 
 func (s *Server) handleVersion(body []byte) ([]byte, error) {
-	oid, err := object.DecodeOIDRequest(body)
+	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.replica(oid)
-	if err != nil {
-		return nil, err
-	}
+	return encodeVersion(h.head().header.Version), nil
+}
+
+// encodeVersion is the reply of obj.version and obj.waitversion.
+func encodeVersion(v uint64) []byte {
 	w := enc.NewWriter(8)
-	w.Uvarint(h.doc.Version())
-	return w.Bytes(), nil
+	w.Uvarint(v)
+	return w.Bytes()
+}
+
+// decodeVersion decodes an encodeVersion reply.
+func decodeVersion(body []byte) (uint64, error) {
+	r := enc.NewReader(body)
+	v := r.Uvarint()
+	if err := r.Finish(); err != nil {
+		return 0, err
+	}
+	return v, nil
 }
 
 // ReadCount returns how many element reads a hosted replica has served

@@ -7,6 +7,7 @@ import (
 	"globedoc/internal/document"
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
+	"globedoc/internal/keys"
 	"globedoc/internal/merkle"
 )
 
@@ -68,16 +69,38 @@ func (h *VersionHeader) Hash() [globeid.Size]byte {
 	return globeid.HashElement(h.Marshal())
 }
 
-// versionSnapshot is one immutable retained version of a hosted replica:
-// its chain header, the element-hash leaf set the header's ElemRoot
-// commits to, the certificates, and the precomputed wire payloads
-// (reused as the live wire table while the snapshot is the head).
+// versionSnapshot is one immutable version of a hosted replica. Every
+// retained version keeps its chain header and the element-hash leaf set
+// the header's ElemRoot commits to — all a delta needs of a base. Only
+// the head, the version being served, also holds the certificates, the
+// summed element size counted against Limits.MaxBytes and the wire
+// payloads (the element bytes); appendVersion drops them with the version
+// it supersedes.
 type versionSnapshot struct {
-	header    *VersionHeader
-	hashes    map[string][globeid.Size]byte
+	header *VersionHeader
+	hashes map[string][globeid.Size]byte
+
 	cert      *cert.IntegrityCertificate
 	nameCerts []*cert.NameCertificate
+	size      int64
 	wire      wirePayloads
+}
+
+// bundle returns the version as a transferable bundle. Its element Data
+// aliases the wire payloads: marshal it, or copy before handing it out.
+func (v *versionSnapshot) bundle(key keys.PublicKey) *Bundle {
+	b := &Bundle{
+		OID:       v.header.OID,
+		Key:       key,
+		Elements:  make([]document.Element, 0, len(v.wire.names)),
+		Version:   v.header.Version,
+		Cert:      v.cert,
+		NameCerts: v.nameCerts,
+	}
+	for _, name := range v.wire.names {
+		b.Elements = append(b.Elements, v.wire.elements[name].element(name))
+	}
+	return b
 }
 
 // bundleLeaves extracts a bundle's (element name -> cert-listed content
@@ -94,21 +117,23 @@ func bundleLeaves(b *Bundle) map[string][globeid.Size]byte {
 	return leaves
 }
 
-// newSnapshot builds the retained version for a validated bundle, linked
-// to the previous header's hash (zero for a genesis).
-func newSnapshot(b *Bundle, prev [globeid.Size]byte, wire wirePayloads) *versionSnapshot {
+// newSnapshot builds the version for a validated bundle as a chain
+// genesis, sharing with prev (the version it supersedes, nil on install)
+// the payloads of the elements that did not change.
+func newSnapshot(b *Bundle, prev *versionSnapshot) *versionSnapshot {
 	leaves := bundleLeaves(b)
+	wire := buildWire(b, leaves, prev)
 	return &versionSnapshot{
 		header: &VersionHeader{
 			OID:      b.OID,
 			Version:  b.Version,
-			CertHash: globeid.HashElement(b.Cert.Marshal()),
+			CertHash: globeid.HashElement(wire.icert),
 			ElemRoot: merkle.RootFromLeaves(leaves),
-			Prev:     prev,
 		},
 		hashes:    leaves,
 		cert:      b.Cert,
 		nameCerts: b.NameCerts,
+		size:      int64(b.TotalBytes()),
 		wire:      wire,
 	}
 }
@@ -142,23 +167,29 @@ func verifyChain(chain []*versionSnapshot) error {
 	return nil
 }
 
-// appendVersion produces the replica's next retained chain for a
-// validated update bundle. A bundle whose version does not advance past
-// the current head (owners may republish or reset version counters)
-// starts a fresh genesis chain — the old history cannot commit to it, so
-// retaining the old links would break the chain invariant. Otherwise the
-// new header links to the head and the chain is trimmed to retention.
-func appendVersion(chain []*versionSnapshot, b *Bundle, wire wirePayloads, retention int) ([]*versionSnapshot, error) {
-	head := chain[len(chain)-1]
-	var next []*versionSnapshot
-	if b.Version <= head.header.Version {
-		next = []*versionSnapshot{newSnapshot(b, [globeid.Size]byte{}, wire)}
-	} else {
-		next = append(next, chain...)
-		next = append(next, newSnapshot(b, head.header.Hash(), wire))
-		if len(next) > retention {
-			next = next[len(next)-retention:]
+// appendVersion produces the retained chain that serves a validated
+// bundle after chain (empty on install). A bundle whose version does not
+// advance past the current head (owners may republish or reset version
+// counters) starts a fresh genesis chain — the old history cannot commit
+// to it, so retaining the old links would break the chain invariant.
+// Otherwise the new head links to the old one, which is trimmed, and the
+// chain is cut to retention. The result is a new slice: one cut out of
+// the old backing array would pin the evicted versions.
+func appendVersion(chain []*versionSnapshot, b *Bundle, retention int) ([]*versionSnapshot, error) {
+	var head *versionSnapshot
+	if len(chain) > 0 {
+		head = chain[len(chain)-1]
+	}
+	snap := newSnapshot(b, head)
+	next := []*versionSnapshot{snap}
+	if head != nil && b.Version > head.header.Version {
+		snap.header.Prev = head.header.Hash()
+		kept := chain[max(0, len(chain)-(retention-1)):]
+		next = append(make([]*versionSnapshot, 0, len(kept)+1), kept...)
+		if len(kept) > 0 {
+			next[len(kept)-1] = &versionSnapshot{header: head.header, hashes: head.hashes}
 		}
+		next = append(next, snap)
 	}
 	if err := verifyChain(next); err != nil {
 		return nil, err
@@ -182,26 +213,10 @@ func (s *Server) VersionChain(oid globeid.OID) ([]VersionHeader, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]VersionHeader, len(h.chain))
-	for i, snap := range h.chain {
+	chain := h.versions()
+	out := make([]VersionHeader, len(chain))
+	for i, snap := range chain {
 		out[i] = *snap.header
-	}
-	return out, nil
-}
-
-// snapshotElements returns copies of the head snapshot's elements from
-// the live document; callers must hold h.mu (read or write) so the doc
-// and the chain head agree.
-func snapshotElements(h *hostedReplica, names []string) ([]document.Element, error) {
-	out := make([]document.Element, 0, len(names))
-	for _, name := range names {
-		e, err := h.doc.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
 	}
 	return out, nil
 }

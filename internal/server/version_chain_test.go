@@ -8,12 +8,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
+	"globedoc/internal/object"
 )
 
 // chainUpdate re-issues the server's hosted doc with one element
@@ -25,7 +27,7 @@ func chainUpdate(tb testing.TB, s *Server, oid globeid.OID, owner *keys.KeyPair,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	elems, _ := h.doc.Snapshot()
+	elems := h.head().bundle(h.key).Elements
 	doc := document.New()
 	doc.Replace(elems, version)
 	if err := doc.Put(document.Element{Name: name, ContentType: "text/html", Data: data}); err != nil {
@@ -82,14 +84,14 @@ func TestVersionChainLinksOnUpdate(t *testing.T) {
 		}
 	}
 	// The head commits to the served state.
-	h, err := s.replica(oid)
+	if head := chain[len(chain)-1]; head.Version != mustVersion(t, s, oid) {
+		t.Errorf("head version %d, served version %d", head.Version, mustVersion(t, s, oid))
+	}
+	served, err := s.handleGetCert(context.Background(), object.EncodeOIDRequest(oid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head := chain[len(chain)-1]; head.Version != h.doc.Version() {
-		t.Errorf("head version %d, doc at %d", head.Version, h.doc.Version())
-	}
-	if head := chain[len(chain)-1]; head.CertHash != globeid.HashElement(h.icert.Marshal()) {
+	if head := chain[len(chain)-1]; head.CertHash != globeid.HashElement(served) {
 		t.Error("head CertHash does not commit to the served certificate")
 	}
 }
@@ -144,13 +146,18 @@ func TestVersionChainResetsOnNonMonotonicVersion(t *testing.T) {
 	}
 }
 
+// mustVersion returns the version obj.version answers with.
 func mustVersion(tb testing.TB, s *Server, oid globeid.OID) uint64 {
 	tb.Helper()
-	h, err := s.replica(oid)
+	body, err := s.handleVersion(object.EncodeOIDRequest(oid))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return h.doc.Version()
+	v, err := decodeVersion(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
 }
 
 func TestVersionHeaderMarshalRoundTrip(t *testing.T) {

@@ -229,7 +229,7 @@ func TestGetElementServesTheWireTableUncopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := h.wire.elements["index.html"].wire
+	table := h.head().wire.elements["index.html"].wire
 	got, err := s.handleGetElement(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
