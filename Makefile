@@ -33,11 +33,15 @@ lint:
 build:
 	$(GO) build ./...
 
+## test, test-short: -shuffle=on runs each package's tests in a random
+## order and prints the seed, so an order-dependent result (one test
+## leaning on state an earlier one left in telemetry.Default()) shows up
+## and reproduces with -shuffle=<seed>.
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 test-short:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -shuffle=on ./...
 
 ## budgets: internal/alloctest's byte and retained-heap budgets skip under
 ## the race detector, which `test` and CI's test step run with, so every

@@ -1,8 +1,10 @@
 // Package alloctest measures the heap bytes a function allocates, for the
 // tests that pin each layer's payload-copy budget (DESIGN.md, "Life of a
 // payload byte"): testing.AllocsPerRun counts objects, a copy budget is
-// in bytes. HeapRetained measures what stays live afterwards. Both skip
-// under the race detector; `make budgets` runs their callers without it.
+// in bytes. AllocsPerRun wraps the object count for the budgets kept in
+// objects; HeapRetained measures what stays live afterwards. All three
+// skip under the race detector; `make budgets` runs their callers without
+// it.
 package alloctest
 
 import (
@@ -32,6 +34,17 @@ func BytesPerRun(t testing.TB, runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// AllocsPerRun is testing.AllocsPerRun — the average number of heap
+// objects allocated per call of f, by every goroutine of the process —
+// skipped under the race detector like BytesPerRun.
+func AllocsPerRun(t testing.TB, runs int, f func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	return testing.AllocsPerRun(runs, f)
 }
 
 // HeapRetained returns how many more heap bytes are live after f than

@@ -53,8 +53,13 @@ func newVictimClient(t *testing.T, srv *attack.MaliciousServer, now time.Time) *
 
 // newVictimClientOpts is newVictimClient with full control over the
 // client options, for victims with binding or content caches enabled.
+// A victim without telemetry of its own gets a fresh one, so no earlier
+// test's health evidence re-ranks its candidates.
 func newVictimClientOpts(t *testing.T, srv *attack.MaliciousServer, opts core.Options) *core.Client {
 	t.Helper()
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.New(nil)
+	}
 	n := netsim.PaperTestbed(0)
 	t.Cleanup(n.Close)
 	l, err := n.Listen(netsim.Paris, "evil")
@@ -258,55 +263,106 @@ func (m multiReplicaLocator) Lookup(_ context.Context, fromSite string, oid glob
 	return location.LookupResult{Addresses: m.addrs}, nil
 }
 
+// multiReplicaClient builds a secure victim client at amsterdam-secondary
+// that sees the replicas at addrs in order, over transport config cfg,
+// reporting into tel — its own, so no earlier test's health evidence
+// re-ranks its candidates.
+func multiReplicaClient(t *testing.T, n *netsim.Network, tel *telemetry.Telemetry, cfg transport.Config, addrs ...string) *core.Client {
+	t.Helper()
+	contacts := make([]location.ContactAddress, len(addrs))
+	for i, a := range addrs {
+		contacts[i] = location.ContactAddress{Address: a, Protocol: object.Protocol}
+	}
+	client, err := core.NewClient(&object.Binder{
+		Locator: multiReplicaLocator{addrs: contacts},
+		Dial: func(addr string) transport.DialFunc {
+			return n.Dialer(netsim.AmsterdamSecondary, addr)
+		},
+		Site:      netsim.AmsterdamSecondary,
+		Transport: cfg,
+	}, core.Options{Now: func() time.Time { return t0.Add(time.Minute) }, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	return client
+}
+
+// fetchOps are the fetch plan's two operations, each run as an extra
+// input of the failover tests: Fetch of index.html and FetchAll of the
+// whole (multi-element, so batched) document. Both return what they
+// delivered.
+var fetchOps = []struct {
+	name string
+	run  func(ctx context.Context, c *core.Client, oid globeid.OID) ([]core.FetchResult, error)
+}{
+	{"Fetch", func(ctx context.Context, c *core.Client, oid globeid.OID) ([]core.FetchResult, error) {
+		res, err := c.Fetch(ctx, oid, "index.html")
+		if err != nil {
+			return nil, err
+		}
+		return []core.FetchResult{res}, nil
+	}},
+	{"FetchAll", func(ctx context.Context, c *core.Client, oid globeid.OID) ([]core.FetchResult, error) {
+		return c.FetchAll(ctx, oid)
+	}},
+}
+
+// checkFailedOver fails t unless results carry state's genuine bytes,
+// all from the replica at want, after exactly one failover.
+func checkFailedOver(t *testing.T, results []core.FetchResult, state attack.ReplicaState, want string, tel *telemetry.Telemetry) {
+	t.Helper()
+	for _, res := range results {
+		genuine, err := state.Doc.Get(res.Element.Name)
+		if err != nil || string(res.Element.Data) != string(genuine.Data) {
+			t.Fatalf("%s: Data = %q", res.Element.Name, res.Element.Data)
+		}
+		if res.ReplicaAddr != want {
+			t.Errorf("%s served from %q, want %q", res.Element.Name, res.ReplicaAddr, want)
+		}
+	}
+	if n := tel.Failovers.Value(); n != 1 {
+		t.Errorf("failovers_total = %d, want 1: the bad replica was tried first and abandoned", n)
+	}
+}
+
 func TestFailoverPastMaliciousReplica(t *testing.T) {
 	// The NEAREST replica is malicious (tampering); an honest replica
 	// exists one ring out. The client must detect the tampering and
 	// transparently recover via the honest replica — an attack degrades
 	// to a slower fetch, not a failure.
 	owner := keytest.RSA()
-	state := genuineState(t, owner, map[string][]byte{"index.html": []byte("the real thing")}, t0, time.Hour)
+	state := genuineState(t, owner, map[string][]byte{
+		"index.html": []byte("the real thing"),
+		"logo.png":   []byte("the real logo"),
+	}, t0, time.Hour)
+	for _, op := range fetchOps {
+		t.Run(op.name, func(t *testing.T) {
+			n := netsim.PaperTestbed(0)
+			t.Cleanup(n.Close)
+			evilL, err := n.Listen(netsim.Paris, "evil")
+			if err != nil {
+				t.Fatal(err)
+			}
+			evil := attack.NewMaliciousServer(attack.TamperContent, state)
+			evil.Start(evilL)
+			t.Cleanup(evil.Close)
+			honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest := attack.NewMaliciousServer(attack.Honest, state)
+			honest.Start(honestL)
+			t.Cleanup(honest.Close)
 
-	n := netsim.PaperTestbed(0)
-	t.Cleanup(n.Close)
-	evilL, err := n.Listen(netsim.Paris, "evil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	evil := attack.NewMaliciousServer(attack.TamperContent, state)
-	evil.Start(evilL)
-	t.Cleanup(evil.Close)
-	honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest := attack.NewMaliciousServer(attack.Honest, state)
-	honest.Start(honestL)
-	t.Cleanup(honest.Close)
-
-	client, err := core.NewClient(&object.Binder{
-		Locator: multiReplicaLocator{addrs: []location.ContactAddress{
-			{Address: "paris:evil", Protocol: object.Protocol},
-			{Address: "amsterdam-primary:honest", Protocol: object.Protocol},
-		}},
-		Dial: func(addr string) transport.DialFunc {
-			return n.Dialer(netsim.AmsterdamSecondary, addr)
-		},
-		Site: netsim.AmsterdamSecondary,
-	}, core.Options{Now: func() time.Time { return t0.Add(time.Minute) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
-
-	res, err := client.Fetch(context.Background(), state.OID, "index.html")
-	if err != nil {
-		t.Fatalf("fetch with honest fallback failed: %v", err)
-	}
-	if string(res.Element.Data) != "the real thing" {
-		t.Fatalf("Data = %q", res.Element.Data)
-	}
-	if res.ReplicaAddr != "amsterdam-primary:honest" {
-		t.Errorf("served from %q, want honest replica", res.ReplicaAddr)
+			tel := telemetry.New(nil)
+			client := multiReplicaClient(t, n, tel, transport.Config{}, "paris:evil", "amsterdam-primary:honest")
+			results, err := op.run(context.Background(), client, state.OID)
+			if err != nil {
+				t.Fatalf("fetch with honest fallback failed: %v", err)
+			}
+			checkFailedOver(t, results, state, "amsterdam-primary:honest", tel)
+		})
 	}
 }
 
@@ -314,42 +370,33 @@ func TestFailoverPastMasqueradingReplica(t *testing.T) {
 	// The nearest replica fails self-certification (wrong object); the
 	// establish loop must move on without ever fetching an element.
 	owner := keytest.RSA()
-	state := genuineState(t, owner, map[string][]byte{"index.html": []byte("genuine")}, t0, time.Hour)
+	state := genuineState(t, owner, map[string][]byte{
+		"index.html": []byte("genuine"),
+		"logo.png":   []byte("genuine logo"),
+	}, t0, time.Hour)
 	decoy := genuineState(t, keytest.Ed(), map[string][]byte{"index.html": []byte("decoy")}, t0, time.Hour)
+	for _, op := range fetchOps {
+		t.Run(op.name, func(t *testing.T) {
+			n := netsim.PaperTestbed(0)
+			t.Cleanup(n.Close)
+			evilL, _ := n.Listen(netsim.Paris, "evil")
+			evil := attack.NewMaliciousServer(attack.WrongObject, state)
+			evil.SetDecoy(decoy)
+			evil.Start(evilL)
+			t.Cleanup(evil.Close)
+			honestL, _ := n.Listen(netsim.AmsterdamPrimary, "honest")
+			honest := attack.NewMaliciousServer(attack.Honest, state)
+			honest.Start(honestL)
+			t.Cleanup(honest.Close)
 
-	n := netsim.PaperTestbed(0)
-	t.Cleanup(n.Close)
-	evilL, _ := n.Listen(netsim.Paris, "evil")
-	evil := attack.NewMaliciousServer(attack.WrongObject, state)
-	evil.SetDecoy(decoy)
-	evil.Start(evilL)
-	t.Cleanup(evil.Close)
-	honestL, _ := n.Listen(netsim.AmsterdamPrimary, "honest")
-	honest := attack.NewMaliciousServer(attack.Honest, state)
-	honest.Start(honestL)
-	t.Cleanup(honest.Close)
-
-	client, err := core.NewClient(&object.Binder{
-		Locator: multiReplicaLocator{addrs: []location.ContactAddress{
-			{Address: "paris:evil", Protocol: object.Protocol},
-			{Address: "amsterdam-primary:honest", Protocol: object.Protocol},
-		}},
-		Dial: func(addr string) transport.DialFunc {
-			return n.Dialer(netsim.AmsterdamSecondary, addr)
-		},
-		Site: netsim.AmsterdamSecondary,
-	}, core.Options{Now: func() time.Time { return t0.Add(time.Minute) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
-
-	res, err := client.Fetch(context.Background(), state.OID, "index.html")
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	if string(res.Element.Data) != "genuine" {
-		t.Fatalf("Data = %q", res.Element.Data)
+			tel := telemetry.New(nil)
+			client := multiReplicaClient(t, n, tel, transport.Config{}, "paris:evil", "amsterdam-primary:honest")
+			results, err := op.run(context.Background(), client, state.OID)
+			if err != nil {
+				t.Fatalf("fetch: %v", err)
+			}
+			checkFailedOver(t, results, state, "amsterdam-primary:honest", tel)
+		})
 	}
 }
 
@@ -370,22 +417,8 @@ func TestAllReplicasMaliciousIsDoS(t *testing.T) {
 		t.Cleanup(srv.Close)
 		_ = i
 	}
-	client, err := core.NewClient(&object.Binder{
-		Locator: multiReplicaLocator{addrs: []location.ContactAddress{
-			{Address: "paris:evil", Protocol: object.Protocol},
-			{Address: "amsterdam-primary:evil", Protocol: object.Protocol},
-		}},
-		Dial: func(addr string) transport.DialFunc {
-			return n.Dialer(netsim.AmsterdamSecondary, addr)
-		},
-		Site: netsim.AmsterdamSecondary,
-	}, core.Options{Now: func() time.Time { return t0.Add(time.Minute) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
-
-	_, err = client.Fetch(context.Background(), state.OID, "index.html")
+	client := multiReplicaClient(t, n, telemetry.New(nil), transport.Config{}, "paris:evil", "amsterdam-primary:evil")
+	_, err := client.Fetch(context.Background(), state.OID, "index.html")
 	if !errors.Is(err, core.ErrSecurityCheckFailed) {
 		t.Fatalf("err = %v, want security failure", err)
 	}
@@ -529,7 +562,7 @@ func TestMaliciousLocationIsOnlyDoS(t *testing.T) {
 		},
 		Site: netsim.AmsterdamSecondary,
 	}
-	client, err := core.NewClient(binder, core.Options{})
+	client, err := core.NewClient(binder, core.Options{Telemetry: telemetry.New(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

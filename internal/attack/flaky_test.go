@@ -8,6 +8,7 @@ package attack_test
 // still serves a verified fetch within a bounded time.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -17,9 +18,8 @@ import (
 	"globedoc/internal/attack"
 	"globedoc/internal/core"
 	"globedoc/internal/keys/keytest"
-	"globedoc/internal/location"
 	"globedoc/internal/netsim"
-	"globedoc/internal/object"
+	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
 
@@ -39,61 +39,61 @@ func startFlakyHonest(t *testing.T, n *netsim.Network, host, svc string, state a
 }
 
 // flakyClient builds a secure client at amsterdam-secondary that sees the
-// given contact addresses in order, with tight transport deadlines so a
+// replicas at addrs in order, with tight transport deadlines so a
 // dead-air replica costs one timeout, not a hang.
-func flakyClient(t *testing.T, n *netsim.Network, addrs []location.ContactAddress) *core.Client {
+func flakyClient(t *testing.T, n *netsim.Network, tel *telemetry.Telemetry, addrs ...string) *core.Client {
 	t.Helper()
-	client, err := core.NewClient(&object.Binder{
-		Locator: multiReplicaLocator{addrs: addrs},
-		Dial: func(addr string) transport.DialFunc {
-			return n.Dialer(netsim.AmsterdamSecondary, addr)
-		},
-		Site: netsim.AmsterdamSecondary,
-		Transport: transport.Config{
-			DialTimeout: 200 * time.Millisecond,
-			CallTimeout: 200 * time.Millisecond,
-		},
-	}, core.Options{Now: func() time.Time { return t0.Add(time.Minute) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
-	return client
+	return multiReplicaClient(t, n, tel, transport.Config{
+		DialTimeout: 200 * time.Millisecond,
+		CallTimeout: 200 * time.Millisecond,
+	}, addrs...)
 }
 
 func TestFailoverPastCrashedMidTransferReplica(t *testing.T) {
-	// The nearest replica is honest but crashes mid-transfer: after a few
-	// hundred response bytes its connections reset. The client must treat
-	// that like a detected attack and recover via the healthy replica.
+	// The nearest replica is honest but crashes mid-transfer: after a
+	// budget of response bytes its connections reset. The client must
+	// treat that like a detected attack and recover via the healthy
+	// replica — whether the crash comes while it binds or while the
+	// elements transfer over an established binding.
 	owner := keytest.RSA()
-	state := genuineState(t, owner, map[string][]byte{"index.html": []byte("survives crashes")}, t0, time.Hour)
+	page := bytes.Repeat([]byte("survives crashes "), 1<<10) // 17 KiB
+	state := genuineState(t, owner, map[string][]byte{
+		"index.html": page,
+		"logo.png":   page[:12<<10],
+	}, t0, time.Hour)
+	crashes := []struct {
+		name   string
+		budget int64
+	}{
+		// Enough for the ping exchange, dead before the object key (an
+		// RSA key alone overruns it) finishes transferring.
+		{"while binding", 200},
+		// The binding's key and certificate fit; no element does.
+		{"while transferring an element", 8 << 10},
+	}
+	for _, crash := range crashes {
+		for _, op := range fetchOps {
+			t.Run(crash.name+"/"+op.name, func(t *testing.T) {
+				n := netsim.PaperTestbed(0)
+				t.Cleanup(n.Close)
+				startFlakyHonest(t, n, netsim.Paris, "flaky", state, netsim.FaultPlan{ResetAfterBytes: crash.budget})
+				honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
+				if err != nil {
+					t.Fatal(err)
+				}
+				honest := attack.NewMaliciousServer(attack.Honest, state)
+				honest.Start(honestL)
+				t.Cleanup(honest.Close)
 
-	n := netsim.PaperTestbed(0)
-	t.Cleanup(n.Close)
-	// Budget of 200 bytes: enough for the ping exchange, dead before the
-	// object key (an RSA key alone overruns it) finishes transferring.
-	startFlakyHonest(t, n, netsim.Paris, "flaky", state, netsim.FaultPlan{ResetAfterBytes: 200})
-	honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest := attack.NewMaliciousServer(attack.Honest, state)
-	honest.Start(honestL)
-	t.Cleanup(honest.Close)
-
-	client := flakyClient(t, n, []location.ContactAddress{
-		{Address: "paris:flaky", Protocol: object.Protocol},
-		{Address: "amsterdam-primary:honest", Protocol: object.Protocol},
-	})
-	res, err := client.Fetch(context.Background(), state.OID, "index.html")
-	if err != nil {
-		t.Fatalf("fetch with healthy fallback failed: %v", err)
-	}
-	if string(res.Element.Data) != "survives crashes" {
-		t.Fatalf("Data = %q", res.Element.Data)
-	}
-	if res.ReplicaAddr != "amsterdam-primary:honest" {
-		t.Errorf("served from %q, want the healthy replica", res.ReplicaAddr)
+				tel := telemetry.New(nil)
+				client := flakyClient(t, n, tel, "paris:flaky", "amsterdam-primary:honest")
+				results, err := op.run(context.Background(), client, state.OID)
+				if err != nil {
+					t.Fatalf("fetch with healthy fallback failed: %v", err)
+				}
+				checkFailedOver(t, results, state, "amsterdam-primary:honest", tel)
+			})
+		}
 	}
 }
 
@@ -102,33 +102,35 @@ func TestFailoverPastFrameDroppingReplica(t *testing.T) {
 	// an error. Only the client's deadlines can unstick it; failover must
 	// then reach the healthy replica within a bounded time.
 	owner := keytest.RSA()
-	state := genuineState(t, owner, map[string][]byte{"index.html": []byte("still here")}, t0, time.Hour)
+	state := genuineState(t, owner, map[string][]byte{
+		"index.html": []byte("still here"),
+		"logo.png":   []byte("still here too"),
+	}, t0, time.Hour)
+	for _, op := range fetchOps {
+		t.Run(op.name, func(t *testing.T) {
+			n := netsim.PaperTestbed(0)
+			t.Cleanup(n.Close)
+			startFlakyHonest(t, n, netsim.Paris, "blackhole", state, netsim.FaultPlan{DropProb: 1})
+			honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest := attack.NewMaliciousServer(attack.Honest, state)
+			honest.Start(honestL)
+			t.Cleanup(honest.Close)
 
-	n := netsim.PaperTestbed(0)
-	t.Cleanup(n.Close)
-	startFlakyHonest(t, n, netsim.Paris, "blackhole", state, netsim.FaultPlan{DropProb: 1})
-	honestL, err := n.Listen(netsim.AmsterdamPrimary, "honest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest := attack.NewMaliciousServer(attack.Honest, state)
-	honest.Start(honestL)
-	t.Cleanup(honest.Close)
-
-	client := flakyClient(t, n, []location.ContactAddress{
-		{Address: "paris:blackhole", Protocol: object.Protocol},
-		{Address: "amsterdam-primary:honest", Protocol: object.Protocol},
-	})
-	start := time.Now()
-	res, err := client.Fetch(context.Background(), state.OID, "index.html")
-	if err != nil {
-		t.Fatalf("fetch past black-hole replica failed: %v", err)
-	}
-	if string(res.Element.Data) != "still here" {
-		t.Fatalf("Data = %q", res.Element.Data)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("failover took %v; deadlines should bound it well under 5s", elapsed)
+			tel := telemetry.New(nil)
+			client := flakyClient(t, n, tel, "paris:blackhole", "amsterdam-primary:honest")
+			start := time.Now()
+			results, err := op.run(context.Background(), client, state.OID)
+			if err != nil {
+				t.Fatalf("fetch past black-hole replica failed: %v", err)
+			}
+			checkFailedOver(t, results, state, "amsterdam-primary:honest", tel)
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("failover took %v; deadlines should bound it well under 5s", elapsed)
+			}
+		})
 	}
 }
 
@@ -144,10 +146,7 @@ func TestAllReplicasFlakyIsBoundedDoS(t *testing.T) {
 	startFlakyHonest(t, n, netsim.Paris, "flaky", state, netsim.FaultPlan{ResetAfterBytes: 16})
 	startFlakyHonest(t, n, netsim.AmsterdamPrimary, "flaky", state, netsim.FaultPlan{ResetAfterBytes: 16})
 
-	client := flakyClient(t, n, []location.ContactAddress{
-		{Address: "paris:flaky", Protocol: object.Protocol},
-		{Address: "amsterdam-primary:flaky", Protocol: object.Protocol},
-	})
+	client := flakyClient(t, n, telemetry.New(nil), "paris:flaky", "amsterdam-primary:flaky")
 	start := time.Now()
 	_, err := client.Fetch(context.Background(), state.OID, "index.html")
 	if err == nil {

@@ -24,6 +24,17 @@
 // benchmark harness reads is derived from those spans' durations, so the
 // tracer and the Figure-4 numbers can never disagree.
 //
+// Fetch (one element) and FetchAll (the whole document) run one fetch
+// plan: bind; decide each wanted element's certificate entry and its
+// freshness before any byte moves; take the bytes from one source — the
+// verified-content cache, FetchAll's batch prefill, or one GetElement;
+// verify; deliver. A failed attempt gets one recovery decision, the same
+// for both: a certificate that lapsed on a warm binding is refreshed, a
+// replica that fails or tampers is abandoned for the next candidate, and
+// anything else is rejected. A compromised or dead nearest replica thus
+// degrades a fetch to the next-nearest honest one rather than to an
+// error (DESIGN.md §9, "Fetch plan").
+//
 // The client is safe for concurrent use. Concurrent fetches of the same
 // cold OID share a single pipeline run (singleflight, when binding
 // caching is on), RPCs to one replica run in parallel over a bounded
@@ -467,17 +478,18 @@ func (p *pipeline) finish(outcome string) {
 	p.root.End()
 }
 
-// finishFetch runs the bind+fetch pipeline below name resolution, closes
-// the root span, and feeds the fetch-latency and security-overhead
+// finishFetch runs the fetch plan for one element below name resolution,
+// closes the root span, and feeds the fetch-latency and security-overhead
 // histograms from the same Timing the caller receives.
 func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, element string) (FetchResult, error) {
 	p.single = true
-	res, err := c.fetchExcluding(ctx, p, oid, element, nil)
-	if err != nil {
+	pl := fetchPlan{oid: oid, element: element}
+	if err := c.run(ctx, p, &pl, nil); err != nil {
 		p.finish("error")
 		return FetchResult{}, err
 	}
 	p.finish("ok")
+	res := pl.res
 	// Exemplar: stamp the latency bucket with this trace's ID (when the
 	// trace is exported) so an outlier bucket links to a concrete trace.
 	var exemplar uint64
@@ -489,128 +501,182 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 	return res, nil
 }
 
-// fetchExcluding is the bind+fetch pipeline with a set of replica
-// addresses already caught misbehaving during this operation; they are
-// skipped when re-binding.
-func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (FetchResult, error) {
-	b, err := c.bind(ctx, p, oid, c.now(), excluded)
+// fetchPlan is one Fetch or FetchAll. Both run the same plan (DESIGN.md
+// §9, "Fetch plan"):
+//
+//  1. bind: cached, shared through singleflight, or established past the
+//     replicas excluded so far;
+//  2. decide each wanted name's certificate entry and its freshness
+//     before any byte moves (entryFor);
+//  3. take the bytes from exactly one source: the verified-content
+//     cache, else the batch prefill, else one GetElement (element);
+//  4. verifyElement, then deliver (element);
+//  5. on failure, make the one recovery decision (recover).
+//
+// Fetch is the one-name case, inline; FetchAll wants every name the
+// certificate lists, batches and fans out over workers.
+type fetchPlan struct {
+	oid     globeid.OID
+	element string // Fetch's one wanted name
+	all     bool   // FetchAll: every name the certificate lists
+	// res is Fetch's result; results is FetchAll's ordered verified
+	// prefix, every element on success.
+	res     FetchResult
+	results []FetchResult
+}
+
+// run is one attempt of the plan over one binding; a failed attempt ends
+// in recover.
+func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded map[string]bool) error {
+	b, err := c.bind(ctx, p, pl.oid, c.now(), excluded)
+	if err != nil {
+		return err
+	}
+	if pl.all {
+		pl.results, err = c.every(ctx, p, b)
+	} else {
+		var entry cert.ElementEntry
+		if entry, err = c.entryFor(p, b, pl.element); err == nil {
+			pl.res, err = c.element(ctx, p, b, entry, nil, 0)
+		}
+	}
+	if err != nil {
+		return c.recover(ctx, p, pl, b, err, excluded)
+	}
+	b.release()
+	return nil
+}
+
+// entryFor is step 2 for name: its entry in b's verified certificate,
+// and whether that entry is fresh now — decided from the certificate
+// alone, so a lapsed one costs no element transfer. A lapse on a warm
+// binding is counted in vcache_revalidations_total when the bytes are
+// still cached: the re-bind moves only a fresh certificate, and a
+// transfer is avoided if it still lists their hash.
+func (c *Client) entryFor(p *pipeline, b boundFetch, name string) (cert.ElementEntry, error) {
+	entry, err := b.vb.icert.CheckConsistency(name)
+	if err != nil {
+		return entry, err
+	}
+	err = entry.CheckFreshness(b.now)
+	if err != nil && b.warm && c.vcache != nil && c.vcache.Contains(entry.Hash) {
+		p.tel.VCacheRevalidations.Inc()
+	}
+	return entry, err
+}
+
+// element is steps 3–4 for one entry that entryFor decided fresh: serve
+// its bytes from the verified-content cache, else take them from the
+// batch prefill, else fetch them with one GetElement; verify them; and
+// deliver them into the cache, which copies them in — the caller's Data,
+// the frame buffer the bytes arrived in, stays the caller's to keep or
+// mutate. Prefetched bytes are untrusted like any other replica bytes.
+func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
+	if c.vcache != nil {
+		if res, hit := c.serveCached(p, b, entry); hit {
+			return res, nil
+		}
+	}
+	elem, ok := prefetched[entry.Name]
+	if ok {
+		// Served from the batch exchange: credit this element's amortized
+		// slice of the batch duration to ElementFetch so the Figure-4
+		// phase accounting still describes where the time went.
+		sp := p.root.StartChild(StepElementFetch)
+		sp.Annotate("source", "batch")
+		sp.End()
+		p.timing.ElementFetch += batchShare
+	} else {
+		// Step 11: retrieve the page element from the (untrusted) replica.
+		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
+			var ferr error
+			elem, ferr = b.vb.client.GetElement(ctx, entry.Name)
+			return ferr
+		})
+		if err != nil {
+			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", entry.Name, err)
+		}
+	}
+	verified, err := c.verifyElement(p, b.vb, entry.Name, elem.Data, b.now)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	vb, now, warm := b.vb, b.now, b.warm
+	if c.vcache != nil {
+		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, verified.Expires)
+	}
+	return b.result(p, elem, verified.Hash, false), nil
+}
 
-	// Verified-content cache consult (Options.VCache). The verified
-	// certificate in hand names the element's hash and validity interval,
-	// so freshness is decided before any bytes move:
-	//   - fresh entry, bytes cached  -> serve from cache, no transfer;
-	//   - fresh entry, bytes missing -> normal fetch, then insert;
-	//   - lapsed entry, warm binding -> certificate-only revalidation
-	//     (re-bind fetches a fresh certificate; the recursion serves the
-	//     still-cached bytes if the new certificate lists their hash);
-	//   - lapsed entry, cold binding -> the replica handed over a
-	//     certificate that is already stale: replayed old signed state,
-	//     rejected as a freshness security failure.
-	vcEntry, vcFresh, lapsed := c.vcacheEntry(b, element)
+// recover is step 5, the plan's one recovery decision after an attempt
+// over b failed with err — the same for Fetch and FetchAll, vcache on or
+// off. The binding is dropped whatever the decision:
+//
+//   - a lapsed certificate on a warm binding may simply have expired:
+//     re-bind for a fresh one through refreshPolicy;
+//   - a replica fault (a failed, stalled or reset transfer) or tampering
+//     (an authenticity or consistency failure) fails over: the OID's
+//     cached content is invalidated, the failover counted, the replica's
+//     health charged — tampering is detected above the transport, whose
+//     health sampling saw only successful RPCs — and the plan rerun past
+//     that replica, so an attack degrades to a slower fetch while any
+//     honest replica remains;
+//   - anything else is rejected: a lapse on a cold binding (the replica
+//     replayed stale signed state) or a name the certificate does not
+//     list invalidates the OID's cached content too; the caller's
+//     cancellation, which is no replica's fault, does not.
+//
+// A failover that fails too reports the failure that caused it, with the
+// verified prefix that went with it.
+func (c *Client) recover(ctx context.Context, p *pipeline, pl *fetchPlan, b boundFetch, err error, excluded map[string]bool) error {
+	c.dropBinding(pl.oid, b.vb)
+	phase := checkPhase(err)
 	switch {
-	case vcFresh:
-		if res, hit := c.serveCached(p, b, element, vcEntry); hit {
-			b.release()
-			return res, nil
-		}
-	case lapsed != nil && warm:
-		// The cached certificate's interval lapsed. Revalidate by
-		// re-binding — which moves only a fresh certificate — and
-		// count it when the bytes themselves are still cached, so
-		// vcache_revalidations_total measures transfers avoided.
-		if c.vcache.Contains(vcEntry.Hash) {
-			p.tel.VCacheRevalidations.Inc()
-		}
-		c.dropBinding(oid, vb)
-		return c.refetchFresh(ctx, p, oid, element, excluded)
-	case lapsed != nil:
-		c.dropBinding(oid, vb)
-		c.invalidateContent(oid)
-		return FetchResult{}, c.secErr("freshness", lapsed)
+	case phase == "freshness" && b.warm:
+		return c.refresh(ctx, p, pl, excluded)
+	case phase == "" && ctx.Err() != nil:
+		return err
 	}
-
-	// Step 11: retrieve the page element from the (untrusted) replica.
-	var elem document.Element
-	err = p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
-		var ferr error
-		elem, ferr = vb.client.GetElement(ctx, element)
-		return ferr
-	})
-	if err != nil {
-		// A replica that times out, resets, or otherwise fails mid-fetch
-		// is handled exactly like a detected attack: abandon it and move
-		// to the next candidate. A stalled replica thereby degrades a
-		// fetch to the next-nearest honest one instead of hanging the
-		// pipeline. Warm bindings get one clean re-bind first (the
-		// pooled connection may simply be stale); cold ones blacklist
-		// the address for this operation. Cancellation is the caller's
-		// decision, not a replica fault: no failover then.
-		addr := vb.client.Addr()
-		c.dropBinding(oid, vb)
-		if ctx.Err() != nil {
-			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
-		}
-		c.invalidateContent(oid)
+	c.invalidateContent(pl.oid)
+	if phase == "" || errors.Is(err, cert.ErrAuthenticity) || errors.Is(err, cert.ErrConsistency) {
+		addr := b.vb.client.Addr()
 		p.tel.Failovers.Inc()
-		next := excluded
-		if !warm {
-			next = excluding(excluded, addr)
+		p.tel.Health.RecordFailure(addr)
+		prefix := pl.results
+		if c.run(ctx, p.fresh(), pl, excluding(excluded, addr)) == nil {
+			return nil
 		}
-		res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, next)
-		if retryErr == nil {
-			return res, nil
-		}
-		return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
+		pl.results = prefix
 	}
+	if phase != "" {
+		return c.secErr(phase, err)
+	}
+	return err
+}
 
-	// Steps 12–14: consistency, authenticity, freshness (paper §3.2.2).
-	entry, err := c.verifyElement(p, vb, element, elem.Data, now)
-	if err != nil {
-		if warm && errors.Is(err, cert.ErrFreshness) {
-			// The cached certificate may simply have expired; re-bind
-			// through the retry policy and retry with a fresh
-			// certificate. A freshly fetched certificate that is
-			// *still* stale is a security failure (a replica replaying
-			// old signed state), marked permanent so the policy stops
-			// instead of hammering the replica.
-			c.dropBinding(oid, vb)
-			return c.refetchFresh(ctx, p, oid, element, excluded)
-		}
-		if !warm && (errors.Is(err, cert.ErrAuthenticity) || errors.Is(err, cert.ErrConsistency)) {
-			// The replica served bogus content despite genuine
-			// credentials: blacklist it for this operation and try the
-			// next candidate. Detection thereby degrades an attack to a
-			// slower fetch instead of a failure, as long as any honest
-			// replica remains.
-			addr := vb.client.Addr()
-			c.dropBinding(oid, vb)
-			c.invalidateContent(oid)
-			p.tel.Failovers.Inc()
-			// Tampering is detected above the transport layer, whose
-			// health sampling saw only successful RPCs — record the
-			// detected attack as failure evidence so the selector stops
-			// preferring this replica on future establishments.
-			p.tel.Health.RecordFailure(addr)
-			res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, excluding(excluded, addr))
-			if retryErr == nil {
-				return res, nil
-			}
-			return FetchResult{}, c.secErr("element", err)
-		}
-		// Any other element-verification failure: the binding failed a
-		// security check, so neither keep it cached nor leak its
-		// connection (the historical code lost cold uncached conns here).
-		c.dropBinding(oid, vb)
-		c.invalidateContent(oid)
-		return FetchResult{}, c.secErr("element", err)
+// checkPhase is the security_check_failures_total phase of a failed
+// element check, or "" when err is no check's: a fault or cancellation.
+func checkPhase(err error) string {
+	switch {
+	case errors.Is(err, cert.ErrFreshness):
+		return "freshness"
+	case errors.Is(err, cert.ErrAuthenticity), errors.Is(err, cert.ErrConsistency), errors.Is(err, cert.ErrUnknownElement):
+		return "element"
 	}
-	res := c.deliver(p, b, elem, entry, vcFresh)
-	b.release()
-	return res, nil
+	return ""
+}
+
+// refresh reruns the plan through the certificate-refresh retry policy.
+// A security failure inside a rerun — a freshly fetched certificate that
+// is *still* stale, say — is permanent, so the policy stops instead of
+// hammering the replica.
+func (c *Client) refresh(ctx context.Context, p *pipeline, pl *fetchPlan, excluded map[string]bool) error {
+	return c.refreshPolicy().Do(func() error {
+		err := c.run(ctx, p.fresh(), pl, excluded)
+		if errors.Is(err, ErrSecurityCheckFailed) {
+			return transport.Permanent(err)
+		}
+		return err
+	})
 }
 
 // excluding returns set plus addr, leaving set — which an enclosing
@@ -624,7 +690,7 @@ func excluding(set map[string]bool, addr string) map[string]bool {
 	return next
 }
 
-// boundFetch is what one operation's element fetches share: its verified
+// boundFetch is what one attempt's element fetches share: its verified
 // binding and how that was come by, and its clock reading. Only verified
 // state belongs here — trustflow tracks taint per object, so the batch
 // prefetch's unverified bytes travel beside it, not inside it.
@@ -694,25 +760,10 @@ func (b boundFetch) result(p *pipeline, elem document.Element, hash [globeid.Siz
 	}
 }
 
-// vcacheEntry looks element up in b's verified certificate for the
-// verified-content cache. fresh: listed and within its validity interval,
-// so bytes under entry.Hash may be served from the cache and stored into
-// it. lapsed: a listed entry's freshness failure.
-func (c *Client) vcacheEntry(b boundFetch, element string) (entry cert.ElementEntry, fresh bool, lapsed error) {
-	if c.vcache != nil {
-		var cerr error
-		if entry, cerr = b.vb.icert.CheckConsistency(element); cerr == nil {
-			lapsed = entry.CheckFreshness(b.now)
-			fresh = lapsed == nil
-		}
-	}
-	return entry, fresh, lapsed
-}
-
 // serveCached answers a fetch from the verified-content cache when it
 // holds the bytes of a fresh entry, under a vcache.lookup span. It counts
 // the hit/miss and re-arms a hit's TTL to the entry's validity bound.
-func (c *Client) serveCached(p *pipeline, b boundFetch, element string, entry cert.ElementEntry) (FetchResult, bool) {
+func (c *Client) serveCached(p *pipeline, b boundFetch, entry cert.ElementEntry) (FetchResult, bool) {
 	sp := p.root.StartChild(StepVCacheLookup)
 	cached, hit := c.vcache.Get(entry.Hash, b.now, entry.Expires)
 	if !hit {
@@ -724,42 +775,7 @@ func (c *Client) serveCached(p *pipeline, b boundFetch, element string, entry ce
 	sp.Annotate("outcome", "hit")
 	sp.End()
 	p.tel.VCacheHits.Inc()
-	return b.result(p, document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data}, entry.Hash, true), true
-}
-
-// deliver ends a fetch whose bytes passed verifyElement against entry:
-// they enter the verified-content cache when the consult found the entry
-// fresh. The cache copies them in, so the caller's elem.Data — the frame
-// buffer the bytes arrived in — stays the caller's to keep or mutate.
-func (c *Client) deliver(p *pipeline, b boundFetch, elem document.Element, entry cert.ElementEntry, fresh bool) FetchResult {
-	if fresh {
-		c.vcache.Put(b.vb.icert.ObjectID, entry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, entry.Expires)
-	}
-	return b.result(p, elem, entry.Hash, false)
-}
-
-// refetchFresh re-runs the fetch through the certificate-refresh retry
-// policy after a freshness lapse on a warm binding. A security failure
-// inside the retried fetch — including a freshly fetched certificate
-// that is *still* stale (a replica replaying old signed state) — is
-// marked permanent so the policy stops instead of hammering the replica.
-func (c *Client) refetchFresh(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (FetchResult, error) {
-	var res FetchResult
-	doErr := c.refreshPolicy().Do(func() error {
-		r, ferr := c.fetchExcluding(ctx, p.fresh(), oid, element, excluded)
-		if ferr != nil {
-			if errors.Is(ferr, ErrSecurityCheckFailed) {
-				return transport.Permanent(ferr)
-			}
-			return ferr
-		}
-		res = r
-		return nil
-	})
-	if doErr != nil {
-		return FetchResult{}, doErr
-	}
-	return res, nil
+	return b.result(p, document.Element{Name: entry.Name, ContentType: cached.ContentType, Data: cached.Data}, entry.Hash, true), true
 }
 
 // verifyElement runs the three per-element checks as separate pipeline
@@ -1085,44 +1101,41 @@ func (c *Client) elements(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 // FetchAll securely fetches every element listed in the object's
 // integrity certificate, returning elements in certificate order. It is
 // the "download the whole document" operation the paper's Figures 5–7
-// time against Apache. Elements are retrieved by a bounded worker pool
-// (Options.FetchWorkers); on the first failure remaining work is
-// cancelled and the ordered prefix of verified elements is returned
-// alongside the error.
+// time against Apache, and runs the same fetch plan — and so the same
+// refresh and failover — as Fetch. Elements are retrieved by a bounded
+// worker pool (Options.FetchWorkers); when the plan finally fails, the
+// ordered prefix of verified elements is returned alongside the error.
 func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, error) {
 	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanFetchAll)
 	p.root.Annotate("oid", oid.Short())
-	out, err := c.fetchAll(ctx, p, oid)
-	if err != nil {
+	pl := fetchPlan{oid: oid, all: true}
+	if err := c.run(ctx, p, &pl, nil); err != nil {
 		p.finish("error")
-		return out, err
+		return pl.results, err
 	}
 	p.finish("ok")
-	return out, nil
+	return pl.results, nil
 }
 
-func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]FetchResult, error) {
-	// Bind once (cold, shared or cached), then fan element fetches out
-	// over a bounded worker pool sharing the verified binding. Each
-	// element runs its own fresh pipeline under the fetch.all root span,
-	// so per-element spans and Timing stay attributable.
-	b, err := c.bind(ctx, p, oid, c.now(), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer b.release()
-	vb := b.vb
-	entries := vb.icert.Entries
+// every is FetchAll's attempt over b: every listed name decided fresh up
+// front, one pipelined GetElements exchange for the elements the
+// verified-content cache cannot serve, then the element path fanned out
+// over a bounded worker pool sharing the binding. Each element runs its
+// own fresh pipeline under the fetch.all root span, so per-element spans
+// and Timing stay attributable. The first failure cancels the remaining
+// work and comes back with the ordered verified prefix.
+func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch) ([]FetchResult, error) {
+	entries := b.vb.icert.Entries
 	if len(entries) == 0 {
 		return nil, nil
 	}
-
-	// One pipelined GetElements exchange prefetches every element the
-	// verified-content cache cannot already serve; workers then verify
-	// from the prefetched bytes and fall back to individual fetches for
-	// anything the batch could not carry.
-	prefetched, batchShare := c.batchPrefetch(ctx, p, vb, entries, b.now)
+	for _, e := range entries {
+		if _, err := c.entryFor(p, b, e.Name); err != nil {
+			return nil, err
+		}
+	}
+	prefetched, batchShare := c.batchPrefetch(ctx, p, b.vb, entries)
 
 	workers := c.fetchWorkers
 	if workers > len(entries) {
@@ -1149,7 +1162,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 				if i >= len(entries) || gctx.Err() != nil {
 					return
 				}
-				res, err := c.fetchVia(gctx, p.fresh(), b, entries[i].Name, prefetched, batchShare)
+				res, err := c.element(gctx, p.fresh(), b, entries[i], prefetched, batchShare)
 				out[i] = slot{res: res, err: err, done: true}
 				if err != nil {
 					failOnce.Do(func() {
@@ -1170,15 +1183,12 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 		}
 		results = append(results, out[i].res)
 	}
-	if firstErr != nil {
-		// Whatever failed — dead replica or failed check — the binding
-		// is suspect: neither keep it cached, nor leak its connection,
-		// nor serve content it vouched for from the cache.
-		c.dropBinding(oid, vb)
-		c.invalidateContent(oid)
-		return results, firstErr
+	if firstErr == nil && len(results) < len(entries) {
+		// The caller cancelled between two elements: no worker failed,
+		// but the download is not whole.
+		firstErr = ctx.Err()
 	}
-	return results, nil
+	return results, firstErr
 }
 
 // batchPrefetch retrieves the elements the verified-content cache cannot
@@ -1186,19 +1196,19 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 // the successfully carried elements keyed by name plus the per-element
 // amortized share of the exchange's duration. Every failure mode — a v1
 // server without the batch operation, a transport fault, or per-item
-// declines — degrades to nil/partial prefill; the workers' individual
-// fetches then carry their own error handling, so batching never changes
+// declines — degrades to nil/partial prefill; the element path's own
+// GetElement then fetches what is missing, so batching never changes
 // failure semantics, only round trips. The prefetched bytes are NOT
 // trusted: each element still runs the full verification steps with the
 // same phase attribution as a serial fetch.
-func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry, now time.Time) (map[string]document.Element, time.Duration) {
+func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry) (map[string]document.Element, time.Duration) {
 	if c.noBatchFetch || len(entries) < 2 {
 		return nil, 0
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if c.vcache != nil && e.CheckFreshness(now) == nil && c.vcache.Contains(e.Hash) {
-			continue // the per-element vcache consult will serve it
+		if c.vcache != nil && c.vcache.Contains(e.Hash) {
+			continue // the element path's vcache consult will serve it
 		}
 		names = append(names, e.Name)
 	}
@@ -1226,44 +1236,4 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 		return nil, 0
 	}
 	return got, sp.Duration() / time.Duration(len(got))
-}
-
-// fetchVia fetches one element over the binding FetchAll's workers
-// share. The verified-content cache serves them too: a whole-document
-// download re-transfers only the elements whose bytes are not already
-// held under the current certificate. Lapsed entries are left to the
-// post-fetch freshness check — FetchAll's caller handles the failure,
-// there is no per-element re-bind here.
-func (c *Client) fetchVia(ctx context.Context, p *pipeline, b boundFetch, element string, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
-	vcEntry, vcFresh, _ := c.vcacheEntry(b, element)
-	if vcFresh {
-		if res, hit := c.serveCached(p, b, element, vcEntry); hit {
-			return res, nil
-		}
-	}
-	var elem document.Element
-	if pre, ok := prefetched[element]; ok {
-		// Served from the batch exchange: credit this element's amortized
-		// slice of the batch duration to ElementFetch so the Figure-4
-		// phase accounting still describes where the time went.
-		sp := p.root.StartChild(StepElementFetch)
-		sp.Annotate("source", "batch")
-		sp.End()
-		p.timing.ElementFetch += batchShare
-		elem = pre
-	} else {
-		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
-			var ferr error
-			elem, ferr = b.vb.client.GetElement(ctx, element)
-			return ferr
-		})
-		if err != nil {
-			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
-		}
-	}
-	entry, err := c.verifyElement(p, b.vb, element, elem.Data, b.now)
-	if err != nil {
-		return FetchResult{}, c.secErr("element", err)
-	}
-	return c.deliver(p, b, elem, entry, vcFresh), nil
 }

@@ -10,10 +10,12 @@ import (
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
+	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
 	"globedoc/internal/server"
+	"globedoc/internal/telemetry"
 )
 
 // world stands up a deployment with one published document and returns
@@ -229,49 +231,81 @@ func TestFreshnessExpiryRejected(t *testing.T) {
 	}
 }
 
+// fetchOps are the fetch plan's two operations, each run as an extra
+// input of the recovery tests: Fetch of one element and FetchAll of the
+// whole (multi-element, so batched) document. Both return what they
+// delivered.
+var fetchOps = []struct {
+	name string
+	run  func(ctx context.Context, c *core.Client, oid globeid.OID, element string) ([]core.FetchResult, error)
+}{
+	{"Fetch", func(ctx context.Context, c *core.Client, oid globeid.OID, element string) ([]core.FetchResult, error) {
+		res, err := c.Fetch(ctx, oid, element)
+		if err != nil {
+			return nil, err
+		}
+		return []core.FetchResult{res}, nil
+	}},
+	{"FetchAll", func(ctx context.Context, c *core.Client, oid globeid.OID, _ string) ([]core.FetchResult, error) {
+		return c.FetchAll(ctx, oid)
+	}},
+}
+
 func TestWarmBindingRefreshesExpiredCert(t *testing.T) {
-	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	doc := document.New()
-	doc.Put(document.Element{Name: "a.html", Data: []byte("v1")})
-	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "x.nl", TTL: time.Minute, OwnerKey: keytest.RSA()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
-		CacheBindings: true,
-		Now:           func() time.Time { return now() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
+	for _, op := range fetchOps {
+		t.Run(op.name, func(t *testing.T) {
+			w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			doc := document.New()
+			doc.Put(document.Element{Name: "a.html", Data: []byte("v1")})
+			doc.Put(document.Element{Name: "b.html", Data: []byte("v1 too")})
+			pub, err := w.Publish(doc, deploy.PublishOptions{Name: "x.nl", TTL: time.Minute, OwnerKey: keytest.RSA()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := time.Now
+			tel := telemetry.New(nil)
+			client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
+				CacheBindings: true,
+				Now:           func() time.Time { return now() },
+				Telemetry:     tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(client.Close)
 
-	if _, err := client.Fetch(context.Background(), pub.OID, "a.html"); err != nil {
-		t.Fatal(err)
-	}
+			if _, err := op.run(context.Background(), client, pub.OID, "a.html"); err != nil {
+				t.Fatal(err)
+			}
 
-	// Owner re-issues a fresh certificate dated "later"; the client
-	// clock moves past the first certificate's expiry. The warm binding
-	// must transparently re-bind rather than fail.
-	later := time.Now().Add(10 * time.Minute)
-	if err := w.Reissue(pub, time.Hour, later); err != nil {
-		t.Fatal(err)
-	}
-	now = func() time.Time { return later }
-	res, err := client.Fetch(context.Background(), pub.OID, "a.html")
-	if err != nil {
-		t.Fatalf("fetch after reissue: %v", err)
-	}
-	if res.WarmBinding {
-		t.Error("expired-cert fetch should have re-bound cold")
+			// Owner re-issues a fresh certificate dated "later"; the client
+			// clock moves past the first certificate's expiry. The warm
+			// binding must transparently re-bind rather than fail.
+			later := time.Now().Add(10 * time.Minute)
+			if err := w.Reissue(pub, time.Hour, later); err != nil {
+				t.Fatal(err)
+			}
+			now = func() time.Time { return later }
+			results, err := op.run(context.Background(), client, pub.OID, "a.html")
+			if err != nil {
+				t.Fatalf("fetch after reissue: %v", err)
+			}
+			for _, res := range results {
+				if res.WarmBinding {
+					t.Errorf("%s: expired-cert fetch should have re-bound cold", res.Element.Name)
+				}
+			}
+			if n := tel.SecurityCheckFailures.With("freshness").Value(); n != 0 {
+				t.Errorf("a re-issued certificate counted %d freshness failures, want 0", n)
+			}
+		})
 	}
 }
 
@@ -330,35 +364,53 @@ func TestNearestReplicaSelected(t *testing.T) {
 }
 
 func TestFailoverToFartherReplica(t *testing.T) {
-	// Failure injection: the client's nearest replica crashes; binding
-	// must fall back to the farther one transparently.
-	w, pub, client := world(t, netsim.Paris)
-	if _, err := w.StartServer(netsim.Paris, "srv-paris", nil, nil, server.Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.ReplicateTo(pub, netsim.Paris); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.Fetch(context.Background(), pub.OID, "index.html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ReplicaAddr != "paris:"+deploy.ObjectService {
-		t.Fatalf("expected local replica first, got %q", res.ReplicaAddr)
-	}
+	// Failure injection: the client's nearest replica crashes; the fetch
+	// must fall back to the farther one transparently — at establishment
+	// when the binding is cold, mid-fetch when a warm binding still points
+	// at the crashed replica.
+	for _, op := range fetchOps {
+		for _, warm := range []bool{false, true} {
+			name := op.name + "/cold"
+			if warm {
+				name = op.name + "/warm"
+			}
+			t.Run(name, func(t *testing.T) {
+				w, pub, _ := world(t, netsim.Paris)
+				if _, err := w.StartServer(netsim.Paris, "srv-paris", nil, nil, server.Limits{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.ReplicateTo(pub, netsim.Paris); err != nil {
+					t.Fatal(err)
+				}
+				tel := telemetry.New(nil)
+				client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: warm, Telemetry: tel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(client.Close)
+				results, err := op.run(context.Background(), client, pub.OID, "index.html")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[0].ReplicaAddr != "paris:"+deploy.ObjectService {
+					t.Fatalf("expected local replica first, got %q", results[0].ReplicaAddr)
+				}
 
-	// Sever the path to the local replica's host for new connections by
-	// taking the whole paris host down — including the client's own
-	// outbound dials? No: only the replica host matters here, and the
-	// client IS at paris. Sever the paris->paris local service by
-	// closing the server instead.
-	w.Servers[netsim.Paris].Close()
-	res, err = client.Fetch(context.Background(), pub.OID, "index.html")
-	if err != nil {
-		t.Fatalf("fetch after local replica crash: %v", err)
-	}
-	if res.ReplicaAddr != netsim.AmsterdamPrimary+":"+deploy.ObjectService {
-		t.Errorf("ReplicaAddr = %q, want amsterdam fallback", res.ReplicaAddr)
+				w.Servers[netsim.Paris].Close()
+				results, err = op.run(context.Background(), client, pub.OID, "index.html")
+				if err != nil {
+					t.Fatalf("fetch after local replica crash: %v", err)
+				}
+				for _, res := range results {
+					if res.ReplicaAddr != netsim.AmsterdamPrimary+":"+deploy.ObjectService {
+						t.Errorf("%s: ReplicaAddr = %q, want amsterdam fallback", res.Element.Name, res.ReplicaAddr)
+					}
+				}
+				if n := tel.Failovers.Value(); n != 1 {
+					t.Errorf("failovers_total = %d, want 1 (the crashed replica)", n)
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +416,95 @@ func TestBindingEvictOnFailover(t *testing.T) {
 	}
 	if vc.Contains(hash) {
 		t.Fatal("content vouched for by the failed binding survived invalidation")
+	}
+}
+
+// TestOneRejectionPhasePerCause: a certificate that is no longer fresh is
+// rejected the same way by every fetch plan — Fetch or FetchAll, content
+// cache on or off, replayed to a cold binding or lapsed under a warm one
+// with no re-issue to refresh to: at phase "freshness", counted once,
+// decided before any element byte moves.
+func TestOneRejectionPhasePerCause(t *testing.T) {
+	for _, withVCache := range []bool{true, false} {
+		for _, op := range fetchOps {
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("vcache=%v/%s/stale-cold", withVCache, op.name)
+				if warm {
+					name = fmt.Sprintf("vcache=%v/%s/lapsed-warm", withVCache, op.name)
+				}
+				t.Run(name, func(t *testing.T) {
+					clk := &testClock{now: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
+					w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(w.Close)
+					if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+						t.Fatal(err)
+					}
+					doc := document.New()
+					doc.Put(document.Element{Name: "index.html", Data: []byte("<html>short-lived</html>")})
+					doc.Put(document.Element{Name: "logo.png", Data: []byte{0x89, 0x50, 0x4e, 0x47}})
+					pub, err := w.Publish(doc, deploy.PublishOptions{Name: "stale.vu.nl", OwnerKey: keytest.RSA(), TTL: time.Minute, Clock: clk.Now})
+					if err != nil {
+						t.Fatal(err)
+					}
+					tel := telemetry.New(nil)
+					opts := core.Options{CacheBindings: true, Now: clk.Now, Telemetry: tel}
+					if withVCache {
+						opts.VCache = vcache.New(vcache.Config{})
+					}
+					client, err := w.NewSecureClientOpts(netsim.Paris, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(client.Close)
+					ctx := context.Background()
+					if warm {
+						if _, err := op.run(ctx, client, pub.OID, "index.html"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					clk.Advance(2 * time.Minute)
+
+					srv := w.Servers[netsim.AmsterdamPrimary]
+					transfers := srv.Stats().ElementFetches
+					_, err = op.run(ctx, client, pub.OID, "index.html")
+					var sec *core.SecurityError
+					if !errors.As(err, &sec) || sec.Phase != "freshness" {
+						t.Fatalf("err = %v, want a SecurityError at phase \"freshness\"", err)
+					}
+					if !errors.Is(err, cert.ErrFreshness) {
+						t.Errorf("err = %v, want errors.Is cert.ErrFreshness", err)
+					}
+					if n := tel.SecurityCheckFailures.With("freshness").Value(); n != 1 {
+						t.Errorf("security_check_failures_total{phase=\"freshness\"} = %d, want 1", n)
+					}
+					if got := srv.Stats().ElementFetches; got != transfers {
+						t.Errorf("a stale certificate moved %d element transfers, want 0", got-transfers)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCancelledFetchAllIsNotWhole: a FetchAll whose caller has given up
+// fails with the cancellation, even when the verified-content cache could
+// serve every element without a byte on the wire — and, no replica being
+// suspect, the cancellation invalidates nothing.
+func TestCancelledFetchAllIsNotWhole(t *testing.T) {
+	_, pub, client, vc, _, _ := vcacheWorld(t, time.Hour)
+	if _, err := client.FetchAll(context.Background(), pub.OID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := client.FetchAll(ctx, pub.OID)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled FetchAll: %d results, err %v; want context.Canceled", len(results), err)
+	}
+	if !vc.Contains(elementHash(t, pub, "index.html")) {
+		t.Error("a cancellation invalidated the verified-content cache")
 	}
 }
