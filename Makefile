@@ -69,6 +69,7 @@ FUZZ_TARGETS = \
 	internal/server:FuzzUnmarshalBundle \
 	internal/server:FuzzDeltaDecode \
 	internal/transport:FuzzFrameDecode \
+	internal/transport:FuzzRequestDecode \
 	internal/transport:FuzzVersionNegotiation
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

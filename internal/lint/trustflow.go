@@ -71,7 +71,6 @@ type taintRule struct {
 var taintSources = []taintRule{
 	{"internal/transport", "Client", "Call", "reply bytes from transport.Client.Call"},
 	{"internal/transport", "", "readFrame", "raw frame bytes off the conn"},
-	{"internal/transport", "", "readFrameBody", "raw frame bytes off the conn"},
 	{"internal/transport", "", "readV2Frame", "raw v2 frame off the conn"},
 	{"internal/object", "Client", "GetElement", "element payload from object.Client.GetElement"},
 	{"internal/object", "Client", "GetElements", "batch payloads from object.Client.GetElements"},

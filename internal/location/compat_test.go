@@ -19,7 +19,7 @@ import (
 //   - the v1 encodings (ContactAddress.Marshal, OpLookup responses) are
 //     byte-frozen — a pre-PR-8 peer must keep decoding them exactly;
 //   - a new client against a v1-only service falls back to OpLookup
-//     (losing only metadata) and latches the fallback after one probe;
+//     (losing only metadata) after exactly one probe;
 //   - an old-style client calling OpLookup against a new service gets
 //     byte-identical v1 responses, metadata silently dropped.
 
@@ -125,8 +125,9 @@ func startV1OnlyService(t *testing.T, n *netsim.Network, tree *Tree) {
 }
 
 // TestNewClientFallsBackToV1Service: a metadata-aware client against a
-// pre-PR-8 service probes OpLookup2 once, latches the refusal, and keeps
-// working over OpLookup — results simply carry no metadata.
+// pre-PR-8 service probes OpLookup2 once — the transport remembers the
+// refusal — and keeps working over OpLookup; results simply carry no
+// metadata.
 func TestNewClientFallsBackToV1Service(t *testing.T) {
 	n := netsim.PaperTestbed(0)
 	defer n.Close()
@@ -159,9 +160,6 @@ func TestNewClientFallsBackToV1Service(t *testing.T) {
 			t.Fatalf("Lookup %d carried metadata over v1: %+v", i, res.Addresses[0])
 		}
 	}
-	if !client.lookup2Unsupported.Load() {
-		t.Fatal("fallback not latched after unknown-operation refusal")
-	}
 	// Exactly one OpLookup2 probe across all three lookups.
 	probes := uint64(0)
 	for labels, v := range tel.Registry.Snapshot().LabeledCounters[telemetry.MetricRPCCalls] {
@@ -170,13 +168,14 @@ func TestNewClientFallsBackToV1Service(t *testing.T) {
 		}
 	}
 	if probes != 1 {
-		t.Errorf("OpLookup2 probes = %d, want exactly 1 (latched after first refusal)", probes)
+		t.Errorf("OpLookup2 probes = %d, want exactly 1 (the refusal is remembered)", probes)
 	}
 }
 
 // TestNewClientDoesNotLatchOnOtherErrors: a genuine lookup failure from a
 // metadata-aware service (not-found) must surface as-is, NOT trigger the
-// v1 fallback — only the unknown-operation refusal means "old service".
+// v1 fallback — only the unknown-operation refusal means "old service" —
+// and later lookups still carry metadata.
 func TestNewClientDoesNotLatchOnOtherErrors(t *testing.T) {
 	n := netsim.PaperTestbed(0)
 	defer n.Close()
@@ -197,9 +196,6 @@ func TestNewClientDoesNotLatchOnOtherErrors(t *testing.T) {
 
 	if _, err := client.Lookup(context.Background(), "paris", compatOID(0x7e)); err == nil {
 		t.Fatal("lookup of unrecorded OID succeeded")
-	}
-	if client.lookup2Unsupported.Load() {
-		t.Fatal("a not-found error latched the v1 fallback")
 	}
 
 	// Metadata still flows after the failed lookup.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
@@ -19,10 +18,10 @@ import (
 // advertised weight). The v1 encodings are frozen — enc.Reader.Finish
 // rejects trailing bytes, so appending fields to an existing operation
 // would break BOTH old-decodes-new and new-decodes-old. A new client
-// probes OpLookup2 and, on the peer's "unknown operation" refusal,
-// latches a permanent fallback to OpLookup (metadata-less results); an
-// old client never sends OpLookup2 and sees byte-identical OpLookup
-// responses.
+// probes OpLookup2 and, on the peer's "unknown operation" refusal, falls
+// back to OpLookup (metadata-less results) — the transport remembers the
+// refusal, so later lookups skip the probe; an old client never sends
+// OpLookup2 and sees byte-identical OpLookup responses.
 const (
 	OpInsert  = "loc.insert"
 	OpDelete  = "loc.delete"
@@ -212,12 +211,6 @@ func (s *Service) handleAll(body []byte) ([]byte, error) {
 // Client is a typed client for a remote location service.
 type Client struct {
 	c *transport.Client
-	// lookup2Unsupported latches after the peer refuses OpLookup2 with an
-	// unknown-operation error: the service predates per-address metadata,
-	// so every further Lookup goes straight to the v1 operation. One
-	// wasted round trip per client lifetime, mirroring the transport's
-	// version-negotiation fallback.
-	lookup2Unsupported atomic.Bool
 }
 
 // NewClient returns a client that dials the service with dial.
@@ -252,25 +245,23 @@ func (c *Client) Delete(ctx context.Context, site string, oid globeid.OID, addr 
 }
 
 // Lookup finds contact addresses for oid, nearest-first from fromSite.
-// It prefers the metadata-carrying OpLookup2 and falls back permanently
-// to OpLookup against a service that does not implement it; results from
-// such a service simply carry no zone/weight metadata.
+// It prefers the metadata-carrying OpLookup2 and falls back to OpLookup
+// against a service that does not implement it — one probe per client,
+// since the transport remembers the refusal; results from such a
+// service simply carry no zone/weight metadata.
 func (c *Client) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (LookupResult, error) {
 	w := enc.NewWriter(64)
 	w.String(fromSite)
 	w.Raw(oid[:])
 	req := w.Bytes()
-	if !c.lookup2Unsupported.Load() {
-		body, err := c.c.Call(ctx, OpLookup2, req)
-		if err == nil {
-			return decodeLookupResultExt(body)
-		}
-		if !transport.IsUnknownOp(err) {
-			return LookupResult{}, err
-		}
-		c.lookup2Unsupported.Store(true)
+	body, err := c.c.Call(ctx, OpLookup2, req)
+	if err == nil {
+		return decodeLookupResultExt(body)
 	}
-	body, err := c.c.Call(ctx, OpLookup, req)
+	if !transport.IsUnknownOp(err) {
+		return LookupResult{}, err
+	}
+	body, err = c.c.Call(ctx, OpLookup, req)
 	if err != nil {
 		return LookupResult{}, err
 	}

@@ -44,7 +44,7 @@ const (
 	// fetch that lets a cold document ride one round trip over a
 	// multiplexed transport-v2 connection. Servers that predate it
 	// answer "unknown operation" and clients fall back to per-element
-	// calls.
+	// calls; the transport remembers the refusal, so a binding asks once.
 	OpGetElements  = "obj.getelements"
 	OpListElements = "obj.list"
 	OpVersion      = "obj.version"

@@ -183,7 +183,8 @@ func TestPullerDisableDeltaForcesFull(t *testing.T) {
 
 // TestPullerLatchesWhenPrimaryLacksDelta points a puller at a primary
 // that predates obj.getdelta (a v1-era object server) and checks the
-// unknown-op refusal latches: exactly one probe, then full pulls only.
+// unknown-op refusal is remembered: exactly one probe, then full pulls
+// only.
 func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
 	w, pub, _ := deltaWorld(t)
 	primary := w.Servers[netsim.AmsterdamPrimary]

@@ -8,6 +8,7 @@ package transport_test
 // connection, in both directions.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -57,11 +58,7 @@ func TestCompatAutoClientOldServer(t *testing.T) {
 	// length header and hangs up. The auto client must latch the
 	// downgrade after that one wasted dial and speak v1 from then on.
 	tel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.DisableNegotiation = true
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	cd := &countingDial{dial: dial}
+	cd := &countingDial{dial: startStrictOldServer(t, false)}
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 	for i := 0; i < 4; i++ {
@@ -137,11 +134,7 @@ func TestCompatAutoClientNewServer(t *testing.T) {
 }
 
 func TestCompatRequiredV2AgainstOldServerFailsPermanently(t *testing.T) {
-	dial := startServer(t, func(s *transport.Server) {
-		s.DisableNegotiation = true
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	c := transport.NewClient(dial)
+	c := transport.NewClient(startStrictOldServer(t, false))
 	c.Version = transport.V2
 	defer c.Close()
 	_, err := c.Call(context.Background(), "echo", nil)
@@ -154,15 +147,11 @@ func TestCompatRequiredV2AgainstOldServerFailsPermanently(t *testing.T) {
 }
 
 func TestCompatServerCappedAtV1(t *testing.T) {
-	// A negotiation-aware server capped at v1 (MaxVersion): the auto
+	// A server that answers the preamble with a v1 accept: the auto
 	// client accepts the downgrade and keeps the connection it negotiated
 	// on — the server is already serving classic frames on it.
 	tel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.MaxVersion = transport.V1
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	cd := &countingDial{dial: dial}
+	cd := &countingDial{dial: startStrictOldServer(t, true)}
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 	for i := 0; i < 3; i++ {
@@ -304,48 +293,35 @@ func TestCompatTracedClientV2Server(t *testing.T) {
 }
 
 func TestCompatTracedClientV1Envelope(t *testing.T) {
-	// A negotiation-aware server capped at v1: there is no frame
-	// extension, but the well-formed accept proves the peer post-dates
-	// the trace trailer, so the context must ride the request-envelope
-	// trailer and still be adopted. (A pinned-V1 client never gains that
-	// proof and drops the context instead — see the strict-old-server
-	// test below.)
-	clientTel := telemetry.New(nil)
-	serverTel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.MaxVersion = transport.V1
-		s.Telemetry = serverTel
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: clientTel})
+	// A traced call over a connection negotiated down to v1: v1 has no
+	// place for the trace context, so the request envelope is op‖body
+	// alone and a decoder that refuses trailing bytes serves it. The
+	// trace ends at the process boundary.
+	tel := telemetry.New(nil)
+	c := transport.NewClient(startStrictOldServer(t, true)).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 
-	root := clientTel.Tracer.StartSpan("test.root")
+	root := tel.Tracer.StartSpan("test.root")
 	ctx := telemetry.ContextWith(context.Background(), root.Context())
-	if _, err := c.Call(ctx, "echo", []byte("traced-v1")); err != nil {
-		t.Fatal(err)
+	resp, err := c.Call(ctx, "echo", []byte("traced-v1"))
+	if err != nil {
+		t.Fatalf("traced call over negotiated v1: %v", err)
+	}
+	if string(resp) != "traced-v1" {
+		t.Fatalf("resp = %q", resp)
 	}
 	root.End()
-
-	serves := findServe(serverTel)
-	if len(serves) != 1 {
-		t.Fatalf("server recorded %d rpc.serve spans, want 1", len(serves))
-	}
-	if serves[0].TraceID != root.TraceID() {
-		t.Errorf("v1 envelope trace = %d, want client trace %d", serves[0].TraceID, root.TraceID())
+	if got := tel.Negotiations.With("v1").Value(); got != 1 {
+		t.Errorf("negotiations{v1} = %d, want 1", got)
 	}
 }
 
 func TestCompatTracedClientOldServer(t *testing.T) {
-	// A traced client against the old-deployment stand-in (negotiation
-	// disabled, so the fallback latches v1): the call must succeed; the
-	// trace simply ends at the process boundary.
+	// A traced client against the old-deployment stand-in (it hangs up
+	// on the preamble, so the fallback latches v1): the call must
+	// succeed; the trace simply ends at the process boundary.
 	tel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.DisableNegotiation = true
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
+	c := transport.NewClient(startStrictOldServer(t, false)).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 
 	root := tel.Tracer.StartSpan("test.root")
@@ -360,14 +336,15 @@ func TestCompatTracedClientOldServer(t *testing.T) {
 	root.End()
 }
 
-// startStrictOldServer is a wire-level stand-in for a genuinely old
-// (pre-negotiation, pre-tracing) deployment: a length header above
-// MaxFrame — which is how the v2 preamble reads — hangs up the
-// connection, and the request envelope is decoded with the old
-// decoder's strictness, failing the call on any trailing bytes (such
-// as a trace-context trailer) exactly like enc.Reader.Finish did
-// before the trailer existed.
-func startStrictOldServer(t *testing.T) transport.DialFunc {
+// startStrictOldServer is a wire-level stand-in for an old deployment
+// that speaks only v1. Without acceptV1 it predates negotiation: a
+// length header above MaxFrame — which is how the v2 preamble reads —
+// hangs up the connection. With acceptV1 it answers the preamble with a
+// v1 accept and serves classic frames on that connection. Either way
+// the request envelope is decoded with the old decoder's strictness,
+// failing the call on any trailing bytes (such as a trace-context
+// trailer) exactly like enc.Reader.Finish.
+func startStrictOldServer(t *testing.T, acceptV1 bool) transport.DialFunc {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -386,6 +363,12 @@ func startStrictOldServer(t *testing.T) transport.DialFunc {
 					hdr := make([]byte, 4)
 					if _, err := io.ReadFull(conn, hdr); err != nil {
 						return
+					}
+					if acceptV1 && bytes.Equal(hdr[:3], rawPreamble[:3]) {
+						if _, err := conn.Write(append(hdr[:3:3], transport.V1)); err != nil {
+							return
+						}
+						continue
 					}
 					n := binary.BigEndian.Uint32(hdr)
 					if n > transport.MaxFrame {
@@ -425,13 +408,13 @@ func startStrictOldServer(t *testing.T) transport.DialFunc {
 
 func TestCompatTracedClientStrictOldServer(t *testing.T) {
 	// The regression the compat matrix exists to prevent: a traced call
-	// toward a genuinely old server must not carry the envelope trailer,
-	// because the old decoder errors on trailing bytes. Both routes into
-	// the v1 path — the hangup fallback (auto client) and a pinned-V1
-	// client — lack positive knowledge that the peer is trailer-aware,
-	// so the trace must end at the process boundary and the call succeed.
+	// toward a genuinely old server must not carry trace context in the
+	// envelope, because the old decoder errors on trailing bytes. On both
+	// routes into the v1 path — the hangup fallback (auto client) and a
+	// pinned-V1 client — the trace ends at the process boundary and the
+	// call succeeds.
 	for _, version := range []byte{0, transport.V1} {
-		dial := startStrictOldServer(t)
+		dial := startStrictOldServer(t, false)
 		tel := telemetry.New(nil)
 		c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: version})
 		root := tel.Tracer.StartSpan("test.root")

@@ -39,13 +39,7 @@ type poolConn struct {
 
 	// How the connection was opened; fixed before it is shared.
 	version byte // V1 or V2 framing
-	// negotiated records that the peer answered the preamble with a
-	// well-formed accept. On a v1 connection that is the only proof the
-	// peer post-dates the trace-context request trailer: a pre-v2
-	// decoder rejects trailing envelope bytes, so a plainly dialled v1
-	// connection drops the trace at the process boundary instead.
-	negotiated bool
-	budget     int // concurrent streams: 1 for v1, Pool.streamBudget() for v2
+	budget  int  // concurrent streams: 1 for v1, Pool.streamBudget() for v2
 
 	wmu sync.Mutex // serialises frame writes
 
@@ -150,35 +144,6 @@ func (pc *poolConn) fail(cause error) {
 	pc.c.wake()
 }
 
-// writeRequest sends one request frame and returns its size on the wire.
-// v2 carries the trace context in the frame header extension, v1 as a
-// trailer of the request envelope — and only on a negotiated connection.
-// The caller holds wmu.
-func (pc *poolConn) writeRequest(id uint32, op string, body []byte, sc telemetry.SpanContext) (int, error) {
-	if pc.version >= V2 {
-		req := encodeRequest(op, body, telemetry.SpanContext{})
-		return writeV2Frame(pc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: req, Trace: sc}, nil)
-	}
-	if !pc.negotiated {
-		sc = telemetry.SpanContext{}
-	}
-	return writeFrame(pc.conn, nil, encodeRequest(op, body, sc))
-}
-
-// readResponse receives one response frame: the stream it names (zero on
-// v1), its payload and its size on the wire.
-func (pc *poolConn) readResponse(conn net.Conn) (id uint32, payload []byte, wire int, err error) {
-	if pc.version < V2 {
-		payload, err = readFrame(conn)
-		return 0, payload, 4 + len(payload), err
-	}
-	f, err := readV2Frame(conn)
-	if err == nil && f.Type != frameResponse {
-		err = fmt.Errorf("%w: unexpected frame type 0x%02x from server", ErrProtocol, f.Type)
-	}
-	return f.StreamID, f.Payload, f.wireLen(), err
-}
-
 // readLoop is the single reader of a connection: it hands each response
 // frame to the stream waiting for it. A v2 response for an unknown stream
 // is dropped (the caller timed out first); an unsolicited v1 response,
@@ -187,15 +152,15 @@ func (pc *poolConn) readResponse(conn net.Conn) (id uint32, payload []byte, wire
 // reap, Client.Close) unblocks the read and ends the loop.
 func (pc *poolConn) readLoop(conn net.Conn) {
 	for {
-		id, payload, wire, err := pc.readResponse(conn)
+		f, wire, err := readFramed(conn, pc.version, frameResponse)
 		if err != nil {
 			pc.fail(err)
 			return
 		}
 		pc.c.BytesReceived.Add(uint64(wire))
-		ch, ok := pc.take(id)
+		ch, ok := pc.take(f.StreamID)
 		if ok {
-			ch <- streamResult{payload: payload} // buffered: never blocks
+			ch <- streamResult{payload: f.Payload} // buffered: never blocks
 		} else if pc.version < V2 {
 			pc.fail(fmt.Errorf("%w: v1 response with no call pending", ErrProtocol))
 			return
@@ -218,6 +183,9 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	tel.StreamsActive.Add(1)
 	defer tel.StreamsActive.Add(-1)
 
+	// v2 carries sc in the frame header; v1 has no place for it.
+	f := v2Frame{Type: frameRequest, StreamID: id, Payload: body, Trace: sc}
+	head := requestHead(op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
 	pc.wmu.Lock()
 	var werr error
@@ -226,7 +194,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	}
 	sent := 0
 	if werr == nil {
-		sent, werr = pc.writeRequest(id, op, body, sc)
+		sent, werr = writeFramed(pc.conn, pc.version, f, head)
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(time.Time{})
@@ -262,8 +230,8 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 // dialConn opens one connection for the pool and alone decides its
 // framing. A client pinned to V1, or one whose peer once hung up on the
 // preamble, dials plain v1. Any other negotiates, and keeps what the peer
-// agreed to: a negotiation-aware server capped at v1 is already serving
-// classic frames on that very connection. A peer that hangs up on the
+// agreed to: a peer that accepts v1 is already serving classic frames on
+// that very connection. A peer that hangs up on the
 // preamble (a pre-negotiation server reads it as an oversized length
 // header) latches preV2Peer and is redialled plain here; any other I/O
 // failure stays an error so a flaky network cannot silently pin the
@@ -298,7 +266,6 @@ func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 				conn.Close()
 				return nil, err
 			}
-			pc.negotiated = true
 			if agreed >= V2 {
 				pc.version, pc.budget = V2, c.Pool.streamBudget()
 			}

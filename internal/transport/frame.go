@@ -20,6 +20,10 @@ package transport
 // header, decode to ~1.2 GiB — far above MaxFrame — so a pre-negotiation
 // v1 server deterministically rejects it and hangs up instead of
 // stalling. The client's fallback path keys on exactly that hangup.
+//
+// Trace context travels only in the v2 frame header. A v1 request is
+// op‖body and nothing else, so on a v1 connection a trace ends at the
+// process boundary.
 
 import (
 	"encoding/binary"
@@ -190,8 +194,35 @@ func writeV2Frame(w io.Writer, f v2Frame, head []byte) (int, error) {
 	return writeSplit(w, buf, f.Payload)
 }
 
+// writeFramed sends f in the given framing: as a v2 frame, or as a v1
+// frame carrying head‖f.Payload alone — v1 names no type, stream or trace
+// context.
+func writeFramed(w io.Writer, version byte, f v2Frame, head []byte) (int, error) {
+	if version < V2 {
+		return writeFrame(w, head, f.Payload)
+	}
+	return writeV2Frame(w, f, head)
+}
+
+// readFramed receives one frame of type want in the given framing and
+// reports its size on the wire. A v1 frame is returned as a want frame on
+// stream 0 with no trace context; a v2 frame of another type is a
+// protocol violation.
+func readFramed(r io.Reader, version, want byte) (f v2Frame, wire int, err error) {
+	if version < V2 {
+		var payload []byte
+		payload, err = readFrame(r)
+		return v2Frame{Type: want, Payload: payload}, 4 + len(payload), err
+	}
+	f, err = readV2Frame(r)
+	if err == nil && f.Type != want {
+		err = fmt.Errorf("%w: unexpected frame type 0x%02x", ErrProtocol, f.Type)
+	}
+	return f, f.wireLen(), err
+}
+
 // readV2Frame receives and validates one v2 frame. The frame's Payload
-// aliases a buffer allocated for this frame alone (see readFrameBody).
+// aliases a buffer allocated for this frame alone (see readFrame).
 func readV2Frame(r io.Reader) (v2Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

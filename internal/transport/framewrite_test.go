@@ -1,10 +1,10 @@
 package transport
 
-// Wire compatibility of the frame writers. refEncodeResponse,
-// refWriteFrame and refWriteV2Frame are the concatenating encoders this
-// package used before a frame was written as header + body without
-// joining them; they stay here as the reference the writers must match
-// byte for byte, on both sides of coalesceMax.
+// Wire compatibility of the frame writers. refEncodeRequest,
+// refEncodeResponse, refWriteFrame and refWriteV2Frame are the
+// concatenating encoders this package used before a frame was written as
+// header + body without joining them; they stay here as the reference
+// the writers must match byte for byte, on both sides of coalesceMax.
 
 import (
 	"bytes"
@@ -18,6 +18,15 @@ import (
 	"globedoc/internal/enc"
 	"globedoc/internal/telemetry"
 )
+
+// refEncodeRequest is the joined request envelope, op‖body, as an
+// untraced client sent it before requests were written as head + body.
+func refEncodeRequest(op string, body []byte) []byte {
+	w := enc.NewWriter(16 + len(op) + len(body))
+	w.String(op)
+	w.BytesPrefixed(body)
+	return w.Bytes()
+}
 
 func refEncodeResponse(body []byte, callErr error) []byte {
 	w := enc.NewWriter(16 + len(body))
@@ -142,17 +151,47 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			checkDecodedResponse(t, "v2 "+name, f.Payload, body, callErr)
 		}
 
-		// Requests: the whole envelope is the frame's body.
-		req := encodeRequest("obj.getelement", body, telemetry.SpanContext{})
-		sameFrame(t, fmt.Sprintf("v1 request, %d bytes", size), len(req),
-			func(w io.Writer) (int, error) { return writeFrame(w, nil, req) },
-			func(w io.Writer) error { return refWriteFrame(w, req) })
-		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
-			f := v2Frame{Type: frameRequest, StreamID: 3, Payload: req, Trace: sc}
-			sameFrame(t, fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid()), len(req),
-				func(w io.Writer) (int, error) { return writeV2Frame(w, f, nil) },
-				func(w io.Writer) error { return refWriteV2Frame(w, f) })
+		// Requests: head (op + body length) and body, as the client
+		// writes them, against the joined envelope.
+		const op = "obj.getelement"
+		head, envelope := requestHead(op, len(body)), refEncodeRequest(op, body)
+		name := fmt.Sprintf("v1 request, %d bytes", size)
+		wire := sameFrame(t, name, len(body),
+			func(w io.Writer) (int, error) { return writeFrame(w, head, body) },
+			func(w io.Writer) error { return refWriteFrame(w, envelope) })
+		payload, err := readFrame(wire)
+		if err != nil {
+			t.Fatalf("%s: reading the frame back: %v", name, err)
 		}
+		checkDecodedRequest(t, name, payload, op, body)
+		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
+			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
+			wire := sameFrame(t, name, len(body),
+				func(w io.Writer) (int, error) {
+					return writeV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: body, Trace: sc}, head)
+				},
+				func(w io.Writer) error {
+					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
+				})
+			f, err := readV2Frame(wire)
+			if err != nil {
+				t.Fatalf("%s: reading the frame back: %v", name, err)
+			}
+			if f.Trace != sc {
+				t.Fatalf("%s: decoded trace %+v, want %+v", name, f.Trace, sc)
+			}
+			checkDecodedRequest(t, name, f.Payload, op, body)
+		}
+	}
+}
+
+// checkDecodedRequest asserts decode∘encode is the identity on a request
+// envelope.
+func checkDecodedRequest(t *testing.T, name string, payload []byte, op string, body []byte) {
+	t.Helper()
+	gotOp, got, err := decodeRequest(payload)
+	if err != nil || gotOp != op || !bytes.Equal(got, body) {
+		t.Fatalf("%s: decoded %q with %d bytes, err %v; want %q with the %d sent", name, gotOp, len(got), err, op, len(body))
 	}
 }
 
@@ -170,6 +209,20 @@ func checkDecodedResponse(t *testing.T, name string, payload, body []byte, callE
 	}
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("%s: decoded %d bytes, err %v; want the %d sent", name, len(got), err, len(body))
+	}
+}
+
+// A request envelope is op‖body and nothing after it: the trace-context
+// trailer older v1 clients could append is refused like any other
+// trailing byte.
+func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
+	envelope := refEncodeRequest("obj.getelement", []byte("body"))
+	trailer := appendTraceExt(nil, telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true})
+	for _, extra := range [][]byte{{0}, trailer} {
+		payload := append(append([]byte(nil), envelope...), extra...)
+		if op, body, err := decodeRequest(payload); err == nil {
+			t.Errorf("%d trailing bytes accepted as op %q, body %q", len(extra), op, body)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package transport
 
-// Fuzz targets for the v2 wire surface an untrusted peer controls: the
-// multiplexed frame decoder and the version-negotiation preamble parser.
-// Both are driven from raw bytes exactly as they arrive off a
-// connection; the properties checked are memory-safety (no panics, no
-// unbounded allocation) and encode/decode round-trip consistency.
+// Fuzz targets for the wire surface an untrusted peer controls: the
+// multiplexed frame decoder, the version-negotiation preamble parser and
+// the request envelope as a server reads it off a v1 frame. All are
+// driven from raw bytes exactly as they arrive off a connection; the
+// properties checked are memory-safety (no panics, no unbounded
+// allocation) and encode/decode round-trip consistency.
 
 import (
 	"bytes"
@@ -99,6 +100,60 @@ func FuzzFrameDecode(f *testing.F) {
 		consumed := 4 + binary.BigEndian.Uint32(data[:4])
 		if !bytes.Equal(buf.Bytes(), data[:consumed]) {
 			t.Fatalf("round-trip mismatch:\n in %x\nout %x", data[:consumed], buf.Bytes())
+		}
+	})
+}
+
+func FuzzRequestDecode(f *testing.F) {
+	// Request frames as clients write them — envelope head apart from
+	// the body — coalesced and split, and the traps: the trace-context
+	// trailer older v1 clients appended (with a valid and a reserved
+	// trace-flag byte), a non-canonical length, a body longer than the
+	// frame, a truncated frame and an absurd length prefix.
+	// req frames op‖body followed, inside the same frame, by extra.
+	req := func(op string, body []byte, extra ...byte) []byte {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, requestHead(op, len(body)), append(body, extra...)); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	trailer := func(flags byte) []byte {
+		ext := appendTraceExt(nil, telemetry.SpanContext{TraceID: 42, SpanID: 43})
+		ext[traceExtLen-1] = flags
+		return ext
+	}
+	f.Add(req("obj.getelement", []byte("index.html")))
+	f.Add(req("", nil))
+	f.Add(req("obj.install", make([]byte, coalesceMax+1)))
+	f.Add(req("echo", []byte("traced"), trailer(traceFlagSampled)...))
+	f.Add(req("echo", []byte("traced"), trailer(0x02)...))
+	f.Add([]byte{0, 0, 0, 3, 0x80, 0x00, 0})         // non-canonical op length
+	f.Add([]byte{0, 0, 0, 4, 1, 'x', 9, 'y'})        // body length beyond the frame
+	f.Add([]byte{0, 0, 0, 9, 4, 'e', 'c', 'h', 'o'}) // truncated frame
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // absurd length prefix
+	f.Add([]byte("GD\xF2\x02"))                      // a preamble is not a request
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("readFrame(%x) = unexpected error class %v", data, err)
+			}
+			return
+		}
+		op, body, err := decodeRequest(payload)
+		if err != nil {
+			return // refused, not panicked
+		}
+		// Round-trip: re-encoding an accepted request reproduces the
+		// consumed bytes, so the server saw exactly what was sent.
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, requestHead(op, len(body)), body); err != nil {
+			t.Fatalf("re-encoding accepted request: %v", err)
+		}
+		if consumed := data[:4+len(payload)]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("round-trip mismatch:\n in %x\nout %x", consumed, buf.Bytes())
 		}
 	})
 }

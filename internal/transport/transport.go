@@ -10,17 +10,28 @@
 // Two framings carry that exchange: the classic v1 frame, one call at a
 // time per connection, and the negotiated v2 frame, which names a stream
 // so many calls interleave on one connection (frame.go). The client keeps
-// one bounded pool of connections for both (pool.go, conn.go). A hard
-// frame-size limit defends against malicious peers — remember that
-// GlobeDoc clients routinely talk to untrusted servers.
+// one bounded pool of connections for both (pool.go, conn.go) and the
+// server one request loop for both. A hard frame-size limit defends
+// against malicious peers — remember that GlobeDoc clients routinely talk
+// to untrusted servers.
+//
+// This package is the only layer that knows about older peers. Two
+// things are remembered per Client, and nothing else: that the peer hung
+// up on the v2 preamble (it predates negotiation, so every later
+// connection is dialled as v1), and which operations the peer refused as
+// unknown (it predates them, so later calls return that refusal without a
+// round trip). Callers fall back on IsUnknownOp and keep no latch of
+// their own.
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"strconv"
 	"strings"
@@ -59,12 +70,13 @@ func (e *RemoteError) Error() string {
 // unknownOpPrefix starts the error message a Server returns for an
 // unregistered operation. IsUnknownOp matches on it, so it is part of the
 // wire contract: clients probe for newer operations (e.g. loc.lookup2)
-// and latch a fallback when the peer predates them.
+// and fall back when the peer predates them.
 const unknownOpPrefix = "unknown operation "
 
 // IsUnknownOp reports whether err is a remote refusal for an operation
 // the serving process does not implement — the signal version-probing
-// clients use to fall back to an older wire operation.
+// clients use to fall back to an older wire operation. A Client remembers
+// such a refusal, so the probe costs one round trip per client.
 func IsUnknownOp(err error) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && strings.HasPrefix(re.Message, unknownOpPrefix)
@@ -129,26 +141,18 @@ func writeFrame(w io.Writer, head, body []byte) (int, error) {
 }
 
 // readFrame receives one length-prefixed payload.
+//
+// Ownership: the buffer a frame is read into (here and in readV2Frame)
+// is allocated for that frame, handed to exactly one call and never
+// pooled or reused. That is what lets everything decoded from it —
+// decodeRequest's and decodeResponse's body, the element
+// object.DecodeElement cuts out of that — alias it instead of copying.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	return readFrameBody(r, hdr[:])
-}
-
-// readFrameBody receives the payload of a v1 frame whose 4-byte length
-// header has already been consumed — the server peeks the first bytes
-// of every connection to detect the v2 negotiation preamble and hands
-// the header here when the peer turned out to speak v1.
-//
-// Ownership: the buffer a frame is read into (here and in readV2Frame)
-// is allocated for that frame, handed to exactly one call and never
-// pooled or reused. That is what lets everything decoded from it —
-// decodeResponse's body, the element object.DecodeElement cuts out of
-// that — alias it instead of copying.
-func readFrameBody(r io.Reader, hdr []byte) ([]byte, error) {
-	n := binary.BigEndian.Uint32(hdr)
+	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -159,43 +163,27 @@ func readFrameBody(r io.Reader, hdr []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeRequest encodes a v1 request envelope. A valid sc is appended
-// as a fixed-width trailing trace-context extension (trace ID, parent
-// span ID, trace flags) after the body — v2 carries the same context in
-// the frame header instead, so v2 requests pass the zero sc here.
-func encodeRequest(op string, body []byte, sc telemetry.SpanContext) []byte {
-	w := enc.NewWriter(16 + len(op) + len(body) + traceExtLen)
+// requestHead encodes a request envelope up to, and not including, its
+// body: the operation name and the body's length prefix. The envelope is
+// head‖body, sent by the frame writers without joining the two parts
+// (see responseHead), so a request body reaches the socket uncopied.
+func requestHead(op string, bodyLen int) []byte {
+	w := enc.NewWriter(2*binary.MaxVarintLen64 + len(op))
 	w.String(op)
-	w.BytesPrefixed(body)
-	if sc.Valid() {
-		w.Uint64(sc.TraceID)
-		w.Uint64(sc.SpanID)
-		var tf byte
-		if sc.Sampled {
-			tf = traceFlagSampled
-		}
-		w.Byte(tf)
-	}
+	w.Uvarint(uint64(bodyLen))
 	return w.Bytes()
 }
 
-func decodeRequest(payload []byte) (op string, body []byte, sc telemetry.SpanContext, err error) {
+// decodeRequest decodes a request envelope, rejecting any trailing byte.
+// The returned body aliases payload (see readFrame).
+func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	r := enc.NewReader(payload)
 	op = r.String()
 	body = r.BytesPrefixed()
-	if r.Err() == nil && r.Remaining() == traceExtLen {
-		// Optional trace-context trailer from a tracing v1 peer.
-		sc.TraceID = r.Uint64()
-		sc.SpanID = r.Uint64()
-		sc.Sampled = r.Byte()&traceFlagSampled != 0
-	}
 	if err := r.Finish(); err != nil {
-		return "", nil, telemetry.SpanContext{}, err
+		return "", nil, err
 	}
-	if sc != (telemetry.SpanContext{}) && !sc.Valid() {
-		return "", nil, telemetry.SpanContext{}, fmt.Errorf("request %q carries trace context with zero trace or span ID", op)
-	}
-	return op, body, sc, nil
+	return op, body, nil
 }
 
 // responseHead encodes a response envelope up to, and not including, its
@@ -217,7 +205,7 @@ func responseHead(bodyLen int, callErr error) []byte {
 }
 
 // decodeResponse decodes a response envelope. The returned body aliases
-// payload (see readFrameBody for why that is safe).
+// payload (see readFrame for why that is safe).
 func decodeResponse(op string, payload []byte) ([]byte, error) {
 	r := enc.NewReader(payload)
 	status := r.Byte()
@@ -254,22 +242,14 @@ type Server struct {
 	// IdleTimeout, when positive, bounds how long a connection may sit
 	// between frames (and how long a response write may take) before the
 	// server drops it — a defence against stalled or half-dead peers
-	// pinning goroutines forever. A v2 connection with streams in flight
+	// pinning goroutines forever. A connection with a handler in flight
 	// is not idle: the timer only runs while no handler is active. Set
 	// before Serve.
 	IdleTimeout time.Duration
-	// MaxVersion caps the protocol version the server will negotiate
-	// (0 = MaxSupportedVersion). V1 yields a negotiation-aware server
-	// that still refuses multiplexing. Set before Serve.
-	MaxVersion byte
-	// DisableNegotiation makes the server behave like a pre-v2 build:
-	// the preamble is read as an oversized v1 length header and the
-	// connection dropped. Compatibility tests use it to stand in for old
-	// deployments. Set before Serve.
-	DisableNegotiation bool
 	// StreamLimit bounds concurrently executing handlers per v2
 	// connection (0 = DefaultServerStreams); excess frames wait in the
-	// read loop, applying backpressure. Set before Serve.
+	// read loop, applying backpressure. A v1 connection's limit is always
+	// one. Set before Serve.
 	StreamLimit int
 	// Telemetry records per-operation serve counts and spans; nil falls
 	// back to the process-wide telemetry.Default(). Set before Serve.
@@ -320,8 +300,9 @@ func (s *Server) Ops() []string {
 }
 
 // Serve accepts connections on l until l is closed or the server is shut
-// down. Each connection is served on its own goroutine; calls on a
-// connection are processed sequentially.
+// down. Each connection is served on its own goroutine; calls on a v1
+// connection are processed sequentially, calls on a v2 connection
+// concurrently up to StreamLimit.
 func (s *Server) Serve(l net.Listener) error {
 	s.listeners.Store(l, struct{}{})
 	defer s.listeners.Delete(l)
@@ -354,18 +335,10 @@ func (s *Server) clock() clock.Clock {
 	return clock.Real
 }
 
-// maxVersion returns the highest protocol version this server will
-// agree to.
-func (s *Server) maxVersion() byte {
-	if s.MaxVersion >= V1 {
-		return s.MaxVersion
-	}
-	return MaxSupportedVersion
-}
-
-// serveConn peeks the connection's first four bytes: a negotiation
-// preamble selects the agreed protocol version, anything else is the
-// length header of a classic v1 frame.
+// serveConn chooses the connection's framing and serves it. The first
+// four bytes decide: a negotiation preamble is answered with the agreed
+// version, anything else is the length header of a classic v1 frame,
+// which the request loop then reads again.
 func (s *Server) serveConn(conn net.Conn) {
 	s.conns.Store(conn, struct{}{})
 	defer s.conns.Delete(conn)
@@ -377,72 +350,32 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	var hdr [4]byte
+	var hdr [preambleLen]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return
 	}
-	if !s.DisableNegotiation {
-		if proposed, ok := parsePreamble(hdr[:]); ok {
-			agreed := s.maxVersion()
-			if proposed < agreed {
-				agreed = proposed
-			}
-			if _, err := conn.Write(clientPreamble(agreed)); err != nil {
-				return
-			}
-			telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(agreed)).Inc()
-			if agreed >= V2 {
-				s.serveV2(conn)
-			} else {
-				s.serveV1(conn, nil)
-			}
-			return
-		}
+	proposed, ok := parsePreamble(hdr[:])
+	if !ok {
+		s.serve(conn, io.MultiReader(bytes.NewReader(hdr[:]), conn), V1)
+		return
 	}
-	s.serveV1(conn, hdr[:])
+	agreed := min(proposed, MaxSupportedVersion)
+	if _, err := conn.Write(clientPreamble(agreed)); err != nil {
+		return
+	}
+	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(agreed)).Inc()
+	s.serve(conn, conn, agreed)
 }
 
-// serveV1 runs the classic one-call-at-a-time loop. preread, when
-// non-nil, is the already-consumed length header of the first frame.
-func (s *Server) serveV1(conn net.Conn, preread []byte) {
-	for {
-		var payload []byte
-		var err error
-		if preread != nil {
-			// The idle deadline for this first frame was armed before
-			// the header was peeked.
-			payload, err = readFrameBody(conn, preread)
-			preread = nil
-		} else {
-			if s.IdleTimeout > 0 {
-				if derr := conn.SetDeadline(s.clock().Now().Add(s.IdleTimeout)); derr != nil {
-					return
-				}
-			}
-			payload, err = readFrame(conn)
-		}
-		if err != nil {
-			return
-		}
-		head, body := s.dispatch(payload, telemetry.SpanContext{})
-		if s.IdleTimeout > 0 {
-			if derr := conn.SetDeadline(s.clock().Now().Add(s.IdleTimeout)); derr != nil {
-				return
-			}
-		}
-		if _, werr := writeFrame(conn, head, body); werr != nil {
-			return
-		}
-	}
-}
-
-// serveV2 runs the multiplexed loop: each request frame is handled on
-// its own goroutine and answered on the stream it arrived on, so one
-// slow handler never blocks responses for its siblings. Any frame that
-// is not a well-formed request — including a re-sent negotiation
-// preamble attempting a mid-connection downgrade — drops the
-// connection.
-func (s *Server) serveV2(conn net.Conn) {
+// serve is the one request loop, for either framing: it reads request
+// frames from r and handles each on its own goroutine, answering on the
+// stream the request arrived on. A v2 connection runs up to StreamLimit
+// handlers at once, so one slow handler never blocks its siblings'
+// responses. A v1 frame names no stream, so a v1 connection runs one
+// handler at a time and its responses leave in request order. Any frame
+// that is not a well-formed request — including a re-sent negotiation
+// preamble attempting a mid-connection downgrade — drops the connection.
+func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 	if s.IdleTimeout > 0 {
 		// Clear the negotiation deadline; from here on reads and writes
 		// are armed separately so a parked handler on one stream cannot
@@ -451,9 +384,12 @@ func (s *Server) serveV2(conn net.Conn) {
 			return
 		}
 	}
-	limit := s.StreamLimit
-	if limit <= 0 {
-		limit = DefaultServerStreams
+	limit := 1
+	if version >= V2 {
+		limit = s.StreamLimit
+		if limit <= 0 {
+			limit = DefaultServerStreams
+		}
 	}
 	sem := make(chan struct{}, limit)
 	var (
@@ -472,11 +408,8 @@ func (s *Server) serveV2(conn net.Conn) {
 				return
 			}
 		}
-		f, err := readV2Frame(conn)
+		f, _, err := readFramed(r, version, frameRequest)
 		if err != nil {
-			return
-		}
-		if f.Type != frameRequest {
 			return
 		}
 		sem <- struct{}{} // backpressure: bound concurrent handlers
@@ -491,7 +424,7 @@ func (s *Server) serveV2(conn net.Conn) {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				_, werr = writeV2Frame(conn, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: body}, head)
+				_, werr = writeFramed(conn, version, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: body}, head)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -513,17 +446,11 @@ func (s *Server) serveV2(conn net.Conn) {
 // body, which is written to the connection as returned — a handler
 // answers with bytes it will not modify afterwards (the object server's
 // precomputed wire tables are replaced whole, never edited in place).
-// Shared by the v1 loop and every v2 stream.
-// frameTrace is the span context a v2 frame header carried (the zero
-// value for v1, whose context rides in the request envelope instead);
-// either way, a valid incoming context is adopted so the rpc.serve span
-// — and every handler span under it — exports with the caller's trace
-// ID.
-func (s *Server) dispatch(payload []byte, frameTrace telemetry.SpanContext) (head, resp []byte) {
-	op, body, sc, err := decodeRequest(payload)
-	if frameTrace.Valid() {
-		sc = frameTrace
-	}
+// sc is the span context the v2 frame header carried (v1 carries none);
+// a valid one is adopted so the rpc.serve span — and every handler span
+// under it — exports with the caller's trace ID.
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head, resp []byte) {
+	op, body, err := decodeRequest(payload)
 	var respBody []byte
 	if err == nil {
 		s.mu.RLock()
@@ -626,6 +553,11 @@ type Client struct {
 	// preamble — what a server older than negotiation does — so every
 	// later connection is dialled as plain v1 (see dialConn).
 	preV2Peer atomic.Bool
+	// refused maps each operation the peer refused as unknown to that
+	// refusal, which every later call of the operation returns without a
+	// round trip (see Call). The map is replaced under mu, never edited,
+	// so calls read it without a lock.
+	refused atomic.Pointer[map[string]error]
 
 	mu      sync.Mutex
 	conns   []*poolConn   // live pooled connections, of either framing
@@ -698,7 +630,16 @@ type Config struct {
 // Addr is set — except attempts that failed only because ctx was
 // already cancelled or past its deadline, which say nothing about the
 // replica and are not held against it.
+//
+// Once the peer has refused op as unknown (IsUnknownOp), every later
+// call of op on this client returns that same refusal at once: it
+// reaches no server and records no span, counter or health sample.
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
+	if refused := c.refused.Load(); refused != nil {
+		if refusal, ok := (*refused)[op]; ok {
+			return nil, refusal
+		}
+	}
 	if ctx == nil {
 		//lint:ignore ctxfirst nil-ctx compatibility: legacy callers predate the ctx-first API and a nil ctx must mean "no cancellation", not a panic
 		ctx = context.Background()
@@ -763,9 +704,24 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	sp.End()
 	tel.RPCCalls.With(op, outcome).Inc()
 	if err != nil {
+		if IsUnknownOp(err) {
+			c.refuse(op, err)
+		}
 		return nil, err
 	}
 	return resp, nil
+}
+
+// refuse remembers the peer's unknown-operation refusal of op.
+func (c *Client) refuse(op string, refusal error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := map[string]error{}
+	if old := c.refused.Load(); old != nil {
+		next = maps.Clone(*old)
+	}
+	next[op] = refusal
+	c.refused.Store(&next)
 }
 
 // attempt performs one complete call attempt: reserve a stream on a
