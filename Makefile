@@ -65,6 +65,7 @@ FUZZ_TARGETS = \
 	internal/document:FuzzExtractLinks \
 	internal/lint:FuzzLintSuppression \
 	internal/naming:FuzzUnmarshalChain \
+	internal/object:FuzzObjectDecode \
 	internal/policy:FuzzParse \
 	internal/server:FuzzUnmarshalBundle \
 	internal/server:FuzzDeltaDecode \

@@ -127,6 +127,7 @@ func NewMaliciousServer(mode Mode, state ReplicaState) *MaliciousServer {
 	m.srv.Handle(object.OpGetNameCerts, m.handleGetNameCerts)
 	m.srv.Handle(object.OpGetElement, m.handleGetElement)
 	m.srv.Handle(object.OpGetElements, m.handleGetElements)
+	m.srv.Handle(object.OpBind, m.handleBind)
 	m.srv.Handle(object.OpListElements, m.handleList)
 	m.srv.Handle(object.OpVersion, m.handleVersion)
 	return m
@@ -273,6 +274,37 @@ func (m *MaliciousServer) handleGetElements(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return object.EncodeElementsResponse(m.batch(names)), nil
+}
+
+// handleBind answers obj.bind with the step handlers' lies, section by
+// section: handleGetKey's key, handleGetNameCerts' and handleGetCert's
+// certificates, and a batch of elementWire's elements — so every mode
+// reaches a client whichever way it binds. A liar owes no honesty about
+// freshness, so the request's clock reading is ignored.
+func (m *MaliciousServer) handleBind(body []byte) ([]byte, error) {
+	req, err := object.DecodeBindRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	// The step handlers never fail: their error results are the Handler
+	// signature's.
+	key, _ := m.handleGetKey(nil)
+	icert, _ := m.handleGetCert(nil)
+	var nameCerts []byte
+	if req.NameCerts {
+		nameCerts, _ = m.handleGetNameCerts(nil)
+	}
+	names := req.Names
+	if req.All {
+		names = m.current().Doc.Names()
+	}
+	return object.EncodeBindReply(key, nameCerts, icert, m.batch(names)), nil
+}
+
+// batch answers names with elementWire's lies, declining what it cannot
+// serve.
+func (m *MaliciousServer) batch(names []string) []object.BatchWireItem {
 	items := make([]object.BatchWireItem, 0, len(names))
 	for _, name := range names {
 		it := object.BatchWireItem{Name: name}
@@ -284,7 +316,7 @@ func (m *MaliciousServer) handleGetElements(body []byte) ([]byte, error) {
 		}
 		items = append(items, it)
 	}
-	return object.EncodeElementsResponse(items), nil
+	return items
 }
 
 func (m *MaliciousServer) handleList(body []byte) ([]byte, error) {

@@ -31,7 +31,7 @@ type MultiplexResult struct {
 	// pipeline plus one element round trip.
 	SingleCold Phase `json:"single_cold"`
 	// BatchCold fetches all elements from cold bindings: the same
-	// pipeline plus ONE GetElements exchange carrying every element.
+	// pipeline, whose one obj.bind exchange carries every element.
 	BatchCold Phase `json:"batch_cold"`
 	// SerialCold is the ablation: batch fetch disabled and one fetch
 	// worker, so every element pays its own round trip in sequence.
@@ -71,8 +71,8 @@ const (
 //
 //   - single: fetch one element — the secure pipeline plus one element
 //     round trip, the baseline;
-//   - batch: FetchAll over the v2 transport — the same pipeline plus a
-//     single GetElements exchange carrying all 16 elements;
+//   - batch: FetchAll over the v2 transport — the same pipeline, whose
+//     one obj.bind exchange carries all 16 elements;
 //   - serial: FetchAll with DisableBatchFetch and one worker — every
 //     element pays its own sequential round trip, the pre-v2 cost.
 //
@@ -154,7 +154,7 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		}
 		return toPhase(samples), content, nil
 	}
-	// Batched: one GetElements exchange per sample. Serial ablation:
+	// Batched: one obj.bind exchange carries the elements. Serial ablation:
 	// individual sequential GetElement calls.
 	var content, serialContent map[string][]byte
 	if res.BatchCold, content, err = fetchAllCold("batch", batched); err != nil {

@@ -18,12 +18,13 @@ import (
 
 // Allocation budgets of the fetch plan's two operations, in heap objects
 // per call across the whole process (the replica's serving side
-// included): the counts of the two separate element paths the plan
-// replaced (431 and 571, identical over repeated runs, and unchanged by
-// the plan) plus 2 %, so a toolchain difference does not flake.
+// included): the counts of a cold binding made in one obj.bind exchange
+// (256 and 372, identical over repeated runs; the step-RPC binding it
+// replaced took 431 and 571) plus 2 %, so a toolchain difference does
+// not flake.
 const (
-	coldFetchAllocBudget    = 439
-	coldFetchAllAllocBudget = 582
+	coldFetchAllocBudget    = 261
+	coldFetchAllAllocBudget = 379
 )
 
 func TestFetchPlanAllocationBudget(t *testing.T) {

@@ -18,6 +18,13 @@
 //  7. verify authenticity (hash), consistency (requested name) and
 //     freshness (validity interval).
 //
+// The steps are checks, not messages. A cold binding collects every byte
+// they check — key, certificates, and the element bytes the operation
+// wants — in one obj.bind exchange after the connection's version
+// negotiation, then runs the checks in order over what it holds. Against
+// a replica that predates obj.bind it collects the same bytes with one
+// step RPC each; the checks are the same code either way.
+//
 // Every fetch is traced as one span tree: a root fetch.secure span with
 // one child per pipeline step (the 14 steps of PipelineSteps; DESIGN.md
 // §8 maps them to the paper's Figure 3). The per-phase Timing the
@@ -27,8 +34,9 @@
 // Fetch (one element) and FetchAll (the whole document) run one fetch
 // plan: bind; decide each wanted element's certificate entry and its
 // freshness before any byte moves; take the bytes from one source — the
-// verified-content cache, FetchAll's batch prefill, or one GetElement;
-// verify; deliver. A failed attempt gets one recovery decision, the same
+// verified-content cache, the prefill that came with the bind or with
+// FetchAll's batch, or one GetElement; verify; deliver. A failed attempt
+// gets one recovery decision, the same
 // for both: a certificate that lapsed on a warm binding is refreshed, a
 // replica that fails or tampers is abandoned for the next candidate, and
 // anything else is rejected. A compromised or dead nearest replica thus
@@ -79,7 +87,7 @@ const (
 	StepNameResolve        = "name.resolve"                // 1: hybrid name -> OID
 	StepBindingCache       = "binding.cache"               // 2: verified-binding cache consult
 	StepLocationLookup     = "location.lookup"             // 3: OID -> contact addresses
-	StepDial               = "replica.dial"                // 4: connect + liveness ping
+	StepDial               = "replica.dial"                // 4: connect + version negotiation
 	StepKeyFetch           = "key.fetch"                   // 5: retrieve object public key
 	StepKeyVerify          = "key.verify"                  // 6: SHA-1(key) == OID
 	StepNameCertFetch      = "namecert.fetch"              // 7: retrieve identity certificates
@@ -92,12 +100,20 @@ const (
 	StepVerifyFreshness    = "element.verify.freshness"    // 14: validity interval covers now
 )
 
-// StepBatchFetch is the span recorded when FetchAll retrieves the
-// document's not-yet-cached elements in one batched GetElements exchange
-// (transport v2 pipelines it over one connection). Each element served
-// from the batch credits an amortized share of the exchange to its
-// Timing.ElementFetch; verification still runs per element.
+// StepBatchFetch is the span recorded when FetchAll retrieves, in one
+// batched GetElements exchange, the elements neither the verified-content
+// cache nor the bind reply holds (transport v2 pipelines it over one
+// connection). Each element served from the batch credits an amortized
+// share of the exchange to its Timing.ElementFetch; verification still
+// runs per element.
 const StepBatchFetch = "fetch.batch"
+
+// StepBindFetch is the span recorded when a cold binding collects the
+// bytes steps 6, 8, 10 and 12–14 check in one obj.bind exchange. Steps 5,
+// 7, 9 and 11 then record source=bind spans, each crediting its byte
+// share of the exchange to its Timing field — the batch's amortized
+// share, apportioned by bytes.
+const StepBindFetch = "bind.fetch"
 
 // StepVCacheLookup is the span recorded when the verified-content cache
 // is consulted for a certificate-fresh element hash (Options.VCache).
@@ -293,6 +309,16 @@ func (p *pipeline) step(name string, field *time.Duration, f func() error) error
 		*field += sp.Duration()
 	}
 	return err
+}
+
+// credit records step name as served by an exchange made for several
+// steps — source names it: "bind" or "batch" — and credits the step's
+// share of that exchange's time to field.
+func (p *pipeline) credit(name, source string, field *time.Duration, share time.Duration) {
+	sp := p.root.StartChild(name)
+	sp.Annotate("source", source)
+	sp.End()
+	*field += share
 }
 
 // fresh returns a pipeline sharing this one's trace but with zeroed
@@ -505,16 +531,18 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 // §9, "Fetch plan"):
 //
 //  1. bind: cached, shared through singleflight, or established past the
-//     replicas excluded so far;
+//     replicas excluded so far — a binding this operation establishes
+//     brings the wanted elements' bytes with it, the prefill;
 //  2. decide each wanted name's certificate entry and its freshness
 //     before any byte moves (entryFor);
 //  3. take the bytes from exactly one source: the verified-content
-//     cache, else the batch prefill, else one GetElement (element);
+//     cache, else the prefill, else one GetElement (element);
 //  4. verifyElement, then deliver (element);
 //  5. on failure, make the one recovery decision (recover).
 //
 // Fetch is the one-name case, inline; FetchAll wants every name the
-// certificate lists, batches and fans out over workers.
+// certificate lists, batches what the bind did not bring and fans out
+// over workers. Elements wants no name: it binds for the certificate.
 type fetchPlan struct {
 	oid     globeid.OID
 	element string // Fetch's one wanted name
@@ -528,16 +556,16 @@ type fetchPlan struct {
 // run is one attempt of the plan over one binding; a failed attempt ends
 // in recover.
 func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded map[string]bool) error {
-	b, err := c.bind(ctx, p, pl.oid, c.now(), excluded)
+	b, pre, err := c.bind(ctx, p, pl, c.now(), excluded)
 	if err != nil {
 		return err
 	}
 	if pl.all {
-		pl.results, err = c.every(ctx, p, b)
+		pl.results, err = c.every(ctx, p, b, pre)
 	} else {
 		var entry cert.ElementEntry
 		if entry, err = c.entryFor(p, b, pl.element); err == nil {
-			pl.res, err = c.element(ctx, p, b, entry, nil, 0)
+			pl.res, err = c.element(ctx, p, b, entry, pre)
 		}
 	}
 	if err != nil {
@@ -565,27 +593,39 @@ func (c *Client) entryFor(p *pipeline, b boundFetch, name string) (cert.ElementE
 	return entry, err
 }
 
+// prefill is element bytes a replica has already sent, keyed by name:
+// the bind reply's batch, and FetchAll's GetElements batch. They are
+// untrusted like any other replica bytes — each still runs
+// verifyElement — and travel beside the binding, never inside it.
+type prefill map[string]prefetched
+
+// prefetched is one prefilled element and its share of the exchange that
+// carried it.
+type prefetched struct {
+	elem   document.Element
+	source string // "bind" or "batch"
+	share  time.Duration
+}
+
 // element is steps 3–4 for one entry that entryFor decided fresh: serve
 // its bytes from the verified-content cache, else take them from the
-// batch prefill, else fetch them with one GetElement; verify them; and
-// deliver them into the cache, which copies them in — the caller's Data,
-// the frame buffer the bytes arrived in, stays the caller's to keep or
-// mutate. Prefetched bytes are untrusted like any other replica bytes.
-func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
+// prefill, else fetch them with one GetElement; verify them; and deliver
+// them into the cache, which copies them in — the caller's Data, the
+// frame buffer the bytes arrived in, stays the caller's to keep or
+// mutate.
+func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, pre prefill) (FetchResult, error) {
 	if c.vcache != nil {
 		if res, hit := c.serveCached(p, b, entry); hit {
 			return res, nil
 		}
 	}
-	elem, ok := prefetched[entry.Name]
+	pf, ok := pre[entry.Name]
+	elem := pf.elem
 	if ok {
-		// Served from the batch exchange: credit this element's amortized
-		// slice of the batch duration to ElementFetch so the Figure-4
-		// phase accounting still describes where the time went.
-		sp := p.root.StartChild(StepElementFetch)
-		sp.Annotate("source", "batch")
-		sp.End()
-		p.timing.ElementFetch += batchShare
+		// Credit this element's share of the exchange that carried it to
+		// ElementFetch, so the Figure-4 phase accounting still describes
+		// where the time went.
+		p.credit(StepElementFetch, pf.source, &p.timing.ElementFetch, pf.share)
 	} else {
 		// Step 11: retrieve the page element from the (untrusted) replica.
 		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
@@ -692,8 +732,8 @@ func excluding(set map[string]bool, addr string) map[string]bool {
 
 // boundFetch is what one attempt's element fetches share: its verified
 // binding and how that was come by, and its clock reading. Only verified
-// state belongs here — trustflow tracks taint per object, so the batch
-// prefetch's unverified bytes travel beside it, not inside it.
+// state belongs here — trustflow tracks taint per object, so the
+// prefill's unverified bytes travel beside it, not inside it.
 type boundFetch struct {
 	vb           *verifiedBinding
 	now          time.Time
@@ -704,16 +744,18 @@ type boundFetch struct {
 	owned bool
 }
 
-// bind returns the verified binding oid's fetches run over: the cached
+// bind returns the verified binding pl's fetches run over: the cached
 // one (step 2) when there is one, otherwise one established — or shared
-// with a concurrent fetch of oid — past the excluded replicas.
-func (c *Client) bind(ctx context.Context, p *pipeline, oid globeid.OID, now time.Time, excluded map[string]bool) (boundFetch, error) {
+// with a concurrent fetch of the object — past the excluded replicas. A
+// binding this call established comes with the prefill its bind reply
+// carried; a cached or shared one comes with none.
+func (c *Client) bind(ctx context.Context, p *pipeline, pl *fetchPlan, now time.Time, excluded map[string]bool) (boundFetch, prefill, error) {
 	var cacheSp *telemetry.Span
 	if p.single {
 		cacheSp = p.root.StartChild(StepBindingCache)
 	}
 	b := boundFetch{now: now}
-	b.vb, b.warm = c.cachedBinding(oid, now)
+	b.vb, b.warm = c.cachedBinding(pl.oid, now)
 	if p.single {
 		outcome, counter := "miss", p.tel.BindingCacheMisses
 		if b.warm {
@@ -727,14 +769,15 @@ func (c *Client) bind(ctx context.Context, p *pipeline, oid globeid.OID, now tim
 		}
 		cacheSp.End()
 	}
+	var pre prefill
 	if !b.warm {
 		var err error
-		if b.vb, b.shared, err = c.establishBinding(ctx, p, oid, now, excluded); err != nil {
-			return boundFetch{}, err
+		if b.vb, pre, b.shared, err = c.establishBinding(ctx, p, pl, now, excluded); err != nil {
+			return boundFetch{}, nil, err
 		}
 		b.owned = !b.shared && !c.cacheBindings
 	}
-	return b, nil
+	return b, pre, nil
 }
 
 // release ends the operation's use of the binding, on every exit that
@@ -805,17 +848,19 @@ func (c *Client) verifyElement(p *pipeline, vb *verifiedBinding, element string,
 	return entry, nil
 }
 
-// establish performs phases 2–5: locate candidate replicas, then for
-// each (nearest first) connect, self-certify the key, optionally certify
-// identity, and verify the integrity certificate. A replica that fails
-// ANY check — unreachable or malicious — is abandoned (counted in
-// failovers_total) and the next candidate is tried, so a compromised
-// near replica degrades a fetch to the next-nearest honest one rather
-// than to an error. Only when every candidate fails does the fetch fail
-// (the paper's worst case: denial of service), with the cause wrapped in
-// ErrBindingFailed. Every run counts into binding_pipeline_runs_total —
-// the singleflight dedupe assertions read it.
-func (c *Client) establish(ctx context.Context, p *pipeline, oid globeid.OID, now time.Time, excluded map[string]bool) (*verifiedBinding, error) {
+// establish performs phases 2–5 for pl's object: locate candidate
+// replicas, then for each (nearest first) connect, collect what it
+// presents, self-certify the key, optionally certify identity, and
+// verify the integrity certificate. A replica that fails ANY check —
+// unreachable or malicious — is abandoned (counted in failovers_total)
+// and the next candidate is tried, so a compromised near replica degrades
+// a fetch to the next-nearest honest one rather than to an error. Only
+// when every candidate fails does the fetch fail (the paper's worst case:
+// denial of service), with the cause wrapped in ErrBindingFailed. Every
+// run counts into binding_pipeline_runs_total — the singleflight dedupe
+// assertions read it.
+func (c *Client) establish(ctx context.Context, p *pipeline, pl *fetchPlan, now time.Time, excluded map[string]bool) (*verifiedBinding, prefill, error) {
+	oid := pl.oid
 	p.tel.PipelineRuns.Inc()
 	var candidates []location.ContactAddress
 	err := p.step(StepLocationLookup, &p.timing.Bind, func() error {
@@ -824,7 +869,7 @@ func (c *Client) establish(ctx context.Context, p *pipeline, oid globeid.OID, no
 		return lerr
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBindingFailed, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrBindingFailed, err)
 	}
 	// The Selector is the one ranking code path: it orders the location
 	// service's candidates (by health, RTT and zone metadata for the
@@ -847,7 +892,7 @@ func (c *Client) establish(ctx context.Context, p *pipeline, oid globeid.OID, no
 			lastErr = ctx.Err()
 			break
 		}
-		vb, err := c.verifyReplica(ctx, p, oid, ca.Address, now)
+		vb, pre, err := c.verifyReplica(ctx, p, pl, ca.Address, now)
 		if err != nil {
 			lastErr = err
 			p.tel.Failovers.Inc()
@@ -859,15 +904,17 @@ func (c *Client) establish(ctx context.Context, p *pipeline, oid globeid.OID, no
 			p.tel.Health.RecordFailure(ca.Address)
 			continue
 		}
-		return vb, nil
+		return vb, pre, nil
 	}
-	return nil, fmt.Errorf("%w: %w", ErrBindingFailed, lastErr)
+	return nil, nil, fmt.Errorf("%w: %w", ErrBindingFailed, lastErr)
 }
 
-// verifyReplica runs phases 2b–5 against one replica address. The timing
-// phases record the most recent attempt; Bind accumulates across
-// attempts.
-func (c *Client) verifyReplica(ctx context.Context, p *pipeline, oid globeid.OID, addr string, now time.Time) (*verifiedBinding, error) {
+// verifyReplica runs phases 2b–5 against one replica address: connect,
+// collect (steps 5, 7 and 9, and the prefill), then the checks of steps
+// 6, 8 and 10 in order. The timing phases record the most recent
+// attempt; Bind accumulates across attempts.
+func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, addr string, now time.Time) (*verifiedBinding, prefill, error) {
+	oid := pl.oid
 	// Most-recent-attempt semantics: a previous failed candidate's phase
 	// times are discarded; only Bind keeps accumulating.
 	p.timing.KeyFetch, p.timing.KeyVerify = 0, 0
@@ -882,50 +929,35 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, oid globeid.OID
 		return derr
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	client.Site = c.Binder.Site
 
-	fail := func(phase string, cause error) (*verifiedBinding, error) {
-		client.Close()
-		return nil, c.secErr(phase, cause)
-	}
-
-	// Steps 5–6: retrieve the object's public key and self-certify it.
-	var pk keys.PublicKey
-	err = p.step(StepKeyFetch, &p.timing.KeyFetch, func() error {
-		var kerr error
-		pk, kerr = client.GetPublicKey(ctx)
-		return kerr
-	})
+	cl, pre, err := c.collect(ctx, p, client, pl, now)
 	if err != nil {
 		client.Close()
-		return nil, fmt.Errorf("core: fetching object key: %w", err)
+		return nil, nil, err
 	}
+	fail := func(phase string, cause error) (*verifiedBinding, prefill, error) {
+		client.Close()
+		return nil, nil, c.secErr(phase, cause)
+	}
+
+	// Step 6: self-certify the object's public key.
 	err = p.step(StepKeyVerify, &p.timing.KeyVerify, func() error {
-		return oid.Verify(pk)
+		return oid.Verify(cl.key)
 	})
 	if err != nil {
 		return fail("self-certification", err)
 	}
 
-	// Steps 7–8 (optional): identity certificates against the user's CAs.
+	// Step 8 (optional): identity certificates against the user's CAs.
 	certifiedAs := ""
 	if c.trust != nil {
-		var nameCerts []*cert.NameCertificate
-		err = p.step(StepNameCertFetch, &p.timing.NameCertFetch, func() error {
-			var nerr error
-			nameCerts, nerr = client.GetNameCerts(ctx)
-			return nerr
-		})
-		if err != nil {
-			client.Close()
-			return nil, fmt.Errorf("core: fetching identity certificates: %w", err)
-		}
 		var subject string
 		err = p.step(StepNameCertVerify, &p.timing.NameCertVerify, func() error {
 			var verr error
-			subject, verr = c.trust.FirstTrusted(nameCerts, oid, now)
+			subject, verr = c.trust.FirstTrusted(cl.nameCerts, oid, now)
 			return verr
 		})
 		if err == nil {
@@ -935,27 +967,18 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, oid globeid.OID
 		}
 	}
 
-	// Steps 9–10: integrity certificate, verified under the object key.
-	var icert *cert.IntegrityCertificate
-	err = p.step(StepCertFetch, &p.timing.CertFetch, func() error {
-		var cerr error
-		icert, cerr = client.GetIntegrityCert(ctx)
-		return cerr
-	})
-	if err != nil {
-		client.Close()
-		return nil, fmt.Errorf("core: fetching integrity certificate: %w", err)
-	}
+	// Step 10: the integrity certificate, verified under the object key.
+	icert := cl.icert
 	err = p.step(StepCertVerify, &p.timing.CertVerify, func() error {
 		if c.vcache != nil {
 			// Memoized verification: identical certificate signatures are
 			// checked once per validity window, concurrent misses share
 			// one in-flight check (signature_cache_hits_total).
-			return icert.VerifySignatureUsing(oid, pk, func(k keys.PublicKey, message, sig []byte) error {
+			return icert.VerifySignatureUsing(oid, cl.key, func(k keys.PublicKey, message, sig []byte) error {
 				return c.vcache.VerifySignature(k, message, sig, icert.MaxExpiry(), now)
 			})
 		}
-		return icert.VerifySignature(oid, pk)
+		return icert.VerifySignature(oid, cl.key)
 	})
 	if err != nil {
 		return fail("integrity-certificate", err)
@@ -963,10 +986,139 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, oid globeid.OID
 
 	return &verifiedBinding{
 		client:      client,
-		key:         pk,
+		key:         cl.key,
 		icert:       icert,
 		certifiedAs: certifiedAs,
-	}, nil
+	}, pre, nil
+}
+
+// claims is what a replica presents for steps 6, 8 and 10: its object
+// key, its identity certificates (collected only when the user trusts
+// some CA) and its integrity certificate — unverified until those steps
+// pass.
+type claims struct {
+	key       keys.PublicKey
+	nameCerts []*cert.NameCertificate
+	icert     *cert.IntegrityCertificate
+}
+
+// collect is steps 5, 7 and 9: it takes the replica's claims, and the
+// element bytes pl wants (bindWant) as the plan's prefill, in one
+// obj.bind exchange under a bind.fetch span, then records each step as
+// served by it, credited its byte share of the exchange. A replica that
+// predates obj.bind refuses it — once per client, the transport
+// remembers — and is asked with one step RPC per claim instead.
+func (c *Client) collect(ctx context.Context, p *pipeline, client *object.Client, pl *fetchPlan, now time.Time) (claims, prefill, error) {
+	req := c.bindWant(pl)
+	req.NameCerts, req.At = c.trust != nil, now
+	sp := p.root.StartChild(StepBindFetch)
+	reply, err := client.Bind(ctx, req)
+	if err != nil {
+		sp.Annotate("error", err.Error())
+		sp.End()
+		// A failed exchange carried nothing for the steps: it is a cost of
+		// binding to this replica.
+		p.timing.Bind += sp.Duration()
+		if transport.IsUnknownOp(err) {
+			cl, err := c.collectSteps(ctx, p, client)
+			return cl, nil, err
+		}
+		return claims{}, nil, fmt.Errorf("core: binding: %w", err)
+	}
+	sp.End()
+
+	var cl claims
+	if cl.key, err = keys.UnmarshalPublicKey(reply.Key); err != nil {
+		return claims{}, nil, fmt.Errorf("core: fetching object key: %w", err)
+	}
+	if req.NameCerts {
+		if cl.nameCerts, err = object.DecodeCertList(reply.NameCerts); err != nil {
+			return claims{}, nil, fmt.Errorf("core: fetching identity certificates: %w", err)
+		}
+	}
+	if cl.icert, err = cert.UnmarshalIntegrityCertificate(reply.Cert); err != nil {
+		return claims{}, nil, fmt.Errorf("core: fetching integrity certificate: %w", err)
+	}
+
+	total := len(reply.Key) + len(reply.NameCerts) + len(reply.Cert)
+	for _, it := range reply.Items {
+		total += len(it.Element.Data)
+	}
+	share := func(n int) time.Duration { return sp.Duration() * time.Duration(n) / time.Duration(total) }
+	p.credit(StepKeyFetch, "bind", &p.timing.KeyFetch, share(len(reply.Key)))
+	if req.NameCerts {
+		p.credit(StepNameCertFetch, "bind", &p.timing.NameCertFetch, share(len(reply.NameCerts)))
+	}
+	p.credit(StepCertFetch, "bind", &p.timing.CertFetch, share(len(reply.Cert)))
+
+	var pre prefill
+	for _, it := range reply.Items {
+		if it.Err != nil {
+			continue // declined: the element path fetches it on its own
+		}
+		if pre == nil {
+			pre = make(prefill, len(reply.Items))
+		}
+		pre[it.Name] = prefetched{elem: it.Element, source: "bind", share: share(len(it.Element.Data))}
+	}
+	if req.All && len(pre) > 0 {
+		// FetchAll's batch rode in the bind. A bind that carried no element
+		// is no batch: batchPrefetch's GetElements, if any, is the one.
+		c.tel().BatchFetches.Inc()
+		c.tel().BatchElements.Add(uint64(len(pre)))
+	}
+	return cl, pre, nil
+}
+
+// collectSteps is collect against a replica that predates obj.bind: one
+// step RPC, under its own step span, per claim.
+func (c *Client) collectSteps(ctx context.Context, p *pipeline, client *object.Client) (claims, error) {
+	var cl claims
+	err := p.step(StepKeyFetch, &p.timing.KeyFetch, func() error {
+		var kerr error
+		cl.key, kerr = client.GetPublicKey(ctx)
+		return kerr
+	})
+	if err != nil {
+		return claims{}, fmt.Errorf("core: fetching object key: %w", err)
+	}
+	if c.trust != nil {
+		err = p.step(StepNameCertFetch, &p.timing.NameCertFetch, func() error {
+			var nerr error
+			cl.nameCerts, nerr = client.GetNameCerts(ctx)
+			return nerr
+		})
+		if err != nil {
+			return claims{}, fmt.Errorf("core: fetching identity certificates: %w", err)
+		}
+	}
+	err = p.step(StepCertFetch, &p.timing.CertFetch, func() error {
+		var cerr error
+		cl.icert, cerr = client.GetIntegrityCert(ctx)
+		return cerr
+	})
+	if err != nil {
+		return claims{}, fmt.Errorf("core: fetching integrity certificate: %w", err)
+	}
+	return cl, nil
+}
+
+// bindWant is the element bytes pl asks a cold bind to carry: every
+// element for FetchAll, the one wanted name for Fetch, none for Elements.
+// It asks for none at all while the verified-content cache holds bytes
+// of the object — a certificate refresh then moves only a fresh
+// certificate — or under DisableBatchFetch, whose serial ablation fetches
+// each element on its own.
+func (c *Client) bindWant(pl *fetchPlan) object.BindRequest {
+	switch {
+	case c.noBatchFetch || (c.vcache != nil && c.vcache.Holds(pl.oid)):
+		return object.BindRequest{}
+	case pl.all:
+		return object.BindRequest{All: true}
+	case pl.element != "":
+		return object.BindRequest{Names: []string{pl.element}}
+	}
+	return object.BindRequest{}
 }
 
 // refreshPolicy returns the certificate-refresh retry policy: the
@@ -1090,7 +1242,7 @@ func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementE
 }
 
 func (c *Client) elements(ctx context.Context, p *pipeline, oid globeid.OID) ([]cert.ElementEntry, error) {
-	b, err := c.bind(ctx, p, oid, c.now(), nil)
+	b, _, err := c.bind(ctx, p, &fetchPlan{oid: oid}, c.now(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1119,13 +1271,14 @@ func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, 
 }
 
 // every is FetchAll's attempt over b: every listed name decided fresh up
-// front, one pipelined GetElements exchange for the elements the
-// verified-content cache cannot serve, then the element path fanned out
-// over a bounded worker pool sharing the binding. Each element runs its
-// own fresh pipeline under the fetch.all root span, so per-element spans
-// and Timing stay attributable. The first failure cancels the remaining
-// work and comes back with the ordered verified prefix.
-func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch) ([]FetchResult, error) {
+// front, one pipelined GetElements exchange for the elements neither the
+// verified-content cache nor the bind's prefill pre holds, then the
+// element path fanned out over a bounded worker pool sharing the binding.
+// Each element runs its own fresh pipeline under the fetch.all root span,
+// so per-element spans and Timing stay attributable. The first failure
+// cancels the remaining work and comes back with the ordered verified
+// prefix.
+func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, pre prefill) ([]FetchResult, error) {
 	entries := b.vb.icert.Entries
 	if len(entries) == 0 {
 		return nil, nil
@@ -1135,7 +1288,7 @@ func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch) ([]FetchR
 			return nil, err
 		}
 	}
-	prefetched, batchShare := c.batchPrefetch(ctx, p, b.vb, entries)
+	pre = c.batchPrefetch(ctx, p, b.vb, entries, pre)
 
 	workers := c.fetchWorkers
 	if workers > len(entries) {
@@ -1162,7 +1315,7 @@ func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch) ([]FetchR
 				if i >= len(entries) || gctx.Err() != nil {
 					return
 				}
-				res, err := c.element(gctx, p.fresh(), b, entries[i], prefetched, batchShare)
+				res, err := c.element(gctx, p.fresh(), b, entries[i], pre)
 				out[i] = slot{res: res, err: err, done: true}
 				if err != nil {
 					failOnce.Do(func() {
@@ -1191,29 +1344,27 @@ func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch) ([]FetchR
 	return results, firstErr
 }
 
-// batchPrefetch retrieves the elements the verified-content cache cannot
-// serve in one GetElements exchange over the shared binding, returning
-// the successfully carried elements keyed by name plus the per-element
-// amortized share of the exchange's duration. Every failure mode — a v1
-// server without the batch operation, a transport fault, or per-item
-// declines — degrades to nil/partial prefill; the element path's own
-// GetElement then fetches what is missing, so batching never changes
-// failure semantics, only round trips. The prefetched bytes are NOT
-// trusted: each element still runs the full verification steps with the
-// same phase attribution as a serial fetch.
-func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry) (map[string]document.Element, time.Duration) {
+// batchPrefetch adds to pre, in one GetElements exchange over the shared
+// binding, the elements neither pre nor the verified-content cache holds,
+// each credited an equal share of the exchange's duration, and returns
+// the merged prefill. Every failure mode — a server without the batch
+// operation, a transport fault, or per-item declines — leaves elements
+// out of the prefill; the element path's own GetElement then fetches
+// what is missing, so batching never changes failure semantics, only
+// round trips.
+func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry, pre prefill) prefill {
 	if c.noBatchFetch || len(entries) < 2 {
-		return nil, 0
+		return pre
 	}
-	names := make([]string, 0, len(entries))
+	var names []string
 	for _, e := range entries {
-		if c.vcache != nil && c.vcache.Contains(e.Hash) {
-			continue // the element path's vcache consult will serve it
+		if _, ok := pre[e.Name]; ok || (c.vcache != nil && c.vcache.Contains(e.Hash)) {
+			continue // the prefill or the element path's vcache consult serves it
 		}
 		names = append(names, e.Name)
 	}
 	if len(names) < 2 {
-		return nil, 0
+		return pre
 	}
 	sp := p.root.StartChild(StepBatchFetch)
 	sp.Annotate("elements", strconv.Itoa(len(names)))
@@ -1221,19 +1372,28 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		sp.End()
-		return nil, 0
+		return pre
 	}
 	sp.End()
-	got := make(map[string]document.Element, len(items))
+	got := 0
 	for _, it := range items {
 		if it.Err == nil {
-			got[it.Name] = it.Element
+			got++
 		}
 	}
 	c.tel().BatchFetches.Inc()
-	c.tel().BatchElements.Add(uint64(len(got)))
-	if len(got) == 0 {
-		return nil, 0
+	c.tel().BatchElements.Add(uint64(got))
+	if got == 0 {
+		return pre
 	}
-	return got, sp.Duration() / time.Duration(len(got))
+	if pre == nil {
+		pre = make(prefill, got)
+	}
+	share := sp.Duration() / time.Duration(got)
+	for _, it := range items {
+		if it.Err == nil {
+			pre[it.Name] = prefetched{elem: it.Element, source: "batch", share: share}
+		}
+	}
+	return pre
 }

@@ -77,6 +77,7 @@ var taintSources = []taintRule{
 	{"internal/object", "Client", "GetPublicKey", "key bytes from object.Client.GetPublicKey"},
 	{"internal/object", "Client", "GetIntegrityCert", "integrity cert from object.Client.GetIntegrityCert"},
 	{"internal/object", "Client", "GetNameCerts", "name certs from object.Client.GetNameCerts"},
+	{"internal/object", "Client", "Bind", "key, certificates and element batch from object.Client.Bind"},
 	{"internal/location", "*", "Lookup", "location lookup answer"},
 	{"internal/server", "", "UnmarshalBundle", "unmarshalled publish bundle"},
 	{"internal/server", "", "UnmarshalDeltaReply", "decoded obj.getdelta reply"},

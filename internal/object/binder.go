@@ -91,12 +91,14 @@ func (b *Binder) Candidates(ctx context.Context, oid globeid.OID) ([]location.Co
 	return candidates, res.Rings, nil
 }
 
-// Connect installs a proxy LR talking to the replica at addr, verifying
-// liveness with a ping.
+// Connect installs a proxy LR talking to the replica at addr: it dials
+// and negotiates the connection the proxy's calls will use, and sends no
+// request. A v2 accept already proves the replica alive; a peer that
+// speaks only v1 is proved by its first call.
 func (b *Binder) Connect(ctx context.Context, oid globeid.OID, addr string) (*Client, error) {
 	client := NewClient(oid, addr, b.Dial(addr))
 	client.Transport().Configure(b.Transport)
-	if err := client.Ping(ctx); err != nil {
+	if err := client.Transport().Open(ctx); err != nil {
 		client.Close()
 		return nil, err
 	}

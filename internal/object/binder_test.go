@@ -8,7 +8,9 @@ import (
 	"globedoc/internal/document"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
+	"globedoc/internal/telemetry"
 )
 
 func bindWorld(t *testing.T) (*deploy.World, *deploy.Publication) {
@@ -113,5 +115,32 @@ func TestMaxCandidates(t *testing.T) {
 	binder.MaxCandidates = 1 // only the (dead) nearest one is tried
 	if _, err := binder.Bind(context.Background(), "bind.nl"); err == nil {
 		t.Fatal("Bind succeeded despite MaxCandidates cutoff")
+	}
+}
+
+// TestConnectSendsNoRequest: Connect dials and negotiates the proxy's
+// connection and asks the replica nothing — the v2 accept is the proof
+// of life — and the proxy's first call rides that connection.
+func TestConnectSendsNoRequest(t *testing.T) {
+	w, pub := bindWorld(t)
+	tel := telemetry.New(nil)
+	binder := w.NewBinder(netsim.Paris)
+	binder.Transport.Telemetry = tel
+	client, err := binder.Connect(context.Background(), pub.OID, w.Addrs[netsim.AmsterdamPrimary])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if got := tel.RPCCalls.With(object.OpPing, "ok").Value(); got != 0 {
+		t.Errorf("Connect pinged the replica %d times", got)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d, want the connection Connect opened", got)
+	}
+	if _, err := client.GetElement(context.Background(), "index.html"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.PoolDials.Value(); got != 1 {
+		t.Errorf("Connect and one call dialed %d connections, want 1", got)
 	}
 }

@@ -13,12 +13,20 @@
 // Globe machinery. The GlobeDoc security architecture (internal/core)
 // wraps a bound Client with the self-certification, integrity and
 // freshness pipeline of paper §3.
+//
+// A replica answers one step operation per thing a secure binding checks
+// — the key, the name certificates, the integrity certificate, the
+// elements — and obj.bind, which carries all of them, from one version,
+// in one exchange. The step operations stay for clients that predate
+// obj.bind; a client falls back to them when a replica refuses it.
 package object
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
@@ -45,7 +53,13 @@ const (
 	// multiplexed transport-v2 connection. Servers that predate it
 	// answer "unknown operation" and clients fall back to per-element
 	// calls; the transport remembers the refusal, so a binding asks once.
-	OpGetElements  = "obj.getelements"
+	OpGetElements = "obj.getelements"
+	// OpBind returns, in one exchange and from one version, everything a
+	// secure binding checks — the object key, the integrity certificate
+	// and, when asked, the name certificates — with the element batch the
+	// binding will serve first. Servers that predate it answer "unknown
+	// operation" and clients fall back to the step operations above.
+	OpBind         = "obj.bind"
 	OpListElements = "obj.list"
 	OpVersion      = "obj.version"
 	OpPing         = "obj.ping"
@@ -192,11 +206,25 @@ type BatchItem struct {
 // EncodeElementsResponse encodes a batch response. Items must be in
 // request order — clients verify the echo.
 func EncodeElementsResponse(items []BatchWireItem) []byte {
+	w := enc.NewWriter(itemsSize(items))
+	appendItems(w, items)
+	return w.Bytes()
+}
+
+// itemsSize bounds the encoded size of a batch, so it is written into
+// one buffer without growing it.
+func itemsSize(items []BatchWireItem) int {
 	size := 16
 	for _, it := range items {
 		size += 16 + len(it.Name) + len(it.Wire) + len(it.ErrMsg)
 	}
-	w := enc.NewWriter(size)
+	return size
+}
+
+// appendItems writes a batch: the item count, then per item its name, a
+// status byte and either the element's wire bytes or the decline reason.
+// The element bytes are copied once, into w — the batch's one copy.
+func appendItems(w *enc.Writer, items []BatchWireItem) {
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		w.String(it.Name)
@@ -208,7 +236,6 @@ func EncodeElementsResponse(items []BatchWireItem) []byte {
 			w.BytesPrefixed(it.Wire)
 		}
 	}
-	return w.Bytes()
 }
 
 // DecodeElementsResponse decodes a batch response. Every item's element
@@ -216,6 +243,18 @@ func EncodeElementsResponse(items []BatchWireItem) []byte {
 // the whole reply's buffer reachable until it is released.
 func DecodeElementsResponse(body []byte) ([]BatchItem, error) {
 	r := enc.NewReader(body)
+	items, err := readItems(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return items, nil
+}
+
+// readItems reads a batch written by appendItems.
+func readItems(r *enc.Reader) ([]BatchItem, error) {
 	n := r.Uvarint()
 	if n > maxBatchNames {
 		return nil, fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
@@ -235,10 +274,138 @@ func DecodeElementsResponse(body []byte) ([]BatchItem, error) {
 		}
 		items = append(items, it)
 	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
 	return items, nil
+}
+
+// echoes checks that a batch answers names slot by slot, in order.
+func echoes(items []BatchItem, names []string) error {
+	if len(items) != len(names) {
+		return fmt.Errorf("%w: batch returned %d items for %d names", ErrBadPayload, len(items), len(names))
+	}
+	for i, it := range items {
+		if it.Name != names[i] {
+			return fmt.Errorf("%w: batch item %d answers %q, want %q", ErrBadPayload, i, it.Name, names[i])
+		}
+	}
+	return nil
+}
+
+// BindRequest is one obj.bind request: the object, the client's advisory
+// site hint, and what the reply carries besides the object key and the
+// integrity certificate, which it always carries.
+type BindRequest struct {
+	OID      globeid.OID
+	FromSite string
+	// NameCerts asks for the object's identity certificates.
+	NameCerts bool
+	// All asks for every element the replica holds. Otherwise Names lists
+	// the elements wanted; none asks for the certificates alone.
+	All   bool
+	Names []string
+	// At is the client's clock reading. The reply carries only elements
+	// whose certificate entry is fresh at At, so a certificate that has
+	// lapsed for the client moves no element bytes; the zero time carries
+	// them whatever their validity.
+	At time.Time
+}
+
+// Bind request flags.
+const (
+	bindNameCerts = 1 << iota
+	bindAll
+)
+
+// EncodeBindRequest encodes an obj.bind request.
+func EncodeBindRequest(req BindRequest) []byte {
+	w := enc.NewWriter(globeid.Size + len(req.FromSite) + 24 + 16*len(req.Names))
+	w.Raw(req.OID[:])
+	w.String(req.FromSite)
+	var flags byte
+	if req.NameCerts {
+		flags |= bindNameCerts
+	}
+	if req.All {
+		flags |= bindAll
+	}
+	w.Byte(flags)
+	w.Time(req.At)
+	w.Uvarint(uint64(len(req.Names)))
+	for _, n := range req.Names {
+		w.String(n)
+	}
+	return w.Bytes()
+}
+
+// DecodeBindRequest decodes an obj.bind request. It refuses unknown flag
+// bits and a request for all elements that also lists names, so every
+// accepted request has one encoding.
+func DecodeBindRequest(body []byte) (BindRequest, error) {
+	r := enc.NewReader(body)
+	var req BindRequest
+	copy(req.OID[:], r.Raw(globeid.Size))
+	req.FromSite = r.String()
+	flags := r.Byte()
+	req.At = r.Time()
+	n := r.Uvarint()
+	switch {
+	case flags&^(bindNameCerts|bindAll) != 0:
+		return BindRequest{}, fmt.Errorf("%w: unknown bind flags %#x", ErrBadPayload, flags)
+	case n > maxBatchNames:
+		return BindRequest{}, fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
+	case flags&bindAll != 0 && n > 0:
+		return BindRequest{}, fmt.Errorf("%w: bind asks for all elements and lists %d", ErrBadPayload, n)
+	}
+	req.NameCerts, req.All = flags&bindNameCerts != 0, flags&bindAll != 0
+	if n > 0 {
+		req.Names = make([]string, 0, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		req.Names = append(req.Names, r.String())
+	}
+	if err := r.Finish(); err != nil {
+		return BindRequest{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return req, nil
+}
+
+// BindReply is a decoded obj.bind reply. Every section is the replica's
+// unverified claim and aliases the reply body, as batch elements do (see
+// DecodeElementsResponse).
+type BindReply struct {
+	Key       []byte      // the object key, as keys.PublicKey.Marshal encodes it
+	NameCerts []byte      // the identity certificates, as EncodeCertList encodes them; empty unless asked for
+	Cert      []byte      // the integrity certificate, as its Marshal encodes it
+	Items     []BatchItem // the element batch, as in a GetElements reply
+}
+
+// EncodeBindReply encodes an obj.bind reply from already-encoded
+// sections: the key, name-certificate list and integrity certificate
+// first, then the batch in EncodeElementsResponse's item format. Like
+// that encoder it copies each carried element once, into the reply.
+func EncodeBindReply(key, nameCerts, icert []byte, items []BatchWireItem) []byte {
+	w := enc.NewWriter(3*binary.MaxVarintLen64 + len(key) + len(nameCerts) + len(icert) + itemsSize(items))
+	w.BytesPrefixed(key)
+	w.BytesPrefixed(nameCerts)
+	w.BytesPrefixed(icert)
+	appendItems(w, items)
+	return w.Bytes()
+}
+
+// DecodeBindReply decodes an obj.bind reply. It checks the encoding only;
+// whether the sections are what the request asked for is the caller's
+// check (Client.Bind makes it).
+func DecodeBindReply(body []byte) (BindReply, error) {
+	r := enc.NewReader(body)
+	reply := BindReply{Key: r.BytesPrefixed(), NameCerts: r.BytesPrefixed(), Cert: r.BytesPrefixed()}
+	items, err := readItems(r)
+	if err != nil {
+		return BindReply{}, err
+	}
+	if err := r.Finish(); err != nil {
+		return BindReply{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	reply.Items = items
+	return reply, nil
 }
 
 // EncodeStringList encodes a list of strings.
@@ -384,15 +551,49 @@ func (c *Client) GetElements(ctx context.Context, names []string) ([]BatchItem, 
 	if err != nil {
 		return nil, err
 	}
-	if len(items) != len(names) {
-		return nil, fmt.Errorf("%w: batch returned %d items for %d names", ErrBadPayload, len(items), len(names))
-	}
-	for i, it := range items {
-		if it.Name != names[i] {
-			return nil, fmt.Errorf("%w: batch item %d answers %q, want %q", ErrBadPayload, i, it.Name, names[i])
-		}
+	if err := echoes(items, names); err != nil {
+		return nil, err
 	}
 	return items, nil
+}
+
+// Bind fetches in one exchange what a secure binding checks — the key,
+// the integrity certificate and, when req asks, the name certificates —
+// with the element batch req asks for. req's OID and site hint are the
+// client's own. The batch answers req.Names slot by slot, or for req.All
+// every element the replica offers, in name order; a per-item error is a
+// decline, as in GetElements. Nothing is verified. A server that predates
+// the operation fails the call with a RemoteError transport.IsUnknownOp
+// recognises.
+func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
+	req.OID, req.FromSite = c.oid, c.Site
+	body, err := c.c.Call(ctx, OpBind, EncodeBindRequest(req))
+	if err != nil {
+		return BindReply{}, err
+	}
+	reply, err := DecodeBindReply(body)
+	if err != nil {
+		return BindReply{}, err
+	}
+	if req.All {
+		err = ascending(reply.Items)
+	} else {
+		err = echoes(reply.Items, req.Names)
+	}
+	if err != nil {
+		return BindReply{}, err
+	}
+	return reply, nil
+}
+
+// ascending checks that a batch names each element once, in name order.
+func ascending(items []BatchItem) error {
+	for i := 1; i < len(items); i++ {
+		if items[i].Name <= items[i-1].Name {
+			return fmt.Errorf("%w: batch item %q follows %q", ErrBadPayload, items[i].Name, items[i-1].Name)
+		}
+	}
+	return nil
 }
 
 // ListElements fetches the element names of the object.

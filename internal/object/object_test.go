@@ -3,6 +3,8 @@ package object_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,7 @@ import (
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
+	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
 	"globedoc/internal/object"
@@ -275,5 +278,116 @@ func TestClientKeyVerifiesOnWire(t *testing.T) {
 	defer c.Close()
 	if err := c.Ping(context.Background()); err == nil {
 		t.Fatal("Ping to absent service succeeded")
+	}
+}
+
+func TestBindRequestRoundTrip(t *testing.T) {
+	oid := binderTestOID(keytest.Ed())
+	at := time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
+	for _, req := range []object.BindRequest{
+		{OID: oid},
+		{OID: oid, FromSite: "paris", NameCerts: true, Names: []string{"a.html", "img/b.png"}, At: at},
+		{OID: oid, All: true, At: at},
+	} {
+		got, err := object.DecodeBindRequest(object.EncodeBindRequest(req))
+		if err != nil {
+			t.Fatalf("DecodeBindRequest(%+v): %v", req, err)
+		}
+		if got.OID != req.OID || got.FromSite != req.FromSite || got.NameCerts != req.NameCerts || got.All != req.All ||
+			!got.At.Equal(req.At) || fmt.Sprint(got.Names) != fmt.Sprint(req.Names) {
+			t.Fatalf("decoded %+v, want %+v", got, req)
+		}
+	}
+	// The flags byte follows the OID and the (empty) site hint.
+	const flags = globeid.Size + 1
+	listed := object.EncodeBindRequest(object.BindRequest{OID: oid, Names: []string{"a.html"}})
+	for name, body := range map[string][]byte{
+		"all elements and a list": append(append([]byte(nil), listed[:flags]...), append([]byte{2}, listed[flags+1:]...)...),
+		"an unknown flag":         append(append([]byte(nil), listed[:flags]...), append([]byte{0x80}, listed[flags+1:]...)...),
+		"a trailing byte":         append(append([]byte(nil), listed...), 0),
+		"a truncated name list":   listed[:len(listed)-1],
+	} {
+		if _, err := object.DecodeBindRequest(body); !errors.Is(err, object.ErrBadPayload) {
+			t.Errorf("request with %s: err = %v, want ErrBadPayload", name, err)
+		}
+	}
+}
+
+func TestBindReplyRoundTrip(t *testing.T) {
+	elem := document.Element{Name: "a.html", ContentType: "text/html", Data: []byte("carried")}
+	body := object.EncodeBindReply([]byte("key"), nil, []byte("icert"), []object.BatchWireItem{
+		{Name: "a.html", Wire: object.EncodeElement(elem)},
+		{Name: "b.png", ErrMsg: "declined"},
+	})
+	reply, err := object.DecodeBindReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(reply.Key) != "key" || len(reply.NameCerts) != 0 || string(reply.Cert) != "icert" || len(reply.Items) != 2 {
+		t.Fatalf("decoded %+v", reply)
+	}
+	if it := reply.Items[0]; it.Err != nil || it.Element.Name != "a.html" || string(it.Element.Data) != "carried" {
+		t.Fatalf("carried item = %+v", it)
+	}
+	if reply.Items[1].Err == nil {
+		t.Fatal("declined item decoded without its error")
+	}
+	if _, err := object.DecodeBindReply(append(body, 0)); !errors.Is(err, object.ErrBadPayload) {
+		t.Fatalf("trailing byte: err = %v, want ErrBadPayload", err)
+	}
+	if _, err := object.DecodeBindReply(body[:len(body)/2]); err == nil {
+		t.Fatal("truncated reply accepted")
+	}
+}
+
+// TestClientBind drives Bind against a real replica: the key and the
+// integrity certificate always come back and verify, the elements asked
+// for come back, and those past their validity at the client's clock do
+// not.
+func TestClientBind(t *testing.T) {
+	c, oid := clientFixture(t, document.Element{Name: "about.html", Data: []byte("about")})
+	ctx := context.Background()
+	check := func(reply object.BindReply) {
+		t.Helper()
+		pk, err := keys.UnmarshalPublicKey(reply.Key)
+		if err != nil || oid.Verify(pk) != nil {
+			t.Fatalf("bind key does not self-certify: %v", err)
+		}
+		ic, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
+		if err != nil || ic.VerifySignature(oid, pk) != nil {
+			t.Fatalf("bind certificate does not verify: %v", err)
+		}
+	}
+	now := time.Now()
+
+	reply, err := c.Bind(ctx, object.BindRequest{NameCerts: true, Names: []string{"index.html"}, At: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reply)
+	if len(reply.Items) != 1 || string(reply.Items[0].Element.Data) != "served" {
+		t.Fatalf("bind for index.html carried %+v", reply.Items)
+	}
+	if ncs, err := object.DecodeCertList(reply.NameCerts); err != nil || len(ncs) != 0 {
+		t.Fatalf("name certificates = %v, %v", ncs, err)
+	}
+
+	reply, err = c.Bind(ctx, object.BindRequest{All: true, At: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reply)
+	if len(reply.Items) != 2 || reply.Items[0].Name != "about.html" || reply.Items[1].Name != "index.html" {
+		t.Fatalf("bind for all elements carried %+v, want both in name order", reply.Items)
+	}
+
+	reply, err = c.Bind(ctx, object.BindRequest{All: true, At: now.Add(2 * time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range reply.Items {
+		if it.Err == nil {
+			t.Errorf("bind past the certificate's validity carried %q", it.Name)
+		}
 	}
 }

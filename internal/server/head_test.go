@@ -339,3 +339,44 @@ func TestGetElementsAnswersFromOneHead(t *testing.T) {
 		return nil
 	})
 }
+
+// TestBindAnswersFromOneHead: an obj.bind reply's certificate and its
+// elements are one version's, so every carried element verifies against
+// the certificate beside it however the bind races an update — the
+// property that keeps an honest replica updated mid-bind from looking
+// like a tamperer.
+func TestBindAnswersFromOneHead(t *testing.T) {
+	owner := keytest.RSA()
+	names := headNames(32)
+	a := headBundle(t, owner, 1, names, 64, 0xa1, "")
+	b := headBundle(t, owner, 2, names, 64, 0xb2, "")
+	s := New("bind-srv", "site", nil, nil, Limits{})
+	if err := s.Install(a, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	req := object.EncodeBindRequest(object.BindRequest{OID: a.OID, All: true})
+	raceReaders(t, s, a, b, 500, func() error {
+		resp, err := s.handleBind(context.Background(), req)
+		if err != nil {
+			return err
+		}
+		reply, err := object.DecodeBindReply(resp)
+		if err != nil {
+			return err
+		}
+		c, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
+		if err != nil {
+			return err
+		}
+		if len(reply.Items) != len(names) {
+			return fmt.Errorf("bind carried %d items, want %d", len(reply.Items), len(names))
+		}
+		for _, it := range reply.Items {
+			entry, err := c.Lookup(it.Name)
+			if err != nil || it.Err != nil || entry.Hash != it.Element.Hash() {
+				return fmt.Errorf("bind reply's %q is not the version of its certificate (%d)", it.Name, c.Version)
+			}
+		}
+		return nil
+	})
+}

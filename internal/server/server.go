@@ -202,6 +202,7 @@ func New(name, site string, keystore *keys.Keystore, identity *keys.KeyPair, lim
 	s.srv.HandleCtx(object.OpGetNameCerts, s.traced("serve.getnamecerts", s.handleGetNameCerts))
 	s.srv.HandleCtx(object.OpGetElement, s.traced("serve.getelement", s.handleGetElement))
 	s.srv.HandleCtx(object.OpGetElements, s.traced("serve.getelements", s.handleGetElements))
+	s.srv.HandleCtx(object.OpBind, s.traced("serve.bind", s.handleBind))
 	s.srv.HandleCtx(object.OpListElements, s.traced("serve.listelements", s.handleListElements))
 	s.srv.Handle(object.OpVersion, s.handleVersion)
 	s.srv.Handle(object.OpGetBundle, s.handleGetBundle)
@@ -443,11 +444,7 @@ func (s *Server) handleGetElement(ctx context.Context, body []byte) ([]byte, err
 }
 
 // handleGetElements serves a whole batch of elements from the replica's
-// precomputed wire payloads in one exchange. Items that cannot be
-// served — unknown names, or elements past the response frame budget —
-// are marked per item so the client fetches them individually;
-// per-element stats and the access observer fire exactly as they do for
-// serial fetches.
+// precomputed wire payloads in one exchange (see batch).
 func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, error) {
 	oid, names, fromSite, err := object.DecodeElementsRequest(body)
 	if err != nil {
@@ -457,26 +454,66 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
+	return object.EncodeElementsResponse(s.batch(ctx, h, h.head(), names, fromSite, time.Time{}, 0)), nil
+}
+
+// handleBind answers obj.bind from one head version: its key, integrity
+// certificate and — when asked — name certificates, then the element
+// batch asked for (see batch), so no reply mixes two versions however an
+// update races it. Every section is a precomputed wire payload; the reply
+// is assembled with one copy, as a GetElements batch is.
+func (s *Server) handleBind(ctx context.Context, body []byte) ([]byte, error) {
+	req, err := object.DecodeBindRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	h, err := s.replica(req.OID)
+	if err != nil {
+		return nil, err
+	}
+	v := h.head()
+	var nameCerts []byte
+	if req.NameCerts {
+		nameCerts = v.wire.nameCerts
+	}
+	names := req.Names
+	if req.All {
+		names = v.wire.names
+	}
+	s.statKeyFetches.Add(1)
+	s.statCertFetches.Add(1)
+	items := s.batch(ctx, h, v, names, req.FromSite, req.At, len(v.wire.key)+len(nameCerts)+len(v.wire.icert))
+	return object.EncodeBindReply(v.wire.key, nameCerts, v.wire.icert, items), nil
+}
+
+// batch answers names from version v in GetElements' item format. Items
+// that cannot be served are declined one by one, and the client fetches
+// them individually: an unknown name, an element whose certificate entry
+// is not fresh at the client's clock reading at (when at is set), or one
+// that would take the reply past the frame budget, of which used bytes
+// are already spoken for. Per-element stats and the access observer fire
+// for every carried element exactly as they do for serial fetches.
+func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot, names []string, fromSite string, at time.Time, used int) []object.BatchWireItem {
 	const budget = transport.MaxFrame - 64*1024 // headroom for item framing
-	elements := h.head().wire.elements
 	items := make([]object.BatchWireItem, 0, len(names))
-	total := 0
 	for _, name := range names {
 		it := object.BatchWireItem{Name: name}
-		p, ok := elements[name]
+		p, ok := v.wire.elements[name]
 		switch {
 		case !ok:
 			it.ErrMsg = errNoSuchElement(name).Error()
-		case total+len(p.wire) > budget:
+		case !at.IsZero() && !v.freshAt(name, at):
+			it.ErrMsg = "certificate entry not fresh at the requested time"
+		case used+len(p.wire) > budget:
 			it.ErrMsg = "batch response frame budget exceeded; fetch element individually"
 		default:
 			it.Wire = p.wire
-			total += len(p.wire)
+			used += len(p.wire)
 			s.serveElement(ctx, h, name, fromSite, p.size)
 		}
 		items = append(items, it)
 	}
-	return object.EncodeElementsResponse(items), nil
+	return items
 }
 
 func (s *Server) handleListElements(ctx context.Context, body []byte) ([]byte, error) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
@@ -101,6 +102,13 @@ func (v *versionSnapshot) bundle(key keys.PublicKey) *Bundle {
 		b.Elements = append(b.Elements, v.wire.elements[name].element(name))
 	}
 	return b
+}
+
+// freshAt reports whether the version's certificate lists name with an
+// entry fresh at t.
+func (v *versionSnapshot) freshAt(name string, t time.Time) bool {
+	entry, err := v.cert.Lookup(name)
+	return err == nil && entry.CheckFreshness(t) == nil
 }
 
 // bundleLeaves extracts a bundle's (element name -> cert-listed content

@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -280,5 +281,68 @@ func BenchmarkHandleGetKey(b *testing.B) {
 		if _, err := s.handleGetKey(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHandleBindCarriesWhatWasAsked: obj.bind always carries the key and
+// the integrity certificate, carries the name certificates only when
+// asked, and carries the elements asked for — by name, or every one in
+// name order — each from the wire table and counted like a fetch of it.
+// An element whose certificate entry is not fresh at the client's clock
+// reading is declined and moves no byte.
+func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
+	s, oid, owner := newWireServer(t, 64)
+	h, err := s.replica(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := h.head()
+	bind := func(req object.BindRequest) object.BindReply {
+		t.Helper()
+		req.OID = oid
+		resp, err := s.handleBind(context.Background(), object.EncodeBindRequest(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := object.DecodeBindReply(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply.Key, owner.Public().Marshal()) || !bytes.Equal(reply.Cert, head.wire.icert) {
+			t.Fatal("bind reply lacks the key or the integrity certificate")
+		}
+		return reply
+	}
+	carried := func(reply object.BindReply) []string {
+		var names []string
+		for _, it := range reply.Items {
+			if it.Err == nil && len(it.Element.Data) == 64 {
+				names = append(names, it.Name)
+			}
+		}
+		return names
+	}
+	fresh := wireT0.Add(time.Minute)
+
+	if reply := bind(object.BindRequest{At: fresh}); len(reply.Items) != 0 || len(reply.NameCerts) != 0 {
+		t.Fatalf("certificate-only bind carried %d items and %d name-certificate bytes", len(reply.Items), len(reply.NameCerts))
+	}
+	if reply := bind(object.BindRequest{NameCerts: true, Names: []string{"logo.png"}, At: fresh}); !bytes.Equal(reply.NameCerts, head.wire.nameCerts) ||
+		fmt.Sprint(carried(reply)) != "[logo.png]" {
+		t.Fatalf("bind for logo.png with name certificates carried %v", carried(reply))
+	}
+	if got := carried(bind(object.BindRequest{All: true, At: fresh})); fmt.Sprint(got) != "[index.html logo.png style.css]" {
+		t.Fatalf("bind for all elements carried %v, want every element in name order", got)
+	}
+	if st := s.Stats(); st.KeyFetches != 3 || st.CertFetches != 3 || st.ElementFetches != 4 || st.BytesServed != 4*64 {
+		t.Fatalf("Stats = %+v, want 3 key and certificate fetches and 4 element fetches of 64 bytes", st)
+	}
+
+	stale := bind(object.BindRequest{All: true, At: wireT0.Add(2 * time.Hour)})
+	if len(stale.Items) != 3 || len(carried(stale)) != 0 {
+		t.Fatalf("bind past the certificate's validity carried %v", carried(stale))
+	}
+	if got := s.Stats().ElementFetches; got != 4 {
+		t.Fatalf("ElementFetches = %d after a stale bind, want still 4", got)
 	}
 }

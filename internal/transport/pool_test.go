@@ -329,3 +329,50 @@ func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenNegotiatesWithoutACall: Open leaves one negotiated connection
+// warm in the pool and sends no request; the first call rides that very
+// connection. Opening toward an address nothing answers fails, and the
+// failure counts against the address's health like a failed call.
+func TestOpenNegotiatesWithoutACall(t *testing.T) {
+	var served atomic.Int64
+	dial := startServer(t, func(s *transport.Server) {
+		s.Handle("ping", func(body []byte) ([]byte, error) {
+			served.Add(1)
+			return nil, nil
+		})
+	})
+	cd := &countingDial{dial: dial}
+	tel := telemetry.New(nil)
+	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel, Addr: "replica"})
+	defer c.Close()
+	ctx := context.Background()
+
+	if err := c.Open(ctx); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("Open made %d calls, want none", n)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d after Open, want 1", got)
+	}
+	if idle := c.IdleConns(); idle != 1 {
+		t.Errorf("IdleConns = %d after Open, want the negotiated connection", idle)
+	}
+	if _, err := c.Call(ctx, "ping", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := cd.count.Load(); got != 1 {
+		t.Errorf("Open and a call dialed %d connections, want 1", got)
+	}
+
+	dead := transport.NewClient(func() (net.Conn, error) { return nil, errors.New("connection refused") }).
+		Configure(transport.Config{Telemetry: tel, Addr: "dead"})
+	if err := dead.Open(ctx); err == nil {
+		t.Fatal("Open toward a dead address succeeded")
+	}
+	if h, ok := tel.Health.Lookup("dead"); !ok || h.ConsecutiveFailures != 1 {
+		t.Errorf("health of the dead address = %+v, want one failure", h)
+	}
+}

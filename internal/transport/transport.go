@@ -648,7 +648,6 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	caller := telemetry.SpanContextFrom(ctx)
 	sp := tel.Tracer.StartSpanFrom("rpc.call", caller)
 	sp.Annotate("op", op)
-	attempts := 1
 
 	// When the caller is tracing, the rpc.call span is the wire-
 	// propagated parent: the server's rpc.serve span nests under it,
@@ -658,38 +657,11 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	if caller.Valid() {
 		wire = sp.Context()
 	}
-	// Without a policy a call gets one immediate second attempt, and only
-	// for a failure on a connection that might simply have gone stale in
-	// the pool.
-	maxAttempts := 2
-	if c.Retry != nil {
-		maxAttempts = c.Retry.Attempts()
-	}
 	var resp []byte
-	var err error
-	for {
-		start := c.clock().Now()
-		var reused bool
+	attempts, err := c.retrying(ctx, tel, func() (reused bool, err error) {
 		resp, reused, err = c.attempt(ctx, wire, op, body)
-		switch {
-		case err == nil:
-			tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
-		case ctx.Err() == nil:
-			// A caller-side cancellation or expired deadline says nothing
-			// about the replica's health; only attempts the caller still
-			// wanted count as failure evidence.
-			tel.Health.RecordFailure(c.Addr)
-		}
-		if err == nil || !Retryable(err) || ctx.Err() != nil || attempts == maxAttempts || (c.Retry == nil && !reused) {
-			break
-		}
-		c.Retries.Add(1)
-		tel.RPCRetries.Inc()
-		if c.Retry != nil {
-			c.Retry.clock().Sleep(c.Retry.Backoff(attempts))
-		}
-		attempts++
-	}
+		return reused, err
+	})
 	if err == nil {
 		c.Calls.Add(1)
 	}
@@ -710,6 +682,58 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 		return nil, err
 	}
 	return resp, nil
+}
+
+// Open readies the pool for calls without making one: it reserves a
+// stream, dialling and negotiating a connection unless a live one is
+// pooled, and gives the stream straight back, leaving the connection
+// warm for the next call. A v2 accept proves the peer alive; a
+// connection that fell back to v1 proves only that the peer accepts
+// connections, and its first call does the rest. Dial failures are
+// retried, and recorded as health samples, as a call's would be. With
+// idle pooling disabled (a negative PoolConfig.MaxIdle) the connection
+// closes again at once.
+func (c *Client) Open(ctx context.Context) error {
+	_, err := c.retrying(ctx, telemetry.Or(c.Telemetry), func() (reused bool, err error) {
+		var pc *poolConn
+		if pc, reused, err = c.acquireStream(ctx); err == nil {
+			c.releaseStream(pc)
+		}
+		return reused, err
+	})
+	return err
+}
+
+// retrying runs attempt until it succeeds or the retry rules end it, and
+// returns the number of attempts made. Without a RetryPolicy a failed
+// attempt is repeated once, at once, and only when it hit a reused
+// (possibly stale) pooled connection; with one, transient failures are
+// retried with backoff up to the policy's attempts. Every attempt records
+// a health sample when Addr is set — except one that failed only because
+// ctx had already ended, which says nothing about the replica.
+func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, attempt func() (reused bool, err error)) (int, error) {
+	maxAttempts := 2
+	if c.Retry != nil {
+		maxAttempts = c.Retry.Attempts()
+	}
+	for attempts := 1; ; attempts++ {
+		start := c.clock().Now()
+		reused, err := attempt()
+		switch {
+		case err == nil:
+			tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
+		case ctx.Err() == nil:
+			tel.Health.RecordFailure(c.Addr)
+		}
+		if err == nil || !Retryable(err) || ctx.Err() != nil || attempts == maxAttempts || (c.Retry == nil && !reused) {
+			return attempts, err
+		}
+		c.Retries.Add(1)
+		tel.RPCRetries.Inc()
+		if c.Retry != nil {
+			c.Retry.clock().Sleep(c.Retry.Backoff(attempts))
+		}
+	}
 }
 
 // refuse remembers the peer's unknown-operation refusal of op.

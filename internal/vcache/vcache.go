@@ -158,6 +158,15 @@ func (c *Cache) Contains(hash [globeid.Size]byte) bool {
 	return ok
 }
 
+// Holds reports whether any cached element is tagged with oid. A client
+// binding to oid asks for element bytes only when it holds none: a
+// certificate refresh over cached bytes moves only the certificate.
+func (c *Cache) Holds(oid globeid.OID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byOID[oid]) > 0
+}
+
 // Put stores a freshly verified element under its certificate hash,
 // tagged with the object it was verified for. validUntil is the
 // certificate entry's expiry. Data is copied, so later caller-side
