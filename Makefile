@@ -63,6 +63,7 @@ FUZZ_TARGETS = \
 	internal/cert:FuzzUnmarshalNameCertificate \
 	internal/document:FuzzParseHybrid \
 	internal/document:FuzzExtractLinks \
+	internal/keys:FuzzUnmarshalPublicKey \
 	internal/lint:FuzzLintSuppression \
 	internal/naming:FuzzUnmarshalChain \
 	internal/object:FuzzObjectDecode \

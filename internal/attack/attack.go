@@ -86,17 +86,16 @@ type ReplicaState struct {
 type MaliciousServer struct {
 	Mode Mode
 
-	mu      sync.RWMutex
-	state   ReplicaState
-	stale   *ReplicaState // old state for StaleReplay
-	forged  *forgedState  // for ForgeCertificate
-	decoy   *ReplicaState // for WrongObject
-	srv     *transport.Server
-	tampers func([]byte) []byte
+	mu     sync.RWMutex
+	state  ReplicaState
+	stale  *ReplicaState // old state for StaleReplay
+	forged *forgedState  // for ForgeCertificate
+	decoy  *ReplicaState // for WrongObject
+	srv    *transport.Server
 	// tamperTarget, when non-empty, restricts TamperContent to that one
 	// element: every other element is served genuine. This models the
 	// batched-fetch adversary that interleaves a single corrupted element
-	// among honest ones inside one GetElements response.
+	// among honest ones inside one bind reply.
 	tamperTarget string
 }
 
@@ -107,26 +106,8 @@ type forgedState struct {
 
 // NewMaliciousServer builds an adversarial replica around genuine state.
 func NewMaliciousServer(mode Mode, state ReplicaState) *MaliciousServer {
-	m := &MaliciousServer{
-		Mode:  mode,
-		state: state,
-		srv:   transport.NewServer(),
-		tampers: func(data []byte) []byte {
-			out := append([]byte(nil), data...)
-			if len(out) > 0 {
-				out[0] ^= 0xff
-			} else {
-				out = []byte{0x66}
-			}
-			return out
-		},
-	}
+	m := &MaliciousServer{Mode: mode, state: state, srv: transport.NewServer()}
 	m.srv.Handle(object.OpPing, func([]byte) ([]byte, error) { return nil, nil })
-	m.srv.Handle(object.OpGetKey, m.handleGetKey)
-	m.srv.Handle(object.OpGetCert, m.handleGetCert)
-	m.srv.Handle(object.OpGetNameCerts, m.handleGetNameCerts)
-	m.srv.Handle(object.OpGetElement, m.handleGetElement)
-	m.srv.Handle(object.OpGetElements, m.handleGetElements)
 	m.srv.Handle(object.OpBind, m.handleBind)
 	m.srv.Handle(object.OpListElements, m.handleList)
 	m.srv.Handle(object.OpVersion, m.handleVersion)
@@ -190,44 +171,8 @@ func (m *MaliciousServer) current() ReplicaState {
 	return m.state
 }
 
-func (m *MaliciousServer) handleGetKey(body []byte) ([]byte, error) {
-	st := m.current()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.Mode == ForgeCertificate && m.forged != nil {
-		// The forger must also offer its own key, hoping the client
-		// skips self-certification.
-		return m.forged.key.Public().Marshal(), nil
-	}
-	return st.Key.Marshal(), nil
-}
-
-func (m *MaliciousServer) handleGetCert(body []byte) ([]byte, error) {
-	st := m.current()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.Mode == ForgeCertificate && m.forged != nil {
-		return m.forged.cert.Marshal(), nil
-	}
-	return st.Cert.Marshal(), nil
-}
-
-func (m *MaliciousServer) handleGetNameCerts(body []byte) ([]byte, error) {
-	st := m.current()
-	return object.EncodeCertList(st.NameCerts), nil
-}
-
-func (m *MaliciousServer) handleGetElement(body []byte) ([]byte, error) {
-	_, name, _, err := object.DecodeElementRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	return m.elementWire(name)
-}
-
-// elementWire serves one element through the mode's lie — shared by the
-// serial GetElement handler and the batched GetElements handler, so a
-// batch carries exactly the same corruption a serial fetch would see.
+// elementWire serves one element through the mode's lie, so every
+// element a batch carries is corrupted as it would be alone.
 func (m *MaliciousServer) elementWire(name string) ([]byte, error) {
 	st := m.current()
 	m.mu.RLock()
@@ -240,7 +185,7 @@ func (m *MaliciousServer) elementWire(name string) ([]byte, error) {
 			return nil, err
 		}
 		if target == "" || target == name {
-			e.Data = m.tampers(e.Data)
+			e.Data = tamper(e.Data)
 		}
 		return object.EncodeElement(e), nil
 	case SubstituteElement:
@@ -265,39 +210,49 @@ func (m *MaliciousServer) elementWire(name string) ([]byte, error) {
 	}
 }
 
-// handleGetElements serves a whole batch through the same per-element
-// lies as handleGetElement: a TamperContent server with a tamper target
-// interleaves one corrupted element among genuine ones, and a
-// StaleReplay server answers the batch from its old signed state.
-func (m *MaliciousServer) handleGetElements(body []byte) ([]byte, error) {
-	_, names, _, err := object.DecodeElementsRequest(body)
-	if err != nil {
-		return nil, err
+// tamper returns data with its first byte flipped, or one byte if empty.
+func tamper(data []byte) []byte {
+	if len(data) == 0 {
+		return []byte{0x66}
 	}
-	return object.EncodeElementsResponse(m.batch(names)), nil
+	out := append([]byte(nil), data...)
+	out[0] ^= 0xff
+	return out
 }
 
-// handleBind answers obj.bind with the step handlers' lies, section by
-// section: handleGetKey's key, handleGetNameCerts' and handleGetCert's
-// certificates, and a batch of elementWire's elements — so every mode
-// reaches a client whichever way it binds. A liar owes no honesty about
-// freshness, so the request's clock reading is ignored.
+// handleBind answers obj.bind, the one request a victim sends, with the
+// mode's lies: a forger's own key and certificate, a replay's or decoy's
+// state, and a batch of elementWire's elements. A warm request, which
+// names the certificate it holds, gets the protocol's short answer: no
+// key, and the certificate only when it is another one. A liar owes no
+// honesty about freshness, so the request's clock reading is ignored.
 func (m *MaliciousServer) handleBind(body []byte) ([]byte, error) {
 	req, err := object.DecodeBindRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	// The step handlers never fail: their error results are the Handler
-	// signature's.
-	key, _ := m.handleGetKey(nil)
-	icert, _ := m.handleGetCert(nil)
+	st := m.current()
+	key, icert := st.Key.Marshal(), st.Cert.Marshal()
+	m.mu.RLock()
+	if m.Mode == ForgeCertificate && m.forged != nil {
+		// The forger offers its own key too, hoping the client skips
+		// self-certification.
+		key, icert = m.forged.key.Public().Marshal(), m.forged.cert.Marshal()
+	}
+	m.mu.RUnlock()
 	var nameCerts []byte
 	if req.NameCerts {
-		nameCerts, _ = m.handleGetNameCerts(nil)
+		nameCerts = object.EncodeCertList(st.NameCerts)
+	}
+	if req.Have != ([globeid.Size]byte{}) {
+		key = nil
+		if globeid.HashElement(icert) == req.Have {
+			icert = nil
+		}
 	}
 	names := req.Names
 	if req.All {
-		names = m.current().Doc.Names()
+		names = st.Doc.Names()
 	}
 	return object.EncodeBindReply(key, nameCerts, icert, m.batch(names)), nil
 }

@@ -54,12 +54,15 @@ func TestMaliciousServerAuxiliaryOps(t *testing.T) {
 	if err != nil || v == 0 {
 		t.Fatalf("Version = %d, %v", v, err)
 	}
-	ncs, err := c.GetNameCerts(context.Background())
-	if err != nil || len(ncs) != 0 {
-		t.Fatalf("GetNameCerts = %v, %v", ncs, err)
+	reply, err := c.Bind(context.Background(), object.BindRequest{NameCerts: true, Names: []string{"absent"}})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
 	}
-	if _, err := c.GetElement(context.Background(), "absent"); err == nil {
-		t.Fatal("GetElement(absent) succeeded")
+	if ncs, err := object.DecodeCertList(reply.NameCerts); err != nil || len(ncs) != 0 {
+		t.Fatalf("name certificates = %v, %v", ncs, err)
+	}
+	if reply.Items[0].Err == nil {
+		t.Fatal("Bind served the absent element")
 	}
 }
 

@@ -18,30 +18,21 @@
 //  7. verify authenticity (hash), consistency (requested name) and
 //     freshness (validity interval).
 //
-// The steps are checks, not messages. A cold binding collects every byte
-// they check — key, certificates, and the element bytes the operation
-// wants — in one obj.bind exchange after the connection's version
-// negotiation, then runs the checks in order over what it holds. Against
-// a replica that predates obj.bind it collects the same bytes with one
-// step RPC each; the checks are the same code either way.
+// The steps are checks, not messages, and a client takes bytes from a
+// replica only through obj.bind. A cold bind collects key, certificates
+// and wanted elements in one exchange and runs the checks over them; a
+// warm one names the certificate it holds and is answered with elements
+// alone, or with the replica's newer certificate beside them, which is
+// verified under the trusted key and adopted — so an honest owner update
+// is never mistaken for tampering. Fetch and FetchAll run one fetch plan
+// (fetchPlan; DESIGN.md §9): a replica that fails or tampers is abandoned
+// for the next-nearest honest one rather than ending the fetch.
 //
 // Every fetch is traced as one span tree: a root fetch.secure span with
 // one child per pipeline step (the 14 steps of PipelineSteps; DESIGN.md
 // §8 maps them to the paper's Figure 3). The per-phase Timing the
 // benchmark harness reads is derived from those spans' durations, so the
 // tracer and the Figure-4 numbers can never disagree.
-//
-// Fetch (one element) and FetchAll (the whole document) run one fetch
-// plan: bind; decide each wanted element's certificate entry and its
-// freshness before any byte moves; take the bytes from one source — the
-// verified-content cache, the prefill that came with the bind or with
-// FetchAll's batch, or one GetElement; verify; deliver. A failed attempt
-// gets one recovery decision, the same
-// for both: a certificate that lapsed on a warm binding is refreshed, a
-// replica that fails or tampers is abandoned for the next candidate, and
-// anything else is rejected. A compromised or dead nearest replica thus
-// degrades a fetch to the next-nearest honest one rather than to an
-// error (DESIGN.md §9, "Fetch plan").
 //
 // The client is safe for concurrent use. Concurrent fetches of the same
 // cold OID share a single pipeline run (singleflight, when binding
@@ -57,7 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,19 +90,9 @@ const (
 	StepVerifyFreshness    = "element.verify.freshness"    // 14: validity interval covers now
 )
 
-// StepBatchFetch is the span recorded when FetchAll retrieves, in one
-// batched GetElements exchange, the elements neither the verified-content
-// cache nor the bind reply holds (transport v2 pipelines it over one
-// connection). Each element served from the batch credits an amortized
-// share of the exchange to its Timing.ElementFetch; verification still
-// runs per element.
-const StepBatchFetch = "fetch.batch"
-
-// StepBindFetch is the span recorded when a cold binding collects the
-// bytes steps 6, 8, 10 and 12–14 check in one obj.bind exchange. Steps 5,
-// 7, 9 and 11 then record source=bind spans, each crediting its byte
-// share of the exchange to its Timing field — the batch's amortized
-// share, apportioned by bytes.
+// StepBindFetch is the span recorded for each obj.bind exchange, cold or
+// warm. The steps it served then record zero-length spans, each credited
+// its byte share of the exchange in its Timing field.
 const StepBindFetch = "bind.fetch"
 
 // StepVCacheLookup is the span recorded when the verified-content cache
@@ -274,11 +254,16 @@ type FetchResult struct {
 }
 
 // verifiedBinding is a cached, fully verified attachment to one object
-// replica: connection, self-certified key, and checked certificate.
+// replica: connection, self-certified key, and checked certificate. A
+// binding is identified by its connection: adopting a moved replica's
+// certificate makes a new binding over the same one.
 type verifiedBinding struct {
-	client      *object.Client
-	key         keys.PublicKey
-	icert       *cert.IntegrityCertificate
+	client *object.Client
+	key    keys.PublicKey
+	icert  *cert.IntegrityCertificate
+	// certHash is the hash of icert's encoding as the replica sent it —
+	// what a warm exchange names as the certificate it holds.
+	certHash    [globeid.Size]byte
 	certifiedAs string
 }
 
@@ -311,12 +296,11 @@ func (p *pipeline) step(name string, field *time.Duration, f func() error) error
 	return err
 }
 
-// credit records step name as served by an exchange made for several
-// steps — source names it: "bind" or "batch" — and credits the step's
-// share of that exchange's time to field.
-func (p *pipeline) credit(name, source string, field *time.Duration, share time.Duration) {
+// credit records step name as served by the obj.bind exchange beside it —
+// a zero-length span — and credits the step's share of that exchange's
+// time to field.
+func (p *pipeline) credit(name string, field *time.Duration, share time.Duration) {
 	sp := p.root.StartChild(name)
-	sp.Annotate("source", source)
 	sp.End()
 	*field += share
 }
@@ -531,18 +515,18 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 // §9, "Fetch plan"):
 //
 //  1. bind: cached, shared through singleflight, or established past the
-//     replicas excluded so far — a binding this operation establishes
-//     brings the wanted elements' bytes with it, the prefill;
-//  2. decide each wanted name's certificate entry and its freshness
-//     before any byte moves (entryFor);
-//  3. take the bytes from exactly one source: the verified-content
-//     cache, else the prefill, else one GetElement (element);
-//  4. verifyElement, then deliver (element);
+//     replicas excluded so far — an established binding brings the wanted
+//     elements' bytes with it, the prefill;
+//  2. decide each wanted entry and its freshness before any byte moves;
+//  3. take what the verified-content cache and the prefill lack in one
+//     warm exchange, which also refreshes a lapsed certificate and adopts
+//     a moved one; an element still missing — declined, or under
+//     DisableBatchFetch — takes an exchange of its own;
+//  4. verifyElement, then deliver;
 //  5. on failure, make the one recovery decision (recover).
 //
-// Fetch is the one-name case, inline; FetchAll wants every name the
-// certificate lists, batches what the bind did not bring and fans out
-// over workers. Elements wants no name: it binds for the certificate.
+// FetchAll wants every name the certificate lists and fans out over
+// workers; Elements wants none and binds for the certificate.
 type fetchPlan struct {
 	oid     globeid.OID
 	element string // Fetch's one wanted name
@@ -560,59 +544,102 @@ func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded m
 	if err != nil {
 		return err
 	}
-	if pl.all {
-		pl.results, err = c.every(ctx, p, b, pre)
-	} else {
-		var entry cert.ElementEntry
-		if entry, err = c.entryFor(p, b, pl.element); err == nil {
-			pl.res, err = c.element(ctx, p, b, entry, pre)
-		}
-	}
-	if err != nil {
+	if err := c.fetch(ctx, p, pl, &b, pre); err != nil {
 		return c.recover(ctx, p, pl, b, err, excluded)
 	}
 	b.release()
 	return nil
 }
 
-// entryFor is step 2 for name: its entry in b's verified certificate,
-// and whether that entry is fresh now — decided from the certificate
-// alone, so a lapsed one costs no element transfer. A lapse on a warm
-// binding is counted in vcache_revalidations_total when the bytes are
-// still cached: the re-bind moves only a fresh certificate, and a
-// transfer is avoided if it still lists their hash.
-func (c *Client) entryFor(p *pipeline, b boundFetch, name string) (cert.ElementEntry, error) {
-	entry, err := b.vb.icert.CheckConsistency(name)
+// fetch is steps 2–4 of one attempt over b. When the wanted bytes are not
+// all held, or the certificate lapsed on a warm binding, it asks b's
+// replica once (exchange) for what is missing; a lapse then stands unless
+// the replica moved on to a fresh certificate, which decides the entries
+// again. FetchAll under DisableBatchFetch takes one exchange per element.
+func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *boundFetch, pre prefill) error {
+	entries, lapsed, err := c.entries(p, pl, *b)
 	if err != nil {
-		return entry, err
+		return err
 	}
-	err = entry.CheckFreshness(b.now)
-	if err != nil && b.warm && c.vcache != nil && c.vcache.Contains(entry.Hash) {
-		p.tel.VCacheRevalidations.Inc()
+	if lapsed != nil && !b.warm {
+		return lapsed // a cold binding's replica replayed stale signed state
 	}
-	return entry, err
+	var missing []string
+	for _, e := range entries {
+		if _, ok := pre[e.Name]; !ok && (c.vcache == nil || !c.vcache.Contains(e.Hash)) {
+			missing = append(missing, e.Name)
+		}
+	}
+	if lapsed != nil || (len(missing) > 0 && !(pl.all && c.noBatchFetch)) {
+		b.refreshing = lapsed != nil
+		var moved bool
+		if moved, pre, err = c.exchange(ctx, p, b, pl.all && len(missing) == len(entries), missing, pre); err != nil {
+			return err
+		}
+		b.refreshing = false
+		if moved || lapsed != nil {
+			if entries, lapsed, err = c.entries(p, pl, *b); err == nil {
+				err = lapsed
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if pl.all {
+		pl.results, err = c.every(ctx, p, *b, entries, pre)
+	} else {
+		pl.res, err = c.element(ctx, p, *b, entries[0], pre)
+	}
+	return err
 }
 
-// prefill is element bytes a replica has already sent, keyed by name:
-// the bind reply's batch, and FetchAll's GetElements batch. They are
-// untrusted like any other replica bytes — each still runs
-// verifyElement — and travel beside the binding, never inside it.
+// entries is step 2 for pl over b: the wanted certificate entries, decided
+// from the certificate alone, with the first freshness failure among them
+// as lapsed — a lapsed certificate costs no element transfer. A warm lapse
+// whose bytes are still cached counts in vcache_revalidations_total: the
+// refresh moves only a certificate, which may still list their hash.
+func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch) (entries []cert.ElementEntry, lapsed, err error) {
+	if pl.all {
+		entries = b.vb.icert.Entries
+	} else {
+		entry, err := b.vb.icert.CheckConsistency(pl.element)
+		if err != nil {
+			return nil, nil, err
+		}
+		entries = []cert.ElementEntry{entry}
+	}
+	for _, e := range entries {
+		ferr := e.CheckFreshness(b.now)
+		if ferr == nil {
+			continue
+		}
+		if lapsed == nil {
+			lapsed = ferr
+		}
+		if b.warm && c.vcache != nil && c.vcache.Contains(e.Hash) {
+			p.tel.VCacheRevalidations.Inc()
+		}
+	}
+	return entries, lapsed, nil
+}
+
+// prefill is element bytes a replica already sent in an obj.bind reply,
+// keyed by name: untrusted like any replica bytes — each still runs
+// verifyElement — so they travel beside the binding, never inside it.
 type prefill map[string]prefetched
 
 // prefetched is one prefilled element and its share of the exchange that
 // carried it.
 type prefetched struct {
-	elem   document.Element
-	source string // "bind" or "batch"
-	share  time.Duration
+	elem  document.Element
+	share time.Duration
 }
 
-// element is steps 3–4 for one entry that entryFor decided fresh: serve
-// its bytes from the verified-content cache, else take them from the
-// prefill, else fetch them with one GetElement; verify them; and deliver
-// them into the cache, which copies them in — the caller's Data, the
-// frame buffer the bytes arrived in, stays the caller's to keep or
-// mutate.
+// element is steps 3–4 for one entry that fetch decided fresh: take its
+// bytes from the verified-content cache, the prefill, or an exchange of
+// their own; verify them; and deliver them into the cache, which copies
+// them in — the caller's Data stays the caller's to keep or mutate.
 func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, pre prefill) (FetchResult, error) {
 	if c.vcache != nil {
 		if res, hit := c.serveCached(p, b, entry); hit {
@@ -620,23 +647,20 @@ func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry c
 		}
 	}
 	pf, ok := pre[entry.Name]
-	elem := pf.elem
-	if ok {
-		// Credit this element's share of the exchange that carried it to
-		// ElementFetch, so the Figure-4 phase accounting still describes
-		// where the time went.
-		p.credit(StepElementFetch, pf.source, &p.timing.ElementFetch, pf.share)
-	} else {
-		// Step 11: retrieve the page element from the (untrusted) replica.
-		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
-			var ferr error
-			elem, ferr = b.vb.client.GetElement(ctx, entry.Name)
-			return ferr
-		})
+	if !ok {
+		_, more, err := c.exchange(ctx, p, &b, false, []string{entry.Name}, nil)
 		if err != nil {
-			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", entry.Name, err)
+			return FetchResult{}, err
+		}
+		if pf, ok = more[entry.Name]; !ok {
+			return FetchResult{}, fmt.Errorf("core: fetching element %q: the replica declined it", entry.Name)
 		}
 	}
+	// Credit this element's share of the exchange that carried it to
+	// ElementFetch, so the Figure-4 phase accounting still describes where
+	// the time went.
+	p.credit(StepElementFetch, &p.timing.ElementFetch, pf.share)
+	elem := pf.elem
 	verified, err := c.verifyElement(p, b.vb, entry.Name, elem.Data, b.now)
 	if err != nil {
 		return FetchResult{}, err
@@ -651,32 +675,34 @@ func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry c
 // over b failed with err — the same for Fetch and FetchAll, vcache on or
 // off. The binding is dropped whatever the decision:
 //
-//   - a lapsed certificate on a warm binding may simply have expired:
-//     re-bind for a fresh one through refreshPolicy;
-//   - a replica fault (a failed, stalled or reset transfer) or tampering
-//     (an authenticity or consistency failure) fails over: the OID's
-//     cached content is invalidated, the failover counted, the replica's
-//     health charged — tampering is detected above the transport, whose
-//     health sampling saw only successful RPCs — and the plan rerun past
-//     that replica, so an attack degrades to a slower fetch while any
-//     honest replica remains;
-//   - anything else is rejected: a lapse on a cold binding (the replica
-//     replayed stale signed state) or a name the certificate does not
-//     list invalidates the OID's cached content too; the caller's
-//     cancellation, which is no replica's fault, does not.
+//   - a replica fault while refreshing a lapsed certificate re-binds
+//     (refresh);
+//   - any other fault, or tampering (an authenticity or consistency
+//     failure, or a moved certificate that failed its check) fails over:
+//     the OID's cached content is invalidated, the failover counted, the
+//     replica's health charged — the transport saw only successful RPCs —
+//     and the plan rerun past that replica;
+//   - anything else — a lapse with nothing newer, a name the certificate
+//     does not list — is rejected, invalidating cached content too; the
+//     caller's cancellation, no replica's fault, invalidates nothing.
 //
 // A failover that fails too reports the failure that caused it, with the
 // verified prefix that went with it.
 func (c *Client) recover(ctx context.Context, p *pipeline, pl *fetchPlan, b boundFetch, err error, excluded map[string]bool) error {
 	c.dropBinding(pl.oid, b.vb)
 	phase := checkPhase(err)
+	fault := phase == "" && !errors.As(err, new(*SecurityError))
 	switch {
-	case phase == "freshness" && b.warm:
-		return c.refresh(ctx, p, pl, excluded)
-	case phase == "" && ctx.Err() != nil:
+	case fault && ctx.Err() != nil:
 		return err
+	case fault && b.refreshing:
+		return c.refresh(ctx, p, pl, excluded)
 	}
-	c.invalidateContent(pl.oid)
+	if c.vcache != nil {
+		// Bytes vouched for under the OID are suspect now: re-fetch and
+		// re-verify them rather than serve them from the cache.
+		c.vcache.InvalidateOID(pl.oid)
+	}
 	if phase == "" || errors.Is(err, cert.ErrAuthenticity) || errors.Is(err, cert.ErrConsistency) {
 		addr := b.vb.client.Addr()
 		p.tel.Failovers.Inc()
@@ -694,9 +720,12 @@ func (c *Client) recover(ctx context.Context, p *pipeline, pl *fetchPlan, b boun
 }
 
 // checkPhase is the security_check_failures_total phase of a failed
-// element check, or "" when err is no check's: a fault or cancellation.
+// element check, or "" when err is no element check's: a fault, a
+// cancellation, or a check already counted where it was made.
 func checkPhase(err error) string {
 	switch {
+	case errors.As(err, new(*SecurityError)):
+		return ""
 	case errors.Is(err, cert.ErrFreshness):
 		return "freshness"
 	case errors.Is(err, cert.ErrAuthenticity), errors.Is(err, cert.ErrConsistency), errors.Is(err, cert.ErrUnknownElement):
@@ -705,12 +734,15 @@ func checkPhase(err error) string {
 	return ""
 }
 
-// refresh reruns the plan through the certificate-refresh retry policy.
-// A security failure inside a rerun — a freshly fetched certificate that
-// is *still* stale, say — is permanent, so the policy stops instead of
-// hammering the replica.
+// refresh reruns the plan through Options.Retry, by default two attempts
+// without delay. A security failure inside a rerun — a fresh certificate
+// that is *still* stale, say — is permanent: the policy stops there.
 func (c *Client) refresh(ctx context.Context, p *pipeline, pl *fetchPlan, excluded map[string]bool) error {
-	return c.refreshPolicy().Do(func() error {
+	policy := c.retry
+	if policy == nil {
+		policy = &transport.RetryPolicy{MaxAttempts: 2}
+	}
+	return policy.Do(func() error {
 		err := c.run(ctx, p.fresh(), pl, excluded)
 		if errors.Is(err, ErrSecurityCheckFailed) {
 			return transport.Permanent(err)
@@ -735,6 +767,7 @@ func excluding(set map[string]bool, addr string) map[string]bool {
 // state belongs here — trustflow tracks taint per object, so the
 // prefill's unverified bytes travel beside it, not inside it.
 type boundFetch struct {
+	oid          globeid.OID
 	vb           *verifiedBinding
 	now          time.Time
 	warm, shared bool
@@ -742,6 +775,9 @@ type boundFetch struct {
 	// with a concurrent fetch and not parked in the cache — so the
 	// operation must close its connection (release).
 	owned bool
+	// refreshing: an exchange refreshing a lapsed certificate is in
+	// flight, so a fault ends in a re-bind rather than a failover.
+	refreshing bool
 }
 
 // bind returns the verified binding pl's fetches run over: the cached
@@ -754,8 +790,12 @@ func (c *Client) bind(ctx context.Context, p *pipeline, pl *fetchPlan, now time.
 	if p.single {
 		cacheSp = p.root.StartChild(StepBindingCache)
 	}
-	b := boundFetch{now: now}
-	b.vb, b.warm = c.cachedBinding(pl.oid, now)
+	b := boundFetch{oid: pl.oid, now: now}
+	if c.cacheBindings {
+		c.mu.Lock()
+		b.vb, b.warm = c.lookupBindingLocked(pl.oid)
+		c.mu.Unlock()
+	}
 	if p.single {
 		outcome, counter := "miss", p.tel.BindingCacheMisses
 		if b.warm {
@@ -809,15 +849,16 @@ func (b boundFetch) result(p *pipeline, elem document.Element, hash [globeid.Siz
 func (c *Client) serveCached(p *pipeline, b boundFetch, entry cert.ElementEntry) (FetchResult, bool) {
 	sp := p.root.StartChild(StepVCacheLookup)
 	cached, hit := c.vcache.Get(entry.Hash, b.now, entry.Expires)
+	outcome, counter := "miss", p.tel.VCacheMisses
+	if hit {
+		outcome, counter = "hit", p.tel.VCacheHits
+	}
+	sp.Annotate("outcome", outcome)
+	sp.End()
+	counter.Inc()
 	if !hit {
-		sp.Annotate("outcome", "miss")
-		sp.End()
-		p.tel.VCacheMisses.Inc()
 		return FetchResult{}, false
 	}
-	sp.Annotate("outcome", "hit")
-	sp.End()
-	p.tel.VCacheHits.Inc()
 	return b.result(p, document.Element{Name: entry.Name, ContentType: cached.ContentType, Data: cached.Data}, entry.Hash, true), true
 }
 
@@ -849,16 +890,13 @@ func (c *Client) verifyElement(p *pipeline, vb *verifiedBinding, element string,
 }
 
 // establish performs phases 2–5 for pl's object: locate candidate
-// replicas, then for each (nearest first) connect, collect what it
-// presents, self-certify the key, optionally certify identity, and
-// verify the integrity certificate. A replica that fails ANY check —
-// unreachable or malicious — is abandoned (counted in failovers_total)
-// and the next candidate is tried, so a compromised near replica degrades
-// a fetch to the next-nearest honest one rather than to an error. Only
-// when every candidate fails does the fetch fail (the paper's worst case:
-// denial of service), with the cause wrapped in ErrBindingFailed. Every
-// run counts into binding_pipeline_runs_total — the singleflight dedupe
-// assertions read it.
+// replicas, then verify each in the selector's order (verifyReplica). A
+// replica that fails ANY check — unreachable or malicious — is abandoned
+// (counted in failovers_total) for the next, so a compromised near
+// replica degrades a fetch to the next-nearest honest one; only when all
+// fail does the fetch fail (the paper's worst case: denial of service),
+// wrapped in ErrBindingFailed. Every run counts into
+// binding_pipeline_runs_total, which the singleflight assertions read.
 func (c *Client) establish(ctx context.Context, p *pipeline, pl *fetchPlan, now time.Time, excluded map[string]bool) (*verifiedBinding, prefill, error) {
 	oid := pl.oid
 	p.tel.PipelineRuns.Inc()
@@ -910,9 +948,11 @@ func (c *Client) establish(ctx context.Context, p *pipeline, pl *fetchPlan, now 
 }
 
 // verifyReplica runs phases 2b–5 against one replica address: connect,
-// collect (steps 5, 7 and 9, and the prefill), then the checks of steps
-// 6, 8 and 10 in order. The timing phases record the most recent
-// attempt; Bind accumulates across attempts.
+// take the replica's claims for steps 5, 7 and 9 — and the element bytes
+// pl wants, the plan's prefill — in one cold obj.bind, each
+// step recorded as served by it and credited its byte share, then run the
+// checks of steps 6, 8 and 10 in order. The timing phases record the most
+// recent attempt; Bind accumulates across attempts.
 func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, addr string, now time.Time) (*verifiedBinding, prefill, error) {
 	oid := pl.oid
 	// Most-recent-attempt semantics: a previous failed candidate's phase
@@ -932,23 +972,49 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 		return nil, nil, err
 	}
 	client.Site = c.Binder.Site
-
-	cl, pre, err := c.collect(ctx, p, client, pl, now)
-	if err != nil {
+	fail := func(err error) (*verifiedBinding, prefill, error) {
 		client.Close()
 		return nil, nil, err
 	}
-	fail := func(phase string, cause error) (*verifiedBinding, prefill, error) {
-		client.Close()
-		return nil, nil, c.secErr(phase, cause)
+
+	// Steps 5, 7 and 9: the replica's unverified claims, with the elements
+	// pl wants — none while the verified-content cache holds bytes of the
+	// object (the plan's warm exchange then asks for what it lacks), or
+	// under DisableBatchFetch, whose serial ablation takes each on its own.
+	req := object.BindRequest{NameCerts: c.trust != nil, At: now}
+	if !c.noBatchFetch && (c.vcache == nil || !c.vcache.Holds(oid)) {
+		if req.All = pl.all; pl.element != "" {
+			req.Names = []string{pl.element}
+		}
 	}
+	reply, share, err := c.bindExchange(ctx, p, client, req)
+	if err != nil {
+		return fail(err)
+	}
+	key, err := keys.UnmarshalPublicKey(reply.Key)
+	if err != nil {
+		return fail(fmt.Errorf("core: fetching object key: %w", err))
+	}
+	p.credit(StepKeyFetch, &p.timing.KeyFetch, share(len(reply.Key)))
+	var nameCerts []*cert.NameCertificate
+	if req.NameCerts {
+		if nameCerts, err = object.DecodeCertList(reply.NameCerts); err != nil {
+			return fail(fmt.Errorf("core: fetching identity certificates: %w", err))
+		}
+		p.credit(StepNameCertFetch, &p.timing.NameCertFetch, share(len(reply.NameCerts)))
+	}
+	icert, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
+	if err != nil {
+		return fail(fmt.Errorf("core: fetching integrity certificate: %w", err))
+	}
+	p.credit(StepCertFetch, &p.timing.CertFetch, share(len(reply.Cert)))
 
 	// Step 6: self-certify the object's public key.
 	err = p.step(StepKeyVerify, &p.timing.KeyVerify, func() error {
-		return oid.Verify(cl.key)
+		return oid.Verify(key)
 	})
 	if err != nil {
-		return fail("self-certification", err)
+		return fail(c.secErr("self-certification", err))
 	}
 
 	// Step 8 (optional): identity certificates against the user's CAs.
@@ -957,187 +1023,134 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 		var subject string
 		err = p.step(StepNameCertVerify, &p.timing.NameCertVerify, func() error {
 			var verr error
-			subject, verr = c.trust.FirstTrusted(cl.nameCerts, oid, now)
+			subject, verr = c.trust.FirstTrusted(nameCerts, oid, now)
 			return verr
 		})
 		if err == nil {
 			certifiedAs = subject
 		} else if c.requireIdentity {
-			return fail("identity-certificate", err)
+			return fail(c.secErr("identity-certificate", err))
 		}
 	}
 
 	// Step 10: the integrity certificate, verified under the object key.
-	icert := cl.icert
-	err = p.step(StepCertVerify, &p.timing.CertVerify, func() error {
+	if err := c.verifyCert(p, oid, key, icert, nil, now); err != nil {
+		return fail(c.secErr("integrity-certificate", err))
+	}
+
+	vb := &verifiedBinding{client: client, key: key, icert: icert, certHash: globeid.HashElement(reply.Cert), certifiedAs: certifiedAs}
+	return vb, c.prefillOf(nil, reply, share, pl.all), nil
+}
+
+// verifyCert is step 10: icert's signature, verified under the object's
+// self-certified key — and, for a certificate that is to replace held,
+// that it is newer: a later version, or the same version issued later.
+func (c *Client) verifyCert(p *pipeline, oid globeid.OID, key keys.PublicKey, icert, held *cert.IntegrityCertificate, now time.Time) error {
+	return p.step(StepCertVerify, &p.timing.CertVerify, func() error {
+		if held != nil && (icert.Version < held.Version || (icert.Version == held.Version && !icert.Issued.After(held.Issued))) {
+			return errOlderCertificate
+		}
 		if c.vcache != nil {
 			// Memoized verification: identical certificate signatures are
 			// checked once per validity window, concurrent misses share
 			// one in-flight check (signature_cache_hits_total).
-			return icert.VerifySignatureUsing(oid, cl.key, func(k keys.PublicKey, message, sig []byte) error {
+			return icert.VerifySignatureUsing(oid, key, func(k keys.PublicKey, message, sig []byte) error {
 				return c.vcache.VerifySignature(k, message, sig, icert.MaxExpiry(), now)
 			})
 		}
-		return icert.VerifySignature(oid, cl.key)
+		return icert.VerifySignature(oid, key)
 	})
-	if err != nil {
-		return fail("integrity-certificate", err)
+}
+
+// exchange asks b's replica, in one warm obj.bind naming the certificate
+// b holds, for every element (all) or names — none refreshes the
+// certificate alone — and adds the elements to pre. A replica that has
+// moved on sends its certificate beside them: step 10 checks it under b's
+// key and that it is newer (verifyCert; a failure is the SecurityError
+// recover fails over on), and it replaces b's binding over the same
+// connection and in the binding cache, which reconciles the
+// verified-content cache, and its version's elements replace pre.
+func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all bool, names []string, pre prefill) (moved bool, _ prefill, err error) {
+	req := object.BindRequest{Have: b.vb.certHash, All: all, At: b.now}
+	if !all {
+		req.Names = names
 	}
-
-	return &verifiedBinding{
-		client:      client,
-		key:         cl.key,
-		icert:       icert,
-		certifiedAs: certifiedAs,
-	}, pre, nil
+	reply, share, err := c.bindExchange(ctx, p, b.vb.client, req)
+	if err != nil {
+		return false, pre, err
+	}
+	if moved = len(reply.Cert) > 0; moved {
+		p.credit(StepCertFetch, &p.timing.CertFetch, share(len(reply.Cert)))
+		icert, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
+		if err != nil {
+			return false, pre, fmt.Errorf("core: fetching integrity certificate: %w", err)
+		}
+		if err := c.verifyCert(p, b.oid, b.vb.key, icert, b.vb.icert, b.now); err != nil {
+			return false, pre, c.secErr("integrity-certificate", err)
+		}
+		vb := *b.vb
+		vb.icert, vb.certHash = icert, globeid.HashElement(reply.Cert)
+		b.vb, pre = &vb, nil
+		if c.cacheBindings {
+			c.storeBinding(b.oid, b.vb)
+		}
+	}
+	return moved, c.prefillOf(pre, reply, share, len(names) > 1 || all), nil
 }
 
-// claims is what a replica presents for steps 6, 8 and 10: its object
-// key, its identity certificates (collected only when the user trusts
-// some CA) and its integrity certificate — unverified until those steps
-// pass.
-type claims struct {
-	key       keys.PublicKey
-	nameCerts []*cert.NameCertificate
-	icert     *cert.IntegrityCertificate
-}
+// errOlderCertificate rejects a moved replica's certificate that is not
+// newer than the one the binding holds: a rollback to signed state the
+// owner has already superseded.
+var errOlderCertificate = errors.New("core: replica moved to a certificate no newer than the one held")
 
-// collect is steps 5, 7 and 9: it takes the replica's claims, and the
-// element bytes pl wants (bindWant) as the plan's prefill, in one
-// obj.bind exchange under a bind.fetch span, then records each step as
-// served by it, credited its byte share of the exchange. A replica that
-// predates obj.bind refuses it — once per client, the transport
-// remembers — and is asked with one step RPC per claim instead.
-func (c *Client) collect(ctx context.Context, p *pipeline, client *object.Client, pl *fetchPlan, now time.Time) (claims, prefill, error) {
-	req := c.bindWant(pl)
-	req.NameCerts, req.At = c.trust != nil, now
+// bindExchange makes one obj.bind exchange under a bind.fetch span, and
+// returns the reply with share, which apportions the exchange's time to
+// n of its bytes. A failed exchange carried nothing for the steps: its
+// time is a cost of binding to the replica.
+func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.Client, req object.BindRequest) (object.BindReply, func(n int) time.Duration, error) {
 	sp := p.root.StartChild(StepBindFetch)
 	reply, err := client.Bind(ctx, req)
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		sp.End()
-		// A failed exchange carried nothing for the steps: it is a cost of
-		// binding to this replica.
 		p.timing.Bind += sp.Duration()
-		if transport.IsUnknownOp(err) {
-			cl, err := c.collectSteps(ctx, p, client)
-			return cl, nil, err
-		}
-		return claims{}, nil, fmt.Errorf("core: binding: %w", err)
+		return object.BindReply{}, nil, fmt.Errorf("core: binding: %w", err)
 	}
 	sp.End()
-
-	var cl claims
-	if cl.key, err = keys.UnmarshalPublicKey(reply.Key); err != nil {
-		return claims{}, nil, fmt.Errorf("core: fetching object key: %w", err)
-	}
-	if req.NameCerts {
-		if cl.nameCerts, err = object.DecodeCertList(reply.NameCerts); err != nil {
-			return claims{}, nil, fmt.Errorf("core: fetching identity certificates: %w", err)
-		}
-	}
-	if cl.icert, err = cert.UnmarshalIntegrityCertificate(reply.Cert); err != nil {
-		return claims{}, nil, fmt.Errorf("core: fetching integrity certificate: %w", err)
-	}
-
 	total := len(reply.Key) + len(reply.NameCerts) + len(reply.Cert)
 	for _, it := range reply.Items {
 		total += len(it.Element.Data)
 	}
-	share := func(n int) time.Duration { return sp.Duration() * time.Duration(n) / time.Duration(total) }
-	p.credit(StepKeyFetch, "bind", &p.timing.KeyFetch, share(len(reply.Key)))
-	if req.NameCerts {
-		p.credit(StepNameCertFetch, "bind", &p.timing.NameCertFetch, share(len(reply.NameCerts)))
+	share := func(n int) time.Duration {
+		if total == 0 {
+			return 0
+		}
+		return sp.Duration() * time.Duration(n) / time.Duration(total)
 	}
-	p.credit(StepCertFetch, "bind", &p.timing.CertFetch, share(len(reply.Cert)))
+	return reply, share, nil
+}
 
-	var pre prefill
+// prefillOf adds to pre the elements a bind reply carried and did not
+// decline, each with its share of the exchange. A batch — a reply
+// carrying any element for FetchAll or for several names — is counted in
+// batch_fetch_total and batch_fetch_elements_total.
+func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
+	n := 0
 	for _, it := range reply.Items {
 		if it.Err != nil {
-			continue // declined: the element path fetches it on its own
+			continue // declined: the element path asks for it on its own
 		}
 		if pre == nil {
 			pre = make(prefill, len(reply.Items))
 		}
-		pre[it.Name] = prefetched{elem: it.Element, source: "bind", share: share(len(it.Element.Data))}
+		pre[it.Name] = prefetched{elem: it.Element, share: share(len(it.Element.Data))}
+		n++
 	}
-	if req.All && len(pre) > 0 {
-		// FetchAll's batch rode in the bind. A bind that carried no element
-		// is no batch: batchPrefetch's GetElements, if any, is the one.
+	if batch && n > 0 {
 		c.tel().BatchFetches.Inc()
-		c.tel().BatchElements.Add(uint64(len(pre)))
+		c.tel().BatchElements.Add(uint64(n))
 	}
-	return cl, pre, nil
-}
-
-// collectSteps is collect against a replica that predates obj.bind: one
-// step RPC, under its own step span, per claim.
-func (c *Client) collectSteps(ctx context.Context, p *pipeline, client *object.Client) (claims, error) {
-	var cl claims
-	err := p.step(StepKeyFetch, &p.timing.KeyFetch, func() error {
-		var kerr error
-		cl.key, kerr = client.GetPublicKey(ctx)
-		return kerr
-	})
-	if err != nil {
-		return claims{}, fmt.Errorf("core: fetching object key: %w", err)
-	}
-	if c.trust != nil {
-		err = p.step(StepNameCertFetch, &p.timing.NameCertFetch, func() error {
-			var nerr error
-			cl.nameCerts, nerr = client.GetNameCerts(ctx)
-			return nerr
-		})
-		if err != nil {
-			return claims{}, fmt.Errorf("core: fetching identity certificates: %w", err)
-		}
-	}
-	err = p.step(StepCertFetch, &p.timing.CertFetch, func() error {
-		var cerr error
-		cl.icert, cerr = client.GetIntegrityCert(ctx)
-		return cerr
-	})
-	if err != nil {
-		return claims{}, fmt.Errorf("core: fetching integrity certificate: %w", err)
-	}
-	return cl, nil
-}
-
-// bindWant is the element bytes pl asks a cold bind to carry: every
-// element for FetchAll, the one wanted name for Fetch, none for Elements.
-// It asks for none at all while the verified-content cache holds bytes
-// of the object — a certificate refresh then moves only a fresh
-// certificate — or under DisableBatchFetch, whose serial ablation fetches
-// each element on its own.
-func (c *Client) bindWant(pl *fetchPlan) object.BindRequest {
-	switch {
-	case c.noBatchFetch || (c.vcache != nil && c.vcache.Holds(pl.oid)):
-		return object.BindRequest{}
-	case pl.all:
-		return object.BindRequest{All: true}
-	case pl.element != "":
-		return object.BindRequest{Names: []string{pl.element}}
-	}
-	return object.BindRequest{}
-}
-
-// refreshPolicy returns the certificate-refresh retry policy: the
-// configured one, or a two-attempt no-delay policy reproducing the
-// historical "refresh once" behaviour.
-func (c *Client) refreshPolicy() *transport.RetryPolicy {
-	if c.retry != nil {
-		return c.retry
-	}
-	return &transport.RetryPolicy{MaxAttempts: 2}
-}
-
-func (c *Client) cachedBinding(oid globeid.OID, now time.Time) (*verifiedBinding, bool) {
-	if !c.cacheBindings {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupBindingLocked(oid)
+	return pre
 }
 
 // lookupBindingLocked returns the cached binding for oid, promoting it
@@ -1152,26 +1165,23 @@ func (c *Client) lookupBindingLocked(oid globeid.OID) (*verifiedBinding, bool) {
 }
 
 // storeBindingLocked parks a freshly verified binding, replacing any
-// previous one for the same OID (closing its connection) and evicting
-// least-recently-used bindings beyond the cache bound. A refreshed
-// certificate also reconciles the verified-content cache: entries whose
-// hash the new certificate no longer lists stop being servable the
-// moment the new version is verified. Caller holds c.mu.
+// previous one for the same OID (closing its connection unless the new
+// binding adopted it) and evicting least-recently-used bindings beyond
+// the cache bound. A refreshed certificate also reconciles the
+// verified-content cache: entries whose hash it no longer lists stop
+// being servable the moment it is verified. Caller holds c.mu.
 func (c *Client) storeBindingLocked(oid globeid.OID, vb *verifiedBinding) {
 	if node, ok := c.cache[oid]; ok {
 		old := node.Value.(*bindingEntry)
-		if old.vb != vb {
+		if old.vb.client != vb.client {
 			old.vb.client.Close()
-			old.vb = vb
 		}
+		old.vb = vb
 		c.bindingLRU.MoveToFront(node)
 	} else {
 		c.cache[oid] = c.bindingLRU.PushFront(&bindingEntry{oid: oid, vb: vb})
 		for len(c.cache) > c.maxBindings {
 			tail := c.bindingLRU.Back()
-			if tail == nil {
-				break
-			}
 			evicted := tail.Value.(*bindingEntry)
 			c.bindingLRU.Remove(tail)
 			delete(c.cache, evicted.oid)
@@ -1194,25 +1204,18 @@ func (c *Client) storeBinding(oid globeid.OID, vb *verifiedBinding) {
 	c.storeBindingLocked(oid, vb)
 }
 
+// dropBinding closes vb's connection and unparks the binding over it —
+// vb itself, or one that adopted a moved certificate over the same
+// connection since.
 func (c *Client) dropBinding(oid globeid.OID, vb *verifiedBinding) {
 	c.mu.Lock()
-	if node, ok := c.cache[oid]; ok && node.Value.(*bindingEntry).vb == vb {
+	if node, ok := c.cache[oid]; ok && node.Value.(*bindingEntry).vb.client == vb.client {
 		c.bindingLRU.Remove(node)
 		delete(c.cache, oid)
 		c.tel().BindingCacheEntries.Set(int64(len(c.cache)))
 	}
 	c.mu.Unlock()
 	vb.client.Close()
-}
-
-// invalidateContent drops every verified-content cache entry vouched for
-// under oid. Called whenever a replica interaction for oid fails a
-// security check or fails over: bytes whose provenance is now suspect
-// must be re-fetched and re-verified, never served from cache.
-func (c *Client) invalidateContent(oid globeid.OID) {
-	if c.vcache != nil {
-		c.vcache.InvalidateOID(oid)
-	}
 }
 
 // ElementsNamed resolves name and returns the verified integrity
@@ -1232,21 +1235,13 @@ func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementE
 	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanElements)
 	p.root.Annotate("oid", oid.Short())
-	entries, err := c.elements(ctx, p, oid)
+	b, _, err := c.bind(ctx, p, &fetchPlan{oid: oid}, c.now(), nil)
 	if err != nil {
 		p.finish("error")
 		return nil, err
 	}
+	b.release()
 	p.finish("ok")
-	return entries, nil
-}
-
-func (c *Client) elements(ctx context.Context, p *pipeline, oid globeid.OID) ([]cert.ElementEntry, error) {
-	b, _, err := c.bind(ctx, p, &fetchPlan{oid: oid}, c.now(), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer b.release()
 	return append([]cert.ElementEntry(nil), b.vb.icert.Entries...), nil
 }
 
@@ -1270,130 +1265,45 @@ func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, 
 	return pl.results, nil
 }
 
-// every is FetchAll's attempt over b: every listed name decided fresh up
-// front, one pipelined GetElements exchange for the elements neither the
-// verified-content cache nor the bind's prefill pre holds, then the
-// element path fanned out over a bounded worker pool sharing the binding.
-// Each element runs its own fresh pipeline under the fetch.all root span,
-// so per-element spans and Timing stay attributable. The first failure
-// cancels the remaining work and comes back with the ordered verified
-// prefix.
-func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, pre prefill) ([]FetchResult, error) {
-	entries := b.vb.icert.Entries
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	for _, e := range entries {
-		if _, err := c.entryFor(p, b, e.Name); err != nil {
-			return nil, err
-		}
-	}
-	pre = c.batchPrefetch(ctx, p, b.vb, entries, pre)
-
-	workers := c.fetchWorkers
-	if workers > len(entries) {
-		workers = len(entries)
-	}
+// every is FetchAll's attempt over b for entries, every one decided
+// fresh: element fanned out over a bounded worker pool sharing the
+// binding, each element with its own fresh pipeline under the fetch.all
+// root span so its spans and Timing stay attributable. The first failure
+// cancels the rest and comes back with the ordered verified prefix.
+func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, entries []cert.ElementEntry, pre prefill) ([]FetchResult, error) {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type slot struct {
-		res  FetchResult
-		err  error
-		done bool
-	}
-	out := make([]slot, len(entries))
+	results := make([]FetchResult, len(entries))
+	ok := make([]bool, len(entries))
 	var next atomic.Int64
 	var failOnce sync.Once
 	var firstErr error
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(c.fetchWorkers, len(entries)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(entries) || gctx.Err() != nil {
+			for i := int(next.Add(1)) - 1; i < len(entries) && gctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				var err error
+				if results[i], err = c.element(gctx, p.fresh(), b, entries[i], pre); err != nil {
+					failOnce.Do(func() { firstErr = err; cancel() })
 					return
 				}
-				res, err := c.element(gctx, p.fresh(), b, entries[i], pre)
-				out[i] = slot{res: res, err: err, done: true}
-				if err != nil {
-					failOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
+				ok[i] = true
 			}
 		}()
 	}
 	wg.Wait()
 
-	results := make([]FetchResult, 0, len(entries))
-	for i := range out {
-		if !out[i].done || out[i].err != nil {
-			break
-		}
-		results = append(results, out[i].res)
+	n := 0
+	for n < len(ok) && ok[n] {
+		n++
 	}
-	if firstErr == nil && len(results) < len(entries) {
+	results = results[:n]
+	if firstErr == nil && n < len(entries) {
 		// The caller cancelled between two elements: no worker failed,
 		// but the download is not whole.
 		firstErr = ctx.Err()
 	}
 	return results, firstErr
-}
-
-// batchPrefetch adds to pre, in one GetElements exchange over the shared
-// binding, the elements neither pre nor the verified-content cache holds,
-// each credited an equal share of the exchange's duration, and returns
-// the merged prefill. Every failure mode — a server without the batch
-// operation, a transport fault, or per-item declines — leaves elements
-// out of the prefill; the element path's own GetElement then fetches
-// what is missing, so batching never changes failure semantics, only
-// round trips.
-func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry, pre prefill) prefill {
-	if c.noBatchFetch || len(entries) < 2 {
-		return pre
-	}
-	var names []string
-	for _, e := range entries {
-		if _, ok := pre[e.Name]; ok || (c.vcache != nil && c.vcache.Contains(e.Hash)) {
-			continue // the prefill or the element path's vcache consult serves it
-		}
-		names = append(names, e.Name)
-	}
-	if len(names) < 2 {
-		return pre
-	}
-	sp := p.root.StartChild(StepBatchFetch)
-	sp.Annotate("elements", strconv.Itoa(len(names)))
-	items, err := vb.client.GetElements(ctx, names)
-	if err != nil {
-		sp.Annotate("error", err.Error())
-		sp.End()
-		return pre
-	}
-	sp.End()
-	got := 0
-	for _, it := range items {
-		if it.Err == nil {
-			got++
-		}
-	}
-	c.tel().BatchFetches.Inc()
-	c.tel().BatchElements.Add(uint64(got))
-	if got == 0 {
-		return pre
-	}
-	if pre == nil {
-		pre = make(prefill, got)
-	}
-	share := sp.Duration() / time.Duration(got)
-	for _, it := range items {
-		if it.Err == nil {
-			pre[it.Name] = prefetched{elem: it.Element, source: "batch", share: share}
-		}
-	}
-	return pre
 }

@@ -287,7 +287,9 @@ func TestWarmBindingRefreshesExpiredCert(t *testing.T) {
 
 			// Owner re-issues a fresh certificate dated "later"; the client
 			// clock moves past the first certificate's expiry. The warm
-			// binding must transparently re-bind rather than fail.
+			// binding must transparently refresh — over the replica it is
+			// bound to, without re-running the binding pipeline — rather
+			// than fail.
 			later := time.Now().Add(10 * time.Minute)
 			if err := w.Reissue(pub, time.Hour, later); err != nil {
 				t.Fatal(err)
@@ -298,9 +300,12 @@ func TestWarmBindingRefreshesExpiredCert(t *testing.T) {
 				t.Fatalf("fetch after reissue: %v", err)
 			}
 			for _, res := range results {
-				if res.WarmBinding {
-					t.Errorf("%s: expired-cert fetch should have re-bound cold", res.Element.Name)
+				if !res.WarmBinding {
+					t.Errorf("%s: expired-cert fetch re-bound cold, want a refresh over the warm binding", res.Element.Name)
 				}
+			}
+			if n := tel.PipelineRuns.Value(); n != 1 {
+				t.Errorf("binding_pipeline_runs_total = %d, want 1: the refresh asks the bound replica", n)
 			}
 			if n := tel.SecurityCheckFailures.With("freshness").Value(); n != 0 {
 				t.Errorf("a re-issued certificate counted %d freshness failures, want 0", n)

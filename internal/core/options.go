@@ -66,10 +66,10 @@ type Options struct {
 	// before any connection is made. 0 keeps the binder's own setting
 	// (transport.DefaultMaxConns when that too is zero).
 	PoolSize int
-	// DisableBatchFetch makes FetchAll retrieve every element with
-	// individual GetElement calls instead of one pipelined GetElements
-	// exchange — the serial-RPC ablation the multiplex benchmark compares
-	// against. Verification is identical either way.
+	// DisableBatchFetch makes FetchAll retrieve every element with a warm
+	// obj.bind of its own instead of carrying them all in one exchange —
+	// the serial-RPC ablation the multiplex benchmark compares against.
+	// Verification is identical either way.
 	DisableBatchFetch bool
 	// VCache is the verified-content cache: element bytes reused under
 	// their certificate hash and memoized certificate-signature verdicts

@@ -118,13 +118,16 @@ func TestDoubleStaleStopsEvenWithAggressiveRetryPolicy(t *testing.T) {
 }
 
 func TestWarmRefreshRetriesThroughPolicyOnDeadReplica(t *testing.T) {
-	// After the binding is warmed, the whole network goes dark. The
-	// refresh path must exhaust its retry policy against the dead
-	// replica and return a transport error — bounded, not hanging.
+	// After the binding is warmed, the replica dies. The refresh, which
+	// asks the bound replica first, must fall back to re-binding, exhaust
+	// its retry policy against the dead replica and return a transport
+	// error — bounded, not hanging.
 	policy := &transport.RetryPolicy{MaxAttempts: 3}
 	w, client := staleWorld(t, policy)
 	pubOID := w.Servers[netsim.AmsterdamPrimary].Hosted()[0]
 
+	// The replica crashes: its connections reset and no dial reaches it.
+	w.Servers[netsim.AmsterdamPrimary].Close()
 	w.Net.SetHostDown(netsim.AmsterdamPrimary)
 	start := time.Now()
 	_, err := client.Fetch(context.Background(), pubOID, "a.html")

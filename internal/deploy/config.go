@@ -85,7 +85,7 @@ func RegisterCacheFlags(fs *flag.FlagSet) *CacheFlags {
 	fs.BoolVar(&f.DisableVCache, "disable-vcache", false,
 		"disable the verified-content cache (every fetch re-transfers and re-verifies)")
 	fs.BoolVar(&f.DisableBatchFetch, "disable-batch-fetch", false,
-		"disable the batched GetElements exchange (whole-object fetches issue one RPC per element)")
+		"disable batched element fetch (whole-object fetches issue one obj.bind per element)")
 	fs.Int64Var(&f.VCacheMaxBytes, "vcache-max-bytes", 0,
 		"verified-content cache byte budget (0 = default 64 MiB)")
 	fs.IntVar(&f.VCacheMaxSigs, "vcache-max-signatures", 0,

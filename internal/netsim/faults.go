@@ -130,6 +130,19 @@ func (t *FaultTrace) String() string {
 	return strings.Join(lines, "\n")
 }
 
+// Count returns how many recorded faults of kind hit side's writes over
+// the link between a and b: "client" (the dialler's requests) or "server".
+func (t *FaultTrace) Count(a, b, side string, kind FaultKind) int {
+	key := linkKey(a, b)
+	n := 0
+	for _, e := range t.Events() {
+		if e.Link == key[0]+"<->"+key[1] && e.Side == side && e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 func (t *FaultTrace) record(e FaultEvent) {
 	t.mu.Lock()
 	t.events = append(t.events, e)

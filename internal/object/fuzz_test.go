@@ -54,6 +54,18 @@ func FuzzObjectDecode(f *testing.F) {
 		f.Add([]byte{kind})
 	}
 	f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(BindRequest{OID: oid, All: true})...))
+	// A warm bind names the certificate it holds: one seed per request it
+	// makes — a refresh asking for no element, a miss asking for some, a
+	// FetchAll asking for all.
+	have := globeid.HashElement([]byte("icert"))
+	for _, req := range []BindRequest{
+		{OID: oid, Have: have, At: time.Unix(1e9, 5)},
+		{OID: oid, FromSite: "paris", Have: have, Names: []string{"a", "b"}, At: time.Unix(1e9, 5)},
+		{OID: oid, Have: have, All: true},
+	} {
+		f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(req)...))
+	}
+	f.Add(append([]byte{fuzzBindReply}, EncodeBindReply(nil, nil, nil, items)...))
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) == 0 {
@@ -104,6 +116,9 @@ func FuzzObjectDecode(f *testing.F) {
 				bounded(len(req.Names), maxBatchNames)
 				if req.All && len(req.Names) > 0 {
 					t.Fatalf("bind request for all elements lists %d", len(req.Names))
+				}
+				if req.Have != ([globeid.Size]byte{}) && req.NameCerts {
+					t.Fatal("bind request that holds a certificate asks for name certificates")
 				}
 				same(EncodeBindRequest(req))
 			}

@@ -14,11 +14,11 @@
 // wraps a bound Client with the self-certification, integrity and
 // freshness pipeline of paper §3.
 //
-// A replica answers one step operation per thing a secure binding checks
-// — the key, the name certificates, the integrity certificate, the
-// elements — and obj.bind, which carries all of them, from one version,
-// in one exchange. The step operations stay for clients that predate
-// obj.bind; a client falls back to them when a replica refuses it.
+// A client takes bytes from a replica only through obj.bind: cold, for
+// everything a secure binding checks with the wanted elements, from one
+// version; warm, naming the certificate it holds, for the elements and
+// the replica's certificate only if it has moved on. The step operations
+// stay served for tools that time the layers one by one.
 package object
 
 import (
@@ -48,17 +48,13 @@ const (
 	OpGetCert      = "obj.getcert"
 	OpGetNameCerts = "obj.getnamecerts"
 	OpGetElement   = "obj.getelement"
-	// OpGetElements returns many elements in one exchange — the batched
-	// fetch that lets a cold document ride one round trip over a
-	// multiplexed transport-v2 connection. Servers that predate it
-	// answer "unknown operation" and clients fall back to per-element
-	// calls; the transport remembers the refusal, so a binding asks once.
+	// OpGetElements returns many elements in one exchange.
 	OpGetElements = "obj.getelements"
-	// OpBind returns, in one exchange and from one version, everything a
-	// secure binding checks — the object key, the integrity certificate
-	// and, when asked, the name certificates — with the element batch the
-	// binding will serve first. Servers that predate it answer "unknown
-	// operation" and clients fall back to the step operations above.
+	// OpBind returns, in one exchange and from one version, the element
+	// batch a client asks for with what it needs to verify them: for a
+	// cold bind the object key, the integrity certificate and, when asked,
+	// the name certificates; for a warm one, which names the certificate
+	// it holds, the replica's certificate only when it differs.
 	OpBind         = "obj.bind"
 	OpListElements = "obj.list"
 	OpVersion      = "obj.version"
@@ -195,8 +191,7 @@ type BatchWireItem struct {
 
 // BatchItem is one decoded slot of a batch response. Err is non-nil
 // when the server declined this element (unknown name, or the batch
-// overflowed the frame budget); the caller fetches such elements
-// individually.
+// overflowed the frame budget).
 type BatchItem struct {
 	Name    string
 	Element document.Element
@@ -206,36 +201,58 @@ type BatchItem struct {
 // EncodeElementsResponse encodes a batch response. Items must be in
 // request order — clients verify the echo.
 func EncodeElementsResponse(items []BatchWireItem) []byte {
-	w := enc.NewWriter(itemsSize(items))
-	appendItems(w, items)
-	return w.Bytes()
+	return joined(ElementsResponseBuffers(items))
 }
 
-// itemsSize bounds the encoded size of a batch, so it is written into
-// one buffer without growing it.
+// ElementsResponseBuffers is EncodeElementsResponse's encoding as
+// buffers, whose concatenation it is (see appendItems).
+func ElementsResponseBuffers(items []BatchWireItem) [][]byte {
+	return appendItems(enc.NewWriter(itemsSize(items)), items)
+}
+
+// joined is bufs' concatenation (not bytes.Join: DESIGN.md §12.1).
+func joined(bufs [][]byte) []byte {
+	var out []byte
+	for _, b := range bufs {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// itemsSize bounds a batch's framing — all of it but the elements' wire
+// bytes — so it is written into one buffer without growing it.
 func itemsSize(items []BatchWireItem) int {
 	size := 16
 	for _, it := range items {
-		size += 16 + len(it.Name) + len(it.Wire) + len(it.ErrMsg)
+		size += 16 + len(it.Name) + len(it.ErrMsg)
 	}
 	return size
 }
 
-// appendItems writes a batch: the item count, then per item its name, a
-// status byte and either the element's wire bytes or the decline reason.
-// The element bytes are copied once, into w — the batch's one copy.
-func appendItems(w *enc.Writer, items []BatchWireItem) {
+// appendItems writes a batch after what w holds — the item count, then
+// per item its name, a status byte and either the element's wire bytes or
+// the decline reason — and returns the whole encoding as buffers: w's
+// framing interleaved with the elements' wire bytes, referenced where they
+// lie. A reply assembled from a server's precomputed payloads thus copies
+// no element byte.
+func appendItems(w *enc.Writer, items []BatchWireItem) [][]byte {
+	bufs := make([][]byte, 0, 2*len(items)+1)
+	cut := 0
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		w.String(it.Name)
 		if it.ErrMsg != "" {
 			w.Byte(1)
 			w.String(it.ErrMsg)
-		} else {
-			w.Byte(0)
-			w.BytesPrefixed(it.Wire)
+			continue
 		}
+		w.Byte(0)
+		w.Uvarint(uint64(len(it.Wire)))
+		b := w.Bytes()
+		bufs = append(bufs, b[cut:len(b):len(b)], it.Wire)
+		cut = len(b)
 	}
+	return append(bufs, w.Bytes()[cut:])
 }
 
 // DecodeElementsResponse decodes a batch response. Every item's element
@@ -291,12 +308,18 @@ func echoes(items []BatchItem, names []string) error {
 }
 
 // BindRequest is one obj.bind request: the object, the client's advisory
-// site hint, and what the reply carries besides the object key and the
-// integrity certificate, which it always carries.
+// site hint, the certificate the client holds, and what the reply
+// carries besides.
 type BindRequest struct {
 	OID      globeid.OID
 	FromSite string
-	// NameCerts asks for the object's identity certificates.
+	// Have names by its encoding's hash (a version header's CertHash) the
+	// integrity certificate the client holds; zero for a cold bind. The
+	// reply then carries no key and the replica's certificate only when it
+	// is not the one held.
+	Have [globeid.Size]byte
+	// NameCerts asks for the object's identity certificates; a request
+	// that has a certificate cannot.
 	NameCerts bool
 	// All asks for every element the replica holds. Otherwise Names lists
 	// the elements wanted; none asks for the certificates alone.
@@ -313,11 +336,12 @@ type BindRequest struct {
 const (
 	bindNameCerts = 1 << iota
 	bindAll
+	bindHave
 )
 
 // EncodeBindRequest encodes an obj.bind request.
 func EncodeBindRequest(req BindRequest) []byte {
-	w := enc.NewWriter(globeid.Size + len(req.FromSite) + 24 + 16*len(req.Names))
+	w := enc.NewWriter(2*globeid.Size + len(req.FromSite) + 24 + 16*len(req.Names))
 	w.Raw(req.OID[:])
 	w.String(req.FromSite)
 	var flags byte
@@ -327,7 +351,13 @@ func EncodeBindRequest(req BindRequest) []byte {
 	if req.All {
 		flags |= bindAll
 	}
+	if req.Have != ([globeid.Size]byte{}) {
+		flags |= bindHave
+	}
 	w.Byte(flags)
+	if flags&bindHave != 0 {
+		w.Raw(req.Have[:])
+	}
 	w.Time(req.At)
 	w.Uvarint(uint64(len(req.Names)))
 	for _, n := range req.Names {
@@ -337,23 +367,29 @@ func EncodeBindRequest(req BindRequest) []byte {
 }
 
 // DecodeBindRequest decodes an obj.bind request. It refuses unknown flag
-// bits and a request for all elements that also lists names, so every
-// accepted request has one encoding.
+// bits, a request for all elements that also lists names, a held
+// certificate named by the zero hash and one with a request for name
+// certificates, so every accepted request has one encoding.
 func DecodeBindRequest(body []byte) (BindRequest, error) {
 	r := enc.NewReader(body)
 	var req BindRequest
 	copy(req.OID[:], r.Raw(globeid.Size))
 	req.FromSite = r.String()
 	flags := r.Byte()
+	if flags&bindHave != 0 {
+		copy(req.Have[:], r.Raw(globeid.Size))
+	}
 	req.At = r.Time()
 	n := r.Uvarint()
 	switch {
-	case flags&^(bindNameCerts|bindAll) != 0:
+	case flags&^(bindNameCerts|bindAll|bindHave) != 0:
 		return BindRequest{}, fmt.Errorf("%w: unknown bind flags %#x", ErrBadPayload, flags)
 	case n > maxBatchNames:
 		return BindRequest{}, fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
 	case flags&bindAll != 0 && n > 0:
 		return BindRequest{}, fmt.Errorf("%w: bind asks for all elements and lists %d", ErrBadPayload, n)
+	case flags&bindHave != 0 && (req.Have == [globeid.Size]byte{} || flags&bindNameCerts != 0):
+		return BindRequest{}, fmt.Errorf("%w: bind holds a certificate with flags %#x", ErrBadPayload, flags)
 	}
 	req.NameCerts, req.All = flags&bindNameCerts != 0, flags&bindAll != 0
 	if n > 0 {
@@ -372,23 +408,28 @@ func DecodeBindRequest(body []byte) (BindRequest, error) {
 // unverified claim and aliases the reply body, as batch elements do (see
 // DecodeElementsResponse).
 type BindReply struct {
-	Key       []byte      // the object key, as keys.PublicKey.Marshal encodes it
+	Key       []byte      // the object key, as keys.PublicKey.Marshal encodes it; empty when the request had a certificate
 	NameCerts []byte      // the identity certificates, as EncodeCertList encodes them; empty unless asked for
-	Cert      []byte      // the integrity certificate, as its Marshal encodes it
+	Cert      []byte      // the integrity certificate, as its Marshal encodes it; empty when it is the one the request had
 	Items     []BatchItem // the element batch, as in a GetElements reply
 }
 
 // EncodeBindReply encodes an obj.bind reply from already-encoded
 // sections: the key, name-certificate list and integrity certificate
-// first, then the batch in EncodeElementsResponse's item format. Like
-// that encoder it copies each carried element once, into the reply.
+// first, then the batch in EncodeElementsResponse's item format.
 func EncodeBindReply(key, nameCerts, icert []byte, items []BatchWireItem) []byte {
+	return joined(BindReplyBuffers(key, nameCerts, icert, items))
+}
+
+// BindReplyBuffers is EncodeBindReply's encoding as buffers, whose
+// concatenation it is: the sections are copied, the elements referenced
+// (see appendItems).
+func BindReplyBuffers(key, nameCerts, icert []byte, items []BatchWireItem) [][]byte {
 	w := enc.NewWriter(3*binary.MaxVarintLen64 + len(key) + len(nameCerts) + len(icert) + itemsSize(items))
 	w.BytesPrefixed(key)
 	w.BytesPrefixed(nameCerts)
 	w.BytesPrefixed(icert)
-	appendItems(w, items)
-	return w.Bytes()
+	return appendItems(w, items)
 }
 
 // DecodeBindReply decodes an obj.bind reply. It checks the encoding only;
@@ -539,9 +580,7 @@ func (c *Client) GetElement(ctx context.Context, name string) (document.Element,
 
 // GetElements fetches many elements' raw content in one exchange,
 // returned in request order. A per-item error means the server declined
-// that element (unknown name, or the batch outgrew the frame budget);
-// the caller fetches those individually. A server that predates the
-// batch operation fails the whole call with a RemoteError.
+// that element (unknown name, or the batch outgrew the frame budget).
 func (c *Client) GetElements(ctx context.Context, names []string) ([]BatchItem, error) {
 	body, err := c.c.Call(ctx, OpGetElements, EncodeElementsRequest(c.oid, names, c.Site))
 	if err != nil {
@@ -557,14 +596,11 @@ func (c *Client) GetElements(ctx context.Context, names []string) ([]BatchItem, 
 	return items, nil
 }
 
-// Bind fetches in one exchange what a secure binding checks — the key,
-// the integrity certificate and, when req asks, the name certificates —
-// with the element batch req asks for. req's OID and site hint are the
-// client's own. The batch answers req.Names slot by slot, or for req.All
-// every element the replica offers, in name order; a per-item error is a
-// decline, as in GetElements. Nothing is verified. A server that predates
-// the operation fails the call with a RemoteError transport.IsUnknownOp
-// recognises.
+// Bind fetches in one exchange the element batch req asks for with what
+// verifies it (see OpBind); req's OID and site hint are the client's own.
+// The batch answers req.Names slot by slot, or for req.All every element
+// the replica offers, in name order; a per-item error is a decline, as in
+// GetElements. Nothing is verified.
 func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
 	req.OID, req.FromSite = c.oid, c.Site
 	body, err := c.c.Call(ctx, OpBind, EncodeBindRequest(req))
@@ -575,9 +611,12 @@ func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
 	if err != nil {
 		return BindReply{}, err
 	}
-	if req.All {
+	switch {
+	case req.Have != [globeid.Size]byte{} && len(reply.Key)+len(reply.NameCerts) > 0:
+		err = fmt.Errorf("%w: bind reply to a held certificate carries a key", ErrBadPayload)
+	case req.All:
 		err = ascending(reply.Items)
-	} else {
+	default:
 		err = echoes(reply.Items, req.Names)
 	}
 	if err != nil {

@@ -57,14 +57,18 @@ func headBundle(tb testing.TB, owner *keys.KeyPair, version uint64, names []stri
 	return &Bundle{OID: oid, Key: owner.Public(), Elements: elems, Version: version, Cert: icert}
 }
 
-// servedPayload returns obj.getelement's reply for name.
+// servedPayload returns obj.getelement's reply for name: the one buffer
+// the handler answers with.
 func servedPayload(tb testing.TB, s *Server, oid globeid.OID, name string) []byte {
 	tb.Helper()
 	got, err := s.handleGetElement(context.Background(), object.EncodeElementRequest(oid, name, ""))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return got
+	if len(got) != 1 {
+		tb.Fatalf("obj.getelement answered with %d buffers, want 1", len(got))
+	}
+	return got[0]
 }
 
 // TestRetainedHeapTracksStoredBytes pins what the process holds per
@@ -130,7 +134,7 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 	}
 	chain := h.versions()
 	for i, snap := range chain[:len(chain)-1] {
-		if snap.wire.elements != nil || snap.wire.icert != nil || snap.cert != nil || snap.size != 0 {
+		if snap.wire.elements != nil || snap.wire.icert[0] != nil || snap.cert != nil || snap.size != 0 {
 			t.Errorf("superseded version at index %d still holds servable state", i)
 		}
 		if snap.header == nil || len(snap.hashes) != 3 {
@@ -322,7 +326,7 @@ func TestGetElementsAnswersFromOneHead(t *testing.T) {
 		return true
 	}
 	raceReaders(t, s, a, b, 500, func() error {
-		resp, err := s.handleGetElements(context.Background(), req)
+		resp, err := joined(s.handleGetElements(context.Background(), req))
 		if err != nil {
 			return err
 		}
@@ -356,7 +360,7 @@ func TestBindAnswersFromOneHead(t *testing.T) {
 	}
 	req := object.EncodeBindRequest(object.BindRequest{OID: a.OID, All: true})
 	raceReaders(t, s, a, b, 500, func() error {
-		resp, err := s.handleBind(context.Background(), req)
+		resp, err := joined(s.handleBind(context.Background(), req))
 		if err != nil {
 			return err
 		}

@@ -72,11 +72,12 @@ func (h *hostedReplica) head() *versionSnapshot {
 // wirePayloads are one version's precomputed wire responses. Handlers
 // serve these shared slices copy-free — per-request marshalling,
 // dominated by the O(elements) certificate table, would be pure waste —
-// so they must never be mutated.
+// so they must never be mutated. The key and certificates are one-buffer
+// replies, which a step handler answers with without allocating.
 type wirePayloads struct {
-	key       []byte
-	icert     []byte
-	nameCerts []byte
+	key       [1][]byte
+	icert     [1][]byte
+	nameCerts [1][]byte
 	names     []string // sorted
 	elements  map[string]elementPayload
 }
@@ -109,9 +110,9 @@ func errNoSuchElement(name string) error {
 // once, into a new one.
 func buildWire(b *Bundle, leaves map[string][globeid.Size]byte, prev *versionSnapshot) wirePayloads {
 	w := wirePayloads{
-		key:       b.Key.Marshal(),
-		icert:     b.Cert.Marshal(),
-		nameCerts: object.EncodeCertList(b.NameCerts),
+		key:       [1][]byte{b.Key.Marshal()},
+		icert:     [1][]byte{b.Cert.Marshal()},
+		nameCerts: [1][]byte{object.EncodeCertList(b.NameCerts)},
 		elements:  make(map[string]elementPayload, len(b.Elements)),
 	}
 	for _, e := range b.Elements {
@@ -365,7 +366,7 @@ func (s *Server) replica(oid globeid.OID) (*hostedReplica, error) {
 // under it; handler errors are annotated so errored serves export even
 // when the trace is unsampled.
 func (s *Server) traced(name string, h transport.HandlerCtx) transport.HandlerCtx {
-	return func(ctx context.Context, body []byte) ([]byte, error) {
+	return func(ctx context.Context, body []byte) ([][]byte, error) {
 		sp := telemetry.Or(s.srv.Telemetry).Tracer.StartSpanFrom(name, telemetry.SpanContextFrom(ctx))
 		defer sp.End()
 		resp, err := h(telemetry.ContextWith(ctx, sp.Context()), body)
@@ -385,30 +386,30 @@ func (s *Server) requested(body []byte) (*hostedReplica, error) {
 	return s.replica(oid)
 }
 
-func (s *Server) handleGetKey(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleGetKey(ctx context.Context, body []byte) ([][]byte, error) {
 	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
 	s.statKeyFetches.Add(1)
-	return h.head().wire.key, nil
+	return h.head().wire.key[:], nil
 }
 
-func (s *Server) handleGetCert(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleGetCert(ctx context.Context, body []byte) ([][]byte, error) {
 	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
 	s.statCertFetches.Add(1)
-	return h.head().wire.icert, nil
+	return h.head().wire.icert[:], nil
 }
 
-func (s *Server) handleGetNameCerts(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleGetNameCerts(ctx context.Context, body []byte) ([][]byte, error) {
 	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	return h.head().wire.nameCerts, nil
+	return h.head().wire.nameCerts[:], nil
 }
 
 // serveElement records stats, fires the access observer and emits the
@@ -426,7 +427,7 @@ func (s *Server) serveElement(ctx context.Context, h *hostedReplica, name, fromS
 	sp.End()
 }
 
-func (s *Server) handleGetElement(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleGetElement(ctx context.Context, body []byte) ([][]byte, error) {
 	oid, name, fromSite, err := object.DecodeElementRequest(body)
 	if err != nil {
 		return nil, err
@@ -440,12 +441,12 @@ func (s *Server) handleGetElement(ctx context.Context, body []byte) ([]byte, err
 		return nil, errNoSuchElement(name)
 	}
 	s.serveElement(ctx, h, name, fromSite, p.size)
-	return p.wire, nil
+	return [][]byte{p.wire}, nil
 }
 
 // handleGetElements serves a whole batch of elements from the replica's
 // precomputed wire payloads in one exchange (see batch).
-func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleGetElements(ctx context.Context, body []byte) ([][]byte, error) {
 	oid, names, fromSite, err := object.DecodeElementsRequest(body)
 	if err != nil {
 		return nil, err
@@ -454,15 +455,16 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return object.EncodeElementsResponse(s.batch(ctx, h, h.head(), names, fromSite, time.Time{}, 0)), nil
+	return object.ElementsResponseBuffers(s.batch(ctx, h, h.head(), names, fromSite, time.Time{}, 0)), nil
 }
 
-// handleBind answers obj.bind from one head version: its key, integrity
-// certificate and — when asked — name certificates, then the element
-// batch asked for (see batch), so no reply mixes two versions however an
-// update races it. Every section is a precomputed wire payload; the reply
-// is assembled with one copy, as a GetElements batch is.
-func (s *Server) handleBind(ctx context.Context, body []byte) ([]byte, error) {
+// handleBind answers obj.bind from one head version, so no reply mixes
+// two versions however an update races it: the element batch asked for
+// (see batch) with what verifies it — for a cold bind the key, the
+// integrity certificate and, when asked, the name certificates; for one
+// naming the certificate it holds, the head's only when it is another.
+// The reply references the precomputed wire payloads where they lie.
+func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) {
 	req, err := object.DecodeBindRequest(body)
 	if err != nil {
 		return nil, err
@@ -472,27 +474,34 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	v := h.head()
-	var nameCerts []byte
+	var key, nameCerts, icert []byte
+	switch {
+	case req.Have == [globeid.Size]byte{}:
+		key, icert = v.wire.key[0], v.wire.icert[0]
+		s.statKeyFetches.Add(1)
+		s.statCertFetches.Add(1)
+	case req.Have != v.header.CertHash:
+		icert = v.wire.icert[0]
+		s.statCertFetches.Add(1)
+	}
 	if req.NameCerts {
-		nameCerts = v.wire.nameCerts
+		nameCerts = v.wire.nameCerts[0]
 	}
 	names := req.Names
 	if req.All {
 		names = v.wire.names
 	}
-	s.statKeyFetches.Add(1)
-	s.statCertFetches.Add(1)
-	items := s.batch(ctx, h, v, names, req.FromSite, req.At, len(v.wire.key)+len(nameCerts)+len(v.wire.icert))
-	return object.EncodeBindReply(v.wire.key, nameCerts, v.wire.icert, items), nil
+	items := s.batch(ctx, h, v, names, req.FromSite, req.At, len(key)+len(nameCerts)+len(icert))
+	return object.BindReplyBuffers(key, nameCerts, icert, items), nil
 }
 
 // batch answers names from version v in GetElements' item format. Items
-// that cannot be served are declined one by one, and the client fetches
-// them individually: an unknown name, an element whose certificate entry
-// is not fresh at the client's clock reading at (when at is set), or one
-// that would take the reply past the frame budget, of which used bytes
-// are already spoken for. Per-element stats and the access observer fire
-// for every carried element exactly as they do for serial fetches.
+// that cannot be served are declined one by one: an unknown name, an
+// element whose certificate entry is not fresh at the client's clock
+// reading at (when at is set), or one that would take the reply past the
+// frame budget, of which used bytes are already spoken for. Per-element
+// stats and the access observer fire for every carried element exactly
+// as they do for serial fetches.
 func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot, names []string, fromSite string, at time.Time, used int) []object.BatchWireItem {
 	const budget = transport.MaxFrame - 64*1024 // headroom for item framing
 	items := make([]object.BatchWireItem, 0, len(names))
@@ -516,12 +525,12 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 	return items
 }
 
-func (s *Server) handleListElements(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Server) handleListElements(ctx context.Context, body []byte) ([][]byte, error) {
 	h, err := s.requested(body)
 	if err != nil {
 		return nil, err
 	}
-	return object.EncodeStringList(h.head().wire.names), nil
+	return [][]byte{object.EncodeStringList(h.head().wire.names)}, nil
 }
 
 func (s *Server) handleVersion(body []byte) ([]byte, error) {

@@ -135,7 +135,7 @@ func newSnapshot(b *Bundle, prev *versionSnapshot) *versionSnapshot {
 		header: &VersionHeader{
 			OID:      b.OID,
 			Version:  b.Version,
-			CertHash: globeid.HashElement(wire.icert),
+			CertHash: globeid.HashElement(wire.icert[0]),
 			ElemRoot: merkle.RootFromLeaves(leaves),
 		},
 		hashes:    leaves,

@@ -87,7 +87,7 @@ func TestVersionChainLinksOnUpdate(t *testing.T) {
 	if head := chain[len(chain)-1]; head.Version != mustVersion(t, s, oid) {
 		t.Errorf("head version %d, served version %d", head.Version, mustVersion(t, s, oid))
 	}
-	served, err := s.handleGetCert(context.Background(), object.EncodeOIDRequest(oid))
+	served, err := joined(s.handleGetCert(context.Background(), object.EncodeOIDRequest(oid)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/netsim"
 	"globedoc/internal/object"
 )
 
@@ -48,11 +49,17 @@ func newWireServer(tb testing.TB, elemSize int) (*Server, globeid.OID, *keys.Key
 	return s, oid, owner
 }
 
+// joined is a handler's reply as the one body a client reads: the
+// concatenation of its buffers.
+func joined(bufs [][]byte, err error) ([]byte, error) {
+	return bytes.Join(bufs, nil), err
+}
+
 func TestHandlersServePrecomputedPayloads(t *testing.T) {
 	s, oid, _ := newWireServer(t, 64)
 	req := object.EncodeOIDRequest(oid)
 
-	got, err := s.handleGetCert(context.Background(), req)
+	got, err := joined(s.handleGetCert(context.Background(), req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,7 @@ func TestHandlersServePrecomputedPayloads(t *testing.T) {
 	}
 
 	elemReq := object.EncodeElementRequest(oid, "index.html", "")
-	wire, err := s.handleGetElement(context.Background(), elemReq)
+	wire, err := joined(s.handleGetElement(context.Background(), elemReq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestWireRebuiltOnUpdate(t *testing.T) {
 	s, oid, owner := newWireServer(t, 64)
 	req := object.EncodeOIDRequest(oid)
 
-	before, err := s.handleGetCert(context.Background(), req)
+	before, err := joined(s.handleGetCert(context.Background(), req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +108,14 @@ func TestWireRebuiltOnUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, err := s.handleGetCert(context.Background(), req)
+	after, err := joined(s.handleGetCert(context.Background(), req))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(before, after) {
 		t.Fatal("GetCert payload not rebuilt after update")
 	}
-	wire, err := s.handleGetElement(context.Background(), object.EncodeElementRequest(oid, "index.html", ""))
+	wire, err := joined(s.handleGetElement(context.Background(), object.EncodeElementRequest(oid, "index.html", "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestWireRebuiltOnUpdate(t *testing.T) {
 func TestHandleGetElementsServesBatch(t *testing.T) {
 	s, oid, _ := newWireServer(t, 64)
 	names := []string{"index.html", "logo.png", "style.css"}
-	resp, err := s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, names, "paris"))
+	resp, err := joined(s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, names, "paris")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +163,7 @@ func TestHandleGetElementsServesBatch(t *testing.T) {
 
 func TestHandleGetElementsUnknownNameIsPerItem(t *testing.T) {
 	s, oid, _ := newWireServer(t, 64)
-	resp, err := s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, []string{"index.html", "missing.js"}, ""))
+	resp, err := joined(s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, []string{"index.html", "missing.js"}, "")))
 	if err != nil {
 		t.Fatalf("a missing element must not fail the whole batch: %v", err)
 	}
@@ -178,7 +185,7 @@ func TestHandleGetElementsBudgetOverflowMarksItems(t *testing.T) {
 	// errors telling the client to fetch them individually, and its
 	// bytes must not count as served.
 	s, oid, _ := newWireServer(t, 7<<20)
-	resp, err := s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, []string{"index.html", "logo.png", "style.css"}, ""))
+	resp, err := joined(s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, []string{"index.html", "logo.png", "style.css"}, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +242,7 @@ func TestGetElementServesTheWireTableUncopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(table) || &got[0] != &table[0] {
+	if len(got) != 1 || len(got[0]) != len(table) || &got[0][0] != &table[0] {
 		t.Fatal("handleGetElement answered with a copy of the wire table entry")
 	}
 	perRequest := alloctest.BytesPerRun(t, 100, func() {
@@ -245,6 +252,68 @@ func TestGetElementServesTheWireTableUncopied(t *testing.T) {
 	})
 	if perRequest > 4096 {
 		t.Fatalf("handleGetElement allocates %.0f bytes serving a 1 MiB element, want no payload-sized allocation", perRequest)
+	}
+}
+
+// TestWarmBindReplyServesTheWireTableUncopied pins the same budget for
+// the request a warm client sends for a 1 MiB element: obj.bind naming
+// the certificate the replica still serves. The reply is the elements
+// alone, scatter-assembled: the element's buffer is the wire table entry
+// itself, so the server allocates its framing and nothing payload-sized —
+// in the handler, and in the exchange as a whole, whose one payload-sized
+// allocation is the client's frame buffer.
+func TestWarmBindReplyServesTheWireTableUncopied(t *testing.T) {
+	const size = 1 << 20
+	s, oid, _ := newWireServer(t, size)
+	h, err := s.replica(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := h.head()
+	table := head.wire.elements["index.html"].wire
+	warm := object.BindRequest{OID: oid, Have: head.header.CertHash, Names: []string{"index.html"}}
+	req := object.EncodeBindRequest(warm)
+	got, err := s.handleBind(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliased := false
+	for _, b := range got {
+		aliased = aliased || (len(b) == len(table) && &b[0] == &table[0])
+	}
+	if !aliased {
+		t.Fatal("warm obj.bind answered with a copy of the wire table entry")
+	}
+	if reply, err := object.DecodeBindReply(bytes.Join(got, nil)); err != nil || len(reply.Key)+len(reply.Cert) > 0 {
+		t.Fatalf("warm obj.bind for an unchanged version carries %d key and %d certificate bytes (err %v), want neither",
+			len(reply.Key), len(reply.Cert), err)
+	}
+	perRequest := alloctest.BytesPerRun(t, 100, func() {
+		if _, err := s.handleBind(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRequest > 4096 {
+		t.Fatalf("handleBind allocates %.0f bytes serving a 1 MiB element warm, want no payload-sized allocation", perRequest)
+	}
+
+	n := netsim.PaperTestbed(0)
+	t.Cleanup(n.Close)
+	l, err := n.Listen(netsim.AmsterdamPrimary, "objsvc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(l)
+	t.Cleanup(s.Close)
+	c := object.NewClient(oid, "objsvc", n.Dialer(netsim.Paris, netsim.AmsterdamPrimary+":objsvc"))
+	t.Cleanup(c.Close)
+	perCall := alloctest.BytesPerRun(t, 20, func() {
+		if reply, err := c.Bind(context.Background(), warm); err != nil || len(reply.Items) != 1 {
+			t.Fatalf("warm Bind: %v", err)
+		}
+	})
+	if ratio := perCall / size; ratio > 1.05 {
+		t.Errorf("warm Bind allocates %.0f bytes per 1 MiB element (%.2f per payload byte), want <= 1.05", perCall, ratio)
 	}
 }
 
@@ -300,7 +369,7 @@ func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
 	bind := func(req object.BindRequest) object.BindReply {
 		t.Helper()
 		req.OID = oid
-		resp, err := s.handleBind(context.Background(), object.EncodeBindRequest(req))
+		resp, err := joined(s.handleBind(context.Background(), object.EncodeBindRequest(req)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +377,7 @@ func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(reply.Key, owner.Public().Marshal()) || !bytes.Equal(reply.Cert, head.wire.icert) {
+		if !bytes.Equal(reply.Key, owner.Public().Marshal()) || !bytes.Equal(reply.Cert, head.wire.icert[0]) {
 			t.Fatal("bind reply lacks the key or the integrity certificate")
 		}
 		return reply
@@ -327,7 +396,7 @@ func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
 	if reply := bind(object.BindRequest{At: fresh}); len(reply.Items) != 0 || len(reply.NameCerts) != 0 {
 		t.Fatalf("certificate-only bind carried %d items and %d name-certificate bytes", len(reply.Items), len(reply.NameCerts))
 	}
-	if reply := bind(object.BindRequest{NameCerts: true, Names: []string{"logo.png"}, At: fresh}); !bytes.Equal(reply.NameCerts, head.wire.nameCerts) ||
+	if reply := bind(object.BindRequest{NameCerts: true, Names: []string{"logo.png"}, At: fresh}); !bytes.Equal(reply.NameCerts, head.wire.nameCerts[0]) ||
 		fmt.Sprint(carried(reply)) != "[logo.png]" {
 		t.Fatalf("bind for logo.png with name certificates carried %v", carried(reply))
 	}

@@ -1,10 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -206,13 +205,14 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	key := labelKey(v.labels, values)
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)] // a hit converts without allocating
 	if !ok {
 		c = &Counter{}
-		v.children[key] = c
+		v.children[string(key)] = c
 	}
 	return c
 }
@@ -246,32 +246,28 @@ func (v *CounterVec) Values() map[string]uint64 {
 	return out
 }
 
-// labelKey renders label values in the canonical {k="v",...} form used as
-// both map key and snapshot key. Extra or missing values are tolerated
-// (rendered positionally) so a miscounted call site still records data.
-func labelKey(labels, values []string) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	n := len(labels)
-	if len(values) > n {
-		n = len(values)
-	}
-	for i := 0; i < n; i++ {
+// appendLabelKey appends label values in the canonical {k="v",...} form
+// used as both map key and snapshot key. Extra or missing values are
+// tolerated (rendered positionally) so a miscounted call site still
+// records data.
+func appendLabelKey(b []byte, labels, values []string) []byte {
+	b = append(b, '{')
+	for i := 0; i < max(len(labels), len(values)); i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		label := fmt.Sprintf("label%d", i)
 		if i < len(labels) {
-			label = labels[i]
+			b = append(b, labels[i]...)
+		} else {
+			b = strconv.AppendInt(append(b, "label"...), int64(i), 10)
 		}
 		value := ""
 		if i < len(values) {
 			value = values[i]
 		}
-		fmt.Fprintf(&b, "%s=%q", label, value)
+		b = strconv.AppendQuote(append(b, '='), value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // Registry holds named instruments. Lookup methods are get-or-create and

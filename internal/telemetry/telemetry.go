@@ -34,8 +34,8 @@ const (
 	MetricNegotiations  = "transport_negotiations_total"   // {version} concluded version negotiations
 
 	// Batched element fetch instruments (core.Client).
-	MetricBatchFetches  = "batch_fetch_total"          // GetElements batch RPCs issued
-	MetricBatchElements = "batch_fetch_elements_total" // elements retrieved via batch RPCs
+	MetricBatchFetches  = "batch_fetch_total"          // obj.bind replies carrying a batch of elements
+	MetricBatchElements = "batch_fetch_elements_total" // elements those batches carried
 
 	// Singleflight instruments (core.Client binding establishment).
 	MetricSingleflightShared = "binding_singleflight_shared_total" // fetches that joined another caller's pipeline run

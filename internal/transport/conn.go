@@ -184,7 +184,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	defer tel.StreamsActive.Add(-1)
 
 	// v2 carries sc in the frame header; v1 has no place for it.
-	f := v2Frame{Type: frameRequest, StreamID: id, Payload: body, Trace: sc}
+	f := v2Frame{Type: frameRequest, StreamID: id, Trace: sc}
 	head := requestHead(op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
 	pc.wmu.Lock()
@@ -194,7 +194,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	}
 	sent := 0
 	if werr == nil {
-		sent, werr = writeFramed(pc.conn, pc.version, f, head)
+		sent, werr = writeFramed(pc.conn, pc.version, f, head, body)
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(time.Time{})

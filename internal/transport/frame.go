@@ -169,12 +169,14 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 }
 
 // writeV2Frame sends one v2 frame and returns the bytes it put on the
-// wire. The frame's payload is head‖f.Payload: head, which may be nil,
-// is the short leading part (a response's envelope header) and is copied
-// behind the frame header; f.Payload is not (see writeSplit). A valid
-// f.Trace is written as the trace-context extension with flagTrace set.
-func writeV2Frame(w io.Writer, f v2Frame, head []byte) (int, error) {
-	n := len(head) + len(f.Payload)
+// wire. f gives the frame's type, flags, stream and trace context; its
+// Payload, which the read side fills, is not written: the payload is
+// head‖body. head, which may be nil, is the short leading part (an
+// envelope header) and is copied behind the frame header; body's buffers
+// are not (see writeSplit). A valid f.Trace is written as the
+// trace-context extension with flagTrace set.
+func writeV2Frame(w io.Writer, f v2Frame, head []byte, body ...[]byte) (int, error) {
+	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
@@ -183,7 +185,7 @@ func writeV2Frame(w io.Writer, f v2Frame, head []byte) (int, error) {
 		f.Flags |= flagTrace
 		ext = traceExtLen
 	}
-	buf := frameBuf(4+v2FrameOverhead+ext+len(head), f.Payload)
+	buf := frameBuf(4+v2FrameOverhead+ext+len(head), bufsLen(body))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+n))
 	buf = append(buf, f.Type, f.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
@@ -191,17 +193,17 @@ func writeV2Frame(w io.Writer, f v2Frame, head []byte) (int, error) {
 		buf = appendTraceExt(buf, f.Trace)
 	}
 	buf = append(buf, head...)
-	return writeSplit(w, buf, f.Payload)
+	return writeSplit(w, buf, body)
 }
 
-// writeFramed sends f in the given framing: as a v2 frame, or as a v1
-// frame carrying head‖f.Payload alone — v1 names no type, stream or trace
-// context.
-func writeFramed(w io.Writer, version byte, f v2Frame, head []byte) (int, error) {
+// writeFramed sends head‖body as one frame in the given framing: as a v2
+// frame with f's type, stream and trace context, or as a v1 frame, which
+// names none of them.
+func writeFramed(w io.Writer, version byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
 	if version < V2 {
-		return writeFrame(w, head, f.Payload)
+		return writeFrame(w, head, body...)
 	}
-	return writeV2Frame(w, f, head)
+	return writeV2Frame(w, f, head, body...)
 }
 
 // readFramed receives one frame of type want in the given framing and

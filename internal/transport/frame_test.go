@@ -57,7 +57,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 				t.Fatalf("payload = %d bytes, want %d", len(f.Payload), tc.payload)
 			}
 			// Every accepted frame must re-encode.
-			if _, err := writeV2Frame(io.Discard, f, nil); err != nil {
+			if _, err := writeV2Frame(io.Discard, f, nil, f.Payload); err != nil {
 				t.Fatalf("re-encoding accepted frame: %v", err)
 			}
 		})

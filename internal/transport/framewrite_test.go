@@ -135,7 +135,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 
 			wire = sameFrame(t, "v2 "+name, len(sent),
 				func(w io.Writer) (int, error) {
-					return writeV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: sent}, head)
+					return writeV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
@@ -168,7 +168,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
 			wire := sameFrame(t, name, len(body),
 				func(w io.Writer) (int, error) {
-					return writeV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: body, Trace: sc}, head)
+					return writeV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
@@ -232,7 +232,7 @@ func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	if n, err := writeFrame(io.Discard, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("v1: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
-	if n, err := writeV2Frame(io.Discard, v2Frame{Type: frameResponse, StreamID: 1, Payload: body}, head); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+	if n, err := writeV2Frame(io.Discard, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("v2: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
 }
@@ -268,7 +268,7 @@ func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got burstRecorder
-		n, err := writeV2Frame(&got, v2Frame{Type: frameResponse, StreamID: 3, Payload: body}, head)
+		n, err := writeV2Frame(&got, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
 		if err != nil || n != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d-byte body: wrote %d bytes, err %v; want the reference's %d", size, n, err, want.Len())
 		}

@@ -22,14 +22,14 @@ func FuzzFrameDecode(f *testing.F) {
 	// truncated header, unknown type, reserved flags, huge length.
 	ok := func(t byte, id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
-		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload}, nil); err != nil {
+		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id}, nil, payload); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	okTraced := func(t byte, id uint32, payload []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload, Trace: sc}, nil); err != nil {
+		if _, err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Trace: sc}, nil, payload); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -55,7 +55,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if callErr != nil {
 			body = nil
 		}
-		if _, err := writeV2Frame(&buf, v2Frame{Type: frameResponse, StreamID: 9, Payload: body}, responseHead(len(body), callErr)); err != nil {
+		if _, err := writeV2Frame(&buf, v2Frame{Type: frameResponse, StreamID: 9}, responseHead(len(body), callErr), body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -94,7 +94,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// ...and round-trip: re-encoding reproduces the consumed bytes.
 		var buf bytes.Buffer
-		if _, err := writeV2Frame(&buf, fr, nil); err != nil {
+		if _, err := writeV2Frame(&buf, fr, nil, fr.Payload); err != nil {
 			t.Fatalf("re-encoding accepted frame: %v", err)
 		}
 		consumed := 4 + binary.BigEndian.Uint32(data[:4])

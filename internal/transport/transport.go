@@ -83,58 +83,78 @@ func IsUnknownOp(err error) bool {
 }
 
 // coalesceMax is the largest frame body that is copied behind its header
-// and sent with one Write. A larger body goes out in a Write of its own,
-// after the header's, so a payload is never copied just to be framed.
+// and sent with one Write. A larger body goes out from where it lies,
+// after the header, so a payload is never copied just to be framed.
 const coalesceMax = 16 << 10
 
 // frameBuf returns an empty buffer with room for hdr header bytes, plus
-// the body when it is small enough to ride in the same Write.
-func frameBuf(hdr int, body []byte) []byte {
-	if len(body) <= coalesceMax {
-		hdr += len(body)
+// a body of n bytes when it is small enough to ride in the same Write.
+func frameBuf(hdr, n int) []byte {
+	if n <= coalesceMax {
+		hdr += n
 	}
 	return make([]byte, 0, hdr)
 }
 
+// bufsLen is the summed length of bufs.
+func bufsLen(bufs [][]byte) int {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	return n
+}
+
 // buffersWriter is a connection that takes a frame's header and body in
-// one call. The network simulator's connections do, and charge the two
-// parts as the one burst they are.
+// one call. The network simulator's connections do, and charge the parts
+// as the one burst they are.
 type buffersWriter interface {
 	WriteBuffers(bufs ...[]byte) (int, error)
 }
 
-// writeSplit sends prefix‖body and returns the bytes written. A body
-// within coalesceMax is appended to prefix (sized by frameBuf) and the
-// frame is one Write. A larger body is sent from where it lies — in one
-// call on a buffersWriter, otherwise in a second Write — and the caller
-// must leave it unmodified until the call returns; callers already
-// serialise a connection's frame writes, so the two parts cannot be
-// interleaved with another frame's.
-func writeSplit(w io.Writer, prefix, body []byte) (int, error) {
-	if len(body) <= coalesceMax {
-		return w.Write(append(prefix, body...))
+// writeSplit sends prefix‖body, body being its buffers' concatenation,
+// and returns the bytes written. A body within coalesceMax is appended to
+// prefix (sized by frameBuf) and sent in one Write; a larger one is sent
+// from where its buffers lie, in one call on a buffersWriter and otherwise
+// one Write per non-empty part. Callers serialise a connection's frame
+// writes and leave the buffers unmodified until the call returns.
+func writeSplit(w io.Writer, prefix []byte, body [][]byte) (int, error) {
+	if bufsLen(body) <= coalesceMax {
+		for _, b := range body {
+			prefix = append(prefix, b...)
+		}
+		return w.Write(prefix)
 	}
 	if bw, ok := w.(buffersWriter); ok {
-		return bw.WriteBuffers(prefix, body)
+		bufs := append(make([][]byte, 0, 1+len(body)), prefix)
+		for _, b := range body {
+			if len(b) > 0 {
+				bufs = append(bufs, b)
+			}
+		}
+		return bw.WriteBuffers(bufs...)
 	}
 	n, err := w.Write(prefix)
-	if err != nil {
-		return n, err
+	for _, b := range body {
+		if m := 0; err == nil && len(b) > 0 {
+			m, err = w.Write(b)
+			n += m
+		}
 	}
-	m, err := w.Write(body)
-	return n + m, err
+	return n, err
 }
 
 // writeFrame sends one v1 frame — a length prefix covering head‖body —
 // and returns the bytes it put on the wire. head, which may be nil, is
-// the short leading part of the payload (a response's envelope header);
-// it is copied behind the length prefix, body is not (see writeSplit).
-func writeFrame(w io.Writer, head, body []byte) (int, error) {
-	n := len(head) + len(body)
+// the short leading part of the payload (an envelope header); it is
+// copied behind the length prefix, body's buffers are not (see
+// writeSplit).
+func writeFrame(w io.Writer, head []byte, body ...[]byte) (int, error) {
+	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	buf := frameBuf(4+len(head), body)
+	buf := frameBuf(4+len(head), bufsLen(body))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	buf = append(buf, head...)
 	return writeSplit(w, buf, body)
@@ -227,11 +247,13 @@ func decodeResponse(op string, payload []byte) ([]byte, error) {
 // modified after the handler returns.
 type Handler func(body []byte) ([]byte, error)
 
-// HandlerCtx is a Handler that also receives the request's context,
-// which carries the adopted trace context (telemetry.SpanContextFrom)
-// so server-side spans started under it join the caller's distributed
-// trace.
-type HandlerCtx func(ctx context.Context, body []byte) ([]byte, error)
+// HandlerCtx is the one shape a registered handler has. Its ctx carries
+// the adopted trace context (telemetry.SpanContextFrom), so server-side
+// spans started under it join the caller's trace. It returns the response
+// body as buffers, which the frame writer sends where they lie — a reply
+// assembled from precomputed payloads is never copied into one buffer —
+// so none may be modified after the handler returns.
+type HandlerCtx func(ctx context.Context, body []byte) ([][]byte, error)
 
 // DefaultServerStreams bounds concurrently executing handlers per v2
 // connection when Server.StreamLimit is zero.
@@ -277,7 +299,10 @@ func NewServer() *Server {
 // Handle registers h for the given operation name, replacing any previous
 // handler.
 func (s *Server) Handle(op string, h Handler) {
-	s.HandleCtx(op, func(_ context.Context, body []byte) ([]byte, error) { return h(body) })
+	s.HandleCtx(op, func(_ context.Context, body []byte) ([][]byte, error) {
+		resp, err := h(body)
+		return [][]byte{resp}, err
+	})
 }
 
 // HandleCtx registers a context-aware handler for the given operation
@@ -424,7 +449,7 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				_, werr = writeFramed(conn, version, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: body}, head)
+				_, werr = writeFramed(conn, version, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -443,15 +468,14 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 
 // dispatch decodes one request payload, runs its handler and returns
 // the response envelope in two parts: the encoded head and the handler's
-// body, which is written to the connection as returned — a handler
-// answers with bytes it will not modify afterwards (the object server's
-// precomputed wire tables are replaced whole, never edited in place).
-// sc is the span context the v2 frame header carried (v1 carries none);
-// a valid one is adopted so the rpc.serve span — and every handler span
-// under it — exports with the caller's trace ID.
-func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head, resp []byte) {
+// body buffers, which are written to the connection as returned — a
+// handler answers with bytes it will not modify afterwards (the object
+// server's precomputed wire tables are replaced whole, never edited in
+// place). sc is the span context the v2 frame header carried (v1 carries
+// none); a valid one is adopted so the rpc.serve span — and every handler
+// span under it — exports with the caller's trace ID.
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte, resp [][]byte) {
 	op, body, err := decodeRequest(payload)
-	var respBody []byte
 	if err == nil {
 		s.mu.RLock()
 		h, ok := s.handlers[op]
@@ -470,7 +494,7 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head, resp 
 			}
 			//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
 			ctx := telemetry.ContextWith(context.Background(), sp.Context())
-			respBody, err = h(ctx, body)
+			resp, err = h(ctx, body)
 			outcome := "ok"
 			if err != nil {
 				outcome = "error"
@@ -481,9 +505,9 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head, resp 
 		}
 	}
 	if err != nil {
-		respBody = nil
+		resp = nil
 	}
-	return responseHead(len(respBody), err), respBody
+	return responseHead(bufsLen(resp), err), resp
 }
 
 // Close stops accepting connections on all listeners passed to Serve,
