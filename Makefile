@@ -2,15 +2,15 @@ GO ?= go
 FUZZTIME ?= 5s
 
 .PHONY: check vet build test test-short budgets test-perfbench lint fuzz-smoke \
-	chaos telemetry-smoke trace-smoke
+	chaos chaos-short telemetry-smoke trace-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
 ## perfbench module's included), the allocation and retained-heap
-## budgets the race detector skips, fuzz smoke, the end-to-end telemetry
-## and distributed-tracing smokes, and the acceptance gates of the cache,
-## multiplex, traceoverhead, placement and delta experiments (DESIGN.md
-## §3 has the gate table).
-check: vet lint build test budgets test-perfbench fuzz-smoke telemetry-smoke trace-smoke \
+## budgets the race detector skips, fuzz smoke, a -short chaos seed
+## sweep, the end-to-end telemetry and distributed-tracing smokes, and
+## the acceptance gates of the cache, multiplex, traceoverhead, placement
+## and delta experiments (DESIGN.md §3 has the gate table).
+check: vet lint build test budgets test-perfbench fuzz-smoke chaos-short telemetry-smoke trace-smoke \
 	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
@@ -65,6 +65,7 @@ FUZZ_TARGETS = \
 	internal/document:FuzzExtractLinks \
 	internal/keys:FuzzUnmarshalPublicKey \
 	internal/lint:FuzzLintSuppression \
+	internal/location:FuzzLookupDecode \
 	internal/naming:FuzzUnmarshalChain \
 	internal/object:FuzzObjectDecode \
 	internal/policy:FuzzParse \
@@ -79,12 +80,30 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="$${t#*:}\$$" -fuzztime=$(FUZZTIME) "./$${t%:*}/"; \
 	done
 
-## chaos: the seeded fault-injection suite (SEED overrides the schedule)
-## plus the fleet degradation scenario (a bound replica dies mid-run and
-## the selector must re-rank away), both under the race detector.
-SEED ?= 20050404
+## chaos: the seeded fault-injection suite plus the fleet degradation
+## scenario (a bound replica dies mid-run and the selector must re-rank
+## away), both under the race detector, once per fault-schedule seed:
+## every seed of SEEDS (default 1-32), or only SEED when it is set
+## (`make chaos SEED=7`). Every seed runs; each failing one is printed
+## with its output and the command that reproduces it, and the target
+## fails if any did. CHAOS_FLAGS passes extra `go test` flags;
+## chaos-short is the sweep under -short, the one `check` runs. CI runs
+## a window of 8 seeds that moves with the commit.
+SEEDS ?= $(shell seq 1 32)
+CHAOS_FLAGS ?=
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|FleetSelector' ./internal/deploy/ -seed $(SEED)
+	@failed=; for s in $(if $(SEED),$(SEED),$(SEEDS)); do \
+		if out=$$($(GO) test -race -count=1 $(CHAOS_FLAGS) -run 'Chaos|FleetSelector' ./internal/deploy/ -seed $$s 2>&1); then \
+			echo "chaos seed $$s: ok"; \
+		else \
+			echo "$$out"; failed="$$failed $$s"; \
+		fi; \
+	done; \
+	for s in $$failed; do echo "FAIL chaos seed $$s: reproduce with make chaos SEED=$$s CHAOS_FLAGS=$(CHAOS_FLAGS)"; done; \
+	test -z "$$failed"
+
+chaos-short:
+	$(MAKE) chaos CHAOS_FLAGS=-short
 
 ## telemetry-smoke: boot services + proxy with -debug-addr, curl /debugz,
 ## validate the snapshot schema with cmd/globedoc-debugz.

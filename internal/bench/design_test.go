@@ -16,7 +16,7 @@ func TestDesignGateTableMatchesExperiments(t *testing.T) {
 	bars := map[string]string{
 		"concurrent":    fmt.Sprintf(">= %.1fx", concurrentMinSpeedup),
 		"cache":         fmt.Sprintf(">= %.1fx", cacheMinWarmSpeedup),
-		"multiplex":     fmt.Sprintf("<= %.1fx", multiplexMaxBatchRatio),
+		"multiplex":     fmt.Sprintf("<= %.1fx", multiplexMaxLatencyRatio),
 		"traceoverhead": fmt.Sprintf("<= %.2fx", traceMaxP50Ratio),
 		"placement":     fmt.Sprintf("<= %.2fx", placementMaxP99Ratio),
 		"delta":         fmt.Sprintf(">= %.1fx", deltaMinByteRatio),

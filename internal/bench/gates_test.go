@@ -37,6 +37,10 @@ func healthyReport() *bench.Report {
 			BatchRatio: 1.39, SerialRatio: 8,
 			BatchFetches: 5, BatchElements: 80, StreamsOpened: 40, NegotiatedV2: 15,
 			AblationIdentical: true,
+			SingleNet:         bench.NetCharge{Bursts: 4, Latency: 40 * time.Millisecond, Transfer: 6 * time.Millisecond},
+			BatchNet:          bench.NetCharge{Bursts: 4, Latency: 40 * time.Millisecond, Transfer: 68 * time.Millisecond},
+			SerialNet:         bench.NetCharge{Bursts: 36, Latency: 360 * time.Millisecond, Transfer: 70 * time.Millisecond},
+			LatencyRatio:      0.99,
 		},
 		TraceOverhead: &bench.TraceOverheadResult{
 			ElementBytes: 4096,
@@ -89,7 +93,9 @@ func TestGates(t *testing.T) {
 		"multiplex": {
 			{"not measured", func(r *bench.Report) { r.Multiplex = nil }, "report has no multiplex experiment"},
 			{"zero-op serial phase", func(r *bench.Report) { r.Multiplex.SerialCold.Ops = 0 }, "missing phase samples: single=5 batch=5 serial=0"},
-			{"ratio past bar", func(r *bench.Report) { r.Multiplex.BatchRatio = 2.01 }, "cold 16-element fetch is 2.01x a cold single-element fetch, want <= 2.0x"},
+			{"no network measured", func(r *bench.Report) { r.Multiplex.SingleNet.Bursts = 0 }, "the single-element phase charged no network burst"},
+			{"an extra round trip", func(r *bench.Report) { r.Multiplex.BatchNet.Bursts = 6 }, "cold 16-element fetch sends 6.0 bursts per sample, a cold single-element fetch 4.0: want no more"},
+			{"ratio past bar", func(r *bench.Report) { r.Multiplex.LatencyRatio = 2.01 }, "cold 16-element fetch is 2.01x a cold single-element fetch beyond transfer time, want <= 2.0x"},
 			{"an exchange missing", func(r *bench.Report) { r.Multiplex.BatchFetches = 4 }, "batch_fetch_total = 4, want >= 5 (one exchange per batch sample)"},
 			{"an element not carried", func(r *bench.Report) { r.Multiplex.BatchElements = 79 }, "batch_fetch_elements_total = 79, want >= 80 (16 elements per exchange)"},
 			{"never negotiated v2", func(r *bench.Report) { r.Multiplex.NegotiatedV2 = 0 }, "negotiations{v2} = 0"},
@@ -156,7 +162,7 @@ func TestGateVerdictLines(t *testing.T) {
 	want := map[string]string{
 		"concurrent":    "31.4 ops/s serial, 485.7 ops/s at 16 (15.60x >= 4.0x), cold pipelines = 1, shared = 15",
 		"cache":         "cold 40ms, warm 1µs (40000x >= 5.0x), revalidate 20ms, hits=10 reval=5, ablation identical",
-		"multiplex":     "single 100ms, batch 139ms (1.39x <= 2.0x), serial 800ms (8.00x), batch_fetches=5 batch_elements=80",
+		"multiplex":     "single 100ms, batch 139ms (0.99x <= 2.0x beyond transfer, 1.39x with it), bursts 4 / 4, serial 800ms (8.00x, 36 bursts), batch_fetches=5 batch_elements=80",
 		"traceoverhead": "sampled p50 100.1ms, ablation p50 100ms (1.001x <= 1.05x), spans sampled=300 ablation=0, exemplar buckets=2",
 		"placement":     "cold p99 35ms vs 100ms (0.35x <= 0.70x), warm p99 7ms vs 20ms (0.35x), 16 objects (4 far), ablation identical",
 		"delta":         "8500 bytes/pull vs 267000 full (31.43x >= 4.0x), p50 30ms vs 90ms, pulls=5 declines=0 fallbacks=0",

@@ -37,11 +37,21 @@ func TestRunMultiplexQuick(t *testing.T) {
 	if !res.AblationIdentical {
 		t.Error("serial-RPC client fetched different bytes")
 	}
-	if res.BatchRatio <= 0 || res.SerialRatio <= 0 {
-		t.Errorf("ratios: batch=%v serial=%v", res.BatchRatio, res.SerialRatio)
+	if res.BatchRatio <= 0 || res.SerialRatio <= 0 || res.LatencyRatio <= 0 {
+		t.Errorf("ratios: batch=%v serial=%v latency=%v", res.BatchRatio, res.SerialRatio, res.LatencyRatio)
+	}
+	// The network charges are counts, the same at any time scale: the
+	// batch rides the single fetch's exchanges, the serial ablation pays
+	// more of its own, and sixteen elements take longer to transfer.
+	if res.SingleNet.Bursts == 0 || res.BatchNet.Bursts != res.SingleNet.Bursts || res.SerialNet.Bursts <= res.BatchNet.Bursts {
+		t.Errorf("bursts per sample: single=%v batch=%v serial=%v, want single = batch < serial",
+			res.SingleNet.Bursts, res.BatchNet.Bursts, res.SerialNet.Bursts)
+	}
+	if res.BatchNet.Transfer <= res.SingleNet.Transfer {
+		t.Errorf("transfer per sample: single=%v batch=%v, want batch above single", res.SingleNet.Transfer, res.BatchNet.Transfer)
 	}
 	out := res.Format()
-	for _, want := range []string{"single cold", "batch cold", "serial cold", "batch ratio", "ablation"} {
+	for _, want := range []string{"single cold", "batch cold", "serial cold", "latency ratio", "batch ratio", "ablation"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}

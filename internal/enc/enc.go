@@ -176,6 +176,18 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Uvarint32 decodes an unsigned varint that must fit in 32 bits. A wider
+// value is rejected, not truncated: truncating would give one decoded
+// value many encodings.
+func (r *Reader) Uvarint32() uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	return uint32(v)
+}
+
 // Varint decodes a signed varint, rejecting non-minimal encodings.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {

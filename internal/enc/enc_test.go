@@ -145,6 +145,18 @@ func TestLengthPrefixTooLarge(t *testing.T) {
 	}
 }
 
+func TestUvarint32RejectsWiderValues(t *testing.T) {
+	for _, v := range []uint64{0, 300, math.MaxUint32, math.MaxUint32 + 1, 1 << 63} {
+		w := NewWriter(0)
+		w.Uvarint(v)
+		r := NewReader(w.Bytes())
+		got := r.Uvarint32()
+		if fits := v <= math.MaxUint32; fits != (r.Err() == nil) || (fits && uint64(got) != v) {
+			t.Errorf("Uvarint32 of %d = %d, err %v", v, got, r.Err())
+		}
+	}
+}
+
 func TestTrailingBytesDetected(t *testing.T) {
 	w := NewWriter(0)
 	w.Byte(1)

@@ -94,7 +94,7 @@ func UnmarshalContactAddressExt(r *enc.Reader) ContactAddress {
 		Address:  r.String(),
 		Protocol: r.String(),
 		Zone:     r.String(),
-		Weight:   uint32(r.Uvarint()),
+		Weight:   r.Uvarint32(),
 	}
 }
 

@@ -85,6 +85,48 @@ type Network struct {
 	// Defaults to the real clock; tests substitute a fake for fully
 	// deterministic schedules. Set before traffic starts.
 	Clock clock.Clock
+
+	chargeMu sync.Mutex
+	charged  Charge
+}
+
+// Charge totals the delays a network's shaped connections have charged,
+// before TimeScale: every write that started a burst paid its link's
+// one-way latency, and every byte its share of the link's bandwidth. It
+// is the traffic's virtual network time, apart from how the scheduler
+// ran the sleeps that carry it.
+type Charge struct {
+	Bursts   int64         // writes that started a burst, on either end
+	Latency  time.Duration // the one-way latency those bursts paid
+	Transfer time.Duration // the serialization delay of every byte written
+}
+
+// Sub returns what was charged between an earlier reading and c.
+func (c Charge) Sub(earlier Charge) Charge {
+	return Charge{
+		Bursts:   c.Bursts - earlier.Bursts,
+		Latency:  c.Latency - earlier.Latency,
+		Transfer: c.Transfer - earlier.Transfer,
+	}
+}
+
+// Charged returns what the network's shaped connections have charged so
+// far; the difference of two readings is what the traffic between them
+// cost.
+func (n *Network) Charged() Charge {
+	n.chargeMu.Lock()
+	defer n.chargeMu.Unlock()
+	return n.charged
+}
+
+func (n *Network) charge(burst bool, latency, transfer time.Duration) {
+	n.chargeMu.Lock()
+	if burst {
+		n.charged.Bursts++
+		n.charged.Latency += latency
+	}
+	n.charged.Transfer += transfer
+	n.chargeMu.Unlock()
 }
 
 // NewNetwork returns an empty network with TimeScale 1.
@@ -266,20 +308,22 @@ func (n *Network) Dial(fromHost, addr string) (net.Conn, error) {
 	profile := n.Link(fromHost, HostOf(addr))
 	clientRaw, serverRaw := net.Pipe()
 	var client net.Conn = &shapedConn{
-		Conn:   clientRaw,
-		prof:   profile,
-		scale:  scale,
-		clk:    clk,
-		local:  Addr{Name: fromHost + ":client"},
-		remote: Addr{Name: addr},
+		Conn:    clientRaw,
+		network: n,
+		prof:    profile,
+		scale:   scale,
+		clk:     clk,
+		local:   Addr{Name: fromHost + ":client"},
+		remote:  Addr{Name: addr},
 	}
 	var server net.Conn = &shapedConn{
-		Conn:   serverRaw,
-		prof:   profile,
-		scale:  scale,
-		clk:    clk,
-		local:  Addr{Name: addr},
-		remote: Addr{Name: fromHost + ":client"},
+		Conn:    serverRaw,
+		network: n,
+		prof:    profile,
+		scale:   scale,
+		clk:     clk,
+		local:   Addr{Name: addr},
+		remote:  Addr{Name: fromHost + ":client"},
 	}
 	if plan.Active() {
 		link := key[0] + "<->" + key[1]
@@ -367,11 +411,12 @@ func (l *listener) Addr() net.Addr { return l.addr }
 // already carry the delay for their direction.
 type shapedConn struct {
 	net.Conn
-	prof   LinkProfile
-	scale  float64
-	clk    clock.Clock
-	local  Addr
-	remote Addr
+	network *Network // keeps the account of what this end charges
+	prof    LinkProfile
+	scale   float64
+	clk     clock.Clock
+	local   Addr
+	remote  Addr
 
 	mu      sync.Mutex
 	midSend bool // true while consecutive writes form one burst
@@ -407,12 +452,15 @@ func (c *shapedConn) WriteBuffers(bufs ...[]byte) (int, error) {
 // shape sleeps for the delay a write of n bytes incurs now.
 func (c *shapedConn) shape(n int) {
 	c.mu.Lock()
-	delay := c.prof.TransferTime(n)
-	if !c.midSend {
-		delay += c.prof.Latency
-		c.midSend = true
-	}
+	transfer := c.prof.TransferTime(n)
+	burst := !c.midSend
+	c.midSend = true
 	c.mu.Unlock()
+	delay := transfer
+	if burst {
+		delay += c.prof.Latency
+	}
+	c.network.charge(burst, c.prof.Latency, transfer)
 	if c.scale > 0 && delay > 0 {
 		c.clk.Sleep(time.Duration(float64(delay) * c.scale))
 	}

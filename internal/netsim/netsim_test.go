@@ -294,10 +294,45 @@ func (s *sleepLog) count(d time.Duration) int {
 	return n
 }
 
+// Charged accounts what the simulator charges, at any time scale: a call
+// on a fresh connection is two bursts — the first flight and the accept
+// leading the response — each paying the link's latency once, and every
+// byte on the wire its transfer time.
+func TestChargedAccountsAnExchange(t *testing.T) {
+	n := netsim.NewNetwork()
+	n.TimeScale = 0
+	link := netsim.LinkProfile{Latency: 30 * time.Millisecond, Bandwidth: 1e6}
+	n.SetLink("a", "b", link)
+	defer n.Close()
+	l, err := n.Listen("b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer()
+	srv.Handle("get", func(body []byte) ([]byte, error) { return make([]byte, 20_000), nil })
+	srv.Start(l)
+	defer srv.Close()
+
+	c := transport.NewClient(n.Dialer("a", "b:svc"))
+	defer c.Close()
+	before := n.Charged()
+	if _, err := c.Call(context.Background(), "get", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	got := n.Charged().Sub(before)
+	wire := int(c.BytesSent.Load()+c.BytesReceived.Load()) + 8 // frames, preamble and accept
+	want := netsim.Charge{Bursts: 2, Latency: 2 * link.Latency, Transfer: link.TransferTime(wire)}
+	if got != want {
+		t.Errorf("one call on a fresh connection charged %+v, want %+v", got, want)
+	}
+}
+
 // A frame too large to be coalesced leaves the transport as header and
 // body. The simulator must charge the pair what it charged the joined
-// frame — one propagation delay plus the transfer time of all its bytes,
-// in one piece — whatever the connection's reader does meanwhile.
+// frame — the transfer time of all its bytes, in one piece — whatever the
+// connection's reader does meanwhile. On a fresh connection the response
+// shares its burst, and so its one propagation delay, with the
+// negotiation accept that leads it.
 func TestSplitFrameIsChargedAsOneWrite(t *testing.T) {
 	log := &sleepLog{Clock: clock.Real}
 	n := netsim.NewNetwork()
@@ -321,7 +356,10 @@ func TestSplitFrameIsChargedAsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := int(c.BytesReceived.Load()) // the response frame, headers included
-	if want := link.Latency + link.TransferTime(frame); log.count(want) != 1 {
+	if want := link.TransferTime(frame); log.count(want) != 1 {
 		t.Errorf("simulator slept %v; want one delay of %v for the %d-byte response frame", log.slept, want, frame)
+	}
+	if want := link.Latency + link.TransferTime(4); log.count(want) != 1 {
+		t.Errorf("simulator slept %v; want the accept leading the response's burst to pay its one propagation delay, %v", log.slept, want)
 	}
 }

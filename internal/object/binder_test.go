@@ -2,6 +2,8 @@ package object_test
 
 import (
 	"context"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"globedoc/internal/deploy"
@@ -11,6 +13,7 @@ import (
 	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
+	"globedoc/internal/transport"
 )
 
 func bindWorld(t *testing.T) (*deploy.World, *deploy.Publication) {
@@ -118,29 +121,63 @@ func TestMaxCandidates(t *testing.T) {
 	}
 }
 
-// TestConnectSendsNoRequest: Connect dials and negotiates the proxy's
-// connection and asks the replica nothing — the v2 accept is the proof
-// of life — and the proxy's first call rides that connection.
+// writeCounter counts the bytes written on the connections a dialler
+// makes.
+type writeCounter struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c writeCounter) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestConnectSendsNoRequest: Connect only dials the proxy's connection.
+// It writes nothing on it — no request and no negotiation preamble — and
+// the proxy's first call negotiates on that very connection, its request
+// riding behind the preamble.
 func TestConnectSendsNoRequest(t *testing.T) {
 	w, pub := bindWorld(t)
 	tel := telemetry.New(nil)
 	binder := w.NewBinder(netsim.Paris)
 	binder.Transport.Telemetry = tel
+	var written atomic.Int64
+	dial := binder.Dial
+	binder.Dial = func(addr string) transport.DialFunc {
+		return func() (net.Conn, error) {
+			conn, err := dial(addr)()
+			if err != nil {
+				return nil, err
+			}
+			return writeCounter{Conn: conn, n: &written}, nil
+		}
+	}
 	client, err := binder.Connect(context.Background(), pub.OID, w.Addrs[netsim.AmsterdamPrimary])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	if got := written.Load(); got != 0 {
+		t.Errorf("Connect wrote %d bytes, want 0", got)
+	}
 	if got := tel.RPCCalls.With(object.OpPing, "ok").Value(); got != 0 {
 		t.Errorf("Connect pinged the replica %d times", got)
 	}
-	if got := tel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("negotiations{v2} = %d, want the connection Connect opened", got)
+	if got := tel.PoolDials.Value(); got != 1 {
+		t.Errorf("Connect dialed %d connections, want 1", got)
+	}
+	if got := tel.Negotiations.Total(); got != 0 {
+		t.Errorf("Connect negotiated %d times, want 0", got)
 	}
 	if _, err := client.GetElement(context.Background(), "index.html"); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.PoolDials.Value(); got != 1 {
 		t.Errorf("Connect and one call dialed %d connections, want 1", got)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d, want 1: the first call's, on the connection Connect dialled", got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +59,8 @@ func TestCompatAutoClientOldServer(t *testing.T) {
 	// length header and hangs up. The auto client must latch the
 	// downgrade after that one wasted dial and speak v1 from then on.
 	tel := telemetry.New(nil)
-	cd := &countingDial{dial: startStrictOldServer(t, false)}
+	dial, _ := strictOldServer(t, false)
+	cd := &countingDial{dial: dial}
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 	for i := 0; i < 4; i++ {
@@ -134,7 +136,8 @@ func TestCompatAutoClientNewServer(t *testing.T) {
 }
 
 func TestCompatRequiredV2AgainstOldServerFailsPermanently(t *testing.T) {
-	c := transport.NewClient(startStrictOldServer(t, false))
+	dial, _ := strictOldServer(t, false)
+	c := transport.NewClient(dial)
 	c.Version = transport.V2
 	defer c.Close()
 	_, err := c.Call(context.Background(), "echo", nil)
@@ -147,23 +150,186 @@ func TestCompatRequiredV2AgainstOldServerFailsPermanently(t *testing.T) {
 }
 
 func TestCompatServerCappedAtV1(t *testing.T) {
-	// A server that answers the preamble with a v1 accept: the auto
-	// client accepts the downgrade and keeps the connection it negotiated
-	// on — the server is already serving classic frames on it.
+	// A server that answers the preamble with a v1 accept. The first
+	// flight's request was v2-framed, which that server refuses unrun, so
+	// the auto client closes the connection, latches v1 and resends on a
+	// plain one — one wasted dial per client, and the same call.
 	tel := telemetry.New(nil)
-	cd := &countingDial{dial: startStrictOldServer(t, true)}
+	dial, dispatched := strictOldServer(t, true)
+	cd := &countingDial{dial: dial}
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Call(context.Background(), "echo", []byte("x")); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+		if resp, err := c.Call(context.Background(), "echo", []byte("x")); err != nil || string(resp) != "x" {
+			t.Fatalf("call %d: %q, %v", i, resp, err)
 		}
 	}
-	if got := cd.count.Load(); got != 1 {
-		t.Errorf("dialed %d conns, want 1 (the negotiated-down conn is kept and pooled as v1)", got)
+	if got := cd.count.Load(); got != 2 {
+		t.Errorf("dialed %d conns, want 2 (the refused first flight + one pooled v1)", got)
 	}
 	if got := tel.Negotiations.With("v1").Value(); got != 1 {
 		t.Errorf("client negotiations{v1} = %d, want 1", got)
+	}
+	if got := dispatched.Load(); got != 3 {
+		t.Errorf("the v1 server's decoder dispatched %d requests, want the 3 plain ones (never the v2-framed early frame)", got)
+	}
+	if got := tel.RPCRetries.Value(); got != 0 {
+		t.Errorf("rpc_retries_total = %d, want 0 (the resend is part of the attempt)", got)
+	}
+}
+
+func TestCompatEarlyFrame(t *testing.T) {
+	// A negotiating connection's first request rides behind the preamble.
+	// A peer that cannot speak v2 runs none of it — one that predates
+	// negotiation hangs up on the preamble, a v1-capped one refuses the
+	// v2-framed request — and the call is resent on a plain connection
+	// within the same attempt, costing exactly one extra dial.
+	for _, tc := range []struct {
+		name               string
+		acceptV1           bool
+		fallbacks, v1Agree uint64
+	}{
+		{"pre-v2 hang-up", false, 1, 0},
+		{"v1-capped", true, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New(nil)
+			dial, dispatched := strictOldServer(t, tc.acceptV1)
+			cd := &countingDial{dial: dial}
+			c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
+			defer c.Close()
+			if resp, err := c.Call(context.Background(), "echo", []byte("early")); err != nil || string(resp) != "early" {
+				t.Fatalf("call: %q, %v", resp, err)
+			}
+			if got := cd.count.Load(); got != 2 {
+				t.Errorf("dials = %d, want 2", got)
+			}
+			if got := dispatched.Load(); got != 1 {
+				t.Errorf("requests dispatched = %d, want 1 (the plain resend only)", got)
+			}
+			if got := tel.Negotiations.With("fallback").Value(); got != tc.fallbacks {
+				t.Errorf("negotiations{fallback} = %d, want %d", got, tc.fallbacks)
+			}
+			if got := tel.Negotiations.With("v1").Value(); got != tc.v1Agree {
+				t.Errorf("negotiations{v1} = %d, want %d", got, tc.v1Agree)
+			}
+			if got := tel.RPCRetries.Value(); got != 0 {
+				t.Errorf("rpc_retries_total = %d, want 0", got)
+			}
+		})
+	}
+}
+
+func TestCompatRequiredV2AgainstV1CappedServerFailsPermanently(t *testing.T) {
+	dial, dispatched := strictOldServer(t, true)
+	cd := &countingDial{dial: dial}
+	c := transport.NewClient(cd.fn()).Configure(transport.Config{Version: transport.V2})
+	defer c.Close()
+	_, err := c.Call(context.Background(), "echo", nil)
+	if !errors.Is(err, transport.ErrVersionMismatch) {
+		t.Fatalf("err = %v, want ErrVersionMismatch", err)
+	}
+	if transport.Retryable(err) {
+		t.Error("version mismatch must be permanent, not retryable")
+	}
+	if got := cd.count.Load(); got != 1 {
+		t.Errorf("dials = %d, want 1", got)
+	}
+	if got := dispatched.Load(); got != 0 {
+		t.Errorf("requests dispatched = %d, want 0", got)
+	}
+}
+
+// v2Response frames body as the v2 response to stream id.
+func v2Response(id uint32, body []byte) []byte {
+	w := enc.NewWriter(16 + len(body))
+	w.Byte(0)
+	w.String("")
+	w.BytesPrefixed(body)
+	env := w.Bytes()
+	out := binary.BigEndian.AppendUint32(nil, uint32(6+len(env)))
+	out = append(out, 2, 0) // response, no flags
+	out = binary.BigEndian.AppendUint32(out, id)
+	return append(out, env...)
+}
+
+func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
+	// A peer that reads exactly the 4-byte preamble and answers it before
+	// reading on, over an unbuffered pipe, while the first request is
+	// 64 KiB: the client's write of the first flight blocks until the
+	// peer reads it, so the accept must be taken by a reader that runs
+	// beside that write.
+	clientEnd, serverEnd := net.Pipe()
+	defer serverEnd.Close()
+	body := bytes.Repeat([]byte("x"), 64<<10)
+	go func() {
+		pre := make([]byte, 4)
+		if _, err := io.ReadFull(serverEnd, pre); err != nil {
+			return
+		}
+		if _, err := serverEnd.Write(rawPreamble); err != nil {
+			return
+		}
+		hdr := make([]byte, 4)
+		if _, err := io.ReadFull(serverEnd, hdr); err != nil {
+			return
+		}
+		frame := make([]byte, binary.BigEndian.Uint32(hdr))
+		if _, err := io.ReadFull(serverEnd, frame); err != nil {
+			return
+		}
+		serverEnd.Write(v2Response(binary.BigEndian.Uint32(frame[2:6]), []byte("got it")))
+	}()
+	c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).
+		Configure(transport.Config{CallTimeout: 10 * time.Second})
+	defer c.Close()
+	resp, err := c.Call(context.Background(), "echo", body)
+	if err != nil || string(resp) != "got it" {
+		t.Fatalf("call = %q, %v", resp, err)
+	}
+}
+
+func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
+	// The first connection's peer takes the first flight and resets
+	// before any accept. That is indistinguishable from a server older
+	// than negotiation, and costs what one costs: the request is resent
+	// once on a plain connection and runs once. The call never fails.
+	var served atomic.Int64
+	srv := transport.NewServer()
+	srv.Handle("echo", func(b []byte) ([]byte, error) {
+		served.Add(1)
+		return b, nil
+	})
+	l := newChanListener()
+	srv.Start(l)
+	t.Cleanup(srv.Close)
+	var dials atomic.Int64
+	dial := func() (net.Conn, error) {
+		client, server := net.Pipe()
+		if dials.Add(1) == 1 {
+			go func() {
+				io.ReadAtLeast(server, make([]byte, 512), 4)
+				server.Close()
+			}()
+		} else {
+			l.ch <- server
+		}
+		return client, nil
+	}
+	tel := telemetry.New(nil)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
+	defer c.Close()
+	if resp, err := c.Call(context.Background(), "echo", []byte("again")); err != nil || string(resp) != "again" {
+		t.Fatalf("call = %q, %v", resp, err)
+	}
+	if got := dials.Load(); got != 2 {
+		t.Errorf("dials = %d, want 2", got)
+	}
+	if got := served.Load(); got != 1 {
+		t.Errorf("handler ran %d times, want 1", got)
+	}
+	if got := tel.Negotiations.With("fallback").Value(); got != 1 {
+		t.Errorf("negotiations{fallback} = %d, want 1", got)
 	}
 }
 
@@ -298,7 +464,8 @@ func TestCompatTracedClientV1Envelope(t *testing.T) {
 	// alone and a decoder that refuses trailing bytes serves it. The
 	// trace ends at the process boundary.
 	tel := telemetry.New(nil)
-	c := transport.NewClient(startStrictOldServer(t, true)).Configure(transport.Config{Telemetry: tel})
+	dial, _ := strictOldServer(t, true)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 
 	root := tel.Tracer.StartSpan("test.root")
@@ -321,7 +488,8 @@ func TestCompatTracedClientOldServer(t *testing.T) {
 	// on the preamble, so the fallback latches v1): the call must
 	// succeed; the trace simply ends at the process boundary.
 	tel := telemetry.New(nil)
-	c := transport.NewClient(startStrictOldServer(t, false)).Configure(transport.Config{Telemetry: tel})
+	dial, _ := strictOldServer(t, false)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 
 	root := tel.Tracer.StartSpan("test.root")
@@ -336,16 +504,18 @@ func TestCompatTracedClientOldServer(t *testing.T) {
 	root.End()
 }
 
-// startStrictOldServer is a wire-level stand-in for an old deployment
-// that speaks only v1. Without acceptV1 it predates negotiation: a
-// length header above MaxFrame — which is how the v2 preamble reads —
-// hangs up the connection. With acceptV1 it answers the preamble with a
-// v1 accept and serves classic frames on that connection. Either way
-// the request envelope is decoded with the old decoder's strictness,
-// failing the call on any trailing bytes (such as a trace-context
-// trailer) exactly like enc.Reader.Finish.
-func startStrictOldServer(t *testing.T, acceptV1 bool) transport.DialFunc {
+// strictOldServer is a wire-level stand-in for an old deployment that
+// speaks only v1. Without acceptV1 it predates negotiation: a length
+// header above MaxFrame — which is how the v2 preamble reads — hangs up
+// the connection. With acceptV1 it answers the preamble with a v1 accept
+// and serves classic frames on that connection. Either way the request
+// envelope is decoded with the old decoder's strictness, failing the
+// call on any trailing bytes (such as a trace-context trailer) exactly
+// like enc.Reader.Finish. It also counts the requests its decoder
+// accepted and echoed — the ones a handler would have run.
+func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.Int64) {
 	t.Helper()
+	var dispatched atomic.Int64
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -387,6 +557,7 @@ func startStrictOldServer(t *testing.T, acceptV1 bool) transport.DialFunc {
 						w.String(err.Error())
 						w.BytesPrefixed(nil)
 					} else {
+						dispatched.Add(1)
 						w.Byte(0)
 						w.String("")
 						w.BytesPrefixed(body)
@@ -403,7 +574,7 @@ func startStrictOldServer(t *testing.T, acceptV1 bool) transport.DialFunc {
 		}
 	}()
 	addr := l.Addr().String()
-	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }, &dispatched
 }
 
 func TestCompatTracedClientStrictOldServer(t *testing.T) {
@@ -414,7 +585,7 @@ func TestCompatTracedClientStrictOldServer(t *testing.T) {
 	// pinned-V1 client — the trace ends at the process boundary and the
 	// call succeeds.
 	for _, version := range []byte{0, transport.V1} {
-		dial := startStrictOldServer(t, false)
+		dial, _ := strictOldServer(t, false)
 		tel := telemetry.New(nil)
 		c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: version})
 		root := tel.Tracer.StartSpan("test.root")

@@ -9,6 +9,13 @@ package transport
 // arrive in whatever order the server finishes them, and one slow call
 // never blocks its siblings. A v1 frame names nothing: the budget is one
 // and a response belongs to the single pending stream.
+//
+// A negotiating connection needs no exchange of its own. Its first call
+// writes the preamble and its v2-framed request in one write (the first
+// flight), and its read loop reads the accept ahead of the first
+// response, so opening the connection costs the call no extra round trip.
+// Until the accept arrives the connection carries that one call; the
+// accept raises the budget and wakes the calls waiting for it.
 
 import (
 	"context"
@@ -27,6 +34,12 @@ import (
 // used when PoolConfig.StreamBudget is zero.
 const DefaultStreamBudget = 32
 
+// errRedialPlain marks a negotiating connection whose peer ran none of
+// its first flight and cannot speak v2: it hung up on the preamble or
+// accepted v1. preV2Peer is latched before any call sees the error, and
+// Client.attempt resends on the plain connection the latch then dials.
+var errRedialPlain = errors.New("transport: peer predates v2 framing")
+
 type streamResult struct {
 	payload []byte
 	err     error
@@ -37,20 +50,27 @@ type poolConn struct {
 	c    *Client
 	conn net.Conn
 
-	// How the connection was opened; fixed before it is shared.
-	version byte // V1 or V2 framing
-	budget  int  // concurrent streams: 1 for v1, Pool.streamBudget() for v2
+	// version is the connection's framing, fixed at dial: a negotiating
+	// connection frames v2 from its first write, ahead of the accept.
+	version byte
 
 	wmu sync.Mutex // serialises frame writes
+	// preamble rides in front of the connection's first frame; the first
+	// write takes it. flown records that some of that first flight reached
+	// the wire, so the peer may have seen the preamble. Both guarded by wmu.
+	preamble []byte
+	flown    bool
 
-	mu        sync.Mutex
-	streams   map[uint32]chan streamResult // in-flight calls by stream ID
-	nextID    uint32
-	inflight  int       // reserved stream slots (also counts calls mid-setup)
-	idleSince time.Time // when inflight last dropped to zero
-	draining  bool      // Close was called mid-flight: close when drained
-	dead      bool
-	deadErr   error
+	mu          sync.Mutex
+	budget      int                          // concurrent streams: 1 for v1 and before the accept, then Pool.streamBudget()
+	negotiating bool                         // the preamble's accept has not arrived
+	streams     map[uint32]chan streamResult // in-flight calls by stream ID
+	nextID      uint32
+	inflight    int       // reserved stream slots (also counts calls mid-setup)
+	idleSince   time.Time // when inflight last dropped to zero
+	draining    bool      // Close was called mid-flight: close when drained
+	dead        bool
+	deadErr     error
 }
 
 // register reserves a fresh stream ID and its response channel.
@@ -87,15 +107,17 @@ func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 // cancellation). A late v2 response names its stream and readLoop drops
 // it, so the connection and its sibling streams stay healthy. A late v1
 // response names nothing and would be handed to the connection's next
-// caller, so a v1 connection dies with its abandoned call.
+// caller, so a v1 connection dies with its abandoned call — and so does
+// one whose accept never came, which has proved nothing. Giving up never
+// latches a downgrade: silence is not a refusal.
 func (pc *poolConn) abandon(id uint32, why error) {
-	if pc.version < V2 {
-		pc.fail(fmt.Errorf("call abandoned: %v", why))
-		return
-	}
 	pc.mu.Lock()
+	unproven := pc.version < V2 || pc.negotiating
 	delete(pc.streams, id)
 	pc.mu.Unlock()
+	if unproven {
+		pc.fail(fmt.Errorf("call abandoned: %v", why))
+	}
 }
 
 // idle reports whether the connection is live with no stream in flight.
@@ -121,14 +143,19 @@ func (pc *poolConn) retireLocked() bool {
 
 // fail marks the connection dead, closes it and fails every pending
 // stream with an error that is ErrClosed and wraps cause, so callers can
-// still match what went wrong underneath. Idempotent: only the first
-// failure counts — the read loop ends here too when the pool itself
-// closed the connection, and then nothing is built or delivered.
-func (pc *poolConn) fail(cause error) {
+// still match what went wrong underneath. Only the first failure counts —
+// the read loop ends here too when the pool itself closed the connection,
+// and then nothing is built or delivered — and fail reports whether it
+// was that one. A cause marked errRedialPlain latches preV2Peer before
+// any caller can see it.
+func (pc *poolConn) fail(cause error) bool {
 	pc.mu.Lock()
 	if pc.dead {
 		pc.mu.Unlock()
-		return
+		return false
+	}
+	if errors.Is(cause, errRedialPlain) {
+		pc.c.preV2Peer.Store(true)
 	}
 	err := fmt.Errorf("%w (%w)", ErrClosed, cause)
 	pc.dead = true
@@ -142,15 +169,85 @@ func (pc *poolConn) fail(cause error) {
 	}
 	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
 	pc.c.wake()
+	return true
 }
 
-// readLoop is the single reader of a connection: it hands each response
-// frame to the stream waiting for it. A v2 response for an unknown stream
-// is dropped (the caller timed out first); an unsolicited v1 response,
-// any read error and any protocol violation kill the connection and fail
-// every pending stream. conn is the shutdown handle: closing it (fail, a
-// reap, Client.Close) unblocks the read and ends the loop.
+// hungUp ends a negotiating connection whose peer hung up after the
+// preamble went out and before any accept came back. That is what a
+// server older than negotiation does: it reads the preamble as a v1
+// length far above MaxFrame and hangs up before it reads a request byte,
+// so nothing ran and the call is resent on a plain connection (see
+// errRedialPlain). A client that requires v2 fails permanently instead.
+func (pc *poolConn) hungUp(err error) {
+	c := pc.c
+	if c.Version == V2 {
+		pc.fail(Permanent(fmt.Errorf("%w (peer hung up on the v2 preamble: %v)", ErrVersionMismatch, err)))
+		return
+	}
+	if pc.fail(fmt.Errorf("%w: it hung up on the v2 preamble (%w)", errRedialPlain, err)) {
+		telemetry.Or(c.Telemetry).Negotiations.With("fallback").Inc()
+	}
+}
+
+// awaitAccept is the read loop's first read on a negotiating connection:
+// the peer's answer to the preamble. A v2 accept raises the stream
+// budget and wakes the calls waiting for it. A v1 accept comes from a
+// peer that decodes the v2-framed first request as a v1 frame — its
+// type byte as a one-byte operation and the rest as trailing bytes — and
+// refuses it unrun, so the connection closes and the call is resent on a
+// plain one. A connection that dies before any byte of its first flight
+// went out never showed the peer a preamble, and its end is no hang-up.
+func (pc *poolConn) awaitAccept(conn net.Conn) bool {
+	c := pc.c
+	var accept [preambleLen]byte
+	if _, err := io.ReadFull(conn, accept[:]); err != nil {
+		pc.wmu.Lock()
+		flown := pc.flown
+		pc.wmu.Unlock()
+		if flown {
+			pc.hungUp(err)
+		} else {
+			pc.fail(err)
+		}
+		return false
+	}
+	agreed, err := parseAccept(accept[:], MaxSupportedVersion)
+	if err != nil {
+		pc.fail(err)
+		return false
+	}
+	negotiated := telemetry.Or(c.Telemetry).Negotiations.With(versionLabel(agreed))
+	if agreed < V2 {
+		negotiated.Inc()
+		err := fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed)
+		if c.Version == V2 {
+			pc.fail(Permanent(err))
+		} else {
+			pc.fail(fmt.Errorf("%w (%w)", errRedialPlain, err))
+		}
+		return false
+	}
+	pc.mu.Lock()
+	pc.negotiating = false
+	pc.budget = c.Pool.streamBudget()
+	pc.mu.Unlock()
+	negotiated.Inc() // counted once the budget is up
+	c.wake()
+	return true
+}
+
+// readLoop is the single reader of a connection: after a negotiating
+// connection's accept, it hands each response frame to the stream
+// waiting for it. A v2 response for an unknown stream is dropped (the
+// caller timed out first); an unsolicited v1 response, any read error
+// and any protocol violation kill the connection and fail every pending
+// stream. conn is the shutdown handle: closing it (fail, a reap,
+// Client.Close) unblocks the read and ends the loop.
 func (pc *poolConn) readLoop(conn net.Conn) {
+	// Only awaitAccept, on this goroutine, clears negotiating.
+	if pc.negotiating && !pc.awaitAccept(conn) {
+		return
+	}
 	for {
 		f, wire, err := readFramed(conn, pc.version, frameResponse)
 		if err != nil {
@@ -170,8 +267,9 @@ func (pc *poolConn) readLoop(conn net.Conn) {
 
 // roundTrip performs one framed exchange on a reserved stream, bounded
 // by the tighter of CallTimeout and ctx (see abandon for what giving up
-// costs). A genuinely dead conn is detected by the read loop and fails
-// every stream at once.
+// costs); on a negotiating connection the same bound covers the accept.
+// A genuinely dead conn is detected by the read loop and fails every
+// stream at once.
 func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
 	c := pc.c
 	tel := telemetry.Or(c.Telemetry)
@@ -188,25 +286,36 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	head := requestHead(op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
 	pc.wmu.Lock()
+	pre := pc.preamble
+	pc.preamble = nil
 	var werr error
 	if !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(deadline)
 	}
 	sent := 0
 	if werr == nil {
-		sent, werr = writeFramed(pc.conn, pc.version, f, head, body)
+		sent, werr = writeFramed(pc.conn, pre, pc.version, f, head, body)
+	}
+	if pre != nil && sent > 0 {
+		pc.flown = true
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(time.Time{})
 	}
 	pc.wmu.Unlock()
-	if werr != nil {
+	switch {
+	case werr == nil:
+		c.BytesSent.Add(uint64(sent - len(pre))) // the preamble is not a frame
+	case pre != nil && sent > 0 && !errors.Is(werr, os.ErrDeadlineExceeded):
+		// The peer hung up on the first flight; its verdict reaches this
+		// stream as the read loop's would.
+		pc.hungUp(werr)
+	default:
 		// A failed or half-finished write leaves the shared conn in an
 		// unknown framing state: kill it for everyone.
 		pc.fail(fmt.Errorf("send failed: %v", werr))
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
 	}
-	c.BytesSent.Add(uint64(sent))
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {
@@ -228,86 +337,24 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 }
 
 // dialConn opens one connection for the pool and alone decides its
-// framing. A client pinned to V1, or one whose peer once hung up on the
-// preamble, dials plain v1. Any other negotiates, and keeps what the peer
-// agreed to: a peer that accepts v1 is already serving classic frames on
-// that very connection. A peer that hangs up on the
-// preamble (a pre-negotiation server reads it as an oversized length
-// header) latches preV2Peer and is redialled plain here; any other I/O
-// failure stays an error so a flaky network cannot silently pin the
-// client to v1 — at worst a genuine reset downgrades to v1, which every
-// v2 server still speaks.
+// framing. A client pinned to V1, or one whose peer once refused the
+// preamble (preV2Peer), dials plain v1. Any other negotiates: the
+// connection frames v2 from its first write, which carries the preamble,
+// and its read loop takes the accept (awaitAccept). Dialling writes
+// nothing.
 func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
-	tel := telemetry.Or(c.Telemetry)
-	for {
-		conn, err := c.dialContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("transport: dial: %w", err)
-		}
-		tel.PoolDials.Inc()
-		pc := &poolConn{c: c, conn: conn, version: V1, budget: 1, streams: make(map[uint32]chan streamResult)}
-		if c.Version != V1 && !c.preV2Peer.Load() {
-			agreed, hungUp, err := c.negotiate(ctx, conn)
-			switch {
-			case hungUp && c.Version != V2:
-				conn.Close()
-				c.preV2Peer.Store(true)
-				tel.Negotiations.With("fallback").Inc()
-				continue
-			case hungUp:
-				err = Permanent(fmt.Errorf("%w (peer hung up on the v2 preamble: %v)", ErrVersionMismatch, err))
-			case err == nil:
-				tel.Negotiations.With(versionLabel(agreed)).Inc()
-				if agreed < V2 && c.Version == V2 {
-					err = Permanent(fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed))
-				}
-			}
-			if err != nil {
-				conn.Close()
-				return nil, err
-			}
-			if agreed >= V2 {
-				pc.version, pc.budget = V2, c.Pool.streamBudget()
-			}
-		}
-		pc.idleSince = c.clock().Now()
-		tel.PoolConns.Add(1)
-		go pc.readLoop(pc.conn)
-		return pc, nil
-	}
-}
-
-// negotiate proposes MaxSupportedVersion on a fresh connection and
-// returns the version the peer accepted. The exchange is part of a call
-// attempt, so it honours the dial budget, the call budget and ctx — a
-// peer that accepts the connection but never answers must not hang the
-// caller. hungUp reports that the peer tore the connection down instead
-// of answering: any I/O error except a deadline expiry or one ctx
-// induced. Timeouts stay plain errors — silence is ambiguous and must not
-// latch a downgrade.
-func (c *Client) negotiate(ctx context.Context, conn net.Conn) (agreed byte, hungUp bool, err error) {
-	if deadline := c.deadline(ctx, c.DialTimeout, c.CallTimeout); !deadline.IsZero() {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return 0, false, fmt.Errorf("transport: arming negotiation deadline: %w", err)
-		}
-	}
-	stopWatch := watchCancel(ctx, conn)
-	_, err = conn.Write(clientPreamble(MaxSupportedVersion))
-	var accept [preambleLen]byte
-	if err == nil {
-		_, err = io.ReadFull(conn, accept[:])
-	}
-	stopWatch()
+	conn, err := c.dialContext(ctx)
 	if err != nil {
-		hungUp = ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded)
-		return 0, hungUp, ctxError(ctx, fmt.Errorf("transport: version negotiation: %w", err))
+		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
-	if agreed, err = parseAccept(accept[:], MaxSupportedVersion); err != nil {
-		return 0, false, err
+	tel := telemetry.Or(c.Telemetry)
+	tel.PoolDials.Inc()
+	pc := &poolConn{c: c, conn: conn, version: V1, budget: 1, streams: make(map[uint32]chan streamResult)}
+	if c.Version != V1 && !c.preV2Peer.Load() {
+		pc.version, pc.negotiating, pc.preamble = V2, true, clientPreamble(MaxSupportedVersion)
 	}
-	// Clears the watcher's forced expiry as well as the deadline above.
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return 0, false, fmt.Errorf("transport: clearing negotiation deadline: %w", err)
-	}
-	return agreed, false, nil
+	pc.idleSince = c.clock().Now()
+	tel.PoolConns.Add(1)
+	go pc.readLoop(pc.conn)
+	return pc, nil
 }

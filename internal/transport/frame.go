@@ -5,7 +5,9 @@ package transport
 // A v2 connection opens with a 4-byte client preamble — the 3-byte magic
 // "GD\xF2" followed by the highest version the client speaks — answered
 // by a server accept of the same shape carrying the agreed version
-// (never above the proposal). After agreement, every frame is
+// (never above the proposal). The client's first request frame follows
+// its preamble in the same write, ahead of the accept (conn.go). After
+// the preamble, every frame is
 //
 //	uint32 length | type byte | flags byte | uint32 streamID | payload
 //
@@ -168,42 +170,43 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 	}
 }
 
-// writeV2Frame sends one v2 frame and returns the bytes it put on the
-// wire. f gives the frame's type, flags, stream and trace context; its
-// Payload, which the read side fills, is not written: the payload is
-// head‖body. head, which may be nil, is the short leading part (an
-// envelope header) and is copied behind the frame header; body's buffers
-// are not (see writeSplit). A valid f.Trace is written as the
-// trace-context extension with flagTrace set.
-func writeV2Frame(w io.Writer, f v2Frame, head []byte, body ...[]byte) (int, error) {
+// writeFramed sends pre‖frame, frame being head‖body framed in the given
+// framing, and returns the bytes it put on the wire, pre included. A v1
+// frame is a length prefix covering head‖body and names nothing; a v2
+// frame carries f's type, flags, stream and trace context (a valid
+// f.Trace is written as the trace-context extension with flagTrace set).
+// f's Payload, which the read side fills, is not written. pre, which may
+// be nil, is a negotiation preamble riding in front of the frame (a
+// client's first flight). It and head, the short leading part of the
+// payload (an envelope header), are copied into the frame header's
+// buffer; body's buffers are not (see writeSplit).
+func writeFramed(w io.Writer, pre []byte, version byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
 	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	ext := 0
-	if f.Trace.Valid() {
-		f.Flags |= flagTrace
-		ext = traceExtLen
+	// fixed is what a v2 frame holds between its length prefix and head:
+	// type, flags, stream ID and, when traced, the trace extension.
+	fixed, ext := 0, 0
+	if version >= V2 {
+		if f.Trace.Valid() {
+			f.Flags |= flagTrace
+			ext = traceExtLen
+		}
+		fixed = v2FrameOverhead + ext
 	}
-	buf := frameBuf(4+v2FrameOverhead+ext+len(head), bufsLen(body))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+n))
-	buf = append(buf, f.Type, f.Flags)
-	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
-	if ext > 0 {
-		buf = appendTraceExt(buf, f.Trace)
+	buf := frameBuf(len(pre)+4+fixed+len(head), bufsLen(body))
+	buf = append(buf, pre...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(fixed+n))
+	if version >= V2 {
+		buf = append(buf, f.Type, f.Flags)
+		buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
+		if ext > 0 {
+			buf = appendTraceExt(buf, f.Trace)
+		}
 	}
 	buf = append(buf, head...)
 	return writeSplit(w, buf, body)
-}
-
-// writeFramed sends head‖body as one frame in the given framing: as a v2
-// frame with f's type, stream and trace context, or as a v1 frame, which
-// names none of them.
-func writeFramed(w io.Writer, version byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
-	if version < V2 {
-		return writeFrame(w, head, body...)
-	}
-	return writeV2Frame(w, f, head, body...)
 }
 
 // readFramed receives one frame of type want in the given framing and

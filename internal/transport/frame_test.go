@@ -4,7 +4,7 @@ package transport
 // in readV2Frame budgets for the optional trace extension whether or
 // not the frame carries one, so an untraced frame can reach the parser
 // with up to traceExtLen payload bytes above MaxFrame — the exact bound
-// is parseV2Frame's job, keeping decode∘encode the identity (writeV2Frame
+// is parseV2Frame's job, keeping decode∘encode the identity (writeFramed
 // refuses such payloads too).
 
 import (
@@ -57,7 +57,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 				t.Fatalf("payload = %d bytes, want %d", len(f.Payload), tc.payload)
 			}
 			// Every accepted frame must re-encode.
-			if _, err := writeV2Frame(io.Discard, f, nil, f.Payload); err != nil {
+			if _, err := writeFramed(io.Discard, nil, V2, f, nil, f.Payload); err != nil {
 				t.Fatalf("re-encoding accepted frame: %v", err)
 			}
 		})

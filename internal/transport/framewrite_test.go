@@ -125,7 +125,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			head, envelope := responseHead(len(sent), callErr), refEncodeResponse(body, callErr)
 
 			wire := sameFrame(t, "v1 "+name, len(sent),
-				func(w io.Writer) (int, error) { return writeFrame(w, head, sent) },
+				func(w io.Writer) (int, error) { return writeFramed(w, nil, V1, v2Frame{}, head, sent) },
 				func(w io.Writer) error { return refWriteFrame(w, envelope) })
 			payload, err := readFrame(wire)
 			if err != nil {
@@ -135,7 +135,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 
 			wire = sameFrame(t, "v2 "+name, len(sent),
 				func(w io.Writer) (int, error) {
-					return writeV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
+					return writeFramed(w, nil, V2, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
@@ -157,7 +157,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		head, envelope := requestHead(op, len(body)), refEncodeRequest(op, body)
 		name := fmt.Sprintf("v1 request, %d bytes", size)
 		wire := sameFrame(t, name, len(body),
-			func(w io.Writer) (int, error) { return writeFrame(w, head, body) },
+			func(w io.Writer) (int, error) { return writeFramed(w, nil, V1, v2Frame{}, head, body) },
 			func(w io.Writer) error { return refWriteFrame(w, envelope) })
 		payload, err := readFrame(wire)
 		if err != nil {
@@ -168,7 +168,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
 			wire := sameFrame(t, name, len(body),
 				func(w io.Writer) (int, error) {
-					return writeV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
+					return writeFramed(w, nil, V2, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
@@ -182,6 +182,29 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			}
 			checkDecodedRequest(t, name, f.Payload, op, body)
 		}
+
+		// A first flight: the preamble rides in front of the request, in
+		// its header's write.
+		name = fmt.Sprintf("first flight, %d bytes", size)
+		pre := clientPreamble(V2)
+		wire = sameFrame(t, name, len(body),
+			func(w io.Writer) (int, error) {
+				return writeFramed(w, pre, V2, v2Frame{Type: frameRequest, StreamID: 1}, head, body)
+			},
+			func(w io.Writer) error {
+				if _, err := w.Write(pre); err != nil {
+					return err
+				}
+				return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 1, Payload: envelope})
+			})
+		if got := wire.Next(preambleLen); !bytes.Equal(got, pre) {
+			t.Fatalf("%s: opens with %x, want the preamble", name, got)
+		}
+		f, err := readV2Frame(wire)
+		if err != nil {
+			t.Fatalf("%s: reading the frame back: %v", name, err)
+		}
+		checkDecodedRequest(t, name, f.Payload, op, body)
 	}
 }
 
@@ -229,10 +252,10 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	body := make([]byte, MaxFrame)
 	head := responseHead(len(body), nil)
-	if n, err := writeFrame(io.Discard, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+	if n, err := writeFramed(io.Discard, nil, V1, v2Frame{}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("v1: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
-	if n, err := writeV2Frame(io.Discard, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+	if n, err := writeFramed(io.Discard, nil, V2, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("v2: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
 }
@@ -268,7 +291,7 @@ func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got burstRecorder
-		n, err := writeV2Frame(&got, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
+		n, err := writeFramed(&got, nil, V2, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
 		if err != nil || n != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d-byte body: wrote %d bytes, err %v; want the reference's %d", size, n, err, want.Len())
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"globedoc/internal/clock"
+	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
 
@@ -94,8 +95,10 @@ func TestMuxStreamTimeoutAbandonsOnlyItself(t *testing.T) {
 	// The fake clock starts at the real present so armed conn write
 	// deadlines (kernel real-time) land in the future, not in 1970.
 	clk := clock.NewFake(time.Now())
+	tel := telemetry.New(nil)
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{
 		CallTimeout: 30 * time.Second,
+		Telemetry:   tel,
 	})
 	c.Clock = clk
 	c.Pool = transport.PoolConfig{MaxConns: 1}
@@ -107,9 +110,11 @@ func TestMuxStreamTimeoutAbandonsOnlyItself(t *testing.T) {
 		timedOut <- err
 	}()
 	<-arrived // the doomed stream is parked server-side
-	// Wait until the caller is parked in its timeout select, then fire
-	// the fake-clock timer.
-	for clk.Waiters() == 0 {
+	// Wait until the caller is parked in its timeout select and its
+	// connection has taken the accept (a call abandoned before the accept
+	// takes its unproven connection with it), then fire the fake-clock
+	// timer.
+	for clk.Waiters() == 0 || tel.Negotiations.With("v2").Value() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	clk.Advance(31 * time.Second)

@@ -330,11 +330,13 @@ func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
 	}
 }
 
-// TestOpenNegotiatesWithoutACall: Open leaves one negotiated connection
-// warm in the pool and sends no request; the first call rides that very
-// connection. Opening toward an address nothing answers fails, and the
-// failure counts against the address's health like a failed call.
-func TestOpenNegotiatesWithoutACall(t *testing.T) {
+// TestOpenDialsWithoutWriting: Open leaves one dialled connection warm
+// in the pool and writes nothing on it — no request and no preamble;
+// the first call rides that very connection and negotiates on it. A dial
+// records no health sample: its time is no round trip. Opening toward an
+// address nothing answers fails, and the failure counts against the
+// address's health like a failed call.
+func TestOpenDialsWithoutWriting(t *testing.T) {
 	var served atomic.Int64
 	dial := startServer(t, func(s *transport.Server) {
 		s.Handle("ping", func(body []byte) ([]byte, error) {
@@ -342,7 +344,14 @@ func TestOpenNegotiatesWithoutACall(t *testing.T) {
 			return nil, nil
 		})
 	})
-	cd := &countingDial{dial: dial}
+	var sent, received atomic.Int64
+	cd := &countingDial{dial: func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{Conn: conn, sent: &sent, received: &received}, nil
+	}}
 	tel := telemetry.New(nil)
 	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel, Addr: "replica"})
 	defer c.Close()
@@ -351,20 +360,29 @@ func TestOpenNegotiatesWithoutACall(t *testing.T) {
 	if err := c.Open(ctx); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if n := served.Load(); n != 0 {
-		t.Errorf("Open made %d calls, want none", n)
+	if n := sent.Load(); n != 0 {
+		t.Errorf("Open wrote %d bytes, want none", n)
 	}
-	if got := tel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("negotiations{v2} = %d after Open, want 1", got)
+	if got := tel.Negotiations.Total(); got != 0 {
+		t.Errorf("negotiations = %d after Open, want 0", got)
+	}
+	if _, ok := tel.Health.Lookup("replica"); ok {
+		t.Error("Open recorded a health sample for a bare dial")
 	}
 	if idle := c.IdleConns(); idle != 1 {
-		t.Errorf("IdleConns = %d after Open, want the negotiated connection", idle)
+		t.Errorf("IdleConns = %d after Open, want the dialled connection", idle)
 	}
 	if _, err := c.Call(ctx, "ping", nil); err != nil {
 		t.Fatal(err)
 	}
+	if n := served.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want 1", n)
+	}
 	if got := cd.count.Load(); got != 1 {
 		t.Errorf("Open and a call dialed %d connections, want 1", got)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d after the call, want 1 (on the connection Open dialled)", got)
 	}
 
 	dead := transport.NewClient(func() (net.Conn, error) { return nil, errors.New("connection refused") }).

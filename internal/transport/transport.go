@@ -16,16 +16,16 @@
 // to untrusted servers.
 //
 // This package is the only layer that knows about older peers. Two
-// things are remembered per Client, and nothing else: that the peer hung
-// up on the v2 preamble (it predates negotiation, so every later
-// connection is dialled as v1), and which operations the peer refused as
+// things are remembered per Client, and nothing else: that the peer
+// refused the v2 preamble (it hung up on it, predating negotiation, or
+// accepted only v1, so every later connection is dialled as v1), and
+// which operations the peer refused as
 // unknown (it predates them, so later calls return that refusal without a
 // round trip). Callers fall back on IsUnknownOp and keep no latch of
 // their own.
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -142,22 +142,6 @@ func writeSplit(w io.Writer, prefix []byte, body [][]byte) (int, error) {
 		}
 	}
 	return n, err
-}
-
-// writeFrame sends one v1 frame — a length prefix covering head‖body —
-// and returns the bytes it put on the wire. head, which may be nil, is
-// the short leading part of the payload (an envelope header); it is
-// copied behind the length prefix, body's buffers are not (see
-// writeSplit).
-func writeFrame(w io.Writer, head []byte, body ...[]byte) (int, error) {
-	n := len(head) + bufsLen(body)
-	if n > MaxFrame {
-		return 0, ErrFrameTooLarge
-	}
-	buf := frameBuf(4+len(head), bufsLen(body))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = append(buf, head...)
-	return writeSplit(w, buf, body)
 }
 
 // readFrame receives one length-prefixed payload.
@@ -282,8 +266,9 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]HandlerCtx
 
-	listeners sync.Map // net.Listener -> struct{}
-	conns     sync.Map // net.Conn -> struct{}
+	closeMu   sync.Mutex // orders registering below against Close
+	listeners sync.Map   // net.Listener -> struct{}
+	conns     sync.Map   // net.Conn -> struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
 
@@ -329,7 +314,10 @@ func (s *Server) Ops() []string {
 // connection are processed sequentially, calls on a v2 connection
 // concurrently up to StreamLimit.
 func (s *Server) Serve(l net.Listener) error {
-	s.listeners.Store(l, struct{}{})
+	if !s.track(func() { s.listeners.Store(l, struct{}{}) }) {
+		l.Close()
+		return nil
+	}
 	defer s.listeners.Delete(l)
 	for {
 		conn, err := l.Accept()
@@ -339,12 +327,32 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		s.wg.Add(1)
+		if !s.track(func() {
+			s.conns.Store(conn, struct{}{})
+			s.wg.Add(1)
+		}) {
+			conn.Close()
+			return nil
+		}
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
 		}()
 	}
+}
+
+// track runs register, which records a listener or connection for Close
+// to shut, unless Close has begun, and reports whether it ran. Close
+// starts under the same lock, so whatever is registered it shuts, and
+// it waits for no connection registered after its wait began.
+func (s *Server) track(register func()) bool {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.closed.Load() {
+		return false
+	}
+	register()
+	return true
 }
 
 // Start runs Serve on its own goroutine and returns immediately.
@@ -360,12 +368,39 @@ func (s *Server) clock() clock.Clock {
 	return clock.Real
 }
 
-// serveConn chooses the connection's framing and serves it. The first
-// four bytes decide: a negotiation preamble is answered with the agreed
-// version, anything else is the length header of a classic v1 frame,
-// which the request loop then reads again.
+// firstReadLen bounds a connection's first read. A client's first flight
+// is its preamble and first request in one write, and a cold client's
+// first flights are small: with the preamble and the trace extension,
+// name.resolve is 56 bytes, loc.lookup2 71 and a cold obj.bind naming one
+// element 89 (examples/quickstart). One read of up to 512 bytes takes the
+// whole flight, so the server answers it without reading the socket
+// again — no second turnaround between the accept and the response.
+const firstReadLen = 512
+
+// readAhead is a connection read through the bytes its first read took
+// beyond what serveConn consumed.
+type readAhead struct {
+	conn net.Conn
+	rest []byte
+	buf  [firstReadLen]byte
+}
+
+func (r *readAhead) Read(p []byte) (int, error) {
+	if len(r.rest) == 0 {
+		return r.conn.Read(p)
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
+// serveConn chooses the connection's framing and serves it. One bounded
+// read takes the connection's first bytes, and the first four decide: a
+// negotiation preamble is answered with the agreed version, anything
+// else is the length header of a classic v1 frame. Whatever the read
+// took beyond the preamble — a first request riding behind it, or the
+// whole of a v1 frame — goes to the request loop ahead of the conn.
 func (s *Server) serveConn(conn net.Conn) {
-	s.conns.Store(conn, struct{}{})
 	defer s.conns.Delete(conn)
 	defer conn.Close()
 	if s.IdleTimeout > 0 {
@@ -375,21 +410,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	var hdr [preambleLen]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	in := &readAhead{conn: conn}
+	n, err := io.ReadAtLeast(conn, in.buf[:], preambleLen)
+	if err != nil {
 		return
 	}
-	proposed, ok := parsePreamble(hdr[:])
-	if !ok {
-		s.serve(conn, io.MultiReader(bytes.NewReader(hdr[:]), conn), V1)
-		return
+	in.rest = in.buf[:n]
+	version := V1
+	if proposed, ok := parsePreamble(in.rest[:preambleLen]); ok {
+		version = min(proposed, MaxSupportedVersion)
+		in.rest = in.rest[preambleLen:]
+		if _, err := conn.Write(clientPreamble(version)); err != nil {
+			return
+		}
+		telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(version)).Inc()
 	}
-	agreed := min(proposed, MaxSupportedVersion)
-	if _, err := conn.Write(clientPreamble(agreed)); err != nil {
-		return
-	}
-	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(agreed)).Inc()
-	s.serve(conn, conn, agreed)
+	s.serve(conn, in, version)
 }
 
 // serve is the one request loop, for either framing: it reads request
@@ -449,7 +485,7 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				_, werr = writeFramed(conn, version, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
+				_, werr = writeFramed(conn, nil, version, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -514,7 +550,9 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte
 // closes every active connection, and waits for connection goroutines to
 // exit.
 func (s *Server) Close() {
+	s.closeMu.Lock()
 	s.closed.Store(true)
+	s.closeMu.Unlock()
 	s.listeners.Range(func(key, _ any) bool {
 		key.(net.Listener).Close()
 		return true
@@ -573,9 +611,10 @@ type Client struct {
 	// recording. Set before the first call.
 	Addr string
 
-	// preV2Peer latches that the peer hung up on the negotiation
-	// preamble — what a server older than negotiation does — so every
-	// later connection is dialled as plain v1 (see dialConn).
+	// preV2Peer latches that the peer refused a first flight unrun — it
+	// hung up on the negotiation preamble, as a server older than
+	// negotiation does, or accepted only v1 — so every later connection
+	// is dialled as plain v1 (see dialConn).
 	preV2Peer atomic.Bool
 	// refused maps each operation the peer refused as unknown to that
 	// refusal, which every later call of the operation returns without a
@@ -589,8 +628,9 @@ type Client struct {
 	notify  chan struct{} // closed+replaced when stream capacity frees up
 
 	// BytesSent and BytesReceived count the bytes of every frame written
-	// and read, headers included (the negotiation preamble is not a
-	// frame), used by the benchmark harness to report protocol overhead.
+	// and read, headers included (the negotiation preamble and accept are
+	// not frames, even where the preamble shares its first frame's write),
+	// used by the benchmark harness to report protocol overhead.
 	BytesSent     atomic.Uint64
 	BytesReceived atomic.Uint64
 	// Calls counts completed calls.
@@ -682,7 +722,7 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 		wire = sp.Context()
 	}
 	var resp []byte
-	attempts, err := c.retrying(ctx, tel, func() (reused bool, err error) {
+	attempts, err := c.retrying(ctx, tel, true, func() (reused bool, err error) {
 		resp, reused, err = c.attempt(ctx, wire, op, body)
 		return reused, err
 	})
@@ -709,16 +749,17 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 }
 
 // Open readies the pool for calls without making one: it reserves a
-// stream, dialling and negotiating a connection unless a live one is
-// pooled, and gives the stream straight back, leaving the connection
-// warm for the next call. A v2 accept proves the peer alive; a
-// connection that fell back to v1 proves only that the peer accepts
-// connections, and its first call does the rest. Dial failures are
-// retried, and recorded as health samples, as a call's would be. With
-// idle pooling disabled (a negative PoolConfig.MaxIdle) the connection
-// closes again at once.
+// stream, dialling a connection unless a live one is pooled, and gives
+// the stream straight back, leaving the connection warm for the next
+// call. It writes nothing: a negotiating connection's preamble rides its
+// first call (see dialConn), so a dial proves only that the peer accepts
+// connections. Dial failures are retried, and recorded as health
+// failures, as a call's would be; a successful dial records no sample,
+// since its time says nothing about the peer's round trip. With idle
+// pooling disabled (a negative PoolConfig.MaxIdle) the connection closes
+// again at once.
 func (c *Client) Open(ctx context.Context) error {
-	_, err := c.retrying(ctx, telemetry.Or(c.Telemetry), func() (reused bool, err error) {
+	_, err := c.retrying(ctx, telemetry.Or(c.Telemetry), false, func() (reused bool, err error) {
 		var pc *poolConn
 		if pc, reused, err = c.acquireStream(ctx); err == nil {
 			c.releaseStream(pc)
@@ -732,10 +773,11 @@ func (c *Client) Open(ctx context.Context) error {
 // returns the number of attempts made. Without a RetryPolicy a failed
 // attempt is repeated once, at once, and only when it hit a reused
 // (possibly stale) pooled connection; with one, transient failures are
-// retried with backoff up to the policy's attempts. Every attempt records
-// a health sample when Addr is set — except one that failed only because
-// ctx had already ended, which says nothing about the replica.
-func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, attempt func() (reused bool, err error)) (int, error) {
+// retried with backoff up to the policy's attempts. Every failed attempt
+// records a health failure when Addr is set — except one that failed
+// only because ctx had already ended, which says nothing about the
+// replica — and, when timed, every successful one its RTT.
+func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, timed bool, attempt func() (reused bool, err error)) (int, error) {
 	maxAttempts := 2
 	if c.Retry != nil {
 		maxAttempts = c.Retry.Attempts()
@@ -745,7 +787,9 @@ func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, attempt
 		reused, err := attempt()
 		switch {
 		case err == nil:
-			tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
+			if timed {
+				tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
+			}
 		case ctx.Err() == nil:
 			tel.Health.RecordFailure(c.Addr)
 		}
@@ -776,15 +820,21 @@ func (c *Client) refuse(op string, refusal error) {
 // pooled connection (dialling if necessary), exchange one frame pair on
 // it, and give the stream back. sc is the trace context to propagate.
 // reused reports whether the attempt rode an already-open (possibly
-// stale) connection.
+// stale) connection. A peer that refused a first flight unrun
+// (errRedialPlain) gets the request again within the same attempt, on
+// the plain connection the latch now dials.
 func (c *Client) attempt(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	pc, reused, err := c.acquireStream(ctx)
-	if err != nil {
-		return nil, false, err
+	for {
+		var pc *poolConn
+		if pc, reused, err = c.acquireStream(ctx); err != nil {
+			return nil, false, err
+		}
+		resp, err = pc.roundTrip(ctx, sc, op, body)
+		c.releaseStream(pc)
+		if !errors.Is(err, errRedialPlain) {
+			return resp, reused, err
+		}
 	}
-	defer c.releaseStream(pc)
-	resp, err = pc.roundTrip(ctx, sc, op, body)
-	return resp, reused, err
 }
 
 // clock returns the client's time source.
@@ -808,33 +858,6 @@ func (c *Client) deadline(ctx context.Context, limits ...time.Duration) time.Tim
 		}
 	}
 	return deadline
-}
-
-// watchCancel force-expires conn's deadline when ctx is cancelled, so a
-// blocked read or write returns promptly. The returned stop function
-// must be called before conn is reused or pooled; it waits for the
-// watcher to exit so no late SetDeadline can poison a pooled conn.
-func watchCancel(ctx context.Context, conn net.Conn) (stop func()) {
-	done := ctx.Done()
-	if done == nil {
-		return func() {}
-	}
-	stopped := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-done:
-			// Best-effort poison: if SetDeadline fails the conn is
-			// already torn down, which achieves the same thing.
-			_ = conn.SetDeadline(time.Unix(1, 0)) // far past: fail I/O now
-		case <-stopped:
-		}
-	}()
-	return func() {
-		close(stopped)
-		<-exited
-	}
 }
 
 // ctxError folds ctx's cancellation cause into err so callers can
