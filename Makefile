@@ -63,9 +63,11 @@ FUZZ_TARGETS = \
 	internal/cert:FuzzUnmarshalNameCertificate \
 	internal/document:FuzzParseHybrid \
 	internal/document:FuzzExtractLinks \
+	internal/globeid:FuzzHashElement \
 	internal/keys:FuzzUnmarshalPublicKey \
 	internal/lint:FuzzLintSuppression \
 	internal/location:FuzzLookupDecode \
+	internal/merkle:FuzzMerkleDecode \
 	internal/naming:FuzzUnmarshalChain \
 	internal/object:FuzzObjectDecode \
 	internal/policy:FuzzParse \

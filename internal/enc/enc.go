@@ -26,10 +26,11 @@ var ErrTruncated = errors.New("enc: truncated input")
 var ErrTooLarge = errors.New("enc: length prefix too large")
 
 // ErrNonCanonical is returned when a varint uses more bytes than the
-// minimal encoding of its value. Accepting such padding would give one
-// logical value many byte representations, breaking the one-encoding
-// guarantee signatures depend on.
-var ErrNonCanonical = errors.New("enc: non-canonical varint")
+// minimal encoding of its value, or a boolean byte is neither 0 nor 1.
+// Accepting either would give one logical value many byte
+// representations, breaking the one-encoding guarantee signatures depend
+// on.
+var ErrNonCanonical = errors.New("enc: non-canonical encoding")
 
 // Writer accumulates a canonical binary encoding. The zero value is ready
 // to use.
@@ -248,9 +249,14 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bool decodes a boolean byte.
+// Bool decodes a boolean byte, rejecting any value but 0 and 1.
 func (r *Reader) Bool() bool {
-	return r.Byte() != 0
+	b := r.Byte()
+	if b > 1 {
+		r.fail(ErrNonCanonical)
+		return false
+	}
+	return b == 1
 }
 
 // BytesPrefixed decodes a varint-length-prefixed byte string. The returned

@@ -263,3 +263,14 @@ func TestUvarintRejectsNonMinimalEncoding(t *testing.T) {
 		t.Errorf("Uvarint(c8 01) = %d, %v; want 200, nil", got, r.Err())
 	}
 }
+
+func TestBoolRejectsNonCanonicalByte(t *testing.T) {
+	// Writer.Bool writes only 0 and 1; reading 0x02 as true would give
+	// true two encodings (the merkle proof fuzzer found this).
+	for _, b := range []byte{0x02, 0x30, 0xff} {
+		r := NewReader([]byte{b})
+		if got := r.Bool(); got || !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("Bool(%#x) = %v, err %v; want false, ErrNonCanonical", b, got, r.Err())
+		}
+	}
+}

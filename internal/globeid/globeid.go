@@ -9,6 +9,9 @@
 //
 // SHA-1 is retained deliberately for fidelity with the paper; the OID
 // derivation is isolated here so the digest could be swapped in one place.
+// It is also where the digest is computed: sha1.go runs the SHA-1 block
+// function on the CPU's SHA extensions where it has them and on
+// crypto/sha1 elsewhere, with byte-identical results.
 package globeid
 
 import (
@@ -37,13 +40,13 @@ var ErrKeyMismatch = errors.New("globeid: public key does not match self-certify
 // FromPublicKey derives the self-certifying OID for pk: the SHA-1 hash of
 // the key's canonical encoding.
 func FromPublicKey(pk keys.PublicKey) OID {
-	return OID(sha1.Sum(pk.Marshal()))
+	return OID(sum(pk.Marshal()))
 }
 
 // HashElement computes the SHA-1 hash of element content, as stored in
 // integrity-certificate entries (paper §3.2.2, Fig. 2).
 func HashElement(data []byte) [Size]byte {
-	return sha1.Sum(data)
+	return sum(data)
 }
 
 // Verify checks that pk hashes to oid. A nil return means pk is the

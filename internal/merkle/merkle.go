@@ -17,8 +17,6 @@
 package merkle
 
 import (
-	//lint:ignore cryptoscope Merkle leaf/interior digests are the paper's SHA-1 content hashes; they reach object identity only through globeid's OID derivation
-	"crypto/sha1"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -40,28 +38,24 @@ var (
 )
 
 // hashLeaf domain-separates leaf hashes from interior hashes so a crafted
-// element cannot impersonate an interior node.
-func hashLeaf(name string, content []byte) [sha1.Size]byte {
-	h := sha1.New()
-	h.Write([]byte{0x00})
-	var lenBuf [8]byte
-	putUint64(lenBuf[:], uint64(len(name)))
-	h.Write(lenBuf[:])
+// element cannot impersonate an interior node. Both compute through
+// globeid's streaming digest, the one SHA-1 of the system.
+func hashLeaf(name string, content []byte) [globeid.Size]byte {
+	var head [1 + 8]byte // 0x00 ‖ len(name)
+	putUint64(head[1:], uint64(len(name)))
+	h := globeid.NewDigest()
+	h.Write(head[:])
 	h.Write([]byte(name))
 	h.Write(content)
-	var out [sha1.Size]byte
-	h.Sum(out[:0])
-	return out
+	return h.Sum()
 }
 
-func hashInterior(left, right [sha1.Size]byte) [sha1.Size]byte {
-	h := sha1.New()
+func hashInterior(left, right [globeid.Size]byte) [globeid.Size]byte {
+	h := globeid.NewDigest()
 	h.Write([]byte{0x01})
 	h.Write(left[:])
 	h.Write(right[:])
-	var out [sha1.Size]byte
-	h.Sum(out[:0])
-	return out
+	return h.Sum()
 }
 
 func putUint64(b []byte, v uint64) {
@@ -74,7 +68,7 @@ func putUint64(b []byte, v uint64) {
 // Tree is a built hash tree over a fixed element set.
 type Tree struct {
 	names  []string // sorted leaf names
-	levels [][][sha1.Size]byte
+	levels [][][globeid.Size]byte
 	// levels[0] = leaves, last level = [root]
 }
 
@@ -90,13 +84,13 @@ func Build(elements map[string][]byte) (*Tree, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	leaves := make([][sha1.Size]byte, len(names))
+	leaves := make([][globeid.Size]byte, len(names))
 	for i, name := range names {
 		leaves[i] = hashLeaf(name, elements[name])
 	}
-	t := &Tree{names: names, levels: [][][sha1.Size]byte{leaves}}
+	t := &Tree{names: names, levels: [][][globeid.Size]byte{leaves}}
 	for level := leaves; len(level) > 1; {
-		next := make([][sha1.Size]byte, 0, (len(level)+1)/2)
+		next := make([][globeid.Size]byte, 0, (len(level)+1)/2)
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
 				next = append(next, hashInterior(level[i], level[i+1]))
@@ -111,7 +105,7 @@ func Build(elements map[string][]byte) (*Tree, error) {
 }
 
 // Root returns the tree's root hash.
-func (t *Tree) Root() [sha1.Size]byte {
+func (t *Tree) Root() [globeid.Size]byte {
 	top := t.levels[len(t.levels)-1]
 	return top[0]
 }
@@ -121,7 +115,7 @@ func (t *Tree) Names() []string { return append([]string(nil), t.names...) }
 
 // ProofStep is one hop of an authentication path.
 type ProofStep struct {
-	Sibling [sha1.Size]byte
+	Sibling [globeid.Size]byte
 	// Right reports whether the sibling is the right child at this level
 	// (i.e. the running hash is the left input).
 	Right bool
@@ -160,7 +154,7 @@ func (t *Tree) Prove(name string) (Proof, error) {
 
 // VerifyProof recomputes the root implied by content and proof and checks
 // it equals root.
-func VerifyProof(root [sha1.Size]byte, proof Proof, content []byte) error {
+func VerifyProof(root [globeid.Size]byte, proof Proof, content []byte) error {
 	h := hashLeaf(proof.Name, content)
 	for _, step := range proof.Steps {
 		if step.Right {
@@ -179,7 +173,7 @@ func VerifyProof(root [sha1.Size]byte, proof Proof, content []byte) error {
 // plus ONE validity interval for the entire file set.
 type SignedRoot struct {
 	ObjectID  globeid.OID
-	Root      [sha1.Size]byte
+	Root      [globeid.Size]byte
 	Version   uint64
 	NotBefore time.Time
 	Expires   time.Time
@@ -263,7 +257,7 @@ func UnmarshalSignedRoot(data []byte) (*SignedRoot, error) {
 	}
 	var sr SignedRoot
 	copy(sr.ObjectID[:], r.Raw(globeid.Size))
-	copy(sr.Root[:], r.Raw(sha1.Size))
+	copy(sr.Root[:], r.Raw(globeid.Size))
 	sr.Version = r.Uvarint()
 	sr.NotBefore = r.Time()
 	sr.Expires = r.Time()
@@ -297,7 +291,7 @@ func UnmarshalProof(data []byte) (Proof, error) {
 	}
 	for i := uint64(0); i < n; i++ {
 		var s ProofStep
-		copy(s.Sibling[:], r.Raw(sha1.Size))
+		copy(s.Sibling[:], r.Raw(globeid.Size))
 		s.Right = r.Bool()
 		p.Steps = append(p.Steps, s)
 	}
