@@ -73,6 +73,8 @@ FUZZ_TARGETS = \
 	internal/policy:FuzzParse \
 	internal/server:FuzzUnmarshalBundle \
 	internal/server:FuzzDeltaDecode \
+	internal/server:FuzzUnmarshalVersionHeader \
+	internal/server:FuzzDecodeDeltaRequest \
 	internal/transport:FuzzFrameDecode \
 	internal/transport:FuzzRequestDecode \
 	internal/transport:FuzzVersionNegotiation

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"globedoc/internal/core"
@@ -42,8 +43,16 @@ func RegisterClientFlags(fs *flag.FlagSet) *ClientFlags {
 		"per-RPC deadline, send through receive (0 = unbounded)")
 	fs.IntVar(&f.Retries, "retries", 3,
 		"attempts per RPC against a flaky replica (1 = no retry)")
-	fs.IntVar(&f.Version, "transport-version", 0,
-		"pin the wire protocol version: 0 = negotiate (prefer v2), 1 = classic v1 framing, 2 = require multiplexed v2")
+	fs.Func("transport-version",
+		"wire protocol `version`: 0 or 2 = negotiate multiplexed v2 (the two mean the same), 1 = classic v1 framing (default 0)",
+		func(s string) error {
+			v, err := strconv.Atoi(s)
+			if err != nil || v < 0 || v > int(transport.MaxSupportedVersion) {
+				return fmt.Errorf("want 0, 1 or 2, not %q", s)
+			}
+			f.Version = v
+			return nil
+		})
 	return f
 }
 

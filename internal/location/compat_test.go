@@ -3,25 +3,17 @@ package location
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/netsim"
-	"globedoc/internal/telemetry"
-	"globedoc/internal/transport"
 )
 
-// These tests pin the v1 ↔ v2 wire-compatibility contract of the
-// location service in both directions:
-//
-//   - the v1 encodings (ContactAddress.Marshal, OpLookup responses) are
-//     byte-frozen — a pre-PR-8 peer must keep decoding them exactly;
-//   - a new client against a v1-only service falls back to OpLookup
-//     (losing only metadata) after exactly one probe;
-//   - an old-style client calling OpLookup against a new service gets
-//     byte-identical v1 responses, metadata silently dropped.
+// These tests pin the location service's two address encodings: the
+// plain one (ContactAddress.Marshal, carried by loc.insert, loc.delete
+// and loc.all) and the extended one OpLookup2 answers with. Both are
+// byte-frozen, and neither decoder accepts the other's bytes.
 
 func compatOID(b byte) globeid.OID {
 	var oid globeid.OID
@@ -72,8 +64,8 @@ func TestContactAddressExtGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLookupResultV1RejectsExtBytes proves WHY the dual-op design exists:
-// a v1 decoder must refuse an extended body rather than misread it.
+// TestLookupResultV1RejectsExtBytes: a plain decoder must refuse an
+// extended body rather than misread it, and the reverse.
 func TestLookupResultV1RejectsExtBytes(t *testing.T) {
 	res := LookupResult{
 		Rings: 1,
@@ -89,93 +81,9 @@ func TestLookupResultV1RejectsExtBytes(t *testing.T) {
 	}
 }
 
-// startV1OnlyService runs a location service that predates OpLookup2 —
-// only the v1 operations are registered, so the transport itself refuses
-// the probe with its unknown-operation error.
-func startV1OnlyService(t *testing.T, n *netsim.Network, tree *Tree) {
-	t.Helper()
-	srv := transport.NewServer()
-	srv.Handle(OpInsert, func(body []byte) ([]byte, error) {
-		site, oid, addr, err := decodeSiteOIDAddr(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, tree.Insert(site, oid, addr)
-	})
-	srv.Handle(OpLookup, func(body []byte) ([]byte, error) {
-		r := enc.NewReader(body)
-		site := r.String()
-		var oid globeid.OID
-		copy(oid[:], r.Raw(globeid.Size))
-		if err := r.Finish(); err != nil {
-			return nil, err
-		}
-		res, err := tree.Lookup(context.Background(), site, oid)
-		if err != nil {
-			return nil, err
-		}
-		return encodeLookupResult(res), nil
-	})
-	l, err := n.Listen(netsim.AmsterdamPrimary, "locsvc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(l)
-	t.Cleanup(srv.Close)
-}
-
-// TestNewClientFallsBackToV1Service: a metadata-aware client against a
-// pre-PR-8 service probes OpLookup2 once — the transport remembers the
-// refusal — and keeps working over OpLookup; results simply carry no
-// metadata.
-func TestNewClientFallsBackToV1Service(t *testing.T) {
-	n := netsim.PaperTestbed(0)
-	defer n.Close()
-	tree, err := NewTree(PaperDomains())
-	if err != nil {
-		t.Fatal(err)
-	}
-	startV1OnlyService(t, n, tree)
-
-	tel := telemetry.New(nil)
-	client := NewClient(n.Dialer(netsim.Paris, netsim.AmsterdamPrimary+":locsvc"))
-	client.Configure(transport.Config{Telemetry: tel})
-	t.Cleanup(client.Close)
-
-	oid := compatOID(0x21)
-	a := ContactAddress{Address: "amsterdam-primary:objsrv", Protocol: "globedoc"}
-	if err := tree.Insert("amsterdam-primary", oid, a); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 3; i++ {
-		res, err := client.Lookup(context.Background(), "paris", oid)
-		if err != nil {
-			t.Fatalf("Lookup %d: %v", i, err)
-		}
-		if len(res.Addresses) != 1 || !res.Addresses[0].SameEndpoint(a) {
-			t.Fatalf("Lookup %d = %+v", i, res.Addresses)
-		}
-		if res.Addresses[0].Zone != "" || res.Addresses[0].Weight != 0 {
-			t.Fatalf("Lookup %d carried metadata over v1: %+v", i, res.Addresses[0])
-		}
-	}
-	// Exactly one OpLookup2 probe across all three lookups.
-	probes := uint64(0)
-	for labels, v := range tel.Registry.Snapshot().LabeledCounters[telemetry.MetricRPCCalls] {
-		if strings.Contains(labels, OpLookup2) {
-			probes += v
-		}
-	}
-	if probes != 1 {
-		t.Errorf("OpLookup2 probes = %d, want exactly 1 (the refusal is remembered)", probes)
-	}
-}
-
-// TestNewClientDoesNotLatchOnOtherErrors: a genuine lookup failure from a
-// metadata-aware service (not-found) must surface as-is, NOT trigger the
-// v1 fallback — only the unknown-operation refusal means "old service" —
-// and later lookups still carry metadata.
+// TestNewClientDoesNotLatchOnOtherErrors: a genuine lookup failure
+// (not-found) surfaces as-is and changes nothing: later lookups still
+// carry metadata.
 func TestNewClientDoesNotLatchOnOtherErrors(t *testing.T) {
 	n := netsim.PaperTestbed(0)
 	defer n.Close()
@@ -210,52 +118,6 @@ func TestNewClientDoesNotLatchOnOtherErrors(t *testing.T) {
 	}
 	if len(res.Addresses) != 1 || res.Addresses[0].Zone != "europe" {
 		t.Fatalf("metadata lost after remote error: %+v", res.Addresses)
-	}
-}
-
-// TestOldClientAgainstNewService: a pre-PR-8 client calls OpLookup
-// directly; the new service's response must be byte-decodable by the v1
-// decoder and carry no metadata.
-func TestOldClientAgainstNewService(t *testing.T) {
-	n := netsim.PaperTestbed(0)
-	defer n.Close()
-	tree, err := NewTree(PaperDomains())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(tree)
-	l, err := n.Listen(netsim.AmsterdamPrimary, "locsvc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Start(l)
-	t.Cleanup(svc.Close)
-
-	oid := compatOID(0x42)
-	a := ContactAddress{Address: "amsterdam-primary:objsrv", Protocol: "globedoc", Weight: 9}
-	if err := tree.Insert("amsterdam-primary", oid, a); err != nil {
-		t.Fatal(err)
-	}
-
-	// An old client is exactly a raw transport client speaking OpLookup.
-	old := transport.NewClient(n.Dialer(netsim.Ithaca, netsim.AmsterdamPrimary+":locsvc"))
-	t.Cleanup(old.Close)
-	w := enc.NewWriter(64)
-	w.String("ithaca")
-	w.Raw(oid[:])
-	body, err := old.Call(context.Background(), OpLookup, w.Bytes())
-	if err != nil {
-		t.Fatalf("v1 Call: %v", err)
-	}
-	res, err := decodeLookupResult(body)
-	if err != nil {
-		t.Fatalf("v1 decode of new service's response: %v", err)
-	}
-	if len(res.Addresses) != 1 || !res.Addresses[0].SameEndpoint(a) {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Addresses[0].Zone != "" || res.Addresses[0].Weight != 0 {
-		t.Fatalf("v1 response leaked metadata: %+v", res.Addresses[0])
 	}
 }
 

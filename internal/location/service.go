@@ -13,19 +13,13 @@ import (
 
 // Wire operation names of the location service.
 //
-// OpLookup2 is the extended lookup introduced in PR 8: same request body
-// as OpLookup, but the response carries per-address metadata (zone label,
-// advertised weight). The v1 encodings are frozen — enc.Reader.Finish
-// rejects trailing bytes, so appending fields to an existing operation
-// would break BOTH old-decodes-new and new-decodes-old. A new client
-// probes OpLookup2 and, on the peer's "unknown operation" refusal, falls
-// back to OpLookup (metadata-less results) — the transport remembers the
-// refusal, so later lookups skip the probe; an old client never sends
-// OpLookup2 and sees byte-identical OpLookup responses.
+// OpLookup2 is the one lookup: its response carries each address with
+// its metadata (zone label, advertised weight). OpAll answers with the
+// plain address encoding (ContactAddress.Marshal), as OpInsert and
+// OpDelete carry it.
 const (
 	OpInsert  = "loc.insert"
 	OpDelete  = "loc.delete"
-	OpLookup  = "loc.lookup"
 	OpLookup2 = "loc.lookup2"
 	OpAll     = "loc.all"
 )
@@ -55,7 +49,6 @@ func NewService(tree *Tree) *Service {
 	s := &Service{tree: tree, srv: transport.NewServer()}
 	s.srv.Handle(OpInsert, s.handleInsert)
 	s.srv.Handle(OpDelete, s.handleDelete)
-	s.srv.Handle(OpLookup, s.handleLookup)
 	s.srv.Handle(OpLookup2, s.handleLookup2)
 	s.srv.Handle(OpAll, s.handleAll)
 	return s
@@ -142,7 +135,7 @@ func decodeLookupResult(body []byte) (LookupResult, error) {
 }
 
 // encodeLookupResultExt is the OpLookup2 response body: the same shape
-// as the v1 encoding with per-address metadata appended to each entry.
+// as encodeLookupResult with per-address metadata appended to each entry.
 func encodeLookupResultExt(res LookupResult) []byte {
 	w := enc.NewWriter(64)
 	w.Uvarint(uint64(res.Rings))
@@ -180,14 +173,6 @@ func (s *Service) lookup(body []byte) (LookupResult, error) {
 	}
 	//lint:ignore ctxfirst the transport handler boundary carries no request context; per-request cancellation would need a wire protocol change
 	return s.tree.Lookup(context.Background(), site, oid)
-}
-
-func (s *Service) handleLookup(body []byte) ([]byte, error) {
-	res, err := s.lookup(body)
-	if err != nil {
-		return nil, err
-	}
-	return encodeLookupResult(res), nil
 }
 
 func (s *Service) handleLookup2(body []byte) ([]byte, error) {
@@ -244,28 +229,17 @@ func (c *Client) Delete(ctx context.Context, site string, oid globeid.OID, addr 
 	return err
 }
 
-// Lookup finds contact addresses for oid, nearest-first from fromSite.
-// It prefers the metadata-carrying OpLookup2 and falls back to OpLookup
-// against a service that does not implement it — one probe per client,
-// since the transport remembers the refusal; results from such a
-// service simply carry no zone/weight metadata.
+// Lookup finds contact addresses for oid, nearest-first from fromSite,
+// each with its zone and weight metadata.
 func (c *Client) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (LookupResult, error) {
 	w := enc.NewWriter(64)
 	w.String(fromSite)
 	w.Raw(oid[:])
-	req := w.Bytes()
-	body, err := c.c.Call(ctx, OpLookup2, req)
-	if err == nil {
-		return decodeLookupResultExt(body)
-	}
-	if !transport.IsUnknownOp(err) {
-		return LookupResult{}, err
-	}
-	body, err = c.c.Call(ctx, OpLookup, req)
+	body, err := c.c.Call(ctx, OpLookup2, w.Bytes())
 	if err != nil {
 		return LookupResult{}, err
 	}
-	return decodeLookupResult(body)
+	return decodeLookupResultExt(body)
 }
 
 // All returns every recorded address for oid.

@@ -32,10 +32,8 @@ func (s *Server) handleGetBundle(body []byte) ([]byte, error) {
 // transfers and validates the new state. Transfers prefer the
 // Merkle-delta path (obj.getdelta, DESIGN.md §16), which moves only the
 // elements whose cert-listed hash changed; any delta failure — decode
-// error, broken chain, decline, or validation rejection — falls back to
-// the full obj.getbundle transfer. A primary that predates the delta op
-// refuses it as unknown once; the transport remembers that refusal, so
-// later checks go straight to the full transfer.
+// error, broken chain, decline, refusal or validation rejection — falls
+// back to the full obj.getbundle transfer.
 // Combined with the owner's certificate re-issuing this yields the
 // "cache with TTL refresh" strategies of internal/replication at runtime.
 type Puller struct {
@@ -143,13 +141,13 @@ func (p *Puller) CheckOnce(ctx context.Context) (bool, error) {
 			p.pulls.Add(1)
 			return true, nil
 		}
-		// A primary that predates obj.getdelta is not a failed delta.
-		if derr != nil && !transport.IsUnknownOp(derr) {
+		if derr != nil {
 			p.deltaFallbacks.Add(1)
 			p.telemetry().PullerDeltaFallbacks.Inc()
 		}
-		// Declines and every delta failure fall through to the full
-		// transfer: a lying primary can at worst cost this round trip.
+		// Declines and every delta failure, a refusal included, fall
+		// through to the full transfer: a lying primary can at worst cost
+		// this round trip.
 	}
 	if err := p.pullFull(ctx); err != nil {
 		p.failures.Add(1)

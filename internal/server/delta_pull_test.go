@@ -181,17 +181,17 @@ func TestPullerDisableDeltaForcesFull(t *testing.T) {
 	}
 }
 
-// TestPullerLatchesWhenPrimaryLacksDelta points a puller at a primary
-// that predates obj.getdelta (a v1-era object server) and checks the
-// unknown-op refusal is remembered: exactly one probe, then full pulls
-// only.
-func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
+// TestPullerFallsBackWhenPrimaryRefusesDelta points a puller at a
+// primary that refuses obj.getdelta as an unknown operation. A refusal is
+// a delta failure like any other: every check asks for the delta again,
+// counts one fallback and completes with a full pull.
+func TestPullerFallsBackWhenPrimaryRefusesDelta(t *testing.T) {
 	w, pub, _ := deltaWorld(t)
 	primary := w.Servers[netsim.AmsterdamPrimary]
 
-	// An old-style primary: version and bundle ops only, delegating to
-	// the genuine server's state. obj.getdelta is answered with the
-	// wire-contract unknown-operation refusal, counted per probe.
+	// A primary with version and bundle ops only, delegating to the
+	// genuine server's state. obj.getdelta is answered with the server's
+	// unknown-operation refusal, counted per request.
 	probes := 0
 	old := transport.NewServer()
 	old.Handle(object.OpVersion, func(body []byte) ([]byte, error) {
@@ -246,13 +246,13 @@ func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
 			t.Fatalf("CheckOnce %d did not pull", i)
 		}
 	}
-	if probes != 1 {
-		t.Fatalf("obj.getdelta probed %d times, want exactly 1 (latch)", probes)
+	if probes != 2 {
+		t.Fatalf("obj.getdelta asked %d times, want 2 (one per check: nothing is latched)", probes)
 	}
 	if puller.FullPulls() != 2 || puller.DeltaPulls() != 0 {
 		t.Fatalf("full=%d delta=%d, want 2 full pulls", puller.FullPulls(), puller.DeltaPulls())
 	}
-	if puller.DeltaFallbacks() != 0 {
-		t.Fatalf("unknown-op probe counted as %d fallbacks, want 0", puller.DeltaFallbacks())
+	if puller.DeltaFallbacks() != 2 {
+		t.Fatalf("delta fallbacks = %d, want 2 (each refusal is one)", puller.DeltaFallbacks())
 	}
 }

@@ -84,3 +84,54 @@ func FuzzDeltaDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalVersionHeader feeds arbitrary bytes to the version-header
+// decoder, which reads the chain headers a primary sends in a delta
+// reply. What it accepts must re-encode to exactly the input: a header
+// with two encodings would have two chain hashes.
+func FuzzUnmarshalVersionHeader(f *testing.F) {
+	owner := keytest.Ed()
+	hdr := &server.VersionHeader{
+		OID:      globeid.FromPublicKey(owner.Public()),
+		Version:  300,
+		CertHash: globeid.HashElement([]byte("cert")),
+		ElemRoot: globeid.HashElement([]byte("root")),
+		Prev:     globeid.HashElement([]byte("prev")),
+	}
+	f.Add(hdr.Marshal())
+	f.Add((&server.VersionHeader{}).Marshal())
+	// Version 0 padded to two varint bytes: must be refused.
+	padded := (&server.VersionHeader{}).Marshal()
+	f.Add(append(append(padded[:globeid.Size:globeid.Size], 0x80, 0x00), padded[globeid.Size+1:]...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := server.UnmarshalVersionHeader(data)
+		if err != nil {
+			return
+		}
+		if got := h.Marshal(); !bytes.Equal(got, data) {
+			t.Fatalf("UnmarshalVersionHeader accepted a non-canonical encoding:\n in  %x\n out %x", data, got)
+		}
+	})
+}
+
+// FuzzDecodeDeltaRequest feeds arbitrary bytes to the obj.getdelta
+// request decoder, which a primary runs on what any secondary sends. What
+// it accepts must re-encode to exactly the input.
+func FuzzDecodeDeltaRequest(f *testing.F) {
+	oid := globeid.FromPublicKey(keytest.Ed().Public())
+	f.Add(server.EncodeDeltaRequest(oid, 0))
+	f.Add(server.EncodeDeltaRequest(oid, 1<<40))
+	// have = 0 padded to two varint bytes: must be refused.
+	f.Add(append(server.EncodeDeltaRequest(oid, 0)[:1+globeid.Size], 0x80, 0x00))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		oid, have, err := server.DecodeDeltaRequest(data)
+		if err != nil {
+			return
+		}
+		if got := server.EncodeDeltaRequest(oid, have); !bytes.Equal(got, data) {
+			t.Fatalf("DecodeDeltaRequest accepted a non-canonical encoding:\n in  %x\n out %x", data, got)
+		}
+	})
+}

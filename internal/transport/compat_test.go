@@ -1,11 +1,14 @@
 package transport_test
 
-// The v1/v2 compatibility matrix: every pairing of old and new clients
-// and servers must either interoperate (settling on the highest common
-// version, exactly once per connection) or fail fast with a permanent
-// version-mismatch error — and once a connection has negotiated, any
-// attempt to renegotiate mid-connection is refused by dropping the
-// connection, in both directions.
+// The v1/v2 compatibility matrix. A client pinned to V1 and a negotiating
+// client both interoperate with this tree's server. A negotiating client
+// speaks v2 or fails: against a peer that hangs up on the preamble or
+// accepts only v1 its call fails — the hang-up as an ordinary, retryable
+// failure, the v1 accept as a permanent version mismatch — the request
+// runs nowhere, and nothing is latched: the next dial negotiates again.
+// Once a connection has negotiated, any attempt to renegotiate
+// mid-connection is refused by dropping the connection, in both
+// directions.
 
 import (
 	"bytes"
@@ -55,30 +58,44 @@ func TestCompatV1ClientNewServer(t *testing.T) {
 }
 
 func TestCompatAutoClientOldServer(t *testing.T) {
-	// A pre-negotiation server reads the preamble as an oversized v1
-	// length header and hangs up. The auto client must latch the
-	// downgrade after that one wasted dial and speak v1 from then on.
-	tel := telemetry.New(nil)
-	dial, _ := strictOldServer(t, false)
-	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
-	defer c.Close()
-	for i := 0; i < 4; i++ {
-		resp, err := c.Call(context.Background(), "echo", []byte("downgrade"))
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if string(resp) != "downgrade" {
-			t.Fatalf("resp = %q", resp)
-		}
-	}
-	// Dial 1 carried the refused preamble; dial 2 opened the v1 conn the
-	// remaining calls reuse. The latch means no further negotiation.
-	if got := cd.count.Load(); got != 2 {
-		t.Errorf("dialed %d conns against an old server, want 2 (one refused preamble + one pooled v1)", got)
-	}
-	if got := tel.Negotiations.With("fallback").Value(); got != 1 {
-		t.Errorf("negotiations{fallback} = %d, want 1", got)
+	// A server older than negotiation reads the preamble as an oversized
+	// v1 length header and hangs up. A negotiating client, whether it
+	// leaves the version to negotiation or pins V2, fails each call
+	// there and latches nothing: every call dials and negotiates again,
+	// and no plain v1 request ever reaches the server.
+	for _, tc := range []struct {
+		name    string
+		version byte
+	}{
+		{"auto", 0},
+		{"v2", transport.V2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New(nil)
+			dial, dispatched := strictOldServer(t, false)
+			cd := &countingDial{dial: dial}
+			c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel, Version: tc.version})
+			defer c.Close()
+			const calls = 3
+			for i := 0; i < calls; i++ {
+				_, err := c.Call(context.Background(), "echo", []byte("old"))
+				if err == nil {
+					t.Fatalf("call %d succeeded against a server that cannot speak v2", i)
+				}
+				if errors.Is(err, transport.ErrVersionMismatch) || !transport.Retryable(err) {
+					t.Fatalf("call %d: err = %v, want an ordinary retryable connection failure", i, err)
+				}
+			}
+			if got := cd.count.Load(); got != calls {
+				t.Errorf("dials = %d, want %d (each call negotiates afresh)", got, calls)
+			}
+			if got := dispatched.Load(); got != 0 {
+				t.Errorf("the old server dispatched %d requests, want 0 (no v1 connection)", got)
+			}
+			if got := tel.Negotiations.Total(); got != 0 {
+				t.Errorf("negotiations = %d, want 0", got)
+			}
+		})
 	}
 }
 
@@ -135,46 +152,37 @@ func TestCompatAutoClientNewServer(t *testing.T) {
 	}
 }
 
-func TestCompatRequiredV2AgainstOldServerFailsPermanently(t *testing.T) {
-	dial, _ := strictOldServer(t, false)
-	c := transport.NewClient(dial)
-	c.Version = transport.V2
-	defer c.Close()
-	_, err := c.Call(context.Background(), "echo", nil)
-	if !errors.Is(err, transport.ErrVersionMismatch) {
-		t.Fatalf("err = %v, want ErrVersionMismatch", err)
-	}
-	if transport.Retryable(err) {
-		t.Error("version mismatch must be permanent, not retryable")
-	}
-}
-
 func TestCompatServerCappedAtV1(t *testing.T) {
 	// A server that answers the preamble with a v1 accept. The first
 	// flight's request was v2-framed, which that server refuses unrun, so
-	// the auto client closes the connection, latches v1 and resends on a
-	// plain one — one wasted dial per client, and the same call.
+	// the auto client's call fails permanently: a retry policy does not
+	// repeat it. The mismatch is not remembered — the next call dials
+	// and negotiates again.
 	tel := telemetry.New(nil)
 	dial, dispatched := strictOldServer(t, true)
 	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
+	c := transport.NewClient(cd.fn()).Configure(transport.Config{
+		Telemetry: tel,
+		Retry:     &transport.RetryPolicy{MaxAttempts: 3},
+	})
 	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if resp, err := c.Call(context.Background(), "echo", []byte("x")); err != nil || string(resp) != "x" {
-			t.Fatalf("call %d: %q, %v", i, resp, err)
+	for i := 1; i <= 2; i++ {
+		_, err := c.Call(context.Background(), "echo", []byte("x"))
+		if !errors.Is(err, transport.ErrVersionMismatch) || transport.Retryable(err) {
+			t.Fatalf("call %d: err = %v, want a permanent ErrVersionMismatch", i, err)
+		}
+		if got := cd.count.Load(); got != int64(i) {
+			t.Errorf("after call %d: dials = %d, want %d", i, got, i)
+		}
+		if got := tel.Negotiations.With("v1").Value(); got != uint64(i) {
+			t.Errorf("after call %d: negotiations{v1} = %d, want %d", i, got, i)
 		}
 	}
-	if got := cd.count.Load(); got != 2 {
-		t.Errorf("dialed %d conns, want 2 (the refused first flight + one pooled v1)", got)
-	}
-	if got := tel.Negotiations.With("v1").Value(); got != 1 {
-		t.Errorf("client negotiations{v1} = %d, want 1", got)
-	}
-	if got := dispatched.Load(); got != 3 {
-		t.Errorf("the v1 server's decoder dispatched %d requests, want the 3 plain ones (never the v2-framed early frame)", got)
+	if got := dispatched.Load(); got != 0 {
+		t.Errorf("the v1 server dispatched %d requests, want 0", got)
 	}
 	if got := tel.RPCRetries.Value(); got != 0 {
-		t.Errorf("rpc_retries_total = %d, want 0 (the resend is part of the attempt)", got)
+		t.Errorf("rpc_retries_total = %d, want 0 (the mismatch is permanent)", got)
 	}
 }
 
@@ -182,39 +190,37 @@ func TestCompatEarlyFrame(t *testing.T) {
 	// A negotiating connection's first request rides behind the preamble.
 	// A peer that cannot speak v2 runs none of it — one that predates
 	// negotiation hangs up on the preamble, a v1-capped one refuses the
-	// v2-framed request — and the call is resent on a plain connection
-	// within the same attempt, costing exactly one extra dial.
+	// v2-framed request — and the call fails on that one dial: a hang-up
+	// as any dropped connection does, a v1 accept with a version
+	// mismatch.
 	for _, tc := range []struct {
-		name               string
-		acceptV1           bool
-		fallbacks, v1Agree uint64
+		name     string
+		acceptV1 bool
+		mismatch bool
 	}{
-		{"pre-v2 hang-up", false, 1, 0},
-		{"v1-capped", true, 0, 1},
+		{"pre-v2 hang-up", false, false},
+		{"v1-capped", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tel := telemetry.New(nil)
 			dial, dispatched := strictOldServer(t, tc.acceptV1)
 			cd := &countingDial{dial: dial}
-			c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
+			c := transport.NewClient(cd.fn())
 			defer c.Close()
-			if resp, err := c.Call(context.Background(), "echo", []byte("early")); err != nil || string(resp) != "early" {
-				t.Fatalf("call: %q, %v", resp, err)
+			_, err := c.Call(context.Background(), "echo", []byte("early"))
+			if err == nil {
+				t.Fatal("the first flight succeeded against a peer that cannot speak v2")
 			}
-			if got := cd.count.Load(); got != 2 {
-				t.Errorf("dials = %d, want 2", got)
+			if got := errors.Is(err, transport.ErrVersionMismatch); got != tc.mismatch {
+				t.Errorf("err = %v, version mismatch = %v, want %v", err, got, tc.mismatch)
 			}
-			if got := dispatched.Load(); got != 1 {
-				t.Errorf("requests dispatched = %d, want 1 (the plain resend only)", got)
+			if got := transport.Retryable(err); got == tc.mismatch {
+				t.Errorf("err = %v, retryable = %v, want %v", err, got, !tc.mismatch)
 			}
-			if got := tel.Negotiations.With("fallback").Value(); got != tc.fallbacks {
-				t.Errorf("negotiations{fallback} = %d, want %d", got, tc.fallbacks)
+			if got := cd.count.Load(); got != 1 {
+				t.Errorf("dials = %d, want 1", got)
 			}
-			if got := tel.Negotiations.With("v1").Value(); got != tc.v1Agree {
-				t.Errorf("negotiations{v1} = %d, want %d", got, tc.v1Agree)
-			}
-			if got := tel.RPCRetries.Value(); got != 0 {
-				t.Errorf("rpc_retries_total = %d, want 0", got)
+			if got := dispatched.Load(); got != 0 {
+				t.Errorf("requests dispatched = %d, want 0", got)
 			}
 		})
 	}
@@ -289,22 +295,16 @@ func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
 	}
 }
 
-func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
-	// The first connection's peer takes the first flight and resets
-	// before any accept. That is indistinguishable from a server older
-	// than negotiation, and costs what one costs: the request is resent
-	// once on a plain connection and runs once. The call never fails.
-	var served atomic.Int64
-	srv := transport.NewServer()
-	srv.Handle("echo", func(b []byte) ([]byte, error) {
-		served.Add(1)
-		return b, nil
-	})
+// resetFirstDial returns a dialer whose first connection's peer takes
+// the first flight and resets before any accept, and whose later
+// connections reach srv. It counts the dials.
+func resetFirstDial(t *testing.T, srv *transport.Server) (transport.DialFunc, *atomic.Int64) {
+	t.Helper()
 	l := newChanListener()
 	srv.Start(l)
 	t.Cleanup(srv.Close)
 	var dials atomic.Int64
-	dial := func() (net.Conn, error) {
+	return func() (net.Conn, error) {
 		client, server := net.Pipe()
 		if dials.Add(1) == 1 {
 			go func() {
@@ -315,9 +315,26 @@ func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
 			l.ch <- server
 		}
 		return client, nil
-	}
+	}, &dials
+}
+
+func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
+	// The first connection's peer takes the first flight and resets
+	// before any accept. That is an ordinary failed attempt: the retry
+	// policy resends the request once, on a freshly negotiated
+	// connection, counts that retry, and the handler runs once.
+	var served atomic.Int64
+	srv := transport.NewServer()
+	srv.Handle("echo", func(b []byte) ([]byte, error) {
+		served.Add(1)
+		return b, nil
+	})
+	dial, dials := resetFirstDial(t, srv)
 	tel := telemetry.New(nil)
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
+	c := transport.NewClient(dial).Configure(transport.Config{
+		Telemetry: tel,
+		Retry:     &transport.RetryPolicy{MaxAttempts: 3},
+	})
 	defer c.Close()
 	if resp, err := c.Call(context.Background(), "echo", []byte("again")); err != nil || string(resp) != "again" {
 		t.Fatalf("call = %q, %v", resp, err)
@@ -328,8 +345,66 @@ func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
 	if got := served.Load(); got != 1 {
 		t.Errorf("handler ran %d times, want 1", got)
 	}
-	if got := tel.Negotiations.With("fallback").Value(); got != 1 {
-		t.Errorf("negotiations{fallback} = %d, want 1", got)
+	if got := tel.RPCRetries.Value(); got != 1 {
+		t.Errorf("rpc_retries_total = %d, want 1", got)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d, want 1 (the retry negotiated afresh)", got)
+	}
+}
+
+func TestResetBeforeAcceptLatchesNothing(t *testing.T) {
+	// One reset before the accept must not change how the client makes
+	// its later calls: concurrent calls after it share one negotiated v2
+	// connection, as they do on a client that never saw a reset
+	// (TestCompatAutoClientNewServer).
+	release := make(chan struct{})
+	arrived := make(chan struct{}, 8)
+	srv := transport.NewServer()
+	srv.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
+	srv.Handle("park", func([]byte) ([]byte, error) {
+		arrived <- struct{}{}
+		<-release
+		return []byte("ok"), nil
+	})
+	dial, dials := resetFirstDial(t, srv)
+	tel := telemetry.New(nil)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
+	defer c.Close()
+
+	// Its outcome is TestFirstFlightResetBeforeAcceptIsAResend's concern.
+	_, _ = c.Call(context.Background(), "echo", []byte("reset"))
+	before := dials.Load()
+
+	const calls = 4
+	var wg sync.WaitGroup
+	errs := make([]error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = c.Call(context.Background(), "park", nil)
+		}(i)
+	}
+	for i := 0; i < calls; i++ {
+		<-arrived // all calls are in flight simultaneously
+	}
+	inUse := c.ConnsInUse()
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if inUse != 1 {
+		t.Errorf("%d concurrent calls rode %d connections, want 1", calls, inUse)
+	}
+	if got := dials.Load() - before; got != 1 {
+		t.Errorf("%d concurrent calls dialled %d connections, want 1", calls, got)
+	}
+	if got := tel.Negotiations.With("v2").Value(); got != 1 {
+		t.Errorf("negotiations{v2} = %d, want 1", got)
 	}
 }
 
@@ -459,56 +534,44 @@ func TestCompatTracedClientV2Server(t *testing.T) {
 }
 
 func TestCompatTracedClientV1Envelope(t *testing.T) {
-	// A traced call over a connection negotiated down to v1: v1 has no
-	// place for the trace context, so the request envelope is op‖body
-	// alone and a decoder that refuses trailing bytes serves it. The
-	// trace ends at the process boundary.
-	tel := telemetry.New(nil)
-	dial, _ := strictOldServer(t, true)
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
+	// A traced call from a client pinned to V1: v1 has no place for the
+	// trace context, so the request envelope is op‖body alone. The trace
+	// ends at the process boundary — the server's rpc.serve span is a
+	// root of its own trace, not marked remote.
+	clientTel := telemetry.New(nil)
+	serverTel := telemetry.New(nil)
+	dial := startServer(t, func(s *transport.Server) {
+		s.Telemetry = serverTel
+		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
+	})
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: clientTel, Version: transport.V1})
 	defer c.Close()
 
-	root := tel.Tracer.StartSpan("test.root")
+	root := clientTel.Tracer.StartSpan("test.root")
 	ctx := telemetry.ContextWith(context.Background(), root.Context())
-	resp, err := c.Call(ctx, "echo", []byte("traced-v1"))
-	if err != nil {
-		t.Fatalf("traced call over negotiated v1: %v", err)
-	}
-	if string(resp) != "traced-v1" {
-		t.Fatalf("resp = %q", resp)
+	if resp, err := c.Call(ctx, "echo", []byte("traced-v1")); err != nil || string(resp) != "traced-v1" {
+		t.Fatalf("traced call over v1: %q, %v", resp, err)
 	}
 	root.End()
-	if got := tel.Negotiations.With("v1").Value(); got != 1 {
-		t.Errorf("negotiations{v1} = %d, want 1", got)
+	serves := findServe(serverTel)
+	if len(serves) != 1 {
+		t.Fatalf("server recorded %d rpc.serve spans, want 1", len(serves))
+	}
+	if serves[0].TraceID == root.TraceID() || serves[0].ParentID != 0 {
+		t.Errorf("v1 serve span joined the client's trace (trace %d, parent %d)", serves[0].TraceID, serves[0].ParentID)
+	}
+	for _, a := range serves[0].Attrs {
+		if a.Key == "remote" {
+			t.Errorf("v1 serve span marked remote=%s", a.Value)
+		}
 	}
 }
 
-func TestCompatTracedClientOldServer(t *testing.T) {
-	// A traced client against the old-deployment stand-in (it hangs up
-	// on the preamble, so the fallback latches v1): the call must
-	// succeed; the trace simply ends at the process boundary.
-	tel := telemetry.New(nil)
-	dial, _ := strictOldServer(t, false)
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel})
-	defer c.Close()
-
-	root := tel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root.Context())
-	resp, err := c.Call(ctx, "echo", []byte("hello-old"))
-	if err != nil {
-		t.Fatalf("traced call against old server: %v", err)
-	}
-	if string(resp) != "hello-old" {
-		t.Fatalf("resp = %q", resp)
-	}
-	root.End()
-}
-
-// strictOldServer is a wire-level stand-in for an old deployment that
-// speaks only v1. Without acceptV1 it predates negotiation: a length
-// header above MaxFrame — which is how the v2 preamble reads — hangs up
-// the connection. With acceptV1 it answers the preamble with a v1 accept
-// and serves classic frames on that connection. Either way the request
+// strictOldServer is a wire-level stand-in for a peer that speaks only
+// v1. Without acceptV1 it predates negotiation: a length header above
+// MaxFrame — which is how the v2 preamble reads — hangs up the
+// connection. With acceptV1 it answers the preamble with a v1 accept and
+// serves classic frames on that connection. Either way the request
 // envelope is decoded with the old decoder's strictness, failing the
 // call on any trailing bytes (such as a trace-context trailer) exactly
 // like enc.Reader.Finish. It also counts the requests its decoder
@@ -579,27 +642,23 @@ func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.I
 
 func TestCompatTracedClientStrictOldServer(t *testing.T) {
 	// The regression the compat matrix exists to prevent: a traced call
-	// toward a genuinely old server must not carry trace context in the
-	// envelope, because the old decoder errors on trailing bytes. On both
-	// routes into the v1 path — the hangup fallback (auto client) and a
-	// pinned-V1 client — the trace ends at the process boundary and the
-	// call succeeds.
-	for _, version := range []byte{0, transport.V1} {
-		dial, _ := strictOldServer(t, false)
-		tel := telemetry.New(nil)
-		c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: version})
-		root := tel.Tracer.StartSpan("test.root")
-		ctx := telemetry.ContextWith(context.Background(), root.Context())
-		resp, err := c.Call(ctx, "echo", []byte("strict"))
-		if err != nil {
-			t.Fatalf("version %d: traced call against strict old server: %v", version, err)
-		}
-		if string(resp) != "strict" {
-			t.Fatalf("version %d: resp = %q", version, resp)
-		}
-		root.End()
-		c.Close()
+	// on a v1 connection must not carry trace context in the envelope,
+	// because a strict v1 decoder errors on trailing bytes. A pinned-V1
+	// client's trace ends at the process boundary and the call succeeds.
+	dial, _ := strictOldServer(t, false)
+	tel := telemetry.New(nil)
+	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: transport.V1})
+	defer c.Close()
+	root := tel.Tracer.StartSpan("test.root")
+	ctx := telemetry.ContextWith(context.Background(), root.Context())
+	resp, err := c.Call(ctx, "echo", []byte("strict"))
+	if err != nil {
+		t.Fatalf("traced call against strict v1 server: %v", err)
 	}
+	if string(resp) != "strict" {
+		t.Fatalf("resp = %q", resp)
+	}
+	root.End()
 }
 
 func TestCompatUntracedClientNewServer(t *testing.T) {

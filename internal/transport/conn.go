@@ -15,11 +15,14 @@ package transport
 // flight), and its read loop reads the accept ahead of the first
 // response, so opening the connection costs the call no extra round trip.
 // Until the accept arrives the connection carries that one call; the
-// accept raises the budget and wakes the calls waiting for it.
+// accept raises the budget and wakes the calls waiting for it. A
+// negotiating connection speaks v2 or fails: a peer that hangs up before
+// the accept fails the call like any dropped connection, and a v1 accept
+// fails it permanently. Neither is remembered; the next dial negotiates
+// again.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -33,12 +36,6 @@ import (
 // DefaultStreamBudget is the per-connection concurrent-stream bound
 // used when PoolConfig.StreamBudget is zero.
 const DefaultStreamBudget = 32
-
-// errRedialPlain marks a negotiating connection whose peer ran none of
-// its first flight and cannot speak v2: it hung up on the preamble or
-// accepted v1. preV2Peer is latched before any call sees the error, and
-// Client.attempt resends on the plain connection the latch then dials.
-var errRedialPlain = errors.New("transport: peer predates v2 framing")
 
 type streamResult struct {
 	payload []byte
@@ -56,10 +53,8 @@ type poolConn struct {
 
 	wmu sync.Mutex // serialises frame writes
 	// preamble rides in front of the connection's first frame; the first
-	// write takes it. flown records that some of that first flight reached
-	// the wire, so the peer may have seen the preamble. Both guarded by wmu.
+	// write takes it. Guarded by wmu.
 	preamble []byte
-	flown    bool
 
 	mu          sync.Mutex
 	budget      int                          // concurrent streams: 1 for v1 and before the accept, then Pool.streamBudget()
@@ -108,8 +103,7 @@ func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 // it, so the connection and its sibling streams stay healthy. A late v1
 // response names nothing and would be handed to the connection's next
 // caller, so a v1 connection dies with its abandoned call — and so does
-// one whose accept never came, which has proved nothing. Giving up never
-// latches a downgrade: silence is not a refusal.
+// one whose accept never came, which has proved nothing.
 func (pc *poolConn) abandon(id uint32, why error) {
 	pc.mu.Lock()
 	unproven := pc.version < V2 || pc.negotiating
@@ -145,17 +139,12 @@ func (pc *poolConn) retireLocked() bool {
 // stream with an error that is ErrClosed and wraps cause, so callers can
 // still match what went wrong underneath. Only the first failure counts —
 // the read loop ends here too when the pool itself closed the connection,
-// and then nothing is built or delivered — and fail reports whether it
-// was that one. A cause marked errRedialPlain latches preV2Peer before
-// any caller can see it.
-func (pc *poolConn) fail(cause error) bool {
+// and then nothing is built or delivered.
+func (pc *poolConn) fail(cause error) {
 	pc.mu.Lock()
 	if pc.dead {
 		pc.mu.Unlock()
-		return false
-	}
-	if errors.Is(cause, errRedialPlain) {
-		pc.c.preV2Peer.Store(true)
+		return
 	}
 	err := fmt.Errorf("%w (%w)", ErrClosed, cause)
 	pc.dead = true
@@ -169,46 +158,22 @@ func (pc *poolConn) fail(cause error) bool {
 	}
 	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
 	pc.c.wake()
-	return true
-}
-
-// hungUp ends a negotiating connection whose peer hung up after the
-// preamble went out and before any accept came back. That is what a
-// server older than negotiation does: it reads the preamble as a v1
-// length far above MaxFrame and hangs up before it reads a request byte,
-// so nothing ran and the call is resent on a plain connection (see
-// errRedialPlain). A client that requires v2 fails permanently instead.
-func (pc *poolConn) hungUp(err error) {
-	c := pc.c
-	if c.Version == V2 {
-		pc.fail(Permanent(fmt.Errorf("%w (peer hung up on the v2 preamble: %v)", ErrVersionMismatch, err)))
-		return
-	}
-	if pc.fail(fmt.Errorf("%w: it hung up on the v2 preamble (%w)", errRedialPlain, err)) {
-		telemetry.Or(c.Telemetry).Negotiations.With("fallback").Inc()
-	}
 }
 
 // awaitAccept is the read loop's first read on a negotiating connection:
 // the peer's answer to the preamble. A v2 accept raises the stream
-// budget and wakes the calls waiting for it. A v1 accept comes from a
-// peer that decodes the v2-framed first request as a v1 frame — its
-// type byte as a one-byte operation and the rest as trailing bytes — and
-// refuses it unrun, so the connection closes and the call is resent on a
-// plain one. A connection that dies before any byte of its first flight
-// went out never showed the peer a preamble, and its end is no hang-up.
+// budget and wakes the calls waiting for it. A connection that ends
+// first — a reset, or a peer older than negotiation hanging up on the
+// preamble — fails its call as any dropped connection does. A v1 accept
+// fails it permanently with ErrVersionMismatch: the v2-framed first
+// request is already on the wire, and a v1 peer decodes it as a v1 frame
+// — its type byte as a one-byte operation, the rest as trailing bytes —
+// and refuses it unrun.
 func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 	c := pc.c
 	var accept [preambleLen]byte
 	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		pc.wmu.Lock()
-		flown := pc.flown
-		pc.wmu.Unlock()
-		if flown {
-			pc.hungUp(err)
-		} else {
-			pc.fail(err)
-		}
+		pc.fail(err)
 		return false
 	}
 	agreed, err := parseAccept(accept[:], MaxSupportedVersion)
@@ -219,12 +184,7 @@ func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 	negotiated := telemetry.Or(c.Telemetry).Negotiations.With(versionLabel(agreed))
 	if agreed < V2 {
 		negotiated.Inc()
-		err := fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed)
-		if c.Version == V2 {
-			pc.fail(Permanent(err))
-		} else {
-			pc.fail(fmt.Errorf("%w (%w)", errRedialPlain, err))
-		}
+		pc.fail(Permanent(fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed)))
 		return false
 	}
 	pc.mu.Lock()
@@ -296,26 +256,17 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	if werr == nil {
 		sent, werr = writeFramed(pc.conn, pre, pc.version, f, head, body)
 	}
-	if pre != nil && sent > 0 {
-		pc.flown = true
-	}
 	if werr == nil && !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(time.Time{})
 	}
 	pc.wmu.Unlock()
-	switch {
-	case werr == nil:
-		c.BytesSent.Add(uint64(sent - len(pre))) // the preamble is not a frame
-	case pre != nil && sent > 0 && !errors.Is(werr, os.ErrDeadlineExceeded):
-		// The peer hung up on the first flight; its verdict reaches this
-		// stream as the read loop's would.
-		pc.hungUp(werr)
-	default:
+	if werr != nil {
 		// A failed or half-finished write leaves the shared conn in an
 		// unknown framing state: kill it for everyone.
 		pc.fail(fmt.Errorf("send failed: %v", werr))
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
 	}
+	c.BytesSent.Add(uint64(sent - len(pre))) // the preamble is not a frame
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {
@@ -337,11 +288,10 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 }
 
 // dialConn opens one connection for the pool and alone decides its
-// framing. A client pinned to V1, or one whose peer once refused the
-// preamble (preV2Peer), dials plain v1. Any other negotiates: the
-// connection frames v2 from its first write, which carries the preamble,
-// and its read loop takes the accept (awaitAccept). Dialling writes
-// nothing.
+// framing. A client pinned to V1 dials plain v1. Any other negotiates:
+// the connection frames v2 from its first write, which carries the
+// preamble, and its read loop takes the accept (awaitAccept). Dialling
+// writes nothing.
 func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	conn, err := c.dialContext(ctx)
 	if err != nil {
@@ -350,7 +300,7 @@ func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	tel := telemetry.Or(c.Telemetry)
 	tel.PoolDials.Inc()
 	pc := &poolConn{c: c, conn: conn, version: V1, budget: 1, streams: make(map[uint32]chan streamResult)}
-	if c.Version != V1 && !c.preV2Peer.Load() {
+	if c.Version != V1 {
 		pc.version, pc.negotiating, pc.preamble = V2, true, clientPreamble(MaxSupportedVersion)
 	}
 	pc.idleSince = c.clock().Now()

@@ -19,9 +19,9 @@ package transport
 // payload; all other bits are reserved and must be zero.
 //
 // The magic's first byte (0x47) makes the preamble, read as a v1 length
-// header, decode to ~1.2 GiB — far above MaxFrame — so a pre-negotiation
-// v1 server deterministically rejects it and hangs up instead of
-// stalling. The client's fallback path keys on exactly that hangup.
+// header, decode to ~1.2 GiB — far above MaxFrame — so a v1-only reader
+// deterministically rejects it and hangs up instead of stalling, and
+// the call fails like any other dropped connection.
 //
 // Trace context travels only in the v2 frame header. A v1 request is
 // op‖body and nothing else, so on a v1 connection a trace ends at the

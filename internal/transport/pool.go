@@ -16,8 +16,8 @@ const DefaultMaxConns = 4
 // PoolConfig bounds a Client's connection pool.
 type PoolConfig struct {
 	// MaxConns bounds how many connections are open at once. A v1
-	// connection carries one call, so against a v1 peer it is also the
-	// bound on calls in flight. 0 means DefaultMaxConns.
+	// connection carries one call, so on a client pinned to V1 it is
+	// also the bound on calls in flight. 0 means DefaultMaxConns.
 	MaxConns int
 	// MaxIdle bounds how many warm connections are kept for reuse after
 	// their calls return. 0 means MaxConns; negative disables idle

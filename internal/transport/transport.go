@@ -15,14 +15,12 @@
 // against malicious peers — remember that GlobeDoc clients routinely talk
 // to untrusted servers.
 //
-// This package is the only layer that knows about older peers. Two
-// things are remembered per Client, and nothing else: that the peer
-// refused the v2 preamble (it hung up on it, predating negotiation, or
-// accepted only v1, so every later connection is dialled as v1), and
-// which operations the peer refused as
-// unknown (it predates them, so later calls return that refusal without a
-// round trip). Callers fall back on IsUnknownOp and keep no latch of
-// their own.
+// Every peer is built from this tree, so there are no older peers to
+// fall back for. A negotiating client speaks v2 or fails: a hang-up
+// before the accept is an ordinary failed attempt, and a v1 accept a
+// permanent ErrVersionMismatch. A Client remembers nothing about its
+// peer, so no fault changes how it makes its next call. Classic v1
+// framing stays for a client pinned to V1.
 package transport
 
 import (
@@ -31,10 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,21 +61,6 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote error from %q: %s", e.Op, e.Message)
-}
-
-// unknownOpPrefix starts the error message a Server returns for an
-// unregistered operation. IsUnknownOp matches on it, so it is part of the
-// wire contract: clients probe for newer operations (e.g. loc.lookup2)
-// and fall back when the peer predates them.
-const unknownOpPrefix = "unknown operation "
-
-// IsUnknownOp reports whether err is a remote refusal for an operation
-// the serving process does not implement — the signal version-probing
-// clients use to fall back to an older wire operation. A Client remembers
-// such a refusal, so the probe costs one round trip per client.
-func IsUnknownOp(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && strings.HasPrefix(re.Message, unknownOpPrefix)
 }
 
 // coalesceMax is the largest frame body that is copied behind its header
@@ -517,7 +498,7 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte
 		h, ok := s.handlers[op]
 		s.mu.RUnlock()
 		if !ok {
-			err = fmt.Errorf("%s%q", unknownOpPrefix, op)
+			err = fmt.Errorf("unknown operation %q", op)
 		} else {
 			s.Requests.Add(1)
 			tel := telemetry.Or(s.Telemetry)
@@ -598,10 +579,9 @@ type Client struct {
 	// checks (nil = real clock). Tests inject a fake so deadline and
 	// reaping behaviour replays deterministically.
 	Clock clock.Clock
-	// Version pins the wire protocol: 0 negotiates on every dial
-	// (preferring v2, falling back to v1 against pre-negotiation
-	// servers, which is latched), V1 forces classic framing with no
-	// preamble, V2 refuses peers that cannot speak v2. Set before the
+	// Version pins the wire protocol: V1 forces classic framing with no
+	// preamble; any other value, 0 and V2 alike, negotiates v2 on every
+	// dial and fails against a peer that cannot speak it. Set before the
 	// first call.
 	Version byte
 	// Addr, when set, is the contact address this client dials, used
@@ -610,17 +590,6 @@ type Client struct {
 	// into Telemetry.Health under this label. Empty disables health
 	// recording. Set before the first call.
 	Addr string
-
-	// preV2Peer latches that the peer refused a first flight unrun — it
-	// hung up on the negotiation preamble, as a server older than
-	// negotiation does, or accepted only v1 — so every later connection
-	// is dialled as plain v1 (see dialConn).
-	preV2Peer atomic.Bool
-	// refused maps each operation the peer refused as unknown to that
-	// refusal, which every later call of the operation returns without a
-	// round trip (see Call). The map is replaced under mu, never edited,
-	// so calls read it without a lock.
-	refused atomic.Pointer[map[string]error]
 
 	mu      sync.Mutex
 	conns   []*poolConn   // live pooled connections, of either framing
@@ -673,8 +642,8 @@ type Config struct {
 	Retry       *RetryPolicy
 	Telemetry   *telemetry.Telemetry
 	Pool        PoolConfig
-	// Version pins the wire protocol (see Client.Version): 0 negotiates
-	// preferring v2, V1 forces classic framing, V2 requires v2.
+	// Version pins the wire protocol (see Client.Version): V1 forces
+	// classic framing, 0 and V2 both negotiate v2.
 	Version byte
 	// Addr labels health samples with the peer's contact address (see
 	// Client.Addr). Empty leaves any address set at construction.
@@ -694,16 +663,7 @@ type Config struct {
 // Addr is set — except attempts that failed only because ctx was
 // already cancelled or past its deadline, which say nothing about the
 // replica and are not held against it.
-//
-// Once the peer has refused op as unknown (IsUnknownOp), every later
-// call of op on this client returns that same refusal at once: it
-// reaches no server and records no span, counter or health sample.
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
-	if refused := c.refused.Load(); refused != nil {
-		if refusal, ok := (*refused)[op]; ok {
-			return nil, refusal
-		}
-	}
 	if ctx == nil {
 		//lint:ignore ctxfirst nil-ctx compatibility: legacy callers predate the ctx-first API and a nil ctx must mean "no cancellation", not a panic
 		ctx = context.Background()
@@ -740,9 +700,6 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	sp.End()
 	tel.RPCCalls.With(op, outcome).Inc()
 	if err != nil {
-		if IsUnknownOp(err) {
-			c.refuse(op, err)
-		}
 		return nil, err
 	}
 	return resp, nil
@@ -804,37 +761,19 @@ func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, timed b
 	}
 }
 
-// refuse remembers the peer's unknown-operation refusal of op.
-func (c *Client) refuse(op string, refusal error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := map[string]error{}
-	if old := c.refused.Load(); old != nil {
-		next = maps.Clone(*old)
-	}
-	next[op] = refusal
-	c.refused.Store(&next)
-}
-
 // attempt performs one complete call attempt: reserve a stream on a
 // pooled connection (dialling if necessary), exchange one frame pair on
 // it, and give the stream back. sc is the trace context to propagate.
 // reused reports whether the attempt rode an already-open (possibly
-// stale) connection. A peer that refused a first flight unrun
-// (errRedialPlain) gets the request again within the same attempt, on
-// the plain connection the latch now dials.
+// stale) connection.
 func (c *Client) attempt(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	for {
-		var pc *poolConn
-		if pc, reused, err = c.acquireStream(ctx); err != nil {
-			return nil, false, err
-		}
-		resp, err = pc.roundTrip(ctx, sc, op, body)
-		c.releaseStream(pc)
-		if !errors.Is(err, errRedialPlain) {
-			return resp, reused, err
-		}
+	pc, reused, err := c.acquireStream(ctx)
+	if err != nil {
+		return nil, false, err
 	}
+	resp, err = pc.roundTrip(ctx, sc, op, body)
+	c.releaseStream(pc)
+	return resp, reused, err
 }
 
 // clock returns the client's time source.

@@ -99,14 +99,26 @@ func TestRemoteError(t *testing.T) {
 	}
 }
 
+// TestUnknownOperation: an unregistered operation is refused with a plain
+// remote error, and the client remembers nothing of it — the next call
+// of the same operation is asked again.
 func TestUnknownOperation(t *testing.T) {
 	dial := startServer(t, func(s *transport.Server) {})
 	c := transport.NewClient(dial)
 	defer c.Close()
-	_, err := c.Call(context.Background(), "nonexistent", nil)
-	var remote *transport.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("err = %v, want RemoteError", err)
+	for i := 0; i < 2; i++ {
+		sent := c.BytesSent.Load()
+		_, err := c.Call(context.Background(), "nonexistent", nil)
+		var remote *transport.RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("call %d: err = %v, want RemoteError", i, err)
+		}
+		if want := `unknown operation "nonexistent"`; remote.Message != want {
+			t.Errorf("call %d: message = %q, want %q", i, remote.Message, want)
+		}
+		if c.BytesSent.Load() == sent {
+			t.Errorf("call %d of a refused operation sent nothing, want it asked again", i)
+		}
 	}
 }
 
@@ -364,99 +376,6 @@ func TestLargeRequestAllocatesOnePayload(t *testing.T) {
 		if ratio := perCall / size; ratio > 1.05 {
 			t.Errorf("v%d: %.0f bytes allocated per 1 MiB request (%.2f per payload byte), want <= 1.05", version, perCall, ratio)
 		}
-	}
-}
-
-// TestUnknownOpRefusalIsRemembered: once the peer refuses an operation as
-// unknown, later calls of it on the same client return that refusal
-// without a round trip. Only that refusal is remembered — another remote
-// error or a transport failure is asked again.
-func TestUnknownOpRefusalIsRemembered(t *testing.T) {
-	var shimCalls, flakyCalls atomic.Int64
-	dial := startServer(t, func(s *transport.Server) {
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-		// A refusal produced by a handler, as a forwarding shim in front
-		// of an older peer would pass it on.
-		s.Handle("shim", func([]byte) ([]byte, error) {
-			shimCalls.Add(1)
-			return nil, errors.New(`unknown operation "shim"`)
-		})
-		s.Handle("flaky", func([]byte) ([]byte, error) {
-			flakyCalls.Add(1)
-			return nil, errors.New("busy")
-		})
-	})
-	var failDial atomic.Bool
-	failDial.Store(true)
-	tel := telemetry.New(nil)
-	c := transport.NewClient(func() (net.Conn, error) {
-		if failDial.Swap(false) {
-			return nil, errors.New("network unreachable")
-		}
-		return dial()
-	}).Configure(transport.Config{Telemetry: tel})
-	defer c.Close()
-	ctx := context.Background()
-	calls := func(op string) uint64 { return tel.RPCCalls.With(op, "error").Value() }
-
-	// A transport failure is not a refusal: the next call goes out.
-	if _, err := c.Call(ctx, "absent", nil); err == nil || transport.IsUnknownOp(err) {
-		t.Fatalf("first call over a failing dial: err = %v, want a transport failure", err)
-	}
-	if _, err := c.Call(ctx, "absent", nil); !transport.IsUnknownOp(err) {
-		t.Fatalf("call of an unregistered op: err = %v, want the unknown-operation refusal", err)
-	}
-	sent := c.BytesSent.Load()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Call(ctx, "absent", nil); !transport.IsUnknownOp(err) {
-			t.Fatalf("remembered call %d: err = %v, want the unknown-operation refusal", i, err)
-		}
-	}
-	if got := c.BytesSent.Load(); got != sent {
-		t.Errorf("remembered refusals sent %d bytes, want none", got-sent)
-	}
-	if got := calls("absent"); got != 2 {
-		t.Errorf("rpc_calls_total{absent,error} = %d, want 2 (remembered calls are not counted)", got)
-	}
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.Call(ctx, "shim", nil); !transport.IsUnknownOp(err) {
-			t.Fatalf("shim call %d: err = %v, want the unknown-operation refusal", i, err)
-		}
-		if _, err := c.Call(ctx, "flaky", nil); err == nil || transport.IsUnknownOp(err) {
-			t.Fatalf("flaky call %d: err = %v, want a plain remote error", i, err)
-		}
-	}
-	if got := shimCalls.Load(); got != 1 {
-		t.Errorf("the shim's refusal reached the server %d times, want 1", got)
-	}
-	if got := flakyCalls.Load(); got != 3 {
-		t.Errorf("a plain remote error was asked %d times in 3 calls, want 3", got)
-	}
-	if resp, err := c.Call(ctx, "echo", []byte("still here")); err != nil || string(resp) != "still here" {
-		t.Errorf("echo after refusals: %q, %v", resp, err)
-	}
-
-	// Refusals that arrive on concurrent calls are all remembered.
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Call(ctx, fmt.Sprintf("gone-%d", i%4), nil); !transport.IsUnknownOp(err) {
-				t.Errorf("concurrent call %d: err = %v, want the unknown-operation refusal", i, err)
-			}
-		}()
-	}
-	wg.Wait()
-	sent = c.BytesSent.Load()
-	for i := 0; i < 4; i++ {
-		if _, err := c.Call(ctx, fmt.Sprintf("gone-%d", i), nil); !transport.IsUnknownOp(err) {
-			t.Fatalf("gone-%d after concurrent refusals: err = %v", i, err)
-		}
-	}
-	if got := c.BytesSent.Load(); got != sent {
-		t.Errorf("refusals from concurrent calls were not all remembered: %d more bytes sent", got-sent)
 	}
 }
 
