@@ -28,11 +28,11 @@ import (
 	"time"
 
 	"globedoc/internal/document"
-	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keyfile"
 	"globedoc/internal/keys"
 	"globedoc/internal/location"
+	"globedoc/internal/naming"
 	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/sitepub"
@@ -145,10 +145,7 @@ func publish(dir, keyPath, principal, serverAddr, serverSite, namingAddr, locAdd
 	if namingAddr != "" && name != "" {
 		c := transport.NewClient(tcpDial(namingAddr))
 		defer c.Close()
-		w := enc.NewWriter(len(name) + globeid.Size + 8)
-		w.String(name)
-		w.Raw(bundle.OID[:])
-		if _, err := c.Call(context.Background(), "name.register", w.Bytes()); err != nil {
+		if err := naming.Register(context.Background(), c, name, bundle.OID); err != nil {
 			return fmt.Errorf("registering name: %w", err)
 		}
 		fmt.Printf("registered name %q\n", name)
@@ -210,10 +207,7 @@ func publishSite(dir, keyPath, principal, serverAddr, serverSite, namingAddr, lo
 		if namingAddr != "" {
 			c := transport.NewClient(tcpDial(namingAddr))
 			defer c.Close()
-			w := enc.NewWriter(len(objectName) + globeid.Size + 8)
-			w.String(objectName)
-			w.Raw(oid[:])
-			if _, err := c.Call(context.Background(), "name.register", w.Bytes()); err != nil {
+			if err := naming.Register(context.Background(), c, objectName, oid); err != nil {
 				return fmt.Errorf("registering name %q: %w", objectName, err)
 			}
 		}

@@ -109,8 +109,6 @@ func NewMaliciousServer(mode Mode, state ReplicaState) *MaliciousServer {
 	m := &MaliciousServer{Mode: mode, state: state, srv: transport.NewServer()}
 	m.srv.Handle(object.OpPing, func([]byte) ([]byte, error) { return nil, nil })
 	m.srv.Handle(object.OpBind, m.handleBind)
-	m.srv.Handle(object.OpListElements, m.handleList)
-	m.srv.Handle(object.OpVersion, m.handleVersion)
 	return m
 }
 
@@ -272,22 +270,6 @@ func (m *MaliciousServer) batch(names []string) []object.BatchWireItem {
 		items = append(items, it)
 	}
 	return items
-}
-
-func (m *MaliciousServer) handleList(body []byte) ([]byte, error) {
-	return object.EncodeStringList(m.current().Doc.Names()), nil
-}
-
-func (m *MaliciousServer) handleVersion(body []byte) ([]byte, error) {
-	st := m.current()
-	w := make([]byte, 0, 8)
-	v := st.Doc.Version()
-	for v >= 0x80 {
-		w = append(w, byte(v)|0x80)
-		v >>= 7
-	}
-	w = append(w, byte(v))
-	return w, nil
 }
 
 // MaliciousLocation wraps a genuine location resolver and redirects every

@@ -76,7 +76,6 @@ var taintSources = []taintRule{
 	{"internal/object", "Client", "GetElements", "batch payloads from object.Client.GetElements"},
 	{"internal/object", "Client", "GetPublicKey", "key bytes from object.Client.GetPublicKey"},
 	{"internal/object", "Client", "GetIntegrityCert", "integrity cert from object.Client.GetIntegrityCert"},
-	{"internal/object", "Client", "GetNameCerts", "name certs from object.Client.GetNameCerts"},
 	{"internal/object", "Client", "Bind", "key, certificates and element batch from object.Client.Bind"},
 	{"internal/location", "*", "Lookup", "location lookup answer"},
 	{"internal/server", "", "UnmarshalBundle", "unmarshalled publish bundle"},

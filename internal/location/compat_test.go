@@ -11,9 +11,8 @@ import (
 )
 
 // These tests pin the location service's two address encodings: the
-// plain one (ContactAddress.Marshal, carried by loc.insert, loc.delete
-// and loc.all) and the extended one OpLookup2 answers with. Both are
-// byte-frozen, and neither decoder accepts the other's bytes.
+// plain one (ContactAddress.Marshal, carried by loc.insert) and the
+// extended one OpLookup2 answers with. Both are byte-frozen.
 
 func compatOID(b byte) globeid.OID {
 	var oid globeid.OID
@@ -61,23 +60,6 @@ func TestContactAddressExtGoldenBytes(t *testing.T) {
 	}
 	if got != a {
 		t.Errorf("decoded %+v, want %+v", got, a)
-	}
-}
-
-// TestLookupResultV1RejectsExtBytes: a plain decoder must refuse an
-// extended body rather than misread it, and the reverse.
-func TestLookupResultV1RejectsExtBytes(t *testing.T) {
-	res := LookupResult{
-		Rings: 1,
-		Addresses: []ContactAddress{
-			{Address: "ams:1", Protocol: "globedoc", Zone: "europe", Weight: 3},
-		},
-	}
-	if _, err := decodeLookupResult(encodeLookupResultExt(res)); err == nil {
-		t.Fatal("v1 decoder accepted extended bytes; trailing metadata went undetected")
-	}
-	if _, err := decodeLookupResultExt(encodeLookupResult(res)); err == nil {
-		t.Fatal("ext decoder accepted v1 bytes; it must notice the missing metadata")
 	}
 }
 

@@ -14,14 +14,12 @@ import (
 // Wire operation names of the location service.
 //
 // OpLookup2 is the one lookup: its response carries each address with
-// its metadata (zone label, advertised weight). OpAll answers with the
-// plain address encoding (ContactAddress.Marshal), as OpInsert and
-// OpDelete carry it.
+// its metadata (zone label, advertised weight). OpInsert carries the
+// plain address encoding (ContactAddress.Marshal); the tree fills in the
+// zone at insert.
 const (
 	OpInsert  = "loc.insert"
-	OpDelete  = "loc.delete"
 	OpLookup2 = "loc.lookup2"
-	OpAll     = "loc.all"
 )
 
 // Resolver is the client-side view of the location service: anything that
@@ -48,9 +46,7 @@ type Service struct {
 func NewService(tree *Tree) *Service {
 	s := &Service{tree: tree, srv: transport.NewServer()}
 	s.srv.Handle(OpInsert, s.handleInsert)
-	s.srv.Handle(OpDelete, s.handleDelete)
 	s.srv.Handle(OpLookup2, s.handleLookup2)
-	s.srv.Handle(OpAll, s.handleAll)
 	return s
 }
 
@@ -99,43 +95,8 @@ func (s *Service) handleInsert(body []byte) ([]byte, error) {
 	return nil, s.tree.Insert(site, oid, addr)
 }
 
-func (s *Service) handleDelete(body []byte) ([]byte, error) {
-	site, oid, addr, err := decodeSiteOIDAddr(body)
-	if err != nil {
-		return nil, err
-	}
-	return nil, s.tree.Delete(site, oid, addr)
-}
-
-func encodeLookupResult(res LookupResult) []byte {
-	w := enc.NewWriter(64)
-	w.Uvarint(uint64(res.Rings))
-	w.Uvarint(uint64(len(res.Addresses)))
-	for _, a := range res.Addresses {
-		a.Marshal(w)
-	}
-	return w.Bytes()
-}
-
-func decodeLookupResult(body []byte) (LookupResult, error) {
-	r := enc.NewReader(body)
-	var res LookupResult
-	res.Rings = int(r.Uvarint())
-	n := r.Uvarint()
-	if n > 1<<16 {
-		return LookupResult{}, fmt.Errorf("location: implausible address count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		res.Addresses = append(res.Addresses, UnmarshalContactAddress(r))
-	}
-	if err := r.Finish(); err != nil {
-		return LookupResult{}, err
-	}
-	return res, nil
-}
-
-// encodeLookupResultExt is the OpLookup2 response body: the same shape
-// as encodeLookupResult with per-address metadata appended to each entry.
+// encodeLookupResultExt is the OpLookup2 response body: the rings the
+// lookup climbed, then each address with its metadata.
 func encodeLookupResultExt(res LookupResult) []byte {
 	w := enc.NewWriter(64)
 	w.Uvarint(uint64(res.Rings))
@@ -183,16 +144,6 @@ func (s *Service) handleLookup2(body []byte) ([]byte, error) {
 	return encodeLookupResultExt(res), nil
 }
 
-func (s *Service) handleAll(body []byte) ([]byte, error) {
-	r := enc.NewReader(body)
-	var oid globeid.OID
-	copy(oid[:], r.Raw(globeid.Size))
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return encodeLookupResult(LookupResult{Addresses: s.tree.AllAddresses(oid)}), nil
-}
-
 // Client is a typed client for a remote location service.
 type Client struct {
 	c *transport.Client
@@ -223,12 +174,6 @@ func (c *Client) Insert(ctx context.Context, site string, oid globeid.OID, addr 
 	return err
 }
 
-// Delete removes addr for oid at site.
-func (c *Client) Delete(ctx context.Context, site string, oid globeid.OID, addr ContactAddress) error {
-	_, err := c.c.Call(ctx, OpDelete, encodeSiteOIDAddr(site, oid, addr))
-	return err
-}
-
 // Lookup finds contact addresses for oid, nearest-first from fromSite,
 // each with its zone and weight metadata.
 func (c *Client) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (LookupResult, error) {
@@ -240,19 +185,4 @@ func (c *Client) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (
 		return LookupResult{}, err
 	}
 	return decodeLookupResultExt(body)
-}
-
-// All returns every recorded address for oid.
-func (c *Client) All(ctx context.Context, oid globeid.OID) ([]ContactAddress, error) {
-	w := enc.NewWriter(32)
-	w.Raw(oid[:])
-	body, err := c.c.Call(ctx, OpAll, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	res, err := decodeLookupResult(body)
-	if err != nil {
-		return nil, err
-	}
-	return res.Addresses, nil
 }

@@ -16,9 +16,8 @@ import (
 
 // Wire operation names of the naming service.
 const (
-	OpResolve    = "name.resolve"
-	OpRegister   = "name.register"
-	OpUnregister = "name.unregister"
+	OpResolve  = "name.resolve"
+	OpRegister = "name.register"
 )
 
 // Service exposes an Authority over the GlobeDoc wire protocol.
@@ -32,7 +31,6 @@ func NewService(auth *Authority) *Service {
 	s := &Service{auth: auth, srv: transport.NewServer()}
 	s.srv.Handle(OpResolve, s.handleResolve)
 	s.srv.Handle(OpRegister, s.handleRegister)
-	s.srv.Handle(OpUnregister, s.handleUnregister)
 	return s
 }
 
@@ -144,6 +142,17 @@ func (s *Service) handleResolve(body []byte) ([]byte, error) {
 	return MarshalChain(chain), nil
 }
 
+// Register binds name to oid at the naming service c calls. This is the
+// administrative path, and nothing authenticates it yet: whoever reaches
+// the service can bind any name in a zone it serves.
+func Register(ctx context.Context, c *transport.Client, name string, oid globeid.OID) error {
+	w := enc.NewWriter(len(name) + globeid.Size + 8)
+	w.String(name)
+	w.Raw(oid[:])
+	_, err := c.Call(ctx, OpRegister, w.Bytes())
+	return err
+}
+
 func (s *Service) handleRegister(body []byte) ([]byte, error) {
 	r := enc.NewReader(body)
 	name := r.String()
@@ -153,15 +162,6 @@ func (s *Service) handleRegister(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	return nil, s.auth.Register(name, oid)
-}
-
-func (s *Service) handleUnregister(body []byte) ([]byte, error) {
-	r := enc.NewReader(body)
-	name := r.String()
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return nil, s.auth.Unregister(name)
 }
 
 // OIDResolver is the client-side view of secure name resolution: anything
@@ -255,16 +255,6 @@ func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cache = make(map[string]cacheEntry)
-}
-
-// Register binds name to oid via the remote authority (administrative
-// path; production deployments would authenticate this channel).
-func (r *Resolver) Register(ctx context.Context, name string, oid globeid.OID) error {
-	w := enc.NewWriter(len(name) + globeid.Size + 8)
-	w.String(name)
-	w.Raw(oid[:])
-	_, err := r.client.Call(ctx, OpRegister, w.Bytes())
-	return err
 }
 
 var _ OIDResolver = (*Resolver)(nil)

@@ -79,7 +79,7 @@ func TestResolverRegisterOverWire(t *testing.T) {
 	defer n.Close()
 	r, _ := startNamingService(t, n, netsim.AmsterdamSecondary)
 	oid := testOID(33)
-	if err := r.Register(context.Background(), "remote.nl", oid); err != nil {
+	if err := naming.Register(context.Background(), r.Transport(), "remote.nl", oid); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	got, err := r.Resolve(context.Background(), "remote.nl")

@@ -36,39 +36,6 @@ type Binder struct {
 	Transport transport.Config
 }
 
-// Binding is the outcome of a successful bind: the resolved identity and
-// an installed proxy LR.
-type Binding struct {
-	Name   string
-	OID    globeid.OID
-	Addr   string
-	Client *Client
-	// Rings is the locality of the location lookup (0 = local site).
-	Rings int
-}
-
-// Close releases the binding's connection.
-func (b *Binding) Close() {
-	if b.Client != nil {
-		b.Client.Close()
-	}
-}
-
-// Bind resolves name and installs a proxy LR connected to the nearest
-// reachable replica.
-func (b *Binder) Bind(ctx context.Context, name string) (*Binding, error) {
-	oid, err := b.Names.Resolve(ctx, name)
-	if err != nil {
-		return nil, fmt.Errorf("object: resolving name %q: %w", name, err)
-	}
-	binding, err := b.BindOID(ctx, oid)
-	if err != nil {
-		return nil, err
-	}
-	binding.Name = name
-	return binding, nil
-}
-
 // Candidates returns the contact addresses for oid, nearest-first and
 // filtered to the GlobeDoc protocol, capped at MaxCandidates.
 func (b *Binder) Candidates(ctx context.Context, oid globeid.OID) ([]location.ContactAddress, int, error) {
@@ -104,26 +71,4 @@ func (b *Binder) Connect(ctx context.Context, oid globeid.OID, addr string) (*Cl
 		return nil, err
 	}
 	return client, nil
-}
-
-// BindOID installs a proxy LR for an already-known OID. Addresses are
-// tried nearest-first; unreachable replicas are skipped.
-func (b *Binder) BindOID(ctx context.Context, oid globeid.OID) (*Binding, error) {
-	candidates, rings, err := b.Candidates(ctx, oid)
-	if err != nil {
-		return nil, err
-	}
-	var lastErr error
-	for _, ca := range candidates {
-		client, err := b.Connect(ctx, oid, ca.Address)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return &Binding{OID: oid, Addr: ca.Address, Client: client, Rings: rings}, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrNoReplica
-	}
-	return nil, fmt.Errorf("object: no usable replica for %s: %w", oid.Short(), lastErr)
 }

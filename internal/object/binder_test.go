@@ -2,6 +2,7 @@ package object_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -35,62 +36,28 @@ func bindWorld(t *testing.T) (*deploy.World, *deploy.Publication) {
 	return w, pub
 }
 
-func TestBindByName(t *testing.T) {
-	w, pub := bindWorld(t)
-	binder := w.NewBinder(netsim.Paris)
-	binding, err := binder.Bind(context.Background(), "bind.nl")
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	defer binding.Close()
-	if binding.OID != pub.OID {
-		t.Error("bound to wrong OID")
-	}
-	if binding.Name != "bind.nl" {
-		t.Errorf("Name = %q", binding.Name)
-	}
-	elem, err := binding.Client.GetElement(context.Background(), "index.html")
-	if err != nil || string(elem.Data) != "bind me" {
-		t.Fatalf("GetElement = %q, %v", elem.Data, err)
-	}
-}
-
-func TestBindUnknownName(t *testing.T) {
-	w, _ := bindWorld(t)
-	binder := w.NewBinder(netsim.Paris)
-	if _, err := binder.Bind(context.Background(), "ghost.nl"); err == nil {
-		t.Fatal("Bind of unknown name succeeded")
-	}
-}
-
+// TestBindOIDNoReplicas: an OID with no GlobeDoc replica has no
+// candidate, so binding it fails before any dial — whether the location
+// service knows no address for it or only one of another protocol.
 func TestBindOIDNoReplicas(t *testing.T) {
 	w, _ := bindWorld(t)
 	binder := w.NewBinder(netsim.Paris)
-	other := keytest.Ed()
-	oid := binderTestOID(other)
-	if _, err := binder.BindOID(context.Background(), oid); err == nil {
-		t.Fatal("BindOID with no replicas succeeded")
+	oid := binderTestOID(keytest.Ed())
+	if got, _, err := binder.Candidates(context.Background(), oid); err == nil {
+		t.Fatalf("Candidates for an unrecorded OID = %v", got)
 	}
-}
-
-func TestBindSkipsDeadReplica(t *testing.T) {
-	w, pub := bindWorld(t)
-	// Record a contact address at paris that nothing listens on, closer
-	// to the client than the real amsterdam replica.
-	if err := w.LocationTree.Insert(netsim.Paris, pub.OID, locAddr("paris:dead")); err != nil {
+	ftp := locAddr("paris:ftp")
+	ftp.Protocol = "ftp"
+	if err := w.LocationTree.Insert(netsim.Paris, oid, ftp); err != nil {
 		t.Fatal(err)
 	}
-	binder := w.NewBinder(netsim.Paris)
-	binding, err := binder.Bind(context.Background(), "bind.nl")
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	defer binding.Close()
-	if binding.Addr != netsim.AmsterdamPrimary+":objsvc" {
-		t.Errorf("Addr = %q, want fallback to amsterdam", binding.Addr)
+	if got, _, err := binder.Candidates(context.Background(), oid); !errors.Is(err, object.ErrNoReplica) {
+		t.Fatalf("Candidates = %v, %v; want ErrNoReplica", got, err)
 	}
 }
 
+// TestBindSkipsUnknownProtocol: a contact address of another protocol is
+// never a candidate, however near it is.
 func TestBindSkipsUnknownProtocol(t *testing.T) {
 	w, pub := bindWorld(t)
 	bad := locAddr("paris:weird")
@@ -98,26 +65,26 @@ func TestBindSkipsUnknownProtocol(t *testing.T) {
 	if err := w.LocationTree.Insert(netsim.Paris, pub.OID, bad); err != nil {
 		t.Fatal(err)
 	}
-	binder := w.NewBinder(netsim.Paris)
-	binding, err := binder.Bind(context.Background(), "bind.nl")
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	defer binding.Close()
-	if binding.Addr != netsim.AmsterdamPrimary+":objsvc" {
-		t.Errorf("Addr = %q", binding.Addr)
+	got, _, err := w.NewBinder(netsim.Paris).Candidates(context.Background(), pub.OID)
+	if err != nil || len(got) != 1 || got[0].Address != w.Addrs[netsim.AmsterdamPrimary] {
+		t.Fatalf("Candidates = %v, %v; want only the amsterdam replica", got, err)
 	}
 }
 
+// TestMaxCandidates: the cap keeps the nearest addresses only, here the
+// dead paris one ahead of the live amsterdam replica.
 func TestMaxCandidates(t *testing.T) {
 	w, pub := bindWorld(t)
 	if err := w.LocationTree.Insert(netsim.Paris, pub.OID, locAddr("paris:dead")); err != nil {
 		t.Fatal(err)
 	}
 	binder := w.NewBinder(netsim.Paris)
-	binder.MaxCandidates = 1 // only the (dead) nearest one is tried
-	if _, err := binder.Bind(context.Background(), "bind.nl"); err == nil {
-		t.Fatal("Bind succeeded despite MaxCandidates cutoff")
+	if got, _, err := binder.Candidates(context.Background(), pub.OID); err != nil || len(got) != 2 || got[0].Address != "paris:dead" {
+		t.Fatalf("uncapped Candidates = %v, %v; want paris:dead then amsterdam", got, err)
+	}
+	binder.MaxCandidates = 1
+	if got, _, err := binder.Candidates(context.Background(), pub.OID); err != nil || len(got) != 1 || got[0].Address != "paris:dead" {
+		t.Fatalf("Candidates capped at 1 = %v, %v; want paris:dead only", got, err)
 	}
 }
 

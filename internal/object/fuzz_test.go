@@ -17,7 +17,6 @@ const (
 	fuzzElement = iota
 	fuzzElementsRequest
 	fuzzElementsResponse
-	fuzzStringList
 	fuzzCertList
 	fuzzBindRequest
 	fuzzBindReply
@@ -44,7 +43,6 @@ func FuzzObjectDecode(f *testing.F) {
 		fuzzElement:          EncodeElement(elem),
 		fuzzElementsRequest:  EncodeElementsRequest(oid, []string{"a", "b"}, "paris"),
 		fuzzElementsResponse: EncodeElementsResponse(items),
-		fuzzStringList:       EncodeStringList([]string{"a", "b"}),
 		fuzzCertList:         EncodeCertList([]*cert.NameCertificate{nc}),
 		fuzzBindRequest:      EncodeBindRequest(BindRequest{OID: oid, FromSite: "paris", NameCerts: true, Names: []string{"a"}, At: time.Unix(1e9, 5)}),
 		fuzzBindReply:        EncodeBindReply(owner.Public().Marshal(), EncodeCertList([]*cert.NameCertificate{nc}), []byte("icert"), items),
@@ -54,6 +52,8 @@ func FuzzObjectDecode(f *testing.F) {
 		f.Add([]byte{kind})
 	}
 	f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(BindRequest{OID: oid, All: true})...))
+	f.Add(append([]byte{fuzzElementsRequest}, EncodeElementsRequest(oid, nil, "")...))
+	f.Add(append([]byte{fuzzCertList}, EncodeCertList(nil)...))
 	// A warm bind names the certificate it holds: one seed per request it
 	// makes — a refresh asking for no element, a miss asking for some, a
 	// FetchAll asking for all.
@@ -101,10 +101,6 @@ func FuzzObjectDecode(f *testing.F) {
 				if err != nil || !sameItems(got, again) {
 					t.Fatalf("batch %+v re-decodes as %+v, %v", got, again, err)
 				}
-			}
-		case fuzzStringList:
-			if names, err := DecodeStringList(data); err == nil {
-				same(EncodeStringList(names))
 			}
 		case fuzzCertList:
 			if certs, err := DecodeCertList(data); err == nil {

@@ -44,10 +44,9 @@ const Protocol = "globedoc/1"
 // answerable to ANYONE — clients are anonymous in GlobeDoc's read path —
 // and therefore return only signed or self-certifying data.
 const (
-	OpGetKey       = "obj.getkey"
-	OpGetCert      = "obj.getcert"
-	OpGetNameCerts = "obj.getnamecerts"
-	OpGetElement   = "obj.getelement"
+	OpGetKey     = "obj.getkey"
+	OpGetCert    = "obj.getcert"
+	OpGetElement = "obj.getelement"
 	// OpGetElements returns many elements in one exchange.
 	OpGetElements = "obj.getelements"
 	// OpBind returns, in one exchange and from one version, the element
@@ -55,10 +54,9 @@ const (
 	// cold bind the object key, the integrity certificate and, when asked,
 	// the name certificates; for a warm one, which names the certificate
 	// it holds, the replica's certificate only when it differs.
-	OpBind         = "obj.bind"
-	OpListElements = "obj.list"
-	OpVersion      = "obj.version"
-	OpPing         = "obj.ping"
+	OpBind    = "obj.bind"
+	OpVersion = "obj.version"
+	OpPing    = "obj.ping"
 	// OpGetBundle returns the replica's complete state (elements +
 	// certificates + key) in one call — the transfer unit of replica
 	// consistency. Everything in it is public and verifiable.
@@ -449,33 +447,6 @@ func DecodeBindReply(body []byte) (BindReply, error) {
 	return reply, nil
 }
 
-// EncodeStringList encodes a list of strings.
-func EncodeStringList(names []string) []byte {
-	w := enc.NewWriter(16 * (len(names) + 1))
-	w.Uvarint(uint64(len(names)))
-	for _, n := range names {
-		w.String(n)
-	}
-	return w.Bytes()
-}
-
-// DecodeStringList decodes a list of strings.
-func DecodeStringList(body []byte) ([]string, error) {
-	r := enc.NewReader(body)
-	n := r.Uvarint()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible list length %d", ErrBadPayload, n)
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.String())
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return out, nil
-}
-
 // EncodeCertList encodes a list of name certificates.
 func EncodeCertList(certs []*cert.NameCertificate) []byte {
 	w := enc.NewWriter(256)
@@ -559,16 +530,6 @@ func (c *Client) GetIntegrityCert(ctx context.Context) (*cert.IntegrityCertifica
 	return cert.UnmarshalIntegrityCertificate(body)
 }
 
-// GetNameCerts fetches any CA-issued identity certificates the object can
-// provide (the object's "security interface" of §3.1.2).
-func (c *Client) GetNameCerts(ctx context.Context) ([]*cert.NameCertificate, error) {
-	body, err := c.c.Call(ctx, OpGetNameCerts, EncodeOIDRequest(c.oid))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCertList(body)
-}
-
 // GetElement fetches one page element's raw content.
 func (c *Client) GetElement(ctx context.Context, name string) (document.Element, error) {
 	body, err := c.c.Call(ctx, OpGetElement, EncodeElementRequest(c.oid, name, c.Site))
@@ -633,29 +594,6 @@ func ascending(items []BatchItem) error {
 		}
 	}
 	return nil
-}
-
-// ListElements fetches the element names of the object.
-func (c *Client) ListElements(ctx context.Context) ([]string, error) {
-	body, err := c.c.Call(ctx, OpListElements, EncodeOIDRequest(c.oid))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeStringList(body)
-}
-
-// Version fetches the replica's state version.
-func (c *Client) Version(ctx context.Context) (uint64, error) {
-	body, err := c.c.Call(ctx, OpVersion, EncodeOIDRequest(c.oid))
-	if err != nil {
-		return 0, err
-	}
-	r := enc.NewReader(body)
-	v := r.Uvarint()
-	if err := r.Finish(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return v, nil
 }
 
 // Ping checks liveness of the replica endpoint.

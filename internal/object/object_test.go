@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"globedoc/internal/alloctest"
@@ -64,30 +63,6 @@ func TestElementRoundTrip(t *testing.T) {
 	}
 	if _, err := object.DecodeElement([]byte{0x03}); err == nil {
 		t.Fatal("garbage element accepted")
-	}
-}
-
-func TestStringListRoundTrip(t *testing.T) {
-	f := func(names []string) bool {
-		got, err := object.DecodeStringList(object.EncodeStringList(names))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(names) {
-			return false
-		}
-		for i := range names {
-			if got[i] != names[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := object.DecodeStringList([]byte{0xff, 0xff, 0xff, 0xff, 0x01}); err == nil {
-		t.Fatal("implausible list length accepted")
 	}
 }
 
@@ -165,14 +140,6 @@ func TestClientAccessors(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
-	v, err := c.Version(context.Background())
-	if err != nil || v == 0 {
-		t.Fatalf("Version = %d, %v", v, err)
-	}
-	names, err := c.ListElements(context.Background())
-	if err != nil || len(names) != 1 {
-		t.Fatalf("ListElements = %v, %v", names, err)
-	}
 	e, err := c.GetElement(context.Background(), "index.html")
 	if err != nil || string(e.Data) != "served" {
 		t.Fatalf("GetElement = %q, %v", e.Data, err)
@@ -191,9 +158,12 @@ func TestClientAccessors(t *testing.T) {
 	if err := ic.VerifySignature(oid, pk); err != nil {
 		t.Fatal(err)
 	}
-	ncs, err := c.GetNameCerts(context.Background())
-	if err != nil || len(ncs) != 0 {
-		t.Fatalf("GetNameCerts = %v, %v", ncs, err)
+	reply, err := c.Bind(context.Background(), object.BindRequest{NameCerts: true})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if ncs, err := object.DecodeCertList(reply.NameCerts); err != nil || len(ncs) != 0 {
+		t.Fatalf("name certificates = %v, %v", ncs, err)
 	}
 }
 

@@ -1,9 +1,9 @@
 package server_test
 
 // End-to-end tests for the Merkle-delta puller path: delta transfers
-// move only changed elements, declines and failures fall back to the
-// full bundle, primaries that predate obj.getdelta latch the fallback
-// after one probe, and the transfer counters surface on telemetry.
+// move only changed elements; declines, failures and a primary that
+// refuses obj.getdelta fall back to the full bundle, each check asking
+// for the delta again; and the transfer counters surface on telemetry.
 
 import (
 	"bytes"

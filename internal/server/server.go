@@ -164,8 +164,6 @@ type Server struct {
 	hosted map[globeid.OID]*hostedReplica
 	bytes  int64
 
-	waiters *versionWaiters
-
 	nonceMu sync.Mutex
 	nonces  map[string][]byte
 
@@ -195,20 +193,16 @@ func New(name, site string, keystore *keys.Keystore, identity *keys.KeyPair, lim
 		hosted:   make(map[globeid.OID]*hostedReplica),
 		nonces:   make(map[string][]byte),
 		srv:      transport.NewServer(),
-		waiters:  newVersionWaiters(),
 	}
 	s.srv.Handle(object.OpPing, func(body []byte) ([]byte, error) { return nil, nil })
 	s.srv.HandleCtx(object.OpGetKey, s.traced("serve.getkey", s.handleGetKey))
 	s.srv.HandleCtx(object.OpGetCert, s.traced("serve.getcert", s.handleGetCert))
-	s.srv.HandleCtx(object.OpGetNameCerts, s.traced("serve.getnamecerts", s.handleGetNameCerts))
 	s.srv.HandleCtx(object.OpGetElement, s.traced("serve.getelement", s.handleGetElement))
 	s.srv.HandleCtx(object.OpGetElements, s.traced("serve.getelements", s.handleGetElements))
 	s.srv.HandleCtx(object.OpBind, s.traced("serve.bind", s.handleBind))
-	s.srv.HandleCtx(object.OpListElements, s.traced("serve.listelements", s.handleListElements))
 	s.srv.Handle(object.OpVersion, s.handleVersion)
 	s.srv.Handle(object.OpGetBundle, s.handleGetBundle)
 	s.srv.Handle(OpGetDelta, s.handleGetDelta)
-	s.srv.Handle(OpWaitVersion, s.handleWaitVersion)
 	s.srv.Handle(OpChallenge, s.handleChallenge)
 	s.srv.Handle(OpAdmin, s.handleAdmin)
 	return s
@@ -325,9 +319,6 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	h.chain.Store(&chain)
 	s.hosted[b.OID] = h
 	s.bytes += growth
-	if !install {
-		s.waiters.notify(b.OID)
-	}
 	return nil
 }
 
@@ -402,14 +393,6 @@ func (s *Server) handleGetCert(ctx context.Context, body []byte) ([][]byte, erro
 	}
 	s.statCertFetches.Add(1)
 	return h.head().wire.icert[:], nil
-}
-
-func (s *Server) handleGetNameCerts(ctx context.Context, body []byte) ([][]byte, error) {
-	h, err := s.requested(body)
-	if err != nil {
-		return nil, err
-	}
-	return h.head().wire.nameCerts[:], nil
 }
 
 // serveElement records stats, fires the access observer and emits the
@@ -525,14 +508,6 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 	return items
 }
 
-func (s *Server) handleListElements(ctx context.Context, body []byte) ([][]byte, error) {
-	h, err := s.requested(body)
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{object.EncodeStringList(h.head().wire.names)}, nil
-}
-
 func (s *Server) handleVersion(body []byte) ([]byte, error) {
 	h, err := s.requested(body)
 	if err != nil {
@@ -541,7 +516,7 @@ func (s *Server) handleVersion(body []byte) ([]byte, error) {
 	return encodeVersion(h.head().header.Version), nil
 }
 
-// encodeVersion is the reply of obj.version and obj.waitversion.
+// encodeVersion is the reply of obj.version.
 func encodeVersion(v uint64) []byte {
 	w := enc.NewWriter(8)
 	w.Uvarint(v)

@@ -138,18 +138,6 @@ func TestInstallAndServePublicOps(t *testing.T) {
 	if err := icert.VerifyElement("index.html", elem.Data, t0.Add(time.Minute)); err != nil {
 		t.Fatalf("served element fails verification: %v", err)
 	}
-	names, err := client.ListElements(context.Background())
-	if err != nil || len(names) != 1 || names[0] != "index.html" {
-		t.Fatalf("ListElements = %v, %v", names, err)
-	}
-	v, err := client.Version(context.Background())
-	if err != nil || v == 0 {
-		t.Fatalf("Version = %d, %v", v, err)
-	}
-	ncs, err := client.GetNameCerts(context.Background())
-	if err != nil || len(ncs) != 0 {
-		t.Fatalf("GetNameCerts = %v, %v", ncs, err)
-	}
 	stats := srv.Stats()
 	if stats.KeyFetches != 1 || stats.CertFetches != 1 || stats.ElementFetches != 1 {
 		t.Errorf("Stats = %+v", stats)
@@ -280,8 +268,12 @@ func TestNameCertsServed(t *testing.T) {
 	client := object.NewClient(oid, netsim.AmsterdamPrimary+":objsvc",
 		n.Dialer(netsim.AmsterdamSecondary, netsim.AmsterdamPrimary+":objsvc"))
 	defer client.Close()
-	ncs, err := client.GetNameCerts(context.Background())
+	reply, err := client.Bind(context.Background(), object.BindRequest{NameCerts: true})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	ncs, err := object.DecodeCertList(reply.NameCerts)
 	if err != nil || len(ncs) != 1 || ncs[0].Subject != "Subject Corp" {
-		t.Fatalf("GetNameCerts = %v, %v", ncs, err)
+		t.Fatalf("name certificates = %v, %v", ncs, err)
 	}
 }

@@ -14,8 +14,6 @@ const (
 	MetricRPCServed        = "rpc_served_total"              // {op,outcome} server-side handled requests
 	MetricBindingHits      = "binding_cache_hits_total"      // verified-binding cache (core)
 	MetricBindingMisses    = "binding_cache_misses_total"    //
-	MetricLocationHits     = "location_cache_hits_total"     // location lookup cache
-	MetricLocationMisses   = "location_cache_misses_total"   //
 	MetricSecurityFailed   = "security_check_failures_total" // {phase} pipeline rejections
 	MetricFailovers        = "failovers_total"               // replicas abandoned mid-pipeline
 	MetricProxyRequests    = "proxy_requests_total"          // {kind,outcome} browser-facing requests
@@ -134,10 +132,6 @@ type Telemetry struct {
 	VCacheEvictions     *Counter
 	SigCacheHits        *Counter
 
-	// Location-cache instruments (location.CachingResolver).
-	LocationCacheHits   *Counter
-	LocationCacheMisses *Counter
-
 	// Proxy instruments (proxy.Proxy).
 	ProxyRequests *CounterVec // {kind,outcome}
 }
@@ -193,9 +187,6 @@ func New(clk clock.Clock) *Telemetry {
 		VCacheRevalidations: reg.Counter(MetricVCacheRevalidations),
 		VCacheEvictions:     reg.Counter(MetricVCacheEvictions),
 		SigCacheHits:        reg.Counter(MetricSigCacheHits),
-
-		LocationCacheHits:   reg.Counter(MetricLocationHits),
-		LocationCacheMisses: reg.Counter(MetricLocationMisses),
 
 		ProxyRequests: reg.CounterVec(MetricProxyRequests, "kind", "outcome"),
 	}
