@@ -480,7 +480,7 @@ func orBackground(ctx context.Context) context.Context {
 func (c *Client) newPipeline(ctx context.Context, rootName string) (context.Context, *pipeline) {
 	tel := c.tel()
 	p := &pipeline{tel: tel, root: tel.Tracer.StartSpanFrom(rootName, telemetry.SpanContextFrom(ctx))}
-	return telemetry.ContextWith(ctx, p.root.Context()), p
+	return telemetry.ContextWith(ctx, p.root), p
 }
 
 func (p *pipeline) finish(outcome string) {
@@ -557,7 +557,8 @@ func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded m
 // the replica moved on to a fresh certificate, which decides the entries
 // again. FetchAll under DisableBatchFetch takes one exchange per element.
 func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *boundFetch, pre prefill) error {
-	entries, lapsed, err := c.entries(p, pl, *b)
+	var one [1]cert.ElementEntry // Fetch's wanted entry, decided off the heap
+	entries, lapsed, err := c.entries(p, pl, *b, one[:0])
 	if err != nil {
 		return err
 	}
@@ -578,7 +579,7 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 		}
 		b.refreshing = false
 		if moved || lapsed != nil {
-			if entries, lapsed, err = c.entries(p, pl, *b); err == nil {
+			if entries, lapsed, err = c.entries(p, pl, *b, one[:0]); err == nil {
 				err = lapsed
 			}
 			if err != nil {
@@ -587,7 +588,7 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 		}
 	}
 	if pl.all {
-		pl.results, err = c.every(ctx, p, *b, entries, pre)
+		pl.results, err = c.every(ctx, p, *b, pre)
 	} else {
 		pl.res, err = c.element(ctx, p, *b, entries[0], pre)
 	}
@@ -599,7 +600,9 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 // as lapsed — a lapsed certificate costs no element transfer. A warm lapse
 // whose bytes are still cached counts in vcache_revalidations_total: the
 // refresh moves only a certificate, which may still list their hash.
-func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch) (entries []cert.ElementEntry, lapsed, err error) {
+// FetchAll wants the certificate's own entries; Fetch's one entry is
+// appended to buf, which the caller keeps on its stack.
+func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch, buf []cert.ElementEntry) (entries []cert.ElementEntry, lapsed, err error) {
 	if pl.all {
 		entries = b.vb.icert.Entries
 	} else {
@@ -607,7 +610,7 @@ func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch) (entries []ce
 		if err != nil {
 			return nil, nil, err
 		}
-		entries = []cert.ElementEntry{entry}
+		entries = append(buf, entry)
 	}
 	for _, e := range entries {
 		ferr := e.CheckFreshness(b.now)
@@ -1265,12 +1268,14 @@ func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, 
 	return pl.results, nil
 }
 
-// every is FetchAll's attempt over b for entries, every one decided
-// fresh: element fanned out over a bounded worker pool sharing the
-// binding, each element with its own fresh pipeline under the fetch.all
-// root span so its spans and Timing stay attributable. The first failure
-// cancels the rest and comes back with the ordered verified prefix.
-func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, entries []cert.ElementEntry, pre prefill) ([]FetchResult, error) {
+// every is FetchAll's attempt over b for every entry its certificate
+// lists, each one decided fresh: element fanned out over a bounded worker
+// pool sharing the binding, each element with its own fresh pipeline
+// under the fetch.all root span so its spans and Timing stay
+// attributable. The first failure cancels the rest and comes back with
+// the ordered verified prefix.
+func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, pre prefill) ([]FetchResult, error) {
+	entries := b.vb.icert.Entries
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]FetchResult, len(entries))

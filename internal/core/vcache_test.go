@@ -43,7 +43,7 @@ func (c *testClock) Advance(d time.Duration) {
 // vcacheWorld stands up a one-server world with a document published at
 // a fixed clock and TTL, plus a caching client wired to a fresh
 // Telemetry and a fresh vcache.Cache.
-func vcacheWorld(t *testing.T, ttl time.Duration) (*deploy.World, *deploy.Publication, *core.Client, *vcache.Cache, *telemetry.Telemetry, *testClock) {
+func vcacheWorld(t testing.TB, ttl time.Duration) (*deploy.World, *deploy.Publication, *core.Client, *vcache.Cache, *telemetry.Telemetry, *testClock) {
 	t.Helper()
 	clk := &testClock{now: time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)}
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})

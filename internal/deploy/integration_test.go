@@ -85,13 +85,20 @@ func TestGrandIntegrationScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	go px.Serve(pl)
+	t.Cleanup(func() {
+		if err := px.Shutdown(context.Background()); err != nil {
+			t.Errorf("proxy Shutdown: %v", err)
+		}
+	})
 	proxyURL, _ := url.Parse("http://paris-proxy")
-	browser := &http.Client{Transport: &http.Transport{
+	tr := &http.Transport{
 		Proxy: http.ProxyURL(proxyURL),
 		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			return w.Net.Dial(netsim.Paris, "paris:proxy")
 		},
-	}}
+	}
+	t.Cleanup(tr.CloseIdleConnections)
+	browser := &http.Client{Transport: tr}
 
 	fetch := func(objectName, element string) (*http.Response, string) {
 		t.Helper()

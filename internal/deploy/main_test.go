@@ -1,0 +1,11 @@
+package deploy_test
+
+import (
+	"testing"
+
+	"globedoc/internal/leakcheck"
+)
+
+// TestMain fails the package when a test leaves a goroutine running: a
+// world, a server, a proxy or a keep-alive connection nobody shut down.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

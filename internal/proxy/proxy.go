@@ -71,6 +71,8 @@ type Proxy struct {
 
 	mu         sync.Mutex
 	transports map[string]*http.Transport
+	servers    []*http.Server // what Serve started, for Shutdown
+	shut       bool
 
 	// Stats
 	secureOK, secureFail, passthrough uint64
@@ -195,7 +197,7 @@ func (p *Proxy) serveSecure(w http.ResponseWriter, r *http.Request, ref document
 	// The pipeline joins this request's trace: its fetch.secure span
 	// (and everything under it, through to the server-side serve spans)
 	// nests under proxy.request instead of starting a trace of its own.
-	ctx = telemetry.ContextWith(ctx, sp.Context())
+	ctx = telemetry.ContextWith(ctx, sp)
 	res, err := p.Secure.FetchNamed(ctx, ref.ObjectName, ref.Element)
 	if err != nil {
 		err = p.timeoutError(ctx, err)
@@ -211,31 +213,53 @@ func (p *Proxy) serveSecure(w http.ResponseWriter, r *http.Request, ref document
 	serveVerified(w, r, res)
 }
 
+// The canonical forms of the non-canonical header keys serveVerified
+// sets, computed once: it writes the Header map directly, where
+// Header.Set would copy each of them into its canonical form on every
+// call.
+var (
+	keyReplica     = http.CanonicalHeaderKey(HeaderReplica)
+	keyCertifiedAs = http.CanonicalHeaderKey(HeaderCertifiedAs)
+	keyWarm        = http.CanonicalHeaderKey(HeaderWarm)
+	keyCache       = http.CanonicalHeaderKey(HeaderCache)
+	keyETag        = http.CanonicalHeaderKey("ETag")
+)
+
+// verifiedHeaders is the most values serveVerified sets.
+const verifiedHeaders = 7
+
 // serveVerified writes a verified element to the browser, or a 304 when
-// the browser already holds it.
+// the browser already holds it. Every header value is one element of a
+// single backing array, where Header.Set allocates a slice per value.
 func serveVerified(w http.ResponseWriter, r *http.Request, res core.FetchResult) {
 	h := w.Header()
-	h.Set(HeaderReplica, res.ReplicaAddr)
+	vals := make([]string, 0, verifiedHeaders)
+	set := func(key, value string) {
+		vals = append(vals, value)
+		n := len(vals)
+		h[key] = vals[n-1 : n : n] // full, so an Add to key copies
+	}
+	set(keyReplica, res.ReplicaAddr)
 	if res.CertifiedAs != "" {
-		h.Set(HeaderCertifiedAs, res.CertifiedAs)
+		set(keyCertifiedAs, res.CertifiedAs)
 	}
 	if res.WarmBinding {
-		h.Set(HeaderWarm, "true")
+		set(keyWarm, "true")
 	}
 	if res.FromCache {
-		h.Set(HeaderCache, "hit")
+		set(keyCache, "hit")
 	}
 	// Conditional GET: the ETag is the element's verified content hash,
 	// so a browser revalidation costs no body transfer when the (still
 	// fully verified) content is unchanged.
 	etag := elementETag(res.VerifiedHash)
-	h.Set("ETag", etag)
+	set(keyETag, etag)
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h.Set("Content-Type", res.Element.ContentType)
-	h.Set("Content-Length", strconv.Itoa(len(res.Element.Data)))
+	set("Content-Type", res.Element.ContentType)
+	set("Content-Length", strconv.Itoa(len(res.Element.Data)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res.Element.Data) // response write failure means the browser went away
 }
@@ -250,14 +274,18 @@ func elementETag(hash [globeid.Size]byte) string {
 	return string(etag[:])
 }
 
-// etagMatches implements the If-None-Match comparison for strong ETags,
-// including the "*" wildcard and comma-separated lists.
+// etagMatches implements the If-None-Match comparison: the "*" wildcard,
+// or any tag of a comma-separated list that matches etag under the weak
+// comparison RFC 9110 §13.1.2 prescribes, which ignores a "W/" prefix —
+// a browser may revalidate a strong tag in its weak form.
 func etagMatches(headerValue, etag string) bool {
 	if strings.TrimSpace(headerValue) == "*" {
 		return true
 	}
-	for _, candidate := range strings.Split(headerValue, ",") {
-		if strings.TrimSpace(candidate) == etag {
+	for rest := headerValue; rest != ""; {
+		var candidate string
+		candidate, rest, _ = strings.Cut(rest, ",")
+		if strings.TrimPrefix(strings.TrimSpace(candidate), "W/") == etag {
 			return true
 		}
 	}
@@ -328,10 +356,42 @@ func (p *Proxy) servePassthrough(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, resp.Body) // passthrough is best-effort once headers are sent
 }
 
-// Serve runs the proxy's HTTP server on l.
+// Serve runs the proxy's HTTP server on l until Shutdown, which makes it
+// return http.ErrServerClosed. After Shutdown it closes l and returns that
+// at once.
 func (p *Proxy) Serve(l net.Listener) error {
 	srv := &http.Server{Handler: p}
+	p.mu.Lock()
+	if p.shut {
+		p.mu.Unlock()
+		l.Close()
+		return http.ErrServerClosed
+	}
+	p.servers = append(p.servers, srv)
+	p.mu.Unlock()
 	return srv.Serve(l)
+}
+
+// Shutdown stops the proxy: every server Serve started closes its
+// listener and its idle keep-alive connections and waits, up to ctx, for
+// the requests in flight; the passthrough origins' idle connections are
+// closed too. It returns the first server's error that ctx cut short.
+func (p *Proxy) Shutdown(ctx context.Context) error {
+	p.mu.Lock()
+	p.shut = true
+	servers := p.servers
+	p.servers = nil
+	for _, tr := range p.transports {
+		tr.CloseIdleConnections()
+	}
+	p.mu.Unlock()
+	var first error
+	for _, srv := range servers {
+		if err := srv.Shutdown(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // HybridURL builds the hybrid URL path for an object/element pair —

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
@@ -32,7 +33,7 @@ func proxyWorld(t *testing.T) (*deploy.World, *proxy.Proxy, *http.Client) {
 }
 
 // proxyWorldOpts is proxyWorld with caller-chosen secure-client options.
-func proxyWorldOpts(t *testing.T, opts core.Options) (*deploy.World, *proxy.Proxy, *http.Client) {
+func proxyWorldOpts(t testing.TB, opts core.Options) (*deploy.World, *proxy.Proxy, *http.Client) {
 	t.Helper()
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
 	if err != nil {
@@ -65,7 +66,16 @@ func proxyWorldOpts(t *testing.T, opts core.Options) (*deploy.World, *proxy.Prox
 	if err != nil {
 		t.Fatal(err)
 	}
-	go p.Serve(pl)
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(pl) }()
+	t.Cleanup(func() {
+		if err := p.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v after Shutdown, want http.ErrServerClosed", err)
+		}
+	})
 
 	// The browser is configured to use the proxy for everything, like
 	// the paper's wget runs: requests arrive in absolute-URI form.
@@ -73,13 +83,14 @@ func proxyWorldOpts(t *testing.T, opts core.Options) (*deploy.World, *proxy.Prox
 	if err != nil {
 		t.Fatal(err)
 	}
-	browser := &http.Client{Transport: &http.Transport{
+	tr := &http.Transport{
 		Proxy: http.ProxyURL(proxyURL),
 		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			return w.Net.Dial(netsim.Paris, "paris:proxy")
 		},
-	}}
-	return w, p, browser
+	}
+	t.Cleanup(tr.CloseIdleConnections)
+	return w, p, &http.Client{Transport: tr}
 }
 
 func TestProxyServesVerifiedElement(t *testing.T) {
@@ -182,9 +193,11 @@ func TestProxySecurityFailedPage(t *testing.T) {
 func TestProxyWarmBindingHeader(t *testing.T) {
 	_, _, browser := proxyWorld(t)
 	url := "http://proxy" + proxy.HybridURL("home.vu.nl", "index.html")
-	if _, err := browser.Get(url); err != nil {
+	first, err := browser.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
+	first.Body.Close()
 	resp, err := browser.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -386,5 +399,34 @@ func TestHybridURLHelper(t *testing.T) {
 		if !ok || ref.ObjectName != c.obj || ref.Element != c.elem {
 			t.Errorf("round trip %v -> %+v ok=%v", c, ref, ok)
 		}
+	}
+}
+
+// TestProxyShutdownStopsServe: Shutdown makes a running Serve return
+// http.ErrServerClosed with a keep-alive connection left idle, and a
+// Serve after it returns the same at once, closing its listener.
+func TestProxyShutdownStopsServe(t *testing.T) {
+	w, p, browser := proxyWorld(t)
+	resp, err := browser.Get("http://proxy" + proxy.HybridURL("home.vu.nl", "index.html"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an idle keep-alive connection: %v", err)
+	}
+	l, err := w.Net.Listen(netsim.Paris, "proxy-late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Serve(l); err != http.ErrServerClosed {
+		t.Fatalf("Serve after Shutdown = %v, want http.ErrServerClosed", err)
+	}
+	if _, err := l.Accept(); err == nil {
+		t.Error("Serve after Shutdown left its listener open")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"globedoc/internal/core"
@@ -50,5 +51,72 @@ func TestServeVerifiedHashesNoBody(t *testing.T) {
 	serveVerified(rec, conditional, res)
 	if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
 		t.Fatalf("If-None-Match on the carried hash: status %d with %d body bytes, want an empty 304", rec.Code, rec.Body.Len())
+	}
+}
+
+// TestIfNoneMatchWeakComparison: If-None-Match compares entity tags
+// weakly (RFC 9110 §13.1.2), so a browser revalidating the strong ETag in
+// its W/ form, or within a list, gets a 304; a tag that does not match
+// gets the body.
+func TestIfNoneMatchWeakComparison(t *testing.T) {
+	res := core.FetchResult{
+		Element:      document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("<html>home</html>")},
+		ReplicaAddr:  "amsterdam:objsvc",
+		VerifiedHash: [globeid.Size]byte{0xab, 0xcd},
+	}
+	etag := elementETag(res.VerifiedHash)
+	for _, tc := range []struct {
+		name, header string
+		want         int
+	}{
+		{"weak form", "W/" + etag, http.StatusNotModified},
+		{"list with spaces", `"0000",  W/"1111" ,` + etag + ` , "2222"`, http.StatusNotModified},
+		{"wildcard", "*", http.StatusNotModified},
+		{"no match", `W/"0123456789abcdef0123456789abcdef01234567", "x"`, http.StatusOK},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/GlobeDoc/x/index.html", nil)
+		req.Header.Set("If-None-Match", tc.header)
+		rec := httptest.NewRecorder()
+		serveVerified(rec, req, res)
+		if rec.Code != tc.want {
+			t.Errorf("%s: If-None-Match %s answered %d, want %d", tc.name, tc.header, rec.Code, tc.want)
+		}
+		if got := rec.Header().Get("ETag"); got != etag {
+			t.Errorf("%s: ETag = %s, want %s", tc.name, got, etag)
+		}
+	}
+}
+
+// TestServeVerifiedHeaders pins every header a verified response carries,
+// by its name on the wire, and that the values — which share one backing
+// array — stay independent: an Add to one header leaves the others as
+// they were.
+func TestServeVerifiedHeaders(t *testing.T) {
+	res := core.FetchResult{
+		Element:      document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("<html>home</html>")},
+		ReplicaAddr:  "amsterdam:objsvc",
+		CertifiedAs:  "Vrije Universiteit",
+		WarmBinding:  true,
+		FromCache:    true,
+		VerifiedHash: [globeid.Size]byte{0xab, 0xcd},
+	}
+	rec := httptest.NewRecorder()
+	serveVerified(rec, httptest.NewRequest(http.MethodGet, "/GlobeDoc/x/index.html", nil), res)
+	want := http.Header{
+		"X-Globedoc-Replica":      {"amsterdam:objsvc"},
+		"X-Globedoc-Certified-As": {"Vrije Universiteit"},
+		"X-Globedoc-Warm-Binding": {"true"},
+		"X-Globedoc-Cache":        {"hit"},
+		"Etag":                    {`"abcd000000000000000000000000000000000000"`},
+		"Content-Type":            {"text/html"},
+		"Content-Length":          {"17"},
+	}
+	if got := rec.Header(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("headers\n%v\nwant\n%v", got, want)
+	}
+	rec.Header().Add(HeaderReplica, "paris:objsvc")
+	want["X-Globedoc-Replica"] = []string{"amsterdam:objsvc", "paris:objsvc"}
+	if got := rec.Header(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after an Add, headers\n%v\nwant\n%v", got, want)
 	}
 }

@@ -360,7 +360,7 @@ func (s *Server) traced(name string, h transport.HandlerCtx) transport.HandlerCt
 	return func(ctx context.Context, body []byte) ([][]byte, error) {
 		sp := telemetry.Or(s.srv.Telemetry).Tracer.StartSpanFrom(name, telemetry.SpanContextFrom(ctx))
 		defer sp.End()
-		resp, err := h(telemetry.ContextWith(ctx, sp.Context()), body)
+		resp, err := h(telemetry.ContextWith(ctx, sp), body)
 		if err != nil {
 			sp.Annotate("error", err.Error())
 		}

@@ -35,7 +35,9 @@ type Attr struct {
 }
 
 // SpanRecord is a finished span as handed to exporters: plain data, safe
-// to retain, marshal or compare after the span itself is gone.
+// to retain, marshal or compare after the span itself is gone. Its Attrs
+// are shared with the ended span, which never changes them again; an
+// exporter must not write to them either.
 type SpanRecord struct {
 	TraceID  uint64    `json:"trace_id"`
 	SpanID   uint64    `json:"span_id"`
@@ -214,20 +216,34 @@ func (t *Tracer) StartSpanFrom(name string, sc SpanContext) *Span {
 }
 
 // Span is one timed operation. All methods are safe on a nil span.
+//
+// A span is one heap object plus at most one attribute allocation: its
+// first attribute lives in the span itself, and a second moves them all to
+// one slice with room for spanAttrCap. End freezes the attributes — an
+// Annotate after it is dropped — so the exported record shares them
+// instead of copying.
 type Span struct {
 	tracer   *Tracer
 	name     string
 	traceID  uint64
 	spanID   uint64
 	parentID uint64
-	sampled  bool // immutable after creation
 	start    time.Time
 
-	mu    sync.Mutex
-	attrs []Attr
-	end   time.Time
-	ended bool
+	mu      sync.Mutex
+	sampled bool // immutable after creation
+	ended   bool
+	attrs   []Attr // a view of inline until it outgrows it
+	inline  [1]Attr
+	end     time.Time
 }
+
+// spanAttrCap is the room a span's attribute slice is made with when its
+// attributes outgrow the inline slot: every RPC and root span fits, the
+// most being a failed rpc.call's four. Most spans carry at most one
+// attribute, and every slot made inline costs all spans 32 bytes
+// (EXPERIMENTS.md, "Warm hits without garbage").
+const spanAttrCap = 4
 
 // StartChild begins a child span within the same trace, inheriting the
 // parent's sampling decision.
@@ -247,7 +263,7 @@ func (s *Span) StartChild(name string) *Span {
 }
 
 // Context returns the span's propagatable identity, for carrying across
-// goroutines (via ContextWith) or across the wire (via the transport).
+// the wire (via the transport) or starting a span from (StartSpanFrom).
 // A nil span returns the zero (invalid) SpanContext.
 func (s *Span) Context() SpanContext {
 	if s == nil {
@@ -256,13 +272,23 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.traceID, SpanID: s.spanID, Sampled: s.sampled}
 }
 
-// Annotate attaches a key/value attribute to the span.
+// Annotate attaches a key/value attribute to the span. An Annotate after
+// End is dropped: the exported record shares the span's attributes, which
+// End froze.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	if !s.ended {
+		switch len(s.attrs) {
+		case 0:
+			s.attrs = s.inline[:0]
+		case len(s.inline):
+			s.attrs = append(make([]Attr, 0, spanAttrCap), s.attrs...)
+		}
+		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	}
 	s.mu.Unlock()
 }
 
@@ -331,15 +357,18 @@ func (s *Span) TraceID() uint64 {
 }
 
 func (s *Span) recordLocked() SpanRecord {
-	return SpanRecord{
+	rec := SpanRecord{
 		TraceID:  s.traceID,
 		SpanID:   s.spanID,
 		ParentID: s.parentID,
 		Name:     s.name,
 		Start:    s.start,
 		End:      s.end,
-		Attrs:    append([]Attr(nil), s.attrs...),
 	}
+	if n := len(s.attrs); n > 0 {
+		rec.Attrs = s.attrs[:n:n] // full, so an exporter's append copies
+	}
+	return rec
 }
 
 // RingExporter keeps the most recent spans in a fixed-size ring buffer —

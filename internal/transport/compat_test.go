@@ -505,7 +505,7 @@ func TestCompatTracedClientV2Server(t *testing.T) {
 	defer c.Close()
 
 	root := clientTel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root.Context())
+	ctx := telemetry.ContextWith(context.Background(), root)
 	if _, err := c.Call(ctx, "echo", []byte("traced")); err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestCompatTracedClientV1Envelope(t *testing.T) {
 	defer c.Close()
 
 	root := clientTel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root.Context())
+	ctx := telemetry.ContextWith(context.Background(), root)
 	if resp, err := c.Call(ctx, "echo", []byte("traced-v1")); err != nil || string(resp) != "traced-v1" {
 		t.Fatalf("traced call over v1: %q, %v", resp, err)
 	}
@@ -650,7 +650,7 @@ func TestCompatTracedClientStrictOldServer(t *testing.T) {
 	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: transport.V1})
 	defer c.Close()
 	root := tel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root.Context())
+	ctx := telemetry.ContextWith(context.Background(), root)
 	resp, err := c.Call(ctx, "echo", []byte("strict"))
 	if err != nil {
 		t.Fatalf("traced call against strict v1 server: %v", err)

@@ -510,7 +510,7 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte
 				sp.Annotate("remote", "true")
 			}
 			//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
-			ctx := telemetry.ContextWith(context.Background(), sp.Context())
+			ctx := telemetry.ContextWith(context.Background(), sp)
 			resp, err = h(ctx, body)
 			outcome := "ok"
 			if err != nil {

@@ -298,7 +298,7 @@ func TestByteCounters(t *testing.T) {
 			if tc.traced {
 				root := tel.Tracer.StartSpan("test.root")
 				defer root.End()
-				ctx = telemetry.ContextWith(ctx, root.Context())
+				ctx = telemetry.ContextWith(ctx, root)
 			}
 			var preamble int64
 			if tc.firstFlight {
