@@ -32,7 +32,7 @@ func TestRunMultiplexQuick(t *testing.T) {
 		t.Errorf("batch_fetch_elements_total = %d, want 32", res.BatchElements)
 	}
 	if res.NegotiatedV2 == 0 {
-		t.Error("no v2 negotiation recorded; the run fell back to v1")
+		t.Error("no v2 negotiation recorded")
 	}
 	if !res.AblationIdentical {
 		t.Error("serial-RPC client fetched different bytes")

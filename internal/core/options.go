@@ -130,10 +130,6 @@ func (o Options) validate(binder *object.Binder) error {
 		return fmt.Errorf("%w: binder pool MaxConns %d is negative (0 means the default %d)",
 			ErrInvalidOptions, binder.Transport.Pool.MaxConns, transport.DefaultMaxConns)
 	}
-	if binder.Transport.Pool.IdleTimeout < 0 {
-		return fmt.Errorf("%w: binder pool idle timeout %v is negative (0 disables idle reaping)",
-			ErrInvalidOptions, binder.Transport.Pool.IdleTimeout)
-	}
 	if binder.MaxCandidates < 0 {
 		return fmt.Errorf("%w: binder MaxCandidates %d is negative (0 means try all)",
 			ErrInvalidOptions, binder.MaxCandidates)

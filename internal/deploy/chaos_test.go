@@ -455,13 +455,7 @@ func TestChaosSameSeedReproducesFaultSchedule(t *testing.T) {
 		t.Skip("determinism replay skipped in -short mode")
 	}
 	run := func(seed int64) string {
-		// Pinned to wire-protocol v1: this test replays a byte-exact
-		// fault schedule, and v2's negotiation preamble and frame
-		// headers shift which bytes each seeded fault lands on. The
-		// multiplexed path gets its own chaos coverage elsewhere in
-		// this suite.
 		cfg := chaosConfig()
-		cfg.Version = transport.V1
 		w, _, _ := chaosWorldCfg(t, seed, cfg)
 		trace := w.Net.TraceFaults()
 		w.Net.SetFaults(netsim.Paris, netsim.Paris, netsim.FaultPlan{DropProb: 0.3, CorruptProb: 0.2})

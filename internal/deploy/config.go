@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"globedoc/internal/core"
@@ -20,13 +19,15 @@ import (
 // copy-pasted per main().
 
 // ClientFlags is the standard transport-robustness flag bundle:
-// dial/call timeouts, the per-RPC retry budget, and the wire-protocol
-// version pin.
+// dial/call timeouts and the per-RPC attempt budget. Retries above 1
+// sets a transport.RetryPolicy of that many attempts with backoff;
+// Retries of 1 or less sets none, which still leaves the transport's
+// own rule: a call that failed on a reused pooled connection is re-sent
+// once, at once, on a fresh dial.
 type ClientFlags struct {
 	DialTimeout time.Duration
 	CallTimeout time.Duration
 	Retries     int
-	Version     int
 }
 
 // RegisterClientFlags registers the shared transport flags on fs (nil =
@@ -42,17 +43,7 @@ func RegisterClientFlags(fs *flag.FlagSet) *ClientFlags {
 	fs.DurationVar(&f.CallTimeout, "call-timeout", 10*time.Second,
 		"per-RPC deadline, send through receive (0 = unbounded)")
 	fs.IntVar(&f.Retries, "retries", 3,
-		"attempts per RPC against a flaky replica (1 = no retry)")
-	fs.Func("transport-version",
-		"wire protocol `version`: 0 or 2 = negotiate multiplexed v2 (the two mean the same), 1 = classic v1 framing (default 0)",
-		func(s string) error {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 || v > int(transport.MaxSupportedVersion) {
-				return fmt.Errorf("want 0, 1 or 2, not %q", s)
-			}
-			f.Version = v
-			return nil
-		})
+		"attempts per RPC against a flaky replica, with backoff (1 = no retry policy: only a call that failed on a reused pooled connection is re-sent, once, on a fresh dial)")
 	return f
 }
 
@@ -62,7 +53,6 @@ func (f *ClientFlags) Config(tel *telemetry.Telemetry) transport.Config {
 		DialTimeout: f.DialTimeout,
 		CallTimeout: f.CallTimeout,
 		Telemetry:   tel,
-		Version:     byte(f.Version),
 	}
 	if f.Retries > 1 {
 		policy := transport.DefaultRetryPolicy()

@@ -162,10 +162,10 @@ func TestFleetRebalanceMovesReplicas(t *testing.T) {
 }
 
 // TestFleetSelectorReranksAwayFromDegradedReplica is the fleet chaos
-// scenario of ROADMAP item 1: the replica a client is happily using dies
-// mid-run; the selector must absorb exactly one failover, re-rank the
-// dead address to the bottom on failure evidence, and keep every
-// subsequent cold binding away from it.
+// scenario of replica selection (DESIGN.md §14): the replica a client
+// is happily using dies mid-run; the selector must absorb exactly one
+// failover, re-rank the dead address to the bottom on failure evidence,
+// and keep every subsequent cold binding away from it.
 func TestFleetSelectorReranksAwayFromDegradedReplica(t *testing.T) {
 	w, tel := fleetWorld(t)
 	pub, err := w.PublishPlaced(fleetDoc("degrade"), deploy.PublishOptions{

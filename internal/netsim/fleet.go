@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// The fleet testbed models the multi-continent deployment of ROADMAP
-// item 1: twelve object servers spread over three continents plus one
-// client vantage host per continent, with RTT bands an order of
-// magnitude apart so replica-selection policy differences show up
-// unambiguously in fetch latency.
+// The fleet testbed models a multi-continent deployment on which to test
+// replica selection (DESIGN.md §14): twelve object servers spread over
+// three continents plus one client vantage host per continent, with RTT
+// bands an order of magnitude apart so replica-selection policy
+// differences show up unambiguously in fetch latency.
 //
 // The continent names are deliberately chosen so that lexicographic
 // order (asia < europe < northamerica) does NOT match proximity order

@@ -9,10 +9,10 @@ import (
 	"globedoc/internal/clock"
 )
 
-// Per-address replica health: the data plane for ROADMAP item 1's
-// geo-aware replica selection. Every RPC attempt against a contact
-// address — success or failure, including a failed dial — feeds one
-// sample here; core's failover ordering consumes the result as a
+// Per-address replica health: the data plane core's replica Selector
+// ranks candidates on (DESIGN.md §14). Every RPC attempt against a
+// contact address — success or failure, including a failed dial — feeds
+// one sample here; core's failover ordering consumes the result as a
 // tie-break, and /debugz surfaces it as the versioned globedoc-health/1
 // snapshot.
 //

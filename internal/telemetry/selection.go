@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Per-OID replica-selection rankings: the observable output of the
-// control plane ROADMAP item 1 builds on top of the HealthTracker data
-// plane. Every time core's Selector ranks the candidate addresses for an
-// OID the result is recorded here, so /debugz (and cmd/globedoc-debugz)
-// can show WHICH replica a client would try first and in what order —
-// the health EWMAs alone only say how each address has behaved.
+// Per-OID replica-selection rankings: the observable output of core's
+// Selector, the control plane built on top of the HealthTracker data
+// plane (DESIGN.md §14). Every time the Selector ranks the candidate
+// addresses for an OID the result is recorded here, so /debugz (and
+// cmd/globedoc-debugz) can show WHICH replica a client would try first
+// and in what order — the health EWMAs alone only say how each address
+// has behaved.
 
 // SelectionSchema versions the selection snapshot format.
 const SelectionSchema = "globedoc-selection/1"

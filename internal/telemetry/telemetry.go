@@ -21,14 +21,13 @@ const (
 	MetricSecurityOverhead = "security_overhead_percent"     // per-fetch Timing.OverheadPercent()
 
 	// Connection-pool instruments (transport.Client).
-	MetricPoolDials      = "transport_pool_dials_total"       // new connections opened
-	MetricPoolReuse      = "transport_pool_reuse_total"       // calls served from an idle pooled conn
-	MetricPoolIdleClosed = "transport_pool_idle_closed_total" // idle conns reaped past IdleTimeout
-	MetricPoolConns      = "transport_pool_conns"             // open pooled connections (gauge)
+	MetricPoolDials = "transport_pool_dials_total" // new connections opened
+	MetricPoolReuse = "transport_pool_reuse_total" // calls served from an idle pooled conn
+	MetricPoolConns = "transport_pool_conns"       // open pooled connections (gauge)
 
 	// Transport v2 multiplexing instruments (transport.Client/Server).
-	MetricStreamsOpened = "transport_streams_opened_total" // v2 streams opened
-	MetricStreamsActive = "transport_streams_active"       // in-flight v2 streams (gauge)
+	MetricStreamsOpened = "transport_streams_opened_total" // streams opened
+	MetricStreamsActive = "transport_streams_active"       // in-flight streams (gauge)
 	MetricNegotiations  = "transport_negotiations_total"   // {version} concluded version negotiations
 
 	// Batched element fetch instruments (core.Client).
@@ -93,10 +92,9 @@ type Telemetry struct {
 	RPCCalls   *CounterVec // {op,outcome}
 	RPCRetries *Counter
 	// Connection-pool instruments (transport.Client).
-	PoolDials      *Counter
-	PoolReuse      *Counter
-	PoolIdleClosed *Counter
-	PoolConns      *Gauge
+	PoolDials *Counter
+	PoolReuse *Counter
+	PoolConns *Gauge
 	// Transport v2 multiplexing instruments.
 	StreamsOpened *Counter
 	StreamsActive *Gauge
@@ -154,10 +152,9 @@ func New(clk clock.Clock) *Telemetry {
 		RPCRetries: reg.Counter(MetricRPCRetries),
 		RPCServed:  reg.CounterVec(MetricRPCServed, "op", "outcome"),
 
-		PoolDials:      reg.Counter(MetricPoolDials),
-		PoolReuse:      reg.Counter(MetricPoolReuse),
-		PoolIdleClosed: reg.Counter(MetricPoolIdleClosed),
-		PoolConns:      reg.Gauge(MetricPoolConns),
+		PoolDials: reg.Counter(MetricPoolDials),
+		PoolReuse: reg.Counter(MetricPoolReuse),
+		PoolConns: reg.Gauge(MetricPoolConns),
 
 		StreamsOpened: reg.Counter(MetricStreamsOpened),
 		StreamsActive: reg.Gauge(MetricStreamsActive),

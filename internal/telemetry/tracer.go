@@ -53,8 +53,8 @@ func (r SpanRecord) Duration() time.Duration { return r.End.Sub(r.Start) }
 
 // SpanContext is the propagatable identity of a span: everything a
 // remote process needs to continue the trace. It crosses the wire in
-// transport frames (v2) or the request envelope (v1), so a server-side
-// span exports with the same trace ID as the client span that caused it.
+// the transport's frame header, so a server-side span exports with the
+// same trace ID as the client span that caused it.
 type SpanContext struct {
 	TraceID uint64
 	SpanID  uint64

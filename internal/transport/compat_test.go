@@ -1,14 +1,14 @@
 package transport_test
 
-// The v1/v2 compatibility matrix. A client pinned to V1 and a negotiating
-// client both interoperate with this tree's server. A negotiating client
-// speaks v2 or fails: against a peer that hangs up on the preamble or
-// accepts only v1 its call fails — the hang-up as an ordinary, retryable
-// failure, the v1 accept as a permanent version mismatch — the request
-// runs nowhere, and nothing is latched: the next dial negotiates again.
-// Once a connection has negotiated, any attempt to renegotiate
-// mid-connection is refused by dropping the connection, in both
-// directions.
+// The negotiation matrix. A server answers only a preamble proposing v2:
+// a connection that opens with a classic frame or proposes an older
+// version is dropped unanswered. A client speaks v2 or fails: against a
+// peer that hangs up on the preamble or accepts only v1 its call fails —
+// the hang-up as an ordinary, retryable failure, the v1 accept as a
+// permanent version mismatch — the request runs nowhere, and nothing is
+// latched: the next dial negotiates again. Once a connection has
+// negotiated, any attempt to renegotiate mid-connection is refused by
+// dropping the connection, in both directions.
 
 import (
 	"bytes"
@@ -32,71 +32,101 @@ import (
 // bytes (the tests below speak the wire format by hand).
 var rawPreamble = []byte{'G', 'D', 0xF2, 2}
 
-func TestCompatV1ClientNewServer(t *testing.T) {
-	// An old client never sends a preamble; a new server must serve it
-	// classic v1 frames without ever negotiating.
-	tel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.Telemetry = tel
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	c := transport.NewClient(dial)
-	c.Version = transport.V1
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		resp, err := c.Call(context.Background(), "echo", []byte("classic"))
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if string(resp) != "classic" {
-			t.Fatalf("resp = %q", resp)
-		}
-	}
-	if got := tel.Negotiations.Total(); got != 0 {
-		t.Errorf("server negotiated %d times against a v1 client, want 0", got)
+// classicRequest is an echo request in the retired classic framing: a
+// length prefix and op‖body, nothing naming a stream.
+func classicRequest(body string) []byte {
+	w := enc.NewWriter(16 + len(body))
+	w.String("echo")
+	w.BytesPrefixed([]byte(body))
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(w.Bytes()))), w.Bytes()...)
+}
+
+// TestServerRefusesPreV2Openers: a server answers only a preamble
+// proposing v2 or above. A connection that opens with a classic frame,
+// or with a preamble proposing version 1 or 0 in front of one, is
+// dropped before a frame is read: no handler runs, no request is
+// counted and no byte comes back.
+func TestServerRefusesPreV2Openers(t *testing.T) {
+	classic := classicRequest("refuse me")
+	for _, tc := range []struct {
+		name   string
+		opener []byte
+	}{
+		{"classic frame", classic},
+		{"version 1 preamble", append([]byte{'G', 'D', 0xF2, 1}, classic...)},
+		{"version 0 preamble", append([]byte{'G', 'D', 0xF2, 0}, classic...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var srv *transport.Server
+			var runs atomic.Int64
+			dial := startServer(t, func(s *transport.Server) {
+				srv = s
+				s.Handle("echo", func(b []byte) ([]byte, error) {
+					runs.Add(1)
+					return b, nil
+				})
+			})
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.opener); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			// A clean close reads as EOF (nil here), a close with unread
+			// bytes as a reset; either way the connection is gone.
+			reply, err := io.ReadAll(conn)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("server kept the connection open after %q (answered %x)", tc.opener, reply)
+			}
+			if len(reply) != 0 {
+				t.Errorf("server answered %x, want no byte", reply)
+			}
+			if got := runs.Load(); got != 0 {
+				t.Errorf("handler ran %d times, want 0", got)
+			}
+			if got := srv.Requests.Load(); got != 0 {
+				t.Errorf("Server.Requests = %d, want 0", got)
+			}
+		})
 	}
 }
 
 func TestCompatAutoClientOldServer(t *testing.T) {
 	// A server older than negotiation reads the preamble as an oversized
-	// v1 length header and hangs up. A negotiating client, whether it
-	// leaves the version to negotiation or pins V2, fails each call
-	// there and latches nothing: every call dials and negotiates again,
-	// and no plain v1 request ever reaches the server.
-	for _, tc := range []struct {
-		name    string
-		version byte
-	}{
-		{"auto", 0},
-		{"v2", transport.V2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tel := telemetry.New(nil)
-			dial, dispatched := strictOldServer(t, false)
-			cd := &countingDial{dial: dial}
-			c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel, Version: tc.version})
-			defer c.Close()
-			const calls = 3
-			for i := 0; i < calls; i++ {
-				_, err := c.Call(context.Background(), "echo", []byte("old"))
-				if err == nil {
-					t.Fatalf("call %d succeeded against a server that cannot speak v2", i)
-				}
-				if errors.Is(err, transport.ErrVersionMismatch) || !transport.Retryable(err) {
-					t.Fatalf("call %d: err = %v, want an ordinary retryable connection failure", i, err)
-				}
+	// classic length header and hangs up. The client, which proposes v2,
+	// fails each call there and latches nothing: every call dials and
+	// negotiates again, and no classic request ever reaches the server.
+	t.Run("v2", func(t *testing.T) {
+		tel := telemetry.New(nil)
+		dial, dispatched := strictOldServer(t, false)
+		cd := &countingDial{dial: dial}
+		c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
+		defer c.Close()
+		const calls = 3
+		for i := 0; i < calls; i++ {
+			_, err := c.Call(context.Background(), "echo", []byte("old"))
+			if err == nil {
+				t.Fatalf("call %d succeeded against a server that cannot speak v2", i)
 			}
-			if got := cd.count.Load(); got != calls {
-				t.Errorf("dials = %d, want %d (each call negotiates afresh)", got, calls)
+			if errors.Is(err, transport.ErrVersionMismatch) || !transport.Retryable(err) {
+				t.Fatalf("call %d: err = %v, want an ordinary retryable connection failure", i, err)
 			}
-			if got := dispatched.Load(); got != 0 {
-				t.Errorf("the old server dispatched %d requests, want 0 (no v1 connection)", got)
-			}
-			if got := tel.Negotiations.Total(); got != 0 {
-				t.Errorf("negotiations = %d, want 0", got)
-			}
-		})
-	}
+		}
+		if got := cd.count.Load(); got != calls {
+			t.Errorf("dials = %d, want %d (each call negotiates afresh)", got, calls)
+		}
+		if got := dispatched.Load(); got != 0 {
+			t.Errorf("the old server dispatched %d requests, want 0", got)
+		}
+		if got := tel.Negotiations.Total(); got != 0 {
+			t.Errorf("negotiations = %d, want 0", got)
+		}
+	})
 }
 
 func TestCompatAutoClientNewServer(t *testing.T) {
@@ -153,9 +183,9 @@ func TestCompatAutoClientNewServer(t *testing.T) {
 }
 
 func TestCompatServerCappedAtV1(t *testing.T) {
-	// A server that answers the preamble with a v1 accept. The first
-	// flight's request was v2-framed, which that server refuses unrun, so
-	// the auto client's call fails permanently: a retry policy does not
+	// A peer that answers the preamble with a v1 accept. The first
+	// flight's request was v2-framed, which that peer refuses unrun, so
+	// the client's call fails permanently: a retry policy does not
 	// repeat it. The mismatch is not remembered — the next call dials
 	// and negotiates again.
 	tel := telemetry.New(nil)
@@ -174,8 +204,8 @@ func TestCompatServerCappedAtV1(t *testing.T) {
 		if got := cd.count.Load(); got != int64(i) {
 			t.Errorf("after call %d: dials = %d, want %d", i, got, i)
 		}
-		if got := tel.Negotiations.With("v1").Value(); got != uint64(i) {
-			t.Errorf("after call %d: negotiations{v1} = %d, want %d", i, got, i)
+		if got := tel.Negotiations.With("1").Value(); got != uint64(i) {
+			t.Errorf("after call %d: negotiations{1} = %d, want %d", i, got, i)
 		}
 	}
 	if got := dispatched.Load(); got != 0 {
@@ -227,9 +257,11 @@ func TestCompatEarlyFrame(t *testing.T) {
 }
 
 func TestCompatRequiredV2AgainstV1CappedServerFailsPermanently(t *testing.T) {
+	// Every client requires v2, so a v1 accept fails the call on its one
+	// dial with a permanent version mismatch.
 	dial, dispatched := strictOldServer(t, true)
 	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn()).Configure(transport.Config{Version: transport.V2})
+	c := transport.NewClient(cd.fn())
 	defer c.Close()
 	_, err := c.Call(context.Background(), "echo", nil)
 	if !errors.Is(err, transport.ErrVersionMismatch) {
@@ -533,49 +565,15 @@ func TestCompatTracedClientV2Server(t *testing.T) {
 	}
 }
 
-func TestCompatTracedClientV1Envelope(t *testing.T) {
-	// A traced call from a client pinned to V1: v1 has no place for the
-	// trace context, so the request envelope is op‖body alone. The trace
-	// ends at the process boundary — the server's rpc.serve span is a
-	// root of its own trace, not marked remote.
-	clientTel := telemetry.New(nil)
-	serverTel := telemetry.New(nil)
-	dial := startServer(t, func(s *transport.Server) {
-		s.Telemetry = serverTel
-		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
-	})
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: clientTel, Version: transport.V1})
-	defer c.Close()
-
-	root := clientTel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root)
-	if resp, err := c.Call(ctx, "echo", []byte("traced-v1")); err != nil || string(resp) != "traced-v1" {
-		t.Fatalf("traced call over v1: %q, %v", resp, err)
-	}
-	root.End()
-	serves := findServe(serverTel)
-	if len(serves) != 1 {
-		t.Fatalf("server recorded %d rpc.serve spans, want 1", len(serves))
-	}
-	if serves[0].TraceID == root.TraceID() || serves[0].ParentID != 0 {
-		t.Errorf("v1 serve span joined the client's trace (trace %d, parent %d)", serves[0].TraceID, serves[0].ParentID)
-	}
-	for _, a := range serves[0].Attrs {
-		if a.Key == "remote" {
-			t.Errorf("v1 serve span marked remote=%s", a.Value)
-		}
-	}
-}
-
 // strictOldServer is a wire-level stand-in for a peer that speaks only
-// v1. Without acceptV1 it predates negotiation: a length header above
-// MaxFrame — which is how the v2 preamble reads — hangs up the
-// connection. With acceptV1 it answers the preamble with a v1 accept and
-// serves classic frames on that connection. Either way the request
-// envelope is decoded with the old decoder's strictness, failing the
-// call on any trailing bytes (such as a trace-context trailer) exactly
-// like enc.Reader.Finish. It also counts the requests its decoder
-// accepted and echoed — the ones a handler would have run.
+// the classic framing, as version 1. Without acceptV1 it predates
+// negotiation: a length header above MaxFrame — which is how the v2
+// preamble reads — hangs up the connection. With acceptV1 it answers
+// the preamble with a v1 accept and serves classic frames on that
+// connection. Either way the request envelope is decoded strictly,
+// failing the call on any trailing bytes exactly like enc.Reader.Finish.
+// It also counts the requests its decoder accepted and echoed — the ones
+// a handler would have run.
 func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.Int64) {
 	t.Helper()
 	var dispatched atomic.Int64
@@ -598,7 +596,7 @@ func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.I
 						return
 					}
 					if acceptV1 && bytes.Equal(hdr[:3], rawPreamble[:3]) {
-						if _, err := conn.Write(append(hdr[:3:3], transport.V1)); err != nil {
+						if _, err := conn.Write(append(hdr[:3:3], 1)); err != nil {
 							return
 						}
 						continue
@@ -640,46 +638,22 @@ func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.I
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }, &dispatched
 }
 
-func TestCompatTracedClientStrictOldServer(t *testing.T) {
-	// The regression the compat matrix exists to prevent: a traced call
-	// on a v1 connection must not carry trace context in the envelope,
-	// because a strict v1 decoder errors on trailing bytes. A pinned-V1
-	// client's trace ends at the process boundary and the call succeeds.
-	dial, _ := strictOldServer(t, false)
-	tel := telemetry.New(nil)
-	c := transport.NewClient(dial).Configure(transport.Config{Telemetry: tel, Version: transport.V1})
-	defer c.Close()
-	root := tel.Tracer.StartSpan("test.root")
-	ctx := telemetry.ContextWith(context.Background(), root)
-	resp, err := c.Call(ctx, "echo", []byte("strict"))
-	if err != nil {
-		t.Fatalf("traced call against strict v1 server: %v", err)
-	}
-	if string(resp) != "strict" {
-		t.Fatalf("resp = %q", resp)
-	}
-	root.End()
-}
-
 func TestCompatUntracedClientNewServer(t *testing.T) {
-	// No trace context on the wire (an old or simply untraced caller):
+	// No trace context on the wire (an untraced caller):
 	// the server starts its own trace and must not mark it remote.
 	serverTel := telemetry.New(nil)
 	dial := startServer(t, func(s *transport.Server) {
 		s.Telemetry = serverTel
 		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
 	})
-	for _, version := range []byte{0, transport.V1} {
-		c := transport.NewClient(dial)
-		c.Version = version
-		if _, err := c.Call(context.Background(), "echo", []byte("untraced")); err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		c.Close()
+	c := transport.NewClient(dial)
+	defer c.Close()
+	if _, err := c.Call(context.Background(), "echo", []byte("untraced")); err != nil {
+		t.Fatal(err)
 	}
 	serves := findServe(serverTel)
-	if len(serves) != 2 {
-		t.Fatalf("server recorded %d rpc.serve spans, want 2", len(serves))
+	if len(serves) != 1 {
+		t.Fatalf("server recorded %d rpc.serve spans, want 1", len(serves))
 	}
 	for _, sp := range serves {
 		if sp.ParentID != 0 {

@@ -1,25 +1,23 @@
 package transport
 
-// One pooled client connection, in either framing.
+// One pooled client connection.
 //
 // A poolConn carries up to budget concurrent calls. Each call reserves a
 // stream, writes one request frame, and parks on a per-stream channel
 // until the connection's read loop — its only reader — delivers the
-// response. On a v2 connection frames name their stream, responses
-// arrive in whatever order the server finishes them, and one slow call
-// never blocks its siblings. A v1 frame names nothing: the budget is one
-// and a response belongs to the single pending stream.
+// response. Frames name their stream, responses arrive in whatever order
+// the server finishes them, and one slow call never blocks its siblings.
 //
-// A negotiating connection needs no exchange of its own. Its first call
-// writes the preamble and its v2-framed request in one write (the first
-// flight), and its read loop reads the accept ahead of the first
-// response, so opening the connection costs the call no extra round trip.
-// Until the accept arrives the connection carries that one call; the
-// accept raises the budget and wakes the calls waiting for it. A
-// negotiating connection speaks v2 or fails: a peer that hangs up before
-// the accept fails the call like any dropped connection, and a v1 accept
-// fails it permanently. Neither is remembered; the next dial negotiates
-// again.
+// Negotiation needs no exchange of its own. A connection's first call
+// writes the preamble and its request in one write (the first flight),
+// and its read loop reads the accept ahead of the first response, so
+// opening the connection costs the call no extra round trip. Until the
+// accept arrives the connection carries that one call; the accept raises
+// the budget to DefaultStreamBudget and wakes the calls waiting for it.
+// A connection speaks v2 or fails: a peer that hangs up before the
+// accept fails the call like any dropped connection, and an accept below
+// v2 fails it permanently. Neither is remembered; the next dial
+// negotiates again.
 
 import (
 	"context"
@@ -33,8 +31,9 @@ import (
 	"globedoc/internal/telemetry"
 )
 
-// DefaultStreamBudget is the per-connection concurrent-stream bound
-// used when PoolConfig.StreamBudget is zero.
+// DefaultStreamBudget bounds concurrent streams per connection once it
+// has negotiated: a client carries up to MaxConns × DefaultStreamBudget
+// calls in flight.
 const DefaultStreamBudget = 32
 
 type streamResult struct {
@@ -47,23 +46,18 @@ type poolConn struct {
 	c    *Client
 	conn net.Conn
 
-	// version is the connection's framing, fixed at dial: a negotiating
-	// connection frames v2 from its first write, ahead of the accept.
-	version byte
-
 	wmu sync.Mutex // serialises frame writes
 	// preamble rides in front of the connection's first frame; the first
 	// write takes it. Guarded by wmu.
 	preamble []byte
 
 	mu          sync.Mutex
-	budget      int                          // concurrent streams: 1 for v1 and before the accept, then Pool.streamBudget()
+	budget      int                          // concurrent streams: 1 before the accept, then DefaultStreamBudget
 	negotiating bool                         // the preamble's accept has not arrived
 	streams     map[uint32]chan streamResult // in-flight calls by stream ID
 	nextID      uint32
-	inflight    int       // reserved stream slots (also counts calls mid-setup)
-	idleSince   time.Time // when inflight last dropped to zero
-	draining    bool      // Close was called mid-flight: close when drained
+	inflight    int  // reserved stream slots (also counts calls mid-setup)
+	draining    bool // Close was called mid-flight: close when drained
 	dead        bool
 	deadErr     error
 }
@@ -82,31 +76,23 @@ func (pc *poolConn) register() (uint32, chan streamResult, error) {
 	return id, ch, nil
 }
 
-// take removes and returns the stream a response belongs to: the one the
-// frame names on a v2 connection, the only pending one on a v1
-// connection (stream IDs start at 1, so with none pending nothing
-// matches).
+// take removes and returns the stream a response frame names.
 func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.version < V2 {
-		for id = range pc.streams {
-		}
-	}
 	ch, ok := pc.streams[id]
 	delete(pc.streams, id)
 	return ch, ok
 }
 
 // abandon gives up on a stream whose caller stopped waiting (timeout or
-// cancellation). A late v2 response names its stream and readLoop drops
-// it, so the connection and its sibling streams stay healthy. A late v1
-// response names nothing and would be handed to the connection's next
-// caller, so a v1 connection dies with its abandoned call — and so does
-// one whose accept never came, which has proved nothing.
+// cancellation). A late response names its stream and readLoop drops
+// it, so the connection and its sibling streams stay healthy — unless
+// the connection's accept never came: it has proved nothing and dies
+// with its abandoned call.
 func (pc *poolConn) abandon(id uint32, why error) {
 	pc.mu.Lock()
-	unproven := pc.version < V2 || pc.negotiating
+	unproven := pc.negotiating
 	delete(pc.streams, id)
 	pc.mu.Unlock()
 	if unproven {
@@ -122,17 +108,16 @@ func (pc *poolConn) idle() bool {
 }
 
 // retireLocked marks a connection no stream is using dead and closes it
-// — an idle reap, a drain, Client.Close — reporting false when it already
-// was dead. The caller holds pc.mu.
-func (pc *poolConn) retireLocked() bool {
+// — a drain, Client.Close — unless it already was dead. The caller holds
+// pc.mu.
+func (pc *poolConn) retireLocked() {
 	if pc.dead {
-		return false
+		return
 	}
 	pc.dead = true
 	pc.deadErr = ErrClosed
 	pc.conn.Close()
 	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
-	return true
 }
 
 // fail marks the connection dead, closes it and fails every pending
@@ -160,15 +145,13 @@ func (pc *poolConn) fail(cause error) {
 	pc.c.wake()
 }
 
-// awaitAccept is the read loop's first read on a negotiating connection:
-// the peer's answer to the preamble. A v2 accept raises the stream
-// budget and wakes the calls waiting for it. A connection that ends
-// first — a reset, or a peer older than negotiation hanging up on the
-// preamble — fails its call as any dropped connection does. A v1 accept
-// fails it permanently with ErrVersionMismatch: the v2-framed first
-// request is already on the wire, and a v1 peer decodes it as a v1 frame
-// — its type byte as a one-byte operation, the rest as trailing bytes —
-// and refuses it unrun.
+// awaitAccept is the read loop's first read: the peer's answer to the
+// preamble. A v2 accept raises the stream budget and wakes the calls
+// waiting for it. A connection that ends first — a reset, or a peer
+// that cannot negotiate hanging up on the preamble — fails its call as
+// any dropped connection does. An accept below v2 fails it permanently
+// with ErrVersionMismatch: the first request is already on the wire in
+// a framing that peer does not speak.
 func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 	c := pc.c
 	var accept [preambleLen]byte
@@ -176,7 +159,7 @@ func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 		pc.fail(err)
 		return false
 	}
-	agreed, err := parseAccept(accept[:], MaxSupportedVersion)
+	agreed, err := parseAccept(accept[:], V2)
 	if err != nil {
 		pc.fail(err)
 		return false
@@ -189,45 +172,39 @@ func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 	}
 	pc.mu.Lock()
 	pc.negotiating = false
-	pc.budget = c.Pool.streamBudget()
+	pc.budget = DefaultStreamBudget
 	pc.mu.Unlock()
 	negotiated.Inc() // counted once the budget is up
 	c.wake()
 	return true
 }
 
-// readLoop is the single reader of a connection: after a negotiating
-// connection's accept, it hands each response frame to the stream
-// waiting for it. A v2 response for an unknown stream is dropped (the
-// caller timed out first); an unsolicited v1 response, any read error
-// and any protocol violation kill the connection and fail every pending
-// stream. conn is the shutdown handle: closing it (fail, a reap,
+// readLoop is the single reader of a connection: after the accept, it
+// hands each response frame to the stream waiting for it. A response for
+// an unknown stream is dropped (the caller timed out first); any read
+// error and any protocol violation kill the connection and fail every
+// pending stream. conn is the shutdown handle: closing it (fail,
 // Client.Close) unblocks the read and ends the loop.
 func (pc *poolConn) readLoop(conn net.Conn) {
-	// Only awaitAccept, on this goroutine, clears negotiating.
-	if pc.negotiating && !pc.awaitAccept(conn) {
+	if !pc.awaitAccept(conn) {
 		return
 	}
 	for {
-		f, wire, err := readFramed(conn, pc.version, frameResponse)
+		f, wire, err := readFramed(conn, frameResponse)
 		if err != nil {
 			pc.fail(err)
 			return
 		}
 		pc.c.BytesReceived.Add(uint64(wire))
-		ch, ok := pc.take(f.StreamID)
-		if ok {
+		if ch, ok := pc.take(f.StreamID); ok {
 			ch <- streamResult{payload: f.Payload} // buffered: never blocks
-		} else if pc.version < V2 {
-			pc.fail(fmt.Errorf("%w: v1 response with no call pending", ErrProtocol))
-			return
 		}
 	}
 }
 
 // roundTrip performs one framed exchange on a reserved stream, bounded
 // by the tighter of CallTimeout and ctx (see abandon for what giving up
-// costs); on a negotiating connection the same bound covers the accept.
+// costs); before the accept the same bound covers it.
 // A genuinely dead conn is detected by the read loop and fails every
 // stream at once.
 func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
@@ -241,7 +218,6 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	tel.StreamsActive.Add(1)
 	defer tel.StreamsActive.Add(-1)
 
-	// v2 carries sc in the frame header; v1 has no place for it.
 	f := v2Frame{Type: frameRequest, StreamID: id, Trace: sc}
 	head := requestHead(op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
@@ -254,7 +230,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	}
 	sent := 0
 	if werr == nil {
-		sent, werr = writeFramed(pc.conn, pre, pc.version, f, head, body)
+		sent, werr = writeFramed(pc.conn, pre, f, head, body)
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(time.Time{})
@@ -287,11 +263,9 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	return nil, err
 }
 
-// dialConn opens one connection for the pool and alone decides its
-// framing. A client pinned to V1 dials plain v1. Any other negotiates:
-// the connection frames v2 from its first write, which carries the
-// preamble, and its read loop takes the accept (awaitAccept). Dialling
-// writes nothing.
+// dialConn opens one connection for the pool. Its first write carries
+// the preamble and its read loop takes the accept (awaitAccept);
+// dialling writes nothing.
 func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	conn, err := c.dialContext(ctx)
 	if err != nil {
@@ -299,11 +273,10 @@ func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	}
 	tel := telemetry.Or(c.Telemetry)
 	tel.PoolDials.Inc()
-	pc := &poolConn{c: c, conn: conn, version: V1, budget: 1, streams: make(map[uint32]chan streamResult)}
-	if c.Version != V1 {
-		pc.version, pc.negotiating, pc.preamble = V2, true, clientPreamble(MaxSupportedVersion)
+	pc := &poolConn{
+		c: c, conn: conn, budget: 1, negotiating: true,
+		preamble: clientPreamble(V2), streams: make(map[uint32]chan streamResult),
 	}
-	pc.idleSince = c.clock().Now()
 	tel.PoolConns.Add(1)
 	go pc.readLoop(pc.conn)
 	return pc, nil

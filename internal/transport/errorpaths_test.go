@@ -76,10 +76,20 @@ func startEcho(t *testing.T, wrap func(attempt int, c net.Conn) net.Conn) transp
 	}
 }
 
-// readRequestFrame consumes the client's request frame from the raw
-// server end of a pipe.
+// readRequestFrame consumes the client's first flight from the raw
+// server end of a pipe: it takes the preamble, answers it with the v2
+// accept, and reads the request frame behind it.
 func readRequestFrame(t *testing.T, conn net.Conn) {
 	t.Helper()
+	var preamble [4]byte
+	if _, err := io.ReadFull(conn, preamble[:]); err != nil {
+		t.Errorf("server reading preamble: %v", err)
+		return
+	}
+	if _, err := conn.Write(rawPreamble); err != nil {
+		t.Errorf("server writing accept: %v", err)
+		return
+	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		t.Errorf("server reading request header: %v", err)
@@ -94,9 +104,7 @@ func readRequestFrame(t *testing.T, conn net.Conn) {
 func TestCallErrorPaths(t *testing.T) {
 	cases := []struct {
 		name string
-		// misbehave drives the raw server end: v1 frames after the request
-		// arrives, unless cfg pins V2 — then it answers the negotiation
-		// preamble first.
+		// misbehave drives the raw server end once the request arrives.
 		misbehave func(t *testing.T, conn net.Conn)
 		cfg       transport.Config
 		check     func(t *testing.T, err error)
@@ -106,7 +114,9 @@ func TestCallErrorPaths(t *testing.T) {
 			misbehave: func(t *testing.T, conn net.Conn) {
 				readRequestFrame(t, conn)
 				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+1)
+				// The smallest length refused unread: a traced frame's header
+				// and trace extension around a MaxFrame payload, plus one.
+				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+6+17+1)
 				conn.Write(hdr[:])
 			},
 			check: func(t *testing.T, err error) {
@@ -118,18 +128,11 @@ func TestCallErrorPaths(t *testing.T) {
 		{
 			name: "oversized v2 length prefix",
 			misbehave: func(t *testing.T, conn net.Conn) {
-				var preamble [4]byte
-				if _, err := io.ReadFull(conn, preamble[:]); err != nil {
-					t.Errorf("server reading preamble: %v", err)
-					return
-				}
-				conn.Write(rawPreamble) // accept v2
 				readRequestFrame(t, conn)
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+64) // past the v2 header allowance too
 				conn.Write(hdr[:])
 			},
-			cfg: transport.Config{Version: transport.V2},
 			check: func(t *testing.T, err error) {
 				if !errors.Is(err, transport.ErrFrameTooLarge) {
 					t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -182,14 +185,7 @@ func TestCallErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clientEnd, serverEnd := net.Pipe()
 			go tc.misbehave(t, serverEnd)
-			// Peers that hand-speak raw v1 frames need a client pinned to
-			// v1, so it does not open with a negotiation preamble they
-			// would misread as a gigantic length header.
-			cfg := tc.cfg
-			if cfg.Version == 0 {
-				cfg.Version = transport.V1
-			}
-			c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).Configure(cfg)
+			c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).Configure(tc.cfg)
 			defer c.Close()
 			_, err := c.Call(context.Background(), "echo", []byte("payload"))
 			if err == nil {

@@ -1,13 +1,13 @@
 package transport
 
-// Transport v2: negotiated, stream-multiplexed framing.
+// The wire framing: negotiated, stream-multiplexed.
 //
-// A v2 connection opens with a 4-byte client preamble — the 3-byte magic
-// "GD\xF2" followed by the highest version the client speaks — answered
-// by a server accept of the same shape carrying the agreed version
-// (never above the proposal). The client's first request frame follows
-// its preamble in the same write, ahead of the accept (conn.go). After
-// the preamble, every frame is
+// A connection opens with a 4-byte client preamble — the 3-byte magic
+// "GD\xF2" followed by the highest version the client speaks, V2 —
+// answered by a server accept of the same shape carrying the agreed
+// version (never above the proposal). The client's first request frame
+// follows its preamble in the same write, ahead of the accept (conn.go).
+// After the preamble, every frame is
 //
 //	uint32 length | type byte | flags byte | uint32 streamID | payload
 //
@@ -18,14 +18,9 @@ package transport
 // parent span ID, trace flags) between the frame header and the
 // payload; all other bits are reserved and must be zero.
 //
-// The magic's first byte (0x47) makes the preamble, read as a v1 length
-// header, decode to ~1.2 GiB — far above MaxFrame — so a v1-only reader
-// deterministically rejects it and hangs up instead of stalling, and
-// the call fails like any other dropped connection.
-//
-// Trace context travels only in the v2 frame header. A v1 request is
-// op‖body and nothing else, so on a v1 connection a trace ends at the
-// process boundary.
+// The server answers nothing else: a connection that opens with
+// anything but a preamble proposing V2 or above is dropped before a
+// frame is read.
 
 import (
 	"encoding/binary"
@@ -37,15 +32,9 @@ import (
 	"globedoc/internal/telemetry"
 )
 
-// Protocol versions. V1 is the original length-prefixed one-call-per-
-// connection protocol; V2 adds the negotiated preamble and stream-
-// multiplexed frames.
-const (
-	V1 byte = 1
-	V2 byte = 2
-	// MaxSupportedVersion is the highest version this build speaks.
-	MaxSupportedVersion = V2
-)
+// V2 is the protocol version this build speaks, the only one it
+// accepts: the negotiated preamble and stream-multiplexed frames.
+const V2 byte = 2
 
 // Protocol-violation errors. ErrProtocol marks malformed v2 traffic (a
 // peer breaking framing rules); ErrVersionMismatch means negotiation
@@ -69,8 +58,8 @@ func clientPreamble(v byte) []byte {
 }
 
 // parsePreamble reports whether b is a well-formed negotiation preamble
-// (or accept) and extracts its version byte. A version of zero is not a
-// valid proposal, so such bytes fall through to v1 framing.
+// (or accept) and extracts its version byte. A version of zero is not
+// well-formed.
 func parsePreamble(b []byte) (version byte, ok bool) {
 	if len(b) != preambleLen {
 		return 0, false
@@ -78,7 +67,7 @@ func parsePreamble(b []byte) (version byte, ok bool) {
 	if b[0] != preambleMagic[0] || b[1] != preambleMagic[1] || b[2] != preambleMagic[2] {
 		return 0, false
 	}
-	if b[3] < V1 {
+	if b[3] == 0 {
 		return 0, false
 	}
 	return b[3], true
@@ -100,10 +89,7 @@ func parseAccept(b []byte, proposed byte) (byte, error) {
 
 // versionLabel renders a version byte as a telemetry label.
 func versionLabel(v byte) string {
-	switch v {
-	case V1:
-		return "v1"
-	case V2:
+	if v == V2 {
 		return "v2"
 	}
 	return strconv.Itoa(int(v))
@@ -170,55 +156,42 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 	}
 }
 
-// writeFramed sends pre‖frame, frame being head‖body framed in the given
-// framing, and returns the bytes it put on the wire, pre included. A v1
-// frame is a length prefix covering head‖body and names nothing; a v2
-// frame carries f's type, flags, stream and trace context (a valid
-// f.Trace is written as the trace-context extension with flagTrace set).
-// f's Payload, which the read side fills, is not written. pre, which may
-// be nil, is a negotiation preamble riding in front of the frame (a
-// client's first flight). It and head, the short leading part of the
-// payload (an envelope header), are copied into the frame header's
-// buffer; body's buffers are not (see writeSplit).
-func writeFramed(w io.Writer, pre []byte, version byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
+// writeFramed sends pre‖frame, frame being head‖body framed with f's
+// type, flags, stream and trace context (a valid f.Trace is written as
+// the trace-context extension with flagTrace set), and returns the bytes
+// it put on the wire, pre included. f's Payload, which the read side
+// fills, is not written. pre, which may be nil, is a negotiation
+// preamble riding in front of the frame (a client's first flight). It
+// and head, the short leading part of the payload (an envelope header),
+// are copied into the frame header's buffer; body's buffers are not (see
+// writeSplit).
+func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
 	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	// fixed is what a v2 frame holds between its length prefix and head:
+	// fixed is what a frame holds between its length prefix and head:
 	// type, flags, stream ID and, when traced, the trace extension.
-	fixed, ext := 0, 0
-	if version >= V2 {
-		if f.Trace.Valid() {
-			f.Flags |= flagTrace
-			ext = traceExtLen
-		}
-		fixed = v2FrameOverhead + ext
+	fixed, traced := v2FrameOverhead, f.Trace.Valid()
+	if traced {
+		f.Flags |= flagTrace
+		fixed += traceExtLen
 	}
 	buf := frameBuf(len(pre)+4+fixed+len(head), bufsLen(body))
 	buf = append(buf, pre...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(fixed+n))
-	if version >= V2 {
-		buf = append(buf, f.Type, f.Flags)
-		buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
-		if ext > 0 {
-			buf = appendTraceExt(buf, f.Trace)
-		}
+	buf = append(buf, f.Type, f.Flags)
+	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
+	if traced {
+		buf = appendTraceExt(buf, f.Trace)
 	}
 	buf = append(buf, head...)
 	return writeSplit(w, buf, body)
 }
 
-// readFramed receives one frame of type want in the given framing and
-// reports its size on the wire. A v1 frame is returned as a want frame on
-// stream 0 with no trace context; a v2 frame of another type is a
-// protocol violation.
-func readFramed(r io.Reader, version, want byte) (f v2Frame, wire int, err error) {
-	if version < V2 {
-		var payload []byte
-		payload, err = readFrame(r)
-		return v2Frame{Type: want, Payload: payload}, 4 + len(payload), err
-	}
+// readFramed receives one frame of type want and reports its size on the
+// wire. A frame of another type is a protocol violation.
+func readFramed(r io.Reader, want byte) (f v2Frame, wire int, err error) {
 	f, err = readV2Frame(r)
 	if err == nil && f.Type != want {
 		err = fmt.Errorf("%w: unexpected frame type 0x%02x", ErrProtocol, f.Type)
@@ -226,8 +199,13 @@ func readFramed(r io.Reader, version, want byte) (f v2Frame, wire int, err error
 	return f, f.wireLen(), err
 }
 
-// readV2Frame receives and validates one v2 frame. The frame's Payload
-// aliases a buffer allocated for this frame alone (see readFrame).
+// readV2Frame receives and validates one frame.
+//
+// Ownership: the buffer a frame is read into is allocated for that
+// frame, handed to exactly one call and never pooled or reused. That is
+// what lets everything decoded from it — the frame's Payload,
+// decodeRequest's and decodeResponse's body, the element
+// object.DecodeElement cuts out of that — alias it instead of copying.
 func readV2Frame(r io.Reader) (v2Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,10 +1,10 @@
 package transport
 
-// Wire compatibility of the frame writers. refEncodeRequest,
-// refEncodeResponse, refWriteFrame and refWriteV2Frame are the
-// concatenating encoders this package used before a frame was written as
-// header + body without joining them; they stay here as the reference
-// the writers must match byte for byte, on both sides of coalesceMax.
+// Wire compatibility of the frame writer. refEncodeRequest,
+// refEncodeResponse and refWriteV2Frame are the concatenating encoders
+// this package used before a frame was written as header + body without
+// joining them; they stay here as the reference the writer must match
+// byte for byte, on both sides of coalesceMax.
 
 import (
 	"bytes"
@@ -40,14 +40,6 @@ func refEncodeResponse(body []byte, callErr error) []byte {
 		w.BytesPrefixed(body)
 	}
 	return w.Bytes()
-}
-
-func refWriteFrame(w io.Writer, payload []byte) error {
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	_, err := w.Write(frame)
-	return err
 }
 
 func refWriteV2Frame(w io.Writer, f v2Frame) error {
@@ -124,18 +116,9 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			}
 			head, envelope := responseHead(len(sent), callErr), refEncodeResponse(body, callErr)
 
-			wire := sameFrame(t, "v1 "+name, len(sent),
-				func(w io.Writer) (int, error) { return writeFramed(w, nil, V1, v2Frame{}, head, sent) },
-				func(w io.Writer) error { return refWriteFrame(w, envelope) })
-			payload, err := readFrame(wire)
-			if err != nil {
-				t.Fatalf("v1 %s: reading the frame back: %v", name, err)
-			}
-			checkDecodedResponse(t, "v1 "+name, payload, body, callErr)
-
-			wire = sameFrame(t, "v2 "+name, len(sent),
+			wire := sameFrame(t, "v2 "+name, len(sent),
 				func(w io.Writer) (int, error) {
-					return writeFramed(w, nil, V2, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
+					return writeFramed(w, nil, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
@@ -155,20 +138,11 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		// writes them, against the joined envelope.
 		const op = "obj.getelement"
 		head, envelope := requestHead(op, len(body)), refEncodeRequest(op, body)
-		name := fmt.Sprintf("v1 request, %d bytes", size)
-		wire := sameFrame(t, name, len(body),
-			func(w io.Writer) (int, error) { return writeFramed(w, nil, V1, v2Frame{}, head, body) },
-			func(w io.Writer) error { return refWriteFrame(w, envelope) })
-		payload, err := readFrame(wire)
-		if err != nil {
-			t.Fatalf("%s: reading the frame back: %v", name, err)
-		}
-		checkDecodedRequest(t, name, payload, op, body)
 		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
 			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
 			wire := sameFrame(t, name, len(body),
 				func(w io.Writer) (int, error) {
-					return writeFramed(w, nil, V2, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
+					return writeFramed(w, nil, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
 				},
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
@@ -185,11 +159,11 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 
 		// A first flight: the preamble rides in front of the request, in
 		// its header's write.
-		name = fmt.Sprintf("first flight, %d bytes", size)
+		name := fmt.Sprintf("first flight, %d bytes", size)
 		pre := clientPreamble(V2)
-		wire = sameFrame(t, name, len(body),
+		wire := sameFrame(t, name, len(body),
 			func(w io.Writer) (int, error) {
-				return writeFramed(w, pre, V2, v2Frame{Type: frameRequest, StreamID: 1}, head, body)
+				return writeFramed(w, pre, v2Frame{Type: frameRequest, StreamID: 1}, head, body)
 			},
 			func(w io.Writer) error {
 				if _, err := w.Write(pre); err != nil {
@@ -235,9 +209,8 @@ func checkDecodedResponse(t *testing.T, name string, payload, body []byte, callE
 	}
 }
 
-// A request envelope is op‖body and nothing after it: the trace-context
-// trailer older v1 clients could append is refused like any other
-// trailing byte.
+// A request envelope is op‖body and nothing after it: a trace-context
+// trailer behind the body is refused like any other trailing byte.
 func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 	envelope := refEncodeRequest("obj.getelement", []byte("body"))
 	trailer := appendTraceExt(nil, telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true})
@@ -252,11 +225,8 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	body := make([]byte, MaxFrame)
 	head := responseHead(len(body), nil)
-	if n, err := writeFramed(io.Discard, nil, V1, v2Frame{}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
-		t.Fatalf("v1: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
-	}
-	if n, err := writeFramed(io.Discard, nil, V2, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
-		t.Fatalf("v2: n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
+	if n, err := writeFramed(io.Discard, nil, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+		t.Fatalf("n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
 }
 
@@ -291,7 +261,7 @@ func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got burstRecorder
-		n, err := writeFramed(&got, nil, V2, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
+		n, err := writeFramed(&got, nil, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
 		if err != nil || n != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d-byte body: wrote %d bytes, err %v; want the reference's %d", size, n, err, want.Len())
 		}

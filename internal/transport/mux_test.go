@@ -1,6 +1,6 @@
 package transport_test
 
-// What a v2 connection's larger stream budget adds to the pool cases of
+// What a connection's stream budget adds to the pool cases of
 // pool_test.go: ceil(calls/budget) connections, and a stream that times
 // out abandons only itself — sibling streams and the connection survive
 // (no head-of-line blocking, no poisoned pool).
@@ -19,16 +19,17 @@ import (
 )
 
 func TestMuxStreamBudgetBoundsConnections(t *testing.T) {
-	// Budget 2 per conn, 6 concurrent parked calls: the pool must open
-	// exactly ceil(6/2) = 3 connections, never more.
+	// One call more than a connection's stream budget, all parked at
+	// once: the pool must fill the first connection and open exactly one
+	// more, never more.
 	release := make(chan struct{})
 	dial, arrived := parkingServer(t, release)
 	cd := &countingDial{dial: dial}
 	c := transport.NewClient(cd.fn())
-	c.Pool = transport.PoolConfig{MaxConns: 8, StreamBudget: 2}
+	c.Pool = transport.PoolConfig{MaxConns: 8}
 	defer c.Close()
 
-	const calls = 6
+	const calls = transport.DefaultStreamBudget + 1
 	var wg sync.WaitGroup
 	errs := make([]error, calls)
 	for i := 0; i < calls; i++ {
@@ -39,7 +40,7 @@ func TestMuxStreamBudgetBoundsConnections(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < calls; i++ {
-		<-arrived // all six calls are concurrently in flight
+		<-arrived // every call is concurrently in flight
 	}
 	close(release)
 	wg.Wait()
@@ -48,8 +49,8 @@ func TestMuxStreamBudgetBoundsConnections(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := cd.count.Load(); got != 3 {
-		t.Errorf("6 calls at budget 2 dialed %d conns, want 3", got)
+	if got := cd.count.Load(); got != 2 {
+		t.Errorf("%d calls at budget %d dialed %d conns, want 2", calls, transport.DefaultStreamBudget, got)
 	}
 }
 

@@ -13,25 +13,12 @@ import (
 // PoolConfig.MaxConns is zero.
 const DefaultMaxConns = 4
 
-// PoolConfig bounds a Client's connection pool.
+// PoolConfig bounds a Client's connection pool. Every connection stays
+// pooled, warm, until it dies or Client.Close retires it.
 type PoolConfig struct {
-	// MaxConns bounds how many connections are open at once. A v1
-	// connection carries one call, so on a client pinned to V1 it is
-	// also the bound on calls in flight. 0 means DefaultMaxConns.
+	// MaxConns bounds how many connections are open at once; each
+	// carries up to DefaultStreamBudget calls. 0 means DefaultMaxConns.
 	MaxConns int
-	// MaxIdle bounds how many warm connections are kept for reuse after
-	// their calls return. 0 means MaxConns; negative disables idle
-	// pooling entirely (every connection closes after its last call).
-	MaxIdle int
-	// IdleTimeout, when positive, discards idle connections that have
-	// sat unused longer than this. Reaping is lazy: a stale conn is
-	// closed when a call would otherwise reuse it.
-	IdleTimeout time.Duration
-	// StreamBudget bounds concurrent streams per negotiated-v2
-	// connection (0 = DefaultStreamBudget): a v2 client carries up to
-	// MaxConns × StreamBudget calls in flight. A v1 connection's budget
-	// is always one.
-	StreamBudget int
 }
 
 func (p PoolConfig) maxConns() int {
@@ -41,25 +28,8 @@ func (p PoolConfig) maxConns() int {
 	return DefaultMaxConns
 }
 
-func (p PoolConfig) streamBudget() int {
-	if p.StreamBudget > 0 {
-		return p.StreamBudget
-	}
-	return DefaultStreamBudget
-}
-
-func (p PoolConfig) maxIdle() int {
-	switch {
-	case p.MaxIdle > 0:
-		return p.MaxIdle
-	case p.MaxIdle < 0:
-		return 0
-	}
-	return p.maxConns()
-}
-
 // acquireStream reserves a stream slot on a pooled connection — the one
-// way a call gets a connection, whatever its framing. It prefers the
+// way a call gets a connection. It prefers the
 // least-loaded live connection with budget headroom, dials a new
 // connection while the MaxConns bound has headroom, and otherwise blocks
 // until a stream finishes or ctx is cancelled. The bool reports whether
@@ -72,16 +42,10 @@ func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 			c.mu.Unlock()
 			return nil, false, fmt.Errorf("transport: awaiting stream slot: %w", err)
 		}
-		now := c.clock().Now()
-		// Drop dead conns from the list and lazily reap idle ones that
-		// outlived IdleTimeout.
+		// Drop dead conns from the list.
 		kept := c.conns[:0]
 		for _, pc := range c.conns {
 			pc.mu.Lock()
-			stale := c.Pool.IdleTimeout > 0 && pc.inflight == 0 && now.Sub(pc.idleSince) > c.Pool.IdleTimeout
-			if stale && pc.retireLocked() {
-				tel.PoolIdleClosed.Inc()
-			}
 			if !pc.dead {
 				kept = append(kept, pc)
 			}
@@ -156,25 +120,14 @@ func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 }
 
 // releaseStream returns a stream slot to its connection. The last
-// stream out closes the conn when a Close-initiated drain is pending or
-// when MaxIdle other connections already sit warm (always, when idle
-// pooling is disabled).
+// stream out closes the conn when a Close-initiated drain is pending;
+// otherwise the conn stays pooled, warm.
 func (c *Client) releaseStream(pc *poolConn) {
 	c.mu.Lock()
 	pc.mu.Lock()
 	pc.inflight--
-	if pc.inflight == 0 {
-		pc.idleSince = c.clock().Now()
-		warm := 0
-		for _, other := range c.conns {
-			// Holding c.mu is what makes taking a second conn's lock safe.
-			if other != pc && other.idle() {
-				warm++
-			}
-		}
-		if pc.draining || warm >= c.Pool.maxIdle() {
-			pc.retireLocked()
-		}
+	if pc.inflight == 0 && pc.draining {
+		pc.retireLocked()
 	}
 	pc.mu.Unlock()
 	c.wakeLocked()

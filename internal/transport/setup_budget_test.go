@@ -24,11 +24,11 @@ func TestServerConnectionSetupBudget(t *testing.T) {
 	s.Telemetry = telemetry.New(nil)
 	s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
 	var flight bytes.Buffer
-	if _, err := writeFramed(&flight, clientPreamble(V2), V2, v2Frame{Type: frameRequest, StreamID: 1}, requestHead("echo", 5), []byte("hello")); err != nil {
+	if _, err := writeFramed(&flight, clientPreamble(V2), v2Frame{Type: frameRequest, StreamID: 1}, requestHead("echo", 5), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	var reply bytes.Buffer
-	if _, err := writeFramed(&reply, clientPreamble(V2), V2, v2Frame{Type: frameResponse, StreamID: 1}, responseHead(5, nil), []byte("hello")); err != nil {
+	if _, err := writeFramed(&reply, clientPreamble(V2), v2Frame{Type: frameResponse, StreamID: 1}, responseHead(5, nil), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, reply.Len())

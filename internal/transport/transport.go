@@ -7,20 +7,19 @@
 // encoded by the callers with package enc, keeping this layer free of any
 // knowledge of the messages it carries.
 //
-// Two framings carry that exchange: the classic v1 frame, one call at a
-// time per connection, and the negotiated v2 frame, which names a stream
-// so many calls interleave on one connection (frame.go). The client keeps
-// one bounded pool of connections for both (pool.go, conn.go) and the
-// server one request loop for both. A hard frame-size limit defends
-// against malicious peers — remember that GlobeDoc clients routinely talk
-// to untrusted servers.
+// One framing carries that exchange: a negotiated frame that names a
+// stream, so many calls interleave on one connection (frame.go). The
+// client keeps one bounded pool of connections (pool.go, conn.go) and
+// the server one request loop per connection. A hard frame-size limit
+// defends against malicious peers — remember that GlobeDoc clients
+// routinely talk to untrusted servers.
 //
 // Every peer is built from this tree, so there are no older peers to
-// fall back for. A negotiating client speaks v2 or fails: a hang-up
-// before the accept is an ordinary failed attempt, and a v1 accept a
-// permanent ErrVersionMismatch. A Client remembers nothing about its
-// peer, so no fault changes how it makes its next call. Classic v1
-// framing stays for a client pinned to V1.
+// fall back for. A client speaks v2 or fails: a hang-up before the
+// accept is an ordinary failed attempt, and an accept below v2 a
+// permanent ErrVersionMismatch. A server drops a connection that does
+// not open by proposing v2. A Client remembers nothing about its peer,
+// so no fault changes how it makes its next call.
 package transport
 
 import (
@@ -125,29 +124,6 @@ func writeSplit(w io.Writer, prefix []byte, body [][]byte) (int, error) {
 	return n, err
 }
 
-// readFrame receives one length-prefixed payload.
-//
-// Ownership: the buffer a frame is read into (here and in readV2Frame)
-// is allocated for that frame, handed to exactly one call and never
-// pooled or reused. That is what lets everything decoded from it —
-// decodeRequest's and decodeResponse's body, the element
-// object.DecodeElement cuts out of that — alias it instead of copying.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // requestHead encodes a request envelope up to, and not including, its
 // body: the operation name and the body's length prefix. The envelope is
 // head‖body, sent by the frame writers without joining the two parts
@@ -160,7 +136,7 @@ func requestHead(op string, bodyLen int) []byte {
 }
 
 // decodeRequest decodes a request envelope, rejecting any trailing byte.
-// The returned body aliases payload (see readFrame).
+// The returned body aliases payload (see readV2Frame).
 func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	r := enc.NewReader(payload)
 	op = r.String()
@@ -190,7 +166,7 @@ func responseHead(bodyLen int, callErr error) []byte {
 }
 
 // decodeResponse decodes a response envelope. The returned body aliases
-// payload (see readFrame for why that is safe).
+// payload (see readV2Frame for why that is safe).
 func decodeResponse(op string, payload []byte) ([]byte, error) {
 	r := enc.NewReader(payload)
 	status := r.Byte()
@@ -220,8 +196,9 @@ type Handler func(body []byte) ([]byte, error)
 // so none may be modified after the handler returns.
 type HandlerCtx func(ctx context.Context, body []byte) ([][]byte, error)
 
-// DefaultServerStreams bounds concurrently executing handlers per v2
-// connection when Server.StreamLimit is zero.
+// DefaultServerStreams bounds concurrently executing handlers per
+// connection; excess frames wait in the read loop, applying
+// backpressure.
 const DefaultServerStreams = 64
 
 // Server dispatches framed requests to registered handlers.
@@ -233,11 +210,6 @@ type Server struct {
 	// is not idle: the timer only runs while no handler is active. Set
 	// before Serve.
 	IdleTimeout time.Duration
-	// StreamLimit bounds concurrently executing handlers per v2
-	// connection (0 = DefaultServerStreams); excess frames wait in the
-	// read loop, applying backpressure. A v1 connection's limit is always
-	// one. Set before Serve.
-	StreamLimit int
 	// Telemetry records per-operation serve counts and spans; nil falls
 	// back to the process-wide telemetry.Default(). Set before Serve.
 	Telemetry *telemetry.Telemetry
@@ -291,9 +263,8 @@ func (s *Server) Ops() []string {
 }
 
 // Serve accepts connections on l until l is closed or the server is shut
-// down. Each connection is served on its own goroutine; calls on a v1
-// connection are processed sequentially, calls on a v2 connection
-// concurrently up to StreamLimit.
+// down. Each connection is served on its own goroutine, its calls
+// concurrently up to DefaultServerStreams.
 func (s *Server) Serve(l net.Listener) error {
 	if !s.track(func() { s.listeners.Store(l, struct{}{}) }) {
 		l.Close()
@@ -375,12 +346,13 @@ func (r *readAhead) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// serveConn chooses the connection's framing and serves it. One bounded
-// read takes the connection's first bytes, and the first four decide: a
-// negotiation preamble is answered with the agreed version, anything
-// else is the length header of a classic v1 frame. Whatever the read
-// took beyond the preamble — a first request riding behind it, or the
-// whole of a v1 frame — goes to the request loop ahead of the conn.
+// serveConn negotiates the connection and serves it. One bounded read
+// takes the connection's first bytes, and the first four decide: a
+// negotiation preamble proposing v2 or above is answered with the v2
+// accept, and anything else — a bare frame, a proposal of an older
+// version — drops the connection unanswered, before a frame is read.
+// Whatever the read took beyond the preamble, a first request riding
+// behind it, goes to the request loop ahead of the conn.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.conns.Delete(conn)
 	defer conn.Close()
@@ -396,28 +368,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	in.rest = in.buf[:n]
-	version := V1
-	if proposed, ok := parsePreamble(in.rest[:preambleLen]); ok {
-		version = min(proposed, MaxSupportedVersion)
-		in.rest = in.rest[preambleLen:]
-		if _, err := conn.Write(clientPreamble(version)); err != nil {
-			return
-		}
-		telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(version)).Inc()
+	if proposed, ok := parsePreamble(in.buf[:preambleLen]); !ok || proposed < V2 {
+		return
 	}
-	s.serve(conn, in, version)
+	in.rest = in.buf[preambleLen:n]
+	if _, err := conn.Write(clientPreamble(V2)); err != nil {
+		return
+	}
+	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(V2)).Inc()
+	s.serve(conn, in)
 }
 
-// serve is the one request loop, for either framing: it reads request
-// frames from r and handles each on its own goroutine, answering on the
-// stream the request arrived on. A v2 connection runs up to StreamLimit
-// handlers at once, so one slow handler never blocks its siblings'
-// responses. A v1 frame names no stream, so a v1 connection runs one
-// handler at a time and its responses leave in request order. Any frame
-// that is not a well-formed request — including a re-sent negotiation
-// preamble attempting a mid-connection downgrade — drops the connection.
-func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
+// serve is the request loop: it reads request frames from r and handles
+// each on its own goroutine, answering on the stream the request arrived
+// on. It runs up to DefaultServerStreams handlers at once, so one slow
+// handler never blocks its siblings' responses. Any frame that is not a
+// well-formed request — including a re-sent negotiation preamble
+// attempting a mid-connection downgrade — drops the connection.
+func (s *Server) serve(conn net.Conn, r io.Reader) {
 	if s.IdleTimeout > 0 {
 		// Clear the negotiation deadline; from here on reads and writes
 		// are armed separately so a parked handler on one stream cannot
@@ -426,14 +394,7 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 			return
 		}
 	}
-	limit := 1
-	if version >= V2 {
-		limit = s.StreamLimit
-		if limit <= 0 {
-			limit = DefaultServerStreams
-		}
-	}
-	sem := make(chan struct{}, limit)
+	sem := make(chan struct{}, DefaultServerStreams)
 	var (
 		wmu    sync.Mutex
 		active atomic.Int64
@@ -450,7 +411,7 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 				return
 			}
 		}
-		f, _, err := readFramed(r, version, frameRequest)
+		f, _, err := readFramed(r, frameRequest)
 		if err != nil {
 			return
 		}
@@ -466,7 +427,7 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				_, werr = writeFramed(conn, nil, version, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
+				_, werr = writeFramed(conn, nil, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -488,9 +449,9 @@ func (s *Server) serve(conn net.Conn, r io.Reader, version byte) {
 // body buffers, which are written to the connection as returned — a
 // handler answers with bytes it will not modify afterwards (the object
 // server's precomputed wire tables are replaced whole, never edited in
-// place). sc is the span context the v2 frame header carried (v1 carries
-// none); a valid one is adopted so the rpc.serve span — and every handler
-// span under it — exports with the caller's trace ID.
+// place). sc is the span context the frame header carried; a valid one
+// is adopted so the rpc.serve span — and every handler span under it —
+// exports with the caller's trace ID.
 func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte, resp [][]byte) {
 	op, body, err := decodeRequest(payload)
 	if err == nil {
@@ -550,11 +511,10 @@ func (s *Server) Close() {
 type DialFunc func() (net.Conn, error)
 
 // Client issues calls to one server over a bounded pool of connections.
-// Each call reserves a stream on a pooled connection (sharing a v2
-// connection with its siblings, owning a v1 connection outright, or
-// dialling), performs one framed exchange on it, and gives it back. Calls
-// from different goroutines therefore proceed in parallel instead of
-// serialising on a single exchange.
+// Each call reserves a stream on a pooled connection (sharing it with
+// its siblings, or dialling), performs one framed exchange on it, and
+// gives it back. Calls from different goroutines therefore proceed in
+// parallel instead of serialising on a single exchange.
 type Client struct {
 	dial DialFunc
 
@@ -573,17 +533,11 @@ type Client struct {
 	// and spans; nil falls back to the process-wide telemetry.Default().
 	Telemetry *telemetry.Telemetry
 	// Pool bounds the connection pool; the zero value means up to
-	// DefaultMaxConns concurrent connections with no idle reaping.
+	// DefaultMaxConns concurrent connections.
 	Pool PoolConfig
-	// Clock is the time source for call deadlines and idle-conn age
-	// checks (nil = real clock). Tests inject a fake so deadline and
-	// reaping behaviour replays deterministically.
+	// Clock is the time source for call deadlines (nil = real clock).
+	// Tests inject a fake so deadline behaviour replays deterministically.
 	Clock clock.Clock
-	// Version pins the wire protocol: V1 forces classic framing with no
-	// preamble; any other value, 0 and V2 alike, negotiates v2 on every
-	// dial and fails against a peer that cannot speak it. Set before the
-	// first call.
-	Version byte
 	// Addr, when set, is the contact address this client dials, used
 	// purely as the telemetry key for per-address replica health: every
 	// call attempt records a success (with its RTT) or failure sample
@@ -592,7 +546,7 @@ type Client struct {
 	Addr string
 
 	mu      sync.Mutex
-	conns   []*poolConn   // live pooled connections, of either framing
+	conns   []*poolConn   // live pooled connections
 	dialing bool          // a dial is in flight (there is at most one)
 	notify  chan struct{} // closed+replaced when stream capacity frees up
 
@@ -622,7 +576,6 @@ func (c *Client) Configure(cfg Config) *Client {
 	c.Retry = cfg.Retry
 	c.Telemetry = cfg.Telemetry
 	c.Pool = cfg.Pool
-	c.Version = cfg.Version
 	if cfg.Addr != "" {
 		// An empty cfg.Addr preserves an address set at construction
 		// (object.NewClient knows it; a shared Config does not).
@@ -642,9 +595,6 @@ type Config struct {
 	Retry       *RetryPolicy
 	Telemetry   *telemetry.Telemetry
 	Pool        PoolConfig
-	// Version pins the wire protocol (see Client.Version): V1 forces
-	// classic framing, 0 and V2 both negotiate v2.
-	Version byte
 	// Addr labels health samples with the peer's contact address (see
 	// Client.Addr). Empty leaves any address set at construction.
 	Addr string
@@ -708,13 +658,11 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 // Open readies the pool for calls without making one: it reserves a
 // stream, dialling a connection unless a live one is pooled, and gives
 // the stream straight back, leaving the connection warm for the next
-// call. It writes nothing: a negotiating connection's preamble rides its
-// first call (see dialConn), so a dial proves only that the peer accepts
+// call. It writes nothing: a connection's preamble rides its first call
+// (see dialConn), so a dial proves only that the peer accepts
 // connections. Dial failures are retried, and recorded as health
 // failures, as a call's would be; a successful dial records no sample,
-// since its time says nothing about the peer's round trip. With idle
-// pooling disabled (a negative PoolConfig.MaxIdle) the connection closes
-// again at once.
+// since its time says nothing about the peer's round trip.
 func (c *Client) Open(ctx context.Context) error {
 	_, err := c.retrying(ctx, telemetry.Or(c.Telemetry), false, func() (reused bool, err error) {
 		var pc *poolConn

@@ -259,8 +259,8 @@ func (c countingConn) Read(p []byte) (int, error) {
 }
 
 // TestByteCounters holds BytesSent and BytesReceived to what a counting
-// connection saw: every frame byte, headers and the v2 trace extension
-// included, on v1 and v2, traced and untraced. The first call is a
+// connection saw: every frame byte, headers and the trace extension
+// included, traced and untraced. The first call is a
 // warm-up, except in the first-flight row: there the negotiation
 // preamble shares the first frame's write and the accept precedes its
 // response, and neither is a frame, so each side counts 4 bytes fewer
@@ -268,15 +268,12 @@ func (c countingConn) Read(p []byte) (int, error) {
 func TestByteCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		version     byte
 		traced      bool
 		firstFlight bool
 	}{
-		{"v2 untraced", transport.V2, false, false},
-		{"v2 traced", transport.V2, true, false},
-		{"v1 untraced", transport.V1, false, false},
-		{"v1 traced", transport.V1, true, false}, // v1 carries no context: same bytes
-		{"v2 first flight", transport.V2, false, true},
+		{"v2 untraced", false, false},
+		{"v2 traced", true, false},
+		{"v2 first flight", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tel := telemetry.New(nil)
@@ -291,7 +288,7 @@ func TestByteCounters(t *testing.T) {
 					return nil, err
 				}
 				return countingConn{Conn: conn, sent: &sent, received: &received}, nil
-			}).Configure(transport.Config{Telemetry: tel, Version: tc.version})
+			}).Configure(transport.Config{Telemetry: tel})
 			defer c.Close()
 
 			ctx := context.Background()
@@ -332,21 +329,19 @@ func TestByteCounters(t *testing.T) {
 func TestLargeCallAllocatesOnePayload(t *testing.T) {
 	const size = 1 << 20
 	payload := make([]byte, size)
-	for _, version := range []byte{transport.V1, transport.V2} {
-		dial := startServer(t, func(s *transport.Server) {
-			s.Handle("get", func([]byte) ([]byte, error) { return payload, nil })
-		})
-		c := transport.NewClient(dial).Configure(transport.Config{Version: version})
-		t.Cleanup(c.Close)
-		perCall := alloctest.BytesPerRun(t, 20, func() {
-			resp, err := c.Call(context.Background(), "get", nil)
-			if err != nil || len(resp) != size {
-				t.Fatalf("v%d: %d bytes, err %v", version, len(resp), err)
-			}
-		})
-		if ratio := perCall / size; ratio > 1.05 {
-			t.Errorf("v%d: %.0f bytes allocated per 1 MiB call (%.2f per payload byte), want <= 1.05", version, perCall, ratio)
+	dial := startServer(t, func(s *transport.Server) {
+		s.Handle("get", func([]byte) ([]byte, error) { return payload, nil })
+	})
+	c := transport.NewClient(dial)
+	t.Cleanup(c.Close)
+	perCall := alloctest.BytesPerRun(t, 20, func() {
+		resp, err := c.Call(context.Background(), "get", nil)
+		if err != nil || len(resp) != size {
+			t.Fatalf("%d bytes, err %v", len(resp), err)
 		}
+	})
+	if ratio := perCall / size; ratio > 1.05 {
+		t.Errorf("%.0f bytes allocated per 1 MiB call (%.2f per payload byte), want <= 1.05", perCall, ratio)
 	}
 }
 
@@ -357,25 +352,23 @@ func TestLargeCallAllocatesOnePayload(t *testing.T) {
 func TestLargeRequestAllocatesOnePayload(t *testing.T) {
 	const size = 1 << 20
 	body := make([]byte, size)
-	for _, version := range []byte{transport.V1, transport.V2} {
-		dial := startServer(t, func(s *transport.Server) {
-			s.Handle("put", func(b []byte) ([]byte, error) {
-				if len(b) != size {
-					return nil, fmt.Errorf("got %d bytes", len(b))
-				}
-				return nil, nil
-			})
-		})
-		c := transport.NewClient(dial).Configure(transport.Config{Version: version})
-		t.Cleanup(c.Close)
-		perCall := alloctest.BytesPerRun(t, 20, func() {
-			if _, err := c.Call(context.Background(), "put", body); err != nil {
-				t.Fatalf("v%d: %v", version, err)
+	dial := startServer(t, func(s *transport.Server) {
+		s.Handle("put", func(b []byte) ([]byte, error) {
+			if len(b) != size {
+				return nil, fmt.Errorf("got %d bytes", len(b))
 			}
+			return nil, nil
 		})
-		if ratio := perCall / size; ratio > 1.05 {
-			t.Errorf("v%d: %.0f bytes allocated per 1 MiB request (%.2f per payload byte), want <= 1.05", version, perCall, ratio)
+	})
+	c := transport.NewClient(dial)
+	t.Cleanup(c.Close)
+	perCall := alloctest.BytesPerRun(t, 20, func() {
+		if _, err := c.Call(context.Background(), "put", body); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if ratio := perCall / size; ratio > 1.05 {
+		t.Errorf("%.0f bytes allocated per 1 MiB request (%.2f per payload byte), want <= 1.05", perCall, ratio)
 	}
 }
 
