@@ -1,16 +1,17 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short budgets test-perfbench lint fuzz-smoke \
+.PHONY: check vet build test test-short budgets benchmark-smoke test-perfbench lint fuzz-smoke \
 	chaos chaos-short telemetry-smoke trace-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
 ## perfbench module's included), the allocation and retained-heap
-## budgets the race detector skips, fuzz smoke, a -short chaos seed
+## budgets the race detector skips, one run of every Go benchmark, fuzz
+## smoke, a -short chaos seed
 ## sweep, the end-to-end telemetry and distributed-tracing smokes, and
 ## the acceptance gates of the cache, multiplex, traceoverhead, placement
 ## and delta experiments (DESIGN.md §3 has the gate table).
-check: vet lint build test budgets test-perfbench fuzz-smoke chaos-short telemetry-smoke trace-smoke \
+check: vet lint build test budgets benchmark-smoke test-perfbench fuzz-smoke chaos-short telemetry-smoke trace-smoke \
 	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
@@ -49,6 +50,14 @@ test-short:
 budgets:
 	$(GO) test $$($(GO) list -f '{{.ImportPath}} {{.TestImports}} {{.XTestImports}}' ./... \
 		| grep '\[.*globedoc/internal/alloctest' | cut -d' ' -f1)
+
+## benchmark-smoke: every Benchmark function in the module, run once
+## (-benchtime 1x) and no test beside it, so a benchmark that no longer
+## runs fails here rather than when someone next measures with it. Its
+## timings are not read. (Not bench-*: that prefix is the experiment
+## rule's below.)
+benchmark-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## test-perfbench: perfbench/ is its own module, which ./... above does
 ## not reach; an API change that breaks the benchmark fails here.

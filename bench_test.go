@@ -82,7 +82,7 @@ func BenchmarkFig4SecurityOverhead(b *testing.B) {
 				var sumSec, sumTot time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sc.FlushBindings()
+					sc.Close()
 					res, err := sc.Fetch(context.Background(), pub.OID, "image.bin")
 					if err != nil {
 						b.Fatal(err)
@@ -284,7 +284,7 @@ func BenchmarkAblationBindingCache(b *testing.B) {
 		sc := w.NewSecureClient(netsim.Paris)
 		defer sc.Close()
 		for i := 0; i < b.N; i++ {
-			sc.FlushBindings()
+			sc.Close()
 			if _, err := sc.Fetch(context.Background(), pub.OID, "image.bin"); err != nil {
 				b.Fatal(err)
 			}

@@ -89,7 +89,6 @@ func run(listen, namingAddr, rootKeyPath, locAddr, site, caStore string, require
 		Transport: cfg,
 	}
 	opts := core.Options{
-		Retry:           cfg.Retry,
 		CacheBindings:   warm,
 		RequireIdentity: requireID,
 		Telemetry:       tel,

@@ -661,7 +661,7 @@ func TestLocationReorderAndForgeIsOnlyDoS(t *testing.T) {
 		if !genuine[res.ReplicaAddr] {
 			t.Fatalf("fetch %d served from non-genuine replica %s", i, res.ReplicaAddr)
 		}
-		client.FlushBindings()
+		client.Close()
 	}
 
 	// The attack was visible — the rogue's forged metadata got it tried

@@ -227,7 +227,7 @@ func measureFig4Point(w *deploy.World, pub *deploy.Publication, client string, s
 	var securities, totals []time.Duration
 	var sumTiming core.Timing
 	for i := 0; i < iterations; i++ {
-		sc.FlushBindings()
+		sc.Close()
 		if r, ok := sc.Binder.Names.(*naming.Resolver); ok {
 			r.FlushCache()
 		}

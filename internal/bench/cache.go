@@ -124,7 +124,7 @@ func RunCache(cfg Config) (*CacheResult, error) {
 	// enabled) no cached copy of the element.
 	var cold []time.Duration
 	for i := 0; i < cfg.Iterations; i++ {
-		client.FlushBindings()
+		client.Close()
 		if vc != nil {
 			vc.InvalidateOID(pub.OID)
 		}

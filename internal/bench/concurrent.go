@@ -13,6 +13,7 @@ import (
 	"globedoc/internal/netsim"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
+	"globedoc/internal/transport"
 	"globedoc/internal/workload"
 )
 
@@ -70,7 +71,8 @@ type ConcurrentComparison struct {
 //  2. Warm closed loop: the same goroutines fetch back-to-back,
 //     iterations ops each, measuring throughput and tail latency.
 //
-// The client's transport pool is sized to `concurrency` so that the
+// The world's transport pool (deploy.Options.Client.Pool, which the
+// client's binder carries) is sized to `concurrency` so that the
 // in-flight RPC bound never serialises the workload.
 func RunConcurrent(cfg Config, concurrency int) (*ConcurrentResult, error) {
 	cfg = cfg.withDefaults()
@@ -78,7 +80,11 @@ func RunConcurrent(cfg Config, concurrency int) (*ConcurrentResult, error) {
 		concurrency = 1
 	}
 	tel := telemetry.New(nil)
-	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale, Telemetry: tel})
+	w, err := deploy.NewWorld(deploy.Options{
+		TimeScale: cfg.TimeScale,
+		Telemetry: tel,
+		Client:    transport.Config{Pool: transport.PoolConfig{MaxConns: concurrency}},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +102,7 @@ func RunConcurrent(cfg Config, concurrency int) (*ConcurrentResult, error) {
 		return nil, err
 	}
 
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
-		CacheBindings: true,
-		PoolSize:      concurrency,
-	})
+	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true})
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		var samples []time.Duration
 		var charged netsim.Charge
 		for i := 0; i < cfg.Iterations; i++ {
-			c.FlushBindings()
+			c.Close()
 			before := w.Net.Charged()
 			start := now()
 			if err := fetch(i); err != nil {

@@ -266,7 +266,7 @@ func measurePlacementVariant(ctx context.Context, w *deploy.FleetWorld, client s
 	var cold, warm []time.Duration
 	for i := 0; i < cfg.Iterations; i++ {
 		for _, obj := range objects {
-			c.FlushBindings()
+			c.Close()
 			start := now()
 			r, err := c.Fetch(ctx, obj.oid, obj.element)
 			if err != nil {

@@ -78,7 +78,7 @@ func (p *tracePhase) close() {
 
 // fetchCold runs one cold fetch and optionally records its latency.
 func (p *tracePhase) fetchCold(ctx context.Context, record bool) error {
-	p.client.FlushBindings()
+	p.client.Close()
 	start := now()
 	if _, err := p.client.Fetch(ctx, p.oid, "image.bin"); err != nil {
 		return err
@@ -92,6 +92,7 @@ func (p *tracePhase) fetchCold(ctx context.Context, record bool) error {
 func newTracePhase(cfg Config, rate float64) (*tracePhase, error) {
 	clk := clock.NewFake(benchEpoch)
 	tel := telemetry.New(nil)
+	tel.Tracer.SetSampleRate(rate)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: cfg.TimeScale, Telemetry: tel, Clock: clk.Now})
 	if err != nil {
 		return nil, err
@@ -117,7 +118,7 @@ func newTracePhase(cfg Config, rate float64) (*tracePhase, error) {
 		return nil, err
 	}
 	p.oid = pub.OID
-	sc, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Now: clk.Now, TraceSampleRate: &rate})
+	sc, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Now: clk.Now})
 	if err != nil {
 		p.close()
 		return nil, err

@@ -30,8 +30,9 @@ import (
 
 // concurrentWorld publishes one two-element document with replicas at
 // amsterdam-primary and paris, with tight transport deadlines and a
-// retry policy so injected faults cost retries, not hangs.
-func concurrentWorld(t *testing.T) (*deploy.World, *deploy.Publication, *telemetry.Telemetry) {
+// retry policy so injected faults cost retries, not hangs. pool bounds
+// every client's connection pool (0 = transport.DefaultMaxConns).
+func concurrentWorld(t *testing.T, pool int) (*deploy.World, *deploy.Publication, *telemetry.Telemetry) {
 	t.Helper()
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{
@@ -46,6 +47,7 @@ func concurrentWorld(t *testing.T) (*deploy.World, *deploy.Publication, *telemet
 				Multiplier:  2,
 				Jitter:      0.5,
 			},
+			Pool: transport.PoolConfig{MaxConns: pool},
 		},
 		Telemetry: tel,
 	})
@@ -98,11 +100,10 @@ func flightFollowers() int {
 }
 
 func TestConcurrentColdBurstSingleflight(t *testing.T) {
-	w, pub, tel := concurrentWorld(t)
+	w, pub, tel := concurrentWorld(t, 16)
 	release := make(chan struct{})
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
-		PoolSize:      16,
 		Selector:      gatedSelector{release: release},
 	})
 	if err != nil {
@@ -169,7 +170,7 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 	// and liveness, race-clean: every fetch either succeeds with the
 	// published bytes or fails cleanly, and after the crash fetches
 	// recover via the surviving replica.
-	w, pub, _ := concurrentWorld(t)
+	w, pub, _ := concurrentWorld(t, 8)
 	w.Net.SetFaultSeed(20050404)
 	lossy := netsim.FaultPlan{DropProb: 0.05, StallProb: 0.05, Stall: 50 * time.Millisecond}
 	w.Net.SetFaults(netsim.Paris, netsim.Paris, lossy)
@@ -177,7 +178,6 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
-		PoolSize:      8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 				if worker == 0 && r == rounds/3 {
 					// One worker flushes mid-run: later fetches re-bind
 					// cold while others may still be warm.
-					client.FlushBindings()
+					client.Close()
 				}
 				if worker == 1 && r == rounds/2 {
 					// The nearest replica crashes mid-run.
@@ -230,7 +230,7 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 	// succeed via the surviving amsterdam replica.
 	w.Net.SetFaults(netsim.Paris, netsim.Paris, netsim.FaultPlan{})
 	w.Net.SetFaults(netsim.Paris, netsim.AmsterdamPrimary, netsim.FaultPlan{})
-	client.FlushBindings()
+	client.Close()
 	res, err := client.Fetch(context.Background(), pub.OID, "index.html")
 	if err != nil {
 		t.Fatalf("fetch after replica crash and fault clearing: %v", err)
@@ -243,10 +243,9 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 func TestConcurrentFetchAllSharedBinding(t *testing.T) {
 	// FetchAll from many goroutines at once: element fan-out inside each
 	// call, singleflight across calls, one pipeline total.
-	w, pub, tel := concurrentWorld(t)
+	w, pub, tel := concurrentWorld(t, 16)
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
-		PoolSize:      16,
 		FetchWorkers:  4,
 	})
 	if err != nil {
@@ -280,10 +279,9 @@ func TestConcurrentFetchAllSharedBinding(t *testing.T) {
 func TestClosedLoopDriverAgainstWorld(t *testing.T) {
 	// The benchmark's closed-loop driver against a real deployment:
 	// counts must add up and the client must stay race-clean.
-	w, pub, _ := concurrentWorld(t)
+	w, pub, _ := concurrentWorld(t, 4)
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
-		PoolSize:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +307,7 @@ func TestClosedLoopDriverAgainstWorld(t *testing.T) {
 func TestNoConnectionLeakOnColdFetch(t *testing.T) {
 	// A non-caching client owns its binding per fetch: after each fetch
 	// (success or failure) and Close, no pooled connection may survive.
-	w, pub, _ := concurrentWorld(t)
+	w, pub, _ := concurrentWorld(t, 0)
 	// A dedicated telemetry on the binder's transport config isolates
 	// the pool gauge to this client's replica connections.
 	tel := telemetry.New(nil)
@@ -395,7 +393,7 @@ func TestFetchContextCancellationPropagates(t *testing.T) {
 	// until the test releases it, and the binder carries no dial or call
 	// timeouts and no retry policy — the only thing that can unblock the
 	// fetch is the context reaching the transport layer.
-	w, pub, _ := concurrentWorld(t)
+	w, pub, _ := concurrentWorld(t, 0)
 
 	hang := make(chan struct{})
 	t.Cleanup(func() { close(hang) })

@@ -325,7 +325,6 @@ type Client struct {
 	trust           *cert.TrustStore
 	requireIdentity bool
 	cacheBindings   bool
-	retry           *transport.RetryPolicy
 	telem           *telemetry.Telemetry
 	nowFn           func() time.Time
 	fetchWorkers    int
@@ -349,17 +348,15 @@ type bindingEntry struct {
 }
 
 // NewClient returns a security client over binder configured by opts.
-// It rejects nonsense options (negative worker/pool counts, negative
-// timeouts on the binder) with errors wrapping ErrInvalidOptions; the
-// zero Options is always valid. When opts.PoolSize is positive it is
-// installed as the binder's per-replica connection bound before any
-// connection is made.
+// It rejects nonsense options (negative worker or binding counts,
+// negative timeouts or pool bounds on the binder) with errors wrapping
+// ErrInvalidOptions; the zero Options is always valid. The binder's
+// transport config is the one home of the replica connections' retry
+// policy, pool bound and telemetry; NewClient reads it and writes
+// neither it nor the tracer.
 func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 	if err := opts.validate(binder); err != nil {
 		return nil, err
-	}
-	if opts.PoolSize > 0 {
-		binder.Transport.Pool.MaxConns = opts.PoolSize
 	}
 	nowFn := opts.Now
 	if nowFn == nil {
@@ -377,9 +374,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		tel := telemetry.Or(opts.Telemetry)
 		opts.VCache.WireMetrics(tel.VCacheEvictions, tel.SigCacheHits)
 	}
-	if opts.TraceSampleRate != nil {
-		telemetry.Or(opts.Telemetry).Tracer.SetSampleRate(*opts.TraceSampleRate)
-	}
 	selector := opts.Selector
 	if selector == nil {
 		selector = HealthRankedSelector{}
@@ -389,7 +383,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		trust:           opts.Trust,
 		requireIdentity: opts.RequireIdentity,
 		cacheBindings:   opts.CacheBindings,
-		retry:           opts.Retry,
 		telem:           opts.Telemetry,
 		nowFn:           nowFn,
 		fetchWorkers:    workers,
@@ -402,10 +395,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		flights:         make(map[globeid.OID]*flight),
 	}, nil
 }
-
-// CachesBindings reports whether verified bindings are kept warm across
-// fetches (Options.CacheBindings).
-func (c *Client) CachesBindings() bool { return c.cacheBindings }
 
 func (c *Client) tel() *telemetry.Telemetry { return telemetry.Or(c.telem) }
 
@@ -430,14 +419,10 @@ func (c *Client) Close() {
 	c.tel().BindingCacheEntries.Set(0)
 }
 
-// FlushBindings drops cached bindings (cold-path benchmarks).
-func (c *Client) FlushBindings() { c.Close() }
-
 // FetchNamed securely fetches one element of the object bound to name.
 // ctx cancels name resolution, binding establishment and the element
 // transfer.
 func (c *Client) FetchNamed(ctx context.Context, name, element string) (FetchResult, error) {
-	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanSecureFetch)
 	p.root.Annotate("object", name)
 	p.root.Annotate("element", element)
@@ -456,19 +441,10 @@ func (c *Client) FetchNamed(ctx context.Context, name, element string) (FetchRes
 
 // Fetch securely fetches one element of the object identified by oid.
 func (c *Client) Fetch(ctx context.Context, oid globeid.OID, element string) (FetchResult, error) {
-	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanSecureFetch)
 	p.root.Annotate("oid", oid.Short())
 	p.root.Annotate("element", element)
 	return c.finishFetch(ctx, p, oid, element)
-}
-
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		//lint:ignore ctxfirst nil-ctx compatibility: legacy callers predate the ctx-first API and a nil ctx must mean "no cancellation", not a panic
-		return context.Background()
-	}
-	return ctx
 }
 
 // newPipeline starts the root span of one client operation and threads
@@ -737,11 +713,12 @@ func checkPhase(err error) string {
 	return ""
 }
 
-// refresh reruns the plan through Options.Retry, by default two attempts
-// without delay. A security failure inside a rerun — a fresh certificate
-// that is *still* stale, say — is permanent: the policy stops there.
+// refresh reruns the plan through the binder's retry policy
+// (Binder.Transport.Retry), by default two attempts without delay. A
+// security failure inside a rerun — a fresh certificate that is *still*
+// stale, say — is permanent: the policy stops there.
 func (c *Client) refresh(ctx context.Context, p *pipeline, pl *fetchPlan, excluded map[string]bool) error {
-	policy := c.retry
+	policy := c.Binder.Transport.Retry
 	if policy == nil {
 		policy = &transport.RetryPolicy{MaxAttempts: 2}
 	}
@@ -1225,7 +1202,6 @@ func (c *Client) dropBinding(oid globeid.OID, vb *verifiedBinding) {
 // certificate's entries — the authenticated table of contents of the
 // object. No element content is transferred.
 func (c *Client) ElementsNamed(ctx context.Context, name string) ([]cert.ElementEntry, error) {
-	ctx = orBackground(ctx)
 	oid, err := c.Binder.Names.Resolve(ctx, name)
 	if err != nil {
 		return nil, fmt.Errorf("core: resolving %q: %w", name, err)
@@ -1235,7 +1211,6 @@ func (c *Client) ElementsNamed(ctx context.Context, name string) ([]cert.Element
 
 // Elements returns the verified certificate entries for oid.
 func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementEntry, error) {
-	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanElements)
 	p.root.Annotate("oid", oid.Short())
 	b, _, err := c.bind(ctx, p, &fetchPlan{oid: oid}, c.now(), nil)
@@ -1256,7 +1231,6 @@ func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementE
 // worker pool (Options.FetchWorkers); when the plan finally fails, the
 // ordered prefix of verified elements is returned alongside the error.
 func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, error) {
-	ctx = orBackground(ctx)
 	ctx, p := c.newPipeline(ctx, SpanFetchAll)
 	p.root.Annotate("oid", oid.Short())
 	pl := fetchPlan{oid: oid, all: true}

@@ -122,7 +122,7 @@ func TestWarmBindingCache(t *testing.T) {
 	if second.Timing.KeyFetch != 0 || second.Timing.CertFetch != 0 || second.Timing.Bind != 0 {
 		t.Errorf("warm timing = %+v", second.Timing)
 	}
-	client.FlushBindings()
+	client.Close()
 	third, err := client.Fetch(context.Background(), pub.OID, "index.html")
 	if err != nil {
 		t.Fatal(err)

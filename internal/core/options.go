@@ -28,10 +28,13 @@ const DefaultMaxBindings = 256
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // Options configures a Client at construction. The zero value is valid:
-// no identity certification, cold bindings on every fetch, legacy retry
-// semantics, default telemetry, the real clock, and default concurrency
-// bounds. Zero-valued knobs mean "use the documented default"; negative
-// values are rejected by NewClient.
+// no identity certification, cold bindings on every fetch, default
+// telemetry, the real clock, and default concurrency bounds. Zero-valued
+// knobs mean "use the documented default"; negative values are rejected
+// by NewClient. The replica connections' retry policy (which also bounds
+// a warm binding's certificate refresh) and pool bound live on the
+// binder's transport config, and the trace sample rate on the
+// telemetry's tracer.
 type Options struct {
 	// Trust is the user's trusted-CA store; nil disables the identity
 	// step entirely.
@@ -46,11 +49,6 @@ type Options struct {
 	// Singleflight deduplication of binding establishment requires it
 	// (a shared pipeline run is only useful if its result is shareable).
 	CacheBindings bool
-	// Retry governs how often an expired cached certificate is
-	// refreshed before giving up (the re-bind after a freshness failure
-	// on a warm binding). Nil means one refresh attempt, the historical
-	// behaviour.
-	Retry *transport.RetryPolicy
 	// Telemetry receives the pipeline spans, cache/failover counters and
 	// latency histograms; nil falls back to telemetry.Default().
 	Telemetry *telemetry.Telemetry
@@ -61,11 +59,6 @@ type Options struct {
 	// parallel. 0 means DefaultFetchWorkers; 1 restores the serial
 	// behaviour.
 	FetchWorkers int
-	// PoolSize bounds each replica connection pool (concurrent in-flight
-	// RPCs per replica); it is applied to the binder's transport config
-	// before any connection is made. 0 keeps the binder's own setting
-	// (transport.DefaultMaxConns when that too is zero).
-	PoolSize int
 	// DisableBatchFetch makes FetchAll retrieve every element with a warm
 	// obj.bind of its own instead of carrying them all in one exchange —
 	// the serial-RPC ablation the multiplex benchmark compares against.
@@ -87,13 +80,6 @@ type Options struct {
 	// zone (rank by measured RTT and failure evidence alone);
 	// OrderedSelector restores the pre-selector location-order behaviour.
 	Selector Selector
-	// TraceSampleRate, when non-nil, configures head-based trace sampling
-	// on the client's tracer: the fraction of new traces exported, in
-	// [0, 1]. The decision is made once per trace at the root span and
-	// propagated with the trace context, so client and server export the
-	// same traces; spans recording errors export regardless. Nil leaves
-	// the tracer as-is (an unconfigured tracer samples everything).
-	TraceSampleRate *float64
 }
 
 // validate rejects nonsense configurations with errors that name the
@@ -106,17 +92,9 @@ func (o Options) validate(binder *object.Binder) error {
 		return fmt.Errorf("%w: FetchWorkers %d is negative (0 means the default %d, 1 means serial)",
 			ErrInvalidOptions, o.FetchWorkers, DefaultFetchWorkers)
 	}
-	if o.PoolSize < 0 {
-		return fmt.Errorf("%w: PoolSize %d is negative (0 means the default %d)",
-			ErrInvalidOptions, o.PoolSize, transport.DefaultMaxConns)
-	}
 	if o.MaxBindings < 0 {
 		return fmt.Errorf("%w: MaxBindings %d is negative (0 means the default %d)",
 			ErrInvalidOptions, o.MaxBindings, DefaultMaxBindings)
-	}
-	if r := o.TraceSampleRate; r != nil && (*r < 0 || *r > 1) {
-		return fmt.Errorf("%w: TraceSampleRate %v outside [0, 1] (nil means sample everything)",
-			ErrInvalidOptions, *r)
 	}
 	if binder.Transport.DialTimeout < 0 {
 		return fmt.Errorf("%w: binder dial timeout %v is negative (0 means unbounded)",

@@ -18,17 +18,25 @@ import (
 	"globedoc/internal/document"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
+	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
 
 // staleWorld publishes a one-minute-TTL document, warms a binding and
 // moves the client clock past expiry WITHOUT reissuing — so the cached
 // certificate is stale and every refreshed copy the server can offer is
-// equally stale.
-func staleWorld(t *testing.T, retry *transport.RetryPolicy) (*deploy.World, *core.Client) {
+// equally stale. retry is the world's transport retry policy, which the
+// client's binder carries and its certificate refresh follows.
+func staleWorld(t *testing.T, retry *transport.RetryPolicy) (*deploy.World, *core.Client, *telemetry.Telemetry) {
 	t.Helper()
-	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	tel := telemetry.New(nil)
+	w, err := deploy.NewWorld(deploy.Options{
+		TimeScale: 0,
+		Telemetry: tel,
+		Client:    transport.Config{Retry: retry},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +54,6 @@ func staleWorld(t *testing.T, retry *transport.RetryPolicy) (*deploy.World, *cor
 	warmed := false
 	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
 		CacheBindings: true,
-		Retry:         retry,
 		Now: func() time.Time {
 			if warmed {
 				return later
@@ -63,14 +70,20 @@ func staleWorld(t *testing.T, retry *transport.RetryPolicy) (*deploy.World, *cor
 		t.Fatal(err)
 	}
 	warmed = true
-	return w, client
+	return w, client, tel
+}
+
+// bindsServed counts the obj.bind requests the world's servers answered,
+// whatever their outcome: every certificate refetch is one of them.
+func bindsServed(tel *telemetry.Telemetry) uint64 {
+	return tel.RPCServed.With(object.OpBind, "ok").Value() + tel.RPCServed.With(object.OpBind, "error").Value()
 }
 
 func TestDoubleStaleCertificateFailsCleanly(t *testing.T) {
-	w, client := staleWorld(t, nil)
+	w, client, tel := staleWorld(t, nil)
 	pubOID := w.Servers[netsim.AmsterdamPrimary].Hosted()[0]
 
-	before := w.Servers[netsim.AmsterdamPrimary].Stats().CertFetches
+	before := bindsServed(tel)
 	start := time.Now()
 	_, err := client.Fetch(context.Background(), pubOID, "a.html")
 	elapsed := time.Since(start)
@@ -89,9 +102,9 @@ func TestDoubleStaleCertificateFailsCleanly(t *testing.T) {
 	// The refresh is Permanent-wrapped on security failure, so the
 	// policy must not spin: a handful of certificate fetches, not a
 	// retry storm.
-	after := w.Servers[netsim.AmsterdamPrimary].Stats().CertFetches
+	after := bindsServed(tel)
 	if refetches := after - before; refetches > 3 {
-		t.Errorf("server saw %d certificate refetches, want <= 3", refetches)
+		t.Errorf("server answered %d binds, want <= 3 certificate refetches", refetches)
 	}
 }
 
@@ -100,10 +113,10 @@ func TestDoubleStaleStopsEvenWithAggressiveRetryPolicy(t *testing.T) {
 	// permanent, so the refresh loop stops after the first refreshed
 	// certificate also fails freshness.
 	policy := &transport.RetryPolicy{MaxAttempts: 10}
-	w, client := staleWorld(t, policy)
+	w, client, tel := staleWorld(t, policy)
 	pubOID := w.Servers[netsim.AmsterdamPrimary].Hosted()[0]
 
-	before := w.Servers[netsim.AmsterdamPrimary].Stats().CertFetches
+	before := bindsServed(tel)
 	_, err := client.Fetch(context.Background(), pubOID, "a.html")
 	if err == nil {
 		t.Fatal("fetch succeeded with a doubly-stale certificate")
@@ -111,9 +124,9 @@ func TestDoubleStaleStopsEvenWithAggressiveRetryPolicy(t *testing.T) {
 	if !errors.Is(err, core.ErrSecurityCheckFailed) {
 		t.Errorf("err = %v, want ErrSecurityCheckFailed", err)
 	}
-	after := w.Servers[netsim.AmsterdamPrimary].Stats().CertFetches
+	after := bindsServed(tel)
 	if refetches := after - before; refetches > 3 {
-		t.Errorf("server saw %d certificate refetches despite permanent failure, want <= 3", refetches)
+		t.Errorf("server answered %d binds despite permanent failure, want <= 3 certificate refetches", refetches)
 	}
 }
 
@@ -123,7 +136,7 @@ func TestWarmRefreshRetriesThroughPolicyOnDeadReplica(t *testing.T) {
 	// its retry policy against the dead replica and return a transport
 	// error — bounded, not hanging.
 	policy := &transport.RetryPolicy{MaxAttempts: 3}
-	w, client := staleWorld(t, policy)
+	w, client, _ := staleWorld(t, policy)
 	pubOID := w.Servers[netsim.AmsterdamPrimary].Hosted()[0]
 
 	// The replica crashes: its connections reset and no dial reaches it.

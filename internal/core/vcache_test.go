@@ -102,7 +102,7 @@ func TestVCacheHitSkipsElementTransfer(t *testing.T) {
 	if first.FromCache {
 		t.Fatal("cold fetch reported FromCache")
 	}
-	served := w.Servers[netsim.AmsterdamPrimary].Stats().ElementFetches
+	served := w.Servers[netsim.AmsterdamPrimary].ReadCount(pub.OID)
 
 	second, err := client.Fetch(ctx, pub.OID, "index.html")
 	if err != nil {
@@ -117,7 +117,7 @@ func TestVCacheHitSkipsElementTransfer(t *testing.T) {
 	if second.Element.ContentType != "text/html" {
 		t.Fatalf("cached ContentType = %q", second.Element.ContentType)
 	}
-	if got := w.Servers[netsim.AmsterdamPrimary].Stats().ElementFetches; got != served {
+	if got := w.Servers[netsim.AmsterdamPrimary].ReadCount(pub.OID); got != served {
 		t.Fatalf("cache hit still moved element bytes: server served %d -> %d", served, got)
 	}
 	if second.Timing.ElementFetch != 0 {
@@ -221,7 +221,7 @@ func TestVCacheSignatureMemoized(t *testing.T) {
 	}
 	// A second cold pipeline re-verifies the same certificate signature;
 	// the memoizer serves the verdict without re-running the crypto.
-	client.FlushBindings()
+	client.Close()
 	if _, err := client.Fetch(ctx, pub.OID, "index.html"); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestVCacheRevalidationFetchesCertOnly(t *testing.T) {
 	if err := w.Reissue(pub, time.Hour, clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	served := w.Servers[netsim.AmsterdamPrimary].Stats().ElementFetches
+	served := w.Servers[netsim.AmsterdamPrimary].ReadCount(pub.OID)
 
 	second, err := client.Fetch(ctx, pub.OID, "index.html")
 	if err != nil {
@@ -257,7 +257,7 @@ func TestVCacheRevalidationFetchesCertOnly(t *testing.T) {
 	if string(second.Element.Data) != string(first.Element.Data) {
 		t.Fatalf("revalidated bytes %q != original %q", second.Element.Data, first.Element.Data)
 	}
-	if got := w.Servers[netsim.AmsterdamPrimary].Stats().ElementFetches; got != served {
+	if got := w.Servers[netsim.AmsterdamPrimary].ReadCount(pub.OID); got != served {
 		t.Fatalf("revalidation moved element bytes: server served %d -> %d", served, got)
 	}
 	if tel.VCacheRevalidations.Value() != 1 {
@@ -307,7 +307,7 @@ func TestVCacheLosesToRevocation(t *testing.T) {
 	if err := w.Reissue(pub, time.Hour, clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	client.FlushBindings()
+	client.Close()
 
 	second, err := client.Fetch(ctx, pub.OID, "index.html")
 	if err != nil {
@@ -468,7 +468,7 @@ func TestOneRejectionPhasePerCause(t *testing.T) {
 					clk.Advance(2 * time.Minute)
 
 					srv := w.Servers[netsim.AmsterdamPrimary]
-					transfers := srv.Stats().ElementFetches
+					transfers := srv.ReadCount(pub.OID)
 					_, err = op.run(ctx, client, pub.OID, "index.html")
 					var sec *core.SecurityError
 					if !errors.As(err, &sec) || sec.Phase != "freshness" {
@@ -480,7 +480,7 @@ func TestOneRejectionPhasePerCause(t *testing.T) {
 					if n := tel.SecurityCheckFailures.With("freshness").Value(); n != 1 {
 						t.Errorf("security_check_failures_total{phase=\"freshness\"} = %d, want 1", n)
 					}
-					if got := srv.Stats().ElementFetches; got != transfers {
+					if got := srv.ReadCount(pub.OID); got != transfers {
 						t.Errorf("a stale certificate moved %d element transfers, want 0", got-transfers)
 					}
 				})

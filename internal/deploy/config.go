@@ -23,7 +23,9 @@ import (
 // sets a transport.RetryPolicy of that many attempts with backoff;
 // Retries of 1 or less sets none, which still leaves the transport's
 // own rule: a call that failed on a reused pooled connection is re-sent
-// once, at once, on a fresh dial.
+// once, at once, on a fresh dial. The policy also bounds a secure
+// client's re-binds when a warm binding's certificate lapses (two
+// attempts when there is none).
 type ClientFlags struct {
 	DialTimeout time.Duration
 	CallTimeout time.Duration
@@ -43,7 +45,7 @@ func RegisterClientFlags(fs *flag.FlagSet) *ClientFlags {
 	fs.DurationVar(&f.CallTimeout, "call-timeout", 10*time.Second,
 		"per-RPC deadline, send through receive (0 = unbounded)")
 	fs.IntVar(&f.Retries, "retries", 3,
-		"attempts per RPC against a flaky replica, with backoff (1 = no retry policy: only a call that failed on a reused pooled connection is re-sent, once, on a fresh dial)")
+		"attempts per RPC against a flaky replica, with backoff, and per certificate refresh of a warm binding (1 = no retry policy: only a call that failed on a reused pooled connection is re-sent, once, on a fresh dial, and a refresh re-binds at most twice)")
 	return f
 }
 
@@ -66,11 +68,10 @@ func (f *ClientFlags) Config(tel *telemetry.Telemetry) transport.Config {
 // verified-content cache (size and signature-memo bounds, or disabled
 // entirely for ablation runs) and the binding-cache bound.
 type CacheFlags struct {
-	DisableVCache     bool
-	DisableBatchFetch bool
-	VCacheMaxBytes    int64
-	VCacheMaxSigs     int
-	MaxBindings       int
+	DisableVCache  bool
+	VCacheMaxBytes int64
+	VCacheMaxSigs  int
+	MaxBindings    int
 }
 
 // RegisterCacheFlags registers the shared caching flags on fs (nil =
@@ -83,8 +84,6 @@ func RegisterCacheFlags(fs *flag.FlagSet) *CacheFlags {
 	f := &CacheFlags{}
 	fs.BoolVar(&f.DisableVCache, "disable-vcache", false,
 		"disable the verified-content cache (every fetch re-transfers and re-verifies)")
-	fs.BoolVar(&f.DisableBatchFetch, "disable-batch-fetch", false,
-		"disable batched element fetch (whole-object fetches issue one obj.bind per element)")
 	fs.Int64Var(&f.VCacheMaxBytes, "vcache-max-bytes", 0,
 		"verified-content cache byte budget (0 = default 64 MiB)")
 	fs.IntVar(&f.VCacheMaxSigs, "vcache-max-signatures", 0,
@@ -104,7 +103,6 @@ func (f *CacheFlags) Apply(opts *core.Options) {
 			MaxSignatures: f.VCacheMaxSigs,
 		})
 	}
-	opts.DisableBatchFetch = f.DisableBatchFetch
 	opts.MaxBindings = f.MaxBindings
 }
 

@@ -240,12 +240,14 @@ func (w *World) NewSecureClient(host string) *core.Client {
 }
 
 // NewSecureClientOpts assembles a security client for a user at host with
-// caller-chosen options. World defaults (the run's retry policy and
-// telemetry, trust in the world CA) fill any option left zero.
+// caller-chosen options. World defaults (the run's telemetry, trust in
+// the world CA, a selector zoned to host) fill any option left zero. The
+// client's binder carries the world's transport config
+// (Options.Client): its retry policy, which also bounds a warm binding's
+// certificate refresh, and its pool bound. A caller wanting other
+// settings sets them there, or on the returned client's Binder before
+// the first fetch.
 func (w *World) NewSecureClientOpts(host string, opts core.Options) (*core.Client, error) {
-	if opts.Retry == nil {
-		opts.Retry = w.opts.Client.Retry
-	}
 	if opts.Telemetry == nil {
 		opts.Telemetry = w.opts.Telemetry
 	}

@@ -198,7 +198,7 @@ func TestFleetSelectorReranksAwayFromDegradedReplica(t *testing.T) {
 	var bound string
 	for i := 0; i < 3; i++ {
 		bound = fetch(i)
-		client.FlushBindings()
+		client.Close()
 	}
 
 	// Degrade: the bound replica dies. The next establishment still ranks
@@ -212,7 +212,7 @@ func TestFleetSelectorReranksAwayFromDegradedReplica(t *testing.T) {
 		if got := fetch(100 + i); got == bound {
 			t.Fatalf("fetch %d still served by dead replica %s", i, bound)
 		}
-		client.FlushBindings()
+		client.Close()
 	}
 
 	// Fetches kept succeeding; the failover cost is bounded: the retry

@@ -151,7 +151,7 @@ func TestGrandIntegrationScenario(t *testing.T) {
 	if err != nil || !pulled {
 		t.Fatalf("pull = %v, %v", pulled, err)
 	}
-	secure.FlushBindings() // drop the cached pre-update binding
+	secure.Close() // drop the cached pre-update binding
 	resp, storyBody = fetch("story.vu.nl", "text.html")
 	if !strings.Contains(storyBody, "v2") {
 		t.Fatalf("story after update = %q (from %s)", storyBody, resp.Header.Get(proxy.HeaderReplica))
@@ -175,7 +175,7 @@ func TestGrandIntegrationScenario(t *testing.T) {
 		location.ContactAddress{Address: "paris:evil", Protocol: object.Protocol}); err != nil {
 		t.Fatal(err)
 	}
-	secure.FlushBindings()
+	secure.Close()
 	resp, storyBody = fetch("story.vu.nl", "text.html")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status with poisoned location = %s", resp.Status)
@@ -187,7 +187,7 @@ func TestGrandIntegrationScenario(t *testing.T) {
 	// 5. The paris object server crashes; fetches transparently fail
 	// over to the primary (and the evil replica keeps being rejected).
 	parisSrv.Close()
-	secure.FlushBindings()
+	secure.Close()
 	resp, storyBody = fetch("story.vu.nl", "text.html")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(storyBody, "v2") {
 		t.Fatalf("after crash: %s %q", resp.Status, storyBody)

@@ -182,9 +182,6 @@ type Resolver struct {
 
 	mu    sync.Mutex
 	cache map[string]cacheEntry
-	// Hits and Misses count cache outcomes, for the binding-cache
-	// ablation benchmark.
-	Hits, Misses uint64
 }
 
 type cacheEntry struct {
@@ -213,8 +210,8 @@ func (r *Resolver) Configure(cfg transport.Config) *Resolver {
 	return r
 }
 
-// Transport exposes the underlying RPC client so callers can inspect
-// retry counters or tune it directly.
+// Transport exposes the underlying RPC client, for callers that issue
+// naming operations other than Resolve over it.
 func (r *Resolver) Transport() *transport.Client { return r.client }
 
 // Resolve returns the verified OID bound to name, consulting the cache
@@ -223,11 +220,9 @@ func (r *Resolver) Resolve(ctx context.Context, name string) (globeid.OID, error
 	now := r.Now()
 	r.mu.Lock()
 	if e, ok := r.cache[name]; ok && now.Before(e.expires) {
-		r.Hits++
 		r.mu.Unlock()
 		return e.oid, nil
 	}
-	r.Misses++
 	r.mu.Unlock()
 
 	w := enc.NewWriter(len(name) + 8)

@@ -8,6 +8,8 @@ import (
 	"globedoc/internal/keys"
 	"globedoc/internal/naming"
 	"globedoc/internal/netsim"
+	"globedoc/internal/telemetry"
+	"globedoc/internal/transport"
 )
 
 // startNamingService runs a naming service on the simulated testbed and
@@ -54,6 +56,11 @@ func TestResolverCaches(t *testing.T) {
 	n := netsim.PaperTestbed(0)
 	defer n.Close()
 	r, auth := startNamingService(t, n, netsim.Ithaca)
+	// A cached resolve makes no call: rpc_calls_total{op="name.resolve"}
+	// counts the cache misses.
+	tel := telemetry.New(nil)
+	r.Configure(transport.Config{Telemetry: tel})
+	resolves := tel.RPCCalls.With(naming.OpResolve, "ok")
 	auth.Register("cached.nl", testOID(32))
 
 	if _, err := r.Resolve(context.Background(), "cached.nl"); err != nil {
@@ -62,15 +69,15 @@ func TestResolverCaches(t *testing.T) {
 	if _, err := r.Resolve(context.Background(), "cached.nl"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Hits != 1 || r.Misses != 1 {
-		t.Errorf("Hits=%d Misses=%d, want 1/1", r.Hits, r.Misses)
+	if got := resolves.Value(); got != 1 {
+		t.Errorf("two resolves made %d calls, want 1 (one miss, one hit)", got)
 	}
 	r.FlushCache()
 	if _, err := r.Resolve(context.Background(), "cached.nl"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Misses != 2 {
-		t.Errorf("Misses after flush = %d, want 2", r.Misses)
+	if got := resolves.Value(); got != 2 {
+		t.Errorf("calls after flush = %d, want 2", got)
 	}
 }
 

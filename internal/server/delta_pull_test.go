@@ -133,10 +133,10 @@ func TestPullerDeltaChainExtendsAcrossSeveralVersions(t *testing.T) {
 
 func TestPullerFallsBackOnDecline(t *testing.T) {
 	w, pub, puller := deltaWorld(t)
-	// Shrink the primary's retention so the secondary's have-version is
+	// Outrun the primary's retention so the secondary's have-version is
 	// evicted before it checks.
-	w.Servers[netsim.AmsterdamPrimary].VersionRetention = 1
-	for i := 2; i <= 4; i++ {
+	const last = server.DefaultVersionRetention + 2
+	for i := 2; i <= last; i++ {
 		pub.Doc.Put(document.Element{Name: "index.html", Data: []byte(fmt.Sprintf("v%d", i))})
 		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
 			t.Fatal(err)
@@ -158,8 +158,8 @@ func TestPullerFallsBackOnDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range sb.Elements {
-		if e.Name == "index.html" && string(e.Data) != "v4" {
-			t.Fatalf("secondary at %q after fallback, want v4", e.Data)
+		if want := fmt.Sprintf("v%d", last); e.Name == "index.html" && string(e.Data) != want {
+			t.Fatalf("secondary at %q after fallback, want %s", e.Data, want)
 		}
 	}
 }

@@ -114,22 +114,22 @@ func TestRetainedHeapTracksStoredBytes(t *testing.T) {
 // previous one (which would pin evicted versions), and VersionChain
 // still reports retention headers.
 func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
+	const retention = DefaultVersionRetention
 	s, oid, owner := newWireServer(t, 64)
-	s.VersionRetention = 3
 	h, err := s.replica(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := mustVersion(t, s, oid)
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= retention+2; i++ {
 		before := h.versions()
 		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
 		after := h.versions()
 		if &before[0] == &after[0] {
 			t.Fatalf("update %d reused the previous chain's backing array", i)
 		}
-		if cap(after) > s.VersionRetention {
-			t.Fatalf("update %d: chain capacity %d exceeds retention %d", i, cap(after), s.VersionRetention)
+		if cap(after) > retention {
+			t.Fatalf("update %d: chain capacity %d exceeds retention %d", i, cap(after), retention)
 		}
 	}
 	chain := h.versions()
@@ -148,15 +148,15 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(headers) != s.VersionRetention {
-		t.Fatalf("VersionChain returned %d headers, want retention %d", len(headers), s.VersionRetention)
+	if len(headers) != retention {
+		t.Fatalf("VersionChain returned %d headers, want retention %d", len(headers), retention)
 	}
 	// A retained base still yields a delta.
 	d, err := s.DeltaSince(oid, headers[0].Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FullRequired || len(d.Headers) != s.VersionRetention {
+	if d.FullRequired || len(d.Headers) != retention {
 		t.Fatalf("delta from the oldest retained version: FullRequired=%v, %d headers", d.FullRequired, len(d.Headers))
 	}
 }

@@ -134,16 +134,6 @@ func buildWire(b *Bundle, leaves map[string][globeid.Size]byte, prev *versionSna
 	return w
 }
 
-// Stats are cumulative per-category request counters, split the way the
-// paper's Figure 4 instrumentation splits time: security-specific
-// operations (key and certificate retrieval) versus data operations.
-type Stats struct {
-	KeyFetches     uint64
-	CertFetches    uint64
-	ElementFetches uint64
-	BytesServed    uint64
-}
-
 // Server is a Globe object server.
 type Server struct {
 	// Name identifies the server principal (for peer keystores).
@@ -155,11 +145,6 @@ type Server struct {
 	identity *keys.KeyPair // the server's own key pair (for pushing to peers)
 	limits   Limits
 
-	// VersionRetention caps how many versions of each hosted replica are
-	// retained for delta serving (0 = DefaultVersionRetention). Set
-	// before the server starts hosting replicas.
-	VersionRetention int
-
 	mu     sync.RWMutex
 	hosted map[globeid.OID]*hostedReplica
 	bytes  int64
@@ -168,11 +153,6 @@ type Server struct {
 	nonces  map[string][]byte
 
 	srv *transport.Server
-
-	statKeyFetches     atomic.Uint64
-	statCertFetches    atomic.Uint64
-	statElementFetches atomic.Uint64
-	statBytesServed    atomic.Uint64
 
 	// AccessObserver, if set, is called for every element read with the
 	// client's advisory site hint (empty when unknown); dynamic
@@ -225,16 +205,6 @@ func (s *Server) Start(l net.Listener) { s.srv.Start(l) }
 
 // Close shuts the server down.
 func (s *Server) Close() { s.srv.Close() }
-
-// Stats returns a snapshot of the request counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		KeyFetches:     s.statKeyFetches.Load(),
-		CertFetches:    s.statCertFetches.Load(),
-		ElementFetches: s.statElementFetches.Load(),
-		BytesServed:    s.statBytesServed.Load(),
-	}
-}
 
 // Hosted returns the OIDs of all hosted replicas, sorted by string form.
 func (s *Server) Hosted() []globeid.OID {
@@ -312,7 +282,7 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	if s.limits.MaxBytes > 0 && s.bytes+growth > s.limits.MaxBytes {
 		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
 	}
-	chain, err := appendVersion(old, b, s.retention())
+	chain, err := appendVersion(old, b, DefaultVersionRetention)
 	if err != nil {
 		return err
 	}
@@ -382,7 +352,6 @@ func (s *Server) handleGetKey(ctx context.Context, body []byte) ([][]byte, error
 	if err != nil {
 		return nil, err
 	}
-	s.statKeyFetches.Add(1)
 	return h.head().wire.key[:], nil
 }
 
@@ -391,19 +360,16 @@ func (s *Server) handleGetCert(ctx context.Context, body []byte) ([][]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	s.statCertFetches.Add(1)
 	return h.head().wire.icert[:], nil
 }
 
-// serveElement records stats, fires the access observer and emits the
-// per-element payload-serve span common to the single and batched
-// element paths.
-func (s *Server) serveElement(ctx context.Context, h *hostedReplica, name, fromSite string, size int) {
+// serveElement counts the replica's read (ReadCount), fires the access
+// observer and emits the per-element payload-serve span common to the
+// single and batched element paths.
+func (s *Server) serveElement(ctx context.Context, h *hostedReplica, name, fromSite string) {
 	sp := telemetry.Or(s.srv.Telemetry).Tracer.StartSpanFrom("serve.element", telemetry.SpanContextFrom(ctx))
 	sp.Annotate("element", name)
 	h.reads.Add(1)
-	s.statElementFetches.Add(1)
-	s.statBytesServed.Add(uint64(size))
 	if obs := s.AccessObserver; obs != nil {
 		obs(h.oid, name, fromSite)
 	}
@@ -423,7 +389,7 @@ func (s *Server) handleGetElement(ctx context.Context, body []byte) ([][]byte, e
 	if !ok {
 		return nil, errNoSuchElement(name)
 	}
-	s.serveElement(ctx, h, name, fromSite, p.size)
+	s.serveElement(ctx, h, name, fromSite)
 	return [][]byte{p.wire}, nil
 }
 
@@ -461,11 +427,8 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) 
 	switch {
 	case req.Have == [globeid.Size]byte{}:
 		key, icert = v.wire.key[0], v.wire.icert[0]
-		s.statKeyFetches.Add(1)
-		s.statCertFetches.Add(1)
 	case req.Have != v.header.CertHash:
 		icert = v.wire.icert[0]
-		s.statCertFetches.Add(1)
 	}
 	if req.NameCerts {
 		nameCerts = v.wire.nameCerts[0]
@@ -482,8 +445,8 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) 
 // that cannot be served are declined one by one: an unknown name, an
 // element whose certificate entry is not fresh at the client's clock
 // reading at (when at is set), or one that would take the reply past the
-// frame budget, of which used bytes are already spoken for. Per-element
-// stats and the access observer fire for every carried element exactly
+// frame budget, of which used bytes are already spoken for. The read
+// count and the access observer fire for every carried element exactly
 // as they do for serial fetches.
 func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot, names []string, fromSite string, at time.Time, used int) []object.BatchWireItem {
 	const budget = transport.MaxFrame - 64*1024 // headroom for item framing
@@ -501,7 +464,7 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 		default:
 			it.Wire = p.wire
 			used += len(p.wire)
-			s.serveElement(ctx, h, name, fromSite, p.size)
+			s.serveElement(ctx, h, name, fromSite)
 		}
 		items = append(items, it)
 	}

@@ -14,6 +14,7 @@ import (
 	"globedoc/internal/netsim"
 	"globedoc/internal/object"
 	"globedoc/internal/server"
+	"globedoc/internal/telemetry"
 )
 
 var t0 = time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
@@ -96,6 +97,8 @@ func TestUnmarshalBundleRejectsGarbage(t *testing.T) {
 func TestInstallAndServePublicOps(t *testing.T) {
 	owner := keytest.Ed()
 	srv := server.New("srv", "amsterdam-primary", keys.NewKeystore(), nil, server.Limits{})
+	tel := telemetry.New(nil)
+	srv.SetTelemetry(tel)
 	b := makeBundle(t, owner, map[string][]byte{"index.html": []byte("<html>home</html>")})
 	if err := srv.Install(b, "owner"); err != nil {
 		t.Fatalf("Install: %v", err)
@@ -138,9 +141,10 @@ func TestInstallAndServePublicOps(t *testing.T) {
 	if err := icert.VerifyElement("index.html", elem.Data, t0.Add(time.Minute)); err != nil {
 		t.Fatalf("served element fails verification: %v", err)
 	}
-	stats := srv.Stats()
-	if stats.KeyFetches != 1 || stats.CertFetches != 1 || stats.ElementFetches != 1 {
-		t.Errorf("Stats = %+v", stats)
+	for _, op := range []string{object.OpGetKey, object.OpGetCert, object.OpGetElement} {
+		if got := tel.RPCServed.With(op, "ok").Value(); got != 1 {
+			t.Errorf("rpc_served_total{op=%q,outcome=\"ok\"} = %d, want 1", op, got)
+		}
 	}
 	if srv.ReadCount(b.OID) != 1 {
 		t.Errorf("ReadCount = %d", srv.ReadCount(b.OID))

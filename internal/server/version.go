@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultVersionRetention is how many versions of a hosted replica a
-// server keeps when Server.VersionRetention is unset. Retained versions
+// server keeps. Retained versions
 // are what obj.getdelta can diff against; a client whose have-version has
 // been evicted gets a full-bundle-required decline.
 const DefaultVersionRetention = 8
@@ -203,14 +203,6 @@ func appendVersion(chain []*versionSnapshot, b *Bundle, retention int) ([]*versi
 		return nil, err
 	}
 	return next, nil
-}
-
-// retention returns the effective per-replica version retention.
-func (s *Server) retention() int {
-	if s.VersionRetention > 0 {
-		return s.VersionRetention
-	}
-	return DefaultVersionRetention
 }
 
 // VersionChain returns copies of the retained version headers for a

@@ -97,21 +97,21 @@ func TestVersionChainLinksOnUpdate(t *testing.T) {
 }
 
 func TestVersionChainRetentionTrims(t *testing.T) {
+	const updates = DefaultVersionRetention + 3
 	s, oid, owner := newWireServer(t, 64)
-	s.VersionRetention = 3
 	v := mustVersion(t, s, oid)
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= updates; i++ {
 		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
 	}
 	chain, err := s.VersionChain(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chain) != 3 {
-		t.Fatalf("chain length = %d, want retention 3", len(chain))
+	if len(chain) != DefaultVersionRetention {
+		t.Fatalf("chain length = %d, want retention %d", len(chain), DefaultVersionRetention)
 	}
-	if chain[len(chain)-1].Version != v+6 {
-		t.Errorf("head version = %d, want %d", chain[len(chain)-1].Version, v+6)
+	if chain[len(chain)-1].Version != v+updates {
+		t.Errorf("head version = %d, want %d", chain[len(chain)-1].Version, v+updates)
 	}
 	// The retained links still verify even though the oldest header's
 	// Prev points at an evicted predecessor.
@@ -228,10 +228,10 @@ func TestDeltaSinceReturnsOnlyChangedElements(t *testing.T) {
 }
 
 func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
+	const updates = DefaultVersionRetention + 2
 	s, oid, owner := newWireServer(t, 64)
-	s.VersionRetention = 2
 	have := mustVersion(t, s, oid)
-	for i := 1; i <= 4; i++ {
+	for i := 1; i <= updates; i++ {
 		chainUpdate(t, s, oid, owner, have+uint64(i), "index.html", []byte{byte(i)})
 	}
 	d, err := s.DeltaSince(oid, have) // long evicted
@@ -241,8 +241,8 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 	if !d.FullRequired {
 		t.Fatal("evicted have-version was not declined")
 	}
-	if d.NewVersion != have+4 {
-		t.Errorf("decline NewVersion = %d, want %d", d.NewVersion, have+4)
+	if d.NewVersion != have+updates {
+		t.Errorf("decline NewVersion = %d, want %d", d.NewVersion, have+updates)
 	}
 	// Unknown versions decline too.
 	d, err = s.DeltaSince(oid, 9999)

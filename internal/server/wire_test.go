@@ -83,8 +83,8 @@ func TestHandlersServePrecomputedPayloads(t *testing.T) {
 	if e.Name != "index.html" || len(e.Data) != 64 {
 		t.Fatalf("decoded element = %q (%d bytes)", e.Name, len(e.Data))
 	}
-	if s.Stats().BytesServed != 64 {
-		t.Fatalf("BytesServed = %d, want 64", s.Stats().BytesServed)
+	if got := s.ReadCount(oid); got != 1 {
+		t.Fatalf("ReadCount = %d, want 1", got)
 	}
 }
 
@@ -153,11 +153,8 @@ func TestHandleGetElementsServesBatch(t *testing.T) {
 			t.Fatalf("item %q decoded to %q (%d bytes)", it.Name, it.Element.Name, len(it.Element.Data))
 		}
 	}
-	if got := s.Stats().BytesServed; got != 3*64 {
-		t.Fatalf("BytesServed = %d, want %d (per-element stats fire in batch)", got, 3*64)
-	}
-	if got := s.Stats().ElementFetches; got != 3 {
-		t.Fatalf("ElementFetches = %d, want 3", got)
+	if got := s.ReadCount(oid); got != 3 {
+		t.Fatalf("ReadCount = %d, want 3 (every batch item counts as a read)", got)
 	}
 }
 
@@ -204,8 +201,8 @@ func TestHandleGetElementsBudgetOverflowMarksItems(t *testing.T) {
 	if served != 2 || deferred != 1 {
 		t.Fatalf("served=%d deferred=%d, want 2 served and 1 deferred under the frame budget", served, deferred)
 	}
-	if got := s.Stats().ElementFetches; got != 2 {
-		t.Fatalf("ElementFetches = %d, want 2 (deferred items are not fetches)", got)
+	if got := s.ReadCount(oid); got != 2 {
+		t.Fatalf("ReadCount = %d, want 2 (deferred items are not reads)", got)
 	}
 }
 
@@ -403,15 +400,15 @@ func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
 	if got := carried(bind(object.BindRequest{All: true, At: fresh})); fmt.Sprint(got) != "[index.html logo.png style.css]" {
 		t.Fatalf("bind for all elements carried %v, want every element in name order", got)
 	}
-	if st := s.Stats(); st.KeyFetches != 3 || st.CertFetches != 3 || st.ElementFetches != 4 || st.BytesServed != 4*64 {
-		t.Fatalf("Stats = %+v, want 3 key and certificate fetches and 4 element fetches of 64 bytes", st)
+	if got := s.ReadCount(oid); got != 4 {
+		t.Fatalf("ReadCount = %d, want 4 element reads", got)
 	}
 
 	stale := bind(object.BindRequest{All: true, At: wireT0.Add(2 * time.Hour)})
 	if len(stale.Items) != 3 || len(carried(stale)) != 0 {
 		t.Fatalf("bind past the certificate's validity carried %v", carried(stale))
 	}
-	if got := s.Stats().ElementFetches; got != 4 {
-		t.Fatalf("ElementFetches = %d after a stale bind, want still 4", got)
+	if got := s.ReadCount(oid); got != 4 {
+		t.Fatalf("ReadCount = %d after a stale bind, want still 4", got)
 	}
 }

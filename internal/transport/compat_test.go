@@ -57,10 +57,10 @@ func TestServerRefusesPreV2Openers(t *testing.T) {
 		{"version 0 preamble", append([]byte{'G', 'D', 0xF2, 0}, classic...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var srv *transport.Server
+			tel := telemetry.New(nil)
 			var runs atomic.Int64
 			dial := startServer(t, func(s *transport.Server) {
-				srv = s
+				s.Telemetry = tel
 				s.Handle("echo", func(b []byte) ([]byte, error) {
 					runs.Add(1)
 					return b, nil
@@ -89,8 +89,8 @@ func TestServerRefusesPreV2Openers(t *testing.T) {
 			if got := runs.Load(); got != 0 {
 				t.Errorf("handler ran %d times, want 0", got)
 			}
-			if got := srv.Requests.Load(); got != 0 {
-				t.Errorf("Server.Requests = %d, want 0", got)
+			if got := tel.RPCServed.Total(); got != 0 {
+				t.Errorf("rpc_served_total = %d, want 0", got)
 			}
 		})
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"globedoc/internal/netsim"
+	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
 
@@ -209,9 +210,11 @@ func TestRetryRecoversFromDroppedRequest(t *testing.T) {
 		}
 		return c
 	})
+	tel := telemetry.New(nil)
 	c := transport.NewClient(dial).Configure(transport.Config{
 		CallTimeout: 100 * time.Millisecond,
 		Retry:       &transport.RetryPolicy{MaxAttempts: 3},
+		Telemetry:   tel,
 	})
 	defer c.Close()
 	resp, err := c.Call(context.Background(), "echo", []byte("hello"))
@@ -221,8 +224,8 @@ func TestRetryRecoversFromDroppedRequest(t *testing.T) {
 	if string(resp) != "hello" {
 		t.Fatalf("resp = %q", resp)
 	}
-	if got := c.Retries.Load(); got == 0 {
-		t.Error("no retry was recorded")
+	if got := tel.RPCRetries.Value(); got == 0 {
+		t.Error("no retry was recorded in rpc_retries_total")
 	}
 }
 

@@ -224,9 +224,6 @@ type Server struct {
 	conns     sync.Map   // net.Conn -> struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
-
-	// Requests counts handled calls, for tests and load metrics.
-	Requests atomic.Uint64
 }
 
 // NewServer returns a server with no handlers registered.
@@ -461,7 +458,6 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte
 		if !ok {
 			err = fmt.Errorf("unknown operation %q", op)
 		} else {
-			s.Requests.Add(1)
 			tel := telemetry.Or(s.Telemetry)
 			sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
 			sp.Annotate("op", op)
@@ -556,10 +552,6 @@ type Client struct {
 	// used by the benchmark harness to report protocol overhead.
 	BytesSent     atomic.Uint64
 	BytesReceived atomic.Uint64
-	// Calls counts completed calls.
-	Calls atomic.Uint64
-	// Retries counts extra attempts beyond the first, per call site.
-	Retries atomic.Uint64
 }
 
 // NewClient returns a client that connects lazily using dial.
@@ -614,10 +606,6 @@ type Config struct {
 // already cancelled or past its deadline, which say nothing about the
 // replica and are not held against it.
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
-	if ctx == nil {
-		//lint:ignore ctxfirst nil-ctx compatibility: legacy callers predate the ctx-first API and a nil ctx must mean "no cancellation", not a panic
-		ctx = context.Background()
-	}
 	tel := telemetry.Or(c.Telemetry)
 	caller := telemetry.SpanContextFrom(ctx)
 	sp := tel.Tracer.StartSpanFrom("rpc.call", caller)
@@ -636,10 +624,6 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 		resp, reused, err = c.attempt(ctx, wire, op, body)
 		return reused, err
 	})
-	if err == nil {
-		c.Calls.Add(1)
-	}
-
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
@@ -701,7 +685,6 @@ func (c *Client) retrying(ctx context.Context, tel *telemetry.Telemetry, timed b
 		if err == nil || !Retryable(err) || ctx.Err() != nil || attempts == maxAttempts || (c.Retry == nil && !reused) {
 			return attempts, err
 		}
-		c.Retries.Add(1)
 		tel.RPCRetries.Inc()
 		if c.Retry != nil {
 			c.Retry.clock().Sleep(c.Retry.Backoff(attempts))

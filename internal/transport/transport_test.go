@@ -134,12 +134,13 @@ func TestConnectionReuse(t *testing.T) {
 	srv.Start(l)
 	t.Cleanup(srv.Close)
 	addr := l.Addr().String()
+	tel := telemetry.New(nil)
 	c := transport.NewClient(func() (net.Conn, error) {
 		mu.Lock()
 		conns++
 		mu.Unlock()
 		return net.Dial("tcp", addr)
-	})
+	}).Configure(transport.Config{Telemetry: tel})
 	defer c.Close()
 	for i := 0; i < 5; i++ {
 		if _, err := c.Call(context.Background(), "ping", nil); err != nil {
@@ -151,8 +152,8 @@ func TestConnectionReuse(t *testing.T) {
 	if conns != 1 {
 		t.Errorf("dialed %d times, want 1", conns)
 	}
-	if c.Calls.Load() != 5 {
-		t.Errorf("Calls = %d, want 5", c.Calls.Load())
+	if got := tel.RPCCalls.With("ping", "ok").Value(); got != 5 {
+		t.Errorf("rpc_calls_total{op=\"ping\",outcome=\"ok\"} = %d, want 5", got)
 	}
 }
 
@@ -407,9 +408,9 @@ func TestOpsListing(t *testing.T) {
 }
 
 func TestServerRequestCounter(t *testing.T) {
-	var srv *transport.Server
+	tel := telemetry.New(nil)
 	dial := startServer(t, func(s *transport.Server) {
-		srv = s
+		s.Telemetry = tel
 		s.Handle("ping", func(body []byte) ([]byte, error) { return nil, nil })
 	})
 	c := transport.NewClient(dial)
@@ -419,7 +420,7 @@ func TestServerRequestCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.Requests.Load() != 3 {
-		t.Errorf("Requests = %d, want 3", srv.Requests.Load())
+	if got := tel.RPCServed.With("ping", "ok").Value(); got != 3 {
+		t.Errorf("rpc_served_total{op=\"ping\",outcome=\"ok\"} = %d, want 3", got)
 	}
 }
