@@ -23,13 +23,22 @@
 // With -debug-addr the proxy serves /debugz (metrics + recent pipeline
 // spans as JSON, plus /debug/pprof) on a separate listener; -trace-out
 // appends every finished span to a JSON-lines file.
+//
+// SIGINT or SIGTERM drains the proxy: it stops accepting, gives the
+// requests in flight -fetch-timeout and a second more to finish (30 s
+// when fetches are unbounded), closes the secure client and its service
+// connections, and exits 0 — or 1 if a request was still running when
+// the grace period ended. A second signal stops it at once.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"globedoc/internal/cert"
@@ -44,6 +53,17 @@ import (
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
+
+// config is the proxy's parsed command line.
+type config struct {
+	namingAddr, rootKey, locAddr, site, caStore string
+	requireID, warm                             bool
+	client                                      transport.Config
+	cache                                       *deploy.CacheFlags
+	fetchTimeout                                time.Duration
+	tel                                         *telemetry.Telemetry
+	debug                                       *deploy.DebugFlags
+}
 
 func main() {
 	var (
@@ -62,9 +82,21 @@ func main() {
 	)
 	flag.Parse()
 	tel := telemetry.New(nil)
-	cfg := clientFl.Config(tel)
-	if err := run(*listen, *namingAddr, *rootKey, *locAddr, *site, *caStore,
-		*requireID, *warm, cfg, cacheFl, *fetchTO, tel, debugFl); err != nil {
+	cfg := config{
+		namingAddr: *namingAddr, rootKey: *rootKey, locAddr: *locAddr, site: *site, caStore: *caStore,
+		requireID: *requireID, warm: *warm, client: clientFl.Config(tel), cache: cacheFl,
+		fetchTimeout: *fetchTO, tel: tel, debug: debugFl,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal starts the drain and hands the signals back, so a
+	// second one kills the process as usual.
+	context.AfterFunc(ctx, stop)
+	l, err := net.Listen("tcp", *listen)
+	if err == nil {
+		err = run(ctx, l, cfg)
+	}
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "globedoc-proxy:", err)
 		os.Exit(1)
 	}
@@ -74,28 +106,34 @@ func tcpDial(addr string) transport.DialFunc {
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
-func run(listen, namingAddr, rootKeyPath, locAddr, site, caStore string, requireID, warm bool,
-	cfg transport.Config, cacheFl *deploy.CacheFlags, fetchTO time.Duration,
-	tel *telemetry.Telemetry, debugFl *deploy.DebugFlags) error {
-	rootKey, err := keyfile.LoadPublicKey(rootKeyPath)
+// run serves the proxy on l until ctx ends, then drains it: l stops
+// accepting, the requests in flight get drainGrace to finish, and the
+// secure client and its naming and location connections are closed.
+func run(ctx context.Context, l net.Listener, cfg config) error {
+	defer l.Close()
+	rootKey, err := keyfile.LoadPublicKey(cfg.rootKey)
 	if err != nil {
 		return fmt.Errorf("loading naming root key: %w", err)
 	}
+	names := naming.NewResolver(tcpDial(cfg.namingAddr), rootKey).Configure(cfg.client)
+	defer names.Close()
+	locator := location.NewClient(tcpDial(cfg.locAddr)).Configure(cfg.client)
+	defer locator.Close()
 	binder := &object.Binder{
-		Names:     naming.NewResolver(tcpDial(namingAddr), rootKey).Configure(cfg),
-		Locator:   location.NewClient(tcpDial(locAddr)).Configure(cfg),
+		Names:     names,
+		Locator:   locator,
 		Dial:      tcpDial,
-		Site:      site,
-		Transport: cfg,
+		Site:      cfg.site,
+		Transport: cfg.client,
 	}
 	opts := core.Options{
-		CacheBindings:   warm,
-		RequireIdentity: requireID,
-		Telemetry:       tel,
+		CacheBindings:   cfg.warm,
+		RequireIdentity: cfg.requireID,
+		Telemetry:       cfg.tel,
 	}
-	cacheFl.Apply(&opts)
-	if caStore != "" {
-		ks, err := keys.LoadKeystore(caStore)
+	cfg.cache.Apply(&opts)
+	if cfg.caStore != "" {
+		ks, err := keys.LoadKeystore(cfg.caStore)
 		if err != nil {
 			return fmt.Errorf("loading CA keystore: %w", err)
 		}
@@ -110,24 +148,45 @@ func run(listen, namingAddr, rootKeyPath, locAddr, site, caStore string, require
 	if err != nil {
 		return fmt.Errorf("configuring secure client: %w", err)
 	}
+	defer secure.Close()
 
-	stopDebug, err := debugFl.Start(tel)
+	stopDebug, err := cfg.debug.Start(cfg.tel)
 	if err != nil {
 		return err
 	}
 	defer stopDebug()
 
 	p := proxy.New(secure)
-	p.FetchTimeout = fetchTO
-	p.Telemetry = tel
+	p.FetchTimeout = cfg.fetchTimeout
+	p.Telemetry = cfg.tel
 	p.PassthroughDial = func(host string) transport.DialFunc {
 		return tcpDial(host + ":80")
 	}
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("globedoc proxy on %s (site %q, naming %s, location %s)\n",
-		l.Addr(), site, namingAddr, locAddr)
-	return p.Serve(l)
+		l.Addr(), cfg.site, cfg.namingAddr, cfg.locAddr)
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(l) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), drainGrace(cfg.fetchTimeout))
+	defer cancel()
+	err = p.Shutdown(drain)
+	<-served // http.ErrServerClosed, once the listener is closed
+	if err != nil {
+		return fmt.Errorf("draining in-flight requests: %w", err)
+	}
+	return nil
+}
+
+// drainGrace is how long a drain lets requests in flight run: the fetch
+// deadline and a second to write the response, so every fetch the proxy
+// would have let finish does — or 30 s when fetches are unbounded.
+func drainGrace(fetchTimeout time.Duration) time.Duration {
+	if fetchTimeout <= 0 {
+		return 30 * time.Second
+	}
+	return fetchTimeout + time.Second
 }

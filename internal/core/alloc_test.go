@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,10 +12,13 @@ import (
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
+	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
+	"globedoc/internal/vcache"
 )
 
 // Allocation budgets of the fetch plan's two operations, in heap objects
@@ -120,5 +124,152 @@ func BenchmarkWarmHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hit()
+	}
+}
+
+// bulkType is the content type of bulkWorld's elements, which the
+// verified-content cache charges beside their bytes.
+const bulkType = "application/octet-stream"
+
+// bulkWorld publishes n elements of size distinct bytes each, named
+// part-00.bin onwards, on one server of a zero-latency world, and returns
+// the object's OID with a binding-caching client over a verified-content
+// cache with room for room of them. Only the server keeps the document's
+// bytes.
+func bulkWorld(t *testing.T, n, size, room int) (*core.Client, globeid.OID, *vcache.Cache) {
+	t.Helper()
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	doc := document.New()
+	for i := 0; i < n; i++ {
+		doc.Put(document.Element{Name: fmt.Sprintf("part-%02d.bin", i), ContentType: bulkType, Data: bytes.Repeat([]byte{byte('a' + i)}, size)})
+	}
+	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "bulk.vu.nl", OwnerKey: keytest.RSA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := vcache.New(vcache.Config{MaxBytes: int64(room * (len(bulkType) + size))})
+	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true, VCache: vc, Telemetry: telemetry.New(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	return client, pub.OID, vc
+}
+
+// TestWarmMissAllocatesOnePayload pins the fetch path's copy budget: a
+// warm content miss of 1 MiB — the binding cached, the bytes not —
+// allocates one payload's worth across client and server, the frame
+// buffer the reply arrives in, which the verified-content cache keeps as
+// it is. A cache with room for one element makes every fetch of the two
+// alternating elements a miss that evicts the other. A copy of the
+// bytes anywhere on the path reads ~2.
+func TestWarmMissAllocatesOnePayload(t *testing.T) {
+	const size = 1 << 20
+	client, oid, _ := bulkWorld(t, 2, size, 1)
+	ctx := context.Background()
+	i := 0
+	fetch := func() {
+		i++
+		res, err := client.Fetch(ctx, oid, fmt.Sprintf("part-%02d.bin", i%2))
+		if err != nil || res.FromCache || len(res.Element.Data) != size {
+			t.Fatalf("fetch %d: %d bytes, FromCache=%v, err %v", i, len(res.Element.Data), res.FromCache, err)
+		}
+	}
+	fetch() // the cold bind
+	perFetch := alloctest.BytesPerRun(t, 20, fetch)
+	t.Logf("warm 1 MiB miss: %.0f bytes allocated, %.3f per payload byte", perFetch, perFetch/size)
+	if ratio := perFetch / size; ratio > 1.10 {
+		t.Errorf("a warm 1 MiB miss allocates %.0f bytes (%.2f per payload byte), want <= 1.10", perFetch, ratio)
+	}
+}
+
+// TestCachedBatchElementPinsOnlyItself pins the other half of the rule:
+// a cold FetchAll's elements arrive in one bind-reply frame, so the cache
+// keeps an exact-size clone of each. A cache with room for one element
+// evicts as the batch fills it, and what stays reachable afterwards is
+// that element, not the frame it came in.
+func TestCachedBatchElementPinsOnlyItself(t *testing.T) {
+	const n, size = 16, 64 << 10
+	client, oid, vc := bulkWorld(t, n, size, 1)
+	retained := alloctest.HeapRetained(t, func() {
+		if res, err := client.FetchAll(context.Background(), oid); err != nil || len(res) != n {
+			t.Fatalf("FetchAll: %d results, %v", len(res), err)
+		}
+	})
+	if want := int64(len(bulkType) + size); vc.Len() != 1 || vc.Bytes() != want {
+		t.Fatalf("the cache holds %d elements, %d bytes; want the last one, %d bytes", vc.Len(), vc.Bytes(), want)
+	}
+	t.Logf("%d bytes retained after a cold FetchAll of %d x %d bytes into a one-element cache", retained, n, size)
+	if retained > 2*size {
+		t.Errorf("%d bytes stay reachable for a cache of one %d-byte element; the reply frame was %d bytes", retained, size, n*size)
+	}
+}
+
+// TestPaddedReplyPinsWhatTheCacheCounts: a replica may pad what the
+// element hash does not cover — the content type, the element's inner
+// name — to make each warm content miss's reply frame far larger than
+// the element. The cache must then keep a clone, not the frame, so the
+// memory it pins stays what Bytes counts: a replica adds no handling
+// cost the budget does not see.
+func TestPaddedReplyPinsWhatTheCacheCounts(t *testing.T) {
+	// slack is what seven misses may leave reachable besides the bytes
+	// the cache counts: its entries, spans in the telemetry ring, and the
+	// allocator's rounding of each padded content type up to whole pages.
+	// One padded frame kept would exceed it eight times over.
+	const n, pad, slack = 8, 1 << 20, 128 << 10
+	for _, field := range []string{"content type", "name"} {
+		t.Run(field, func(t *testing.T) {
+			w, pub, _ := batchWorld(t, n)
+			frontReplica(t, w, pub, rewriting(func(req object.BindRequest, reply []byte) []byte {
+				if req.Have == ([globeid.Size]byte{}) {
+					return reply // the cold bind: key and certificate beside the element
+				}
+				r, err := object.DecodeBindReply(reply)
+				if err != nil || len(r.Items) != 1 || r.Items[0].Err != nil {
+					t.Errorf("warm reply %d items, %v", len(r.Items), err)
+					return reply
+				}
+				elem := r.Items[0].Element
+				if field == "name" {
+					elem.Name += strings.Repeat(" ", pad)
+				} else {
+					elem.ContentType += strings.Repeat(" ", pad)
+				}
+				return object.EncodeBindReply(nil, nil, nil, []object.BatchWireItem{{Name: r.Items[0].Name, Wire: object.EncodeElement(elem)}})
+			}))
+			vc := vcache.New(vcache.Config{})
+			client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true, VCache: vc, Telemetry: telemetry.New(nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(client.Close)
+			ctx := context.Background()
+			if _, err := client.Fetch(ctx, pub.OID, "part-00.html"); err != nil {
+				t.Fatal(err)
+			}
+			before := vc.Bytes()
+			retained := alloctest.HeapRetained(t, func() {
+				for i := 1; i < n; i++ {
+					if res, err := client.Fetch(ctx, pub.OID, fmt.Sprintf("part-%02d.html", i)); err != nil || res.FromCache {
+						t.Fatalf("warm miss %d: FromCache=%v, err %v", i, res.FromCache, err)
+					}
+				}
+			})
+			counted := vc.Bytes() - before
+			t.Logf("%d padded warm misses: %d bytes retained, %d counted", n-1, retained, counted)
+			if vc.Len() != n {
+				t.Fatalf("the cache holds %d elements, want all %d", vc.Len(), n)
+			}
+			if retained > counted+slack {
+				t.Errorf("the cache pins %d bytes and counts %d: padding the replica chose stays reachable uncounted", retained, counted)
+			}
+		})
 	}
 }

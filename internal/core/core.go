@@ -225,6 +225,9 @@ func (t Timing) Scale(n int) Timing {
 
 // FetchResult is one securely fetched page element.
 type FetchResult struct {
+	// Element is the verified element. With a verified-content cache its
+	// Data is read-only: a hit shares the cache's bytes, and so does a
+	// miss whose bytes the cache took as they arrived.
 	Element document.Element
 	// CertifiedAs is the real-world subject from the first identity
 	// certificate matching the user's trust list, or "" when identity
@@ -372,7 +375,7 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 	}
 	if opts.VCache != nil {
 		tel := telemetry.Or(opts.Telemetry)
-		opts.VCache.WireMetrics(tel.VCacheEvictions, tel.SigCacheHits)
+		opts.VCache.WireMetrics(tel.VCacheEvictions, tel.VCacheBytes, tel.SigCacheHits)
 	}
 	selector := opts.Selector
 	if selector == nil {
@@ -609,16 +612,32 @@ func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch, buf []cert.El
 type prefill map[string]prefetched
 
 // prefetched is one prefilled element and its share of the exchange that
-// carried it.
+// carried it. ownsFrame reports that the reply the element arrived in is
+// little more than the element (see frameShare), as on a warm content
+// miss of more than a few hundred bytes, so the cache may keep the bytes
+// where they are.
 type prefetched struct {
-	elem  document.Element
-	share time.Duration
+	elem      document.Element
+	share     time.Duration
+	ownsFrame bool
 }
+
+// frameShare decides when an element keeps its reply frame: when the
+// rest of the reply — framing, names, content type, any key, certificate
+// or other element — comes to at most 1/frameShare of the element's own
+// bytes. The rule is by size, not by which sections a reply has, so a
+// replica that pads any field only turns the element into a clone: a
+// cached element pins at most 9/8 of the bytes vcache.Bytes counts,
+// plus the frame's header.
+const frameShare = 8
 
 // element is steps 3–4 for one entry that fetch decided fresh: take its
 // bytes from the verified-content cache, the prefill, or an exchange of
-// their own; verify them; and deliver them into the cache, which copies
-// them in — the caller's Data stays the caller's to keep or mutate.
+// their own; verify them; and hand them to the cache, which owns them
+// from then on. Bytes that own their frame go in as they arrived, and the
+// result shares them; any other element goes in as an exact-size clone,
+// so a cached element never pins the rest of a shared or padded frame
+// and vcache.Bytes stays the memory the cache holds.
 func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, pre prefill) (FetchResult, error) {
 	if c.vcache != nil {
 		if res, hit := c.serveCached(p, b, entry); hit {
@@ -645,7 +664,12 @@ func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry c
 		return FetchResult{}, err
 	}
 	if c.vcache != nil {
-		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, verified.Expires)
+		data := elem.Data
+		if !pf.ownsFrame {
+			data = make([]byte, len(elem.Data))
+			copy(data, elem.Data)
+		}
+		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: data}, verified.Expires)
 	}
 	return b.result(p, elem, verified.Hash, false), nil
 }
@@ -1111,9 +1135,10 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 }
 
 // prefillOf adds to pre the elements a bind reply carried and did not
-// decline, each with its share of the exchange. A batch — a reply
-// carrying any element for FetchAll or for several names — is counted in
-// batch_fetch_total and batch_fetch_elements_total.
+// decline, each with its share of the exchange and whether it owns the
+// reply's frame. A batch — a reply carrying any element for FetchAll or
+// for several names — is counted in batch_fetch_total and
+// batch_fetch_elements_total.
 func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
 	n := 0
 	for _, it := range reply.Items {
@@ -1123,7 +1148,8 @@ func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) 
 		if pre == nil {
 			pre = make(prefill, len(reply.Items))
 		}
-		pre[it.Name] = prefetched{elem: it.Element, share: share(len(it.Element.Data))}
+		size := len(it.Element.Data)
+		pre[it.Name] = prefetched{elem: it.Element, share: share(size), ownsFrame: frameShare*(reply.Size-size) <= size}
 		n++
 	}
 	if batch && n > 0 {

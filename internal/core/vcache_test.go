@@ -128,29 +128,68 @@ func TestVCacheHitSkipsElementTransfer(t *testing.T) {
 	}
 }
 
-// TestMissResultIsTheCallersToMutate: a miss hands the caller the frame
-// buffer its bytes arrived in, and the cache keeps a copy of its own
-// (vcache.Put copies in) — so scribbling over the result, to the end of
-// its capacity, does not change what a later hit serves.
-func TestMissResultIsTheCallersToMutate(t *testing.T) {
-	_, pub, client, _, _, _ := vcacheWorld(t, time.Hour)
+// sameArray reports whether a and b are windows onto one backing array:
+// a slice cut out of a buffer keeps the buffer's end as its capacity's.
+func sameArray(a, b []byte) bool {
+	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// TestMissKeepsItsFrameOnlyWhenItFillsIt pins where a miss's bytes
+// live. A warm content miss's reply is the element and little else, so
+// the cache keeps that frame buffer and the result shares it. A cold
+// bind of a small element, whose frame is mostly key and certificate,
+// and a FetchAll, whose frame carries every element, leave the cache an
+// exact-size clone that does not alias the frame the result still
+// points into.
+func TestMissKeepsItsFrameOnlyWhenItFillsIt(t *testing.T) {
 	ctx := context.Background()
-	miss, err := client.Fetch(ctx, pub.OID, "index.html")
-	if err != nil || miss.FromCache {
-		t.Fatalf("first fetch: FromCache=%v err=%v", miss.FromCache, err)
+	check := func(t *testing.T, vc *vcache.Cache, res core.FetchResult, framed bool) {
+		t.Helper()
+		if res.FromCache {
+			t.Fatalf("%s was a hit", res.Element.Name)
+		}
+		got, ok := vc.Get(res.VerifiedHash, time.Time{}, time.Time{})
+		if !ok {
+			t.Fatalf("%s is not cached after its miss", res.Element.Name)
+		}
+		kept := got.Data
+		switch {
+		case framed && (!sameArray(kept, res.Element.Data) || len(kept) != len(res.Element.Data)):
+			t.Errorf("%s: the result is not the bytes the cache holds", res.Element.Name)
+		case !framed && (cap(kept) != len(kept) || sameArray(kept, res.Element.Data)):
+			t.Errorf("%s: the cache keeps %d bytes with capacity %d, aliasing the reply frame %v; want an exact-size clone",
+				res.Element.Name, len(kept), cap(kept), sameArray(kept, res.Element.Data))
+		}
 	}
-	want := string(miss.Element.Data)
-	data := miss.Element.Data[:cap(miss.Element.Data)]
-	for i := range data {
-		data[i] = 0xFF
-	}
-	hit, err := client.Fetch(ctx, pub.OID, "index.html")
-	if err != nil || !hit.FromCache {
-		t.Fatalf("second fetch: FromCache=%v err=%v", hit.FromCache, err)
-	}
-	if string(hit.Element.Data) != want {
-		t.Fatalf("cache hit serves %q after the miss result was scribbled over, want %q", hit.Element.Data, want)
-	}
+	t.Run("warm content miss", func(t *testing.T) {
+		client, oid, vc := bulkWorld(t, 2, 64<<10, 2)
+		if _, err := client.Fetch(ctx, oid, "part-00.bin"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Fetch(ctx, oid, "part-01.bin")
+		if err != nil || !res.WarmBinding {
+			t.Fatalf("second fetch: WarmBinding=%v err=%v", res.WarmBinding, err)
+		}
+		check(t, vc, res, true)
+	})
+	t.Run("cold bind", func(t *testing.T) {
+		client, oid, vc := bulkWorld(t, 1, 64, 1)
+		res, err := client.Fetch(ctx, oid, "part-00.bin")
+		if err != nil || res.WarmBinding {
+			t.Fatalf("first fetch: WarmBinding=%v err=%v", res.WarmBinding, err)
+		}
+		check(t, vc, res, false)
+	})
+	t.Run("batch", func(t *testing.T) {
+		client, oid, vc := bulkWorld(t, 2, 64<<10, 2)
+		results, err := client.FetchAll(ctx, oid)
+		if err != nil || len(results) != 2 {
+			t.Fatalf("FetchAll: %d results, %v", len(results), err)
+		}
+		for _, res := range results {
+			check(t, vc, res, false)
+		}
+	})
 }
 
 // TestVerifiedHashIsTheOneHashPerElement: every FetchResult carries the

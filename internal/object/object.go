@@ -410,6 +410,7 @@ type BindReply struct {
 	NameCerts []byte      // the identity certificates, as EncodeCertList encodes them; empty unless asked for
 	Cert      []byte      // the integrity certificate, as its Marshal encodes it; empty when it is the one the request had
 	Items     []BatchItem // the element batch, as in a GetElements reply
+	Size      int         // the length of the reply body, which every section and element keeps alive
 }
 
 // EncodeBindReply encodes an obj.bind reply from already-encoded
@@ -443,7 +444,7 @@ func DecodeBindReply(body []byte) (BindReply, error) {
 	if err := r.Finish(); err != nil {
 		return BindReply{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	reply.Items = items
+	reply.Items, reply.Size = items, len(body)
 	return reply, nil
 }
 

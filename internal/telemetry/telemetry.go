@@ -53,6 +53,7 @@ const (
 	MetricVCacheMisses        = "vcache_misses_total"        // element fetches that had to move bytes
 	MetricVCacheRevalidations = "vcache_revalidations_total" // lapsed intervals refreshed cert-only
 	MetricVCacheEvictions     = "vcache_evictions_total"     // entries dropped by pressure or invalidation
+	MetricVCacheBytes         = "vcache_bytes"               // cached element bytes, content types included (gauge)
 	MetricSigCacheHits        = "signature_cache_hits_total" // memoized signature verdicts reused
 	MetricBindingEntries      = "binding_cache_entries"      // live verified bindings (gauge)
 )
@@ -128,6 +129,7 @@ type Telemetry struct {
 	VCacheMisses        *Counter
 	VCacheRevalidations *Counter
 	VCacheEvictions     *Counter
+	VCacheBytes         *Gauge
 	SigCacheHits        *Counter
 
 	// Proxy instruments (proxy.Proxy).
@@ -183,6 +185,7 @@ func New(clk clock.Clock) *Telemetry {
 		VCacheMisses:        reg.Counter(MetricVCacheMisses),
 		VCacheRevalidations: reg.Counter(MetricVCacheRevalidations),
 		VCacheEvictions:     reg.Counter(MetricVCacheEvictions),
+		VCacheBytes:         reg.Gauge(MetricVCacheBytes),
 		SigCacheHits:        reg.Counter(MetricSigCacheHits),
 
 		ProxyRequests: reg.CounterVec(MetricProxyRequests, "kind", "outcome"),

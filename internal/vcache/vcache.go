@@ -17,7 +17,12 @@
 //     a hit costs neither an RPC nor a digest computation. Entry TTLs
 //     track the certificate validity interval; when the interval lapses
 //     the client revalidates by fetching a fresh certificate only, never
-//     the element bytes.
+//     the element bytes. The cache takes ownership of the bytes it is
+//     given and shares them out: nothing copies them in or out, and
+//     nobody writes them once they are cached. Bytes counts every byte
+//     an entry holds, content type included, so it is the payload memory
+//     the cache pins as long as each caller hands over a buffer that
+//     holds little else.
 //   - The same Cache memoizes signature verification verdicts (see
 //     sigcache.go): a bounded LRU keyed by (public key, message,
 //     signature) digests with singleflight on misses, so one certificate
@@ -49,7 +54,7 @@ import (
 
 // Default capacity bounds.
 const (
-	// DefaultMaxBytes bounds the summed element payload bytes retained.
+	// DefaultMaxBytes bounds the summed element bytes retained.
 	DefaultMaxBytes = 64 << 20
 	// DefaultMaxSignatures bounds the memoized signature verdicts.
 	DefaultMaxSignatures = 4096
@@ -62,9 +67,14 @@ type Element struct {
 	Data        []byte
 }
 
+// size is what the cache charges for e: every byte it holds. The content
+// type counts because a replica chooses it, at any length.
+func (e Element) size() int64 { return int64(len(e.ContentType) + len(e.Data)) }
+
 // Config sizes a Cache. The zero value uses the documented defaults.
 type Config struct {
-	// MaxBytes bounds the summed cached element bytes (0 = DefaultMaxBytes).
+	// MaxBytes bounds the summed cached element bytes, content types
+	// included (0 = DefaultMaxBytes).
 	MaxBytes int64
 	// MaxSignatures bounds the memoized signature verdicts
 	// (0 = DefaultMaxSignatures).
@@ -90,7 +100,8 @@ type Cache struct {
 	lru      *list.List // of *entry; front = most recently used
 	byOID    map[globeid.OID]map[[globeid.Size]byte]struct{}
 
-	evictions *telemetry.Counter
+	evictions  *telemetry.Counter
+	bytesGauge *telemetry.Gauge
 
 	sig sigCache
 }
@@ -115,13 +126,18 @@ func New(cfg Config) *Cache {
 
 // WireMetrics attaches nil-safe telemetry instruments: evictions counts
 // every entry removed by capacity pressure or invalidation
-// (vcache_evictions_total), sigHits counts memoized signature verdicts
-// served without running crypto (signature_cache_hits_total). Fields
-// already wired are kept, so several clients can share one cache.
-func (c *Cache) WireMetrics(evictions, sigHits *telemetry.Counter) {
+// (vcache_evictions_total), bytes follows Bytes (vcache_bytes), sigHits
+// counts memoized signature verdicts served without running crypto
+// (signature_cache_hits_total). Fields already wired are kept, so
+// several clients can share one cache.
+func (c *Cache) WireMetrics(evictions *telemetry.Counter, bytes *telemetry.Gauge, sigHits *telemetry.Counter) {
 	c.mu.Lock()
 	if c.evictions == nil {
 		c.evictions = evictions
+	}
+	if c.bytesGauge == nil {
+		c.bytesGauge = bytes
+		c.bytesGauge.Set(c.bytes)
 	}
 	c.mu.Unlock()
 	c.sig.wireMetrics(sigHits)
@@ -133,8 +149,8 @@ func (c *Cache) WireMetrics(evictions, sigHits *telemetry.Counter) {
 // is re-armed to it, which is how a certificate-only revalidation
 // re-freshens bytes without moving them.
 //
-// The returned Data slice is shared with the cache and must be treated
-// as read-only.
+// The returned Data is the slice Put was given, shared with the cache
+// and every other hit: it is read-only.
 func (c *Cache) Get(hash [globeid.Size]byte, now, validUntil time.Time) (Element, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,31 +185,34 @@ func (c *Cache) Holds(oid globeid.OID) bool {
 
 // Put stores a freshly verified element under its certificate hash,
 // tagged with the object it was verified for. validUntil is the
-// certificate entry's expiry. Data is copied, so later caller-side
-// mutation cannot poison the cache. Elements larger than the whole
-// cache budget are not retained.
+// certificate entry's expiry. Put takes ownership of elem.Data without
+// copying it: from then on the bytes are immutable, for the caller as
+// for everyone Get hands them to. The cache charges the element's
+// content type and data, so a caller whose slice is a window onto a much
+// larger buffer hands over a clone instead, or the cache pins more than
+// Bytes says. Elements larger than the whole cache budget are not
+// retained.
 func (c *Cache) Put(oid globeid.OID, hash [globeid.Size]byte, elem Element, validUntil time.Time) {
-	size := int64(len(elem.Data))
+	size := elem.size()
 	if size > c.maxBytes {
 		return
 	}
-	data := append([]byte(nil), elem.Data...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if node, ok := c.entries[hash]; ok {
 		e := node.Value.(*entry)
 		c.untagLocked(e.oid, hash)
-		c.bytes += size - int64(len(e.elem.Data))
+		c.addBytesLocked(size - e.elem.size())
 		e.oid = oid
-		e.elem = Element{ContentType: elem.ContentType, Data: data}
+		e.elem = elem
 		e.expires = validUntil
 		c.tagLocked(oid, hash)
 		c.lru.MoveToFront(node)
 	} else {
-		e := &entry{hash: hash, oid: oid, elem: Element{ContentType: elem.ContentType, Data: data}, expires: validUntil}
+		e := &entry{hash: hash, oid: oid, elem: elem, expires: validUntil}
 		c.entries[hash] = c.lru.PushFront(e)
 		c.tagLocked(oid, hash)
-		c.bytes += size
+		c.addBytesLocked(size)
 	}
 	for c.bytes > c.maxBytes {
 		tail := c.lru.Back()
@@ -259,7 +278,8 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns the summed cached element payload size.
+// Bytes returns the summed size of the cached elements, content types
+// and data, which the vcache_bytes gauge follows.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -289,6 +309,12 @@ func (c *Cache) removeLocked(node *list.Element) {
 	c.lru.Remove(node)
 	delete(c.entries, e.hash)
 	c.untagLocked(e.oid, e.hash)
-	c.bytes -= int64(len(e.elem.Data))
+	c.addBytesLocked(-e.elem.size())
 	c.evictions.Inc()
+}
+
+// addBytesLocked moves the byte count, and the gauge with it, by delta.
+func (c *Cache) addBytesLocked(delta int64) {
+	c.bytes += delta
+	c.bytesGauge.Set(c.bytes)
 }

@@ -41,20 +41,69 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if got.ContentType != elem.ContentType || !bytes.Equal(got.Data, elem.Data) {
 		t.Fatalf("got %+v, want %+v", got, elem)
 	}
-	if c.Len() != 1 || c.Bytes() != int64(len(elem.Data)) {
-		t.Fatalf("Len=%d Bytes=%d", c.Len(), c.Bytes())
+	if want := int64(len(elem.ContentType) + len(elem.Data)); c.Len() != 1 || c.Bytes() != want {
+		t.Fatalf("Len=%d Bytes=%d, want 1 element of %d bytes, content type included", c.Len(), c.Bytes(), want)
 	}
 }
 
-func TestPutCopiesData(t *testing.T) {
+// TestPutKeepsData: Put takes ownership of the slice it is given — a hit
+// serves that very backing array — and charges its length, not the
+// capacity behind it.
+func TestPutKeepsData(t *testing.T) {
 	c := New(Config{})
-	data := []byte("mutate me")
+	data := make([]byte, 9, 64)
+	copy(data, "keep me!!")
 	hash := globeid.HashElement(data)
 	c.Put(oidN(1), hash, Element{Data: data}, t0.Add(time.Hour))
-	data[0] = 'X'
 	got, ok := c.Get(hash, t0, t0.Add(time.Hour))
-	if !ok || got.Data[0] != 'm' {
-		t.Fatalf("cache shares the caller's slice: %q", got.Data)
+	if !ok {
+		t.Fatal("miss after Put")
+	}
+	if &got.Data[0] != &data[0] || len(got.Data) != len(data) {
+		t.Fatal("a hit does not serve the slice Put was given")
+	}
+	if c.Bytes() != int64(len(data)) {
+		t.Fatalf("Bytes = %d, want len(Data) = %d", c.Bytes(), len(data))
+	}
+}
+
+// TestBytesGauge: vcache_bytes equals Bytes after every operation that
+// moves it — Put, eviction by pressure, replacement, InvalidateOID,
+// Reconcile and Purge — and a gauge wired late starts at the current
+// count.
+func TestBytesGauge(t *testing.T) {
+	h1, e1 := elemN(1)
+	h2, e2 := elemN(2)
+	h3, e3 := elemN(3)
+	c := New(Config{MaxBytes: e1.size() + e2.size()})
+	c.Put(oidN(1), h1, e1, t0.Add(time.Hour))
+	gauge := telemetry.NewRegistry().Gauge(telemetry.MetricVCacheBytes)
+	c.WireMetrics(nil, gauge, nil)
+	check := func(after string) {
+		t.Helper()
+		if gauge.Value() != c.Bytes() {
+			t.Fatalf("after %s: vcache_bytes = %d, Bytes = %d", after, gauge.Value(), c.Bytes())
+		}
+	}
+	check("WireMetrics")
+	c.Put(oidN(1), h2, e2, t0.Add(time.Hour))
+	check("Put")
+	c.Put(oidN(2), h3, e3, t0.Add(time.Minute))
+	check("eviction")
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 after an eviction", c.Len())
+	}
+	c.Put(oidN(2), h3, Element{Data: e3.Data[:4]}, t0.Add(time.Minute))
+	check("replacement")
+	c.InvalidateOID(oidN(1))
+	check("InvalidateOID")
+	c.Put(oidN(1), h1, e1, t0.Add(time.Hour))
+	c.Reconcile(oidN(1), nil)
+	check("Reconcile")
+	c.Purge(t0.Add(2 * time.Minute))
+	check("Purge")
+	if c.Bytes() != 0 || c.Len() != 0 {
+		t.Fatalf("Len = %d, Bytes = %d after dropping everything", c.Len(), c.Bytes())
 	}
 }
 
@@ -62,11 +111,11 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	h1, e1 := elemN(1)
 	h2, e2 := elemN(2)
 	h3, e3 := elemN(3)
-	budget := int64(len(e1.Data) + len(e2.Data))
+	budget := e1.size() + e2.size()
 	reg := telemetry.NewRegistry()
 	evictions := reg.Counter(telemetry.MetricVCacheEvictions)
 	c := New(Config{MaxBytes: budget})
-	c.WireMetrics(evictions, nil)
+	c.WireMetrics(evictions, nil, nil)
 
 	c.Put(oidN(1), h1, e1, t0.Add(time.Hour))
 	c.Put(oidN(1), h2, e2, t0.Add(time.Hour))
@@ -191,7 +240,7 @@ func TestVerifySignatureMemoized(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	hits := reg.Counter(telemetry.MetricSigCacheHits)
 	c := New(Config{})
-	c.WireMetrics(nil, hits)
+	c.WireMetrics(nil, nil, hits)
 
 	until := t0.Add(time.Hour)
 	for i := 0; i < 5; i++ {
@@ -217,7 +266,7 @@ func TestVerifySignatureExpiryForcesRecheck(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	hits := reg.Counter(telemetry.MetricSigCacheHits)
 	c := New(Config{})
-	c.WireMetrics(nil, hits)
+	c.WireMetrics(nil, nil, hits)
 
 	if err := c.VerifySignature(kp.Public(), msg, sig, t0.Add(time.Minute), t0); err != nil {
 		t.Fatal(err)
@@ -298,10 +347,12 @@ func TestConcurrentElementCache(t *testing.T) {
 	// A budget of roughly half the working set keeps eviction churning.
 	var budget int64
 	for _, e := range elems[:16] {
-		budget += int64(len(e.Data))
+		budget += e.size()
 	}
 	c := New(Config{MaxBytes: budget})
-	c.WireMetrics(telemetry.NewRegistry().Counter(telemetry.MetricVCacheEvictions), nil)
+	reg := telemetry.NewRegistry()
+	gauge := reg.Gauge(telemetry.MetricVCacheBytes)
+	c.WireMetrics(reg.Counter(telemetry.MetricVCacheEvictions), gauge, nil)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -332,6 +383,9 @@ func TestConcurrentElementCache(t *testing.T) {
 	if c.Bytes() > budget {
 		t.Fatalf("Bytes=%d over budget %d after concurrent churn", c.Bytes(), budget)
 	}
+	if gauge.Value() != c.Bytes() {
+		t.Fatalf("vcache_bytes = %d after concurrent churn, Bytes = %d", gauge.Value(), c.Bytes())
+	}
 }
 
 // TestConcurrentSignatureSingleflight launches many goroutines verifying
@@ -348,7 +402,7 @@ func TestConcurrentSignatureSingleflight(t *testing.T) {
 	c := New(Config{})
 	reg := telemetry.NewRegistry()
 	hits := reg.Counter(telemetry.MetricSigCacheHits)
-	c.WireMetrics(nil, hits)
+	c.WireMetrics(nil, nil, hits)
 
 	const goroutines = 16
 	const perG = 20
