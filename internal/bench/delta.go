@@ -170,9 +170,9 @@ func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disable
 // RunDelta measures Merkle-delta replication (the -experiment delta
 // entry point). A 64 x 4 KB document is updated once per iteration with
 // a single changed element; a secondary replica pulls each update twice,
-// from identical signed bundles: once over obj.getdelta (key/cert tables
-// plus the one changed element) and once over the full obj.getbundle
-// ablation. Reported: wire bytes per pull for each path, the byte ratio
+// from identical signed bundles: once as a delta (key/cert tables plus
+// the one changed element) and once as the full state (the DisableDelta
+// ablation, every check asking from version 0). Reported: wire bytes per pull for each path, the byte ratio
 // (acceptance gate: >= 4x), pull latency distributions, and the
 // byte-identical ablation check on the resulting replica state.
 func RunDelta(cfg Config) (*DeltaResult, error) {

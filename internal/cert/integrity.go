@@ -131,6 +131,14 @@ func (c *IntegrityCertificate) VerifySignatureUsing(oid globeid.OID, objectKey k
 	return nil
 }
 
+// Supersedes reports whether c replaces held as the object's current
+// signed state: a higher Version, or the same Version issued later. A
+// replica that offers a certificate held supersedes is offering a
+// rollback to state its owner has already replaced.
+func (c *IntegrityCertificate) Supersedes(held *IntegrityCertificate) bool {
+	return c.Version > held.Version || (c.Version == held.Version && c.Issued.After(held.Issued))
+}
+
 // MaxExpiry returns the latest entry expiry in the certificate — the end
 // of the validity window after which no entry can pass CheckFreshness,
 // and therefore the natural bound on how long a memoized verdict about

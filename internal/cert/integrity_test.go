@@ -288,3 +288,25 @@ func TestMaxExpiry(t *testing.T) {
 		t.Fatalf("MaxExpiry = %v, want %v", got, t1)
 	}
 }
+
+// TestSupersedes pins the one ordering of signed states: a higher
+// version, or the same version issued later, supersedes; an identical
+// or older one does not.
+func TestSupersedes(t *testing.T) {
+	held := &cert.IntegrityCertificate{Version: 5, Issued: t0}
+	for _, tc := range []struct {
+		name string
+		c    *cert.IntegrityCertificate
+		want bool
+	}{
+		{"higher version, issued earlier", &cert.IntegrityCertificate{Version: 6, Issued: t0.Add(-time.Hour)}, true},
+		{"same version, issued later", &cert.IntegrityCertificate{Version: 5, Issued: t1}, true},
+		{"same version, same issue time", &cert.IntegrityCertificate{Version: 5, Issued: t0}, false},
+		{"same version, issued earlier", &cert.IntegrityCertificate{Version: 5, Issued: t0.Add(-time.Hour)}, false},
+		{"lower version, issued later", &cert.IntegrityCertificate{Version: 4, Issued: t1}, false},
+	} {
+		if got := tc.c.Supersedes(held); got != tc.want {
+			t.Errorf("%s: Supersedes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -87,7 +87,7 @@ func HandleAdminUnchecked(ctx context.Context, tc *transport.Client) error {
 // table builder, so the sink row covers a pulled or admin-sent update as
 // it covers a first install — behind the same Validate gate.
 func Update(ctx context.Context, tc *transport.Client, pk keys.PublicKey) (map[string][]byte, error) {
-	body, err := tc.Call(ctx, "obj.getbundle", nil)
+	body, err := tc.Call(ctx, "adm.exec", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func Update(ctx context.Context, tc *transport.Client, pk keys.PublicKey) (map[s
 // an admin update verb) handing the bundle to the builder unvalidated:
 // flagged at the builder itself.
 func UpdateUnchecked(ctx context.Context, tc *transport.Client) (map[string][]byte, error) {
-	body, err := tc.Call(ctx, "obj.getbundle", nil)
+	body, err := tc.Call(ctx, "adm.exec", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -54,13 +54,8 @@ const (
 	// cold bind the object key, the integrity certificate and, when asked,
 	// the name certificates; for a warm one, which names the certificate
 	// it holds, the replica's certificate only when it differs.
-	OpBind    = "obj.bind"
-	OpVersion = "obj.version"
-	OpPing    = "obj.ping"
-	// OpGetBundle returns the replica's complete state (elements +
-	// certificates + key) in one call — the transfer unit of replica
-	// consistency. Everything in it is public and verifiable.
-	OpGetBundle = "obj.getbundle"
+	OpBind = "obj.bind"
+	OpPing = "obj.ping"
 )
 
 // Errors reported during binding and invocation.

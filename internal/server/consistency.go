@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,46 +16,31 @@ import (
 	"globedoc/internal/transport"
 )
 
-// handleGetBundle serves a replica's complete state for consistency
-// transfers. Everything in the bundle is public data the anonymous read
-// protocol already exposes piecewise.
-func (s *Server) handleGetBundle(body []byte) ([]byte, error) {
-	h, err := s.requested(body)
-	if err != nil {
-		return nil, err
-	}
-	return h.head().bundle(h.key).Marshal(), nil
-}
-
 // Puller implements pull-based replica consistency — the replication
-// subobject of a secondary replica LR. It periodically asks the primary
-// replica for its state version and, when the local copy is stale,
-// transfers and validates the new state. Transfers prefer the
-// Merkle-delta path (obj.getdelta, DESIGN.md §16), which moves only the
-// elements whose cert-listed hash changed; any delta failure — decode
-// error, broken chain, decline, refusal or validation rejection — falls
-// back to the full obj.getbundle transfer.
+// subobject of a secondary replica LR. Each check is one obj.getdelta
+// exchange (DESIGN.md §16): the puller names the version it holds and
+// the primary answers "current", a delta moving only the elements whose
+// cert-listed hash changed, or the full state when it no longer retains
+// that version. Both transfers go down one apply path, which installs a
+// state only if its certificate supersedes the one held. A delta that
+// does not apply is asked for once more from version 0, which brings the
+// full state.
 // Combined with the owner's certificate re-issuing this yields the
 // "cache with TTL refresh" strategies of internal/replication at runtime.
 type Puller struct {
-	server      *Server
-	oid         globeid.OID
-	owner       string // principal the local replica is managed under
-	primaryAddr string
-	client      *transport.Client
+	server *Server
+	oid    globeid.OID
+	owner  string // principal the local replica is managed under
+	client *transport.Client
 	// Interval between version checks.
 	Interval time.Duration
-	// DisableDelta forces every transfer down the full-bundle path (the
-	// bench ablation knob and an operational escape hatch).
+	// DisableDelta makes every check ask from version 0, so every
+	// transfer is the full state (the bench ablation knob and an
+	// operational escape hatch).
 	DisableDelta bool
 
 	tel atomic.Pointer[telemetry.Telemetry]
 
-	checks   atomic.Uint64
-	pulls    atomic.Uint64
-	failures atomic.Uint64
-
-	fullPulls      atomic.Uint64
 	deltaPulls     atomic.Uint64
 	bytesFull      atomic.Uint64
 	bytesDelta     atomic.Uint64
@@ -71,12 +57,11 @@ type Puller struct {
 // principal the local replica was installed under.
 func NewPuller(s *Server, oid globeid.OID, owner, primaryAddr string, dial object.DialTo, interval time.Duration) *Puller {
 	return &Puller{
-		server:      s,
-		oid:         oid,
-		owner:       owner,
-		primaryAddr: primaryAddr,
-		client:      transport.NewClient(dial(primaryAddr)),
-		Interval:    interval,
+		server:   s,
+		oid:      oid,
+		owner:    owner,
+		client:   transport.NewClient(dial(primaryAddr)),
+		Interval: interval,
 	}
 }
 
@@ -87,138 +72,130 @@ func (p *Puller) SetTelemetry(tel *telemetry.Telemetry) { p.tel.Store(tel) }
 
 func (p *Puller) telemetry() *telemetry.Telemetry { return telemetry.Or(p.tel.Load()) }
 
-// Checks returns how many version probes the puller has made.
-func (p *Puller) Checks() uint64 { return p.checks.Load() }
-
-// Pulls returns how many state transfers the puller has performed.
-func (p *Puller) Pulls() uint64 { return p.pulls.Load() }
-
-// Failures returns how many check/pull attempts errored.
-func (p *Puller) Failures() uint64 { return p.failures.Load() }
-
-// FullPulls returns how many transfers used the full-bundle path.
-func (p *Puller) FullPulls() uint64 { return p.fullPulls.Load() }
-
-// DeltaPulls returns how many transfers used the delta path.
+// DeltaPulls returns how many transfers installed a delta.
 func (p *Puller) DeltaPulls() uint64 { return p.deltaPulls.Load() }
 
-// BytesFull returns the request+reply payload bytes moved by full pulls.
+// BytesFull returns the request+reply payload bytes of exchanges that
+// brought the full state.
 func (p *Puller) BytesFull() uint64 { return p.bytesFull.Load() }
 
-// BytesDelta returns the request+reply payload bytes moved by delta
-// pulls, including declined and failed attempts.
+// BytesDelta returns the request+reply payload bytes of exchanges that
+// brought a delta, rejected ones included.
 func (p *Puller) BytesDelta() uint64 { return p.bytesDelta.Load() }
 
-// DeltaDeclines returns how many delta requests the primary declined
-// with full-bundle-required (have-version evicted from its chain).
+// DeltaDeclines returns how many times the primary answered a delta
+// request with the full state because it no longer retains the version
+// asked from.
 func (p *Puller) DeltaDeclines() uint64 { return p.deltaDeclines.Load() }
 
-// DeltaFallbacks returns how many delta attempts failed (bad reply,
-// broken chain, rejected bundle) and fell back to a full pull.
+// DeltaFallbacks returns how many deltas were rejected (bad reply,
+// broken chain, superseded or invalid state) and asked for again from
+// version 0.
 func (p *Puller) DeltaFallbacks() uint64 { return p.deltaFallbacks.Load() }
 
-// CheckOnce probes the primary's version and pulls the new state if the
-// local replica is stale. It reports whether a transfer happened.
-func (p *Puller) CheckOnce(ctx context.Context) (bool, error) {
-	p.checks.Add(1)
-	remoteVersion, err := p.remoteVersion(ctx)
-	if err != nil {
-		p.failures.Add(1)
-		return false, err
-	}
+// errSuperseded rejects a transfer whose certificate the replica's own
+// supersedes: a rollback to signed state the owner has already replaced.
+var errSuperseded = errors.New("server: primary offered state the replica's certificate supersedes")
+
+// CheckOnce asks the primary for the state since the local head and
+// installs it. It reports whether the replica changed; a primary that
+// answers "current", or with the certificate already held, changes
+// nothing.
+func (p *Puller) CheckOnce(ctx context.Context) (pulled bool, err error) {
+	defer func() {
+		if err != nil {
+			p.telemetry().PullerFailures.Inc()
+		}
+	}()
 	h, err := p.server.replica(p.oid)
 	if err != nil {
-		p.failures.Add(1)
 		return false, err
 	}
 	local := h.head()
-	if local.header.Version >= remoteVersion {
-		return false, nil
+	have := local.header.Version
+	if p.DisableDelta {
+		have = 0
 	}
-	if !p.DisableDelta {
-		pulled, derr := p.pullDelta(ctx, local)
-		if derr == nil && pulled {
-			p.pulls.Add(1)
-			return true, nil
-		}
-		if derr != nil {
-			p.deltaFallbacks.Add(1)
-			p.telemetry().PullerDeltaFallbacks.Inc()
-		}
-		// Declines and every delta failure, a refusal included, fall
-		// through to the full transfer: a lying primary can at worst cost
-		// this round trip.
+	pulled, retry, err := p.pull(ctx, local, have)
+	if retry {
+		// A lying primary can at worst cost this second round trip.
+		p.deltaFallbacks.Add(1)
+		p.telemetry().PullerDeltaFallbacks.Inc()
+		pulled, _, err = p.pull(ctx, local, 0)
 	}
-	if err := p.pullFull(ctx); err != nil {
-		p.failures.Add(1)
-		return false, err
-	}
-	p.pulls.Add(1)
-	return true, nil
+	return pulled, err
 }
 
-// pullFull transfers and validates the primary's complete bundle.
-func (p *Puller) pullFull(ctx context.Context) error {
-	req := object.EncodeOIDRequest(p.oid)
-	body, err := p.client.Call(ctx, object.OpGetBundle, req)
-	if err != nil {
-		return fmt.Errorf("server: pulling bundle: %w", err)
-	}
-	moved := uint64(len(req) + len(body))
-	p.bytesFull.Add(moved)
-	tel := p.telemetry()
-	tel.PullerBytes.With("full").Add(moved)
-	bundle, err := UnmarshalBundle(body)
-	if err != nil {
-		return err
-	}
-	if bundle.OID != p.oid {
-		return fmt.Errorf("server: primary returned bundle for %s", bundle.OID.Short())
-	}
-	// Update validates the bundle (key vs OID, certificate signature,
-	// element hashes) before installing — a lying primary cannot poison
-	// the replica.
-	if err := p.server.Update(bundle, p.owner); err != nil {
-		return err
-	}
-	p.fullPulls.Add(1)
-	tel.PullerPulls.With("full").Inc()
-	tel.PullerElements.With("full").Add(uint64(len(bundle.Elements)))
-	return nil
-}
-
-// pullDelta attempts the Merkle-delta transfer: fetch only the elements
-// whose cert-listed hash changed since local, the replica's head, compose
-// a candidate bundle from local's unchanged elements (by reference — no
-// local byte is copied) plus the fetched ones, and hand it to the SAME
-// Update validation a full pull goes through. Nothing in the reply is
-// trusted before that validation passes; the chain check here exists to
-// reject malformed or non-extending replies cheaply, before signature
-// verification. It returns (false, nil) on a decline.
-func (p *Puller) pullDelta(ctx context.Context, local *versionSnapshot) (bool, error) {
-	req := EncodeDeltaRequest(p.oid, local.header.Version)
+// pull makes one obj.getdelta exchange from have and applies the reply.
+// retry reports a rejected delta (or a reply that did not decode, to a
+// request from a version other than 0): the one failure asking again
+// from version 0 can mend.
+func (p *Puller) pull(ctx context.Context, local *versionSnapshot, have uint64) (pulled, retry bool, err error) {
+	req := EncodeDeltaRequest(p.oid, have)
 	body, err := p.client.Call(ctx, OpGetDelta, req)
 	if err != nil {
-		return false, err
+		return false, false, fmt.Errorf("server: pulling state: %w", err)
+	}
+	d, err := UnmarshalDeltaReply(body)
+	if err == nil && d.Current {
+		return false, false, nil
+	}
+	// Bytes are charged to the kind of reply that came back; one that
+	// did not decode, to the kind asked for.
+	full := have == 0
+	if err == nil {
+		full = d.FullRequired
+	}
+	mode, counter := "delta", &p.bytesDelta
+	if full {
+		mode, counter = "full", &p.bytesFull
 	}
 	moved := uint64(len(req) + len(body))
-	p.bytesDelta.Add(moved)
+	counter.Add(moved)
 	tel := p.telemetry()
-	tel.PullerBytes.With("delta").Add(moved)
-	d, err := UnmarshalDeltaReply(body)
+	tel.PullerBytes.With(mode).Add(moved)
 	if err != nil {
-		return false, err
+		return false, !full, err
 	}
-	if d.FullRequired {
+	if full && have != 0 {
 		p.deltaDeclines.Add(1)
 		tel.PullerDeltaDeclines.Inc()
-		return false, nil
 	}
-	if err := verifyDeltaChain(d, p.oid, local.header); err != nil {
-		return false, err
+	installed, changed, err := p.apply(d, local)
+	if !installed {
+		return false, err != nil && !full, err
+	}
+	if !full {
+		p.deltaPulls.Add(1)
+	}
+	tel.PullerPulls.With(mode).Inc()
+	tel.PullerElements.With(mode).Add(changed)
+	return true, false, nil
+}
+
+// apply installs the state a delta or full reply describes over local,
+// the replica's head, and reports whether it did and how many element
+// bodies the reply moved. A reply carrying the certificate already held
+// installs nothing and is no error. Nothing in the reply is trusted before Update's
+// validation passes: the chain check rejects malformed or non-extending
+// replies cheaply, the supersedes check refuses a rollback, and the
+// bundle Update validates takes local's unchanged elements by reference
+// — no local byte is copied.
+func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, changed uint64, err error) {
+	from := local.header
+	if d.FullRequired {
+		from = nil
+	}
+	if err := verifyDeltaChain(d, p.oid, from); err != nil {
+		return false, 0, err
+	}
+	if !d.Cert.Supersedes(local.cert) {
+		if local.cert.Supersedes(d.Cert) {
+			return false, 0, errSuperseded
+		}
+		return false, 0, nil
 	}
 	elems := make([]document.Element, 0, len(d.Items))
-	changed := uint64(0)
 	for _, it := range d.Items {
 		if it.Changed {
 			elems = append(elems, it.Element)
@@ -227,7 +204,7 @@ func (p *Puller) pullDelta(ctx context.Context, local *versionSnapshot) (bool, e
 		}
 		held, ok := local.wire.elements[it.Name]
 		if !ok {
-			return false, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
+			return false, 0, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
 		}
 		elems = append(elems, held.element(it.Name))
 	}
@@ -239,39 +216,40 @@ func (p *Puller) pullDelta(ctx context.Context, local *versionSnapshot) (bool, e
 		Cert:      d.Cert,
 		NameCerts: d.NameCerts,
 	}
+	// Update validates the bundle (key vs OID, certificate signature,
+	// element hashes) before installing.
 	if err := p.server.Update(bundle, p.owner); err != nil {
-		return false, err
+		return false, 0, err
 	}
-	p.deltaPulls.Add(1)
-	tel.PullerPulls.With("delta").Inc()
-	tel.PullerElements.With("delta").Add(changed)
-	return true, nil
+	return true, changed, nil
 }
 
-// verifyDeltaChain checks that a delta reply's header chain really
-// extends the local replica's state: the first header must carry the
-// local head's content commitments (version, certificate hash, element
-// root — Prev is excluded, since two replicas that converged through
-// different histories legitimately disagree on it), consecutive headers
-// must be hash-linked with strictly increasing versions, and the last
-// header must commit to exactly the certificate and element set the
-// reply proposes. A reply that fails here is discarded before any
-// signature work.
+// verifyDeltaChain checks that a reply's header chain leads to the state
+// it proposes: consecutive headers must be hash-linked with strictly
+// increasing versions, and the last header must commit to exactly the
+// certificate and element set the reply proposes. For a delta, local is
+// the replica's head and the first header must carry its content
+// commitments (version, certificate hash, element root — Prev is
+// excluded, since two replicas that converged through different
+// histories legitimately disagree on it); a full reply (local nil) links
+// to nothing the replica holds. A reply that fails here is discarded
+// before any signature work.
 func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) error {
 	if len(d.Headers) == 0 {
 		return fmt.Errorf("server: delta reply carries no version headers")
 	}
-	for _, hd := range d.Headers {
-		if hd.OID != oid {
-			return fmt.Errorf("server: delta header names object %s", hd.OID.Short())
-		}
-	}
 	first := d.Headers[0]
-	if first.Version != local.Version || first.CertHash != local.CertHash || first.ElemRoot != local.ElemRoot {
+	if local != nil && (first.Version != local.Version || first.CertHash != local.CertHash || first.ElemRoot != local.ElemRoot) {
 		return fmt.Errorf("server: delta chain does not start at the local version %d", local.Version)
 	}
-	for i := 1; i < len(d.Headers); i++ {
-		prev, cur := d.Headers[i-1], d.Headers[i]
+	for i, cur := range d.Headers {
+		if cur.OID != oid {
+			return fmt.Errorf("server: delta header names object %s", cur.OID.Short())
+		}
+		if i == 0 {
+			continue
+		}
+		prev := d.Headers[i-1]
 		if cur.Version <= prev.Version {
 			return fmt.Errorf("server: delta chain versions not increasing at %d", cur.Version)
 		}
@@ -301,14 +279,6 @@ func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) erro
 		return fmt.Errorf("server: delta chain head does not commit to the reply element set")
 	}
 	return nil
-}
-
-func (p *Puller) remoteVersion(ctx context.Context) (uint64, error) {
-	body, err := p.client.Call(ctx, object.OpVersion, object.EncodeOIDRequest(p.oid))
-	if err != nil {
-		return 0, err
-	}
-	return decodeVersion(body)
 }
 
 // Start launches the periodic check loop; ctx cancellation and Stop

@@ -10,13 +10,16 @@ import (
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
 	"globedoc/internal/server"
+	"globedoc/internal/telemetry"
 )
 
 // pullWorld stands up primary (amsterdam) and secondary (paris) replicas
-// of one document and a puller keeping paris in sync.
-func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller) {
+// of one document and a puller keeping paris in sync. The servers and
+// the puller record to the returned telemetry.
+func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
 	t.Helper()
-	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	tel := telemetry.New(nil)
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +42,18 @@ func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller
 	}
 	puller := server.NewPuller(paris, pub.OID, "owner:pull.nl",
 		w.Addrs[netsim.AmsterdamPrimary], w.DialFrom(netsim.Paris), 10*time.Millisecond)
+	puller.SetTelemetry(tel)
 	t.Cleanup(puller.Stop)
-	return w, pub, puller
+	return w, pub, puller, tel
+}
+
+// pulls returns the state transfers tel counted, of either kind.
+func pulls(tel *telemetry.Telemetry) uint64 {
+	return tel.PullerPulls.With("delta").Value() + tel.PullerPulls.With("full").Value()
 }
 
 func TestPullerNoopWhenFresh(t *testing.T) {
-	_, _, puller := pullWorld(t)
+	_, _, puller, tel := pullWorld(t)
 	pulled, err := puller.CheckOnce(context.Background())
 	if err != nil {
 		t.Fatalf("CheckOnce: %v", err)
@@ -52,13 +61,17 @@ func TestPullerNoopWhenFresh(t *testing.T) {
 	if pulled {
 		t.Fatal("pulled despite being up to date")
 	}
-	if puller.Checks() != 1 || puller.Pulls() != 0 {
-		t.Errorf("checks=%d pulls=%d", puller.Checks(), puller.Pulls())
+	if n := pulls(tel); n != 0 {
+		t.Errorf("pulls = %d, want 0", n)
+	}
+	// A "current" reply moves no state, so no bytes are charged.
+	if puller.BytesDelta() != 0 || puller.BytesFull() != 0 {
+		t.Errorf("bytes delta=%d full=%d, want none", puller.BytesDelta(), puller.BytesFull())
 	}
 }
 
 func TestPullerTransfersNewVersion(t *testing.T) {
-	w, pub, puller := pullWorld(t)
+	w, pub, puller, _ := pullWorld(t)
 	// Owner updates the primary only.
 	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2 fresh")})
 	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
@@ -87,7 +100,7 @@ func TestPullerTransfersNewVersion(t *testing.T) {
 }
 
 func TestPullerBackgroundLoop(t *testing.T) {
-	w, pub, puller := pullWorld(t)
+	w, pub, puller, tel := pullWorld(t)
 	puller.Start(context.Background())
 	puller.Start(context.Background()) // idempotent
 
@@ -96,11 +109,11 @@ func TestPullerBackgroundLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for puller.Pulls() == 0 && time.Now().Before(deadline) {
+	for pulls(tel) == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	puller.Stop()
-	if puller.Pulls() == 0 {
+	if pulls(tel) == 0 {
 		t.Fatal("background loop never pulled")
 	}
 	e, err := w.Servers[netsim.Paris].ExportBundle(pub.OID)
@@ -115,7 +128,7 @@ func TestPullerBackgroundLoop(t *testing.T) {
 func TestPullerRejectsPoisonedPrimary(t *testing.T) {
 	// A primary that serves a bundle failing validation cannot poison
 	// the replica: Update re-validates everything.
-	w, pub, puller := pullWorld(t)
+	w, pub, puller, _ := pullWorld(t)
 	// Install a DIFFERENT object's state under the same op by updating
 	// the primary's hosted doc directly with a mismatched certificate:
 	// simplest poisoning attempt here is a version bump without a
@@ -142,15 +155,17 @@ func TestPullerRejectsPoisonedPrimary(t *testing.T) {
 }
 
 func TestPullerFailureCounting(t *testing.T) {
-	w, pub, _ := pullWorld(t)
+	w, pub, _, _ := pullWorld(t)
 	// A puller pointed at a dead address fails but counts it.
+	tel := telemetry.New(nil)
 	dead := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:pull.nl",
 		"amsterdam-primary:nothing", w.DialFrom(netsim.Paris), time.Minute)
+	dead.SetTelemetry(tel)
 	t.Cleanup(dead.Stop)
 	if _, err := dead.CheckOnce(context.Background()); err == nil {
 		t.Fatal("CheckOnce against dead address succeeded")
 	}
-	if dead.Failures() != 1 {
-		t.Errorf("Failures = %d", dead.Failures())
+	if v := tel.PullerFailures.Value(); v != 1 {
+		t.Errorf("puller_failures_total = %d, want 1", v)
 	}
 }

@@ -11,27 +11,31 @@ import (
 	"globedoc/internal/merkle"
 )
 
-// OpGetDelta is the Merkle-delta consistency transfer (DESIGN.md §16):
-// the request carries (OID, have-version); the reply carries the chain
-// headers linking have to the current version, the new version's key and
-// certificate tables, and — per element, tagged with a status byte —
-// either nothing (cert-listed hash unchanged since have) or the new
-// element bytes. When have has been evicted from the primary's retained
-// chain the reply is a full-bundle-required decline. The reply is
-// UNTRUSTED input: the puller composes a candidate bundle from it and
-// hands that to the same Update validation a full pull goes through, so
-// a lying primary can at worst force a fallback (DoS), never install a
-// byte that does not verify.
+// OpGetDelta is the one consistency transfer (DESIGN.md §16): the
+// request carries (OID, have-version), and the reply is one of three.
+// "Current" carries only the primary's version, when have is its head or
+// later. A delta carries the chain headers linking have to the current
+// version, the new version's key and certificate tables, and — per
+// element, tagged with a status byte — either nothing (cert-listed hash
+// unchanged since have) or the new element bytes. When have is not in
+// the primary's retained chain (0 included) the reply is the full state:
+// the same tables, only the head's header, and every element. The reply
+// is UNTRUSTED input: the puller composes a candidate bundle from it and
+// installs it only through Update's validation and only if its
+// certificate supersedes the one held, so a lying primary can at worst
+// deny service, never install a byte that does not verify or roll the
+// replica back.
 const OpGetDelta = "obj.getdelta"
 
 // deltaWireVersion versions both the request and reply encodings, so the
 // format can evolve the way the transport's frame version does.
-const deltaWireVersion = 1
+const deltaWireVersion = 2
 
 // Reply status bytes.
 const (
-	deltaStatusOK           byte = 1
-	deltaStatusFullRequired byte = 2
+	deltaStatusDelta   byte = 1
+	deltaStatusCurrent byte = 2
+	deltaStatusFull    byte = 3
 )
 
 // Per-item status bytes.
@@ -57,9 +61,11 @@ type DeltaItem struct {
 
 // DeltaReply is the decoded obj.getdelta reply.
 type DeltaReply struct {
-	// FullRequired reports a decline: the have-version is not in the
-	// primary's retained chain, so the client must fall back to a full
-	// obj.getbundle transfer. Only NewVersion is populated.
+	// Current reports that the have-version is the primary's head or
+	// later. Only NewVersion is populated.
+	Current bool
+	// FullRequired reports that have was not retained, so the full state
+	// follows: every item is Changed and Headers holds only the head.
 	FullRequired bool
 	// NewVersion is the primary's current version.
 	NewVersion uint64
@@ -101,12 +107,16 @@ func DecodeDeltaRequest(body []byte) (globeid.OID, uint64, error) {
 func (d *DeltaReply) Marshal() []byte {
 	w := enc.NewWriter(1024)
 	w.Byte(deltaWireVersion)
-	if d.FullRequired {
-		w.Byte(deltaStatusFullRequired)
+	if d.Current {
+		w.Byte(deltaStatusCurrent)
 		w.Uvarint(d.NewVersion)
 		return w.Bytes()
 	}
-	w.Byte(deltaStatusOK)
+	if d.FullRequired {
+		w.Byte(deltaStatusFull)
+	} else {
+		w.Byte(deltaStatusDelta)
+	}
 	w.Uvarint(d.NewVersion)
 	w.Uvarint(uint64(len(d.Headers)))
 	for _, h := range d.Headers {
@@ -141,22 +151,17 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 		return nil, fmt.Errorf("server: unsupported delta reply version %d", v)
 	}
 	status := r.Byte()
-	var d DeltaReply
-	switch status {
-	case deltaStatusFullRequired:
-		d.FullRequired = true
-		d.NewVersion = r.Uvarint()
+	d := DeltaReply{Current: status == deltaStatusCurrent, FullRequired: status == deltaStatusFull}
+	if r.Err() == nil && status != deltaStatusDelta && !d.Current && !d.FullRequired {
+		return nil, fmt.Errorf("server: unknown delta reply status %d", status)
+	}
+	d.NewVersion = r.Uvarint()
+	if d.Current {
 		if err := r.Finish(); err != nil {
 			return nil, fmt.Errorf("server: delta reply decode: %w", err)
 		}
 		return &d, nil
-	case deltaStatusOK:
-	default:
-		if r.Err() == nil {
-			return nil, fmt.Errorf("server: unknown delta reply status %d", status)
-		}
 	}
-	d.NewVersion = r.Uvarint()
 	nh := r.Uvarint()
 	if r.Err() == nil && nh > maxDeltaHeaders {
 		return nil, fmt.Errorf("server: implausible delta header count %d", nh)
@@ -184,6 +189,9 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 		it.Name = r.String()
 		switch st := r.Byte(); st {
 		case deltaItemUnchanged:
+			if d.FullRequired && r.Err() == nil {
+				return nil, fmt.Errorf("server: full delta reply marks %q unchanged", it.Name)
+			}
 		case deltaItemChanged:
 			it.Changed = true
 			it.Element.Name = it.Name
@@ -226,11 +234,11 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	return &d, nil
 }
 
-// DeltaSince computes the delta reply for a hosted replica from the
-// client's have-version to the current head. When have is not among the
-// retained versions (evicted, never existed, or from a divergent reset
-// history) the reply is a full-required decline. The reply's element
-// bytes are the caller's own copies.
+// DeltaSince computes the obj.getdelta reply for a hosted replica from
+// the client's have-version: "current" when have is the head or later, a
+// delta to the head when have is retained, and otherwise (0, evicted,
+// never existed, or from a divergent reset history) the full state. The
+// reply's element bytes are the caller's own copies.
 func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	d, err := s.deltaSince(oid, have)
 	if err != nil {
@@ -251,20 +259,15 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	}
 	chain := h.versions()
 	head := chain[len(chain)-1]
+	if have != 0 && have >= head.header.Version {
+		return &DeltaReply{Current: true, NewVersion: head.header.Version}, nil
+	}
 	base := -1
 	for i, snap := range chain {
-		if snap.header.Version == have {
+		if have != 0 && snap.header.Version == have {
 			base = i
 			break
 		}
-	}
-	if base < 0 {
-		return &DeltaReply{FullRequired: true, NewVersion: head.header.Version}, nil
-	}
-	changed, _ := merkle.DiffLeaves(chain[base].hashes, head.hashes)
-	changedSet := make(map[string]bool, len(changed))
-	for _, name := range changed {
-		changedSet[name] = true
 	}
 	d := &DeltaReply{
 		NewVersion: head.header.Version,
@@ -272,12 +275,23 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 		Cert:       head.cert,
 		NameCerts:  head.nameCerts,
 	}
-	for _, snap := range chain[base:] {
-		d.Headers = append(d.Headers, snap.header)
+	var changedSet map[string]bool // nil: the full state, every element sent
+	if base < 0 {
+		d.FullRequired = true
+		d.Headers = []*VersionHeader{head.header}
+	} else {
+		for _, snap := range chain[base:] {
+			d.Headers = append(d.Headers, snap.header)
+		}
+		changed, _ := merkle.DiffLeaves(chain[base].hashes, head.hashes)
+		changedSet = make(map[string]bool, len(changed))
+		for _, name := range changed {
+			changedSet[name] = true
+		}
 	}
 	for _, name := range head.wire.names {
 		it := DeltaItem{Name: name}
-		if changedSet[name] {
+		if changedSet == nil || changedSet[name] {
 			it.Changed = true
 			it.Element = head.wire.elements[name].element(name)
 		}
@@ -286,9 +300,8 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	return d, nil
 }
 
-// handleGetDelta serves obj.getdelta. Like obj.getbundle, everything in
-// the reply is public data the anonymous read protocol already exposes
-// piecewise.
+// handleGetDelta serves obj.getdelta. Everything in the reply is public
+// data the anonymous read protocol already exposes piecewise.
 func (s *Server) handleGetDelta(body []byte) ([]byte, error) {
 	oid, have, err := DecodeDeltaRequest(body)
 	if err != nil {

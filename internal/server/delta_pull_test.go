@@ -1,24 +1,23 @@
 package server_test
 
-// End-to-end tests for the Merkle-delta puller path: delta transfers
-// move only changed elements; declines, failures and a primary that
-// refuses obj.getdelta fall back to the full bundle, each check asking
-// for the delta again; and the transfer counters surface on telemetry.
+// End-to-end tests for the puller's one consistency transfer: each check
+// is one obj.getdelta; a delta moves only changed elements; an evicted
+// have-version brings the full state in the same reply; a rejected delta
+// is asked for once more from version 0; a refusal changes nothing; and
+// the transfer counters surface on telemetry.
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
-	"globedoc/internal/enc"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
-	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
@@ -26,9 +25,10 @@ import (
 
 // deltaWorld is pullWorld with a wider document: one small mutable page
 // plus a large static asset, so byte proportionality is observable.
-func deltaWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller) {
+func deltaWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
 	t.Helper()
-	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	tel := telemetry.New(nil)
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,19 @@ func deltaWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Pulle
 	}
 	puller := server.NewPuller(paris, pub.OID, "owner:delta.nl",
 		w.Addrs[netsim.AmsterdamPrimary], w.DialFrom(netsim.Paris), 10*time.Millisecond)
+	puller.SetTelemetry(tel)
 	t.Cleanup(puller.Stop)
-	return w, pub, puller
+	return w, pub, puller, tel
+}
+
+// served returns how many obj.getdelta requests the servers recording to
+// tel have answered.
+func served(tel *telemetry.Telemetry) uint64 {
+	return tel.RPCServed.With(server.OpGetDelta, "ok").Value() + tel.RPCServed.With(server.OpGetDelta, "error").Value()
 }
 
 func TestPullerUsesDeltaPath(t *testing.T) {
-	w, pub, puller := deltaWorld(t)
-	tel := telemetry.New(nil)
-	puller.SetTelemetry(tel)
+	w, pub, puller, tel := deltaWorld(t)
 
 	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2 small change")})
 	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
@@ -72,8 +77,8 @@ func TestPullerUsesDeltaPath(t *testing.T) {
 	if !pulled {
 		t.Fatal("stale replica did not pull")
 	}
-	if puller.DeltaPulls() != 1 || puller.FullPulls() != 0 {
-		t.Fatalf("delta=%d full=%d, want the delta path", puller.DeltaPulls(), puller.FullPulls())
+	if full := tel.PullerPulls.With("full").Value(); puller.DeltaPulls() != 1 || full != 0 {
+		t.Fatalf("delta=%d full=%d, want the delta path", puller.DeltaPulls(), full)
 	}
 	// The 32 KiB static asset must not have crossed the wire.
 	if got := puller.BytesDelta(); got == 0 || got > 16<<10 {
@@ -104,7 +109,7 @@ func TestPullerUsesDeltaPath(t *testing.T) {
 }
 
 func TestPullerDeltaChainExtendsAcrossSeveralVersions(t *testing.T) {
-	w, pub, puller := deltaWorld(t)
+	w, pub, puller, _ := deltaWorld(t)
 	// Let the primary advance several versions before one delta pull:
 	// the reply chain must link have..new across all of them.
 	for i := 2; i <= 4; i++ {
@@ -131,8 +136,10 @@ func TestPullerDeltaChainExtendsAcrossSeveralVersions(t *testing.T) {
 	}
 }
 
+// TestPullerFallsBackOnDecline lets the secondary's have-version fall out
+// of the primary's retention: the one reply is the full state.
 func TestPullerFallsBackOnDecline(t *testing.T) {
-	w, pub, puller := deltaWorld(t)
+	w, pub, puller, tel := deltaWorld(t)
 	// Outrun the primary's retention so the secondary's have-version is
 	// evicted before it checks.
 	const last = server.DefaultVersionRetention + 2
@@ -147,11 +154,14 @@ func TestPullerFallsBackOnDecline(t *testing.T) {
 		t.Fatalf("CheckOnce: %v", err)
 	}
 	if !pulled {
-		t.Fatal("declined delta did not fall back to a full pull")
+		t.Fatal("evicted have-version did not bring the full state")
 	}
-	if puller.DeltaDeclines() != 1 || puller.FullPulls() != 1 || puller.DeltaPulls() != 0 {
-		t.Fatalf("declines=%d full=%d delta=%d, want a decline then a full pull",
-			puller.DeltaDeclines(), puller.FullPulls(), puller.DeltaPulls())
+	if full := tel.PullerPulls.With("full").Value(); puller.DeltaDeclines() != 1 || full != 1 || puller.DeltaPulls() != 0 {
+		t.Fatalf("declines=%d full=%d delta=%d, want one full reply installed",
+			puller.DeltaDeclines(), full, puller.DeltaPulls())
+	}
+	if n := served(tel); n != 1 {
+		t.Fatalf("obj.getdelta served %d times, want the full state in the one reply", n)
 	}
 	sb, err := w.Servers[netsim.Paris].ExportBundle(pub.OID)
 	if err != nil {
@@ -165,7 +175,7 @@ func TestPullerFallsBackOnDecline(t *testing.T) {
 }
 
 func TestPullerDisableDeltaForcesFull(t *testing.T) {
-	w, pub, puller := deltaWorld(t)
+	w, pub, puller, tel := deltaWorld(t)
 	puller.DisableDelta = true
 	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2")})
 	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
@@ -175,84 +185,131 @@ func TestPullerDisableDeltaForcesFull(t *testing.T) {
 	if err != nil || !pulled {
 		t.Fatalf("CheckOnce = %v, %v", pulled, err)
 	}
-	if puller.DeltaPulls() != 0 || puller.FullPulls() != 1 || puller.BytesDelta() != 0 {
+	if full := tel.PullerPulls.With("full").Value(); puller.DeltaPulls() != 0 || full != 1 || puller.BytesDelta() != 0 {
 		t.Fatalf("delta=%d full=%d deltaBytes=%d, want the full path only",
-			puller.DeltaPulls(), puller.FullPulls(), puller.BytesDelta())
+			puller.DeltaPulls(), full, puller.BytesDelta())
+	}
+	// Asked from version 0 again, the primary sends the full state once
+	// more; it carries the certificate already held, so nothing changes.
+	pulled, err = puller.CheckOnce(context.Background())
+	if err != nil || pulled {
+		t.Fatalf("second CheckOnce = %v, %v; want the held certificate to be a no-op", pulled, err)
+	}
+	if full := tel.PullerPulls.With("full").Value(); full != 1 {
+		t.Fatalf("full pulls = %d after a no-op check, want 1", full)
 	}
 }
 
-// TestPullerFallsBackWhenPrimaryRefusesDelta points a puller at a
-// primary that refuses obj.getdelta as an unknown operation. A refusal is
-// a delta failure like any other: every check asks for the delta again,
-// counts one fallback and completes with a full pull.
-func TestPullerFallsBackWhenPrimaryRefusesDelta(t *testing.T) {
-	w, pub, _ := deltaWorld(t)
-	primary := w.Servers[netsim.AmsterdamPrimary]
+// TestPullerOneRequestPerCheck counts the primary's obj.getdelta
+// replies: one per check, whether the secondary is current or stale, and
+// two when a delta is rejected and asked for again from version 0.
+func TestPullerOneRequestPerCheck(t *testing.T) {
+	w, pub, puller, tel := deltaWorld(t)
+	ctx := context.Background()
+	if pulled, err := puller.CheckOnce(ctx); err != nil || pulled {
+		t.Fatalf("fresh CheckOnce = %v, %v", pulled, err)
+	}
+	if n := served(tel); n != 1 {
+		t.Fatalf("fresh check: obj.getdelta served %d times, want 1", n)
+	}
+	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2")})
+	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if pulled, err := puller.CheckOnce(ctx); err != nil || !pulled {
+		t.Fatalf("stale CheckOnce = %v, %v", pulled, err)
+	}
+	if n := served(tel); n != 2 {
+		t.Fatalf("stale check: obj.getdelta served %d times in all, want 2", n)
+	}
 
-	// A primary with version and bundle ops only, delegating to the
-	// genuine server's state. obj.getdelta is answered with the server's
-	// unknown-operation refusal, counted per request.
-	probes := 0
-	old := transport.NewServer()
-	old.Handle(object.OpVersion, func(body []byte) ([]byte, error) {
-		oid, err := object.DecodeOIDRequest(body)
+	// A primary whose deltas carry a flipped byte: the delta is
+	// rejected, and the retry from version 0 gets the honest full state.
+	primary := w.Servers[netsim.AmsterdamPrimary]
+	lyingTel := telemetry.New(nil)
+	lying := transport.NewServer()
+	lying.Telemetry = lyingTel
+	lying.Handle(server.OpGetDelta, func(body []byte) ([]byte, error) {
+		oid, have, err := server.DecodeDeltaRequest(body)
 		if err != nil {
 			return nil, err
 		}
-		b, err := primary.ExportBundle(oid)
+		d, err := primary.DeltaSince(oid, have)
 		if err != nil {
 			return nil, err
 		}
-		w := enc.NewWriter(8)
-		w.Uvarint(b.Version)
-		return w.Bytes(), nil
+		for _, it := range d.Items {
+			if it.Changed && !d.FullRequired {
+				it.Element.Data[0] ^= 0xff // DeltaSince's bytes are our own
+			}
+		}
+		return d.Marshal(), nil
 	})
-	old.Handle(object.OpGetBundle, func(body []byte) ([]byte, error) {
-		oid, err := object.DecodeOIDRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		b, err := primary.ExportBundle(oid)
-		if err != nil {
-			return nil, err
-		}
-		return b.Marshal(), nil
-	})
-	old.Handle(server.OpGetDelta, func(body []byte) ([]byte, error) {
-		probes++
-		return nil, errors.New("unknown operation " + server.OpGetDelta)
-	})
-	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "oldsrv")
+	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "lying")
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.Start(l)
-	t.Cleanup(old.Close)
+	lying.Start(l)
+	t.Cleanup(lying.Close)
+	victim := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:delta.nl",
+		netsim.AmsterdamPrimary+":lying", w.DialFrom(netsim.Paris), time.Minute)
+	victim.SetTelemetry(lyingTel)
+	t.Cleanup(victim.Stop)
+	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v3")})
+	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if pulled, err := victim.CheckOnce(ctx); err != nil || !pulled {
+		t.Fatalf("CheckOnce after a rejected delta = %v, %v", pulled, err)
+	}
+	if n := served(lyingTel); n != 2 {
+		t.Fatalf("rejected delta: obj.getdelta served %d times, want 2", n)
+	}
+	if full := lyingTel.PullerPulls.With("full").Value(); victim.DeltaFallbacks() != 1 || full != 1 {
+		t.Fatalf("fallbacks=%d full=%d, want the retry to install the full state", victim.DeltaFallbacks(), full)
+	}
+}
 
+// TestPullerRefusingPrimaryLeavesReplicaUnchanged points a puller at a
+// primary that refuses obj.getdelta as an unknown operation. A refusal
+// is no reply to apply: CheckOnce returns it, asks nothing more, and the
+// replica keeps exactly what it held.
+func TestPullerRefusingPrimaryLeavesReplicaUnchanged(t *testing.T) {
+	w, pub, _, _ := deltaWorld(t)
+	refusing := transport.NewServer()
+	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "refusing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusing.Start(l)
+	t.Cleanup(refusing.Close)
+	tel := telemetry.New(nil)
 	puller := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:delta.nl",
-		netsim.AmsterdamPrimary+":oldsrv", w.DialFrom(netsim.Paris), 10*time.Millisecond)
+		netsim.AmsterdamPrimary+":refusing", w.DialFrom(netsim.Paris), time.Minute)
+	puller.SetTelemetry(tel)
 	t.Cleanup(puller.Stop)
 
-	for i := 2; i <= 3; i++ {
-		pub.Doc.Put(document.Element{Name: "index.html", Data: []byte(fmt.Sprintf("v%d", i))})
-		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		pulled, err := puller.CheckOnce(context.Background())
-		if err != nil {
-			t.Fatalf("CheckOnce %d: %v", i, err)
-		}
-		if !pulled {
-			t.Fatalf("CheckOnce %d did not pull", i)
-		}
+	before, err := w.Servers[netsim.Paris].ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if probes != 2 {
-		t.Fatalf("obj.getdelta asked %d times, want 2 (one per check: nothing is latched)", probes)
+	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2")})
+	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
 	}
-	if puller.FullPulls() != 2 || puller.DeltaPulls() != 0 {
-		t.Fatalf("full=%d delta=%d, want 2 full pulls", puller.FullPulls(), puller.DeltaPulls())
+	pulled, err := puller.CheckOnce(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "unknown operation") || pulled {
+		t.Fatalf("CheckOnce = %v, %v; want the unknown-operation refusal", pulled, err)
 	}
-	if puller.DeltaFallbacks() != 2 {
-		t.Fatalf("delta fallbacks = %d, want 2 (each refusal is one)", puller.DeltaFallbacks())
+	if puller.DeltaFallbacks() != 0 || tel.PullerFailures.Value() != 1 {
+		t.Fatalf("fallbacks=%d failures=%d, want no retry and one failure",
+			puller.DeltaFallbacks(), tel.PullerFailures.Value())
+	}
+	after, err := w.Servers[netsim.Paris].ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Marshal(), after.Marshal()) {
+		t.Fatal("a refusing primary changed the replica")
 	}
 }

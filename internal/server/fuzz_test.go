@@ -71,7 +71,14 @@ func FuzzDeltaDecode(f *testing.F) {
 		},
 	}
 	f.Add(ok.Marshal())
-	f.Add((&server.DeltaReply{FullRequired: true, NewVersion: 7}).Marshal())
+	f.Add((&server.DeltaReply{Current: true, NewVersion: 7}).Marshal())
+	full := *ok
+	full.FullRequired = true
+	full.Items = []server.DeltaItem{
+		ok.Items[0],
+		{Name: "logo.png", Changed: true, Element: document.Element{Name: "logo.png", ContentType: "image/png", Data: []byte("png")}},
+	}
+	f.Add(full.Marshal())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 21))
 	f.Fuzz(func(t *testing.T, data []byte) {

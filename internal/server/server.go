@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"globedoc/internal/document"
-	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/object"
@@ -180,8 +179,6 @@ func New(name, site string, keystore *keys.Keystore, identity *keys.KeyPair, lim
 	s.srv.HandleCtx(object.OpGetElement, s.traced("serve.getelement", s.handleGetElement))
 	s.srv.HandleCtx(object.OpGetElements, s.traced("serve.getelements", s.handleGetElements))
 	s.srv.HandleCtx(object.OpBind, s.traced("serve.bind", s.handleBind))
-	s.srv.Handle(object.OpVersion, s.handleVersion)
-	s.srv.Handle(object.OpGetBundle, s.handleGetBundle)
 	s.srv.Handle(OpGetDelta, s.handleGetDelta)
 	s.srv.Handle(OpChallenge, s.handleChallenge)
 	s.srv.Handle(OpAdmin, s.handleAdmin)
@@ -469,31 +466,6 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 		items = append(items, it)
 	}
 	return items
-}
-
-func (s *Server) handleVersion(body []byte) ([]byte, error) {
-	h, err := s.requested(body)
-	if err != nil {
-		return nil, err
-	}
-	return encodeVersion(h.head().header.Version), nil
-}
-
-// encodeVersion is the reply of obj.version.
-func encodeVersion(v uint64) []byte {
-	w := enc.NewWriter(8)
-	w.Uvarint(v)
-	return w.Bytes()
-}
-
-// decodeVersion decodes an encodeVersion reply.
-func decodeVersion(body []byte) (uint64, error) {
-	r := enc.NewReader(body)
-	v := r.Uvarint()
-	if err := r.Finish(); err != nil {
-		return 0, err
-	}
-	return v, nil
 }
 
 // ReadCount returns how many element reads a hosted replica has served

@@ -21,9 +21,7 @@ import (
 func TestServedOperations(t *testing.T) {
 	want := []string{
 		object.OpBind,        // core: cold bind, warm miss, FetchAll, refresh
-		object.OpVersion,     // Puller.CheckOnce
-		object.OpGetBundle,   // Puller: the full pull
-		OpGetDelta,           // Puller: the delta pull
+		OpGetDelta,           // Puller.CheckOnce: current, delta or full state
 		OpChallenge,          // AdminClient: the nonce every admin verb signs
 		OpAdmin,              // AdminClient: create, update, list, delete
 		object.OpPing,        // perfbench's server layers; the placement bench

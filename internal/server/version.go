@@ -13,9 +13,9 @@ import (
 )
 
 // DefaultVersionRetention is how many versions of a hosted replica a
-// server keeps. Retained versions
-// are what obj.getdelta can diff against; a client whose have-version has
-// been evicted gets a full-bundle-required decline.
+// server keeps. Retained versions are what obj.getdelta can diff
+// against; a client whose have-version has been evicted gets the full
+// state.
 const DefaultVersionRetention = 8
 
 // VersionHeader commits one replica version to the hash chain

@@ -9,10 +9,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"globedoc/internal/document"
+	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/object"
@@ -146,18 +148,14 @@ func TestVersionChainResetsOnNonMonotonicVersion(t *testing.T) {
 	}
 }
 
-// mustVersion returns the version obj.version answers with.
+// mustVersion returns the version a hosted replica serves.
 func mustVersion(tb testing.TB, s *Server, oid globeid.OID) uint64 {
 	tb.Helper()
-	body, err := s.handleVersion(object.EncodeOIDRequest(oid))
+	h, err := s.replica(oid)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v, err := decodeVersion(body)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return v
+	return h.head().header.Version
 }
 
 func TestVersionHeaderMarshalRoundTrip(t *testing.T) {
@@ -193,8 +191,8 @@ func TestDeltaSinceReturnsOnlyChangedElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FullRequired {
-		t.Fatal("retained version declined")
+	if d.FullRequired || d.Current {
+		t.Fatalf("retained version answered FullRequired=%v Current=%v, want a delta", d.FullRequired, d.Current)
 	}
 	if d.NewVersion != have+1 {
 		t.Errorf("NewVersion = %d, want %d", d.NewVersion, have+1)
@@ -239,18 +237,37 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.FullRequired {
-		t.Fatal("evicted have-version was not declined")
+		t.Fatal("evicted have-version did not get the full state")
 	}
 	if d.NewVersion != have+updates {
-		t.Errorf("decline NewVersion = %d, want %d", d.NewVersion, have+updates)
+		t.Errorf("full NewVersion = %d, want %d", d.NewVersion, have+updates)
 	}
-	// Unknown versions decline too.
-	d, err = s.DeltaSince(oid, 9999)
+	// The full state: only the head's header, and every element.
+	if len(d.Headers) != 1 || d.Headers[0].Version != d.NewVersion {
+		t.Fatalf("full reply carries %d headers, want the head's alone", len(d.Headers))
+	}
+	for _, it := range d.Items {
+		if !it.Changed {
+			t.Fatalf("full reply marks %q unchanged", it.Name)
+		}
+	}
+	// Version 0 is never retained: it asks for the full state.
+	d, err = s.DeltaSince(oid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.FullRequired {
-		t.Fatal("unknown have-version was not declined")
+	if !d.FullRequired || d.Cert == nil {
+		t.Fatal("have-version 0 did not get the full state")
+	}
+	// A have-version at or past the head is current.
+	for _, v := range []uint64{have + updates, 9999} {
+		d, err = s.DeltaSince(oid, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Current || d.NewVersion != have+updates || d.Cert != nil {
+			t.Fatalf("DeltaSince(%d) = %+v, want current at %d", v, d, have+updates)
+		}
 	}
 }
 
@@ -277,16 +294,34 @@ func TestDeltaReplyMarshalRoundTrip(t *testing.T) {
 		t.Fatal("round trip lost certificate or key")
 	}
 
-	decline := &DeltaReply{FullRequired: true, NewVersion: 42}
-	got, err = UnmarshalDeltaReply(decline.Marshal())
+	current := &DeltaReply{Current: true, NewVersion: 42}
+	got, err = UnmarshalDeltaReply(current.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.FullRequired || got.NewVersion != 42 {
-		t.Fatalf("decline round trip = %+v", got)
+	if !got.Current || got.NewVersion != 42 {
+		t.Fatalf("current round trip = %+v", got)
 	}
-	if !bytes.Equal(got.Marshal(), decline.Marshal()) {
-		t.Fatal("decline re-marshal differs")
+	if !bytes.Equal(got.Marshal(), current.Marshal()) {
+		t.Fatal("current re-marshal differs")
+	}
+
+	full, err := s.DeltaSince(oid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = full.Marshal()
+	got, err = UnmarshalDeltaReply(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.FullRequired || !bytes.Equal(got.Marshal(), wire) {
+		t.Fatalf("full round trip = %+v", got)
+	}
+	// A full reply that marks an item unchanged is refused.
+	full.Items[0].Changed = false
+	if _, err := UnmarshalDeltaReply(full.Marshal()); err == nil {
+		t.Fatal("full reply with an unchanged item decoded")
 	}
 }
 
@@ -301,5 +336,31 @@ func TestDeltaRequestRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeDeltaRequest([]byte{99}); err == nil {
 		t.Fatal("bad version byte accepted")
+	}
+}
+
+// TestFullDeltaReplyKeepsDecoderBounds checks that a full reply, like a
+// delta, is refused before allocation when it claims more headers or
+// items than the decoder allows.
+func TestFullDeltaReplyKeepsDecoderBounds(t *testing.T) {
+	prefix := func(headers uint64) *enc.Writer {
+		w := enc.NewWriter(64)
+		w.Byte(deltaWireVersion)
+		w.Byte(deltaStatusFull)
+		w.Uvarint(1)
+		w.Uvarint(headers)
+		return w
+	}
+	w := prefix(maxDeltaHeaders + 1)
+	if _, err := UnmarshalDeltaReply(w.Bytes()); err == nil || !strings.Contains(err.Error(), "implausible delta header count") {
+		t.Fatalf("full reply over the header bound: %v", err)
+	}
+	w = prefix(0)
+	w.BytesPrefixed([]byte("key"))
+	w.BytesPrefixed([]byte("cert"))
+	w.Uvarint(0)
+	w.Uvarint(maxDeltaItems + 1)
+	if _, err := UnmarshalDeltaReply(w.Bytes()); err == nil || !strings.Contains(err.Error(), "implausible delta item count") {
+		t.Fatalf("full reply over the item bound: %v", err)
 	}
 }

@@ -39,14 +39,15 @@ const (
 	MetricPipelineRuns       = "binding_pipeline_runs_total"       // full secure-binding pipeline executions
 
 	// Delta replication instruments (server.Puller). The mode label is
-	// "full" (whole-bundle transfer) or "delta" (obj.getdelta transfer);
-	// bytes count request+reply payloads, the quantity the bench-delta
-	// gate bounds.
+	// the kind of obj.getdelta reply: "full" (the whole state) or "delta"
+	// (the changed elements); bytes count request+reply payloads, the
+	// quantity the bench-delta gate bounds.
 	MetricPullerPulls          = "puller_pulls_total"           // {mode} completed state transfers
 	MetricPullerBytes          = "puller_bytes_total"           // {mode} payload bytes moved
 	MetricPullerElements       = "puller_elements_total"        // {mode} element bodies transferred
-	MetricPullerDeltaDeclines  = "puller_delta_declines_total"  // full-required declines from the primary
-	MetricPullerDeltaFallbacks = "puller_delta_fallbacks_total" // delta attempts that fell back to full
+	MetricPullerDeltaDeclines  = "puller_delta_declines_total"  // full replies to a have-version the primary no longer retains
+	MetricPullerDeltaFallbacks = "puller_delta_fallbacks_total" // rejected deltas asked for again from version 0
+	MetricPullerFailures       = "puller_failures_total"        // checks that ended in an error
 
 	// Verified-content cache instruments (vcache.Cache via core.Client).
 	MetricVCacheHits          = "vcache_hits_total"          // element fetches served from verified bytes
@@ -123,6 +124,7 @@ type Telemetry struct {
 	PullerElements       *CounterVec // {mode}
 	PullerDeltaDeclines  *Counter
 	PullerDeltaFallbacks *Counter
+	PullerFailures       *Counter
 
 	// Verified-content cache instruments (core.Client + vcache.Cache).
 	VCacheHits          *Counter
@@ -180,6 +182,7 @@ func New(clk clock.Clock) *Telemetry {
 		PullerElements:       reg.CounterVec(MetricPullerElements, "mode"),
 		PullerDeltaDeclines:  reg.Counter(MetricPullerDeltaDeclines),
 		PullerDeltaFallbacks: reg.Counter(MetricPullerDeltaFallbacks),
+		PullerFailures:       reg.Counter(MetricPullerFailures),
 
 		VCacheHits:          reg.Counter(MetricVCacheHits),
 		VCacheMisses:        reg.Counter(MetricVCacheMisses),
