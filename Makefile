@@ -2,17 +2,17 @@ GO ?= go
 FUZZTIME ?= 5s
 
 .PHONY: check vet build test test-short budgets benchmark-smoke test-perfbench lint fuzz-smoke \
-	chaos chaos-short telemetry-smoke trace-smoke
+	chaos chaos-short telemetry-smoke trace-smoke examples-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
 ## perfbench module's included), the allocation and retained-heap
 ## budgets the race detector skips, one run of every Go benchmark, fuzz
-## smoke, a -short chaos seed
-## sweep, the end-to-end telemetry and distributed-tracing smokes, and
-## the acceptance gates of the cache, multiplex, traceoverhead, placement
+## smoke, a -short chaos seed sweep, the end-to-end telemetry and
+## distributed-tracing smokes, one run of every example program, and the
+## acceptance gates of the cache, multiplex, traceoverhead, placement
 ## and delta experiments (DESIGN.md §3 has the gate table).
 check: vet lint build test budgets benchmark-smoke test-perfbench fuzz-smoke chaos-short telemetry-smoke trace-smoke \
-	bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
+	examples-smoke bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
 ## serving path, run explicitly so a vet default change cannot drop them,
@@ -129,6 +129,17 @@ telemetry-smoke:
 ## process-boundary marker) with replica health samples on /debugz.
 trace-smoke:
 	GO=$(GO) sh scripts/trace_smoke.sh
+
+## examples-smoke: build and run every program under examples/ once; any
+## nonzero exit fails the target, with the program's output. quickstart
+## (owner reissue and push) and attacks (a stale replay signed over a
+## second document) drive the owner-update and version-ordering paths end
+## to end. About 6 s in all.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "example $$d"; \
+		out=$$($(GO) run "./$$d" 2>&1) || { echo "$$out"; echo "FAIL example $$d"; exit 1; }; \
+	done
 
 ## bench-%: run one row of the experiment table (internal/bench) at the
 ## configuration its acceptance gate is defined at and fail if the gate

@@ -287,6 +287,10 @@ func TestMovedLieAtMostDoS(t *testing.T) {
 	state := genuineState(t, owner, elems("current"), t0, time.Hour)
 	older := genuineState(t, owner, elems("older"), t0.Add(-time.Minute), time.Hour)
 	newer := genuineState(t, owner, elems("newer"), t0.Add(30*time.Second), time.Hour)
+	// The owner's second issue over a document signs version 2.
+	if newer.Cert, err = document.IssueCertificate(newer.Doc, state.OID, owner, t0.Add(30*time.Second), document.UniformTTL(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
 	forged := genuineState(t, owner, elems("forged"), t0.Add(30*time.Second), time.Hour)
 	if forged.Cert, err = document.IssueCertificate(forged.Doc, state.OID, keytest.Ed(), t0.Add(30*time.Second), document.UniformTTL(time.Hour)); err != nil {
 		t.Fatal(err)

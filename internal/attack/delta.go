@@ -39,10 +39,10 @@ const (
 	// the victim's stale bytes under the new certificate.
 	DeltaLieUnchanged
 	// DeltaRollback serves genuine state older than the victim's: the
-	// certificate and elements captured when the attacker was made, under
-	// a raised unsigned version, as a delta linked to the victim's head
-	// and as a full reply. Every byte verifies; only the supersedes rule
-	// stops it.
+	// certificate and elements captured when the attacker was made, as a
+	// delta linked to the victim's head and as a full reply. The delta's
+	// chain goes backwards; every byte of the full reply verifies, and
+	// only the supersedes rule stops it.
 	DeltaRollback
 )
 
@@ -134,11 +134,12 @@ func (m *MaliciousDeltaPrimary) handleGetDelta(body []byte) ([]byte, error) {
 	return d.Marshal(), nil
 }
 
-// rollback answers with the captured full state under a version above
-// the genuine head: as a delta whose chain starts at the victim's head
-// when the genuine server still retains have, as the full state
-// otherwise. Its headers commit to exactly the captured certificate and
-// element set, so every check but the supersedes rule passes.
+// rollback answers with the captured full state: as a delta whose chain
+// links the captured head to the victim's head when the genuine server
+// still retains have, as the full state otherwise. The captured head
+// commits to exactly the captured certificate and element set and carries
+// its signed version, so every check of the full reply but the supersedes
+// rule passes.
 func (m *MaliciousDeltaPrimary) rollback(oid globeid.OID, have uint64) (*server.DeltaReply, error) {
 	old, ok := m.captured[oid]
 	if !ok {
@@ -149,8 +150,6 @@ func (m *MaliciousDeltaPrimary) rollback(oid globeid.OID, have uint64) (*server.
 		return nil, err
 	}
 	d, head := *old, *old.Headers[0]
-	head.Version = chain[len(chain)-1].Version + 5
-	d.NewVersion, d.Headers = head.Version, []*server.VersionHeader{&head}
 	for _, hd := range chain {
 		if have != 0 && hd.Version == have {
 			head.Prev = hd.Hash()

@@ -13,6 +13,7 @@ package attack_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,9 +123,10 @@ func TestPoisonedDeltaAtWorstDoS(t *testing.T) {
 
 			if mode == attack.DeltaRollback {
 				// Both shapes carry superseded state: the check fails,
-				// counted, and the victim keeps exactly what it held.
-				if err == nil || pulled {
-					t.Fatalf("CheckOnce = %v, %v; want the rollback refused", pulled, err)
+				// counted, and the victim keeps exactly what it held. The
+				// full reply verifies, so the supersedes rule refuses it.
+				if err == nil || pulled || !strings.Contains(err.Error(), "supersedes") {
+					t.Fatalf("CheckOnce = %v, %v; want the rollback refused as superseded", pulled, err)
 				}
 				if v := tel.PullerFailures.Value(); v != 1 {
 					t.Errorf("puller_failures_total = %d, want 1", v)

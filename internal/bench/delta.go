@@ -79,11 +79,10 @@ func deltaBundles(cfg Config, iterations int) (globeid.OID, []*server.Bundle, er
 	r := workload.NewRand(WorkloadSeed + 1)
 
 	bundles := make([]*server.Bundle, 0, iterations+1)
-	issue := func(version uint64) error {
-		elems, _ := doc.Snapshot()
-		doc.Replace(elems, version)
+	// The i-th issue signs version i.
+	issue := func(i int) error {
 		icert, err := document.IssueCertificate(doc, oid, owner,
-			benchEpoch.Add(time.Duration(version)*time.Second), document.UniformTTL(24*time.Hour))
+			benchEpoch.Add(time.Duration(i)*time.Second), document.UniformTTL(24*time.Hour))
 		if err != nil {
 			return err
 		}
@@ -103,7 +102,7 @@ func deltaBundles(cfg Config, iterations int) (globeid.OID, []*server.Bundle, er
 		}); err != nil {
 			return globeid.OID{}, nil, err
 		}
-		if err := issue(uint64(i + 1)); err != nil {
+		if err := issue(i + 1); err != nil {
 			return globeid.OID{}, nil, err
 		}
 	}
@@ -152,7 +151,7 @@ func runDeltaOnce(cfg Config, oid globeid.OID, bundles []*server.Bundle, disable
 		}
 		samples = append(samples, now().Sub(start))
 		if !pulled {
-			return Phase{}, 0, nil, nil, fmt.Errorf("delta bench: secondary did not pull update %d", b.Version)
+			return Phase{}, 0, nil, nil, fmt.Errorf("delta bench: secondary did not pull update %d", b.Cert.Version)
 		}
 	}
 	pulls := uint64(len(samples))

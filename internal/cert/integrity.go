@@ -60,7 +60,7 @@ type ElementEntry struct {
 // encoding — and therefore the signature — is deterministic.
 type IntegrityCertificate struct {
 	ObjectID globeid.OID
-	Version  uint64 // monotonically increasing per re-issue
+	Version  uint64 // higher on every issue; the one order of the object's states
 	Issued   time.Time
 	Entries  []ElementEntry
 	Sig      []byte
@@ -132,11 +132,13 @@ func (c *IntegrityCertificate) VerifySignatureUsing(oid globeid.OID, objectKey k
 }
 
 // Supersedes reports whether c replaces held as the object's current
-// signed state: a higher Version, or the same Version issued later. A
-// replica that offers a certificate held supersedes is offering a
-// rollback to state its owner has already replaced.
+// signed state: a higher Version. The owner signs a higher Version on
+// every issue, a refresh that changes no element included, so the signed
+// number alone orders states. A replica that offers a certificate held
+// supersedes is offering a rollback to state its owner has already
+// replaced.
 func (c *IntegrityCertificate) Supersedes(held *IntegrityCertificate) bool {
-	return c.Version > held.Version || (c.Version == held.Version && c.Issued.After(held.Issued))
+	return c.Version > held.Version
 }
 
 // MaxExpiry returns the latest entry expiry in the certificate — the end

@@ -290,8 +290,8 @@ func TestMaxExpiry(t *testing.T) {
 }
 
 // TestSupersedes pins the one ordering of signed states: a higher
-// version, or the same version issued later, supersedes; an identical
-// or older one does not.
+// version supersedes, whenever it was issued; an equal or lower one does
+// not, however late it was issued.
 func TestSupersedes(t *testing.T) {
 	held := &cert.IntegrityCertificate{Version: 5, Issued: t0}
 	for _, tc := range []struct {
@@ -300,7 +300,7 @@ func TestSupersedes(t *testing.T) {
 		want bool
 	}{
 		{"higher version, issued earlier", &cert.IntegrityCertificate{Version: 6, Issued: t0.Add(-time.Hour)}, true},
-		{"same version, issued later", &cert.IntegrityCertificate{Version: 5, Issued: t1}, true},
+		{"same version, issued later", &cert.IntegrityCertificate{Version: 5, Issued: t1}, false},
 		{"same version, same issue time", &cert.IntegrityCertificate{Version: 5, Issued: t0}, false},
 		{"same version, issued earlier", &cert.IntegrityCertificate{Version: 5, Issued: t0.Add(-time.Hour)}, false},
 		{"lower version, issued later", &cert.IntegrityCertificate{Version: 4, Issued: t1}, false},

@@ -1049,7 +1049,7 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 // verifyCert is step 10: icert's signature, verified under the object's
 // self-certified key — and, for a certificate that is to replace held,
 // that it supersedes held (cert.Supersedes, the rule a secondary's
-// puller applies too): a later version, or the same version issued later.
+// puller applies too): a higher signed version.
 func (c *Client) verifyCert(p *pipeline, oid globeid.OID, key keys.PublicKey, icert, held *cert.IntegrityCertificate, now time.Time) error {
 	return p.step(StepCertVerify, &p.timing.CertVerify, func() error {
 		if held != nil && !icert.Supersedes(held) {

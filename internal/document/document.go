@@ -45,12 +45,15 @@ func (e Element) Size() int { return len(e.Data) }
 func (e Element) Hash() [globeid.Size]byte { return globeid.HashElement(e.Data) }
 
 // Document is the replicable state of one GlobeDoc object: a named set of
-// page elements plus a version counter bumped on every mutation. Document
-// is safe for concurrent use.
+// page elements. Its version is the Version of the last integrity
+// certificate IssueCertificate signed over it, the one number that orders
+// the object's states because it is the one the owner signs. Put and
+// Remove change the elements alone; the next certificate names the change.
+// Document is safe for concurrent use.
 type Document struct {
 	mu       sync.RWMutex
 	elements map[string]Element
-	version  uint64
+	version  uint64 // of the last certificate issued over the elements
 }
 
 // New returns an empty document at version 0.
@@ -58,8 +61,8 @@ func New() *Document {
 	return &Document{elements: make(map[string]Element)}
 }
 
-// Version returns the current state version. Every successful Put or
-// Remove increments it.
+// Version returns the Version of the last certificate IssueCertificate
+// signed over the document, 0 before the first.
 func (d *Document) Version() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -79,7 +82,6 @@ func (d *Document) Put(e Element) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.elements[e.Name] = e
-	d.version++
 	return nil
 }
 
@@ -103,7 +105,6 @@ func (d *Document) Remove(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchElement, name)
 	}
 	delete(d.elements, name)
-	d.version++
 	return nil
 }
 
@@ -137,32 +138,27 @@ func (d *Document) TotalSize() int {
 	return total
 }
 
-// Snapshot returns copies of all elements, sorted by name, together with
-// the version they correspond to.
-func (d *Document) Snapshot() ([]Element, uint64) {
+// Snapshot returns copies of all elements, sorted by name.
+func (d *Document) Snapshot() []Element {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
+	out := d.sorted()
+	d.mu.RUnlock()
+	for i := range out {
+		out[i].Data = append([]byte(nil), out[i].Data...)
+	}
+	return out
+}
+
+// sorted returns the elements sorted by name, their Data aliasing the
+// document's own bytes, which Put copies in and nothing mutates after.
+// d.mu must be held.
+func (d *Document) sorted() []Element {
 	out := make([]Element, 0, len(d.elements))
 	for _, e := range d.elements {
-		e.Data = append([]byte(nil), e.Data...)
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, d.version
-}
-
-// Replace atomically substitutes the full element set, as when a replica
-// installs state pushed from the primary, and sets the version.
-func (d *Document) Replace(elements []Element, version uint64) {
-	m := make(map[string]Element, len(elements))
-	for _, e := range elements {
-		e.Data = append([]byte(nil), e.Data...)
-		m[e.Name] = e
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.elements = m
-	d.version = version
+	return out
 }
 
 // GuessContentType maps a file extension to a MIME type, defaulting to
@@ -223,8 +219,16 @@ func FromFS(fsys fs.FS, root string) (*Document, error) {
 // issued+ttl(name); ttl is consulted per element, enabling the per-element
 // freshness constraints that distinguish GlobeDoc from hash-tree designs
 // such as r-oSFS (paper §5).
+//
+// The certificate's Version is the document's Version()+1, reserved under
+// the same lock that takes the elements, so every issue signs a higher
+// version than the last — whether or not the elements changed, and
+// however many callers issue at once.
 func IssueCertificate(d *Document, oid globeid.OID, owner *keys.KeyPair, issued time.Time, ttl func(name string) time.Duration) (*cert.IntegrityCertificate, error) {
-	elements, version := d.Snapshot()
+	d.mu.Lock()
+	d.version++
+	elements, version := d.sorted(), d.version
+	d.mu.Unlock()
 	c := &cert.IntegrityCertificate{
 		ObjectID: oid,
 		Version:  version,

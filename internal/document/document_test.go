@@ -3,6 +3,7 @@ package document_test
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/fstest"
 	"testing/quick"
@@ -47,19 +48,67 @@ func TestPutRejectsEmptyName(t *testing.T) {
 	}
 }
 
+// TestVersionIncrements pins what a document version is: the version of
+// the last certificate issued over it. Put and Remove leave it alone;
+// each issue advances it by one, whether or not the elements changed.
 func TestVersionIncrements(t *testing.T) {
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
 	d := document.New()
 	if d.Version() != 0 {
 		t.Fatalf("initial version = %d", d.Version())
 	}
 	d.Put(document.Element{Name: "a", Data: []byte("1")})
 	d.Put(document.Element{Name: "b", Data: []byte("2")})
-	if d.Version() != 2 {
-		t.Fatalf("version after 2 puts = %d", d.Version())
-	}
 	d.Remove("a")
-	if d.Version() != 3 {
-		t.Fatalf("version after remove = %d", d.Version())
+	if d.Version() != 0 {
+		t.Fatalf("version after puts and a remove = %d, want 0", d.Version())
+	}
+	for want := uint64(1); want <= 3; want++ {
+		c, err := document.IssueCertificate(d, oid, owner, time.Unix(1e9, 0), document.UniformTTL(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Version != want || d.Version() != want {
+			t.Fatalf("issue %d signed version %d, document at %d", want, c.Version, d.Version())
+		}
+	}
+}
+
+// TestConcurrentIssuersSignDistinctVersions checks that the version an
+// issue signs is reserved under the lock that takes the elements: eight
+// concurrent issuers sign eight distinct versions, 1 through 8.
+func TestConcurrentIssuersSignDistinctVersions(t *testing.T) {
+	const issuers = 8
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
+	d := document.New()
+	d.Put(document.Element{Name: "index.html", Data: []byte("page")})
+	versions := make(chan uint64, issuers)
+	var wg sync.WaitGroup
+	for i := 0; i < issuers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := document.IssueCertificate(d, oid, owner, time.Unix(1e9, 0), document.UniformTTL(time.Hour))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			versions <- c.Version
+		}()
+	}
+	wg.Wait()
+	close(versions)
+	seen := make(map[uint64]bool)
+	for v := range versions {
+		if seen[v] || v < 1 || v > issuers {
+			t.Errorf("version %d signed twice or out of 1..%d", v, issuers)
+		}
+		seen[v] = true
+	}
+	if len(seen) != issuers || d.Version() != issuers {
+		t.Fatalf("%d distinct versions signed, document at %d; want %d", len(seen), d.Version(), issuers)
 	}
 }
 
@@ -101,23 +150,18 @@ func TestNamesSortedAndSizes(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndReplace(t *testing.T) {
+func TestSnapshotSortedCopies(t *testing.T) {
 	d := document.New()
 	d.Put(document.Element{Name: "b", Data: []byte("2")})
 	d.Put(document.Element{Name: "a", Data: []byte("1")})
-	elems, version := d.Snapshot()
-	if version != 2 || len(elems) != 2 || elems[0].Name != "a" {
-		t.Fatalf("Snapshot = %v @ %d", elems, version)
+	elems := d.Snapshot()
+	if len(elems) != 2 || elems[0].Name != "a" || elems[1].Name != "b" {
+		t.Fatalf("Snapshot = %v", elems)
 	}
-
-	replica := document.New()
-	replica.Replace(elems, version)
-	if replica.Version() != 2 || replica.Len() != 2 {
-		t.Fatalf("Replace: version %d len %d", replica.Version(), replica.Len())
-	}
-	got, err := replica.Get("b")
+	elems[1].Data[0] = 'X'
+	got, err := d.Get("b")
 	if err != nil || !bytes.Equal(got.Data, []byte("2")) {
-		t.Fatalf("Get after Replace: %v %q", err, got.Data)
+		t.Fatalf("mutation through Snapshot leaked into document state: %v %q", err, got.Data)
 	}
 }
 

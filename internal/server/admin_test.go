@@ -51,7 +51,7 @@ func TestAdminCreateUpdateDeleteLifecycle(t *testing.T) {
 		t.Fatalf("ListReplicas = %v, %v", oids, err)
 	}
 
-	b2 := makeBundle(t, docKey, map[string][]byte{"index.html": []byte("v2 updated")})
+	b2 := makeBundleAt(t, docKey, 2, map[string][]byte{"index.html": []byte("v2 updated")})
 	if err := admin.UpdateReplica(context.Background(), b2); err != nil {
 		t.Fatalf("UpdateReplica: %v", err)
 	}

@@ -28,12 +28,12 @@ import (
 )
 
 // Bundle is the complete transferable state of one GlobeDoc replica:
-// everything an object server needs to host it.
+// everything an object server needs to host it. Its version is its
+// certificate's signed Version.
 type Bundle struct {
 	OID       globeid.OID
 	Key       keys.PublicKey
 	Elements  []document.Element
-	Version   uint64
 	Cert      *cert.IntegrityCertificate
 	NameCerts []*cert.NameCertificate
 }
@@ -80,7 +80,6 @@ func (b *Bundle) Marshal() []byte {
 	w := enc.NewWriter(1024 + b.TotalBytes())
 	w.Raw(b.OID[:])
 	w.BytesPrefixed(b.Key.Marshal())
-	w.Uvarint(b.Version)
 	w.Uvarint(uint64(len(b.Elements)))
 	for _, e := range b.Elements {
 		w.String(e.Name)
@@ -101,7 +100,6 @@ func UnmarshalBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	copy(b.OID[:], r.Raw(globeid.Size))
 	rawKey := r.BytesPrefixed()
-	b.Version = r.Uvarint()
 	n := r.Uvarint()
 	if n > 1<<16 {
 		return nil, fmt.Errorf("server: implausible element count %d", n)
@@ -147,12 +145,10 @@ func UnmarshalBundle(data []byte) (*Bundle, error) {
 
 // BundleFromDocument snapshots a live document into a bundle.
 func BundleFromDocument(oid globeid.OID, key keys.PublicKey, doc *document.Document, c *cert.IntegrityCertificate, nameCerts []*cert.NameCertificate) *Bundle {
-	elems, version := doc.Snapshot()
 	return &Bundle{
 		OID:       oid,
 		Key:       key,
-		Elements:  elems,
-		Version:   version,
+		Elements:  doc.Snapshot(),
 		Cert:      c,
 		NameCerts: nameCerts,
 	}

@@ -93,8 +93,10 @@ func (p *Puller) DeltaDeclines() uint64 { return p.deltaDeclines.Load() }
 // version 0.
 func (p *Puller) DeltaFallbacks() uint64 { return p.deltaFallbacks.Load() }
 
-// errSuperseded rejects a transfer whose certificate the replica's own
-// supersedes: a rollback to signed state the owner has already replaced.
+// errSuperseded rejects a transfer whose certificate does not supersede
+// the replica's own but is not the one it holds: a rollback to signed
+// state the owner has already replaced, or a second certificate at the
+// version held, which no honest owner signs.
 var errSuperseded = errors.New("server: primary offered state the replica's certificate supersedes")
 
 // CheckOnce asks the primary for the state since the local head and
@@ -175,12 +177,14 @@ func (p *Puller) pull(ctx context.Context, local *versionSnapshot, have uint64) 
 
 // apply installs the state a delta or full reply describes over local,
 // the replica's head, and reports whether it did and how many element
-// bodies the reply moved. A reply carrying the certificate already held
-// installs nothing and is no error. Nothing in the reply is trusted before Update's
-// validation passes: the chain check rejects malformed or non-extending
-// replies cheaply, the supersedes check refuses a rollback, and the
-// bundle Update validates takes local's unchanged elements by reference
-// — no local byte is copied.
+// bodies the reply moved. A reply whose chain head commits to the
+// certificate already held installs nothing and is no error; any other
+// reply whose certificate does not supersede the held one is refused.
+// Nothing in the reply is trusted before Update's validation passes: the
+// chain check rejects malformed or non-extending replies cheaply, the
+// supersedes check refuses a rollback, and the bundle Update validates
+// takes local's unchanged elements by reference — no local byte is
+// copied.
 func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, changed uint64, err error) {
 	from := local.header
 	if d.FullRequired {
@@ -190,10 +194,10 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 		return false, 0, err
 	}
 	if !d.Cert.Supersedes(local.cert) {
-		if local.cert.Supersedes(d.Cert) {
-			return false, 0, errSuperseded
+		if d.Headers[len(d.Headers)-1].CertHash == local.header.CertHash {
+			return false, 0, nil
 		}
-		return false, 0, nil
+		return false, 0, errSuperseded
 	}
 	elems := make([]document.Element, 0, len(d.Items))
 	for _, it := range d.Items {
@@ -212,7 +216,6 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 		OID:       p.oid,
 		Key:       d.Key,
 		Elements:  elems,
-		Version:   d.NewVersion,
 		Cert:      d.Cert,
 		NameCerts: d.NameCerts,
 	}
@@ -226,14 +229,14 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 
 // verifyDeltaChain checks that a reply's header chain leads to the state
 // it proposes: consecutive headers must be hash-linked with strictly
-// increasing versions, and the last header must commit to exactly the
-// certificate and element set the reply proposes. For a delta, local is
-// the replica's head and the first header must carry its content
-// commitments (version, certificate hash, element root — Prev is
-// excluded, since two replicas that converged through different
-// histories legitimately disagree on it); a full reply (local nil) links
-// to nothing the replica holds. A reply that fails here is discarded
-// before any signature work.
+// increasing versions, and the last header must carry the certificate's
+// signed version and commit to exactly the certificate and element set
+// the reply proposes. For a delta, local is the replica's head and the
+// first header must carry its content commitments (version, certificate
+// hash, element root — Prev is excluded, since two replicas that
+// converged through different histories legitimately disagree on it); a
+// full reply (local nil) links to nothing the replica holds. A reply that
+// fails here is discarded before any signature work.
 func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) error {
 	if len(d.Headers) == 0 {
 		return fmt.Errorf("server: delta reply carries no version headers")
@@ -258,11 +261,11 @@ func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) erro
 		}
 	}
 	last := d.Headers[len(d.Headers)-1]
-	if last.Version != d.NewVersion {
-		return fmt.Errorf("server: delta chain head is version %d, reply claims %d", last.Version, d.NewVersion)
-	}
 	if d.Cert == nil {
 		return fmt.Errorf("server: delta reply has no integrity certificate")
+	}
+	if last.Version != d.Cert.Version {
+		return fmt.Errorf("server: delta chain head is version %d, its certificate %d", last.Version, d.Cert.Version)
 	}
 	if last.CertHash != globeid.HashElement(d.Cert.Marshal()) {
 		return fmt.Errorf("server: delta chain head does not commit to the reply certificate")

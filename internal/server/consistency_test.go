@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestPullerRejectsPoisonedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Elements[0].Data = []byte("poisoned content")
-	b.Version += 10
+	b.Cert.Version += 10
 	// Force-install on the primary without validation by bypassing:
 	// primary.Update would reject it, so emulate a malicious primary by
 	// swapping the stored doc — use the owner path with a forged bundle
@@ -167,5 +168,89 @@ func TestPullerFailureCounting(t *testing.T) {
 	}
 	if v := tel.PullerFailures.Value(); v != 1 {
 		t.Errorf("puller_failures_total = %d, want 1", v)
+	}
+}
+
+// TestRefreshOnlyReissueReachesSecondary: a reissue that only extends
+// validity signs a higher version, so one check moves it to the
+// secondary — in one obj.getdelta that carries no element bytes.
+func TestRefreshOnlyReissueReachesSecondary(t *testing.T) {
+	w, pub, puller, tel := pullWorld(t)
+	if err := w.Reissue(pub, time.Hour, time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	served := tel.RPCServed.With(server.OpGetDelta, "ok").Value()
+	moved := tel.PullerElements.With("delta").Value()
+	pulled, err := puller.CheckOnce(context.Background())
+	if err != nil || !pulled {
+		t.Fatalf("CheckOnce = %v, %v; want the refreshed certificate pulled", pulled, err)
+	}
+	if n := tel.RPCServed.With(server.OpGetDelta, "ok").Value() - served; n != 1 {
+		t.Errorf("obj.getdelta served %d times, want 1", n)
+	}
+	if n := tel.PullerElements.With("delta").Value() - moved; n != 0 {
+		t.Errorf("puller_elements_total{delta} rose by %d, want 0", n)
+	}
+	head := func(site string) server.VersionHeader {
+		chain, err := w.Servers[site].VersionChain(pub.OID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chain[len(chain)-1]
+	}
+	if p, s := head(netsim.AmsterdamPrimary), head(netsim.Paris); s.CertHash != p.CertHash || s.Version != pub.Cert.Version {
+		t.Fatalf("paris head at v%d, primary at v%d, signed v%d; want the refreshed certificate", s.Version, p.Version, pub.Cert.Version)
+	}
+}
+
+// TestPullerRefusesSecondCertificateAtHeldVersion: no honest owner signs
+// two certificates at one version, so a full reply at the version the
+// replica holds under another certificate is a fault. Nothing installs
+// and puller_failures_total counts it.
+func TestPullerRefusesSecondCertificateAtHeldVersion(t *testing.T) {
+	w, pub, _, _ := pullWorld(t)
+	paris := w.Servers[netsim.Paris]
+	doc := document.New()
+	doc.Put(document.Element{Name: "index.html", Data: []byte("v1 fork")})
+	icert, err := document.IssueCertificate(doc, pub.OID, pub.OwnerKey, time.Now(), document.UniformTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if icert.Version != pub.Cert.Version {
+		t.Fatalf("fork signed v%d, replica holds v%d", icert.Version, pub.Cert.Version)
+	}
+	fork := server.New("srv-fork", netsim.AmsterdamPrimary, nil, nil, server.Limits{})
+	if err := fork.Install(server.BundleFromDocument(pub.OID, pub.OwnerKey.Public(), doc, icert, nil), "owner"); err != nil {
+		t.Fatal(err)
+	}
+	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "fork")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork.Start(l)
+	t.Cleanup(fork.Close)
+	tel := telemetry.New(nil)
+	puller := server.NewPuller(paris, pub.OID, "owner:pull.nl",
+		netsim.AmsterdamPrimary+":fork", w.DialFrom(netsim.Paris), time.Minute)
+	puller.SetTelemetry(tel)
+	puller.DisableDelta = true // a check from version 0 gets the full state
+	t.Cleanup(puller.Stop)
+
+	before, err := paris.ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pulled, err := puller.CheckOnce(context.Background()); err == nil || pulled {
+		t.Fatalf("CheckOnce = %v, %v; want the second certificate refused", pulled, err)
+	}
+	if v := tel.PullerFailures.Value(); v != 1 {
+		t.Errorf("puller_failures_total = %d, want 1", v)
+	}
+	after, err := paris.ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Marshal(), after.Marshal()) {
+		t.Fatal("a second certificate at the held version changed the replica")
 	}
 }

@@ -29,7 +29,7 @@ const OpGetDelta = "obj.getdelta"
 
 // deltaWireVersion versions both the request and reply encodings, so the
 // format can evolve the way the transport's frame version does.
-const deltaWireVersion = 2
+const deltaWireVersion = 3
 
 // Reply status bytes.
 const (
@@ -67,7 +67,8 @@ type DeltaReply struct {
 	// FullRequired reports that have was not retained, so the full state
 	// follows: every item is Changed and Headers holds only the head.
 	FullRequired bool
-	// NewVersion is the primary's current version.
+	// NewVersion is the primary's current version, carried only by a
+	// current reply. A delta or full reply's version is its certificate's.
 	NewVersion uint64
 	// Headers is the retained chain from the have-version to the current
 	// version inclusive, oldest first.
@@ -117,7 +118,6 @@ func (d *DeltaReply) Marshal() []byte {
 	} else {
 		w.Byte(deltaStatusDelta)
 	}
-	w.Uvarint(d.NewVersion)
 	w.Uvarint(uint64(len(d.Headers)))
 	for _, h := range d.Headers {
 		w.BytesPrefixed(h.Marshal())
@@ -155,8 +155,8 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	if r.Err() == nil && status != deltaStatusDelta && !d.Current && !d.FullRequired {
 		return nil, fmt.Errorf("server: unknown delta reply status %d", status)
 	}
-	d.NewVersion = r.Uvarint()
 	if d.Current {
+		d.NewVersion = r.Uvarint()
 		if err := r.Finish(); err != nil {
 			return nil, fmt.Errorf("server: delta reply decode: %w", err)
 		}
@@ -236,9 +236,9 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 
 // DeltaSince computes the obj.getdelta reply for a hosted replica from
 // the client's have-version: "current" when have is the head or later, a
-// delta to the head when have is retained, and otherwise (0, evicted,
-// never existed, or from a divergent reset history) the full state. The
-// reply's element bytes are the caller's own copies.
+// delta to the head when have is retained, and otherwise (0, evicted or
+// never existed) the full state. The reply's element bytes are the
+// caller's own copies.
 func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	d, err := s.deltaSince(oid, have)
 	if err != nil {
@@ -269,12 +269,7 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 			break
 		}
 	}
-	d := &DeltaReply{
-		NewVersion: head.header.Version,
-		Key:        h.key,
-		Cert:       head.cert,
-		NameCerts:  head.nameCerts,
-	}
+	d := &DeltaReply{Key: h.key, Cert: head.cert, NameCerts: head.nameCerts}
 	var changedSet map[string]bool // nil: the full state, every element sent
 	if base < 0 {
 		d.FullRequired = true

@@ -13,7 +13,8 @@ import (
 
 // FuzzUnmarshalBundle checks the replica-bundle decoder — the surface an
 // untrusted peer server controls — never panics and only accepts
-// canonical encodings.
+// canonical encodings. A bundle carries no version of its own: its
+// version is its certificate's.
 func FuzzUnmarshalBundle(f *testing.F) {
 	owner := keytest.Ed()
 	oid := globeid.FromPublicKey(owner.Public())
@@ -59,12 +60,13 @@ func FuzzDeltaDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hdr := &server.VersionHeader{OID: oid, Version: doc.Version(), CertHash: globeid.HashElement(icert.Marshal())}
+	hdr := &server.VersionHeader{OID: oid, Version: icert.Version, CertHash: globeid.HashElement(icert.Marshal())}
+	// Only a current reply carries a version of its own; a delta's or full
+	// reply's is its certificate's.
 	ok := &server.DeltaReply{
-		NewVersion: doc.Version(),
-		Headers:    []*server.VersionHeader{hdr},
-		Key:        owner.Public(),
-		Cert:       icert,
+		Headers: []*server.VersionHeader{hdr},
+		Key:     owner.Public(),
+		Cert:    icert,
 		Items: []server.DeltaItem{
 			{Name: "index.html", Changed: true, Element: document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("seed")}},
 			{Name: "logo.png"},

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"globedoc/internal/alloctest"
 	"globedoc/internal/cert"
@@ -47,14 +46,7 @@ func headBundle(tb testing.TB, owner *keys.KeyPair, version uint64, names []stri
 		}
 		elems[i] = document.Element{Name: name, ContentType: "text/html", Data: data}
 	}
-	doc := document.New()
-	doc.Replace(elems, version)
-	oid := globeid.FromPublicKey(owner.Public())
-	icert, err := document.IssueCertificate(doc, oid, owner, wireT0.Add(time.Duration(version)*time.Second), document.UniformTTL(time.Hour))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &Bundle{OID: oid, Key: owner.Public(), Elements: elems, Version: version, Cert: icert}
+	return signedBundle(tb, owner, version, elems)
 }
 
 // servedPayload returns obj.getelement's reply for name: the one buffer
@@ -123,7 +115,7 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 	v := mustVersion(t, s, oid)
 	for i := 1; i <= retention+2; i++ {
 		before := h.versions()
-		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
+		chainUpdate(t, s, owner, v+uint64(i), "index.html", []byte{byte(i)})
 		after := h.versions()
 		if &before[0] == &after[0] {
 			t.Fatalf("update %d reused the previous chain's backing array", i)
@@ -228,21 +220,28 @@ func TestUpdateSharesUnchangedPayloads(t *testing.T) {
 }
 
 // raceReaders runs read in four goroutines, rounds times each, beside an
-// updater flipping the replica between bundles a and b.
-func raceReaders(t *testing.T, s *Server, a, b *Bundle, rounds int, read func() error) {
+// updater flipping the replica between the elements of bundles a and b,
+// each flip signed by owner at the next version.
+func raceReaders(t *testing.T, s *Server, owner *keys.KeyPair, a, b *Bundle, rounds int, read func() error) {
 	t.Helper()
 	stop := make(chan struct{})
 	var updater, readers sync.WaitGroup
 	updater.Add(1)
 	go func() {
 		defer updater.Done()
+		v := max(a.Cert.Version, b.Cert.Version)
 		for next, other := b, a; ; next, other = other, next {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := s.Update(next, "owner"); err != nil {
+			v++
+			signed, err := signBundle(owner, v, next.Elements)
+			if err == nil {
+				err = s.Update(signed, "owner")
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -288,16 +287,16 @@ func TestExportBundleNeverTorn(t *testing.T) {
 	if err := s.Update(b, "owner"); err != nil {
 		t.Fatal(err)
 	}
-	if got := view.bundle(h.key); got.Version != a.Version || got.Validate() != nil {
-		t.Fatalf("a view loaded before an update exports version %d, Validate: %v", got.Version, got.Validate())
+	if got := view.bundle(h.key); got.Cert.Version != a.Cert.Version || got.Validate() != nil {
+		t.Fatalf("a view loaded before an update exports version %d, Validate: %v", got.Cert.Version, got.Validate())
 	}
-	raceReaders(t, s, a, b, 100, func() error {
+	raceReaders(t, s, owner, a, b, 100, func() error {
 		got, err := s.ExportBundle(a.OID)
 		if err != nil {
 			return err
 		}
 		if err := got.Validate(); err != nil {
-			return fmt.Errorf("exported bundle at version %d is torn: %w", got.Version, err)
+			return fmt.Errorf("exported bundle at version %d is torn: %w", got.Cert.Version, err)
 		}
 		return nil
 	})
@@ -325,7 +324,7 @@ func TestGetElementsAnswersFromOneHead(t *testing.T) {
 		}
 		return true
 	}
-	raceReaders(t, s, a, b, 500, func() error {
+	raceReaders(t, s, owner, a, b, 500, func() error {
 		resp, err := joined(s.handleGetElements(context.Background(), req))
 		if err != nil {
 			return err
@@ -359,7 +358,7 @@ func TestBindAnswersFromOneHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := object.EncodeBindRequest(object.BindRequest{OID: a.OID, All: true})
-	raceReaders(t, s, a, b, 500, func() error {
+	raceReaders(t, s, owner, a, b, 500, func() error {
 		resp, err := joined(s.handleBind(context.Background(), req))
 		if err != nil {
 			return err

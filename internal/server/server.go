@@ -279,7 +279,7 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	if s.limits.MaxBytes > 0 && s.bytes+growth > s.limits.MaxBytes {
 		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
 	}
-	chain, err := appendVersion(old, b, DefaultVersionRetention)
+	chain, err := appendVersion(old, b)
 	if err != nil {
 		return err
 	}

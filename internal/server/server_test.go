@@ -22,6 +22,13 @@ var t0 = time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
 // makeBundle builds a valid test bundle signed by owner.
 func makeBundle(t *testing.T, owner *keys.KeyPair, elems map[string][]byte) *server.Bundle {
 	t.Helper()
+	return makeBundleAt(t, owner, 1, elems)
+}
+
+// makeBundleAt is makeBundle under the certificate the owner's
+// version-th issue over the elements signs.
+func makeBundleAt(t *testing.T, owner *keys.KeyPair, version uint64, elems map[string][]byte) *server.Bundle {
+	t.Helper()
 	oid := globeid.FromPublicKey(owner.Public())
 	doc := document.New()
 	for name, data := range elems {
@@ -29,9 +36,12 @@ func makeBundle(t *testing.T, owner *keys.KeyPair, elems map[string][]byte) *ser
 			t.Fatal(err)
 		}
 	}
-	icert, err := document.IssueCertificate(doc, oid, owner, t0, document.UniformTTL(time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	var icert *cert.IntegrityCertificate
+	for doc.Version() < version {
+		var err error
+		if icert, err = document.IssueCertificate(doc, oid, owner, t0, document.UniformTTL(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return server.BundleFromDocument(oid, owner.Public(), doc, icert, nil)
 }
@@ -199,7 +209,7 @@ func TestUpdateRequiresOwner(t *testing.T) {
 	if err := srv.Install(b, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	b2 := makeBundle(t, owner, map[string][]byte{"a": []byte("v2")})
+	b2 := makeBundleAt(t, owner, 2, map[string][]byte{"a": []byte("v2")})
 	if err := srv.Update(b2, "mallory"); !errors.Is(err, server.ErrAccessDenied) {
 		t.Fatalf("err = %v", err)
 	}

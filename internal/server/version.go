@@ -19,12 +19,14 @@ import (
 const DefaultVersionRetention = 8
 
 // VersionHeader commits one replica version to the hash chain
-// (DESIGN.md §16). CertHash and ElemRoot commit to the version's
-// *content* (the integrity certificate and the element-hash set it
-// lists); Prev commits to the entire history by naming the previous
-// header's hash. Two servers that applied the same bundle always agree
-// on CertHash/ElemRoot even when their local histories differ, which is
-// what lets a delta client match a remote chain against its own state.
+// (DESIGN.md §16). Version is a copy of the version certificate's signed
+// Version, written only from the certificate and checked against it by a
+// delta client. CertHash and ElemRoot commit to the version's *content*
+// (the integrity certificate and the element-hash set it lists); Prev
+// commits to the entire history by naming the previous header's hash.
+// Two servers that applied the same bundle always agree on
+// CertHash/ElemRoot even when their local histories differ, which is what
+// lets a delta client match a remote chain against its own state.
 type VersionHeader struct {
 	OID     globeid.OID
 	Version uint64
@@ -94,7 +96,6 @@ func (v *versionSnapshot) bundle(key keys.PublicKey) *Bundle {
 		OID:       v.header.OID,
 		Key:       key,
 		Elements:  make([]document.Element, 0, len(v.wire.names)),
-		Version:   v.header.Version,
 		Cert:      v.cert,
 		NameCerts: v.nameCerts,
 	}
@@ -126,15 +127,16 @@ func bundleLeaves(b *Bundle) map[string][globeid.Size]byte {
 }
 
 // newSnapshot builds the version for a validated bundle as a chain
-// genesis, sharing with prev (the version it supersedes, nil on install)
-// the payloads of the elements that did not change.
+// genesis at its certificate's version, sharing with prev (the version it
+// supersedes, nil on install) the payloads of the elements that did not
+// change.
 func newSnapshot(b *Bundle, prev *versionSnapshot) *versionSnapshot {
 	leaves := bundleLeaves(b)
 	wire := buildWire(b, leaves, prev)
 	return &versionSnapshot{
 		header: &VersionHeader{
 			OID:      b.OID,
-			Version:  b.Version,
+			Version:  b.Cert.Version,
 			CertHash: globeid.HashElement(wire.icert[0]),
 			ElemRoot: merkle.RootFromLeaves(leaves),
 		},
@@ -176,29 +178,23 @@ func verifyChain(chain []*versionSnapshot) error {
 }
 
 // appendVersion produces the retained chain that serves a validated
-// bundle after chain (empty on install). A bundle whose version does not
-// advance past the current head (owners may republish or reset version
-// counters) starts a fresh genesis chain — the old history cannot commit
-// to it, so retaining the old links would break the chain invariant.
-// Otherwise the new head links to the old one, which is trimmed, and the
-// chain is cut to retention. The result is a new slice: one cut out of
-// the old backing array would pin the evicted versions.
-func appendVersion(chain []*versionSnapshot, b *Bundle, retention int) ([]*versionSnapshot, error) {
-	var head *versionSnapshot
-	if len(chain) > 0 {
-		head = chain[len(chain)-1]
+// bundle after chain (empty on install): the new head links to the old
+// one, which is trimmed, and the chain is cut to DefaultVersionRetention.
+// verifyChain refuses a bundle whose certificate version does not advance
+// past the head's, so an update never rewinds or forks the served state.
+// The result is a new slice: one cut out of the old backing array would
+// pin the evicted versions.
+func appendVersion(chain []*versionSnapshot, b *Bundle) ([]*versionSnapshot, error) {
+	if len(chain) == 0 {
+		return []*versionSnapshot{newSnapshot(b, nil)}, nil
 	}
+	head := chain[len(chain)-1]
 	snap := newSnapshot(b, head)
-	next := []*versionSnapshot{snap}
-	if head != nil && b.Version > head.header.Version {
-		snap.header.Prev = head.header.Hash()
-		kept := chain[max(0, len(chain)-(retention-1)):]
-		next = append(make([]*versionSnapshot, 0, len(kept)+1), kept...)
-		if len(kept) > 0 {
-			next[len(kept)-1] = &versionSnapshot{header: head.header, hashes: head.hashes}
-		}
-		next = append(next, snap)
-	}
+	snap.header.Prev = head.header.Hash()
+	kept := chain[max(0, len(chain)-(DefaultVersionRetention-1)):]
+	next := append(make([]*versionSnapshot, 0, len(kept)+1), kept...)
+	next[len(kept)-1] = &versionSnapshot{header: head.header, hashes: head.hashes}
+	next = append(next, snap)
 	if err := verifyChain(next); err != nil {
 		return nil, err
 	}

@@ -2,16 +2,15 @@ package server
 
 // Internal tests for the hash-chained version store and the delta
 // computation it feeds: chain linkage and monotonicity on every
-// install/update, retention trimming, the reset rule for non-monotonic
-// republishes, and DeltaSince's changed-only item selection with the
-// full-required decline for evicted versions.
+// install/update, retention trimming, the refusal of an update that does
+// not advance the signed version, and DeltaSince's changed-only item
+// selection with the full-required decline for evicted versions.
 
 import (
 	"bytes"
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"globedoc/internal/document"
 	"globedoc/internal/enc"
@@ -20,33 +19,32 @@ import (
 	"globedoc/internal/object"
 )
 
-// chainUpdate re-issues the server's hosted doc with one element
-// replaced and a fresh certificate at the given version, via the normal
-// Update path.
-func chainUpdate(tb testing.TB, s *Server, oid globeid.OID, owner *keys.KeyPair, version uint64, name string, data []byte) *Bundle {
+// chainUpdate publishes the server's hosted state with one element
+// replaced under a certificate signed at the given version, via the
+// normal Update path.
+func chainUpdate(tb testing.TB, s *Server, owner *keys.KeyPair, version uint64, name string, data []byte) *Bundle {
 	tb.Helper()
-	h, err := s.replica(oid)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	elems := h.head().bundle(h.key).Elements
-	doc := document.New()
-	doc.Replace(elems, version)
-	if err := doc.Put(document.Element{Name: name, ContentType: "text/html", Data: data}); err != nil {
-		tb.Fatal(err)
-	}
-	// Put bumped the version; pin it back to the requested one.
-	es, _ := doc.Snapshot()
-	doc.Replace(es, version)
-	icert, err := document.IssueCertificate(doc, oid, owner, wireT0.Add(time.Duration(version)*time.Second), document.UniformTTL(time.Hour))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	b := BundleFromDocument(oid, owner.Public(), doc, icert, nil)
+	b := chainBundle(tb, s, owner, version, name, data)
 	if err := s.Update(b, "owner"); err != nil {
 		tb.Fatal(err)
 	}
 	return b
+}
+
+// chainBundle is the bundle chainUpdate publishes.
+func chainBundle(tb testing.TB, s *Server, owner *keys.KeyPair, version uint64, name string, data []byte) *Bundle {
+	tb.Helper()
+	b, err := s.ExportBundle(globeid.FromPublicKey(owner.Public()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	doc := document.New()
+	for _, e := range append(b.Elements, document.Element{Name: name, ContentType: "text/html", Data: data}) {
+		if err := doc.Put(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return signedBundle(tb, owner, version, doc.Snapshot())
 }
 
 func TestVersionChainLinksOnUpdate(t *testing.T) {
@@ -64,7 +62,7 @@ func TestVersionChainLinksOnUpdate(t *testing.T) {
 
 	v := base[0].Version
 	for i := 1; i <= 3; i++ {
-		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
+		chainUpdate(t, s, owner, v+uint64(i), "index.html", []byte{byte(i)})
 	}
 	chain, err := s.VersionChain(oid)
 	if err != nil {
@@ -103,7 +101,7 @@ func TestVersionChainRetentionTrims(t *testing.T) {
 	s, oid, owner := newWireServer(t, 64)
 	v := mustVersion(t, s, oid)
 	for i := 1; i <= updates; i++ {
-		chainUpdate(t, s, oid, owner, v+uint64(i), "index.html", []byte{byte(i)})
+		chainUpdate(t, s, owner, v+uint64(i), "index.html", []byte{byte(i)})
 	}
 	chain, err := s.VersionChain(oid)
 	if err != nil {
@@ -125,26 +123,44 @@ func TestVersionChainRetentionTrims(t *testing.T) {
 	}
 }
 
-func TestVersionChainResetsOnNonMonotonicVersion(t *testing.T) {
+// TestUpdateRefusesNonAdvancingVersion: the signed version alone orders
+// states, so an update at a lower version, or at the head's version under
+// a different certificate, is refused and the served chain stays
+// byte-identical.
+func TestUpdateRefusesNonAdvancingVersion(t *testing.T) {
 	s, oid, owner := newWireServer(t, 64)
 	v := mustVersion(t, s, oid)
-	chainUpdate(t, s, oid, owner, v+1, "index.html", []byte("v2"))
-	// An owner republishing at an older version starts a fresh genesis
-	// chain: the old history cannot commit to a version that goes
-	// backwards.
-	chainUpdate(t, s, oid, owner, v, "index.html", []byte("rewound"))
-	chain, err := s.VersionChain(oid)
-	if err != nil {
-		t.Fatal(err)
+	chainUpdate(t, s, owner, v+1, "index.html", []byte("v2"))
+	served := func() []byte {
+		chain, err := s.VersionChain(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.ExportBundle(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := b.Marshal()
+		for _, hd := range chain {
+			out = append(out, hd.Marshal()...)
+		}
+		return out
 	}
-	if len(chain) != 1 {
-		t.Fatalf("chain length after reset = %d, want 1", len(chain))
-	}
-	if chain[0].Prev != ([globeid.Size]byte{}) {
-		t.Error("reset chain head is not a genesis")
-	}
-	if chain[0].Version != v {
-		t.Errorf("reset head version = %d, want %d", chain[0].Version, v)
+	before := served()
+	for _, tc := range []struct {
+		name    string
+		version uint64
+	}{
+		{"lower version", v},
+		{"same version, different certificate", v + 1},
+	} {
+		b := chainBundle(t, s, owner, tc.version, "index.html", []byte("rewound"))
+		if err := s.Update(b, "owner"); err == nil || !strings.Contains(err.Error(), "not increasing") {
+			t.Errorf("%s: Update = %v, want refused as not increasing", tc.name, err)
+		}
+		if !bytes.Equal(served(), before) {
+			t.Fatalf("%s: a refused update changed the served chain", tc.name)
+		}
 	}
 }
 
@@ -160,7 +176,7 @@ func mustVersion(tb testing.TB, s *Server, oid globeid.OID) uint64 {
 
 func TestVersionHeaderMarshalRoundTrip(t *testing.T) {
 	s, oid, owner := newWireServer(t, 64)
-	chainUpdate(t, s, oid, owner, mustVersion(t, s, oid)+1, "index.html", []byte("v2"))
+	chainUpdate(t, s, owner, mustVersion(t, s, oid)+1, "index.html", []byte("v2"))
 	chain, err := s.VersionChain(oid)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +201,7 @@ func TestVersionHeaderMarshalRoundTrip(t *testing.T) {
 func TestDeltaSinceReturnsOnlyChangedElements(t *testing.T) {
 	s, oid, owner := newWireServer(t, 256)
 	have := mustVersion(t, s, oid)
-	chainUpdate(t, s, oid, owner, have+1, "index.html", []byte("changed body"))
+	chainUpdate(t, s, owner, have+1, "index.html", []byte("changed body"))
 
 	d, err := s.DeltaSince(oid, have)
 	if err != nil {
@@ -194,8 +210,8 @@ func TestDeltaSinceReturnsOnlyChangedElements(t *testing.T) {
 	if d.FullRequired || d.Current {
 		t.Fatalf("retained version answered FullRequired=%v Current=%v, want a delta", d.FullRequired, d.Current)
 	}
-	if d.NewVersion != have+1 {
-		t.Errorf("NewVersion = %d, want %d", d.NewVersion, have+1)
+	if d.Cert.Version != have+1 {
+		t.Errorf("certificate version = %d, want %d", d.Cert.Version, have+1)
 	}
 	if len(d.Headers) != 2 {
 		t.Fatalf("headers = %d, want 2 (have..new inclusive)", len(d.Headers))
@@ -230,7 +246,7 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 	s, oid, owner := newWireServer(t, 64)
 	have := mustVersion(t, s, oid)
 	for i := 1; i <= updates; i++ {
-		chainUpdate(t, s, oid, owner, have+uint64(i), "index.html", []byte{byte(i)})
+		chainUpdate(t, s, owner, have+uint64(i), "index.html", []byte{byte(i)})
 	}
 	d, err := s.DeltaSince(oid, have) // long evicted
 	if err != nil {
@@ -239,11 +255,11 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 	if !d.FullRequired {
 		t.Fatal("evicted have-version did not get the full state")
 	}
-	if d.NewVersion != have+updates {
-		t.Errorf("full NewVersion = %d, want %d", d.NewVersion, have+updates)
+	if d.Cert.Version != have+updates || d.NewVersion != 0 {
+		t.Errorf("full reply at certificate version %d, NewVersion %d; want %d and none", d.Cert.Version, d.NewVersion, have+updates)
 	}
 	// The full state: only the head's header, and every element.
-	if len(d.Headers) != 1 || d.Headers[0].Version != d.NewVersion {
+	if len(d.Headers) != 1 || d.Headers[0].Version != d.Cert.Version {
 		t.Fatalf("full reply carries %d headers, want the head's alone", len(d.Headers))
 	}
 	for _, it := range d.Items {
@@ -274,7 +290,7 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 func TestDeltaReplyMarshalRoundTrip(t *testing.T) {
 	s, oid, owner := newWireServer(t, 128)
 	have := mustVersion(t, s, oid)
-	chainUpdate(t, s, oid, owner, have+1, "logo.png", []byte("new logo"))
+	chainUpdate(t, s, owner, have+1, "logo.png", []byte("new logo"))
 	d, err := s.DeltaSince(oid, have)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +303,7 @@ func TestDeltaReplyMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Marshal(), wire) {
 		t.Fatal("delta reply re-marshal differs (non-canonical)")
 	}
-	if got.NewVersion != d.NewVersion || len(got.Items) != len(d.Items) || len(got.Headers) != len(d.Headers) {
+	if got.NewVersion != 0 || len(got.Items) != len(d.Items) || len(got.Headers) != len(d.Headers) {
 		t.Fatalf("round trip lost structure: %+v", got)
 	}
 	if got.Cert == nil || !bytes.Equal(got.Key.Marshal(), d.Key.Marshal()) {
@@ -347,7 +363,6 @@ func TestFullDeltaReplyKeepsDecoderBounds(t *testing.T) {
 		w := enc.NewWriter(64)
 		w.Byte(deltaWireVersion)
 		w.Byte(deltaStatusFull)
-		w.Uvarint(1)
 		w.Uvarint(headers)
 		return w
 	}

@@ -49,6 +49,32 @@ func newWireServer(tb testing.TB, elemSize int) (*Server, globeid.OID, *keys.Key
 	return s, oid, owner
 }
 
+// signedBundle returns a bundle of elems under a certificate the owner
+// signs at version directly, issued version seconds after wireT0, each
+// entry valid for an hour.
+func signedBundle(tb testing.TB, owner *keys.KeyPair, version uint64, elems []document.Element) *Bundle {
+	tb.Helper()
+	b, err := signBundle(owner, version, elems)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// signBundle is signedBundle for a goroutine other than the test's.
+func signBundle(owner *keys.KeyPair, version uint64, elems []document.Element) (*Bundle, error) {
+	oid := globeid.FromPublicKey(owner.Public())
+	issued := wireT0.Add(time.Duration(version) * time.Second)
+	c := &cert.IntegrityCertificate{ObjectID: oid, Version: version, Issued: issued}
+	for _, e := range elems {
+		c.Entries = append(c.Entries, cert.ElementEntry{Name: e.Name, Hash: e.Hash(), NotBefore: issued, Expires: issued.Add(time.Hour)})
+	}
+	if err := c.Sign(owner); err != nil {
+		return nil, err
+	}
+	return &Bundle{OID: oid, Key: owner.Public(), Elements: elems, Cert: c}, nil
+}
+
 // joined is a handler's reply as the one body a client reads: the
 // concatenation of its buffers.
 func joined(bufs [][]byte, err error) ([]byte, error) {
@@ -97,13 +123,7 @@ func TestWireRebuiltOnUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doc := document.New()
-	doc.Replace([]document.Element{{Name: "index.html", Data: []byte("v2")}}, 2)
-	icert, err := document.IssueCertificate(doc, oid, owner, wireT0.Add(time.Minute), document.UniformTTL(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := BundleFromDocument(oid, owner.Public(), doc, icert, nil)
+	b := signedBundle(t, owner, 2, []document.Element{{Name: "index.html", Data: []byte("v2")}})
 	if err := s.Update(b, "owner"); err != nil {
 		t.Fatal(err)
 	}
