@@ -52,13 +52,21 @@ func (e Element) Hash() [globeid.Size]byte { return globeid.HashElement(e.Data) 
 // Document is safe for concurrent use.
 type Document struct {
 	mu       sync.RWMutex
-	elements map[string]Element
+	elements map[string]stored
 	version  uint64 // of the last certificate issued over the elements
+}
+
+// stored is an element as the document holds it: Data is the document's
+// own copy, which nothing writes after Put made it, and hash is its
+// SHA-1, computed once by Put for every certificate issued after.
+type stored struct {
+	Element
+	hash [globeid.Size]byte
 }
 
 // New returns an empty document at version 0.
 func New() *Document {
-	return &Document{elements: make(map[string]Element)}
+	return &Document{elements: make(map[string]stored)}
 }
 
 // Version returns the Version of the last certificate IssueCertificate
@@ -70,7 +78,8 @@ func (d *Document) Version() uint64 {
 }
 
 // Put inserts or replaces an element. If the element's ContentType is
-// empty it is guessed from the name's extension.
+// empty it is guessed from the name's extension. The document keeps its
+// own copy of e.Data, so the caller may reuse the slice afterwards.
 func (d *Document) Put(e Element) error {
 	if e.Name == "" {
 		return ErrEmptyName
@@ -79,9 +88,10 @@ func (d *Document) Put(e Element) error {
 		e.ContentType = GuessContentType(e.Name)
 	}
 	e.Data = append([]byte(nil), e.Data...)
+	s := stored{Element: e, hash: globeid.HashElement(e.Data)}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.elements[e.Name] = e
+	d.elements[e.Name] = s
 	return nil
 }
 
@@ -89,10 +99,11 @@ func (d *Document) Put(e Element) error {
 func (d *Document) Get(name string) (Element, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, ok := d.elements[name]
+	s, ok := d.elements[name]
 	if !ok {
 		return Element{}, fmt.Errorf("%w: %q", ErrNoSuchElement, name)
 	}
+	e := s.Element
 	e.Data = append([]byte(nil), e.Data...)
 	return e, nil
 }
@@ -138,25 +149,18 @@ func (d *Document) TotalSize() int {
 	return total
 }
 
-// Snapshot returns copies of all elements, sorted by name.
+// Snapshot returns all elements, sorted by name. Their Data is the
+// document's own copy, shared rather than copied: Put copied it in and
+// nothing writes it afterwards, so it is read-only to the caller too. A
+// later Put or Remove replaces the document's entry and leaves the
+// slices already returned as they were.
 func (d *Document) Snapshot() []Element {
 	d.mu.RLock()
-	out := d.sorted()
-	d.mu.RUnlock()
-	for i := range out {
-		out[i].Data = append([]byte(nil), out[i].Data...)
-	}
-	return out
-}
-
-// sorted returns the elements sorted by name, their Data aliasing the
-// document's own bytes, which Put copies in and nothing mutates after.
-// d.mu must be held.
-func (d *Document) sorted() []Element {
 	out := make([]Element, 0, len(d.elements))
-	for _, e := range d.elements {
-		out = append(out, e)
+	for _, s := range d.elements {
+		out = append(out, s.Element)
 	}
+	d.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -223,24 +227,24 @@ func FromFS(fsys fs.FS, root string) (*Document, error) {
 // The certificate's Version is the document's Version()+1, reserved under
 // the same lock that takes the elements, so every issue signs a higher
 // version than the last — whether or not the elements changed, and
-// however many callers issue at once.
+// however many callers issue at once. Each entry's hash is the one Put
+// computed, so a reissue hashes no element.
 func IssueCertificate(d *Document, oid globeid.OID, owner *keys.KeyPair, issued time.Time, ttl func(name string) time.Duration) (*cert.IntegrityCertificate, error) {
 	d.mu.Lock()
 	d.version++
-	elements, version := d.sorted(), d.version
-	d.mu.Unlock()
 	c := &cert.IntegrityCertificate{
 		ObjectID: oid,
-		Version:  version,
+		Version:  d.version,
 		Issued:   issued,
+		Entries:  make([]cert.ElementEntry, 0, len(d.elements)),
 	}
-	for _, e := range elements {
-		c.Entries = append(c.Entries, cert.ElementEntry{
-			Name:      e.Name,
-			Hash:      e.Hash(),
-			NotBefore: issued,
-			Expires:   issued.Add(ttl(e.Name)),
-		})
+	for name, s := range d.elements {
+		c.Entries = append(c.Entries, cert.ElementEntry{Name: name, Hash: s.hash, NotBefore: issued})
+	}
+	d.mu.Unlock()
+	sort.Slice(c.Entries, func(i, j int) bool { return c.Entries[i].Name < c.Entries[j].Name })
+	for i := range c.Entries {
+		c.Entries[i].Expires = issued.Add(ttl(c.Entries[i].Name))
 	}
 	if err := c.Sign(owner); err != nil {
 		return nil, err

@@ -150,18 +150,119 @@ func TestNamesSortedAndSizes(t *testing.T) {
 	}
 }
 
-func TestSnapshotSortedCopies(t *testing.T) {
+// TestSnapshotSortedCallerSlicesIsolated: Snapshot shares the document's
+// bytes, so the invariant protecting served state is that a caller's own
+// slices — the one passed to Put, the one Get returned — are copies: a
+// mutation of either reaches neither Get, nor Snapshot, nor the next
+// certificate's hashes. Snapshot stays sorted. (internal/server's
+// TestCallerMutationAfterPutChangesNothingServed follows the same
+// mutation through a reissue to both replicas.)
+func TestSnapshotSortedCallerSlicesIsolated(t *testing.T) {
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
 	d := document.New()
-	d.Put(document.Element{Name: "b", Data: []byte("2")})
+	put := []byte("2")
+	d.Put(document.Element{Name: "b", Data: put})
 	d.Put(document.Element{Name: "a", Data: []byte("1")})
+	got, err := d.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put[0], got.Data[0] = 'X', 'Y'
+
+	want := map[string]string{"a": "1", "b": "2"}
 	elems := d.Snapshot()
 	if len(elems) != 2 || elems[0].Name != "a" || elems[1].Name != "b" {
-		t.Fatalf("Snapshot = %v", elems)
+		t.Fatalf("Snapshot = %v, want a, b", elems)
 	}
-	elems[1].Data[0] = 'X'
-	got, err := d.Get("b")
-	if err != nil || !bytes.Equal(got.Data, []byte("2")) {
-		t.Fatalf("mutation through Snapshot leaked into document state: %v %q", err, got.Data)
+	for _, e := range elems {
+		if string(e.Data) != want[e.Name] {
+			t.Errorf("Snapshot %s = %q, want %q", e.Name, e.Data, want[e.Name])
+		}
+		if again, _ := d.Get(e.Name); string(again.Data) != want[e.Name] {
+			t.Errorf("Get %s = %q, want %q", e.Name, again.Data, want[e.Name])
+		}
+	}
+	c, err := document.IssueCertificate(d, oid, owner, time.Unix(1e9, 0), document.UniformTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range c.Entries {
+		if entry.Hash != globeid.HashElement([]byte(want[entry.Name])) {
+			t.Errorf("certificate hash of %s is not that of %q", entry.Name, want[entry.Name])
+		}
+	}
+}
+
+// TestSnapshotWhilePutting: a Put racing a reader replaces the entry and
+// never writes the bytes an earlier Snapshot shares, so every snapshot
+// sees an element whole — one Put's bytes — and -race reports nothing.
+func TestSnapshotWhilePutting(t *testing.T) {
+	const puts = 200
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 64) }
+	d := document.New()
+	d.Put(document.Element{Name: "a", Data: fill(0)})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= puts; i++ {
+			d.Put(document.Element{Name: "a", Data: fill(byte(i))})
+		}
+	}()
+	for i := 0; i < puts; i++ {
+		if e := d.Snapshot()[0]; !bytes.Equal(e.Data, fill(e.Data[0])) {
+			t.Errorf("snapshot %d saw a torn element: %v", i, e.Data)
+			break
+		}
+	}
+	wg.Wait()
+}
+
+// TestIssueCertificateHashesWhatWasPut: the certificate takes the hashes
+// Put stored, so after puts, overwrites and removals each entry's hash
+// must still be that of the element's current bytes, and the entries
+// must be the current elements, sorted.
+func TestIssueCertificateHashesWhatWasPut(t *testing.T) {
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
+	d := document.New()
+	for _, e := range []document.Element{
+		{Name: "c.html", Data: []byte("c1")},
+		{Name: "a.html", Data: []byte("a1")},
+		{Name: "b.png", Data: []byte("b1")},
+		{Name: "a.html", Data: []byte("a2, overwritten")},
+		{Name: "d.css", Data: nil},
+	} {
+		if err := d.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Remove("b.png"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(document.Element{Name: "c.html", Data: []byte("c2")}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := document.IssueCertificate(d, oid, owner, time.Unix(1e9, 0), document.UniformTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := d.Names()
+	if len(c.Entries) != len(names) {
+		t.Fatalf("certificate lists %d entries, document holds %d", len(c.Entries), len(names))
+	}
+	for i, entry := range c.Entries {
+		if entry.Name != names[i] {
+			t.Fatalf("entry %d is %q, want %q", i, entry.Name, names[i])
+		}
+		e, err := d.Get(entry.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entry.Hash != globeid.HashElement(e.Data) {
+			t.Errorf("certificate hash of %s is not that of its bytes %q", entry.Name, e.Data)
+		}
 	}
 }
 

@@ -143,7 +143,11 @@ func UnmarshalBundle(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// BundleFromDocument snapshots a live document into a bundle.
+// BundleFromDocument snapshots a live document into a bundle. The
+// elements' Data is the document's own bytes (see Document.Snapshot),
+// shared and not copied: the bundle is read-only, which Update and
+// Marshal, its consumers, respect — Update copies a changed element into
+// its wire entry once and shares the unchanged ones.
 func BundleFromDocument(oid globeid.OID, key keys.PublicKey, doc *document.Document, c *cert.IntegrityCertificate, nameCerts []*cert.NameCertificate) *Bundle {
 	return &Bundle{
 		OID:       oid,

@@ -3,9 +3,11 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
 	"globedoc/internal/keys/keytest"
@@ -18,6 +20,14 @@ import (
 // of one document and a puller keeping paris in sync. The servers and
 // the puller record to the returned telemetry.
 func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
+	t.Helper()
+	doc := document.New()
+	doc.Put(document.Element{Name: "index.html", Data: []byte("v1")})
+	return pullWorldOf(t, doc)
+}
+
+// pullWorldOf is pullWorld publishing doc.
+func pullWorldOf(t *testing.T, doc *document.Document) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
 	t.Helper()
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0, Telemetry: tel})
@@ -32,8 +42,6 @@ func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := document.New()
-	doc.Put(document.Element{Name: "index.html", Data: []byte("v1")})
 	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "pull.nl", OwnerKey: keytest.RSA()})
 	if err != nil {
 		t.Fatal(err)
@@ -252,5 +260,80 @@ func TestPullerRefusesSecondCertificateAtHeldVersion(t *testing.T) {
 	}
 	if !bytes.Equal(before.Marshal(), after.Marshal()) {
 		t.Fatal("a second certificate at the held version changed the replica")
+	}
+}
+
+// TestCallerMutationAfterPutChangesNothingServed: the owner's document
+// shares its bytes with every snapshot, certificate and bundle built from
+// it, so what stands between a caller's slice and the served state is
+// Put's copy in and Get's copy out. Mutating either slice after a
+// reissue changes neither replica, the pulled one included.
+func TestCallerMutationAfterPutChangesNothingServed(t *testing.T) {
+	w, pub, puller, _ := pullWorld(t)
+	data := []byte("v2 as put")
+	if err := pub.Doc.Put(document.Element{Name: "index.html", Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := pub.Doc.Get("index.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0], got.Data[0] = 'X', 'Y'
+	if pulled, err := puller.CheckOnce(context.Background()); err != nil || !pulled {
+		t.Fatalf("CheckOnce = %v, %v; want the reissue pulled", pulled, err)
+	}
+	for _, site := range []string{netsim.AmsterdamPrimary, netsim.Paris} {
+		b, err := w.Servers[site].ExportBundle(pub.OID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("%s: %v", site, err)
+		}
+		if len(b.Elements) != 1 || string(b.Elements[0].Data) != "v2 as put" {
+			t.Errorf("%s serves %q, want %q", site, b.Elements[0].Data, "v2 as put")
+		}
+	}
+}
+
+// TestWriteCycleCopiesAboutWhatChanged pins one owner write cycle's
+// allocation: with one of 64 x 4 KiB elements changed, a Put, a reissue
+// to the primary and the secondary's pull of the delta together allocate
+// at most one document's worth (256 KiB), though both replicas validate
+// and serve the whole document.
+func TestWriteCycleCopiesAboutWhatChanged(t *testing.T) {
+	const n, size, runs = 64, 4 << 10, 20
+	doc := document.New()
+	for i := 0; i < n; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, size)
+		if err := doc.Put(document.Element{Name: fmt.Sprintf("e%02d.html", i), Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, pub, puller, _ := pullWorldOf(t, doc)
+	// One content per measured cycle and one for the warm-up cycle.
+	contents := make([][]byte, runs+1)
+	for i := range contents {
+		contents[i] = bytes.Repeat([]byte{byte(0x80 + i)}, size)
+	}
+	next := 0
+	perCycle := alloctest.BytesPerRun(t, runs, func() {
+		if err := doc.Put(document.Element{Name: "e00.html", Data: contents[next]}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if pulled, err := puller.CheckOnce(context.Background()); err != nil || !pulled {
+			t.Fatalf("CheckOnce = %v, %v; want the reissue pulled", pulled, err)
+		}
+	})
+	t.Logf("one write cycle allocates %.0f bytes", perCycle)
+	if perCycle > n*size {
+		t.Fatalf("a write cycle changing one element of a %d-byte document allocates %.0f bytes, want <= %d", n*size, perCycle, n*size)
 	}
 }

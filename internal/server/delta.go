@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
@@ -9,6 +11,7 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/merkle"
+	"globedoc/internal/object"
 )
 
 // OpGetDelta is the one consistency transfer (DESIGN.md §16): the
@@ -78,6 +81,11 @@ type DeltaReply struct {
 	NameCerts []*cert.NameCertificate
 	// Items lists every element of the new version, sorted by name.
 	Items []DeltaItem
+
+	// tables, when set, holds Key, Cert and NameCerts already encoded —
+	// the head's wire payloads (see deltaSince) — and Marshal writes
+	// those bytes instead of encoding the three again.
+	tables *wirePayloads
 }
 
 // EncodeDeltaRequest encodes an obj.getdelta request.
@@ -104,15 +112,23 @@ func DecodeDeltaRequest(body []byte) (globeid.OID, uint64, error) {
 	return oid, have, nil
 }
 
-// Marshal encodes the reply for the wire.
+// Marshal encodes the reply for the wire, into one buffer sized to fit.
 func (d *DeltaReply) Marshal() []byte {
-	w := enc.NewWriter(1024)
-	w.Byte(deltaWireVersion)
 	if d.Current {
+		w := enc.NewWriter(2 + binary.MaxVarintLen64)
+		w.Byte(deltaWireVersion)
 		w.Byte(deltaStatusCurrent)
 		w.Uvarint(d.NewVersion)
 		return w.Bytes()
 	}
+	var key, icert, nameCerts []byte
+	if t := d.tables; t != nil {
+		key, icert, nameCerts = t.key[0], t.icert[0], t.nameCerts[0]
+	} else {
+		key, icert, nameCerts = d.Key.Marshal(), d.Cert.Marshal(), object.EncodeCertList(d.NameCerts)
+	}
+	w := enc.NewWriter(d.size(len(key) + len(icert) + len(nameCerts)))
+	w.Byte(deltaWireVersion)
 	if d.FullRequired {
 		w.Byte(deltaStatusFull)
 	} else {
@@ -122,12 +138,9 @@ func (d *DeltaReply) Marshal() []byte {
 	for _, h := range d.Headers {
 		w.BytesPrefixed(h.Marshal())
 	}
-	w.BytesPrefixed(d.Key.Marshal())
-	w.BytesPrefixed(d.Cert.Marshal())
-	w.Uvarint(uint64(len(d.NameCerts)))
-	for _, nc := range d.NameCerts {
-		w.BytesPrefixed(nc.Marshal())
-	}
+	w.BytesPrefixed(key)
+	w.BytesPrefixed(icert)
+	w.Raw(nameCerts) // the count, then each certificate length-prefixed
 	w.Uvarint(uint64(len(d.Items)))
 	for _, it := range d.Items {
 		w.String(it.Name)
@@ -141,6 +154,23 @@ func (d *DeltaReply) Marshal() []byte {
 	}
 	return w.Bytes()
 }
+
+// size bounds the encoding of a delta or full reply whose three encoded
+// tables sum to tables bytes.
+func (d *DeltaReply) size(tables int) int {
+	n := 2 + 3*binary.MaxVarintLen64 + tables + len(d.Headers)*prefixedLen(maxHeaderLen)
+	for _, it := range d.Items {
+		n += prefixedLen(len(it.Name)) + 1
+		if it.Changed {
+			n += prefixedLen(len(it.Element.ContentType)) + prefixedLen(len(it.Element.Data))
+		}
+	}
+	return n
+}
+
+// prefixedLen is the encoded length of an n-byte field with its uvarint
+// length prefix.
+func prefixedLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
 
 // UnmarshalDeltaReply decodes an encoding from Marshal. The result is
 // untrusted: callers must route any state composed from it through
@@ -238,12 +268,14 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 // the client's have-version: "current" when have is the head or later, a
 // delta to the head when have is retained, and otherwise (0, evicted or
 // never existed) the full state. The reply's element bytes are the
-// caller's own copies.
+// caller's own copies, and its Marshal encodes the key and certificates
+// it carries.
 func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	d, err := s.deltaSince(oid, have)
 	if err != nil {
 		return nil, err
 	}
+	d.tables = nil
 	for i := range d.Items {
 		d.Items[i].Element.Data = append([]byte(nil), d.Items[i].Element.Data...)
 	}
@@ -251,7 +283,8 @@ func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 }
 
 // deltaSince is DeltaSince with the changed elements' Data aliasing the
-// head's wire payloads — for marshalling only.
+// head's wire payloads and the head's encoded key and certificates
+// attached — for marshalling only.
 func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	h, err := s.replica(oid)
 	if err != nil {
@@ -269,12 +302,19 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 			break
 		}
 	}
-	d := &DeltaReply{Key: h.key, Cert: head.cert, NameCerts: head.nameCerts}
+	d := &DeltaReply{
+		Key:       h.key,
+		Cert:      head.cert,
+		NameCerts: head.nameCerts,
+		Items:     make([]DeltaItem, 0, len(head.wire.names)),
+		tables:    &head.wire,
+	}
 	var changedSet map[string]bool // nil: the full state, every element sent
 	if base < 0 {
 		d.FullRequired = true
 		d.Headers = []*VersionHeader{head.header}
 	} else {
+		d.Headers = make([]*VersionHeader, 0, len(chain)-base)
 		for _, snap := range chain[base:] {
 			d.Headers = append(d.Headers, snap.header)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
@@ -83,6 +84,11 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(full.Marshal())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 21))
+	// What a served replica answers: a delta and a full reply as
+	// obj.getdelta writes them, from the head's encodings.
+	for _, reply := range servedDeltas(f) {
+		f.Add(reply)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := server.UnmarshalDeltaReply(data)
 		if err != nil {
@@ -92,6 +98,51 @@ func FuzzDeltaDecode(f *testing.F) {
 			t.Fatalf("accepted non-canonical delta encoding")
 		}
 	})
+}
+
+// servedDeltas returns what a served replica answers obj.getdelta
+// with — a delta (to have-version 1) and the full state (to 0) — from a
+// server that installed a two-element document with a name certificate
+// and then took an update of one element.
+func servedDeltas(f *testing.F) [][]byte {
+	f.Helper()
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
+	issued := time.Unix(1e9, 0)
+	ca := &cert.CA{Name: "CA", Key: keytest.Ed()}
+	nc, err := ca.IssueNameCertificate(oid, "Subject Corp", issued, issued.Add(time.Hour))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := server.New("fuzz-srv", "site", nil, nil, server.Limits{})
+	doc := document.New()
+	publish := func(op func(*server.Bundle, string) error, elems ...document.Element) {
+		for _, e := range elems {
+			if err := doc.Put(e); err != nil {
+				f.Fatal(err)
+			}
+		}
+		icert, err := document.IssueCertificate(doc, oid, owner, issued, document.UniformTTL(time.Hour))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := op(server.BundleFromDocument(oid, owner.Public(), doc, icert, []*cert.NameCertificate{nc}), "owner"); err != nil {
+			f.Fatal(err)
+		}
+	}
+	publish(s.Install,
+		document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("v1")},
+		document.Element{Name: "logo.png", ContentType: "image/png", Data: []byte("png")})
+	publish(s.Update, document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("v2")})
+	var replies [][]byte
+	for _, have := range []uint64{1, 0} {
+		reply, err := server.HandleGetDelta(s, server.EncodeDeltaRequest(oid, have))
+		if err != nil {
+			f.Fatal(err)
+		}
+		replies = append(replies, reply)
+	}
+	return replies
 }
 
 // FuzzUnmarshalVersionHeader feeds arbitrary bytes to the version-header

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -40,9 +41,13 @@ type VersionHeader struct {
 	Prev [globeid.Size]byte
 }
 
+// maxHeaderLen bounds a VersionHeader's encoding: four hashes and the
+// version's varint.
+const maxHeaderLen = 4*globeid.Size + binary.MaxVarintLen64
+
 // Marshal encodes the header canonically.
 func (h *VersionHeader) Marshal() []byte {
-	w := enc.NewWriter(4 * globeid.Size)
+	w := enc.NewWriter(maxHeaderLen)
 	w.Raw(h.OID[:])
 	w.Uvarint(h.Version)
 	w.Raw(h.CertHash[:])

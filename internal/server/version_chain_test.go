@@ -11,11 +11,14 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
+	"globedoc/internal/keys/keytest"
 	"globedoc/internal/object"
 )
 
@@ -338,6 +341,52 @@ func TestDeltaReplyMarshalRoundTrip(t *testing.T) {
 	full.Items[0].Changed = false
 	if _, err := UnmarshalDeltaReply(full.Marshal()); err == nil {
 		t.Fatal("full reply with an unchanged item decoded")
+	}
+}
+
+// TestGetDeltaServesDeltaSinceBytes: obj.getdelta writes the head's
+// encoded key and certificates where DeltaSince's reply encodes the ones
+// it carries, and the two must be the same bytes — for a current, a
+// delta and a full reply, name certificates included.
+func TestGetDeltaServesDeltaSinceBytes(t *testing.T) {
+	owner := keytest.RSA()
+	oid := globeid.FromPublicKey(owner.Public())
+	ca := &cert.CA{Name: "CA", Key: keytest.Ed()}
+	nc, err := ca.IssueNameCertificate(oid, "Subject Corp", wireT0, wireT0.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := headNames(4)
+	s := New("delta-srv", "site", nil, nil, Limits{})
+	for v := uint64(1); v <= 2; v++ {
+		b := headBundle(t, owner, v, names, 256, 0x42, names[0])
+		b.NameCerts = []*cert.NameCertificate{nc}
+		publish := s.Update
+		if v == 1 {
+			publish = s.Install
+		}
+		if err := publish(b, "owner"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		have          uint64
+		current, full bool
+	}{{have: 2, current: true}, {have: 1}, {have: 0, full: true}} {
+		served, err := s.handleGetDelta(EncodeDeltaRequest(oid, tc.have))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.DeltaSince(oid, tc.have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Current != tc.current || d.FullRequired != tc.full {
+			t.Fatalf("have %d: reply current=%v full=%v, want %v %v", tc.have, d.Current, d.FullRequired, tc.current, tc.full)
+		}
+		if !bytes.Equal(served, d.Marshal()) {
+			t.Errorf("have %d: obj.getdelta served bytes DeltaSince's reply does not marshal to", tc.have)
+		}
 	}
 }
 
