@@ -12,7 +12,9 @@ import (
 
 // FuzzUnmarshalIntegrityCertificate checks the decoder never panics on
 // arbitrary bytes and that anything it accepts re-marshals to the same
-// encoding (canonical form).
+// encoding (canonical form). Marshal encodes afresh, and Encodes — the
+// field-by-field check VerifyEncoding makes before it trusts a held
+// encoding — accepts the input and refuses it once a field differs.
 func FuzzUnmarshalIntegrityCertificate(f *testing.F) {
 	owner := keytest.Ed()
 	oid := globeid.FromPublicKey(owner.Public())
@@ -34,6 +36,13 @@ func FuzzUnmarshalIntegrityCertificate(f *testing.F) {
 		}
 		if !bytes.Equal(got.Marshal(), data) {
 			t.Fatalf("accepted non-canonical encoding")
+		}
+		if !got.Encodes(data) {
+			t.Fatalf("Encodes refuses the bytes the certificate was decoded from")
+		}
+		got.Version++
+		if got.Encodes(data) {
+			t.Fatalf("Encodes accepts bytes of another version")
 		}
 	})
 }

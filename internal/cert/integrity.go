@@ -14,9 +14,11 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -69,7 +71,13 @@ type IntegrityCertificate struct {
 // signedBytes returns the canonical encoding of everything covered by the
 // signature (all fields except Sig itself).
 func (c *IntegrityCertificate) signedBytes() []byte {
-	w := enc.NewWriter(64 + len(c.Entries)*64)
+	w := enc.NewWriter(c.signedLen())
+	c.writeSigned(w)
+	return w.Bytes()
+}
+
+// writeSigned appends the signed body signedBytes returns to w.
+func (c *IntegrityCertificate) writeSigned(w *enc.Writer) {
 	w.Raw(c.ObjectID[:])
 	w.Uvarint(c.Version)
 	w.Time(c.Issued)
@@ -80,7 +88,60 @@ func (c *IntegrityCertificate) signedBytes() []byte {
 		w.Time(e.NotBefore)
 		w.Time(e.Expires)
 	}
-	return w.Bytes()
+}
+
+// signedLen is the exact length of the signed body.
+func (c *IntegrityCertificate) signedLen() int {
+	const timeLen = 8
+	n := globeid.Size + uvarintLen(c.Version) + timeLen + uvarintLen(uint64(len(c.Entries)))
+	for _, e := range c.Entries {
+		n += uvarintLen(uint64(len(e.Name))) + len(e.Name) + globeid.Size + 2*timeLen
+	}
+	return n
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Encodes reports whether data is exactly c's canonical encoding, the
+// bytes Marshal would return now. It compares field by field and encodes
+// nothing.
+func (c *IntegrityCertificate) Encodes(data []byte) bool { return c.signedPart(data) != nil }
+
+// signedPart returns the signed body inside data if data is exactly c's
+// canonical encoding — the bytes Marshal would write now — and nil
+// otherwise. It compares field by field and encodes nothing.
+func (c *IntegrityCertificate) signedPart(data []byte) []byte {
+	outer := enc.NewReader(data)
+	body := outer.BytesPrefixed()
+	sig := outer.BytesPrefixed()
+	if outer.Finish() != nil || !bytes.Equal(sig, c.Sig) {
+		return nil
+	}
+	r := enc.NewReader(body)
+	same := bytes.Equal(r.Raw(globeid.Size), c.ObjectID[:]) &&
+		r.Uvarint() == c.Version &&
+		r.Uint64() == timeBits(c.Issued) &&
+		r.Uvarint() == uint64(len(c.Entries))
+	for i := 0; same && i < len(c.Entries); i++ {
+		e := &c.Entries[i]
+		same = string(r.BytesPrefixed()) == e.Name &&
+			bytes.Equal(r.Raw(globeid.Size), e.Hash[:]) &&
+			r.Uint64() == timeBits(e.NotBefore) &&
+			r.Uint64() == timeBits(e.Expires)
+	}
+	if !same || r.Finish() != nil {
+		return nil
+	}
+	return body
+}
+
+// timeBits is the fixed eight bytes enc.Writer.Time writes for t.
+func timeBits(t time.Time) uint64 {
+	if t.IsZero() {
+		return 1 << 63
+	}
+	return uint64(t.UnixNano())
 }
 
 // Sign canonicalizes the certificate (sorting entries by name), then signs
@@ -103,29 +164,37 @@ func (c *IntegrityCertificate) Sign(owner *keys.KeyPair) error {
 // VerifySignature checks that the certificate was signed by the holder of
 // objectKey's private half and that it names the expected object. It does
 // not check freshness of any entry; that is per-element (see VerifyElement).
+// It encodes the certificate to check it; a caller holding the encoding
+// checks that instead (VerifyEncoding).
 func (c *IntegrityCertificate) VerifySignature(oid globeid.OID, objectKey keys.PublicKey) error {
-	if c.ObjectID != oid {
-		return fmt.Errorf("%w: certificate is for object %s, not %s",
-			ErrConsistency, c.ObjectID.Short(), oid.Short())
-	}
-	if err := objectKey.Verify(c.signedBytes(), c.Sig); err != nil {
-		return fmt.Errorf("%w: integrity certificate signature invalid", ErrAuthenticity)
-	}
-	return nil
+	return c.VerifyEncoding(c.Marshal(), oid, objectKey, nil)
 }
 
-// VerifySignatureUsing is VerifySignature with the raw signature check
-// delegated to verify, which receives the object key, the certificate's
-// canonical signed bytes and the signature. It exists so a caller can
-// route the check through a memoizing verifier (internal/vcache) without
-// this package depending on it; any verify error is classified as
-// ErrAuthenticity exactly as in VerifySignature.
-func (c *IntegrityCertificate) VerifySignatureUsing(oid globeid.OID, objectKey keys.PublicKey, verify func(keys.PublicKey, []byte, []byte) error) error {
+// VerifyEncoding is VerifySignature over data, an encoding of c the
+// caller already holds — the bytes c was decoded from, or the ones it is
+// about to serve — so the check encodes nothing and what was checked is
+// what gets served. data must be exactly c's canonical encoding, field
+// for field, or the check fails with ErrAuthenticity: the fields a caller
+// goes on to read are then the ones the signature covers.
+//
+// The raw signature check is delegated to verify, which receives the
+// object key, the signed bytes and the signature, so a caller can route
+// it through a memoizing verifier (internal/vcache) without this package
+// depending on it; any verify error is classified as ErrAuthenticity. A
+// nil verify checks with objectKey.Verify.
+func (c *IntegrityCertificate) VerifyEncoding(data []byte, oid globeid.OID, objectKey keys.PublicKey, verify func(keys.PublicKey, []byte, []byte) error) error {
 	if c.ObjectID != oid {
 		return fmt.Errorf("%w: certificate is for object %s, not %s",
 			ErrConsistency, c.ObjectID.Short(), oid.Short())
 	}
-	if err := verify(objectKey, c.signedBytes(), c.Sig); err != nil {
+	body := c.signedPart(data)
+	if body == nil {
+		return fmt.Errorf("%w: integrity certificate does not match its encoding", ErrAuthenticity)
+	}
+	if verify == nil {
+		verify = keys.PublicKey.Verify
+	}
+	if err := verify(objectKey, body, c.Sig); err != nil {
 		return fmt.Errorf("%w: integrity certificate signature invalid", ErrAuthenticity)
 	}
 	return nil
@@ -228,10 +297,13 @@ func (e ElementEntry) CheckFreshness(now time.Time) error {
 }
 
 // Marshal returns the canonical binary encoding of the certificate,
-// including its signature.
+// including its signature: the signed body and the signature, each
+// length-prefixed, written into one buffer of the exact size.
 func (c *IntegrityCertificate) Marshal() []byte {
-	w := enc.NewWriter(128 + len(c.Entries)*64)
-	w.BytesPrefixed(c.signedBytes())
+	body := c.signedLen()
+	w := enc.NewWriter(uvarintLen(uint64(body)) + body + uvarintLen(uint64(len(c.Sig))) + len(c.Sig))
+	w.Uvarint(uint64(body))
+	c.writeSigned(w)
 	w.BytesPrefixed(c.Sig)
 	return w.Bytes()
 }

@@ -75,6 +75,39 @@ func TestVerifySignatureRejectsMutatedEntry(t *testing.T) {
 	}
 }
 
+// TestVerifyEncoding: the check over a held encoding accepts exactly the
+// certificate's own encoding with a valid signature, and refuses the
+// bytes once the decoded certificate or the bytes themselves differ, the
+// wrong object, and the wrong key.
+func TestVerifyEncoding(t *testing.T) {
+	owner := keytest.RSA()
+	c, oid := newCert(t, owner, map[string][]byte{"a": []byte("genuine"), "b": []byte("b")})
+	data := c.Marshal()
+	calls := 0
+	counting := func(k keys.PublicKey, message, sig []byte) error { calls++; return k.Verify(message, sig) }
+	if err := c.VerifyEncoding(data, oid, owner.Public(), nil); err != nil {
+		t.Fatalf("VerifyEncoding: %v", err)
+	}
+	if err := c.VerifyEncoding(data, oid, keytest.Ed().Public(), nil); !errors.Is(err, cert.ErrAuthenticity) {
+		t.Errorf("wrong key: err = %v, want ErrAuthenticity", err)
+	}
+	if err := c.VerifyEncoding(data, globeid.FromPublicKey(keytest.Ed().Public()), owner.Public(), nil); !errors.Is(err, cert.ErrConsistency) {
+		t.Errorf("wrong object: err = %v, want ErrConsistency", err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)-1] ^= 1
+	if err := c.VerifyEncoding(flipped, oid, owner.Public(), nil); !errors.Is(err, cert.ErrAuthenticity) {
+		t.Errorf("flipped signature byte: err = %v, want ErrAuthenticity", err)
+	}
+	// A malicious replica rewrites a decoded entry after the bytes were
+	// checked: the bytes no longer encode what would be read.
+	c.Entries[0].Hash = globeid.HashElement([]byte("forged"))
+	calls = 0
+	if err := c.VerifyEncoding(data, oid, owner.Public(), counting); !errors.Is(err, cert.ErrAuthenticity) || calls != 0 {
+		t.Errorf("mutated entry: err = %v after %d signature checks, want ErrAuthenticity before any", err, calls)
+	}
+}
+
 func TestVerifyElementAuthenticFreshConsistent(t *testing.T) {
 	owner := keytest.RSA()
 	content := []byte("hello world")
@@ -239,17 +272,18 @@ func TestQuickRandomContentNeverVerifies(t *testing.T) {
 	}
 }
 
-func TestVerifySignatureUsingDelegates(t *testing.T) {
+func TestVerifyEncodingDelegates(t *testing.T) {
 	owner := keytest.RSA()
 	c, oid := newCert(t, owner, map[string][]byte{"a": []byte("a")})
+	data := c.Marshal()
 
 	var calls int
 	record := func(pk keys.PublicKey, message, sig []byte) error {
 		calls++
 		return pk.Verify(message, sig)
 	}
-	if err := c.VerifySignatureUsing(oid, owner.Public(), record); err != nil {
-		t.Fatalf("VerifySignatureUsing: %v", err)
+	if err := c.VerifyEncoding(data, oid, owner.Public(), record); err != nil {
+		t.Fatalf("VerifyEncoding: %v", err)
 	}
 	if calls != 1 {
 		t.Fatalf("verify func ran %d times, want 1", calls)
@@ -257,14 +291,14 @@ func TestVerifySignatureUsingDelegates(t *testing.T) {
 
 	// A verify failure is classified as ErrAuthenticity, like VerifySignature.
 	fail := func(keys.PublicKey, []byte, []byte) error { return keys.ErrBadSignature }
-	if err := c.VerifySignatureUsing(oid, owner.Public(), fail); !errors.Is(err, cert.ErrAuthenticity) {
+	if err := c.VerifyEncoding(data, oid, owner.Public(), fail); !errors.Is(err, cert.ErrAuthenticity) {
 		t.Fatalf("err = %v, want ErrAuthenticity", err)
 	}
 
 	// The consistency check still runs before any delegation.
 	otherOID := globeid.FromPublicKey(keytest.Ed().Public())
 	calls = 0
-	if err := c.VerifySignatureUsing(otherOID, owner.Public(), record); !errors.Is(err, cert.ErrConsistency) {
+	if err := c.VerifyEncoding(data, otherOID, owner.Public(), record); !errors.Is(err, cert.ErrConsistency) {
 		t.Fatalf("err = %v, want ErrConsistency", err)
 	}
 	if calls != 0 {

@@ -24,12 +24,12 @@ import (
 // Allocation budgets of the fetch plan's two operations, in heap objects
 // per call across the whole process (the replica's serving side
 // included): the counts of a cold binding made in one obj.bind exchange
-// (173 and 257 with go1.24 on linux/amd64, identical over repeated runs;
+// (157 and 241 with go1.24 on linux/amd64, identical over repeated runs;
 // the step-RPC binding it replaced took 431 and 571) plus 2 %, so a
 // toolchain difference does not flake.
 const (
-	coldFetchAllocBudget    = 176
-	coldFetchAllAllocBudget = 262
+	coldFetchAllocBudget    = 160
+	coldFetchAllAllocBudget = 245
 )
 
 func TestFetchPlanAllocationBudget(t *testing.T) {

@@ -1038,7 +1038,7 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 	}
 
 	// Step 10: the integrity certificate, verified under the object key.
-	if err := c.verifyCert(p, oid, key, icert, nil, now); err != nil {
+	if err := c.verifyCert(p, oid, key, icert, reply.Cert, nil, now); err != nil {
 		return fail(c.secErr("integrity-certificate", err))
 	}
 
@@ -1047,23 +1047,25 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 }
 
 // verifyCert is step 10: icert's signature, verified under the object's
-// self-certified key — and, for a certificate that is to replace held,
+// self-certified key over raw, the bytes icert was decoded from as the
+// reply carried them — and, for a certificate that is to replace held,
 // that it supersedes held (cert.Supersedes, the rule a secondary's
 // puller applies too): a higher signed version.
-func (c *Client) verifyCert(p *pipeline, oid globeid.OID, key keys.PublicKey, icert, held *cert.IntegrityCertificate, now time.Time) error {
+func (c *Client) verifyCert(p *pipeline, oid globeid.OID, key keys.PublicKey, icert *cert.IntegrityCertificate, raw []byte, held *cert.IntegrityCertificate, now time.Time) error {
 	return p.step(StepCertVerify, &p.timing.CertVerify, func() error {
 		if held != nil && !icert.Supersedes(held) {
 			return errOlderCertificate
 		}
+		var verify func(keys.PublicKey, []byte, []byte) error
 		if c.vcache != nil {
 			// Memoized verification: identical certificate signatures are
 			// checked once per validity window, concurrent misses share
 			// one in-flight check (signature_cache_hits_total).
-			return icert.VerifySignatureUsing(oid, key, func(k keys.PublicKey, message, sig []byte) error {
+			verify = func(k keys.PublicKey, message, sig []byte) error {
 				return c.vcache.VerifySignature(k, message, sig, icert.MaxExpiry(), now)
-			})
+			}
 		}
-		return icert.VerifySignature(oid, key)
+		return icert.VerifyEncoding(raw, oid, key, verify)
 	})
 }
 
@@ -1090,7 +1092,7 @@ func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all b
 		if err != nil {
 			return false, pre, fmt.Errorf("core: fetching integrity certificate: %w", err)
 		}
-		if err := c.verifyCert(p, b.oid, b.vb.key, icert, b.vb.icert, b.now); err != nil {
+		if err := c.verifyCert(p, b.oid, b.vb.key, icert, reply.Cert, b.vb.icert, b.now); err != nil {
 			return false, pre, c.secErr("integrity-certificate", err)
 		}
 		vb := *b.vb

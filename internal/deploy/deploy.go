@@ -283,6 +283,27 @@ type Publication struct {
 	NameCert *cert.NameCertificate
 	// HomeSite is where the permanent (owner-provided) replica lives.
 	HomeSite string
+
+	// issued is the element set Cert covers, taken with it in one
+	// snapshot (document.IssueSnapshot) by Publish and Reissue, so every
+	// bundle built from the two validates however the document has
+	// changed since.
+	issued []document.Element
+}
+
+// bundle returns the publication's certified state: Cert, the elements
+// it was issued over and the name certificate, if any. A Publication
+// built by hand rather than by Publish pairs Cert with the document as
+// it is now.
+func (pub *Publication) bundle() *server.Bundle {
+	var nameCerts []*cert.NameCertificate
+	if pub.NameCert != nil {
+		nameCerts = append(nameCerts, pub.NameCert)
+	}
+	if pub.issued == nil {
+		return server.BundleFromDocument(pub.OID, pub.OwnerKey.Public(), pub.Doc, pub.Cert, nameCerts)
+	}
+	return &server.Bundle{OID: pub.OID, Key: pub.OwnerKey.Public(), Elements: pub.issued, Cert: pub.Cert, NameCerts: nameCerts}
 }
 
 // PublishOptions configures Publish.
@@ -341,7 +362,7 @@ func (w *World) Publish(doc *document.Document, opts PublishOptions) (*Publicati
 	oid := globeid.FromPublicKey(ownerKey.Public())
 
 	now := opts.Clock()
-	icert, err := document.IssueCertificate(doc, oid, ownerKey, now, document.UniformTTL(opts.TTL))
+	elems, icert, err := document.IssueSnapshot(doc, oid, ownerKey, now, document.UniformTTL(opts.TTL))
 	if err != nil {
 		return nil, err
 	}
@@ -353,20 +374,18 @@ func (w *World) Publish(doc *document.Document, opts PublishOptions) (*Publicati
 		Doc:      doc,
 		Cert:     icert,
 		HomeSite: opts.HomeSite,
+		issued:   elems,
 	}
 
-	var nameCerts []*cert.NameCertificate
 	if opts.Subject != "" {
 		nc, err := w.CA.IssueNameCertificate(oid, opts.Subject, now, now.Add(365*24*time.Hour))
 		if err != nil {
 			return nil, err
 		}
 		pub.NameCert = nc
-		nameCerts = append(nameCerts, nc)
 	}
 
-	bundle := server.BundleFromDocument(oid, ownerKey.Public(), doc, icert, nameCerts)
-	if err := srv.Install(bundle, "owner:"+opts.Name); err != nil {
+	if err := srv.Install(pub.bundle(), "owner:"+opts.Name); err != nil {
 		return nil, err
 	}
 
@@ -384,30 +403,23 @@ func (w *World) Publish(doc *document.Document, opts PublishOptions) (*Publicati
 
 // Reissue re-signs the publication's certificate over the document's
 // current state and pushes the new bundle to the home replica, the
-// owner-side update path.
+// owner-side update path. The certificate and the bundle's elements come
+// from one snapshot of the document.
 func (w *World) Reissue(pub *Publication, ttl time.Duration, now time.Time) error {
-	icert, err := document.IssueCertificate(pub.Doc, pub.OID, pub.OwnerKey, now, document.UniformTTL(ttl))
+	elems, icert, err := document.IssueSnapshot(pub.Doc, pub.OID, pub.OwnerKey, now, document.UniformTTL(ttl))
 	if err != nil {
 		return err
 	}
-	pub.Cert = icert
-	var nameCerts []*cert.NameCertificate
-	if pub.NameCert != nil {
-		nameCerts = append(nameCerts, pub.NameCert)
-	}
-	bundle := server.BundleFromDocument(pub.OID, pub.OwnerKey.Public(), pub.Doc, icert, nameCerts)
-	return w.Servers[pub.HomeSite].Update(bundle, "owner:"+pub.Name)
+	pub.Cert, pub.issued = icert, elems
+	return w.Servers[pub.HomeSite].Update(pub.bundle(), "owner:"+pub.Name)
 }
 
-// PushUpdate propagates the publication's current state and certificate
-// to the replicas at the given sites (owner-driven consistency: the
-// "server replication" strategies push full state on update).
+// PushUpdate propagates the publication's certified state — its
+// certificate and the elements it was issued over — to the replicas at
+// the given sites (owner-driven consistency: the "server replication"
+// strategies push full state on update).
 func (w *World) PushUpdate(pub *Publication, sites ...string) error {
-	var nameCerts []*cert.NameCertificate
-	if pub.NameCert != nil {
-		nameCerts = append(nameCerts, pub.NameCert)
-	}
-	bundle := server.BundleFromDocument(pub.OID, pub.OwnerKey.Public(), pub.Doc, pub.Cert, nameCerts)
+	bundle := pub.bundle()
 	for _, site := range sites {
 		srv, ok := w.Servers[site]
 		if !ok {
@@ -428,12 +440,7 @@ func (w *World) ReplicateTo(pub *Publication, site string) error {
 	if !ok {
 		return fmt.Errorf("deploy: no object server at %q", site)
 	}
-	var nameCerts []*cert.NameCertificate
-	if pub.NameCert != nil {
-		nameCerts = append(nameCerts, pub.NameCert)
-	}
-	bundle := server.BundleFromDocument(pub.OID, pub.OwnerKey.Public(), pub.Doc, pub.Cert, nameCerts)
-	if err := srv.Install(bundle, "owner:"+pub.Name); err != nil {
+	if err := srv.Install(pub.bundle(), "owner:"+pub.Name); err != nil {
 		return err
 	}
 	addr := location.ContactAddress{Address: w.Addrs[site], Protocol: object.Protocol}

@@ -2,6 +2,7 @@ package deploy_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -106,6 +107,52 @@ func TestReissueAndPushUpdate(t *testing.T) {
 	}
 	if res.ReplicaAddr != "paris:"+deploy.ObjectService {
 		t.Errorf("ReplicaAddr = %q", res.ReplicaAddr)
+	}
+}
+
+// TestReissueWhilePutting: the owner keeps writing while it reissues.
+// Each reissue's certificate and bundle come from one snapshot of the
+// document, so the home replica accepts every one, and so does a
+// replica PushUpdate sends the certified state to, however many writes
+// land during the signature or between the two calls.
+func TestReissueWhilePutting(t *testing.T) {
+	w := newWorld(t)
+	for site, name := range map[string]string{netsim.AmsterdamPrimary: "srv", netsim.Paris: "srv-p"} {
+		if _, err := w.StartServer(site, name, nil, nil, server.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := simpleDoc(t, "v0")
+	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "a.nl", OwnerKey: keytest.RSA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ReplicateTo(pub, netsim.Paris); err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := doc.Put(document.Element{Name: "index.html", Data: []byte(fmt.Sprintf("v%d", i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 20; i++ {
+		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+			t.Fatalf("reissue %d: %v", i, err)
+		}
+		if err := w.PushUpdate(pub, netsim.Paris); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
 	}
 }
 

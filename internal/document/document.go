@@ -230,6 +230,15 @@ func FromFS(fsys fs.FS, root string) (*Document, error) {
 // however many callers issue at once. Each entry's hash is the one Put
 // computed, so a reissue hashes no element.
 func IssueCertificate(d *Document, oid globeid.OID, owner *keys.KeyPair, issued time.Time, ttl func(name string) time.Duration) (*cert.IntegrityCertificate, error) {
+	_, c, err := IssueSnapshot(d, oid, owner, issued, ttl)
+	return c, err
+}
+
+// IssueSnapshot is IssueCertificate that also returns the elements the
+// certificate covers, as Snapshot would, taken under the same lock as the
+// certificate's entries: however a Put races the signature, the two
+// describe one state, so a bundle built from them validates.
+func IssueSnapshot(d *Document, oid globeid.OID, owner *keys.KeyPair, issued time.Time, ttl func(name string) time.Duration) ([]Element, *cert.IntegrityCertificate, error) {
 	d.mu.Lock()
 	d.version++
 	c := &cert.IntegrityCertificate{
@@ -238,18 +247,21 @@ func IssueCertificate(d *Document, oid globeid.OID, owner *keys.KeyPair, issued 
 		Issued:   issued,
 		Entries:  make([]cert.ElementEntry, 0, len(d.elements)),
 	}
+	elems := make([]Element, 0, len(d.elements))
 	for name, s := range d.elements {
 		c.Entries = append(c.Entries, cert.ElementEntry{Name: name, Hash: s.hash, NotBefore: issued})
+		elems = append(elems, s.Element)
 	}
 	d.mu.Unlock()
 	sort.Slice(c.Entries, func(i, j int) bool { return c.Entries[i].Name < c.Entries[j].Name })
+	sort.Slice(elems, func(i, j int) bool { return elems[i].Name < elems[j].Name })
 	for i := range c.Entries {
 		c.Entries[i].Expires = issued.Add(ttl(c.Entries[i].Name))
 	}
 	if err := c.Sign(owner); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c, nil
+	return elems, c, nil
 }
 
 // UniformTTL returns a ttl function assigning the same validity duration

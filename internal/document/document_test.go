@@ -393,3 +393,50 @@ func TestQuickDocumentStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIssueSnapshotCoversItsElements: the elements IssueSnapshot returns
+// are the ones its certificate lists, in the certificate's order and each
+// under its own hash, while a writer keeps replacing one of them — the
+// pair describes one state however a Put races the signature.
+func TestIssueSnapshotCoversItsElements(t *testing.T) {
+	owner := keytest.Ed()
+	oid := globeid.FromPublicKey(owner.Public())
+	d := document.New()
+	for _, name := range []string{"c.html", "a.html", "b.png"} {
+		if err := d.Put(document.Element{Name: name, Data: []byte(name)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := byte(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := d.Put(document.Element{Name: "b.png", Data: []byte{i}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for round := 0; round < 50; round++ {
+		elems, c, err := document.IssueSnapshot(d, oid, owner, time.Unix(1e9, 0), document.UniformTTL(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(elems) != len(c.Entries) {
+			t.Fatalf("round %d: %d elements, %d entries", round, len(elems), len(c.Entries))
+		}
+		for i, e := range elems {
+			if entry := c.Entries[i]; entry.Name != e.Name || entry.Hash != e.Hash() {
+				t.Fatalf("round %d: element %q at %d is not what entry %q lists", round, e.Name, i, entry.Name)
+			}
+		}
+	}
+}

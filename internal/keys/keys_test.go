@@ -89,7 +89,7 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 			if !got.Equal(pk) {
 				t.Fatal("round-tripped key differs")
 			}
-			if !bytes.Equal(got.Marshal(), data) {
+			if !bytes.Equal(got.Marshal(), data) || !bytes.Equal(keys.FreshEncoding(got), data) {
 				t.Fatal("re-marshalled encoding differs")
 			}
 		})
@@ -142,8 +142,8 @@ func TestQuickGarbagePublicKeysRejectedOrRoundTrip(t *testing.T) {
 		if err != nil {
 			return true // rejection is fine
 		}
-		// If parsing succeeded the key must re-marshal to the input.
-		return bytes.Equal(pk.Marshal(), data)
+		// If parsing succeeded the key must encode back to the input.
+		return bytes.Equal(keys.FreshEncoding(pk), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -170,5 +170,35 @@ func TestDistinctKeysNotEqual(t *testing.T) {
 	b := keytest.Ed().Public()
 	if a.Equal(b) {
 		t.Fatal("keys with different algorithms reported equal")
+	}
+}
+
+// TestUnmarshalPublicKeyKeepsItsOwnCopy: the encoding a decoded key
+// keeps is its own allocation, so writing over the buffer it was decoded
+// from changes neither its encoding nor what it verifies.
+func TestUnmarshalPublicKeyKeepsItsOwnCopy(t *testing.T) {
+	for _, alg := range algorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			kp := keytest.Pair(alg)
+			data := bytes.Clone(kp.Public().Marshal())
+			got, err := keys.UnmarshalPublicKey(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range data {
+				data[i] ^= 0xff
+			}
+			if !bytes.Equal(got.Marshal(), kp.Public().Marshal()) || !got.Equal(kp.Public()) {
+				t.Fatal("overwriting the decoded buffer changed the key's encoding")
+			}
+			msg := []byte("kept")
+			sig, err := kp.Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Verify(msg, sig); err != nil {
+				t.Fatalf("overwriting the decoded buffer changed the key: %v", err)
+			}
+		})
 	}
 }

@@ -22,8 +22,9 @@ import (
 //	             buffer codec; the conn-facing boundaries that feed
 //	             it — Call and the frame readers — are the sources.)
 //	sanitizers — cert.VerifyElement / CheckAuthenticity and the
-//	             signature checks (cert.VerifySignature[Using],
-//	             TrustStore.Verify/FirstTrusted, globeid.OID.Verify,
+//	             signature checks (cert.VerifySignature and
+//	             VerifyEncoding — which vouches for the encoding it
+//	             checked too — TrustStore.Verify/FirstTrusted, globeid.OID.Verify,
 //	             keys.PublicKey.Verify). CheckConsistency and
 //	             CheckFreshness take no replica bytes; the byte-washing
 //	             member of the §3.2.2 trio is CheckAuthenticity.
@@ -96,7 +97,7 @@ type sanitizeRule struct {
 var taintSanitizers = []sanitizeRule{
 	{"internal/cert", "IntegrityCertificate", "VerifyElement", []int{1}},
 	{"internal/cert", "IntegrityCertificate", "VerifySignature", []int{-1}},
-	{"internal/cert", "IntegrityCertificate", "VerifySignatureUsing", []int{-1}},
+	{"internal/cert", "IntegrityCertificate", "VerifyEncoding", []int{-1, 0}},
 	{"internal/cert", "ElementEntry", "CheckAuthenticity", []int{0}},
 	{"internal/cert", "TrustStore", "Verify", []int{0}},
 	{"internal/cert", "TrustStore", "FirstTrusted", []int{0}},

@@ -18,13 +18,17 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
+	"globedoc/internal/merkle"
 )
 
 // Bundle is the complete transferable state of one GlobeDoc replica:
@@ -36,6 +40,13 @@ type Bundle struct {
 	Elements  []document.Element
 	Cert      *cert.IntegrityCertificate
 	NameCerts []*cert.NameCertificate
+
+	// certWire is the encoding Cert arrived as, when it arrived encoded
+	// (UnmarshalBundle, a pulled delta reply), in a buffer that holds
+	// nothing else. While it still encodes Cert, Validate verifies the
+	// signature over it and the version built from the bundle serves it,
+	// so the certificate is not encoded again.
+	certWire []byte
 }
 
 // Validate performs the server's self-protection checks before hosting:
@@ -44,25 +55,79 @@ type Bundle struct {
 // its certificate entry. A server that skips these checks would waste
 // storage on garbage it can never serve convincingly.
 func (b *Bundle) Validate() error {
+	_, err := b.validate(nil)
+	return err
+}
+
+// validated is what validate proved of a bundle, in the form the
+// version built from it keeps.
+type validated struct {
+	// icert is the certificate's canonical encoding, the bytes its
+	// signature was verified over and the ones the version serves.
+	icert []byte
+	// elems are the bundle's elements in name order, each name once, and
+	// leaves their names with their certificate hashes, index for index.
+	elems  []document.Element
+	leaves []merkle.Leaf
+	size   int64 // summed element bytes
+	hashed int   // elements whose bytes were hashed; the rest were held's
+}
+
+// validate is Validate for a bundle that is to supersede held, the
+// version its replica serves (nil when there is none). An element whose
+// certificate hash is held's entry for it and whose bytes are held's
+// bytes is not hashed again: held's bytes were hashed to that very entry
+// when held was validated, and validated state stays validated even if
+// held has been superseded since. Every other element is hashed. On a
+// pulled delta the unchanged elements are held's own slices, so the
+// comparison is a pointer check; on an owner's update it is a memcmp.
+func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 	if err := b.OID.Verify(b.Key); err != nil {
-		return fmt.Errorf("server: bundle key: %w", err)
+		return nil, fmt.Errorf("server: bundle key: %w", err)
 	}
 	if b.Cert == nil {
-		return fmt.Errorf("server: bundle for %s has no integrity certificate", b.OID.Short())
+		return nil, fmt.Errorf("server: bundle for %s has no integrity certificate", b.OID.Short())
 	}
-	if err := b.Cert.VerifySignature(b.OID, b.Key); err != nil {
-		return fmt.Errorf("server: bundle certificate: %w", err)
+	icert := b.certWire
+	if icert == nil || !b.Cert.Encodes(icert) {
+		icert = b.Cert.Marshal()
 	}
-	for _, e := range b.Elements {
+	if err := b.Cert.VerifyEncoding(icert, b.OID, b.Key, nil); err != nil {
+		return nil, fmt.Errorf("server: bundle certificate: %w", err)
+	}
+	v := &validated{icert: icert, elems: byName(b.Elements, func(e document.Element) string { return e.Name })}
+	v.leaves = make([]merkle.Leaf, len(v.elems))
+	for i, e := range v.elems {
+		if i > 0 && v.elems[i-1].Name == e.Name {
+			return nil, fmt.Errorf("server: bundle lists element %q twice", e.Name)
+		}
 		entry, err := b.Cert.Lookup(e.Name)
 		if err != nil {
-			return fmt.Errorf("server: bundle element %q not in certificate", e.Name)
+			return nil, fmt.Errorf("server: bundle element %q not in certificate", e.Name)
 		}
+		v.leaves[i] = merkle.Leaf{Name: e.Name, Hash: entry.Hash}
+		v.size += int64(len(e.Data))
+		if held.holds(e.Name, entry.Hash, e.Data) {
+			continue
+		}
+		v.hashed++
 		if entry.Hash != e.Hash() {
-			return fmt.Errorf("server: bundle element %q does not match certificate hash", e.Name)
+			return nil, fmt.Errorf("server: bundle element %q does not match certificate hash", e.Name)
 		}
 	}
-	return nil
+	return v, nil
+}
+
+// byName returns s in name order, sorting a copy only when s is not in
+// order already, and everything an owner or an honest primary builds is.
+func byName[T any](s []T, name func(T) string) []T {
+	order := func(a, b T) int { return strings.Compare(name(a), name(b)) }
+	if slices.IsSortedFunc(s, order) {
+		return s
+	}
+	sorted := slices.Clone(s)
+	slices.SortStableFunc(sorted, order)
+	return sorted
 }
 
 // TotalBytes returns the summed element content size, the quantity
@@ -94,7 +159,9 @@ func (b *Bundle) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalBundle decodes an encoding from Marshal.
+// UnmarshalBundle decodes an encoding from Marshal. The bundle keeps a
+// copy of its certificate's encoding, which Validate verifies and the
+// replica then serves.
 func UnmarshalBundle(data []byte) (*Bundle, error) {
 	r := enc.NewReader(data)
 	var b Bundle
@@ -132,7 +199,7 @@ func UnmarshalBundle(data []byte) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: bundle cert decode: %w", err)
 	}
-	b.Cert = c
+	b.Cert, b.certWire = c, bytes.Clone(rawCert)
 	for _, raw := range rawNameCerts {
 		ncert, err := cert.UnmarshalNameCertificate(raw)
 		if err != nil {

@@ -206,7 +206,7 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 			changed++
 			continue
 		}
-		held, ok := local.wire.elements[it.Name]
+		held, ok := local.wire.element(it.Name)
 		if !ok {
 			return false, 0, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
 		}
@@ -218,6 +218,7 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 		Elements:  elems,
 		Cert:      d.Cert,
 		NameCerts: d.NameCerts,
+		certWire:  d.certWire,
 	}
 	// Update validates the bundle (key vs OID, certificate signature,
 	// element hashes) before installing.
@@ -267,21 +268,30 @@ func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) erro
 	if last.Version != d.Cert.Version {
 		return fmt.Errorf("server: delta chain head is version %d, its certificate %d", last.Version, d.Cert.Version)
 	}
-	if last.CertHash != globeid.HashElement(d.Cert.Marshal()) {
+	if last.CertHash != globeid.HashElement(d.certEncoding()) {
 		return fmt.Errorf("server: delta chain head does not commit to the reply certificate")
 	}
-	leaves := make(map[string][globeid.Size]byte, len(d.Items))
+	leaves := make([]merkle.Leaf, 0, len(d.Items))
 	for _, it := range d.Items {
 		entry, err := d.Cert.Lookup(it.Name)
 		if err != nil {
 			return fmt.Errorf("server: delta item %q not in reply certificate", it.Name)
 		}
-		leaves[it.Name] = entry.Hash
+		leaves = append(leaves, merkle.Leaf{Name: it.Name, Hash: entry.Hash})
 	}
-	if last.ElemRoot != merkle.RootFromLeaves(leaves) {
+	if last.ElemRoot != merkle.RootOfSorted(byName(leaves, func(l merkle.Leaf) string { return l.Name })) {
 		return fmt.Errorf("server: delta chain head does not commit to the reply element set")
 	}
 	return nil
+}
+
+// certEncoding returns the encoding of d's certificate: the bytes it
+// arrived as when d was decoded, a fresh encoding otherwise.
+func (d *DeltaReply) certEncoding() []byte {
+	if d.certWire != nil {
+		return d.certWire
+	}
+	return d.Cert.Marshal()
 }
 
 // Start launches the periodic check loop; ctx cancellation and Stop

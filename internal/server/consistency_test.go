@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func pullWorld(t *testing.T) (*deploy.World, *deploy.Publication, *server.Puller
 }
 
 // pullWorldOf is pullWorld publishing doc.
-func pullWorldOf(t *testing.T, doc *document.Document) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
+func pullWorldOf(t testing.TB, doc *document.Document) (*deploy.World, *deploy.Publication, *server.Puller, *telemetry.Telemetry) {
 	t.Helper()
 	tel := telemetry.New(nil)
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0, Telemetry: tel})
@@ -299,41 +300,67 @@ func TestCallerMutationAfterPutChangesNothingServed(t *testing.T) {
 	}
 }
 
-// TestWriteCycleCopiesAboutWhatChanged pins one owner write cycle's
-// allocation: with one of 64 x 4 KiB elements changed, a Put, a reissue
-// to the primary and the secondary's pull of the delta together allocate
-// at most one document's worth (256 KiB), though both replicas validate
-// and serve the whole document.
-func TestWriteCycleCopiesAboutWhatChanged(t *testing.T) {
-	const n, size, runs = 64, 4 << 10, 20
+// writeCycle stands up pullWorldOf around a document of n elements of
+// size bytes each and returns one owner write cycle over it: a Put that
+// changes the first element, a reissue to the primary and the
+// secondary's pull of the delta. Each cycle writes content the previous
+// one did not, from one buffer, so the cycle itself allocates nothing
+// for it.
+func writeCycle(tb testing.TB, n, size int) func() {
 	doc := document.New()
 	for i := 0; i < n; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, size)
 		if err := doc.Put(document.Element{Name: fmt.Sprintf("e%02d.html", i), Data: data}); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	w, pub, puller, _ := pullWorldOf(t, doc)
-	// One content per measured cycle and one for the warm-up cycle.
-	contents := make([][]byte, runs+1)
-	for i := range contents {
-		contents[i] = bytes.Repeat([]byte{byte(0x80 + i)}, size)
-	}
-	next := 0
-	perCycle := alloctest.BytesPerRun(t, runs, func() {
-		if err := doc.Put(document.Element{Name: "e00.html", Data: contents[next]}); err != nil {
-			t.Fatal(err)
-		}
+	w, pub, puller, _ := pullWorldOf(tb, doc)
+	content := bytes.Repeat([]byte{0x80}, size)
+	next := uint64(0)
+	return func() {
 		next++
+		binary.LittleEndian.PutUint64(content, next)
+		if err := doc.Put(document.Element{Name: "e00.html", Data: content}); err != nil {
+			tb.Fatal(err)
+		}
 		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if pulled, err := puller.CheckOnce(context.Background()); err != nil || !pulled {
-			t.Fatalf("CheckOnce = %v, %v; want the reissue pulled", pulled, err)
+			tb.Fatalf("CheckOnce = %v, %v; want the reissue pulled", pulled, err)
 		}
-	})
+	}
+}
+
+// writeCycleBudget bounds the bytes one write cycle of 64 x 4 KiB
+// elements allocates: 121,597 with go1.24 on linux/amd64, plus 15 %.
+// Both replicas validate and serve the whole 256 KiB document, but each
+// hashes, copies and indexes only what changed — and encodes the
+// certificate once per hop.
+const writeCycleBudget = 139_837
+
+// TestWriteCycleCopiesAboutWhatChanged pins one owner write cycle's
+// allocation: with one of 64 x 4 KiB elements changed, a Put, a reissue
+// to the primary and the secondary's pull of the delta together stay
+// within writeCycleBudget, about half of one document's worth.
+func TestWriteCycleCopiesAboutWhatChanged(t *testing.T) {
+	const n, size = 64, 4 << 10
+	cycle := writeCycle(t, n, size)
+	perCycle := alloctest.BytesPerRun(t, 20, cycle)
 	t.Logf("one write cycle allocates %.0f bytes", perCycle)
-	if perCycle > n*size {
-		t.Fatalf("a write cycle changing one element of a %d-byte document allocates %.0f bytes, want <= %d", n*size, perCycle, n*size)
+	if perCycle > writeCycleBudget {
+		t.Fatalf("a write cycle changing one element of a %d-byte document allocates %.0f bytes, want <= %d", n*size, perCycle, writeCycleBudget)
+	}
+}
+
+// BenchmarkWriteCycle times one owner write cycle — Put, World.Reissue
+// and Puller.CheckOnce — changing 1 of 64 x 4 KiB elements.
+func BenchmarkWriteCycle(b *testing.B) {
+	cycle := writeCycle(b, 64, 4<<10)
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -86,6 +87,10 @@ type DeltaReply struct {
 	// the head's wire payloads (see deltaSince) — and Marshal writes
 	// those bytes instead of encoding the three again.
 	tables *wirePayloads
+	// certWire, set by UnmarshalDeltaReply, is the encoding Cert arrived
+	// as, copied out of the reply: what the chain head's CertHash is
+	// checked against and what the replica verifies and then serves.
+	certWire []byte
 }
 
 // EncodeDeltaRequest encodes an obj.getdelta request.
@@ -174,7 +179,10 @@ func prefixedLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
 
 // UnmarshalDeltaReply decodes an encoding from Marshal. The result is
 // untrusted: callers must route any state composed from it through
-// Bundle.Validate (via Server.Update) before trusting a byte of it.
+// Bundle.Validate (via Server.Update) before trusting a byte of it. A
+// changed item's Data aliases data — Update copies what it keeps — while
+// the certificate's encoding is copied out, so a replica that serves it
+// pins no reply frame.
 func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	r := enc.NewReader(data)
 	if v := r.Byte(); r.Err() == nil && v != deltaWireVersion {
@@ -226,7 +234,7 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 			it.Changed = true
 			it.Element.Name = it.Name
 			it.Element.ContentType = r.String()
-			it.Element.Data = append([]byte(nil), r.BytesPrefixed()...)
+			it.Element.Data = r.BytesPrefixed()
 		default:
 			if r.Err() == nil {
 				return nil, fmt.Errorf("server: unknown delta item status %d", st)
@@ -253,7 +261,7 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: delta cert decode: %w", err)
 	}
-	d.Cert = c
+	d.Cert, d.certWire = c, bytes.Clone(rawCert)
 	for _, raw := range rawNameCerts {
 		ncert, err := cert.UnmarshalNameCertificate(raw)
 		if err != nil {
@@ -309,26 +317,23 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 		Items:     make([]DeltaItem, 0, len(head.wire.names)),
 		tables:    &head.wire,
 	}
-	var changedSet map[string]bool // nil: the full state, every element sent
+	var changed []string // the names whose elements the reply carries, sorted
 	if base < 0 {
 		d.FullRequired = true
 		d.Headers = []*VersionHeader{head.header}
+		changed = head.wire.names
 	} else {
 		d.Headers = make([]*VersionHeader, 0, len(chain)-base)
 		for _, snap := range chain[base:] {
 			d.Headers = append(d.Headers, snap.header)
 		}
-		changed, _ := merkle.DiffLeaves(chain[base].hashes, head.hashes)
-		changedSet = make(map[string]bool, len(changed))
-		for _, name := range changed {
-			changedSet[name] = true
-		}
+		changed, _ = merkle.DiffSorted(chain[base].leaves, head.leaves)
 	}
-	for _, name := range head.wire.names {
+	for i, name := range head.wire.names {
 		it := DeltaItem{Name: name}
-		if changedSet == nil || changedSet[name] {
-			it.Changed = true
-			it.Element = head.wire.elements[name].element(name)
+		if len(changed) > 0 && changed[0] == name {
+			changed = changed[1:]
+			it.Changed, it.Element = true, head.wire.elements[i].element(name)
 		}
 		d.Items = append(d.Items, it)
 	}

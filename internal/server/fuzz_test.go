@@ -46,7 +46,12 @@ func FuzzUnmarshalBundle(f *testing.F) {
 
 // FuzzDeltaDecode checks the obj.getdelta reply decoder — bytes a lying
 // primary fully controls — never panics and only accepts canonical
-// encodings, so a forged delta can at worst fail validation later.
+// encodings, so a forged delta can at worst fail validation later. The
+// certificate bytes a reply carries are what the puller hashes against
+// the chain head and what the replica then serves, so they must be the
+// decoded certificate's fresh encoding, and a reply whose chain checks
+// out must commit to exactly them. (The key's kept encoding is pinned
+// canonical by FuzzUnmarshalPublicKey.)
 func FuzzDeltaDecode(f *testing.F) {
 	owner := keytest.Ed()
 	oid := globeid.FromPublicKey(owner.Public())
@@ -97,14 +102,46 @@ func FuzzDeltaDecode(f *testing.F) {
 		if !bytes.Equal(got.Marshal(), data) {
 			t.Fatalf("accepted non-canonical delta encoding")
 		}
+		if got.Current {
+			return
+		}
+		carried := server.CarriedCert(got)
+		if !bytes.Equal(carried, got.Cert.Marshal()) {
+			t.Fatalf("carried certificate bytes %x are not the decoded certificate's encoding", carried)
+		}
+		if len(got.Headers) > 0 && server.VerifyDeltaChain(got, got.Headers[0].OID) == nil {
+			if globeid.HashElement(carried) != got.Headers[len(got.Headers)-1].CertHash {
+				t.Fatalf("a chain that checks out commits to another certificate than the one carried")
+			}
+		}
 	})
+}
+
+// TestServedDeltasCommitToTheCarriedCert: the delta and full replies a
+// served replica answers with — FuzzDeltaDecode's served seeds — pass
+// the puller's chain check, which hashes the certificate bytes each
+// carried, and those are the bytes the head's CertHash commits to.
+func TestServedDeltasCommitToTheCarriedCert(t *testing.T) {
+	for i, reply := range servedDeltas(t) {
+		d, err := server.UnmarshalDeltaReply(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := d.Headers[len(d.Headers)-1]
+		if err := server.VerifyDeltaChain(d, head.OID); err != nil {
+			t.Fatalf("served reply %d: %v", i, err)
+		}
+		if globeid.HashElement(server.CarriedCert(d)) != head.CertHash {
+			t.Fatalf("served reply %d: the head's CertHash is not the hash of the carried certificate", i)
+		}
+	}
 }
 
 // servedDeltas returns what a served replica answers obj.getdelta
 // with — a delta (to have-version 1) and the full state (to 0) — from a
 // server that installed a two-element document with a name certificate
 // and then took an update of one element.
-func servedDeltas(f *testing.F) [][]byte {
+func servedDeltas(f testing.TB) [][]byte {
 	f.Helper()
 	owner := keytest.Ed()
 	oid := globeid.FromPublicKey(owner.Public())

@@ -129,7 +129,7 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 		if snap.wire.elements != nil || snap.wire.icert[0] != nil || snap.cert != nil || snap.size != 0 {
 			t.Errorf("superseded version at index %d still holds servable state", i)
 		}
-		if snap.header == nil || len(snap.hashes) != 3 {
+		if snap.header == nil || len(snap.leaves) != 3 {
 			t.Errorf("superseded version at index %d lost its header or leaf hashes", i)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,8 +78,19 @@ type wirePayloads struct {
 	key       [1][]byte
 	icert     [1][]byte
 	nameCerts [1][]byte
-	names     []string // sorted
-	elements  map[string]elementPayload
+	// names are the version's element names in order, and elements their
+	// payloads, index for index with each other and the version's leaves.
+	names    []string
+	elements []elementPayload
+}
+
+// element returns the payload of the element named name.
+func (w *wirePayloads) element(name string) (elementPayload, bool) {
+	i, ok := slices.BinarySearch(w.names, name)
+	if !ok {
+		return elementPayload{}, false
+	}
+	return w.elements[i], true
 }
 
 // elementPayload is an element's encoded response — the one place the
@@ -91,10 +103,13 @@ type elementPayload struct {
 	size        int
 }
 
+// content is the element's bytes inside its wire entry.
+func (p elementPayload) content() []byte { return p.wire[len(p.wire)-p.size:] }
+
 // element views the payload as the element named name; its Data aliases
 // the wire entry and must not be mutated.
 func (p elementPayload) element(name string) document.Element {
-	return document.Element{Name: name, ContentType: p.contentType, Data: p.wire[len(p.wire)-p.size:]}
+	return document.Element{Name: name, ContentType: p.contentType, Data: p.content()}
 }
 
 // errNoSuchElement refuses an element name the served version lacks.
@@ -102,34 +117,28 @@ func errNoSuchElement(name string) error {
 	return fmt.Errorf("%w: %q", document.ErrNoSuchElement, name)
 }
 
-// buildWire precomputes every response payload for a validated bundle,
-// whose cert-listed element hashes are leaves. An element whose hash and
-// content type are those of prev's entry (prev, the validated version
-// being superseded, may be nil) shares that entry; any other is copied,
-// once, into a new one.
-func buildWire(b *Bundle, leaves map[string][globeid.Size]byte, prev *versionSnapshot) wirePayloads {
+// buildWire precomputes every response payload for a bundle validate
+// proved to be v: the certificate encoding it verified, and one payload
+// per element in v's order. An element whose hash and content type are
+// those of prev's entry (prev, the validated version being superseded,
+// may be nil) shares that entry; any other is copied, once, into a new
+// one.
+func buildWire(b *Bundle, v *validated, prev *versionSnapshot) wirePayloads {
 	w := wirePayloads{
 		key:       [1][]byte{b.Key.Marshal()},
-		icert:     [1][]byte{b.Cert.Marshal()},
+		icert:     [1][]byte{v.icert},
 		nameCerts: [1][]byte{object.EncodeCertList(b.NameCerts)},
-		elements:  make(map[string]elementPayload, len(b.Elements)),
+		names:     make([]string, len(v.elems)),
+		elements:  make([]elementPayload, len(v.elems)),
 	}
-	for _, e := range b.Elements {
-		p, held := elementPayload{}, false
-		if prev != nil {
-			p, held = prev.wire.elements[e.Name]
-			held = held && p.contentType == e.ContentType && prev.hashes[e.Name] == leaves[e.Name]
-		}
-		if !held {
+	for i, e := range v.elems {
+		w.names[i] = e.Name
+		p, held := prev.payload(e.Name, v.leaves[i].Hash)
+		if !held || p.contentType != e.ContentType {
 			p = elementPayload{wire: object.EncodeElement(e), contentType: e.ContentType, size: len(e.Data)}
 		}
-		w.elements[e.Name] = p
+		w.elements[i] = p
 	}
-	w.names = make([]string, 0, len(w.elements))
-	for name := range w.elements {
-		w.names = append(w.names, name)
-	}
-	sort.Strings(w.names)
 	return w
 }
 
@@ -250,7 +259,18 @@ func (s *Server) Update(b *Bundle, principal string) error {
 // build the version and link it to the chain, check the chain, and only
 // then swap it in.
 func (s *Server) publish(b *Bundle, principal string, install bool) error {
-	if err := b.Validate(); err != nil {
+	// The head served now spares validation the elements it holds. It is
+	// validated state even if an update supersedes it before s.mu is
+	// taken, and the chain check below refuses b if b does not advance
+	// past whatever the head is then.
+	var held *versionSnapshot
+	if !install {
+		if h, err := s.replica(b.OID); err == nil {
+			held = h.head()
+		}
+	}
+	v, err := b.validate(held)
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -272,14 +292,14 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	default:
 		old = h.versions()
 	}
-	growth := int64(b.TotalBytes())
+	growth := v.size
 	if len(old) > 0 {
 		growth -= old[len(old)-1].size
 	}
 	if s.limits.MaxBytes > 0 && s.bytes+growth > s.limits.MaxBytes {
 		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
 	}
-	chain, err := appendVersion(old, b)
+	chain, err := appendVersion(old, b, v)
 	if err != nil {
 		return err
 	}
@@ -382,7 +402,7 @@ func (s *Server) handleGetElement(ctx context.Context, body []byte) ([][]byte, e
 	if err != nil {
 		return nil, err
 	}
-	p, ok := h.head().wire.elements[name]
+	p, ok := h.head().wire.element(name)
 	if !ok {
 		return nil, errNoSuchElement(name)
 	}
@@ -450,7 +470,7 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 	items := make([]object.BatchWireItem, 0, len(names))
 	for _, name := range names {
 		it := object.BatchWireItem{Name: name}
-		p, ok := v.wire.elements[name]
+		p, ok := v.wire.element(name)
 		switch {
 		case !ok:
 			it.ErrMsg = errNoSuchElement(name).Error()

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"globedoc/internal/cert"
@@ -34,7 +36,7 @@ type VersionHeader struct {
 	// CertHash is the hash of the version's marshalled integrity
 	// certificate.
 	CertHash [globeid.Size]byte
-	// ElemRoot is merkle.RootFromLeaves over the version's present
+	// ElemRoot is merkle.RootOfSorted over the version's present
 	// elements' cert-listed content hashes.
 	ElemRoot [globeid.Size]byte
 	// Prev is the previous header's Hash (zero for a chain genesis).
@@ -78,15 +80,17 @@ func (h *VersionHeader) Hash() [globeid.Size]byte {
 }
 
 // versionSnapshot is one immutable version of a hosted replica. Every
-// retained version keeps its chain header and the element-hash leaf set
-// the header's ElemRoot commits to — all a delta needs of a base. Only
-// the head, the version being served, also holds the certificates, the
-// summed element size counted against Limits.MaxBytes and the wire
-// payloads (the element bytes); appendVersion drops them with the version
-// it supersedes.
+// retained version keeps its chain header and the leaf set the header's
+// ElemRoot commits to — all a delta needs of a base. Only the head, the
+// version being served, also holds the certificates, the summed element
+// size counted against Limits.MaxBytes and the wire payloads (the element
+// bytes); appendVersion drops them with the version it supersedes.
 type versionSnapshot struct {
 	header *VersionHeader
-	hashes map[string][globeid.Size]byte
+	// leaves are the present elements' names and certificate hashes in
+	// name order, the certificate's own: the version's one index, which
+	// the head's wire names and payloads follow index for index.
+	leaves []merkle.Leaf
 
 	cert      *cert.IntegrityCertificate
 	nameCerts []*cert.NameCertificate
@@ -104,8 +108,8 @@ func (v *versionSnapshot) bundle(key keys.PublicKey) *Bundle {
 		Cert:      v.cert,
 		NameCerts: v.nameCerts,
 	}
-	for _, name := range v.wire.names {
-		b.Elements = append(b.Elements, v.wire.elements[name].element(name))
+	for i, name := range v.wire.names {
+		b.Elements = append(b.Elements, v.wire.elements[i].element(name))
 	}
 	return b
 }
@@ -117,39 +121,44 @@ func (v *versionSnapshot) freshAt(name string, t time.Time) bool {
 	return err == nil && entry.CheckFreshness(t) == nil
 }
 
-// bundleLeaves extracts a bundle's (element name -> cert-listed content
-// hash) leaf map. Bundle.Validate has already pinned each present
-// element's data to the certificate entry, so the cert hash and the
-// content hash agree.
-func bundleLeaves(b *Bundle) map[string][globeid.Size]byte {
-	leaves := make(map[string][globeid.Size]byte, len(b.Elements))
-	for _, e := range b.Elements {
-		if entry, err := b.Cert.Lookup(e.Name); err == nil {
-			leaves[e.Name] = entry.Hash
-		}
+// payload returns the wire payload of the element name in v, a head
+// version, when v lists it under the certificate hash hash.
+func (v *versionSnapshot) payload(name string, hash [globeid.Size]byte) (elementPayload, bool) {
+	if v == nil {
+		return elementPayload{}, false
 	}
-	return leaves
+	i, ok := slices.BinarySearch(v.wire.names, name)
+	if !ok || v.leaves[i].Hash != hash {
+		return elementPayload{}, false
+	}
+	return v.wire.elements[i], true
+}
+
+// holds reports whether v, a validated head version (nil holds
+// nothing), has the element name under the certificate hash hash with
+// exactly the bytes data — bytes already proved to hash to hash.
+func (v *versionSnapshot) holds(name string, hash [globeid.Size]byte, data []byte) bool {
+	p, ok := v.payload(name, hash)
+	return ok && bytes.Equal(p.content(), data)
 }
 
 // newSnapshot builds the version for a validated bundle as a chain
 // genesis at its certificate's version, sharing with prev (the version it
 // supersedes, nil on install) the payloads of the elements that did not
 // change.
-func newSnapshot(b *Bundle, prev *versionSnapshot) *versionSnapshot {
-	leaves := bundleLeaves(b)
-	wire := buildWire(b, leaves, prev)
+func newSnapshot(b *Bundle, v *validated, prev *versionSnapshot) *versionSnapshot {
 	return &versionSnapshot{
 		header: &VersionHeader{
 			OID:      b.OID,
 			Version:  b.Cert.Version,
-			CertHash: globeid.HashElement(wire.icert[0]),
-			ElemRoot: merkle.RootFromLeaves(leaves),
+			CertHash: globeid.HashElement(v.icert),
+			ElemRoot: merkle.RootOfSorted(v.leaves),
 		},
-		hashes:    leaves,
+		leaves:    v.leaves,
 		cert:      b.Cert,
 		nameCerts: b.NameCerts,
-		size:      int64(b.TotalBytes()),
-		wire:      wire,
+		size:      v.size,
+		wire:      buildWire(b, v, prev),
 	}
 }
 
@@ -182,23 +191,24 @@ func verifyChain(chain []*versionSnapshot) error {
 	return nil
 }
 
-// appendVersion produces the retained chain that serves a validated
-// bundle after chain (empty on install): the new head links to the old
-// one, which is trimmed, and the chain is cut to DefaultVersionRetention.
+// appendVersion produces the retained chain that serves a bundle, which
+// validate proved to be v, after chain (empty on install): the new head
+// links to the old one, which is trimmed, and the chain is cut to
+// DefaultVersionRetention.
 // verifyChain refuses a bundle whose certificate version does not advance
 // past the head's, so an update never rewinds or forks the served state.
 // The result is a new slice: one cut out of the old backing array would
 // pin the evicted versions.
-func appendVersion(chain []*versionSnapshot, b *Bundle) ([]*versionSnapshot, error) {
+func appendVersion(chain []*versionSnapshot, b *Bundle, v *validated) ([]*versionSnapshot, error) {
 	if len(chain) == 0 {
-		return []*versionSnapshot{newSnapshot(b, nil)}, nil
+		return []*versionSnapshot{newSnapshot(b, v, nil)}, nil
 	}
 	head := chain[len(chain)-1]
-	snap := newSnapshot(b, head)
+	snap := newSnapshot(b, v, head)
 	snap.header.Prev = head.header.Hash()
 	kept := chain[max(0, len(chain)-(DefaultVersionRetention-1)):]
 	next := append(make([]*versionSnapshot, 0, len(kept)+1), kept...)
-	next[len(kept)-1] = &versionSnapshot{header: head.header, hashes: head.hashes}
+	next[len(kept)-1] = &versionSnapshot{header: head.header, leaves: head.leaves}
 	next = append(next, snap)
 	if err := verifyChain(next); err != nil {
 		return nil, err

@@ -254,7 +254,8 @@ func TestGetElementServesTheWireTableUncopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := h.head().wire.elements["index.html"].wire
+	p, _ := h.head().wire.element("index.html")
+	table := p.wire
 	got, err := s.handleGetElement(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +288,8 @@ func TestWarmBindReplyServesTheWireTableUncopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := h.head()
-	table := head.wire.elements["index.html"].wire
+	p, _ := head.wire.element("index.html")
+	table := p.wire
 	warm := object.BindRequest{OID: oid, Have: head.header.CertHash, Names: []string{"index.html"}}
 	req := object.EncodeBindRequest(warm)
 	got, err := s.handleBind(context.Background(), req)
