@@ -19,6 +19,7 @@ import (
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/vcache"
+	"globedoc/internal/workload"
 )
 
 // Allocation budgets of the fetch plan's two operations, in heap objects
@@ -131,20 +132,18 @@ func BenchmarkWarmHit(b *testing.B) {
 // verified-content cache charges beside their bytes.
 const bulkType = "application/octet-stream"
 
-// bulkWorld publishes n elements of size distinct bytes each, named
-// part-00.bin onwards, on one server of a zero-latency world, and returns
-// the object's OID with a binding-caching client over a verified-content
-// cache with room for room of them. Only the server keeps the document's
-// bytes.
-func bulkWorld(t *testing.T, n, size, room int) (*core.Client, globeid.OID, *vcache.Cache) {
-	t.Helper()
+// bulkPub publishes n elements of size distinct bytes each, named
+// part-00.bin onwards, on one server of a zero-latency world. Only the
+// server keeps the document's bytes.
+func bulkPub(tb testing.TB, n, size int) (*deploy.World, *deploy.Publication) {
+	tb.Helper()
 	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(w.Close)
+	tb.Cleanup(w.Close)
 	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	doc := document.New()
 	for i := 0; i < n; i++ {
@@ -152,14 +151,32 @@ func bulkWorld(t *testing.T, n, size, room int) (*core.Client, globeid.OID, *vca
 	}
 	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "bulk.vu.nl", OwnerKey: keytest.RSA()})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return w, pub
+}
+
+// bulkClient returns a client of w over a verified-content cache with
+// room for room elements of size bytes: binding-caching when bindings
+// is set, else every fetch binds cold.
+func bulkClient(tb testing.TB, w *deploy.World, size, room int, bindings bool) (*core.Client, *vcache.Cache) {
+	tb.Helper()
 	vc := vcache.New(vcache.Config{MaxBytes: int64(room * (len(bulkType) + size))})
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true, VCache: vc, Telemetry: telemetry.New(nil)})
+	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: bindings, VCache: vc, Telemetry: telemetry.New(nil)})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(client.Close)
+	tb.Cleanup(client.Close)
+	return client, vc
+}
+
+// bulkWorld is bulkPub's object with a binding-caching bulkClient: the
+// object's OID and the client over a verified-content cache with room
+// for room of its elements.
+func bulkWorld(t *testing.T, n, size, room int) (*core.Client, globeid.OID, *vcache.Cache) {
+	t.Helper()
+	w, pub := bulkPub(t, n, size)
+	client, vc := bulkClient(t, w, size, room, true)
 	return client, pub.OID, vc
 }
 
@@ -191,10 +208,10 @@ func TestWarmMissAllocatesOnePayload(t *testing.T) {
 }
 
 // TestCachedBatchElementPinsOnlyItself pins the other half of the rule:
-// a cold FetchAll's elements arrive in one bind-reply frame, so the cache
-// keeps an exact-size clone of each. A cache with room for one element
-// evicts as the batch fills it, and what stays reachable afterwards is
-// that element, not the frame it came in.
+// a cold FetchAll's elements arrive in one bind-reply frame, larger here
+// than the whole cache, so the cache keeps an exact-size copy of each. A
+// cache with room for one element evicts as the batch fills it, and what
+// stays reachable afterwards is that element, not the frame it came in.
 func TestCachedBatchElementPinsOnlyItself(t *testing.T) {
 	const n, size = 16, 64 << 10
 	client, oid, vc := bulkWorld(t, n, size, 1)
@@ -271,5 +288,100 @@ func TestPaddedReplyPinsWhatTheCacheCounts(t *testing.T) {
 				t.Errorf("the cache pins %d bytes and counts %d: padding the replica chose stays reachable uncounted", retained, counted)
 			}
 		})
+	}
+}
+
+// coldFetchAll returns a cold FetchAll of bulkPub's n × size object into
+// a cache with room for all of it: the client caches no binding, and
+// each call first drops the elements the last one cached.
+func coldFetchAll(tb testing.TB, n, size int) func() {
+	w, pub := bulkPub(tb, n, size)
+	client, vc := bulkClient(tb, w, size, n, false)
+	return func() {
+		vc.InvalidateOID(pub.OID)
+		res, err := client.FetchAll(context.Background(), pub.OID)
+		if err != nil || len(res) != n || res[0].WarmBinding || res[0].FromCache {
+			tb.Fatalf("FetchAll: %d results, %v", len(res), err)
+		}
+	}
+}
+
+// TestFetchAllAllocatesOnePayload: a cold FetchAll's elements share the
+// one reply frame they arrived in, in the result and in the cache, so the
+// whole page allocates one payload's worth, across client and server. A
+// copy of each element into the cache reads ~2.
+func TestFetchAllAllocatesOnePayload(t *testing.T) {
+	const n, size = 16, 64 << 10
+	perFetch := alloctest.BytesPerRun(t, 10, coldFetchAll(t, n, size))
+	t.Logf("cold FetchAll of %d x %d bytes: %.0f bytes allocated, %.3f per payload byte", n, size, perFetch, perFetch/(n*size))
+	if ratio := perFetch / (n * size); ratio > 1.10 {
+		t.Errorf("a cold FetchAll of %d x %d bytes allocates %.0f bytes (%.2f per payload byte), want <= 1.10", n, size, perFetch, ratio)
+	}
+}
+
+// TestCachedBatchPinsWhatTheCacheCounts: the frame a cached batch shares
+// is charged once, so the memory the cache keeps reachable is at most
+// 9/8 of what Bytes counts (frameShare), plus the client's own state;
+// and it goes with the last element that holds it.
+func TestCachedBatchPinsWhatTheCacheCounts(t *testing.T) {
+	// slack is what a FetchAll leaves reachable besides the cache's
+	// bytes: the binding, the connection and its buffers, the spans in
+	// the telemetry ring.
+	const n, size, slack = 16, 64 << 10, 128 << 10
+	client, oid, vc := bulkWorld(t, n, size, n)
+	retained := alloctest.HeapRetained(t, func() {
+		if res, err := client.FetchAll(context.Background(), oid); err != nil || len(res) != n {
+			t.Fatalf("FetchAll: %d results, %v", len(res), err)
+		}
+	})
+	counted := vc.Bytes()
+	t.Logf("a cached batch of %d x %d bytes: %d bytes retained, %d counted", n, size, retained, counted)
+	if vc.Len() != n || counted < n*size {
+		t.Fatalf("the cache holds %d elements, %d bytes; want all %d", vc.Len(), counted, n)
+	}
+	if retained > counted*9/8+slack {
+		t.Errorf("the cache pins %d bytes and counts %d", retained, counted)
+	}
+	freed := -alloctest.HeapRetained(t, func() { vc.InvalidateOID(oid) })
+	t.Logf("InvalidateOID freed %d bytes", freed)
+	if vc.Bytes() != 0 || freed < n*size {
+		t.Errorf("after InvalidateOID the cache counts %d bytes and %d were freed; want the %d-byte frame unreachable", vc.Bytes(), freed, n*size)
+	}
+}
+
+// BenchmarkFetchAllCold is a cold FetchAll of the paper's composite
+// document (workload.CompositeDoc, 11 elements) by a fresh client over a
+// fresh verified-content cache, the telemetry shared as a proxy's is:
+// go test -run '^$' -bench FetchAllCold ./internal/core/ prints its B/op
+// and allocs/op, server side included.
+func BenchmarkFetchAllCold(b *testing.B) {
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(w.Close)
+	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+		b.Fatal(err)
+	}
+	doc := workload.CompositeDoc(10*workload.KB, 1)
+	pub, err := w.Publish(doc, deploy.PublishOptions{Name: "page.vu.nl", OwnerKey: keytest.RSA()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := doc.Len()
+	tel := telemetry.New(nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{VCache: vcache.New(vcache.Config{}), Telemetry: tel})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := client.FetchAll(ctx, pub.OID)
+		client.Close()
+		if err != nil || len(res) != want {
+			b.Fatalf("FetchAll: %d results of %d, %v", len(res), want, err)
+		}
 	}
 }

@@ -612,32 +612,36 @@ func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch, buf []cert.El
 type prefill map[string]prefetched
 
 // prefetched is one prefilled element and its share of the exchange that
-// carried it. ownsFrame reports that the reply the element arrived in is
-// little more than the element (see frameShare), as on a warm content
-// miss of more than a few hundred bytes, so the cache may keep the bytes
-// where they are.
+// carried it. inFrame reports that the reply the element arrived in is
+// little more than the elements it carried (see frameShare), as on a warm
+// content miss of more than a few hundred bytes or a FetchAll of a
+// composite document, so the cache may keep the bytes where they are.
+// frame is then the reply's vcache handle when sibling elements share it,
+// and nil when the element is the reply's only one: it owns the frame.
 type prefetched struct {
-	elem      document.Element
-	share     time.Duration
-	ownsFrame bool
+	elem    document.Element
+	share   time.Duration
+	inFrame bool
+	frame   *vcache.Frame
 }
 
-// frameShare decides when an element keeps its reply frame: when the
-// rest of the reply — framing, names, content type, any key, certificate
-// or other element — comes to at most 1/frameShare of the element's own
-// bytes. The rule is by size, not by which sections a reply has, so a
-// replica that pads any field only turns the element into a clone: a
-// cached element pins at most 9/8 of the bytes vcache.Bytes counts,
-// plus the frame's header.
+// frameShare decides when a reply's elements keep its frame: when the
+// rest of the reply — framing, names, content types, any key,
+// certificate or declined item — comes to at most 1/frameShare of the
+// element bytes it carried. The rule is by size, not by which sections a
+// reply has, so a replica that pads any field only turns its elements
+// into clones: the cached elements of one frame pin at most 9/8 of the
+// bytes vcache.Bytes counts for it, plus the frame's header.
 const frameShare = 8
 
 // element is steps 3–4 for one entry that fetch decided fresh: take its
 // bytes from the verified-content cache, the prefill, or an exchange of
 // their own; verify them; and hand them to the cache, which owns them
-// from then on. Bytes that own their frame go in as they arrived, and the
+// from then on. Bytes whose reply passes frameShare go in as they
+// arrived, with the reply's vcache.Frame when siblings share it, and the
 // result shares them; any other element goes in as an exact-size clone,
-// so a cached element never pins the rest of a shared or padded frame
-// and vcache.Bytes stays the memory the cache holds.
+// so a cached element never pins a padded frame and vcache.Bytes stays
+// the memory the cache holds.
 func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, pre prefill) (FetchResult, error) {
 	if c.vcache != nil {
 		if res, hit := c.serveCached(p, b, entry); hit {
@@ -665,11 +669,11 @@ func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry c
 	}
 	if c.vcache != nil {
 		data := elem.Data
-		if !pf.ownsFrame {
+		if !pf.inFrame {
 			data = make([]byte, len(elem.Data))
 			copy(data, elem.Data)
 		}
-		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: data}, verified.Expires)
+		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: data, Frame: pf.frame}, verified.Expires)
 	}
 	return b.result(p, elem, verified.Hash, false), nil
 }
@@ -1138,24 +1142,37 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 }
 
 // prefillOf adds to pre the elements a bind reply carried and did not
-// decline, each with its share of the exchange and whether it owns the
-// reply's frame. A batch — a reply carrying any element for FetchAll or
-// for several names — is counted in batch_fetch_total and
+// decline, each with its share of the exchange and where the cache may
+// keep it: the whole reply passes frameShare or fails it, and the
+// elements of a passing reply share one vcache.Frame when there are
+// several. A batch — a reply carrying any element for FetchAll or for
+// several names — is counted in batch_fetch_total and
 // batch_fetch_elements_total.
 func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
-	n := 0
+	n, carried := 0, 0
 	for _, it := range reply.Items {
-		if it.Err != nil {
-			continue // declined: the element path asks for it on its own
+		if it.Err == nil { // a declined item is left to the element path
+			n++
+			carried += len(it.Element.Data)
 		}
-		if pre == nil {
-			pre = make(prefill, len(reply.Items))
-		}
-		size := len(it.Element.Data)
-		pre[it.Name] = prefetched{elem: it.Element, share: share(size), ownsFrame: frameShare*(reply.Size-size) <= size}
-		n++
 	}
-	if batch && n > 0 {
+	if n == 0 {
+		return pre
+	}
+	inFrame := frameShare*(reply.Size-carried) <= carried
+	var frame *vcache.Frame
+	if inFrame && n > 1 && c.vcache != nil {
+		frame = c.vcache.NewFrame(int64(carried))
+	}
+	if pre == nil {
+		pre = make(prefill, n)
+	}
+	for _, it := range reply.Items {
+		if it.Err == nil {
+			pre[it.Name] = prefetched{elem: it.Element, share: share(len(it.Element.Data)), inFrame: inFrame, frame: frame}
+		}
+	}
+	if batch {
 		c.tel().BatchFetches.Inc()
 		c.tel().BatchElements.Add(uint64(n))
 	}

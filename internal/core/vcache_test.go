@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/netsim"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/vcache"
@@ -135,12 +137,12 @@ func sameArray(a, b []byte) bool {
 }
 
 // TestMissKeepsItsFrameOnlyWhenItFillsIt pins where a miss's bytes
-// live. A warm content miss's reply is the element and little else, so
-// the cache keeps that frame buffer and the result shares it. A cold
-// bind of a small element, whose frame is mostly key and certificate,
-// and a FetchAll, whose frame carries every element, leave the cache an
-// exact-size clone that does not alias the frame the result still
-// points into.
+// live. A warm content miss's reply is the element and little else, and
+// a FetchAll's is its elements and little else, so the cache keeps that
+// frame buffer and the result shares it. A cold bind of a small element,
+// whose frame is mostly key and certificate, and a batch whose replica
+// padded a content type leave the cache an exact-size clone that does
+// not alias the frame the result still points into.
 func TestMissKeepsItsFrameOnlyWhenItFillsIt(t *testing.T) {
 	ctx := context.Background()
 	check := func(t *testing.T, vc *vcache.Cache, res core.FetchResult, framed bool) {
@@ -183,6 +185,33 @@ func TestMissKeepsItsFrameOnlyWhenItFillsIt(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
 		client, oid, vc := bulkWorld(t, 2, 64<<10, 2)
 		results, err := client.FetchAll(ctx, oid)
+		if err != nil || len(results) != 2 {
+			t.Fatalf("FetchAll: %d results, %v", len(results), err)
+		}
+		for _, res := range results {
+			check(t, vc, res, true)
+		}
+	})
+	t.Run("padded batch", func(t *testing.T) {
+		w, pub := bulkPub(t, 2, 64<<10)
+		frontReplica(t, w, pub, rewriting(func(req object.BindRequest, reply []byte) []byte {
+			r, err := object.DecodeBindReply(reply)
+			if err != nil || len(r.Items) != 2 {
+				t.Errorf("batch reply %d items, %v", len(r.Items), err)
+				return reply
+			}
+			items := make([]object.BatchWireItem, len(r.Items))
+			for i, it := range r.Items {
+				elem := it.Element
+				if i == 0 {
+					elem.ContentType += strings.Repeat(" ", 32<<10)
+				}
+				items[i] = object.BatchWireItem{Name: it.Name, Wire: object.EncodeElement(elem)}
+			}
+			return object.EncodeBindReply(r.Key, r.NameCerts, r.Cert, items)
+		}))
+		client, vc := bulkClient(t, w, 64<<10+32<<10, 2, true)
+		results, err := client.FetchAll(ctx, pub.OID)
 		if err != nil || len(results) != 2 {
 			t.Fatalf("FetchAll: %d results, %v", len(results), err)
 		}

@@ -90,8 +90,8 @@ func TestTrustflowMultiFilePackage(t *testing.T) {
 // the golden diff.
 func TestTrustflowCleanConstructsSilent(t *testing.T) {
 	res := loadFixture(t, "trustflow", "trustflow")
-	if got := len(res.Findings); got != 10 {
-		t.Errorf("findings = %d, want 10 (the seeded violations and nothing else)", got)
+	if got := len(res.Findings); got != 11 {
+		t.Errorf("findings = %d, want 11 (the seeded violations and nothing else)", got)
 	}
 	if got := len(res.Suppressed); got != 1 {
 		t.Errorf("suppressed = %d, want 1 (the justified debug-endpoint directive)", got)

@@ -405,7 +405,11 @@ type BindReply struct {
 	NameCerts []byte      // the identity certificates, as EncodeCertList encodes them; empty unless asked for
 	Cert      []byte      // the integrity certificate, as its Marshal encodes it; empty when it is the one the request had
 	Items     []BatchItem // the element batch, as in a GetElements reply
-	Size      int         // the length of the reply body, which every section and element keeps alive
+	// Size is the length of the reply body, which every section and
+	// element keeps alive: against the element bytes the reply carried
+	// it tells whether the elements fill the frame, and so whether a
+	// cache may keep them where they lie, once per reply.
+	Size int
 }
 
 // EncodeBindReply encodes an obj.bind reply from already-encoded

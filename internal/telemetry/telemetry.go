@@ -54,7 +54,7 @@ const (
 	MetricVCacheMisses        = "vcache_misses_total"        // element fetches that had to move bytes
 	MetricVCacheRevalidations = "vcache_revalidations_total" // lapsed intervals refreshed cert-only
 	MetricVCacheEvictions     = "vcache_evictions_total"     // entries dropped by pressure or invalidation
-	MetricVCacheBytes         = "vcache_bytes"               // cached element bytes, content types included (gauge)
+	MetricVCacheBytes         = "vcache_bytes"               // cached element bytes, content types included, a shared frame once (gauge)
 	MetricSigCacheHits        = "signature_cache_hits_total" // memoized signature verdicts reused
 	MetricBindingEntries      = "binding_cache_entries"      // live verified bindings (gauge)
 )

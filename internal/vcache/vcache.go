@@ -22,7 +22,9 @@
 //     nobody writes them once they are cached. Bytes counts every byte
 //     an entry holds, content type included, so it is the payload memory
 //     the cache pins as long as each caller hands over a buffer that
-//     holds little else.
+//     holds little else. Elements that arrived together in one such
+//     buffer share it through a Frame, which the cache charges once for
+//     as long as any of them is held.
 //   - The same Cache memoizes signature verification verdicts (see
 //     sigcache.go): a bounded LRU keyed by (public key, message,
 //     signature) digests with singleflight on misses, so one certificate
@@ -61,15 +63,43 @@ const (
 )
 
 // Element is the cached unit: verified content plus the (unverified,
-// advisory) content type it was served with.
+// advisory) content type it was served with. Frame, when set, is the
+// buffer Data is a window onto, shared with sibling elements.
 type Element struct {
 	ContentType string
 	Data        []byte
+	Frame       *Frame
 }
 
-// size is what the cache charges for e: every byte it holds. The content
-// type counts because a replica chooses it, at any length.
+// size is what the cache charges for e alone: every byte it holds. The
+// content type counts because a replica chooses it, at any length.
 func (e Element) size() int64 { return int64(len(e.ContentType) + len(e.Data)) }
+
+// own is what the cache charges for e beside its frame: its content type,
+// and its data too unless the frame's charge covers them.
+func (e Element) own() int64 {
+	if e.Frame != nil {
+		return int64(len(e.ContentType))
+	}
+	return e.size()
+}
+
+// Frame is one buffer that several elements put into the cache are
+// windows onto, such as the reply frame a batch of elements arrived in.
+// The cache charges it once, while any of them is held, and releases the
+// charge with the last. Construct with Cache.NewFrame; a Frame belongs
+// to the cache that made it.
+type Frame struct {
+	cache  *Cache
+	charge int64 // the element bytes of the buffer
+	refs   int   // entries holding it; guarded by cache.mu
+}
+
+// NewFrame returns the handle for one buffer whose elements, charge
+// bytes of data together, the caller will Put with it. The caller keeps
+// the buffer little more than those bytes, or the cache pins more than
+// Bytes says.
+func (c *Cache) NewFrame(charge int64) *Frame { return &Frame{cache: c, charge: charge} }
 
 // Config sizes a Cache. The zero value uses the documented defaults.
 type Config struct {
@@ -149,8 +179,8 @@ func (c *Cache) WireMetrics(evictions *telemetry.Counter, bytes *telemetry.Gauge
 // is re-armed to it, which is how a certificate-only revalidation
 // re-freshens bytes without moving them.
 //
-// The returned Data is the slice Put was given, shared with the cache
-// and every other hit: it is read-only.
+// The returned Data is the slice Put kept, shared with the cache and
+// every other hit: it is read-only.
 func (c *Cache) Get(hash [globeid.Size]byte, now, validUntil time.Time) (Element, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,19 +220,28 @@ func (c *Cache) Holds(oid globeid.OID) bool {
 // for everyone Get hands them to. The cache charges the element's
 // content type and data, so a caller whose slice is a window onto a much
 // larger buffer hands over a clone instead, or the cache pins more than
-// Bytes says. Elements larger than the whole cache budget are not
-// retained.
+// Bytes says. A window onto a buffer that sibling elements share comes
+// with the buffer's Frame instead: the first Put of the frame charges
+// its element bytes, each sibling adds its content type. A frame larger
+// than the whole cache budget, or one another cache made, is not kept:
+// Put keeps an exact-size copy of the element instead. Elements larger
+// than the whole cache budget are not retained.
 func (c *Cache) Put(oid globeid.OID, hash [globeid.Size]byte, elem Element, validUntil time.Time) {
-	size := elem.size()
-	if size > c.maxBytes {
+	if elem.size() > c.maxBytes {
 		return
+	}
+	if f := elem.Frame; f != nil && (f.cache != c || f.charge+elem.own() > c.maxBytes) {
+		data := make([]byte, len(elem.Data))
+		copy(data, elem.Data)
+		elem = Element{ContentType: elem.ContentType, Data: data}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.holdLocked(elem)
 	if node, ok := c.entries[hash]; ok {
 		e := node.Value.(*entry)
 		c.untagLocked(e.oid, hash)
-		c.addBytesLocked(size - e.elem.size())
+		c.releaseLocked(e.elem)
 		e.oid = oid
 		e.elem = elem
 		e.expires = validUntil
@@ -212,7 +251,6 @@ func (c *Cache) Put(oid globeid.OID, hash [globeid.Size]byte, elem Element, vali
 		e := &entry{hash: hash, oid: oid, elem: elem, expires: validUntil}
 		c.entries[hash] = c.lru.PushFront(e)
 		c.tagLocked(oid, hash)
-		c.addBytesLocked(size)
 	}
 	for c.bytes > c.maxBytes {
 		tail := c.lru.Back()
@@ -279,7 +317,8 @@ func (c *Cache) Len() int {
 }
 
 // Bytes returns the summed size of the cached elements, content types
-// and data, which the vcache_bytes gauge follows.
+// and data, each shared frame counted once, which the vcache_bytes gauge
+// follows.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -309,8 +348,33 @@ func (c *Cache) removeLocked(node *list.Element) {
 	c.lru.Remove(node)
 	delete(c.entries, e.hash)
 	c.untagLocked(e.oid, e.hash)
-	c.addBytesLocked(-e.elem.size())
+	c.releaseLocked(e.elem)
 	c.evictions.Inc()
+}
+
+// holdLocked charges a newly held elem: its own bytes, and its frame's
+// when no other entry holds the frame yet.
+func (c *Cache) holdLocked(elem Element) {
+	delta := elem.own()
+	if f := elem.Frame; f != nil {
+		if f.refs == 0 {
+			delta += f.charge
+		}
+		f.refs++
+	}
+	c.addBytesLocked(delta)
+}
+
+// releaseLocked undoes holdLocked for an elem no longer held: its frame's
+// charge goes with the last entry holding the frame.
+func (c *Cache) releaseLocked(elem Element) {
+	delta := -elem.own()
+	if f := elem.Frame; f != nil {
+		if f.refs--; f.refs == 0 {
+			delta -= f.charge
+		}
+	}
+	c.addBytesLocked(delta)
 }
 
 // addBytesLocked moves the byte count, and the gauge with it, by delta.
