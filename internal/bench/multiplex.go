@@ -33,8 +33,9 @@ type MultiplexResult struct {
 	// BatchCold fetches all elements from cold bindings: the same
 	// pipeline, whose one obj.bind exchange carries every element.
 	BatchCold Phase `json:"batch_cold"`
-	// SerialCold is the ablation: batch fetch disabled and one fetch
-	// worker, so every element pays its own round trip in sequence.
+	// SerialCold is the ablation: the table of contents (Elements), then
+	// one Fetch per element over the binding it left warm, so every
+	// element pays its own round trip in sequence.
 	SerialCold Phase `json:"serial_cold"`
 
 	// BatchRatio is BatchCold.Mean / SingleCold.Mean, transfer time
@@ -108,8 +109,9 @@ const (
 //     round trip, the baseline;
 //   - batch: FetchAll over the v2 transport — the same pipeline, whose
 //     one obj.bind exchange carries all 16 elements;
-//   - serial: FetchAll with DisableBatchFetch and one worker — every
-//     element pays its own sequential round trip, the pre-v2 cost.
+//   - serial: Elements, then one Fetch per entry on a client that keeps
+//     the binding warm — every element pays its own sequential round
+//     trip, the pre-v2 cost.
 //
 // The run finishes by checking the batched and serial clients fetched
 // byte-identical content.
@@ -141,11 +143,7 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		return nil, err
 	}
 	defer batched.Close()
-	serial, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
-		Now:               clk.Now,
-		DisableBatchFetch: true,
-		FetchWorkers:      1,
-	})
+	serial, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Now: clk.Now, CacheBindings: true})
 	if err != nil {
 		return nil, err
 	}
@@ -186,12 +184,13 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		return nil, err
 	}
 
-	// Whole-object fetch from cold bindings, returning the bytes of the
-	// last sample per element for the ablation compare.
-	fetchAllCold := func(label string, c *core.Client) (Phase, NetCharge, map[string][]byte, error) {
+	// fetch, a whole-object download by c from cold bindings, measured;
+	// the bytes of its last sample per element are kept for the ablation
+	// compare.
+	wholeCold := func(label string, c *core.Client, fetch func() ([]core.FetchResult, error)) (Phase, NetCharge, map[string][]byte, error) {
 		content := make(map[string][]byte, muxElements)
 		phase, charged, err := measure(c, func(i int) error {
-			results, err := c.FetchAll(ctx, pub.OID)
+			results, err := fetch()
 			if err != nil {
 				return fmt.Errorf("multiplex %s fetch: %w", label, err)
 			}
@@ -206,12 +205,28 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 		return phase, charged, content, err
 	}
 	// Batched: one obj.bind exchange carries the elements. Serial ablation:
-	// individual sequential GetElement calls.
+	// a cold bind for the certificate, then one warm exchange per element.
 	var content, serialContent map[string][]byte
-	if res.BatchCold, res.BatchNet, content, err = fetchAllCold("batch", batched); err != nil {
+	if res.BatchCold, res.BatchNet, content, err = wholeCold("batch", batched, func() ([]core.FetchResult, error) {
+		return batched.FetchAll(ctx, pub.OID)
+	}); err != nil {
 		return nil, err
 	}
-	if res.SerialCold, res.SerialNet, serialContent, err = fetchAllCold("serial", serial); err != nil {
+	if res.SerialCold, res.SerialNet, serialContent, err = wholeCold("serial", serial, func() ([]core.FetchResult, error) {
+		entries, err := serial.Elements(ctx, pub.OID)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]core.FetchResult, 0, len(entries))
+		for _, e := range entries {
+			r, err := serial.Fetch(ctx, pub.OID, e.Name)
+			if err != nil {
+				return results, err
+			}
+			results = append(results, r)
+		}
+		return results, nil
+	}); err != nil {
 		return nil, err
 	}
 

@@ -241,13 +241,10 @@ func TestConcurrentFetchColdWarmFailoverUnderFaults(t *testing.T) {
 }
 
 func TestConcurrentFetchAllSharedBinding(t *testing.T) {
-	// FetchAll from many goroutines at once: element fan-out inside each
-	// call, singleflight across calls, one pipeline total.
+	// FetchAll from many goroutines at once: singleflight across calls,
+	// one pipeline total.
 	w, pub, tel := concurrentWorld(t, 16)
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
-		CacheBindings: true,
-		FetchWorkers:  4,
-	})
+	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,10 @@
 //
 // The client is safe for concurrent use. Concurrent fetches of the same
 // cold OID share a single pipeline run (singleflight, when binding
-// caching is on), RPCs to one replica run in parallel over a bounded
-// connection pool, and FetchAll retrieves elements with a bounded worker
-// pool. Every public method takes a context.Context that cancels slot
-// waits, dials and in-flight RPCs. See DESIGN.md §9 for the full
+// caching is on) and RPCs to one replica run in parallel over a bounded
+// connection pool; FetchAll verifies the page it holds in one serial pass.
+// Every public method takes a context.Context that cancels slot waits,
+// dials and in-flight RPCs. See DESIGN.md §9 for the full
 // concurrency model.
 package core
 
@@ -49,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"globedoc/internal/cert"
@@ -310,8 +309,8 @@ func (p *pipeline) credit(name string, field *time.Duration, share time.Duration
 
 // fresh returns a pipeline sharing this one's trace but with zeroed
 // timing — the retry/failover paths report the timing of the attempt
-// that succeeded, not the sum of all attempts. FetchAll's workers use it
-// too: each element's pipeline hangs off the shared root span with its
+// that succeeded, not the sum of all attempts. FetchAll's delivery uses
+// it too: each element's pipeline hangs off the shared root span with its
 // own Timing.
 func (p *pipeline) fresh() *pipeline {
 	return &pipeline{tel: p.tel, root: p.root, single: p.single}
@@ -330,8 +329,6 @@ type Client struct {
 	cacheBindings   bool
 	telem           *telemetry.Telemetry
 	nowFn           func() time.Time
-	fetchWorkers    int
-	noBatchFetch    bool
 	vcache          *vcache.Cache
 	maxBindings     int
 	selector        Selector
@@ -351,7 +348,7 @@ type bindingEntry struct {
 }
 
 // NewClient returns a security client over binder configured by opts.
-// It rejects nonsense options (negative worker or binding counts,
+// It rejects nonsense options (a negative binding count,
 // negative timeouts or pool bounds on the binder) with errors wrapping
 // ErrInvalidOptions; the zero Options is always valid. The binder's
 // transport config is the one home of the replica connections' retry
@@ -364,10 +361,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 	nowFn := opts.Now
 	if nowFn == nil {
 		nowFn = time.Now
-	}
-	workers := opts.FetchWorkers
-	if workers == 0 {
-		workers = DefaultFetchWorkers
 	}
 	maxBindings := opts.MaxBindings
 	if maxBindings == 0 {
@@ -388,8 +381,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		cacheBindings:   opts.CacheBindings,
 		telem:           opts.Telemetry,
 		nowFn:           nowFn,
-		fetchWorkers:    workers,
-		noBatchFetch:    opts.DisableBatchFetch,
 		vcache:          opts.VCache,
 		maxBindings:     maxBindings,
 		selector:        selector,
@@ -497,15 +488,15 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 //     replicas excluded so far — an established binding brings the wanted
 //     elements' bytes with it, the prefill;
 //  2. decide each wanted entry and its freshness before any byte moves;
-//  3. take what the verified-content cache and the prefill lack in one
-//     warm exchange, which also refreshes a lapsed certificate and adopts
-//     a moved one; an element still missing — declined, or under
-//     DisableBatchFetch — takes an exchange of its own;
-//  4. verifyElement, then deliver;
+//  3. take each entry's bytes from the verified-content cache or the
+//     prefill, and ask for what they lack in warm exchanges until every
+//     entry is in hand; an exchange also refreshes a lapsed certificate
+//     and adopts a moved one, which decides every entry again;
+//  4. verifyElement, then deliver, with no further I/O;
 //  5. on failure, make the one recovery decision (recover).
 //
-// FetchAll wants every name the certificate lists and fans out over
-// workers; Elements wants none and binds for the certificate.
+// FetchAll wants every name the certificate lists and delivers them in
+// one serial pass; Elements wants none and binds for the certificate.
 type fetchPlan struct {
 	oid     globeid.OID
 	element string // Fetch's one wanted name
@@ -530,13 +521,20 @@ func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded m
 	return nil
 }
 
-// fetch is steps 2–4 of one attempt over b. When the wanted bytes are not
-// all held, or the certificate lapsed on a warm binding, it asks b's
-// replica once (exchange) for what is missing; a lapse then stands unless
-// the replica moved on to a fresh certificate, which decides the entries
-// again. FetchAll under DisableBatchFetch takes one exchange per element.
+// fetch is steps 2–4 of one attempt over b. It takes each wanted entry's
+// bytes from the verified-content cache or the prefill (take), and asks
+// b's replica for the rest, and for a certificate to replace a lapsed
+// one, in warm exchanges until every entry is in hand. A lapse stands
+// unless the replica moved on to a fresh certificate; a move decides
+// every entry again under the new certificate, so all of a page is
+// delivered under one. An exchange that carries none of what it asked
+// for, and does not move, earns one more; a second in a row ends the
+// attempt with the replica's refusal, and declined elements are asked
+// for again together.
 func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *boundFetch, pre prefill) error {
 	var one [1]cert.ElementEntry // Fetch's wanted entry, decided off the heap
+	var oneIn [1]held            // its bytes
+	var oneName [1]string        // and its name while they are missing
 	entries, lapsed, err := c.entries(p, pl, *b, one[:0])
 	if err != nil {
 		return err
@@ -544,13 +542,18 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 	if lapsed != nil && !b.warm {
 		return lapsed // a cold binding's replica replayed stale signed state
 	}
-	var missing []string
-	for _, e := range entries {
-		if _, ok := pre[e.Name]; !ok && (c.vcache == nil || !c.vcache.Contains(e.Hash)) {
-			missing = append(missing, e.Name)
-		}
+	in := oneIn[:]
+	if pl.all {
+		in = make([]held, len(entries))
 	}
-	if lapsed != nil || (len(missing) > 0 && !(pl.all && c.noBatchFetch)) {
+	for declines := 0; ; {
+		missing := c.take(entries, in, pre, b.now, oneName[:0])
+		if lapsed == nil && len(missing) == 0 {
+			break
+		}
+		if declines == 2 {
+			return fmt.Errorf("core: fetching element %q: the replica declined it", missing[0])
+		}
 		b.refreshing = lapsed != nil
 		var moved bool
 		if moved, pre, err = c.exchange(ctx, p, b, pl.all && len(missing) == len(entries), missing, pre); err != nil {
@@ -564,12 +567,24 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 			if err != nil {
 				return err
 			}
+			if clear(in); len(in) != len(entries) {
+				in = make([]held, len(entries)) // the new certificate lists another page
+			}
+			declines = 0
+			continue
+		}
+		declines++
+		for _, name := range missing {
+			if _, ok := pre[name]; ok {
+				declines = 0
+				break
+			}
 		}
 	}
 	if pl.all {
-		pl.results, err = c.every(ctx, p, *b, pre)
+		pl.results, err = c.every(ctx, p, *b, entries, in)
 	} else {
-		pl.res, err = c.element(ctx, p, *b, entries[0], pre)
+		pl.res, err = c.element(p, *b, entries[0], in[0])
 	}
 	return err
 }
@@ -634,46 +649,72 @@ type prefetched struct {
 // bytes vcache.Bytes counts for it, plus the frame's header.
 const frameShare = 8
 
-// element is steps 3–4 for one entry that fetch decided fresh: take its
-// bytes from the verified-content cache, the prefill, or an exchange of
-// their own; verify them; and hand them to the cache, which owns them
-// from then on. Bytes whose reply passes frameShare go in as they
-// arrived, with the reply's vcache.Frame when siblings share it, and the
-// result shares them; any other element goes in as an exact-size clone,
-// so a cached element never pins a padded frame and vcache.Bytes stays
-// the memory the cache holds.
-func (c *Client) element(ctx context.Context, p *pipeline, b boundFetch, entry cert.ElementEntry, pre prefill) (FetchResult, error) {
-	if c.vcache != nil {
-		if res, hit := c.serveCached(p, b, entry); hit {
-			return res, nil
+// held is a wanted entry's bytes in the plan's hands: taken from the
+// verified-content cache (cached), or carried in a reply.
+type held struct {
+	prefetched
+	ok, cached bool
+}
+
+// take is step 3's decision for each entry whose bytes are not yet in
+// hand: they are taken from the verified-content cache — Get re-arms
+// their TTL to the entry's validity bound, and no later eviction or
+// Reconcile can take them back — or from the prefill. It appends the
+// names of the entries still missing to buf.
+func (c *Client) take(entries []cert.ElementEntry, in []held, pre prefill, now time.Time, buf []string) (missing []string) {
+	missing = buf
+	for i, e := range entries {
+		if in[i].ok {
+			continue
 		}
+		if c.vcache != nil {
+			if cached, hit := c.vcache.Get(e.Hash, now, e.Expires); hit {
+				in[i] = held{prefetched: prefetched{elem: document.Element{ContentType: cached.ContentType, Data: cached.Data}}, ok: true, cached: true}
+				continue
+			}
+		}
+		if pf, ok := pre[e.Name]; ok {
+			in[i] = held{prefetched: pf, ok: true}
+			continue
+		}
+		missing = append(missing, e.Name)
 	}
-	pf, ok := pre[entry.Name]
-	if !ok {
-		_, more, err := c.exchange(ctx, p, &b, false, []string{entry.Name}, nil)
-		if err != nil {
-			return FetchResult{}, err
-		}
-		if pf, ok = more[entry.Name]; !ok {
-			return FetchResult{}, fmt.Errorf("core: fetching element %q: the replica declined it", entry.Name)
+	return missing
+}
+
+// element is step 4 for one entry that fetch decided fresh and holds the
+// bytes of. Bytes taken from the verified-content cache are served as
+// they are. Bytes a reply carried are verified and handed to the cache,
+// which owns them from then on: bytes whose reply passes frameShare go in
+// as they arrived, with the reply's vcache.Frame when siblings share it,
+// and the result shares them; any other element goes in as an exact-size
+// clone, so a cached element never pins a padded frame and vcache.Bytes
+// stays the memory the cache holds. The element is named as its
+// certificate entry names it: the name inside a reply's element is
+// covered by no hash.
+func (c *Client) element(p *pipeline, b boundFetch, entry cert.ElementEntry, h held) (FetchResult, error) {
+	elem := document.Element{Name: entry.Name, ContentType: h.elem.ContentType, Data: h.elem.Data}
+	if c.vcache != nil {
+		p.lookedUp(h.cached)
+		if h.cached {
+			return b.result(p, elem, entry.Hash, true), nil
 		}
 	}
 	// Credit this element's share of the exchange that carried it to
 	// ElementFetch, so the Figure-4 phase accounting still describes where
 	// the time went.
-	p.credit(StepElementFetch, &p.timing.ElementFetch, pf.share)
-	elem := pf.elem
+	p.credit(StepElementFetch, &p.timing.ElementFetch, h.share)
 	verified, err := c.verifyElement(p, b.vb, entry.Name, elem.Data, b.now)
 	if err != nil {
 		return FetchResult{}, err
 	}
 	if c.vcache != nil {
 		data := elem.Data
-		if !pf.inFrame {
+		if !h.inFrame {
 			data = make([]byte, len(elem.Data))
 			copy(data, elem.Data)
 		}
-		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: data, Frame: pf.frame}, verified.Expires)
+		c.vcache.Put(b.vb.icert.ObjectID, verified.Hash, vcache.Element{ContentType: elem.ContentType, Data: data, Frame: h.frame}, verified.Expires)
 	}
 	return b.result(p, elem, verified.Hash, false), nil
 }
@@ -851,12 +892,11 @@ func (b boundFetch) result(p *pipeline, elem document.Element, hash [globeid.Siz
 	}
 }
 
-// serveCached answers a fetch from the verified-content cache when it
-// holds the bytes of a fresh entry, under a vcache.lookup span. It counts
-// the hit/miss and re-arms a hit's TTL to the entry's validity bound.
-func (c *Client) serveCached(p *pipeline, b boundFetch, entry cert.ElementEntry) (FetchResult, bool) {
+// lookedUp records, under a vcache.lookup span and in the hit/miss
+// counters, whether the verified-content cache supplied a delivered
+// element's bytes: once per element, however often the plan decided it.
+func (p *pipeline) lookedUp(hit bool) {
 	sp := p.root.StartChild(StepVCacheLookup)
-	cached, hit := c.vcache.Get(entry.Hash, b.now, entry.Expires)
 	outcome, counter := "miss", p.tel.VCacheMisses
 	if hit {
 		outcome, counter = "hit", p.tel.VCacheHits
@@ -864,10 +904,6 @@ func (c *Client) serveCached(p *pipeline, b boundFetch, entry cert.ElementEntry)
 	sp.Annotate("outcome", outcome)
 	sp.End()
 	counter.Inc()
-	if !hit {
-		return FetchResult{}, false
-	}
-	return b.result(p, document.Element{Name: entry.Name, ContentType: cached.ContentType, Data: cached.Data}, entry.Hash, true), true
 }
 
 // verifyElement runs the three per-element checks as separate pipeline
@@ -987,10 +1023,9 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 
 	// Steps 5, 7 and 9: the replica's unverified claims, with the elements
 	// pl wants — none while the verified-content cache holds bytes of the
-	// object (the plan's warm exchange then asks for what it lacks), or
-	// under DisableBatchFetch, whose serial ablation takes each on its own.
+	// object (the plan's warm exchange then asks for what it lacks).
 	req := object.BindRequest{NameCerts: c.trust != nil, At: now}
-	if !c.noBatchFetch && (c.vcache == nil || !c.vcache.Holds(oid)) {
+	if c.vcache == nil || !c.vcache.Holds(oid) {
 		if req.All = pl.all; pl.element != "" {
 			req.Names = []string{pl.element}
 		}
@@ -1151,7 +1186,7 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
 	n, carried := 0, 0
 	for _, it := range reply.Items {
-		if it.Err == nil { // a declined item is left to the element path
+		if it.Err == nil { // a declined item is asked for again
 			n++
 			carried += len(it.Element.Data)
 		}
@@ -1273,9 +1308,10 @@ func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementE
 // integrity certificate, returning elements in certificate order. It is
 // the "download the whole document" operation the paper's Figures 5–7
 // time against Apache, and runs the same fetch plan — and so the same
-// refresh and failover — as Fetch. Elements are retrieved by a bounded
-// worker pool (Options.FetchWorkers); when the plan finally fails, the
-// ordered prefix of verified elements is returned alongside the error.
+// refresh and failover — as Fetch, and delivers every element under the
+// one certificate whose entries the plan decided; when the plan finally
+// fails, the ordered prefix of verified elements is returned alongside
+// the error.
 func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, error) {
 	ctx, p := c.newPipeline(ctx, SpanFetchAll)
 	p.root.Annotate("oid", oid.Short())
@@ -1288,47 +1324,22 @@ func (c *Client) FetchAll(ctx context.Context, oid globeid.OID) ([]FetchResult, 
 	return pl.results, nil
 }
 
-// every is FetchAll's attempt over b for every entry its certificate
-// lists, each one decided fresh: element fanned out over a bounded worker
-// pool sharing the binding, each element with its own fresh pipeline
-// under the fetch.all root span so its spans and Timing stay
-// attributable. The first failure cancels the rest and comes back with
-// the ordered verified prefix.
-func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, pre prefill) ([]FetchResult, error) {
-	entries := b.vb.icert.Entries
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]FetchResult, len(entries))
-	ok := make([]bool, len(entries))
-	var next atomic.Int64
-	var failOnce sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < min(c.fetchWorkers, len(entries)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(entries) && gctx.Err() == nil; i = int(next.Add(1)) - 1 {
-				var err error
-				if results[i], err = c.element(gctx, p.fresh(), b, entries[i], pre); err != nil {
-					failOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				ok[i] = true
-			}
-		}()
+// every is FetchAll's delivery over b of entries, every one decided
+// fresh and its bytes in hand (in): element in certificate order, each
+// with its own fresh pipeline under the fetch.all root span so its spans
+// and Timing stay attributable. A failure, or the caller's cancellation
+// between two elements, ends the pass with the ordered verified prefix.
+func (c *Client) every(ctx context.Context, p *pipeline, b boundFetch, entries []cert.ElementEntry, in []held) ([]FetchResult, error) {
+	results := make([]FetchResult, 0, len(entries))
+	for i, e := range entries {
+		if err := ctx.Err(); err != nil {
+			return results, err
+		}
+		res, err := c.element(p.fresh(), b, e, in[i])
+		if err != nil {
+			return results, err
+		}
+		results = append(results, res)
 	}
-	wg.Wait()
-
-	n := 0
-	for n < len(ok) && ok[n] {
-		n++
-	}
-	results = results[:n]
-	if firstErr == nil && n < len(entries) {
-		// The caller cancelled between two elements: no worker failed,
-		// but the download is not whole.
-		firstErr = ctx.Err()
-	}
-	return results, firstErr
+	return results, nil
 }

@@ -12,10 +12,6 @@ import (
 	"globedoc/internal/vcache"
 )
 
-// DefaultFetchWorkers is FetchAll's element fan-out when
-// Options.FetchWorkers is zero.
-const DefaultFetchWorkers = 4
-
 // DefaultMaxBindings bounds the verified-binding cache when
 // Options.MaxBindings is zero: enough for every document of the paper's
 // testbed workloads, small enough that a many-OID crawl cannot hold a
@@ -29,9 +25,9 @@ var ErrInvalidOptions = errors.New("core: invalid options")
 
 // Options configures a Client at construction. The zero value is valid:
 // no identity certification, cold bindings on every fetch, default
-// telemetry, the real clock, and default concurrency bounds. Zero-valued
-// knobs mean "use the documented default"; negative values are rejected
-// by NewClient. The replica connections' retry policy (which also bounds
+// telemetry, the real clock, and the default binding-cache bound.
+// Zero-valued knobs mean "use the documented default"; negative values
+// are rejected by NewClient. The replica connections' retry policy (which also bounds
 // a warm binding's certificate refresh) and pool bound live on the
 // binder's transport config, and the trace sample rate on the
 // telemetry's tracer.
@@ -55,15 +51,6 @@ type Options struct {
 	// Now is the clock used for freshness checks; tests replace it.
 	// Nil means time.Now.
 	Now func() time.Time
-	// FetchWorkers bounds how many elements FetchAll retrieves in
-	// parallel. 0 means DefaultFetchWorkers; 1 restores the serial
-	// behaviour.
-	FetchWorkers int
-	// DisableBatchFetch makes FetchAll retrieve every element with a warm
-	// obj.bind of its own instead of carrying them all in one exchange —
-	// the serial-RPC ablation the multiplex benchmark compares against.
-	// Verification is identical either way.
-	DisableBatchFetch bool
 	// VCache is the verified-content cache: element bytes reused under
 	// their certificate hash and memoized certificate-signature verdicts
 	// (DESIGN.md §11). Nil disables both, reproducing the uncached
@@ -87,10 +74,6 @@ type Options struct {
 func (o Options) validate(binder *object.Binder) error {
 	if binder == nil {
 		return fmt.Errorf("%w: nil binder", ErrInvalidOptions)
-	}
-	if o.FetchWorkers < 0 {
-		return fmt.Errorf("%w: FetchWorkers %d is negative (0 means the default %d, 1 means serial)",
-			ErrInvalidOptions, o.FetchWorkers, DefaultFetchWorkers)
 	}
 	if o.MaxBindings < 0 {
 		return fmt.Errorf("%w: MaxBindings %d is negative (0 means the default %d)",

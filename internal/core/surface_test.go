@@ -14,16 +14,14 @@ import (
 // sample rate on the telemetry's tracer.
 func TestOptionsSurface(t *testing.T) {
 	want := []string{
-		"Trust",             // -ca-keystore; deploy's world CA; perfbench
-		"RequireIdentity",   // -require-identity
-		"CacheBindings",     // -cache-bindings; the cache, concurrent and placement benches; perfbench
-		"Telemetry",         // the proxy's registry; deploy's world default; perfbench
-		"Now",               // the cache, multiplex, placement and traceoverhead benches' fake clocks; perfbench
-		"FetchWorkers",      // bench-multiplex's serial arm
-		"DisableBatchFetch", // bench-multiplex's serial arm
-		"VCache",            // -disable-vcache, -vcache-max-bytes, -vcache-max-signatures; bench-cache; perfbench
-		"MaxBindings",       // -max-bindings
-		"Selector",          // deploy's zone-aware default; bench-placement's ordered arm
+		"Trust",           // -ca-keystore; deploy's world CA; perfbench
+		"RequireIdentity", // -require-identity
+		"CacheBindings",   // -cache-bindings; the cache, concurrent, multiplex and placement benches; perfbench
+		"Telemetry",       // the proxy's registry; deploy's world default; perfbench
+		"Now",             // the cache, multiplex, placement and traceoverhead benches' fake clocks; perfbench
+		"VCache",          // -disable-vcache, -vcache-max-bytes, -vcache-max-signatures; bench-cache; perfbench
+		"MaxBindings",     // -max-bindings
+		"Selector",        // deploy's zone-aware default; bench-placement's ordered arm
 	}
 	typ := reflect.TypeOf(Options{})
 	got := make([]string, typ.NumField())
