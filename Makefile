@@ -82,7 +82,6 @@ FUZZ_TARGETS = \
 	internal/policy:FuzzParse \
 	internal/server:FuzzUnmarshalBundle \
 	internal/server:FuzzDeltaDecode \
-	internal/server:FuzzUnmarshalVersionHeader \
 	internal/server:FuzzDecodeDeltaRequest \
 	internal/transport:FuzzFrameDecode \
 	internal/transport:FuzzRequestDecode \

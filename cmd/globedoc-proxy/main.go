@@ -42,8 +42,8 @@ import (
 	"time"
 
 	"globedoc/internal/cert"
+	"globedoc/internal/cliflags"
 	"globedoc/internal/core"
-	"globedoc/internal/deploy"
 	"globedoc/internal/keyfile"
 	"globedoc/internal/keys"
 	"globedoc/internal/location"
@@ -59,10 +59,10 @@ type config struct {
 	namingAddr, rootKey, locAddr, site, caStore string
 	requireID, warm                             bool
 	client                                      transport.Config
-	cache                                       *deploy.CacheFlags
+	cache                                       *cliflags.CacheFlags
 	fetchTimeout                                time.Duration
 	tel                                         *telemetry.Telemetry
-	debug                                       *deploy.DebugFlags
+	debug                                       *cliflags.DebugFlags
 }
 
 func main() {
@@ -76,9 +76,9 @@ func main() {
 		requireID  = flag.Bool("require-identity", false, "refuse objects without a trusted identity certificate")
 		warm       = flag.Bool("cache-bindings", true, "reuse verified bindings across requests")
 		fetchTO    = flag.Duration("fetch-timeout", 30*time.Second, "whole-pipeline deadline per browser request (0 = unbounded)")
-		clientFl   = deploy.RegisterClientFlags(nil)
-		cacheFl    = deploy.RegisterCacheFlags(nil)
-		debugFl    = deploy.RegisterDebugFlags(nil)
+		clientFl   = cliflags.RegisterClientFlags(nil)
+		cacheFl    = cliflags.RegisterCacheFlags(nil)
+		debugFl    = cliflags.RegisterDebugFlags(nil)
 	)
 	flag.Parse()
 	tel := telemetry.New(nil)

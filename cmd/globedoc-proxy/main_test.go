@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"globedoc/internal/deploy"
+	"globedoc/internal/cliflags"
 	"globedoc/internal/keyfile"
 	"globedoc/internal/keys/keytest"
 	"globedoc/internal/leakcheck"
@@ -63,8 +63,8 @@ func TestRunDrainsOnCancel(t *testing.T) {
 	tel := telemetry.New(nil)
 	cfg := config{
 		namingAddr: naming.Addr().String(), rootKey: rootKey, locAddr: naming.Addr().String(),
-		warm: true, client: transport.Config{Telemetry: tel}, cache: &deploy.CacheFlags{},
-		fetchTimeout: 10 * time.Second, tel: tel, debug: &deploy.DebugFlags{TraceSample: 1},
+		warm: true, client: transport.Config{Telemetry: tel}, cache: &cliflags.CacheFlags{},
+		fetchTimeout: 10 * time.Second, tel: tel, debug: &cliflags.DebugFlags{TraceSample: 1},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

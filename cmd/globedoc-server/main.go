@@ -19,7 +19,7 @@ import (
 	"os"
 	"time"
 
-	"globedoc/internal/deploy"
+	"globedoc/internal/cliflags"
 	"globedoc/internal/keyfile"
 	"globedoc/internal/keys"
 	"globedoc/internal/server"
@@ -36,7 +36,7 @@ func main() {
 		maxObj   = flag.Int("max-objects", 0, "max hosted replicas (0 = unlimited)")
 		maxBytes = flag.Int64("max-bytes", 0, "max hosted element bytes (0 = unlimited)")
 		idleTO   = flag.Duration("idle-timeout", 2*time.Minute, "drop client connections idle this long (0 = never)")
-		debugFl  = deploy.RegisterDebugFlags(nil)
+		debugFl  = cliflags.RegisterDebugFlags(nil)
 	)
 	flag.Parse()
 	if err := run(*listen, *name, *site, *ksPath, *identity, *maxObj, *maxBytes, *idleTO, debugFl); err != nil {
@@ -46,7 +46,7 @@ func main() {
 }
 
 func run(listen, name, site, ksPath, identity string, maxObj int, maxBytes int64,
-	idleTO time.Duration, debugFl *deploy.DebugFlags) error {
+	idleTO time.Duration, debugFl *cliflags.DebugFlags) error {
 	ks := keys.NewKeystore()
 	if ksPath != "" {
 		loaded, err := keys.LoadKeystore(ksPath)

@@ -19,7 +19,7 @@ import (
 	"os"
 	"strings"
 
-	"globedoc/internal/deploy"
+	"globedoc/internal/cliflags"
 	"globedoc/internal/keyfile"
 	"globedoc/internal/keys"
 	"globedoc/internal/location"
@@ -36,7 +36,7 @@ func main() {
 		zones        = flag.String("zones", "", "comma-separated zones to create under the root (e.g. nl,vu.nl)")
 		sites        = flag.String("sites", "world/europe/amsterdam,world/europe/paris,world/northamerica/ithaca",
 			"comma-separated site paths defining the location domain tree")
-		debugFl = deploy.RegisterDebugFlags(nil)
+		debugFl = cliflags.RegisterDebugFlags(nil)
 	)
 	flag.Parse()
 	if err := run(*namingAddr, *locationAddr, *rootKeyOut, *algo, *zones, *sites, debugFl); err != nil {
@@ -45,7 +45,7 @@ func main() {
 	}
 }
 
-func run(namingAddr, locationAddr, rootKeyOut, algo, zones, sites string, debugFl *deploy.DebugFlags) error {
+func run(namingAddr, locationAddr, rootKeyOut, algo, zones, sites string, debugFl *cliflags.DebugFlags) error {
 	alg, err := keys.ParseAlgorithm(algo)
 	if err != nil {
 		return err

@@ -13,11 +13,11 @@ import (
 
 // DeltaMode selects how a malicious primary corrupts obj.getdelta
 // replies. The puller hands the state it composes from any reply to the
-// same signature/hash validation and installs it only if its
-// certificate supersedes the one held, so every one of these lies must
-// degrade to denial of service: the victim rejects the delta, asks again
-// from version 0 and, where the full answer is honest, converges on
-// genuine state.
+// same signature, hash and completeness validation and installs it only
+// if its certificate supersedes the one held, so every one of these lies
+// must degrade to denial of service: the victim rejects the delta, asks
+// again from version 0 and, where the full answer is honest, converges
+// on genuine state.
 type DeltaMode int
 
 // Delta attack modes.
@@ -25,24 +25,19 @@ const (
 	// DeltaHonest relays genuine deltas (control case).
 	DeltaHonest DeltaMode = iota
 	// DeltaForgeContent flips bytes in a changed element's payload while
-	// leaving the certificate and chain intact.
+	// leaving the certificate intact.
 	DeltaForgeContent
 	// DeltaTruncate drops a changed item from the reply, so the composed
-	// bundle no longer matches the chain head's element-root commitment.
+	// bundle lacks an element its certificate lists: the completeness
+	// rule refuses it, and a replica never serves part of a version.
 	DeltaTruncate
-	// DeltaReorderHeaders swaps chain headers, breaking the monotonic
-	// have..new linkage.
-	DeltaReorderHeaders
-	// DeltaBreakChain corrupts a header's Prev link.
-	DeltaBreakChain
 	// DeltaLieUnchanged marks a changed element unchanged, trying to pin
 	// the victim's stale bytes under the new certificate.
 	DeltaLieUnchanged
 	// DeltaRollback serves genuine state older than the victim's: the
 	// certificate and elements captured when the attacker was made, as a
-	// delta linked to the victim's head and as a full reply. The delta's
-	// chain goes backwards; every byte of the full reply verifies, and
-	// only the supersedes rule stops it.
+	// delta and as a full reply. Every byte of either verifies, and only
+	// the supersedes rule stops them.
 	DeltaRollback
 )
 
@@ -55,10 +50,6 @@ func (m DeltaMode) String() string {
 		return "delta-forge-content"
 	case DeltaTruncate:
 		return "delta-truncate"
-	case DeltaReorderHeaders:
-		return "delta-reorder-headers"
-	case DeltaBreakChain:
-		return "delta-break-chain"
 	case DeltaLieUnchanged:
 		return "delta-lie-unchanged"
 	case DeltaRollback:
@@ -71,14 +62,14 @@ func (m DeltaMode) String() string {
 // AllDeltaModes lists every adversarial delta mode (excluding the honest
 // control).
 var AllDeltaModes = []DeltaMode{
-	DeltaForgeContent, DeltaTruncate, DeltaReorderHeaders, DeltaBreakChain, DeltaLieUnchanged, DeltaRollback,
+	DeltaForgeContent, DeltaTruncate, DeltaLieUnchanged, DeltaRollback,
 }
 
 // MaliciousDeltaPrimary is a wire-compatible primary that answers
 // obj.getdelta from a genuine server's state, corrupting delta replies
 // according to its Mode and leaving full replies honest (DeltaRollback
 // excepted). It models a compromised primary (or a man-in-the-middle on
-// the consistency channel) that tries to smuggle unvalidated or
+// the consistency channel) that tries to smuggle unvalidated, partial or
 // superseded state through the incremental path.
 type MaliciousDeltaPrimary struct {
 	Mode DeltaMode
@@ -134,34 +125,20 @@ func (m *MaliciousDeltaPrimary) handleGetDelta(body []byte) ([]byte, error) {
 	return d.Marshal(), nil
 }
 
-// rollback answers with the captured full state: as a delta whose chain
-// links the captured head to the victim's head when the genuine server
-// still retains have, as the full state otherwise. The captured head
-// commits to exactly the captured certificate and element set and carries
-// its signed version, so every check of the full reply but the supersedes
-// rule passes.
+// rollback answers with the captured full state: as a delta to a
+// request from a version, as the full state to one from version 0.
 func (m *MaliciousDeltaPrimary) rollback(oid globeid.OID, have uint64) (*server.DeltaReply, error) {
 	old, ok := m.captured[oid]
 	if !ok {
 		return nil, fmt.Errorf("attack: no state captured for %s", oid.Short())
 	}
-	chain, err := m.inner.VersionChain(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, head := *old, *old.Headers[0]
-	for _, hd := range chain {
-		if have != 0 && hd.Version == have {
-			head.Prev = hd.Hash()
-			d.FullRequired, d.Headers = false, []*server.VersionHeader{&hd, &head}
-		}
-	}
+	d := *old
+	d.FullRequired = have == 0
 	return &d, nil
 }
 
-// corrupt applies the mode's lie to a genuine delta reply. The reply
-// aliases the inner server's chain headers and element data, so every
-// mutation copies first.
+// corrupt applies the mode's lie to a genuine delta reply, whose element
+// data is the caller's own copy.
 func (m *MaliciousDeltaPrimary) corrupt(d *server.DeltaReply) {
 	if d.Current || d.FullRequired {
 		return
@@ -187,20 +164,6 @@ func (m *MaliciousDeltaPrimary) corrupt(d *server.DeltaReply) {
 				d.Items = append(d.Items[:i:i], d.Items[i+1:]...)
 				return
 			}
-		}
-	case DeltaReorderHeaders:
-		if len(d.Headers) >= 2 {
-			hs := append([]*server.VersionHeader(nil), d.Headers...)
-			hs[0], hs[len(hs)-1] = hs[len(hs)-1], hs[0]
-			d.Headers = hs
-		}
-	case DeltaBreakChain:
-		if n := len(d.Headers); n > 0 {
-			hs := append([]*server.VersionHeader(nil), d.Headers...)
-			broken := *hs[n-1]
-			broken.Prev[0] ^= 0xff
-			hs[n-1] = &broken
-			d.Headers = hs
 		}
 	case DeltaLieUnchanged:
 		for i := range d.Items {

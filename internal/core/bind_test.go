@@ -330,7 +330,7 @@ func decline(t *testing.T, reply []byte, name string) []byte {
 	for i, it := range r.Items {
 		items[i] = object.BatchWireItem{Name: it.Name, Wire: object.EncodeElement(it.Element)}
 		if it.Err != nil || it.Name == name {
-			items[i] = object.BatchWireItem{Name: it.Name, ErrMsg: "batch response frame budget exceeded; fetch element individually"}
+			items[i] = object.BatchWireItem{Name: it.Name, ErrMsg: "batch response frame budget exceeded; ask for it again in the next exchange"}
 		}
 	}
 	return object.EncodeBindReply(r.Key, r.NameCerts, r.Cert, items)

@@ -306,8 +306,8 @@ func echoes(items []BatchItem, names []string) error {
 type BindRequest struct {
 	OID      globeid.OID
 	FromSite string
-	// Have names by its encoding's hash (a version header's CertHash) the
-	// integrity certificate the client holds; zero for a cold bind. The
+	// Have names by its encoding's hash the integrity certificate the
+	// client holds; zero for a cold bind. The
 	// reply then carries no key and the replica's certificate only when it
 	// is not the one held.
 	Have [globeid.Size]byte

@@ -51,9 +51,10 @@ type Bundle struct {
 
 // Validate performs the server's self-protection checks before hosting:
 // the public key must hash to the OID, the integrity certificate must be
-// signed by that key and name this object, and every element must match
-// its certificate entry. A server that skips these checks would waste
-// storage on garbage it can never serve convincingly.
+// signed by that key and name this object, every element must match its
+// certificate entry, and every entry must have its element. A server
+// that skips these checks would waste storage on garbage it can never
+// serve convincingly.
 func (b *Bundle) Validate() error {
 	_, err := b.validate(nil)
 	return err
@@ -95,7 +96,7 @@ func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 	if err := b.Cert.VerifyEncoding(icert, b.OID, b.Key, nil); err != nil {
 		return nil, fmt.Errorf("server: bundle certificate: %w", err)
 	}
-	v := &validated{icert: icert, elems: byName(b.Elements, func(e document.Element) string { return e.Name })}
+	v := &validated{icert: icert, elems: byName(b.Elements)}
 	v.leaves = make([]merkle.Leaf, len(v.elems))
 	for i, e := range v.elems {
 		if i > 0 && v.elems[i-1].Name == e.Name {
@@ -115,17 +116,23 @@ func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 			return nil, fmt.Errorf("server: bundle element %q does not match certificate hash", e.Name)
 		}
 	}
+	// Every element is listed once, so a shorter list than the
+	// certificate's lacks a listed element: a replica is the full state.
+	if len(v.elems) != len(b.Cert.Entries) {
+		return nil, fmt.Errorf("server: bundle lacks %d of the %d elements its certificate lists", len(b.Cert.Entries)-len(v.elems), len(b.Cert.Entries))
+	}
 	return v, nil
 }
 
-// byName returns s in name order, sorting a copy only when s is not in
-// order already, and everything an owner or an honest primary builds is.
-func byName[T any](s []T, name func(T) string) []T {
-	order := func(a, b T) int { return strings.Compare(name(a), name(b)) }
-	if slices.IsSortedFunc(s, order) {
-		return s
+// byName returns elems in name order, sorting a copy only when they are
+// not in order already, and everything an owner or an honest primary
+// builds is.
+func byName(elems []document.Element) []document.Element {
+	order := func(a, b document.Element) int { return strings.Compare(a.Name, b.Name) }
+	if slices.IsSortedFunc(elems, order) {
+		return elems
 	}
-	sorted := slices.Clone(s)
+	sorted := slices.Clone(elems)
 	slices.SortStableFunc(sorted, order)
 	return sorted
 }

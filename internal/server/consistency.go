@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
-	"globedoc/internal/merkle"
 	"globedoc/internal/object"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
@@ -89,8 +89,7 @@ func (p *Puller) BytesDelta() uint64 { return p.bytesDelta.Load() }
 func (p *Puller) DeltaDeclines() uint64 { return p.deltaDeclines.Load() }
 
 // DeltaFallbacks returns how many deltas were rejected (bad reply,
-// broken chain, superseded or invalid state) and asked for again from
-// version 0.
+// superseded or invalid state) and asked for again from version 0.
 func (p *Puller) DeltaFallbacks() uint64 { return p.deltaFallbacks.Load() }
 
 // errSuperseded rejects a transfer whose certificate does not supersede
@@ -114,7 +113,7 @@ func (p *Puller) CheckOnce(ctx context.Context) (pulled bool, err error) {
 		return false, err
 	}
 	local := h.head()
-	have := local.header.Version
+	have := local.version
 	if p.DisableDelta {
 		have = 0
 	}
@@ -177,24 +176,17 @@ func (p *Puller) pull(ctx context.Context, local *versionSnapshot, have uint64) 
 
 // apply installs the state a delta or full reply describes over local,
 // the replica's head, and reports whether it did and how many element
-// bodies the reply moved. A reply whose chain head commits to the
-// certificate already held installs nothing and is no error; any other
-// reply whose certificate does not supersede the held one is refused.
-// Nothing in the reply is trusted before Update's validation passes: the
-// chain check rejects malformed or non-extending replies cheaply, the
-// supersedes check refuses a rollback, and the bundle Update validates
-// takes local's unchanged elements by reference — no local byte is
-// copied.
+// bodies the reply moved. A reply carrying the very certificate encoding
+// local serves installs nothing and is no error; any other reply whose
+// certificate does not supersede the held one is refused. Nothing in the
+// reply is trusted before Update's validation passes: the supersedes
+// check refuses a rollback cheaply, validation refuses a bundle that
+// lacks an element its certificate lists, and the bundle Update
+// validates takes local's unchanged elements by reference — no local
+// byte is copied.
 func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, changed uint64, err error) {
-	from := local.header
-	if d.FullRequired {
-		from = nil
-	}
-	if err := verifyDeltaChain(d, p.oid, from); err != nil {
-		return false, 0, err
-	}
 	if !d.Cert.Supersedes(local.cert) {
-		if d.Headers[len(d.Headers)-1].CertHash == local.header.CertHash {
+		if bytes.Equal(d.certWire, local.wire.icert[0]) {
 			return false, 0, nil
 		}
 		return false, 0, errSuperseded
@@ -226,72 +218,6 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 		return false, 0, err
 	}
 	return true, changed, nil
-}
-
-// verifyDeltaChain checks that a reply's header chain leads to the state
-// it proposes: consecutive headers must be hash-linked with strictly
-// increasing versions, and the last header must carry the certificate's
-// signed version and commit to exactly the certificate and element set
-// the reply proposes. For a delta, local is the replica's head and the
-// first header must carry its content commitments (version, certificate
-// hash, element root — Prev is excluded, since two replicas that
-// converged through different histories legitimately disagree on it); a
-// full reply (local nil) links to nothing the replica holds. A reply that
-// fails here is discarded before any signature work.
-func verifyDeltaChain(d *DeltaReply, oid globeid.OID, local *VersionHeader) error {
-	if len(d.Headers) == 0 {
-		return fmt.Errorf("server: delta reply carries no version headers")
-	}
-	first := d.Headers[0]
-	if local != nil && (first.Version != local.Version || first.CertHash != local.CertHash || first.ElemRoot != local.ElemRoot) {
-		return fmt.Errorf("server: delta chain does not start at the local version %d", local.Version)
-	}
-	for i, cur := range d.Headers {
-		if cur.OID != oid {
-			return fmt.Errorf("server: delta header names object %s", cur.OID.Short())
-		}
-		if i == 0 {
-			continue
-		}
-		prev := d.Headers[i-1]
-		if cur.Version <= prev.Version {
-			return fmt.Errorf("server: delta chain versions not increasing at %d", cur.Version)
-		}
-		if cur.Prev != prev.Hash() {
-			return fmt.Errorf("server: delta chain broken between versions %d and %d", prev.Version, cur.Version)
-		}
-	}
-	last := d.Headers[len(d.Headers)-1]
-	if d.Cert == nil {
-		return fmt.Errorf("server: delta reply has no integrity certificate")
-	}
-	if last.Version != d.Cert.Version {
-		return fmt.Errorf("server: delta chain head is version %d, its certificate %d", last.Version, d.Cert.Version)
-	}
-	if last.CertHash != globeid.HashElement(d.certEncoding()) {
-		return fmt.Errorf("server: delta chain head does not commit to the reply certificate")
-	}
-	leaves := make([]merkle.Leaf, 0, len(d.Items))
-	for _, it := range d.Items {
-		entry, err := d.Cert.Lookup(it.Name)
-		if err != nil {
-			return fmt.Errorf("server: delta item %q not in reply certificate", it.Name)
-		}
-		leaves = append(leaves, merkle.Leaf{Name: it.Name, Hash: entry.Hash})
-	}
-	if last.ElemRoot != merkle.RootOfSorted(byName(leaves, func(l merkle.Leaf) string { return l.Name })) {
-		return fmt.Errorf("server: delta chain head does not commit to the reply element set")
-	}
-	return nil
-}
-
-// certEncoding returns the encoding of d's certificate: the bytes it
-// arrived as when d was decoded, a fresh encoding otherwise.
-func (d *DeltaReply) certEncoding() []byte {
-	if d.certWire != nil {
-		return d.certWire
-	}
-	return d.Cert.Marshal()
 }
 
 // Start launches the periodic check loop; ctx cancellation and Stop

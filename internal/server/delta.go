@@ -18,22 +18,21 @@ import (
 // OpGetDelta is the one consistency transfer (DESIGN.md §16): the
 // request carries (OID, have-version), and the reply is one of three.
 // "Current" carries only the primary's version, when have is its head or
-// later. A delta carries the chain headers linking have to the current
-// version, the new version's key and certificate tables, and — per
-// element, tagged with a status byte — either nothing (cert-listed hash
-// unchanged since have) or the new element bytes. When have is not in
-// the primary's retained chain (0 included) the reply is the full state:
-// the same tables, only the head's header, and every element. The reply
+// later. A delta carries the new version's key and certificate tables
+// and — per element, tagged with a status byte — either nothing
+// (cert-listed hash unchanged since have) or the new element bytes. When
+// have is not among the primary's retained versions (0 included) the
+// reply is the full state: the same tables and every element. The reply
 // is UNTRUSTED input: the puller composes a candidate bundle from it and
-// installs it only through Update's validation and only if its
-// certificate supersedes the one held, so a lying primary can at worst
-// deny service, never install a byte that does not verify or roll the
-// replica back.
+// installs it only through Update's validation, which requires every
+// element the certificate lists, and only if its certificate supersedes
+// the one held, so a lying primary can at worst deny service, never
+// install a byte that does not verify, a partial replica or a rollback.
 const OpGetDelta = "obj.getdelta"
 
 // deltaWireVersion versions both the request and reply encodings, so the
 // format can evolve the way the transport's frame version does.
-const deltaWireVersion = 3
+const deltaWireVersion = 4
 
 // Reply status bytes.
 const (
@@ -48,11 +47,8 @@ const (
 	deltaItemChanged   byte = 1
 )
 
-// Decoder bounds, mirroring UnmarshalBundle's.
-const (
-	maxDeltaHeaders = 1024
-	maxDeltaItems   = 1 << 16
-)
+// maxDeltaItems bounds the decoder's item count, as UnmarshalBundle's.
+const maxDeltaItems = 1 << 16
 
 // DeltaItem is one element's entry in a delta reply. Unchanged items
 // carry only the name: the client already holds bytes with the
@@ -69,17 +65,14 @@ type DeltaReply struct {
 	// later. Only NewVersion is populated.
 	Current bool
 	// FullRequired reports that have was not retained, so the full state
-	// follows: every item is Changed and Headers holds only the head.
+	// follows: every item is Changed.
 	FullRequired bool
 	// NewVersion is the primary's current version, carried only by a
 	// current reply. A delta or full reply's version is its certificate's.
 	NewVersion uint64
-	// Headers is the retained chain from the have-version to the current
-	// version inclusive, oldest first.
-	Headers   []*VersionHeader
-	Key       keys.PublicKey
-	Cert      *cert.IntegrityCertificate
-	NameCerts []*cert.NameCertificate
+	Key        keys.PublicKey
+	Cert       *cert.IntegrityCertificate
+	NameCerts  []*cert.NameCertificate
 	// Items lists every element of the new version, sorted by name.
 	Items []DeltaItem
 
@@ -88,8 +81,8 @@ type DeltaReply struct {
 	// those bytes instead of encoding the three again.
 	tables *wirePayloads
 	// certWire, set by UnmarshalDeltaReply, is the encoding Cert arrived
-	// as, copied out of the reply: what the chain head's CertHash is
-	// checked against and what the replica verifies and then serves.
+	// as, copied out of the reply: what the puller compares with the
+	// encoding it serves, and what the replica verifies and then serves.
 	certWire []byte
 }
 
@@ -139,10 +132,6 @@ func (d *DeltaReply) Marshal() []byte {
 	} else {
 		w.Byte(deltaStatusDelta)
 	}
-	w.Uvarint(uint64(len(d.Headers)))
-	for _, h := range d.Headers {
-		w.BytesPrefixed(h.Marshal())
-	}
 	w.BytesPrefixed(key)
 	w.BytesPrefixed(icert)
 	w.Raw(nameCerts) // the count, then each certificate length-prefixed
@@ -163,7 +152,7 @@ func (d *DeltaReply) Marshal() []byte {
 // size bounds the encoding of a delta or full reply whose three encoded
 // tables sum to tables bytes.
 func (d *DeltaReply) size(tables int) int {
-	n := 2 + 3*binary.MaxVarintLen64 + tables + len(d.Headers)*prefixedLen(maxHeaderLen)
+	n := 2 + 3*binary.MaxVarintLen64 + tables
 	for _, it := range d.Items {
 		n += prefixedLen(len(it.Name)) + 1
 		if it.Changed {
@@ -199,14 +188,6 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 			return nil, fmt.Errorf("server: delta reply decode: %w", err)
 		}
 		return &d, nil
-	}
-	nh := r.Uvarint()
-	if r.Err() == nil && nh > maxDeltaHeaders {
-		return nil, fmt.Errorf("server: implausible delta header count %d", nh)
-	}
-	rawHeaders := make([][]byte, 0, nh)
-	for i := uint64(0); i < nh && r.Err() == nil; i++ {
-		rawHeaders = append(rawHeaders, r.BytesPrefixed())
 	}
 	rawKey := r.BytesPrefixed()
 	rawCert := r.BytesPrefixed()
@@ -244,13 +225,6 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("server: delta reply decode: %w", err)
-	}
-	for _, raw := range rawHeaders {
-		h, err := UnmarshalVersionHeader(raw)
-		if err != nil {
-			return nil, err
-		}
-		d.Headers = append(d.Headers, h)
 	}
 	key, err := keys.UnmarshalPublicKey(rawKey)
 	if err != nil {
@@ -298,15 +272,15 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	chain := h.versions()
-	head := chain[len(chain)-1]
-	if have != 0 && have >= head.header.Version {
-		return &DeltaReply{Current: true, NewVersion: head.header.Version}, nil
+	versions := h.versions()
+	head := versions[len(versions)-1]
+	if have != 0 && have >= head.version {
+		return &DeltaReply{Current: true, NewVersion: head.version}, nil
 	}
-	base := -1
-	for i, snap := range chain {
-		if have != 0 && snap.header.Version == have {
-			base = i
+	var base *versionSnapshot
+	for _, snap := range versions {
+		if have != 0 && snap.version == have {
+			base = snap
 			break
 		}
 	}
@@ -318,16 +292,11 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
 		tables:    &head.wire,
 	}
 	var changed []string // the names whose elements the reply carries, sorted
-	if base < 0 {
+	if base == nil {
 		d.FullRequired = true
-		d.Headers = []*VersionHeader{head.header}
 		changed = head.wire.names
 	} else {
-		d.Headers = make([]*VersionHeader, 0, len(chain)-base)
-		for _, snap := range chain[base:] {
-			d.Headers = append(d.Headers, snap.header)
-		}
-		changed, _ = merkle.DiffSorted(chain[base].leaves, head.leaves)
+		changed, _ = merkle.DiffSorted(base.leaves, head.leaves)
 	}
 	for i, name := range head.wire.names {
 		it := DeltaItem{Name: name}

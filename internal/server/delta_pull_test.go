@@ -3,8 +3,9 @@ package server_test
 // End-to-end tests for the puller's one consistency transfer: each check
 // is one obj.getdelta; a delta moves only changed elements; an evicted
 // have-version brings the full state in the same reply; a rejected delta
-// is asked for once more from version 0; a refusal changes nothing; and
-// the transfer counters surface on telemetry.
+// (a forged or an incomplete one) is asked for once more from version 0;
+// a refusal changes nothing; and the transfer counters surface on
+// telemetry.
 
 import (
 	"bytes"
@@ -111,7 +112,7 @@ func TestPullerUsesDeltaPath(t *testing.T) {
 func TestPullerDeltaChainExtendsAcrossSeveralVersions(t *testing.T) {
 	w, pub, puller, _ := deltaWorld(t)
 	// Let the primary advance several versions before one delta pull:
-	// the reply chain must link have..new across all of them.
+	// one delta from the held version spans all of them.
 	for i := 2; i <= 4; i++ {
 		pub.Doc.Put(document.Element{Name: "index.html", Data: []byte(fmt.Sprintf("v%d", i))})
 		if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
@@ -225,36 +226,13 @@ func TestPullerOneRequestPerCheck(t *testing.T) {
 
 	// A primary whose deltas carry a flipped byte: the delta is
 	// rejected, and the retry from version 0 gets the honest full state.
-	primary := w.Servers[netsim.AmsterdamPrimary]
-	lyingTel := telemetry.New(nil)
-	lying := transport.NewServer()
-	lying.Telemetry = lyingTel
-	lying.Handle(server.OpGetDelta, func(body []byte) ([]byte, error) {
-		oid, have, err := server.DecodeDeltaRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		d, err := primary.DeltaSince(oid, have)
-		if err != nil {
-			return nil, err
-		}
+	victim, lyingTel := lyingPuller(t, w, pub, func(d *server.DeltaReply) {
 		for _, it := range d.Items {
-			if it.Changed && !d.FullRequired {
+			if it.Changed {
 				it.Element.Data[0] ^= 0xff // DeltaSince's bytes are our own
 			}
 		}
-		return d.Marshal(), nil
 	})
-	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "lying")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lying.Start(l)
-	t.Cleanup(lying.Close)
-	victim := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:delta.nl",
-		netsim.AmsterdamPrimary+":lying", w.DialFrom(netsim.Paris), time.Minute)
-	victim.SetTelemetry(lyingTel)
-	t.Cleanup(victim.Stop)
 	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v3")})
 	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
 		t.Fatal(err)
@@ -267,6 +245,87 @@ func TestPullerOneRequestPerCheck(t *testing.T) {
 	}
 	if full := lyingTel.PullerPulls.With("full").Value(); victim.DeltaFallbacks() != 1 || full != 1 {
 		t.Fatalf("fallbacks=%d full=%d, want the retry to install the full state", victim.DeltaFallbacks(), full)
+	}
+}
+
+// lyingPuller serves obj.getdelta as the genuine primary of deltaWorld
+// does, except that lie rewrites every delta (never a full reply) before
+// it is sent, and returns a puller on the secondary that talks only to
+// it, with the telemetry both record to.
+func lyingPuller(t *testing.T, w *deploy.World, pub *deploy.Publication, lie func(*server.DeltaReply)) (*server.Puller, *telemetry.Telemetry) {
+	t.Helper()
+	primary := w.Servers[netsim.AmsterdamPrimary]
+	tel := telemetry.New(nil)
+	lying := transport.NewServer()
+	lying.Telemetry = tel
+	lying.Handle(server.OpGetDelta, func(body []byte) ([]byte, error) {
+		oid, have, err := server.DecodeDeltaRequest(body)
+		if err != nil {
+			return nil, err
+		}
+		d, err := primary.DeltaSince(oid, have)
+		if err != nil {
+			return nil, err
+		}
+		if !d.Current && !d.FullRequired {
+			lie(d)
+		}
+		return d.Marshal(), nil
+	})
+	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "lying")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying.Start(l)
+	t.Cleanup(lying.Close)
+	victim := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:delta.nl",
+		netsim.AmsterdamPrimary+":lying", w.DialFrom(netsim.Paris), time.Minute)
+	victim.SetTelemetry(tel)
+	t.Cleanup(victim.Stop)
+	return victim, tel
+}
+
+// TestPullerRefusesAnIncompleteDelta: a delta that drops the changed
+// item carries a genuine, superseding certificate and nothing that fails
+// a hash, so only the rule that a replica holds every element its
+// certificate lists stands between it and a partial replica. It is
+// refused, asked for once more from version 0, and the full state
+// converges byte-identically on the primary's.
+func TestPullerRefusesAnIncompleteDelta(t *testing.T) {
+	w, pub, _, _ := deltaWorld(t)
+	victim, tel := lyingPuller(t, w, pub, func(d *server.DeltaReply) {
+		for i, it := range d.Items {
+			if it.Changed {
+				d.Items = append(d.Items[:i:i], d.Items[i+1:]...)
+				return
+			}
+		}
+	})
+	pub.Doc.Put(document.Element{Name: "index.html", Data: []byte("v2")})
+	if err := w.Reissue(pub, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := victim.CheckOnce(context.Background())
+	if err != nil || !pulled {
+		t.Fatalf("CheckOnce = %v, %v; want the full state after the refused delta", pulled, err)
+	}
+	if full := tel.PullerPulls.With("full").Value(); victim.DeltaPulls() != 0 || victim.DeltaFallbacks() != 1 || full != 1 {
+		t.Fatalf("delta=%d fallbacks=%d full=%d, want the delta refused and the full state installed once",
+			victim.DeltaPulls(), victim.DeltaFallbacks(), full)
+	}
+	if n := served(tel); n != 2 {
+		t.Fatalf("obj.getdelta served %d times, want the delta and the retry", n)
+	}
+	pb, err := w.Servers[netsim.AmsterdamPrimary].ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := w.Servers[netsim.Paris].ExportBundle(pub.OID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb.Marshal(), sb.Marshal()) {
+		t.Fatal("secondary state differs from the primary's after the fallback")
 	}
 }
 

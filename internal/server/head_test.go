@@ -101,10 +101,10 @@ func TestRetainedHeapTracksStoredBytes(t *testing.T) {
 }
 
 // TestSupersededVersionsHoldNoPayloads is the white-box half of the
-// retention rule: every retained version but the head is a header and
-// its leaf hashes, the chain never shares a backing array with a
-// previous one (which would pin evicted versions), and VersionChain
-// still reports retention headers.
+// retention rule: every retained version but the head is its signed
+// version and its leaf hashes, the retained versions never share a
+// backing array with a previous set (which would pin evicted versions),
+// and as many as the retention are kept.
 func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 	const retention = DefaultVersionRetention
 	s, oid, owner := newWireServer(t, 64)
@@ -115,41 +115,37 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 	v := mustVersion(t, s, oid)
 	for i := 1; i <= retention+2; i++ {
 		before := h.versions()
-		chainUpdate(t, s, owner, v+uint64(i), "index.html", []byte{byte(i)})
+		updateAt(t, s, owner, v+uint64(i), "index.html", []byte{byte(i)})
 		after := h.versions()
 		if &before[0] == &after[0] {
-			t.Fatalf("update %d reused the previous chain's backing array", i)
+			t.Fatalf("update %d reused the previous versions' backing array", i)
 		}
 		if cap(after) > retention {
-			t.Fatalf("update %d: chain capacity %d exceeds retention %d", i, cap(after), retention)
+			t.Fatalf("update %d: capacity %d exceeds retention %d", i, cap(after), retention)
 		}
 	}
-	chain := h.versions()
-	for i, snap := range chain[:len(chain)-1] {
-		if snap.wire.elements != nil || snap.wire.icert[0] != nil || snap.cert != nil || snap.size != 0 {
+	versions := h.versions()
+	if len(versions) != retention {
+		t.Fatalf("%d versions retained, want retention %d", len(versions), retention)
+	}
+	for i, snap := range versions[:len(versions)-1] {
+		if snap.wire.elements != nil || snap.wire.icert[0] != nil || snap.cert != nil || snap.size != 0 || snap.certHash != ([globeid.Size]byte{}) {
 			t.Errorf("superseded version at index %d still holds servable state", i)
 		}
-		if snap.header == nil || len(snap.leaves) != 3 {
-			t.Errorf("superseded version at index %d lost its header or leaf hashes", i)
+		if snap.version == 0 || len(snap.leaves) != 3 {
+			t.Errorf("superseded version at index %d lost its version or leaf hashes", i)
 		}
 	}
-	if head := chain[len(chain)-1]; len(head.wire.elements) != 3 || head.cert == nil {
+	if head := versions[len(versions)-1]; len(head.wire.elements) != 3 || head.cert == nil {
 		t.Error("head does not hold the served state")
 	}
-	headers, err := s.VersionChain(oid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(headers) != retention {
-		t.Fatalf("VersionChain returned %d headers, want retention %d", len(headers), retention)
-	}
 	// A retained base still yields a delta.
-	d, err := s.DeltaSince(oid, headers[0].Version)
+	d, err := s.DeltaSince(oid, versions[0].version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FullRequired || len(d.Headers) != retention {
-		t.Fatalf("delta from the oldest retained version: FullRequired=%v, %d headers", d.FullRequired, len(d.Headers))
+	if d.FullRequired || d.Current {
+		t.Fatalf("delta from the oldest retained version: FullRequired=%v Current=%v", d.FullRequired, d.Current)
 	}
 }
 

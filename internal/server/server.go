@@ -37,13 +37,13 @@ type Limits struct {
 }
 
 // hostedReplica is one replica local representative: its identity and
-// the hash chain of its versions. Everything a replica must store (paper
-// §3.2.2) — the elements, the object key, the integrity certificate and
-// the name certificates — lives exactly once, in the chain's last entry,
-// the immutable head (version.go, DESIGN.md §16). Of the four classic
-// Globe subobjects, semantics and replication are that head, communication
-// is the shared transport server, and control is the handler glue in this
-// package.
+// its retained versions, in signed-version order. Everything a replica
+// must store (paper §3.2.2) — the elements, the object key, the integrity
+// certificate and the name certificates — lives exactly once, in the last
+// version, the immutable head (version.go, DESIGN.md §16). Of the four
+// classic Globe subobjects, semantics and replication are that head,
+// communication is the shared transport server, and control is the
+// handler glue in this package.
 type hostedReplica struct {
 	oid   globeid.OID
 	key   keys.PublicKey
@@ -52,21 +52,21 @@ type hostedReplica struct {
 	// access statistics feeding dynamic replication
 	reads atomic.Uint64
 
-	// chain holds the retained versions oldest first; only the last, the
-	// head, carries servable state. publish, the one writer, stores a
+	// retained holds the retained versions oldest first; only the last,
+	// the head, carries servable state. publish, the one writer, stores a
 	// freshly allocated slice and never writes to a published one.
-	chain atomic.Pointer[[]*versionSnapshot]
+	retained atomic.Pointer[[]*versionSnapshot]
 }
 
-// versions returns the retained chain. A handler loads it (or head)
+// versions returns the retained versions. A handler loads them (or head)
 // once and answers from that one view, so a reply never mixes two
 // versions (DESIGN.md §9).
-func (h *hostedReplica) versions() []*versionSnapshot { return *h.chain.Load() }
+func (h *hostedReplica) versions() []*versionSnapshot { return *h.retained.Load() }
 
 // head returns the version currently served.
 func (h *hostedReplica) head() *versionSnapshot {
-	chain := h.versions()
-	return chain[len(chain)-1]
+	versions := h.versions()
+	return versions[len(versions)-1]
 }
 
 // wirePayloads are one version's precomputed wire responses. Handlers
@@ -256,13 +256,13 @@ func (s *Server) Update(b *Bundle, principal string) error {
 // publish makes b the served version of its object — of a new replica
 // owned by principal (install) or of the one principal already owns. It
 // is the only writer of hosted state: validate, admit against the limits,
-// build the version and link it to the chain, check the chain, and only
-// then swap it in.
+// build the version after the retained ones — refused unless its
+// certificate supersedes the head's — and only then swap it in.
 func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	// The head served now spares validation the elements it holds. It is
 	// validated state even if an update supersedes it before s.mu is
-	// taken, and the chain check below refuses b if b does not advance
-	// past whatever the head is then.
+	// taken, and appendVersion refuses b if b does not supersede
+	// whatever the head is then.
 	var held *versionSnapshot
 	if !install {
 		if h, err := s.replica(b.OID); err == nil {
@@ -276,7 +276,7 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, hosted := s.hosted[b.OID]
-	var old []*versionSnapshot // the chain b extends: none on install
+	var old []*versionSnapshot // the versions b follows: none on install
 	switch {
 	case install && hosted:
 		return fmt.Errorf("%w: %s", ErrAlreadyHosted, b.OID.Short())
@@ -299,11 +299,11 @@ func (s *Server) publish(b *Bundle, principal string, install bool) error {
 	if s.limits.MaxBytes > 0 && s.bytes+growth > s.limits.MaxBytes {
 		return fmt.Errorf("%w: byte limit %d", ErrOverCapacity, s.limits.MaxBytes)
 	}
-	chain, err := appendVersion(old, b, v)
+	versions, err := appendVersion(old, b, v)
 	if err != nil {
 		return err
 	}
-	h.chain.Store(&chain)
+	h.retained.Store(&versions)
 	s.hosted[b.OID] = h
 	s.bytes += growth
 	return nil
@@ -444,7 +444,7 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) 
 	switch {
 	case req.Have == [globeid.Size]byte{}:
 		key, icert = v.wire.key[0], v.wire.icert[0]
-	case req.Have != v.header.CertHash:
+	case req.Have != v.certHash:
 		icert = v.wire.icert[0]
 	}
 	if req.NameCerts {
@@ -477,7 +477,7 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 		case !at.IsZero() && !v.freshAt(name, at):
 			it.ErrMsg = "certificate entry not fresh at the requested time"
 		case used+len(p.wire) > budget:
-			it.ErrMsg = "batch response frame budget exceeded; fetch element individually"
+			it.ErrMsg = "batch response frame budget exceeded; ask for it again in the next exchange"
 		default:
 			it.Wire = p.wire
 			used += len(p.wire)

@@ -17,7 +17,6 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
-	"globedoc/internal/merkle"
 )
 
 // heldServer hosts four 1 KiB elements at version 1 and returns the
@@ -127,8 +126,8 @@ func TestUpdateRefusesHeldBytesUnderFreshHash(t *testing.T) {
 }
 
 // TestApplyHashesWhatTheReplyClaims drives the puller's apply with
-// replies whose chain is sound and whose certificate is genuinely
-// signed, so only the element check stands between them and the
+// complete replies whose certificate is genuinely signed and supersedes
+// the held one, so only the element check stands between them and the
 // replica: an item sent as changed under the held hash, and an item
 // claimed unchanged (so the held slice is taken) under a new hash.
 func TestApplyHashesWhatTheReplyClaims(t *testing.T) {
@@ -149,21 +148,13 @@ func TestApplyHashesWhatTheReplyClaims(t *testing.T) {
 			local := h.head()
 			b := certifiedAs(t, owner, 2, elems, map[string][globeid.Size]byte{elems[1].Name: tc.listed})
 			d := &DeltaReply{Key: owner.Public(), Cert: b.Cert}
-			leaves := make([]merkle.Leaf, len(elems))
 			for i, e := range elems {
 				it := DeltaItem{Name: e.Name}
 				if i == 1 && tc.changed {
 					it.Changed, it.Element = true, document.Element{Name: e.Name, ContentType: e.ContentType, Data: tc.data}
 				}
 				d.Items = append(d.Items, it)
-				entry, _ := b.Cert.Lookup(e.Name)
-				leaves[i] = merkle.Leaf{Name: e.Name, Hash: entry.Hash}
 			}
-			first := *local.header
-			d.Headers = []*VersionHeader{&first, {
-				OID: oid, Version: 2, CertHash: globeid.HashElement(b.Cert.Marshal()),
-				ElemRoot: merkle.RootOfSorted(leaves), Prev: first.Hash(),
-			}}
 			wire, err := UnmarshalDeltaReply(d.Marshal())
 			if err != nil {
 				t.Fatal(err)

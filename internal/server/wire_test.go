@@ -199,8 +199,8 @@ func TestHandleGetElementsUnknownNameIsPerItem(t *testing.T) {
 func TestHandleGetElementsBudgetOverflowMarksItems(t *testing.T) {
 	// Three 7 MiB elements cannot all fit under the ~16 MiB response
 	// frame budget: the overflowing tail must come back as per-item
-	// errors telling the client to fetch them individually, and its
-	// bytes must not count as served.
+	// errors telling the client to ask for them again in its next
+	// exchange, and its bytes must not count as served.
 	s, oid, _ := newWireServer(t, 7<<20)
 	resp, err := joined(s.handleGetElements(context.Background(), object.EncodeElementsRequest(oid, []string{"index.html", "logo.png", "style.css"}, "")))
 	if err != nil {
@@ -290,7 +290,7 @@ func TestWarmBindReplyServesTheWireTableUncopied(t *testing.T) {
 	head := h.head()
 	p, _ := head.wire.element("index.html")
 	table := p.wire
-	warm := object.BindRequest{OID: oid, Have: head.header.CertHash, Names: []string{"index.html"}}
+	warm := object.BindRequest{OID: oid, Have: head.certHash, Names: []string{"index.html"}}
 	req := object.EncodeBindRequest(warm)
 	got, err := s.handleBind(context.Background(), req)
 	if err != nil {
