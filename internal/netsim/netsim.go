@@ -19,6 +19,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"globedoc/internal/clock"
@@ -420,6 +421,8 @@ type shapedConn struct {
 
 	mu      sync.Mutex
 	midSend bool // true while consecutive writes form one burst
+
+	closed atomic.Bool // this end was closed
 }
 
 func (c *shapedConn) Write(p []byte) (int, error) {
@@ -472,6 +475,39 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 	c.midSend = false
 	c.mu.Unlock()
 	return n, err
+}
+
+func (c *shapedConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// SetDeadline, SetReadDeadline and SetWriteDeadline fail only once this
+// end is closed, as a TCP socket's do. A bare pipe's also fail once the
+// peer has hung up, so a server whose client hung up mid-request would
+// skip the reply it writes over TCP, and whether it did would depend on
+// which goroutine ran first — the writes a seeded fault plan meets, and
+// so its trace, would not replay from the seed. With the peer gone the
+// pipe's reads and writes fail by themselves, so the deadline they would
+// have carried is not needed.
+func (c *shapedConn) SetDeadline(t time.Time) error {
+	return c.setDeadline(c.Conn.SetDeadline, t)
+}
+
+func (c *shapedConn) SetReadDeadline(t time.Time) error {
+	return c.setDeadline(c.Conn.SetReadDeadline, t)
+}
+
+func (c *shapedConn) SetWriteDeadline(t time.Time) error {
+	return c.setDeadline(c.Conn.SetWriteDeadline, t)
+}
+
+func (c *shapedConn) setDeadline(set func(time.Time) error, t time.Time) error {
+	if c.closed.Load() {
+		return net.ErrClosed
+	}
+	_ = set(t) // fails only when the peer hung up
+	return nil
 }
 
 func (c *shapedConn) LocalAddr() net.Addr  { return c.local }

@@ -3,6 +3,7 @@ package netsim_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +91,55 @@ func TestDuplicateListen(t *testing.T) {
 	}
 	if _, err := n.Listen("b", "svc"); err == nil {
 		t.Fatal("duplicate Listen succeeded")
+	}
+}
+
+// TestDeadlinesFailOnlyOnLocalClose: as on a TCP socket, setting a
+// deadline succeeds after the peer hung up — the write it would bound
+// then fails by itself — and fails once this end is closed.
+func TestDeadlinesFailOnlyOnLocalClose(t *testing.T) {
+	n := newTestNet()
+	defer n.Close()
+	l, err := n.Listen("b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- conn
+	}()
+	client, err := n.Dial("a", "b:svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := <-accepted
+	if server == nil {
+		t.FailNow()
+	}
+	defer server.Close()
+	client.Close()
+	deadline := time.Now().Add(time.Second)
+	for name, set := range map[string]func(time.Time) error{
+		"SetDeadline": server.SetDeadline, "SetReadDeadline": server.SetReadDeadline, "SetWriteDeadline": server.SetWriteDeadline,
+	} {
+		if err := set(deadline); err != nil {
+			t.Errorf("%s after the peer hung up = %v, want nil", name, err)
+		}
+	}
+	if _, err := server.Write([]byte("late reply")); err == nil {
+		t.Error("Write to a peer that hung up succeeded")
+	}
+	server.Close()
+	for name, set := range map[string]func(time.Time) error{
+		"SetDeadline": server.SetDeadline, "SetReadDeadline": server.SetReadDeadline, "SetWriteDeadline": server.SetWriteDeadline,
+	} {
+		if err := set(deadline); err == nil {
+			t.Errorf("%s after Close succeeded", name)
+		}
 	}
 }
 
