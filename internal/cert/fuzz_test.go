@@ -27,6 +27,14 @@ func FuzzUnmarshalIntegrityCertificate(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(c.Marshal())
+	// Several names, an empty one among them, decoded into one string.
+	c.Entries = append(c.Entries,
+		cert.ElementEntry{Name: "", Expires: time.Unix(2e9, 0)},
+		cert.ElementEntry{Name: "img/logo.png", Hash: globeid.HashElement([]byte("y")), Expires: time.Unix(2e9, 0)})
+	if err := c.Sign(owner); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(c.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 	"time"
 
 	"globedoc/internal/enc"
@@ -92,13 +93,15 @@ func (c *IntegrityCertificate) writeSigned(w *enc.Writer) {
 
 // signedLen is the exact length of the signed body.
 func (c *IntegrityCertificate) signedLen() int {
-	const timeLen = 8
 	n := globeid.Size + uvarintLen(c.Version) + timeLen + uvarintLen(uint64(len(c.Entries)))
 	for _, e := range c.Entries {
 		n += uvarintLen(uint64(len(e.Name))) + len(e.Name) + globeid.Size + 2*timeLen
 	}
 	return n
 }
+
+// timeLen is the length of an enc.Writer.Time field.
+const timeLen = 8
 
 // uvarintLen is the encoded length of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -308,7 +311,10 @@ func (c *IntegrityCertificate) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalIntegrityCertificate parses an encoding from Marshal.
+// UnmarshalIntegrityCertificate parses an encoding from Marshal. The
+// entries' names are decoded into one string, each name a substring of
+// it, sized by a pass over the table first: a certificate costs the same
+// few allocations however many entries it lists.
 func UnmarshalIntegrityCertificate(data []byte) (*IntegrityCertificate, error) {
 	outer := enc.NewReader(data)
 	body := outer.BytesPrefixed()
@@ -325,17 +331,30 @@ func UnmarshalIntegrityCertificate(data []byte) (*IntegrityCertificate, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible entry count %d", ErrBadEncoding, n)
 	}
-	c.Entries = make([]ElementEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e ElementEntry
-		e.Name = r.String()
+	// The sizing pass reads a copy of r through the table, which is also
+	// where a malformed one fails, before anything is allocated for it.
+	size, sizing := 0, *r
+	for i := uint64(0); i < n && sizing.Err() == nil; i++ {
+		size += len(sizing.BytesPrefixed())
+		sizing.Raw(globeid.Size + 2*timeLen)
+	}
+	if err := sizing.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+	}
+	// The names go into one buffer grown to their exact size, so it is
+	// allocated once, and each name is names.String() cut to what was
+	// just written: no copy, as bytes once written are never rewritten.
+	var names strings.Builder
+	names.Grow(size)
+	c.Entries = make([]ElementEntry, n)
+	for i := range c.Entries {
+		e := &c.Entries[i]
+		start := names.Len()
+		names.Write(r.BytesPrefixed())
+		e.Name = names.String()[start:]
 		copy(e.Hash[:], r.Raw(globeid.Size))
 		e.NotBefore = r.Time()
 		e.Expires = r.Time()
-		c.Entries = append(c.Entries, e)
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
 	c.Sig = append([]byte(nil), sig...)
 	return &c, nil

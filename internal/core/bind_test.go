@@ -321,6 +321,18 @@ func TestWarmUpdateMatrix(t *testing.T) {
 // replica whose reply outgrew its frame budget declines it.
 func decline(t *testing.T, reply []byte, name string) []byte {
 	t.Helper()
+	return rewriteItems(t, reply, func(it object.BatchItem) object.BatchWireItem {
+		if it.Err != nil || it.Name == name {
+			return object.BatchWireItem{Name: it.Name, ErrMsg: "batch response frame budget exceeded; ask for it again in the next exchange"}
+		}
+		return object.BatchWireItem{Name: it.Name, Wire: object.EncodeElement(it.Element)}
+	})
+}
+
+// rewriteItems re-encodes a genuine bind reply with every item passed
+// through rewrite.
+func rewriteItems(t *testing.T, reply []byte, rewrite func(object.BatchItem) object.BatchWireItem) []byte {
+	t.Helper()
 	r, err := object.DecodeBindReply(reply)
 	if err != nil {
 		t.Error(err)
@@ -328,10 +340,7 @@ func decline(t *testing.T, reply []byte, name string) []byte {
 	}
 	items := make([]object.BatchWireItem, len(r.Items))
 	for i, it := range r.Items {
-		items[i] = object.BatchWireItem{Name: it.Name, Wire: object.EncodeElement(it.Element)}
-		if it.Err != nil || it.Name == name {
-			items[i] = object.BatchWireItem{Name: it.Name, ErrMsg: "batch response frame budget exceeded; ask for it again in the next exchange"}
-		}
+		items[i] = rewrite(it)
 	}
 	return object.EncodeBindReply(r.Key, r.NameCerts, r.Cert, items)
 }

@@ -21,7 +21,8 @@
 // The steps are checks, not messages, and a client takes bytes from a
 // replica only through obj.bind. A cold bind collects key, certificates
 // and wanted elements in one exchange and runs the checks over them; a
-// warm one names the certificate it holds and is answered with elements
+// warm one names the certificate it holds — and, refreshing a lapsed one,
+// the hashes of the cached bytes it holds — and is answered with elements
 // alone, or with the replica's newer certificate beside them, which is
 // verified under the trusted key and adopted — so an honest owner update
 // is never mistaken for tampering. Fetch and FetchAll run one fetch plan
@@ -496,15 +497,18 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 //  5. on failure, make the one recovery decision (recover).
 //
 // FetchAll wants every name the certificate lists and delivers them in
-// one serial pass; Elements wants none and binds for the certificate.
+// one serial pass; Elements wants no element's bytes and delivers the
+// certificate's entries, decided fresh like FetchAll's.
 type fetchPlan struct {
 	oid     globeid.OID
 	element string // Fetch's one wanted name
 	all     bool   // FetchAll: every name the certificate lists
+	toc     bool   // Elements: every entry, none of their bytes
 	// res is Fetch's result; results is FetchAll's ordered verified
-	// prefix, every element on success.
+	// prefix, every element on success; entries is Elements' table.
 	res     FetchResult
 	results []FetchResult
+	entries []cert.ElementEntry
 }
 
 // run is one attempt of the plan over one binding; a failed attempt ends
@@ -525,17 +529,21 @@ func (c *Client) run(ctx context.Context, p *pipeline, pl *fetchPlan, excluded m
 // bytes from the verified-content cache or the prefill (take), and asks
 // b's replica for the rest, and for a certificate to replace a lapsed
 // one, in warm exchanges until every entry is in hand. A lapse stands
-// unless the replica moved on to a fresh certificate; a move decides
-// every entry again under the new certificate, so all of a page is
-// delivered under one. An exchange that carries none of what it asked
+// unless the replica moved on to a fresh certificate; its exchange names
+// beside the missing entries the cached ones, each with the hash its
+// bytes are held under (refreshed), so a move carries exactly the
+// elements that changed and take finds the rest in the cache. A move
+// decides every entry again under the new certificate, so all of a page
+// is delivered under one. An exchange that carries none of what it asked
 // for, and does not move, earns one more; a second in a row ends the
 // attempt with the replica's refusal, and declined elements are asked
 // for again together.
 func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *boundFetch, pre prefill) error {
-	var one [1]cert.ElementEntry // Fetch's wanted entry, decided off the heap
-	var oneIn [1]held            // its bytes
-	var oneName [1]string        // and its name while they are missing
-	entries, lapsed, err := c.entries(p, pl, *b, one[:0])
+	var one [1]cert.ElementEntry      // Fetch's wanted entry, decided off the heap
+	var oneIn [1]held                 // its bytes
+	var oneName [1]string             // and its name while they are missing
+	var oneHash [1][globeid.Size]byte // or the hash they are held under, on a lapse
+	entries, lapsed, err := c.entries(pl, *b, one[:0])
 	if err != nil {
 		return err
 	}
@@ -543,32 +551,47 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 		return lapsed // a cold binding's replica replayed stale signed state
 	}
 	in := oneIn[:]
-	if pl.all {
+	switch {
+	case pl.toc:
+		in = nil // no bytes are wanted
+	case pl.all:
 		in = make([]held, len(entries))
 	}
 	for declines := 0; ; {
-		missing := c.take(entries, in, pre, b.now, oneName[:0])
+		missing := oneName[:0]
+		if in != nil {
+			missing = c.take(entries, in, pre, b.now, missing)
+		}
 		if lapsed == nil && len(missing) == 0 {
 			break
 		}
 		if declines == 2 {
 			return fmt.Errorf("core: fetching element %q: the replica declined it", missing[0])
 		}
+		names, hashes := missing, [][globeid.Size]byte(nil)
+		if lapsed != nil && in != nil {
+			names, hashes = refreshed(entries, in, oneName[:0], oneHash[:0])
+		}
 		b.refreshing = lapsed != nil
 		var moved bool
-		if moved, pre, err = c.exchange(ctx, p, b, pl.all && len(missing) == len(entries), missing, pre); err != nil {
+		if moved, pre, err = c.exchange(ctx, p, b, pl.all && hashes == nil && len(names) == len(entries), names, hashes, pre); err != nil {
 			return err
 		}
 		b.refreshing = false
 		if moved || lapsed != nil {
-			if entries, lapsed, err = c.entries(p, pl, *b, one[:0]); err == nil {
+			if entries, lapsed, err = c.entries(pl, *b, one[:0]); err == nil {
 				err = lapsed
 			}
 			if err != nil {
 				return err
 			}
-			if clear(in); len(in) != len(entries) {
-				in = make([]held, len(entries)) // the new certificate lists another page
+			if moved {
+				p.revalidated(b.vb.icert, names, hashes)
+			}
+			if in != nil {
+				if clear(in); len(in) != len(entries) {
+					in = make([]held, len(entries)) // the new certificate lists another page
+				}
 			}
 			declines = 0
 			continue
@@ -581,23 +604,59 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 			}
 		}
 	}
-	if pl.all {
+	switch {
+	case pl.toc:
+		pl.entries = append([]cert.ElementEntry(nil), entries...)
+	case pl.all:
 		pl.results, err = c.every(ctx, p, *b, entries, in)
-	} else {
+	default:
 		pl.res, err = c.element(p, *b, entries[0], in[0])
 	}
 	return err
 }
 
+// refreshed is what a lapse's exchange names, appended to names and
+// hashes index for index: every wanted entry whose bytes the
+// verified-content cache gave, with the hash they are held under, and
+// every missing one with none. hashes is nil when no entry is held.
+func refreshed(entries []cert.ElementEntry, in []held, names []string, hashes [][globeid.Size]byte) ([]string, [][globeid.Size]byte) {
+	holds := false
+	for i, e := range entries {
+		switch {
+		case in[i].cached:
+			names, hashes, holds = append(names, e.Name), append(hashes, e.Hash), true
+		case !in[i].ok:
+			names, hashes = append(names, e.Name), append(hashes, [globeid.Size]byte{})
+		}
+	}
+	if !holds {
+		hashes = nil
+	}
+	return names, hashes
+}
+
+// revalidated counts in vcache_revalidations_total the entries a lapse's
+// exchange named as held (names and hashes, index for index) that icert,
+// the certificate the replica moved to, still lists under the same hash:
+// the element transfers the refresh avoided.
+func (p *pipeline) revalidated(icert *cert.IntegrityCertificate, names []string, hashes [][globeid.Size]byte) {
+	for i, h := range hashes {
+		if h == ([globeid.Size]byte{}) {
+			continue
+		}
+		if e, err := icert.Lookup(names[i]); err == nil && e.Hash == h {
+			p.tel.VCacheRevalidations.Inc()
+		}
+	}
+}
+
 // entries is step 2 for pl over b: the wanted certificate entries, decided
 // from the certificate alone, with the first freshness failure among them
-// as lapsed — a lapsed certificate costs no element transfer. A warm lapse
-// whose bytes are still cached counts in vcache_revalidations_total: the
-// refresh moves only a certificate, which may still list their hash.
-// FetchAll wants the certificate's own entries; Fetch's one entry is
+// as lapsed — a lapsed certificate costs no element transfer. FetchAll
+// and Elements want the certificate's own entries; Fetch's one entry is
 // appended to buf, which the caller keeps on its stack.
-func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch, buf []cert.ElementEntry) (entries []cert.ElementEntry, lapsed, err error) {
-	if pl.all {
+func (c *Client) entries(pl *fetchPlan, b boundFetch, buf []cert.ElementEntry) (entries []cert.ElementEntry, lapsed, err error) {
+	if pl.all || pl.toc {
 		entries = b.vb.icert.Entries
 	} else {
 		entry, err := b.vb.icert.CheckConsistency(pl.element)
@@ -607,18 +666,11 @@ func (c *Client) entries(p *pipeline, pl *fetchPlan, b boundFetch, buf []cert.El
 		entries = append(buf, entry)
 	}
 	for _, e := range entries {
-		ferr := e.CheckFreshness(b.now)
-		if ferr == nil {
-			continue
-		}
-		if lapsed == nil {
-			lapsed = ferr
-		}
-		if b.warm && c.vcache != nil && c.vcache.Contains(e.Hash) {
-			p.tel.VCacheRevalidations.Inc()
+		if ferr := e.CheckFreshness(b.now); ferr != nil {
+			return entries, ferr, nil
 		}
 	}
-	return entries, lapsed, nil
+	return entries, nil, nil
 }
 
 // prefill is element bytes a replica already sent in an obj.bind reply,
@@ -1110,16 +1162,17 @@ func (c *Client) verifyCert(p *pipeline, oid globeid.OID, key keys.PublicKey, ic
 
 // exchange asks b's replica, in one warm obj.bind naming the certificate
 // b holds, for every element (all) or names — none refreshes the
-// certificate alone — and adds the elements to pre. A replica that has
-// moved on sends its certificate beside them: step 10 checks it under b's
-// key and that it is newer (verifyCert; a failure is the SecurityError
-// recover fails over on), and it replaces b's binding over the same
-// connection and in the binding cache, which reconciles the
+// certificate alone; hashes, nil or index for index with names, are the
+// ones names' bytes are held under — and adds the elements to pre. A
+// replica that has moved on sends its certificate beside them: step 10
+// checks it under b's key and that it is newer (verifyCert; a failure is
+// the SecurityError recover fails over on), and it replaces b's binding
+// over the same connection and in the binding cache, which reconciles the
 // verified-content cache, and its version's elements replace pre.
-func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all bool, names []string, pre prefill) (moved bool, _ prefill, err error) {
+func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all bool, names []string, hashes [][globeid.Size]byte, pre prefill) (moved bool, _ prefill, err error) {
 	req := object.BindRequest{Have: b.vb.certHash, All: all, At: b.now}
 	if !all {
-		req.Names = names
+		req.Names, req.Held = names, hashes
 	}
 	reply, share, err := c.bindExchange(ctx, p, b.vb.client, req)
 	if err != nil {
@@ -1176,17 +1229,17 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 	return reply, share, nil
 }
 
-// prefillOf adds to pre the elements a bind reply carried and did not
-// decline, each with its share of the exchange and where the cache may
-// keep it: the whole reply passes frameShare or fails it, and the
-// elements of a passing reply share one vcache.Frame when there are
-// several. A batch — a reply carrying any element for FetchAll or for
-// several names — is counted in batch_fetch_total and
+// prefillOf adds to pre the elements a bind reply carried — neither
+// declined nor answered held — each with its share of the exchange and
+// where the cache may keep it: the whole reply passes frameShare or fails
+// it, and the elements of a passing reply share one vcache.Frame when
+// there are several. A batch — a reply carrying any element for FetchAll
+// or for several names — is counted in batch_fetch_total and
 // batch_fetch_elements_total.
 func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
 	n, carried := 0, 0
 	for _, it := range reply.Items {
-		if it.Err == nil { // a declined item is asked for again
+		if it.Err == nil && !it.Held { // a declined item is asked for again
 			n++
 			carried += len(it.Element.Data)
 		}
@@ -1203,7 +1256,7 @@ func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) 
 		pre = make(prefill, n)
 	}
 	for _, it := range reply.Items {
-		if it.Err == nil {
+		if it.Err == nil && !it.Held {
 			pre[it.Name] = prefetched{elem: it.Element, share: share(len(it.Element.Data)), inFrame: inFrame, frame: frame}
 		}
 	}
@@ -1290,18 +1343,20 @@ func (c *Client) ElementsNamed(ctx context.Context, name string) ([]cert.Element
 	return c.Elements(ctx, oid)
 }
 
-// Elements returns the verified certificate entries for oid.
+// Elements returns the verified certificate entries for oid. It runs the
+// fetch plan wanting no element's bytes, so every entry is decided fresh
+// as FetchAll decides them: a lapsed certificate is refreshed in one warm
+// exchange, and one with nothing newer fails at phase "freshness".
 func (c *Client) Elements(ctx context.Context, oid globeid.OID) ([]cert.ElementEntry, error) {
 	ctx, p := c.newPipeline(ctx, SpanElements)
 	p.root.Annotate("oid", oid.Short())
-	b, _, err := c.bind(ctx, p, &fetchPlan{oid: oid}, c.now(), nil)
-	if err != nil {
+	pl := fetchPlan{oid: oid, toc: true}
+	if err := c.run(ctx, p, &pl, nil); err != nil {
 		p.finish("error")
 		return nil, err
 	}
-	b.release()
 	p.finish("ok")
-	return append([]cert.ElementEntry(nil), b.vb.icert.Entries...), nil
+	return pl.entries, nil
 }
 
 // FetchAll securely fetches every element listed in the object's

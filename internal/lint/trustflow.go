@@ -67,19 +67,24 @@ type taintRule struct {
 	recv      string
 	name      string
 	desc      string
+	// fuzzer, for a source, is the Makefile FUZZ_TARGETS entry
+	// ("<package dir>:<Fuzz function>") that drives the decoder the
+	// source's bytes come through: untrusted bytes are both tracked and
+	// fuzzed (TestTrustflowSourcesHaveFuzzers).
+	fuzzer string
 }
 
 var taintSources = []taintRule{
-	{"internal/transport", "Client", "Call", "reply bytes from transport.Client.Call"},
-	{"internal/transport", "", "readV2Frame", "raw frame off the conn"},
-	{"internal/object", "Client", "GetElement", "element payload from object.Client.GetElement"},
-	{"internal/object", "Client", "GetElements", "batch payloads from object.Client.GetElements"},
-	{"internal/object", "Client", "GetPublicKey", "key bytes from object.Client.GetPublicKey"},
-	{"internal/object", "Client", "GetIntegrityCert", "integrity cert from object.Client.GetIntegrityCert"},
-	{"internal/object", "Client", "Bind", "key, certificates and element batch from object.Client.Bind"},
-	{"internal/location", "*", "Lookup", "location lookup answer"},
-	{"internal/server", "", "UnmarshalBundle", "unmarshalled publish bundle"},
-	{"internal/server", "", "UnmarshalDeltaReply", "decoded obj.getdelta reply"},
+	{"internal/transport", "Client", "Call", "reply bytes from transport.Client.Call", "internal/transport:FuzzFrameDecode"},
+	{"internal/transport", "", "readV2Frame", "raw frame off the conn", "internal/transport:FuzzFrameDecode"},
+	{"internal/object", "Client", "GetElement", "element payload from object.Client.GetElement", "internal/object:FuzzObjectDecode"},
+	{"internal/object", "Client", "GetElements", "batch payloads from object.Client.GetElements", "internal/object:FuzzObjectDecode"},
+	{"internal/object", "Client", "GetPublicKey", "key bytes from object.Client.GetPublicKey", "internal/keys:FuzzUnmarshalPublicKey"},
+	{"internal/object", "Client", "GetIntegrityCert", "integrity cert from object.Client.GetIntegrityCert", "internal/cert:FuzzUnmarshalIntegrityCertificate"},
+	{"internal/object", "Client", "Bind", "key, certificates and element batch from object.Client.Bind", "internal/object:FuzzObjectDecode"},
+	{"internal/location", "*", "Lookup", "location lookup answer", "internal/location:FuzzLookupDecode"},
+	{"internal/server", "", "UnmarshalBundle", "unmarshalled publish bundle", "internal/server:FuzzUnmarshalBundle"},
+	{"internal/server", "", "UnmarshalDeltaReply", "decoded obj.getdelta reply", "internal/server:FuzzDeltaDecode"},
 }
 
 // sanitizeRule: calling the function vouches for the listed argument
@@ -106,8 +111,8 @@ var taintSanitizers = []sanitizeRule{
 }
 
 var taintSinks = []taintRule{
-	{"internal/vcache", "Cache", "Put", "the verified-content cache (vcache.Put)"},
-	{"internal/server", "", "buildWire", "the server's precomputed wire table (buildWire)"},
+	{"internal/vcache", "Cache", "Put", "the verified-content cache (vcache.Put)", ""},
+	{"internal/server", "", "buildWire", "the server's precomputed wire table (buildWire)", ""},
 }
 
 func matchTaintRule(rules []taintRule, fn *types.Func) *taintRule {

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/types"
+	"os"
+	"regexp"
 	"testing"
 )
 
@@ -63,6 +65,29 @@ func TestTrustflowRulesNameDeclaredFunctions(t *testing.T) {
 	for _, r := range taintSinks {
 		if !declared(r.pkgSuffix, r.recv, r.name) {
 			t.Errorf("sink rule %s %s.%s (%s) matches no declared function", r.pkgSuffix, r.recv, r.name, r.desc)
+		}
+	}
+}
+
+// TestTrustflowSourcesHaveFuzzers fails when a source rule names no fuzz
+// target, or one the Makefile's FUZZ_TARGETS does not list (which
+// TestFuzzTargetsListed holds to the Fuzz functions in the tree): every
+// decoder untrusted bytes come through is fuzzed, not only tracked.
+func TestTrustflowSourcesHaveFuzzers(t *testing.T) {
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\t(\S+:Fuzz\w+)`).FindAllStringSubmatch(string(makefile), -1) {
+		listed[m[1]] = true
+	}
+	for _, r := range taintSources {
+		switch {
+		case r.fuzzer == "":
+			t.Errorf("source rule %s %s.%s (%s) names no fuzz target", r.pkgSuffix, r.recv, r.name, r.desc)
+		case !listed[r.fuzzer]:
+			t.Errorf("source rule %s %s.%s names fuzz target %s, which the Makefile's FUZZ_TARGETS does not list", r.pkgSuffix, r.recv, r.name, r.fuzzer)
 		}
 	}
 }

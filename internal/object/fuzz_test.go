@@ -27,8 +27,9 @@ const (
 // an untrusted peer chooses — to two properties: decode∘encode is the
 // identity on whatever it accepts, and no accepted list outgrows the
 // decoder's bound. Where the encoding is canonical (every decoder but the
-// batch's, whose decline status is any non-zero byte and whose decline
-// reason is not kept) re-encoding must give back the input bytes.
+// batch's, whose decline status is any byte but the element and held
+// ones and whose decline reason is not kept) re-encoding must give back
+// the input bytes.
 func FuzzObjectDecode(f *testing.F) {
 	owner := keytest.Ed()
 	oid := globeid.FromPublicKey(owner.Public())
@@ -66,6 +67,12 @@ func FuzzObjectDecode(f *testing.F) {
 		f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(req)...))
 	}
 	f.Add(append([]byte{fuzzBindReply}, EncodeBindReply(nil, nil, nil, items)...))
+	// A lapse's refresh names the hash each cached element is held under,
+	// and the replica answers an unchanged one held.
+	held := BindRequest{OID: oid, Have: have, Names: []string{"a", "b"}, Held: [][globeid.Size]byte{globeid.HashElement([]byte("a")), {}}, At: time.Unix(1e9, 5)}
+	f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(held)...))
+	heldItems := []BatchWireItem{{Name: "a", Held: true}, {Name: "b", Wire: EncodeElement(elem)}}
+	f.Add(append([]byte{fuzzBindReply}, EncodeBindReply(nil, nil, []byte("icert"), heldItems)...))
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) == 0 {
@@ -116,6 +123,9 @@ func FuzzObjectDecode(f *testing.F) {
 				if req.Have != ([globeid.Size]byte{}) && req.NameCerts {
 					t.Fatal("bind request that holds a certificate asks for name certificates")
 				}
+				if req.Held != nil && (len(req.Held) != len(req.Names) || req.Have == ([globeid.Size]byte{}) || req.All) {
+					t.Fatalf("bind request holds %d elements for %d names (all %v, have %x)", len(req.Held), len(req.Names), req.All, req.Have)
+				}
 				same(EncodeBindRequest(req))
 			}
 		case fuzzBindReply:
@@ -135,23 +145,27 @@ func FuzzObjectDecode(f *testing.F) {
 func rewire(items []BatchItem) []BatchWireItem {
 	out := make([]BatchWireItem, len(items))
 	for i, it := range items {
-		out[i] = BatchWireItem{Name: it.Name, Wire: EncodeElement(it.Element)}
-		if it.Err != nil {
+		switch {
+		case it.Held:
+			out[i] = BatchWireItem{Name: it.Name, Held: true}
+		case it.Err != nil:
 			out[i] = BatchWireItem{Name: it.Name, ErrMsg: "declined"}
+		default:
+			out[i] = BatchWireItem{Name: it.Name, Wire: EncodeElement(it.Element)}
 		}
 	}
 	return out
 }
 
 // sameItems compares two decoded batches slot by slot: the same names,
-// the same elements, declines in the same places.
+// the same elements, declines and held items in the same places.
 func sameItems(a, b []BatchItem) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Name != y.Name || (x.Err == nil) != (y.Err == nil) || x.Element.Name != y.Element.Name ||
+		if x.Name != y.Name || (x.Err == nil) != (y.Err == nil) || x.Held != y.Held || x.Element.Name != y.Element.Name ||
 			x.Element.ContentType != y.Element.ContentType || !bytes.Equal(x.Element.Data, y.Element.Data) {
 			return false
 		}

@@ -16,8 +16,9 @@
 //
 // A client takes bytes from a replica only through obj.bind: cold, for
 // everything a secure binding checks with the wanted elements, from one
-// version; warm, naming the certificate it holds, for the elements and
-// the replica's certificate only if it has moved on. The step operations
+// version; warm, naming the certificate it holds — and, for a refresh,
+// the bytes it holds — for the elements and the replica's certificate
+// only if it has moved on. The step operations
 // stay served for tools that time the layers one by one.
 package object
 
@@ -53,7 +54,9 @@ const (
 	// batch a client asks for with what it needs to verify them: for a
 	// cold bind the object key, the integrity certificate and, when asked,
 	// the name certificates; for a warm one, which names the certificate
-	// it holds, the replica's certificate only when it differs.
+	// it holds, the replica's certificate only when it differs, and for
+	// an element the request names the hash of its held bytes, a held
+	// item instead of bytes that hash the same.
 	OpBind = "obj.bind"
 	OpPing = "obj.ping"
 )
@@ -174,22 +177,35 @@ func DecodeElementsRequest(body []byte) (globeid.OID, []string, string, error) {
 }
 
 // BatchWireItem is one slot of an encoded batch response: the element's
-// already-encoded wire bytes, or the reason it could not be served.
-// Servers build these from their precomputed per-element payloads.
+// already-encoded wire bytes, the reason it could not be served, or — in
+// answer to a bind slot naming the hash its bytes are held under — that
+// the held bytes are still the served ones. Servers build these from
+// their precomputed per-element payloads.
 type BatchWireItem struct {
 	Name   string
-	Wire   []byte // EncodeElement output; meaningful only when ErrMsg == ""
+	Wire   []byte // EncodeElement output; meaningful only when ErrMsg == "" and !Held
 	ErrMsg string
+	Held   bool // the requester's held bytes are current: no payload, no message
 }
 
 // BatchItem is one decoded slot of a batch response. Err is non-nil
 // when the server declined this element (unknown name, or the batch
-// overflowed the frame budget).
+// overflowed the frame budget). Held reports the replica's claim that
+// the bytes the request named as held are current; it carries nothing
+// and is no decline.
 type BatchItem struct {
 	Name    string
 	Element document.Element
 	Err     error
+	Held    bool
 }
+
+// Batch item status bytes. Any other non-zero byte is a decline too.
+const (
+	itemElement  byte = 0
+	itemDeclined byte = 1
+	itemHeld     byte = 2
+)
 
 // EncodeElementsResponse encodes a batch response. Items must be in
 // request order — clients verify the echo.
@@ -223,8 +239,8 @@ func itemsSize(items []BatchWireItem) int {
 }
 
 // appendItems writes a batch after what w holds — the item count, then
-// per item its name, a status byte and either the element's wire bytes or
-// the decline reason — and returns the whole encoding as buffers: w's
+// per item its name, a status byte and the element's wire bytes, the
+// decline reason or, for a held item, nothing — and returns the whole encoding as buffers: w's
 // framing interleaved with the elements' wire bytes, referenced where they
 // lie. A reply assembled from a server's precomputed payloads thus copies
 // no element byte.
@@ -234,12 +250,16 @@ func appendItems(w *enc.Writer, items []BatchWireItem) [][]byte {
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		w.String(it.Name)
-		if it.ErrMsg != "" {
-			w.Byte(1)
+		switch {
+		case it.Held:
+			w.Byte(itemHeld)
+			continue
+		case it.ErrMsg != "":
+			w.Byte(itemDeclined)
 			w.String(it.ErrMsg)
 			continue
 		}
-		w.Byte(0)
+		w.Byte(itemElement)
 		w.Uvarint(uint64(len(it.Wire)))
 		b := w.Bytes()
 		bufs = append(bufs, b[cut:len(b):len(b)], it.Wire)
@@ -273,28 +293,36 @@ func readItems(r *enc.Reader) ([]BatchItem, error) {
 	for i := uint64(0); i < n; i++ {
 		var it BatchItem
 		it.Name = r.String()
-		if r.Byte() != 0 {
-			it.Err = fmt.Errorf("object: batch element %q: %s", it.Name, r.String())
-		} else {
+		switch r.Byte() {
+		case itemElement:
 			e, err := DecodeElement(r.BytesPrefixed())
 			if err != nil {
 				return nil, err
 			}
 			it.Element = e
+		case itemHeld:
+			it.Held = true
+		default:
+			it.Err = fmt.Errorf("object: batch element %q: %s", it.Name, r.String())
 		}
 		items = append(items, it)
 	}
 	return items, nil
 }
 
-// echoes checks that a batch answers names slot by slot, in order.
-func echoes(items []BatchItem, names []string) error {
+// echoes checks that a batch answers names slot by slot, in order, and
+// answers held only a slot held names a hash for (held is nil, or index
+// for index with names).
+func echoes(items []BatchItem, names []string, held [][globeid.Size]byte) error {
 	if len(items) != len(names) {
 		return fmt.Errorf("%w: batch returned %d items for %d names", ErrBadPayload, len(items), len(names))
 	}
 	for i, it := range items {
 		if it.Name != names[i] {
 			return fmt.Errorf("%w: batch item %d answers %q, want %q", ErrBadPayload, i, it.Name, names[i])
+		}
+		if it.Held && (held == nil || held[i] == [globeid.Size]byte{}) {
+			return fmt.Errorf("%w: batch item %q claims bytes the request did not hold", ErrBadPayload, it.Name)
 		}
 	}
 	return nil
@@ -318,6 +346,14 @@ type BindRequest struct {
 	// the elements wanted; none asks for the certificates alone.
 	All   bool
 	Names []string
+	// Held, on a request that has a certificate and lists Names, is nil
+	// or index for index with Names: the certificate hash the client
+	// holds that element's bytes under, or zero for an element it holds
+	// no bytes of. The replica answers a slot whose hash is its own
+	// entry's with a held item and no bytes — the per-element conditional
+	// request of an HTTP If-None-Match — and carries the element
+	// otherwise. nil, or all zero, holds nothing.
+	Held [][globeid.Size]byte
 	// At is the client's clock reading. The reply carries only elements
 	// whose certificate entry is fresh at At, so a certificate that has
 	// lapsed for the client moves no element bytes; the zero time carries
@@ -330,11 +366,17 @@ const (
 	bindNameCerts = 1 << iota
 	bindAll
 	bindHave
+	bindHeld
 )
 
 // EncodeBindRequest encodes an obj.bind request.
 func EncodeBindRequest(req BindRequest) []byte {
-	w := enc.NewWriter(2*globeid.Size + len(req.FromSite) + 24 + 16*len(req.Names))
+	holds := holdsAny(req.Held)
+	size := 2*globeid.Size + len(req.FromSite) + 24 + 16*len(req.Names)
+	if holds {
+		size += globeid.Size * len(req.Names)
+	}
+	w := enc.NewWriter(size)
 	w.Raw(req.OID[:])
 	w.String(req.FromSite)
 	var flags byte
@@ -347,22 +389,40 @@ func EncodeBindRequest(req BindRequest) []byte {
 	if req.Have != ([globeid.Size]byte{}) {
 		flags |= bindHave
 	}
+	if holds {
+		flags |= bindHeld
+	}
 	w.Byte(flags)
 	if flags&bindHave != 0 {
 		w.Raw(req.Have[:])
 	}
 	w.Time(req.At)
 	w.Uvarint(uint64(len(req.Names)))
-	for _, n := range req.Names {
+	for i, n := range req.Names {
 		w.String(n)
+		if holds {
+			w.Raw(req.Held[i][:])
+		}
 	}
 	return w.Bytes()
+}
+
+// holdsAny reports whether held names any hash.
+func holdsAny(held [][globeid.Size]byte) bool {
+	for _, h := range held {
+		if h != ([globeid.Size]byte{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // DecodeBindRequest decodes an obj.bind request. It refuses unknown flag
 // bits, a request for all elements that also lists names, a held
 // certificate named by the zero hash and one with a request for name
-// certificates, so every accepted request has one encoding.
+// certificates, and held element hashes on a request that has no
+// certificate or holds no element (a request for all elements lists
+// none), so every accepted request has one encoding.
 func DecodeBindRequest(body []byte) (BindRequest, error) {
 	r := enc.NewReader(body)
 	var req BindRequest
@@ -375,7 +435,7 @@ func DecodeBindRequest(body []byte) (BindRequest, error) {
 	req.At = r.Time()
 	n := r.Uvarint()
 	switch {
-	case flags&^(bindNameCerts|bindAll|bindHave) != 0:
+	case flags&^(bindNameCerts|bindAll|bindHave|bindHeld) != 0:
 		return BindRequest{}, fmt.Errorf("%w: unknown bind flags %#x", ErrBadPayload, flags)
 	case n > maxBatchNames:
 		return BindRequest{}, fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
@@ -383,16 +443,27 @@ func DecodeBindRequest(body []byte) (BindRequest, error) {
 		return BindRequest{}, fmt.Errorf("%w: bind asks for all elements and lists %d", ErrBadPayload, n)
 	case flags&bindHave != 0 && (req.Have == [globeid.Size]byte{} || flags&bindNameCerts != 0):
 		return BindRequest{}, fmt.Errorf("%w: bind holds a certificate with flags %#x", ErrBadPayload, flags)
+	case flags&bindHeld != 0 && flags&bindHave == 0:
+		return BindRequest{}, fmt.Errorf("%w: bind holds elements with flags %#x", ErrBadPayload, flags)
 	}
 	req.NameCerts, req.All = flags&bindNameCerts != 0, flags&bindAll != 0
 	if n > 0 {
 		req.Names = make([]string, 0, n)
 	}
+	if flags&bindHeld != 0 {
+		req.Held = make([][globeid.Size]byte, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		req.Names = append(req.Names, r.String())
+		if req.Held != nil {
+			copy(req.Held[i][:], r.Raw(globeid.Size))
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return BindRequest{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	if req.Held != nil && !holdsAny(req.Held) {
+		return BindRequest{}, fmt.Errorf("%w: bind holds elements under no hash", ErrBadPayload)
 	}
 	return req, nil
 }
@@ -551,7 +622,7 @@ func (c *Client) GetElements(ctx context.Context, names []string) ([]BatchItem, 
 	if err != nil {
 		return nil, err
 	}
-	if err := echoes(items, names); err != nil {
+	if err := echoes(items, names, nil); err != nil {
 		return nil, err
 	}
 	return items, nil
@@ -561,7 +632,8 @@ func (c *Client) GetElements(ctx context.Context, names []string) ([]BatchItem, 
 // verifies it (see OpBind); req's OID and site hint are the client's own.
 // The batch answers req.Names slot by slot, or for req.All every element
 // the replica offers, in name order; a per-item error is a decline, as in
-// GetElements. Nothing is verified.
+// GetElements, and a held item is accepted only on a slot req.Held names
+// a hash for. Nothing is verified.
 func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
 	req.OID, req.FromSite = c.oid, c.Site
 	body, err := c.c.Call(ctx, OpBind, EncodeBindRequest(req))
@@ -578,7 +650,7 @@ func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
 	case req.All:
 		err = ascending(reply.Items)
 	default:
-		err = echoes(reply.Items, req.Names)
+		err = echoes(reply.Items, req.Names, req.Held)
 	}
 	if err != nil {
 		return BindReply{}, err
@@ -586,11 +658,15 @@ func (c *Client) Bind(ctx context.Context, req BindRequest) (BindReply, error) {
 	return reply, nil
 }
 
-// ascending checks that a batch names each element once, in name order.
+// ascending checks that a batch names each element once, in name order,
+// and holds none: a request for all elements holds no bytes.
 func ascending(items []BatchItem) error {
-	for i := 1; i < len(items); i++ {
-		if items[i].Name <= items[i-1].Name {
-			return fmt.Errorf("%w: batch item %q follows %q", ErrBadPayload, items[i].Name, items[i-1].Name)
+	for i, it := range items {
+		switch {
+		case it.Held:
+			return fmt.Errorf("%w: batch item %q claims bytes the request did not hold", ErrBadPayload, it.Name)
+		case i > 0 && it.Name <= items[i-1].Name:
+			return fmt.Errorf("%w: batch item %q follows %q", ErrBadPayload, it.Name, items[i-1].Name)
 		}
 	}
 	return nil

@@ -18,6 +18,7 @@ import (
 	"globedoc/internal/netsim"
 	"globedoc/internal/object"
 	"globedoc/internal/server"
+	"globedoc/internal/transport"
 )
 
 func TestOIDRequestRoundTrip(t *testing.T) {
@@ -283,24 +284,120 @@ func TestBindRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBindRequestHeldRoundTrip: a warm bind's held hashes survive the
+// round trip index for index with its names, and the decoder refuses the
+// encodings of held hashes that would give a request a second one or
+// that a client never sends: without a held certificate, beside a request
+// for all elements, or all zero.
+func TestBindRequestHeldRoundTrip(t *testing.T) {
+	oid := binderTestOID(keytest.Ed())
+	have := globeid.HashElement([]byte("icert"))
+	h := globeid.HashElement([]byte("a.html"))
+	req := object.BindRequest{OID: oid, Have: have, Names: []string{"a.html", "b.png"}, Held: [][globeid.Size]byte{h, {}}}
+	got, err := object.DecodeBindRequest(object.EncodeBindRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Names) != fmt.Sprint(req.Names) || fmt.Sprint(got.Held) != fmt.Sprint(req.Held) {
+		t.Fatalf("decoded names %v held %x, want %v %x", got.Names, got.Held, req.Names, req.Held)
+	}
+	plain := object.EncodeBindRequest(object.BindRequest{OID: oid, Have: have, Names: req.Names})
+	if zero := object.EncodeBindRequest(object.BindRequest{OID: oid, Have: have, Names: req.Names, Held: make([][globeid.Size]byte, 2)}); !bytes.Equal(zero, plain) {
+		t.Error("a request holding nothing encodes unlike a plain one")
+	}
+
+	// The flags byte follows the OID and the (empty) site hint.
+	const flags = globeid.Size + 1
+	held := object.EncodeBindRequest(req)
+	withFlags := func(body []byte, f byte) []byte {
+		return append(append(append([]byte(nil), body[:flags]...), f), body[flags+1:]...)
+	}
+	cold := object.EncodeBindRequest(object.BindRequest{OID: oid, Names: []string{"a.html"}})
+	coldHeld := append(append([]byte(nil), cold...), h[:]...)
+	nothingHeld := object.EncodeBindRequest(object.BindRequest{OID: oid, Have: have, Names: []string{"a.html"}})
+	nothingHeld = append(withFlags(nothingHeld, nothingHeld[flags]|8), make([]byte, globeid.Size)...)
+	for name, body := range map[string][]byte{
+		"held hashes and no certificate":    withFlags(coldHeld, 8),
+		"held hashes and a request for all": withFlags(held, held[flags]|2),
+		"held hashes that are all zero":     nothingHeld,
+		"a truncated held hash":             held[:len(held)-1],
+	} {
+		if _, err := object.DecodeBindRequest(body); !errors.Is(err, object.ErrBadPayload) {
+			t.Errorf("request with %s: err = %v, want ErrBadPayload", name, err)
+		}
+	}
+}
+
+// TestClientBindAcceptsHeldOnlyWhereHeld: a replica's held item is
+// accepted on a slot the request named a held hash for, and refused as a
+// malformed reply anywhere else.
+func TestClientBindAcceptsHeldOnlyWhereHeld(t *testing.T) {
+	n := netsim.PaperTestbed(0)
+	t.Cleanup(n.Close)
+	liar := transport.NewServer()
+	liar.Handle(object.OpBind, func(body []byte) ([]byte, error) {
+		req, err := object.DecodeBindRequest(body)
+		if err != nil {
+			return nil, err
+		}
+		items := make([]object.BatchWireItem, len(req.Names))
+		for i, name := range req.Names {
+			items[i] = object.BatchWireItem{Name: name, Held: true}
+		}
+		if req.All {
+			items = []object.BatchWireItem{{Name: "a.html", Held: true}}
+		}
+		return object.EncodeBindReply(nil, nil, nil, items), nil
+	})
+	l, err := n.Listen(netsim.AmsterdamPrimary, "liar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar.Start(l)
+	t.Cleanup(liar.Close)
+	addr := netsim.AmsterdamPrimary + ":liar"
+	c := object.NewClient(binderTestOID(keytest.Ed()), addr, n.Dialer(netsim.Paris, addr))
+	t.Cleanup(c.Close)
+
+	ctx := context.Background()
+	have, h := globeid.HashElement([]byte("icert")), globeid.HashElement([]byte("a.html"))
+	reply, err := c.Bind(ctx, object.BindRequest{Have: have, Names: []string{"a.html"}, Held: [][globeid.Size]byte{h}})
+	if err != nil || len(reply.Items) != 1 || !reply.Items[0].Held || reply.Items[0].Err != nil {
+		t.Fatalf("held slot answered held: %+v, %v", reply.Items, err)
+	}
+	for name, req := range map[string]object.BindRequest{
+		"a slot holding nothing":    {Have: have, Names: []string{"a.html", "b.png"}, Held: [][globeid.Size]byte{h, {}}},
+		"a request holding nothing": {Have: have, Names: []string{"a.html"}},
+		"a request for all":         {Have: have, All: true},
+	} {
+		if _, err := c.Bind(ctx, req); !errors.Is(err, object.ErrBadPayload) {
+			t.Errorf("held item on %s: err = %v, want ErrBadPayload", name, err)
+		}
+	}
+}
+
 func TestBindReplyRoundTrip(t *testing.T) {
 	elem := document.Element{Name: "a.html", ContentType: "text/html", Data: []byte("carried")}
 	body := object.EncodeBindReply([]byte("key"), nil, []byte("icert"), []object.BatchWireItem{
 		{Name: "a.html", Wire: object.EncodeElement(elem)},
 		{Name: "b.png", ErrMsg: "declined"},
+		{Name: "c.css", Held: true},
 	})
 	reply, err := object.DecodeBindReply(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(reply.Key) != "key" || len(reply.NameCerts) != 0 || string(reply.Cert) != "icert" || len(reply.Items) != 2 {
+	if string(reply.Key) != "key" || len(reply.NameCerts) != 0 || string(reply.Cert) != "icert" || len(reply.Items) != 3 {
 		t.Fatalf("decoded %+v", reply)
 	}
 	if it := reply.Items[0]; it.Err != nil || it.Element.Name != "a.html" || string(it.Element.Data) != "carried" {
 		t.Fatalf("carried item = %+v", it)
 	}
-	if reply.Items[1].Err == nil {
+	if reply.Items[1].Err == nil || reply.Items[1].Held {
 		t.Fatal("declined item decoded without its error")
+	}
+	if it := reply.Items[2]; !it.Held || it.Err != nil || it.Element.Data != nil {
+		t.Fatalf("held item = %+v, want held with no payload and no decline", it)
 	}
 	if _, err := object.DecodeBindReply(append(body, 0)); !errors.Is(err, object.ErrBadPayload) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadPayload", err)

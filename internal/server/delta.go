@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"globedoc/internal/cert"
 	"globedoc/internal/document"
@@ -171,7 +172,8 @@ func prefixedLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
 // Bundle.Validate (via Server.Update) before trusting a byte of it. A
 // changed item's Data aliases data — Update copies what it keeps — while
 // the certificate's encoding is copied out, so a replica that serves it
-// pins no reply frame.
+// pins no reply frame. The items' names are substrings of one string,
+// sized by a pass over the items first, and the items one slice.
 func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	r := enc.NewReader(data)
 	if v := r.Byte(); r.Err() == nil && v != deltaWireVersion {
@@ -203,28 +205,46 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	if r.Err() == nil && ni > maxDeltaItems {
 		return nil, fmt.Errorf("server: implausible delta item count %d", ni)
 	}
-	for i := uint64(0); i < ni && r.Err() == nil; i++ {
-		var it DeltaItem
-		it.Name = r.String()
-		switch st := r.Byte(); st {
+	// The sizing pass reads a copy of r through the items, and is where a
+	// malformed item fails, before anything is allocated for them.
+	size, sizing := 0, *r
+	for i := uint64(0); i < ni && sizing.Err() == nil; i++ {
+		name := sizing.BytesPrefixed()
+		size += len(name)
+		switch st := sizing.Byte(); st {
 		case deltaItemUnchanged:
-			if d.FullRequired && r.Err() == nil {
-				return nil, fmt.Errorf("server: full delta reply marks %q unchanged", it.Name)
+			if d.FullRequired && sizing.Err() == nil {
+				return nil, fmt.Errorf("server: full delta reply marks %q unchanged", name)
 			}
 		case deltaItemChanged:
+			sizing.BytesPrefixed()
+			sizing.BytesPrefixed()
+		default:
+			if sizing.Err() == nil {
+				return nil, fmt.Errorf("server: unknown delta item status %d", st)
+			}
+		}
+	}
+	if err := sizing.Finish(); err != nil {
+		return nil, fmt.Errorf("server: delta reply decode: %w", err)
+	}
+	// The names go into one buffer grown to their exact size, so it is
+	// allocated once, and each name is names.String() cut to what was
+	// just written: no copy, as bytes once written are never rewritten.
+	var names strings.Builder
+	names.Grow(size)
+	d.Items = make([]DeltaItem, ni)
+	for i := range d.Items {
+		it := &d.Items[i]
+		start := names.Len()
+		names.Write(r.BytesPrefixed())
+		it.Name = names.String()[start:]
+		if r.Byte() == deltaItemChanged {
 			it.Changed = true
 			it.Element.Name = it.Name
 			it.Element.ContentType = r.String()
 			it.Element.Data = r.BytesPrefixed()
-		default:
-			if r.Err() == nil {
-				return nil, fmt.Errorf("server: unknown delta item status %d", st)
-			}
 		}
-		d.Items = append(d.Items, it)
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("server: delta reply decode: %w", err)
 	}
 	key, err := keys.UnmarshalPublicKey(rawKey)
 	if err != nil {

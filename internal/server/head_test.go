@@ -379,3 +379,38 @@ func TestBindAnswersFromOneHead(t *testing.T) {
 		return nil
 	})
 }
+
+// TestDeltaDecodeAllocationBudget pins what a secondary allocates to
+// decode obj.getdelta's reply for one changed element of 8 or of 64 at
+// 10 heap objects, however many items the reply lists: the items are one
+// slice and their names one string, beside the reply, the changed
+// element's content type, the key and the certificate (its table and
+// its encoding).
+func TestDeltaDecodeAllocationBudget(t *testing.T) {
+	const deltaDecodeBudget = 10
+	for _, n := range []int{8, 64} {
+		owner := keytest.Ed()
+		names := headNames(n)
+		s := New("delta-srv", "site", nil, nil, Limits{})
+		if err := s.Install(headBundle(t, owner, 1, names, 64, 0x42, ""), "owner"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Update(headBundle(t, owner, 2, names, 64, 0x42, names[0]), "owner"); err != nil {
+			t.Fatal(err)
+		}
+		oid := s.Hosted()[0]
+		reply, err := s.handleGetDelta(EncodeDeltaRequest(oid, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := alloctest.AllocsPerRun(t, 50, func() {
+			if _, err := UnmarshalDeltaReply(reply); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("UnmarshalDeltaReply(%d items, 1 changed): %.1f allocations", n, got)
+		if got > deltaDecodeBudget {
+			t.Errorf("UnmarshalDeltaReply(%d items, 1 changed): %.1f allocations per call, budget %d", n, got, deltaDecodeBudget)
+		}
+	}
+}

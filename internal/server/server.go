@@ -421,7 +421,7 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([][]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return object.ElementsResponseBuffers(s.batch(ctx, h, h.head(), names, fromSite, time.Time{}, 0)), nil
+	return object.ElementsResponseBuffers(s.batch(ctx, h, h.head(), names, nil, fromSite, time.Time{}, 0)), nil
 }
 
 // handleBind answers obj.bind from one head version, so no reply mixes
@@ -430,6 +430,9 @@ func (s *Server) handleGetElements(ctx context.Context, body []byte) ([][]byte, 
 // integrity certificate and, when asked, the name certificates; for one
 // naming the certificate it holds, the head's only when it is another.
 // The reply references the precomputed wire payloads where they lie.
+// The comparison with what the request holds needs no history: the
+// request names the hashes itself, so a replica whose retained versions
+// no longer include the client's answers it as well as one that does.
 func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) {
 	req, err := object.DecodeBindRequest(body)
 	if err != nil {
@@ -454,26 +457,34 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) 
 	if req.All {
 		names = v.wire.names
 	}
-	items := s.batch(ctx, h, v, names, req.FromSite, req.At, len(key)+len(nameCerts)+len(icert))
+	items := s.batch(ctx, h, v, names, req.Held, req.FromSite, req.At, len(key)+len(nameCerts)+len(icert))
 	return object.BindReplyBuffers(key, nameCerts, icert, items), nil
 }
 
-// batch answers names from version v in GetElements' item format. Items
-// that cannot be served are declined one by one: an unknown name, an
-// element whose certificate entry is not fresh at the client's clock
-// reading at (when at is set), or one that would take the reply past the
-// frame budget, of which used bytes are already spoken for. The read
-// count and the access observer fire for every carried element exactly
-// as they do for serial fetches.
-func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot, names []string, fromSite string, at time.Time, used int) []object.BatchWireItem {
+// batch answers names from version v in GetElements' item format. A
+// name held (index for index with names, or nil) names under v's own
+// certificate hash is answered held, with no bytes: the requester's are
+// current. Items that cannot be served are declined one by one: an
+// unknown name, an element whose certificate entry is not fresh at the
+// client's clock reading at (when at is set), or one that would take the
+// reply past the frame budget, of which used bytes are already spoken
+// for. The read count and the access observer fire for every carried
+// element exactly as they do for serial fetches, and for no held one.
+func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot, names []string, held [][globeid.Size]byte, fromSite string, at time.Time, used int) []object.BatchWireItem {
 	const budget = transport.MaxFrame - 64*1024 // headroom for item framing
 	items := make([]object.BatchWireItem, 0, len(names))
-	for _, name := range names {
+	for i, name := range names {
 		it := object.BatchWireItem{Name: name}
-		p, ok := v.wire.element(name)
+		j, ok := slices.BinarySearch(v.wire.names, name)
+		var p elementPayload
+		if ok {
+			p = v.wire.elements[j]
+		}
 		switch {
 		case !ok:
 			it.ErrMsg = errNoSuchElement(name).Error()
+		case held != nil && held[i] == v.leaves[j].Hash:
+			it.Held = true
 		case !at.IsZero() && !v.freshAt(name, at):
 			it.ErrMsg = "certificate entry not fresh at the requested time"
 		case used+len(p.wire) > budget:

@@ -434,3 +434,64 @@ func TestHandleBindCarriesWhatWasAsked(t *testing.T) {
 		t.Fatalf("ReadCount = %d after a stale bind, want still 4", got)
 	}
 }
+
+// TestHandleBindAnswersHeldSlots: a warm bind slot naming the hash the
+// client holds an element's bytes under is answered held — no bytes, no
+// read counted, no access observed — when the head lists the element
+// under that hash, whatever the client's clock reading, and carried under
+// the usual rules when it lists another; a slot naming no hash is a plain
+// request.
+func TestHandleBindAnswersHeldSlots(t *testing.T) {
+	s, oid, _ := newWireServer(t, 64)
+	h, err := s.replica(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := h.head()
+	var observed []string
+	s.AccessObserver = func(_ globeid.OID, element, _ string) { observed = append(observed, element) }
+	bind := func(at time.Time, held ...[globeid.Size]byte) object.BindReply {
+		t.Helper()
+		req := object.BindRequest{OID: oid, Have: head.certHash, Names: []string{"index.html", "logo.png", "style.css"}, Held: held, At: at}
+		resp, err := joined(s.handleBind(context.Background(), object.EncodeBindRequest(req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := object.DecodeBindReply(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	status := func(reply object.BindReply) string {
+		var out []string
+		for _, it := range reply.Items {
+			switch {
+			case it.Held:
+				out = append(out, "held")
+			case it.Err != nil:
+				out = append(out, "declined")
+			default:
+				out = append(out, "carried")
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	index, logo := head.leaves[0].Hash, head.leaves[1].Hash
+	stale := logo
+	stale[0] ^= 1
+
+	reply := bind(wireT0.Add(time.Minute), index, stale, [globeid.Size]byte{})
+	if got := status(reply); got != "[held carried carried]" {
+		t.Fatalf("slots held under the head's hash, another hash and none: %s", got)
+	}
+	if got := fmt.Sprint(observed); got != "[logo.png style.css]" || s.ReadCount(oid) != 2 {
+		t.Errorf("observed %s with ReadCount %d, want the two carried elements only", got, s.ReadCount(oid))
+	}
+	if got := status(bind(wireT0.Add(2*time.Hour), index, logo, stale)); got != "[held held declined]" {
+		t.Errorf("held slots past the certificate's validity: %s, want the current ones held and the other declined", got)
+	}
+	if s.ReadCount(oid) != 2 {
+		t.Errorf("ReadCount = %d after held and declined slots, want still 2", s.ReadCount(oid))
+	}
+}

@@ -52,7 +52,7 @@ const (
 	// Verified-content cache instruments (vcache.Cache via core.Client).
 	MetricVCacheHits          = "vcache_hits_total"          // element fetches served from verified bytes
 	MetricVCacheMisses        = "vcache_misses_total"        // element fetches that had to move bytes
-	MetricVCacheRevalidations = "vcache_revalidations_total" // lapsed intervals refreshed cert-only
+	MetricVCacheRevalidations = "vcache_revalidations_total" // held entries a lapse's refreshed certificate still lists: transfers avoided
 	MetricVCacheEvictions     = "vcache_evictions_total"     // entries dropped by pressure or invalidation
 	MetricVCacheBytes         = "vcache_bytes"               // cached element bytes, content types included, a shared frame once (gauge)
 	MetricSigCacheHits        = "signature_cache_hits_total" // memoized signature verdicts reused

@@ -195,8 +195,8 @@ func (c *Cache) Get(hash [globeid.Size]byte, now, validUntil time.Time) (Element
 }
 
 // Contains reports whether the content hash is cached, without promoting
-// the entry. Revalidation accounting uses it: a lapsed certificate whose
-// bytes are still held means the refresh will move no content.
+// the entry or re-arming its TTL: a probe that leaves the cache as it
+// was.
 func (c *Cache) Contains(hash [globeid.Size]byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
