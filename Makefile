@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short budgets benchmark-smoke test-perfbench lint fuzz-smoke \
+.PHONY: check check-full vet build test test-short budgets benchmark-smoke test-perfbench lint fuzz-smoke \
 	chaos chaos-short telemetry-smoke trace-smoke examples-smoke
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests (the
@@ -13,6 +13,17 @@ FUZZTIME ?= 5s
 ## and delta experiments (DESIGN.md §3 has the gate table).
 check: vet lint build test budgets benchmark-smoke test-perfbench fuzz-smoke chaos-short telemetry-smoke trace-smoke \
 	examples-smoke bench-cache bench-multiplex bench-traceoverhead bench-placement bench-delta
+
+## check-full: everything `check` runs, then what it leaves out for time:
+## the experiment rows `check` does not gate (table1, fig4 to fig7 and
+## concurrent), the perfbench module's tests without -short, and the
+## chaos sweep over seeds 1-128. TestEveryExperimentIsGated fails when a
+## row of the experiment table is named by neither target. Known red
+## (ROADMAP item 11): bench-concurrent's gate, perfbench's
+## TestTracedRunReportsEveryLayerMetric and chaos seed 38.
+check-full: check bench-table1 bench-fig4 bench-fig5 bench-fig6 bench-fig7 bench-concurrent
+	cd perfbench && $(GO) test ./...
+	$(MAKE) chaos SEEDS="$(shell seq 1 128)"
 
 ## vet: the stock vet suite plus the two checks most relevant to the
 ## serving path, run explicitly so a vet default change cannot drop them,

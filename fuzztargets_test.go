@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"globedoc/internal/bench"
 )
 
 // TestFuzzTargetsListed fails when the tree has a Fuzz function that
@@ -54,5 +56,27 @@ func TestFuzzTargetsListed(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("Makefile FUZZ_TARGETS does not match the Fuzz functions in the tree\nin the tree:\n  %s\nlisted:\n  %s",
 			strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestEveryExperimentIsGated fails when a row of the experiment table
+// (internal/bench) is run by neither `make check` nor `make check-full`:
+// a row no target runs is a measurement nobody repeats.
+func TestEveryExperimentIsGated(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.ReplaceAll(string(makefile), "\\\n", " ")
+	named := make(map[string]bool)
+	for _, rule := range regexp.MustCompile(`(?m)^(?:check|check-full):(.*)$`).FindAllStringSubmatch(joined, -1) {
+		for _, m := range regexp.MustCompile(`\bbench-(\S+)`).FindAllStringSubmatch(rule[1], -1) {
+			named[m[1]] = true
+		}
+	}
+	for _, e := range bench.Experiments {
+		if !named[e.Name] {
+			t.Errorf("experiment %q is a prerequisite of neither check nor check-full", e.Name)
+		}
 	}
 }

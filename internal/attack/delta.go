@@ -1,12 +1,14 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 
-	"globedoc/internal/document"
 	"globedoc/internal/globeid"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
 	"globedoc/internal/transport"
 )
@@ -31,7 +33,7 @@ const (
 	// bundle lacks an element its certificate lists: the completeness
 	// rule refuses it, and a replica never serves part of a version.
 	DeltaTruncate
-	// DeltaLieUnchanged marks a changed element unchanged, trying to pin
+	// DeltaLieUnchanged answers a changed element held, trying to pin
 	// the victim's stale bytes under the new certificate.
 	DeltaLieUnchanged
 	// DeltaRollback serves genuine state older than the victim's: the
@@ -39,6 +41,10 @@ const (
 	// delta and as a full reply. Every byte of either verifies, and only
 	// the supersedes rule stops them.
 	DeltaRollback
+	// DeltaDeclineItem answers a changed element declined, a status the
+	// replica state layout allows in an obj.bind reply and no honest
+	// delta carries: the reply does not decode.
+	DeltaDeclineItem
 )
 
 // String names the mode for logs and reports.
@@ -54,6 +60,8 @@ func (m DeltaMode) String() string {
 		return "delta-lie-unchanged"
 	case DeltaRollback:
 		return "delta-rollback"
+	case DeltaDeclineItem:
+		return "delta-decline-item"
 	default:
 		return "unknown"
 	}
@@ -62,7 +70,7 @@ func (m DeltaMode) String() string {
 // AllDeltaModes lists every adversarial delta mode (excluding the honest
 // control).
 var AllDeltaModes = []DeltaMode{
-	DeltaForgeContent, DeltaTruncate, DeltaLieUnchanged, DeltaRollback,
+	DeltaForgeContent, DeltaTruncate, DeltaLieUnchanged, DeltaRollback, DeltaDeclineItem,
 }
 
 // MaliciousDeltaPrimary is a wire-compatible primary that answers
@@ -137,41 +145,26 @@ func (m *MaliciousDeltaPrimary) rollback(oid globeid.OID, have uint64) (*server.
 	return &d, nil
 }
 
-// corrupt applies the mode's lie to a genuine delta reply, whose element
-// data is the caller's own copy.
+// corrupt applies the mode's lie to the first carried item of a genuine
+// delta reply, whose element data is the caller's own copy.
 func (m *MaliciousDeltaPrimary) corrupt(d *server.DeltaReply) {
-	if d.Current || d.FullRequired {
+	i := slices.IndexFunc(d.Items, func(it object.BatchItem) bool { return !it.Held })
+	if d.Current || d.FullRequired || i < 0 {
 		return
 	}
+	it := &d.Items[i]
 	switch m.Mode {
 	case DeltaForgeContent:
-		for i := range d.Items {
-			if !d.Items[i].Changed {
-				continue
-			}
-			data := append([]byte(nil), d.Items[i].Element.Data...)
-			if len(data) == 0 {
-				data = []byte{0x66}
-			} else {
-				data[0] ^= 0xff
-			}
-			d.Items[i].Element.Data = data
-			return
+		if len(it.Element.Data) == 0 {
+			it.Element.Data = []byte{0x66}
+		} else {
+			it.Element.Data[0] ^= 0xff
 		}
 	case DeltaTruncate:
-		for i := len(d.Items) - 1; i >= 0; i-- {
-			if d.Items[i].Changed {
-				d.Items = append(d.Items[:i:i], d.Items[i+1:]...)
-				return
-			}
-		}
+		d.Items = slices.Delete(d.Items, i, i+1)
 	case DeltaLieUnchanged:
-		for i := range d.Items {
-			if d.Items[i].Changed {
-				d.Items[i].Changed = false
-				d.Items[i].Element = document.Element{}
-				return
-			}
-		}
+		*it = object.BatchItem{Name: it.Name, Held: true}
+	case DeltaDeclineItem:
+		*it = object.BatchItem{Name: it.Name, Err: errors.New("declined")}
 	}
 }

@@ -3,8 +3,9 @@ package attack_test
 // Poisoned-delta attacks: a compromised primary (or a man in the middle
 // on the consistency channel) corrupts obj.getdelta replies. The
 // invariant under test is the paper's at-worst-DoS claim extended to
-// incremental transfers: every forged, truncated, lie-unchanged or
-// rolled-back delta is rejected before any state commits, the puller asks once more from version 0, and the
+// incremental transfers: every forged, truncated, lie-unchanged,
+// declined-item or rolled-back delta is rejected before any state
+// commits, the puller asks once more from version 0, and the
 // victim converges on state byte-identical to the genuine primary's
 // wherever that full answer is honest. Its certificate version never
 // decreases.

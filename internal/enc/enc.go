@@ -177,6 +177,20 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Count decodes the item count of a list whose every item takes at
+// least min bytes (min >= 1) of the input after it. A count whose items
+// cannot fit in the bytes that remain is refused (ErrTooLarge) and read
+// as 0, so a decoder that sizes a slice from a count never allocates
+// more than its input could fill, whatever the count claims.
+func (r *Reader) Count(min int) uint64 {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Remaining()/max(min, 1)) {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	return n
+}
+
 // Uvarint32 decodes an unsigned varint that must fit in 32 bits. A wider
 // value is rejected, not truncated: truncating would give one decoded
 // value many encodings.

@@ -157,6 +157,30 @@ func TestUvarint32RejectsWiderValues(t *testing.T) {
 	}
 }
 
+// TestCountRefusesItemsThatCannotFit: a count is accepted exactly when
+// its items, each min bytes at least, fit in what follows it.
+func TestCountRefusesItemsThatCannotFit(t *testing.T) {
+	for _, tc := range []struct {
+		n, min, rest int
+		ok           bool
+	}{
+		{n: 0, min: 2, rest: 0, ok: true},
+		{n: 3, min: 2, rest: 6, ok: true},
+		{n: 3, min: 2, rest: 5},
+		{n: 1 << 16, min: 1, rest: 0},
+		{n: 4, min: 0, rest: 4, ok: true},
+	} {
+		w := NewWriter(0)
+		w.Uvarint(uint64(tc.n))
+		w.Raw(make([]byte, tc.rest))
+		r := NewReader(w.Bytes())
+		got := r.Count(tc.min)
+		if ok := r.Err() == nil; ok != tc.ok || (ok && got != uint64(tc.n)) || (!ok && (got != 0 || !errors.Is(r.Err(), ErrTooLarge))) {
+			t.Errorf("Count(%d) of %d with %d bytes after = %d, %v; want accepted %v", tc.min, tc.n, tc.rest, got, r.Err(), tc.ok)
+		}
+	}
+}
+
 func TestTrailingBytesDetected(t *testing.T) {
 	w := NewWriter(0)
 	w.Byte(1)

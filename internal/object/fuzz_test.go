@@ -73,6 +73,12 @@ func FuzzObjectDecode(f *testing.F) {
 	f.Add(append([]byte{fuzzBindRequest}, EncodeBindRequest(held)...))
 	heldItems := []BatchWireItem{{Name: "a", Held: true}, {Name: "b", Wire: EncodeElement(elem)}}
 	f.Add(append([]byte{fuzzBindReply}, EncodeBindReply(nil, nil, []byte("icert"), heldItems)...))
+	// An element carried under another item's name decodes with its own
+	// name; a bare count claiming a full list is refused before any item
+	// is allocated.
+	f.Add(append([]byte{fuzzBindReply}, EncodeBindReply(nil, nil, nil, []BatchWireItem{{Name: "a", Wire: EncodeElement(elem)}})...))
+	f.Add([]byte{fuzzBindReply, 0, 0, 0, 0x80, 0x80, 0x04})
+	f.Add([]byte{fuzzCertList, 0x80, 0x08})
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) == 0 {

@@ -20,6 +20,14 @@
 // the bytes it holds — for the elements and the replica's certificate
 // only if it has moved on. The step operations
 // stay served for tools that time the layers one by one.
+//
+// The obj.bind reply's layout — key, name certificates, integrity
+// certificate, then the element batch — is the one encoding of a
+// replica's state: internal/server's delta replies and admin bundles
+// carry it too (DESIGN.md §12, "Replica state layout"). Every decoder
+// here that sizes a slice from a count first checks that the count's
+// items fit in the bytes that follow it, so a peer cannot make it
+// allocate more than it sent.
 package object
 
 import (
@@ -27,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"globedoc/internal/cert"
@@ -127,15 +136,21 @@ func EncodeElement(e document.Element) []byte {
 // payload is not copied to be decoded. A caller decoding from a buffer
 // it will reuse or mutate must copy first.
 func DecodeElement(body []byte) (document.Element, error) {
-	r := enc.NewReader(body)
-	var e document.Element
-	e.Name = r.String()
-	e.ContentType = r.String()
-	e.Data = r.BytesPrefixed()
-	if err := r.Finish(); err != nil {
-		return document.Element{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	name, contentType, data, err := elementFields(body)
+	if err != nil {
+		return document.Element{}, err
 	}
-	return e, nil
+	return document.Element{Name: string(name), ContentType: string(contentType), Data: data}, nil
+}
+
+// elementFields reads an element's wire fields, each aliasing body.
+func elementFields(body []byte) (name, contentType, data []byte, err error) {
+	r := enc.NewReader(body)
+	name, contentType, data = r.BytesPrefixed(), r.BytesPrefixed(), r.BytesPrefixed()
+	if err := r.Finish(); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return name, contentType, data, nil
 }
 
 // maxBatchNames bounds how many element names one batch request may
@@ -162,7 +177,7 @@ func DecodeElementsRequest(body []byte) (globeid.OID, []string, string, error) {
 	var oid globeid.OID
 	copy(oid[:], r.Raw(globeid.Size))
 	fromSite := r.String()
-	n := r.Uvarint()
+	n := r.Count(1)
 	if n > maxBatchNames {
 		return globeid.Zero, nil, "", fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
 	}
@@ -219,9 +234,14 @@ func ElementsResponseBuffers(items []BatchWireItem) [][]byte {
 	return appendItems(enc.NewWriter(itemsSize(items)), items)
 }
 
-// joined is bufs' concatenation (not bytes.Join: DESIGN.md §12.1).
+// joined is bufs' concatenation, in one buffer sized to fit (not
+// bytes.Join: DESIGN.md §12.1).
 func joined(bufs [][]byte) []byte {
-	var out []byte
+	size := 0
+	for _, b := range bufs {
+		size += len(b)
+	}
+	out := make([]byte, 0, size)
 	for _, b := range bufs {
 		out = append(out, b...)
 	}
@@ -240,12 +260,18 @@ func itemsSize(items []BatchWireItem) int {
 
 // appendItems writes a batch after what w holds — the item count, then
 // per item its name, a status byte and the element's wire bytes, the
-// decline reason or, for a held item, nothing — and returns the whole encoding as buffers: w's
-// framing interleaved with the elements' wire bytes, referenced where they
-// lie. A reply assembled from a server's precomputed payloads thus copies
-// no element byte.
+// decline reason or, for a held item, nothing — and returns the whole
+// encoding as buffers: w's framing interleaved with the elements' wire
+// bytes, referenced where they lie. A reply assembled from a server's
+// precomputed payloads thus copies no element byte.
 func appendItems(w *enc.Writer, items []BatchWireItem) [][]byte {
-	bufs := make([][]byte, 0, 2*len(items)+1)
+	carried := 0
+	for _, it := range items {
+		if !it.Held && it.ErrMsg == "" {
+			carried++
+		}
+	}
+	bufs := make([][]byte, 0, 2*carried+1)
 	cut := 0
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
@@ -283,29 +309,57 @@ func DecodeElementsResponse(body []byte) ([]BatchItem, error) {
 	return items, nil
 }
 
-// readItems reads a batch written by appendItems.
+// readItems reads a batch written by appendItems. A sizing pass over a
+// copy of r checks every item first, so a malformed batch fails before
+// anything is allocated for it. The items are then one slice, and their
+// names substrings of one string grown to their exact size; an element
+// named as its item shares the item's name. Every other string has its
+// own allocation, so a cache that keeps an element's content type pins
+// no field a replica chose to pad.
 func readItems(r *enc.Reader) ([]BatchItem, error) {
-	n := r.Uvarint()
+	n := r.Count(2) // an item is at least its name's length and a status byte
 	if n > maxBatchNames {
 		return nil, fmt.Errorf("%w: implausible batch size %d", ErrBadPayload, n)
 	}
-	items := make([]BatchItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var it BatchItem
-		it.Name = r.String()
-		switch r.Byte() {
+	size, sizing := 0, *r
+	for i := uint64(0); i < n && sizing.Err() == nil; i++ {
+		size += len(sizing.BytesPrefixed())
+		switch sizing.Byte() {
 		case itemElement:
-			e, err := DecodeElement(r.BytesPrefixed())
-			if err != nil {
+			if _, _, _, err := elementFields(sizing.BytesPrefixed()); err != nil && sizing.Err() == nil {
 				return nil, err
 			}
-			it.Element = e
+		case itemHeld:
+		default:
+			sizing.BytesPrefixed()
+		}
+	}
+	if err := sizing.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	// The names go into one buffer grown to their exact size, so it is
+	// allocated once, and each name is names.String() cut to what was
+	// just written: no copy, as bytes once written are never rewritten.
+	var names strings.Builder
+	names.Grow(size)
+	items := make([]BatchItem, n)
+	for i := range items {
+		it := &items[i]
+		start := names.Len()
+		names.Write(r.BytesPrefixed())
+		it.Name = names.String()[start:]
+		switch r.Byte() {
+		case itemElement:
+			name, contentType, data, _ := elementFields(r.BytesPrefixed())
+			it.Element = document.Element{Name: it.Name, ContentType: string(contentType), Data: data}
+			if string(name) != it.Name {
+				it.Element.Name = string(name)
+			}
 		case itemHeld:
 			it.Held = true
 		default:
-			it.Err = fmt.Errorf("object: batch element %q: %s", it.Name, r.String())
+			it.Err = fmt.Errorf("object: batch element %q: %s", it.Name, r.BytesPrefixed())
 		}
-		items = append(items, it)
 	}
 	return items, nil
 }
@@ -433,7 +487,11 @@ func DecodeBindRequest(body []byte) (BindRequest, error) {
 		copy(req.Have[:], r.Raw(globeid.Size))
 	}
 	req.At = r.Time()
-	n := r.Uvarint()
+	itemLen := 1 // a name's length
+	if flags&bindHeld != 0 {
+		itemLen += globeid.Size
+	}
+	n := r.Count(itemLen)
 	switch {
 	case flags&^(bindNameCerts|bindAll|bindHave|bindHeld) != 0:
 		return BindRequest{}, fmt.Errorf("%w: unknown bind flags %#x", ErrBadPayload, flags)
@@ -485,16 +543,19 @@ type BindReply struct {
 
 // EncodeBindReply encodes an obj.bind reply from already-encoded
 // sections: the key, name-certificate list and integrity certificate
-// first, then the batch in EncodeElementsResponse's item format.
+// first, then the batch in EncodeElementsResponse's item format. The
+// layout is also the one encoding of a replica's state (DESIGN.md §12,
+// "Replica state layout"), which obj.getdelta and the admin bundle carry.
 func EncodeBindReply(key, nameCerts, icert []byte, items []BatchWireItem) []byte {
-	return joined(BindReplyBuffers(key, nameCerts, icert, items))
+	return joined(BindReplyBuffers(nil, key, nameCerts, icert, items))
 }
 
-// BindReplyBuffers is EncodeBindReply's encoding as buffers, whose
-// concatenation it is: the sections are copied, the elements referenced
-// (see appendItems).
-func BindReplyBuffers(key, nameCerts, icert []byte, items []BatchWireItem) [][]byte {
-	w := enc.NewWriter(3*binary.MaxVarintLen64 + len(key) + len(nameCerts) + len(icert) + itemsSize(items))
+// BindReplyBuffers is EncodeBindReply's encoding after head, as buffers
+// whose concatenation is head followed by the reply: head and the
+// sections are copied, the elements referenced (see appendItems).
+func BindReplyBuffers(head, key, nameCerts, icert []byte, items []BatchWireItem) [][]byte {
+	w := enc.NewWriter(len(head) + 3*binary.MaxVarintLen64 + len(key) + len(nameCerts) + len(icert) + itemsSize(items))
+	w.Raw(head)
 	w.BytesPrefixed(key)
 	w.BytesPrefixed(nameCerts)
 	w.BytesPrefixed(icert)
@@ -531,7 +592,7 @@ func EncodeCertList(certs []*cert.NameCertificate) []byte {
 // DecodeCertList decodes a list of name certificates.
 func DecodeCertList(body []byte) ([]*cert.NameCertificate, error) {
 	r := enc.NewReader(body)
-	n := r.Uvarint()
+	n := r.Count(1)
 	if n > 1024 {
 		return nil, fmt.Errorf("%w: implausible certificate count %d", ErrBadPayload, n)
 	}

@@ -458,3 +458,51 @@ func TestClientBind(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodersSizeNoSliceFromABareCount: every decoder that sizes a slice
+// from an item count refuses a count whose items cannot fit in the bytes
+// after it before allocating, so a body that holds only a count — a few
+// bytes claiming tens of thousands of items — allocates at most 1 KiB.
+func TestDecodersSizeNoSliceFromABareCount(t *testing.T) {
+	const budget = 1 << 10
+	count := []byte{0x80, 0x80, 0x04} // 65,536, the batch bound
+	noTime := make([]byte, 8)
+	noTime[0] = 0x80 // the zero time
+	bindRequest := append(append(make([]byte, globeid.Size), 0, 0), noTime...)
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) error
+	}{
+		{"DecodeBindReply", append([]byte{0, 0, 0}, count...), func(b []byte) error {
+			_, err := object.DecodeBindReply(b)
+			return err
+		}},
+		{"DecodeElementsResponse", count, func(b []byte) error {
+			_, err := object.DecodeElementsResponse(b)
+			return err
+		}},
+		{"DecodeBindRequest", append(bindRequest, count...), func(b []byte) error {
+			_, err := object.DecodeBindRequest(b)
+			return err
+		}},
+		{"DecodeElementsRequest", append(make([]byte, globeid.Size+1), count...), func(b []byte) error {
+			_, _, _, err := object.DecodeElementsRequest(b)
+			return err
+		}},
+		{"DecodeCertList", []byte{0x80, 0x08}, func(b []byte) error { // 1,024, the list bound
+			_, err := object.DecodeCertList(b)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.decode(tc.body); err == nil {
+				t.Fatalf("%d-byte body claiming a full list decoded", len(tc.body))
+			}
+			got := alloctest.BytesPerRun(t, 20, func() { _ = tc.decode(tc.body) })
+			if got > budget {
+				t.Errorf("%s of a %d-byte body allocates %.0f B, budget %d", tc.name, len(tc.body), got, budget)
+			}
+		})
+	}
+}

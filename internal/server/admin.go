@@ -199,8 +199,13 @@ func (a *AdminClient) ListReplicas(ctx context.Context) ([]globeid.OID, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeReplicaList(body)
+}
+
+// decodeReplicaList decodes the VerbList reply: a count, then the OIDs.
+func decodeReplicaList(body []byte) ([]globeid.OID, error) {
 	r := enc.NewReader(body)
-	n := r.Uvarint()
+	n := r.Count(globeid.Size)
 	if n > 1<<20 {
 		return nil, fmt.Errorf("server: implausible replica count %d", n)
 	}

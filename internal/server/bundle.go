@@ -8,6 +8,11 @@
 // the anonymous read protocol of internal/object and an authenticated
 // administrative protocol for replica lifecycle management.
 //
+// That state has one wire encoding, the obj.bind reply's (DESIGN.md §12,
+// "Replica state layout"): an admin Bundle is its OID followed by it, and
+// an obj.getdelta reply its version and status bytes followed by it, so
+// both decode through object.DecodeBindReply.
+//
 // Access control follows §4: the administrator configures a keystore of
 // public keys for the entities allowed to create replicas here — object
 // owners and peer object servers (the latter enabling dynamic
@@ -29,6 +34,7 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/merkle"
+	"globedoc/internal/object"
 )
 
 // Bundle is the complete transferable state of one GlobeDoc replica:
@@ -147,74 +153,70 @@ func (b *Bundle) TotalBytes() int {
 	return total
 }
 
-// Marshal encodes the bundle for the wire.
+// Marshal encodes the bundle for the wire: its OID, then its state in
+// the replica state layout (DESIGN.md §12) with every element carried.
 func (b *Bundle) Marshal() []byte {
-	w := enc.NewWriter(1024 + b.TotalBytes())
-	w.Raw(b.OID[:])
-	w.BytesPrefixed(b.Key.Marshal())
-	w.Uvarint(uint64(len(b.Elements)))
-	for _, e := range b.Elements {
-		w.String(e.Name)
-		w.String(e.ContentType)
-		w.BytesPrefixed(e.Data)
+	items := make([]object.BatchWireItem, len(b.Elements))
+	for i, e := range b.Elements {
+		items[i] = object.BatchWireItem{Name: e.Name, Wire: object.EncodeElement(e)}
 	}
-	w.BytesPrefixed(b.Cert.Marshal())
-	w.Uvarint(uint64(len(b.NameCerts)))
-	for _, nc := range b.NameCerts {
-		w.BytesPrefixed(nc.Marshal())
-	}
-	return w.Bytes()
+	return append(b.OID[:], object.EncodeBindReply(b.Key.Marshal(), object.EncodeCertList(b.NameCerts), b.Cert.Marshal(), items)...)
 }
 
-// UnmarshalBundle decodes an encoding from Marshal. The bundle keeps a
-// copy of its certificate's encoding, which Validate verifies and the
-// replica then serves.
+// UnmarshalBundle decodes an encoding from Marshal. The elements' Data
+// aliases data, as a decoded element's does (object.DecodeElement); the
+// bundle keeps a copy of its certificate's encoding, which Validate
+// verifies and the replica then serves.
 func UnmarshalBundle(data []byte) (*Bundle, error) {
-	r := enc.NewReader(data)
 	var b Bundle
+	r := enc.NewReader(data)
 	copy(b.OID[:], r.Raw(globeid.Size))
-	rawKey := r.BytesPrefixed()
-	n := r.Uvarint()
-	if n > 1<<16 {
-		return nil, fmt.Errorf("server: implausible element count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var e document.Element
-		e.Name = r.String()
-		e.ContentType = r.String()
-		e.Data = append([]byte(nil), r.BytesPrefixed()...)
-		b.Elements = append(b.Elements, e)
-	}
-	rawCert := r.BytesPrefixed()
-	nc := r.Uvarint()
-	if nc > 1024 {
-		return nil, fmt.Errorf("server: implausible name-cert count %d", nc)
-	}
-	rawNameCerts := make([][]byte, 0, nc)
-	for i := uint64(0); i < nc; i++ {
-		rawNameCerts = append(rawNameCerts, r.BytesPrefixed())
-	}
-	if err := r.Finish(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("server: bundle decode: %w", err)
 	}
-	key, err := keys.UnmarshalPublicKey(rawKey)
+	items, err := b.unmarshalState("bundle", data[globeid.Size:], false)
 	if err != nil {
-		return nil, fmt.Errorf("server: bundle key decode: %w", err)
+		return nil, err
 	}
-	b.Key = key
-	c, err := cert.UnmarshalIntegrityCertificate(rawCert)
-	if err != nil {
-		return nil, fmt.Errorf("server: bundle cert decode: %w", err)
-	}
-	b.Cert, b.certWire = c, bytes.Clone(rawCert)
-	for _, raw := range rawNameCerts {
-		ncert, err := cert.UnmarshalNameCertificate(raw)
-		if err != nil {
-			return nil, fmt.Errorf("server: bundle name cert decode: %w", err)
-		}
-		b.NameCerts = append(b.NameCerts, ncert)
+	b.Elements = make([]document.Element, len(items))
+	for i, it := range items {
+		b.Elements[i] = it.Element
 	}
 	return &b, nil
+}
+
+// unmarshalState decodes the replica state layout (DESIGN.md §12) — an
+// obj.bind reply's encoding — into b's key, certificate (with a copy of
+// its encoding) and name certificates, and returns its items. Every item
+// must carry its element under the item's name or, where held is
+// allowed, be held; a declined item is refused. what names the encoding
+// in errors.
+func (b *Bundle) unmarshalState(what string, data []byte, held bool) ([]object.BatchItem, error) {
+	state, err := object.DecodeBindReply(data)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s decode: %w", what, err)
+	}
+	for _, it := range state.Items {
+		switch {
+		case it.Err != nil:
+			return nil, fmt.Errorf("server: %s declines %q", what, it.Name)
+		case it.Held && !held:
+			return nil, fmt.Errorf("server: %s holds %q where it must carry it", what, it.Name)
+		case !it.Held && it.Element.Name != it.Name:
+			return nil, fmt.Errorf("server: %s item %q carries element %q", what, it.Name, it.Element.Name)
+		}
+	}
+	if b.Key, err = keys.UnmarshalPublicKey(state.Key); err != nil {
+		return nil, fmt.Errorf("server: %s key decode: %w", what, err)
+	}
+	if b.Cert, err = cert.UnmarshalIntegrityCertificate(state.Cert); err != nil {
+		return nil, fmt.Errorf("server: %s cert decode: %w", what, err)
+	}
+	b.certWire = bytes.Clone(state.Cert)
+	if b.NameCerts, err = object.DecodeCertList(state.NameCerts); err != nil {
+		return nil, fmt.Errorf("server: %s name cert decode: %w", what, err)
+	}
+	return state.Items, nil
 }
 
 // BundleFromDocument snapshots a live document into a bundle. The

@@ -193,14 +193,14 @@ func (p *Puller) apply(d *DeltaReply, local *versionSnapshot) (installed bool, c
 	}
 	elems := make([]document.Element, 0, len(d.Items))
 	for _, it := range d.Items {
-		if it.Changed {
+		if !it.Held {
 			elems = append(elems, it.Element)
 			changed++
 			continue
 		}
 		held, ok := local.wire.element(it.Name)
 		if !ok {
-			return false, 0, fmt.Errorf("server: delta claims %q unchanged but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
+			return false, 0, fmt.Errorf("server: delta claims %q held but it is not held locally: %w", it.Name, errNoSuchElement(it.Name))
 		}
 		elems = append(elems, held.element(it.Name))
 	}

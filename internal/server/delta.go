@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"strings"
 
 	"globedoc/internal/cert"
-	"globedoc/internal/document"
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
@@ -19,12 +17,13 @@ import (
 // OpGetDelta is the one consistency transfer (DESIGN.md §16): the
 // request carries (OID, have-version), and the reply is one of three.
 // "Current" carries only the primary's version, when have is its head or
-// later. A delta carries the new version's key and certificate tables
-// and — per element, tagged with a status byte — either nothing
-// (cert-listed hash unchanged since have) or the new element bytes. When
-// have is not among the primary's retained versions (0 included) the
-// reply is the full state: the same tables and every element. The reply
-// is UNTRUSTED input: the puller composes a candidate bundle from it and
+// later. A delta carries the new version's state in the replica state
+// layout (DESIGN.md §12): its key, name and integrity certificates, and
+// every element in name order — held, when its cert-listed hash is
+// unchanged since have, and carried otherwise. When have is not among
+// the primary's retained versions (0 included) the reply is the full
+// state: the same layout with every element carried. The reply is
+// UNTRUSTED input: the puller composes a candidate bundle from it and
 // installs it only through Update's validation, which requires every
 // element the certificate lists, and only if its certificate supersedes
 // the one held, so a lying primary can at worst deny service, never
@@ -33,7 +32,7 @@ const OpGetDelta = "obj.getdelta"
 
 // deltaWireVersion versions both the request and reply encodings, so the
 // format can evolve the way the transport's frame version does.
-const deltaWireVersion = 4
+const deltaWireVersion = 5
 
 // Reply status bytes.
 const (
@@ -42,31 +41,13 @@ const (
 	deltaStatusFull    byte = 3
 )
 
-// Per-item status bytes.
-const (
-	deltaItemUnchanged byte = 0
-	deltaItemChanged   byte = 1
-)
-
-// maxDeltaItems bounds the decoder's item count, as UnmarshalBundle's.
-const maxDeltaItems = 1 << 16
-
-// DeltaItem is one element's entry in a delta reply. Unchanged items
-// carry only the name: the client already holds bytes with the
-// cert-listed hash. Changed items carry the new element.
-type DeltaItem struct {
-	Name    string
-	Changed bool
-	Element document.Element // set only when Changed
-}
-
 // DeltaReply is the decoded obj.getdelta reply.
 type DeltaReply struct {
 	// Current reports that the have-version is the primary's head or
 	// later. Only NewVersion is populated.
 	Current bool
 	// FullRequired reports that have was not retained, so the full state
-	// follows: every item is Changed.
+	// follows: every item is carried.
 	FullRequired bool
 	// NewVersion is the primary's current version, carried only by a
 	// current reply. A delta or full reply's version is its certificate's.
@@ -74,13 +55,11 @@ type DeltaReply struct {
 	Key        keys.PublicKey
 	Cert       *cert.IntegrityCertificate
 	NameCerts  []*cert.NameCertificate
-	// Items lists every element of the new version, sorted by name.
-	Items []DeltaItem
+	// Items lists every element of the new version, sorted by name: an
+	// element whose bytes the requester holds is Held and carries
+	// nothing, and every other carries its Element.
+	Items []object.BatchItem
 
-	// tables, when set, holds Key, Cert and NameCerts already encoded —
-	// the head's wire payloads (see deltaSince) — and Marshal writes
-	// those bytes instead of encoding the three again.
-	tables *wirePayloads
 	// certWire, set by UnmarshalDeltaReply, is the encoding Cert arrived
 	// as, copied out of the reply: what the puller compares with the
 	// encoding it serves, and what the replica verifies and then serves.
@@ -111,69 +90,54 @@ func DecodeDeltaRequest(body []byte) (globeid.OID, uint64, error) {
 	return oid, have, nil
 }
 
-// Marshal encodes the reply for the wire, into one buffer sized to fit.
-func (d *DeltaReply) Marshal() []byte {
-	if d.Current {
-		w := enc.NewWriter(2 + binary.MaxVarintLen64)
-		w.Byte(deltaWireVersion)
-		w.Byte(deltaStatusCurrent)
-		w.Uvarint(d.NewVersion)
-		return w.Bytes()
-	}
-	var key, icert, nameCerts []byte
-	if t := d.tables; t != nil {
-		key, icert, nameCerts = t.key[0], t.icert[0], t.nameCerts[0]
-	} else {
-		key, icert, nameCerts = d.Key.Marshal(), d.Cert.Marshal(), object.EncodeCertList(d.NameCerts)
-	}
-	w := enc.NewWriter(d.size(len(key) + len(icert) + len(nameCerts)))
+// currentReply encodes the reply that the primary's head is version.
+func currentReply(version uint64) []byte {
+	w := enc.NewWriter(2 + binary.MaxVarintLen64)
 	w.Byte(deltaWireVersion)
-	if d.FullRequired {
-		w.Byte(deltaStatusFull)
-	} else {
-		w.Byte(deltaStatusDelta)
-	}
-	w.BytesPrefixed(key)
-	w.BytesPrefixed(icert)
-	w.Raw(nameCerts) // the count, then each certificate length-prefixed
-	w.Uvarint(uint64(len(d.Items)))
-	for _, it := range d.Items {
-		w.String(it.Name)
-		if !it.Changed {
-			w.Byte(deltaItemUnchanged)
-			continue
-		}
-		w.Byte(deltaItemChanged)
-		w.String(it.Element.ContentType)
-		w.BytesPrefixed(it.Element.Data)
-	}
+	w.Byte(deltaStatusCurrent)
+	w.Uvarint(version)
 	return w.Bytes()
 }
 
-// size bounds the encoding of a delta or full reply whose three encoded
-// tables sum to tables bytes.
-func (d *DeltaReply) size(tables int) int {
-	n := 2 + 3*binary.MaxVarintLen64 + tables
-	for _, it := range d.Items {
-		n += prefixedLen(len(it.Name)) + 1
-		if it.Changed {
-			n += prefixedLen(len(it.Element.ContentType)) + prefixedLen(len(it.Element.Data))
-		}
+// Marshal encodes the reply for the wire, the key and certificates it
+// carries included.
+func (d *DeltaReply) Marshal() []byte {
+	if d.Current {
+		return currentReply(d.NewVersion)
 	}
-	return n
+	status := deltaStatusDelta
+	if d.FullRequired {
+		status = deltaStatusFull
+	}
+	return append([]byte{deltaWireVersion, status},
+		object.EncodeBindReply(d.Key.Marshal(), object.EncodeCertList(d.NameCerts), d.Cert.Marshal(), wireItems(d.Items))...)
 }
 
-// prefixedLen is the encoded length of an n-byte field with its uvarint
-// length prefix.
-func prefixedLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
+// wireItems encodes decoded items for the replica state layout: a held
+// item stays held, a declined one is declined with its error's text, and
+// any other carries its element.
+func wireItems(items []object.BatchItem) []object.BatchWireItem {
+	out := make([]object.BatchWireItem, len(items))
+	for i, it := range items {
+		out[i] = object.BatchWireItem{Name: it.Name, Held: it.Held}
+		switch {
+		case it.Held:
+		case it.Err != nil:
+			out[i].ErrMsg = it.Err.Error()
+		default:
+			out[i].Wire = object.EncodeElement(it.Element)
+		}
+	}
+	return out
+}
 
 // UnmarshalDeltaReply decodes an encoding from Marshal. The result is
 // untrusted: callers must route any state composed from it through
 // Bundle.Validate (via Server.Update) before trusting a byte of it. A
-// changed item's Data aliases data — Update copies what it keeps — while
+// carried item's Data aliases data — Update copies what it keeps — while
 // the certificate's encoding is copied out, so a replica that serves it
-// pins no reply frame. The items' names are substrings of one string,
-// sized by a pass over the items first, and the items one slice.
+// pins no reply frame. No honest primary declines an item, or holds one
+// in a full reply, so a reply that does is refused.
 func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 	r := enc.NewReader(data)
 	if v := r.Byte(); r.Err() == nil && v != deltaWireVersion {
@@ -191,78 +155,15 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 		}
 		return &d, nil
 	}
-	rawKey := r.BytesPrefixed()
-	rawCert := r.BytesPrefixed()
-	nc := r.Uvarint()
-	if r.Err() == nil && nc > 1024 {
-		return nil, fmt.Errorf("server: implausible delta name-cert count %d", nc)
-	}
-	rawNameCerts := make([][]byte, 0, nc)
-	for i := uint64(0); i < nc && r.Err() == nil; i++ {
-		rawNameCerts = append(rawNameCerts, r.BytesPrefixed())
-	}
-	ni := r.Uvarint()
-	if r.Err() == nil && ni > maxDeltaItems {
-		return nil, fmt.Errorf("server: implausible delta item count %d", ni)
-	}
-	// The sizing pass reads a copy of r through the items, and is where a
-	// malformed item fails, before anything is allocated for them.
-	size, sizing := 0, *r
-	for i := uint64(0); i < ni && sizing.Err() == nil; i++ {
-		name := sizing.BytesPrefixed()
-		size += len(name)
-		switch st := sizing.Byte(); st {
-		case deltaItemUnchanged:
-			if d.FullRequired && sizing.Err() == nil {
-				return nil, fmt.Errorf("server: full delta reply marks %q unchanged", name)
-			}
-		case deltaItemChanged:
-			sizing.BytesPrefixed()
-			sizing.BytesPrefixed()
-		default:
-			if sizing.Err() == nil {
-				return nil, fmt.Errorf("server: unknown delta item status %d", st)
-			}
-		}
-	}
-	if err := sizing.Finish(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("server: delta reply decode: %w", err)
 	}
-	// The names go into one buffer grown to their exact size, so it is
-	// allocated once, and each name is names.String() cut to what was
-	// just written: no copy, as bytes once written are never rewritten.
-	var names strings.Builder
-	names.Grow(size)
-	d.Items = make([]DeltaItem, ni)
-	for i := range d.Items {
-		it := &d.Items[i]
-		start := names.Len()
-		names.Write(r.BytesPrefixed())
-		it.Name = names.String()[start:]
-		if r.Byte() == deltaItemChanged {
-			it.Changed = true
-			it.Element.Name = it.Name
-			it.Element.ContentType = r.String()
-			it.Element.Data = r.BytesPrefixed()
-		}
-	}
-	key, err := keys.UnmarshalPublicKey(rawKey)
+	var state Bundle
+	items, err := state.unmarshalState("delta reply", data[2:], !d.FullRequired)
 	if err != nil {
-		return nil, fmt.Errorf("server: delta key decode: %w", err)
+		return nil, err
 	}
-	d.Key = key
-	c, err := cert.UnmarshalIntegrityCertificate(rawCert)
-	if err != nil {
-		return nil, fmt.Errorf("server: delta cert decode: %w", err)
-	}
-	d.Cert, d.certWire = c, bytes.Clone(rawCert)
-	for _, raw := range rawNameCerts {
-		ncert, err := cert.UnmarshalNameCertificate(raw)
-		if err != nil {
-			return nil, fmt.Errorf("server: delta name cert decode: %w", err)
-		}
-		d.NameCerts = append(d.NameCerts, ncert)
-	}
+	d.Key, d.Cert, d.NameCerts, d.certWire, d.Items = state.Key, state.Cert, state.NameCerts, state.certWire, items
 	return &d, nil
 }
 
@@ -273,72 +174,81 @@ func UnmarshalDeltaReply(data []byte) (*DeltaReply, error) {
 // caller's own copies, and its Marshal encodes the key and certificates
 // it carries.
 func (s *Server) DeltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
-	d, err := s.deltaSince(oid, have)
+	h, head, status, items, err := s.deltaSince(oid, have)
 	if err != nil {
 		return nil, err
 	}
-	d.tables = nil
-	for i := range d.Items {
-		d.Items[i].Element.Data = append([]byte(nil), d.Items[i].Element.Data...)
+	if status == deltaStatusCurrent {
+		return &DeltaReply{Current: true, NewVersion: head.version}, nil
+	}
+	d := &DeltaReply{
+		FullRequired: status == deltaStatusFull,
+		Key:          h.key,
+		Cert:         head.cert,
+		NameCerts:    head.nameCerts,
+		Items:        make([]object.BatchItem, len(items)),
+	}
+	for i, it := range items {
+		d.Items[i] = object.BatchItem{Name: it.Name, Held: it.Held}
+		if !it.Held {
+			e := head.wire.elements[i].element(it.Name)
+			e.Data = bytes.Clone(e.Data)
+			d.Items[i].Element = e
+		}
 	}
 	return d, nil
 }
 
-// deltaSince is DeltaSince with the changed elements' Data aliasing the
-// head's wire payloads and the head's encoded key and certificates
-// attached — for marshalling only.
-func (s *Server) deltaSince(oid globeid.OID, have uint64) (*DeltaReply, error) {
-	h, err := s.replica(oid)
-	if err != nil {
-		return nil, err
+// deltaSince finds the obj.getdelta reply to have in oid's replica h: its
+// head and the reply status and, unless the head is current, the items,
+// index for index with the head's elements — each held, or carried as
+// its precomputed wire payload.
+func (s *Server) deltaSince(oid globeid.OID, have uint64) (h *hostedReplica, head *versionSnapshot, status byte, items []object.BatchWireItem, err error) {
+	if h, err = s.replica(oid); err != nil {
+		return nil, nil, 0, nil, err
 	}
 	versions := h.versions()
-	head := versions[len(versions)-1]
+	head = versions[len(versions)-1]
 	if have != 0 && have >= head.version {
-		return &DeltaReply{Current: true, NewVersion: head.version}, nil
+		return h, head, deltaStatusCurrent, nil, nil
 	}
-	var base *versionSnapshot
+	status, changed := deltaStatusFull, head.wire.names // the names whose elements the reply carries, sorted
 	for _, snap := range versions {
 		if have != 0 && snap.version == have {
-			base = snap
+			status = deltaStatusDelta
+			changed, _ = merkle.DiffSorted(snap.leaves, head.leaves)
 			break
 		}
 	}
-	d := &DeltaReply{
-		Key:       h.key,
-		Cert:      head.cert,
-		NameCerts: head.nameCerts,
-		Items:     make([]DeltaItem, 0, len(head.wire.names)),
-		tables:    &head.wire,
-	}
-	var changed []string // the names whose elements the reply carries, sorted
-	if base == nil {
-		d.FullRequired = true
-		changed = head.wire.names
-	} else {
-		changed, _ = merkle.DiffSorted(base.leaves, head.leaves)
-	}
+	items = make([]object.BatchWireItem, len(head.wire.names))
 	for i, name := range head.wire.names {
-		it := DeltaItem{Name: name}
+		items[i].Name = name
 		if len(changed) > 0 && changed[0] == name {
 			changed = changed[1:]
-			it.Changed, it.Element = true, head.wire.elements[i].element(name)
+			items[i].Wire = head.wire.elements[i].wire
+		} else {
+			items[i].Held = true
 		}
-		d.Items = append(d.Items, it)
 	}
-	return d, nil
+	return h, head, status, items, nil
 }
 
 // handleGetDelta serves obj.getdelta. Everything in the reply is public
-// data the anonymous read protocol already exposes piecewise.
-func (s *Server) handleGetDelta(body []byte) ([]byte, error) {
+// data the anonymous read protocol already exposes piecewise, and the
+// reply references the head's precomputed payloads where they lie, as
+// obj.bind's does: serving a delta copies no element byte.
+func (s *Server) handleGetDelta(ctx context.Context, body []byte) ([][]byte, error) {
 	oid, have, err := DecodeDeltaRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.deltaSince(oid, have)
+	_, head, status, items, err := s.deltaSince(oid, have)
 	if err != nil {
 		return nil, err
 	}
-	return d.Marshal(), nil
+	if status == deltaStatusCurrent {
+		return [][]byte{currentReply(head.version)}, nil
+	}
+	w := &head.wire
+	return object.BindReplyBuffers([]byte{deltaWireVersion, status}, w.key[0], w.nameCerts[0], w.icert[0], items), nil
 }

@@ -228,7 +228,7 @@ func TestPullerOneRequestPerCheck(t *testing.T) {
 	// rejected, and the retry from version 0 gets the honest full state.
 	victim, lyingTel := lyingPuller(t, w, pub, func(d *server.DeltaReply) {
 		for _, it := range d.Items {
-			if it.Changed {
+			if !it.Held {
 				it.Element.Data[0] ^= 0xff // DeltaSince's bytes are our own
 			}
 		}
@@ -295,7 +295,7 @@ func TestPullerRefusesAnIncompleteDelta(t *testing.T) {
 	w, pub, _, _ := deltaWorld(t)
 	victim, tel := lyingPuller(t, w, pub, func(d *server.DeltaReply) {
 		for i, it := range d.Items {
-			if it.Changed {
+			if !it.Held {
 				d.Items = append(d.Items[:i:i], d.Items[i+1:]...)
 				return
 			}
@@ -371,4 +371,29 @@ func TestPullerRefusingPrimaryLeavesReplicaUnchanged(t *testing.T) {
 	if !bytes.Equal(before.Marshal(), after.Marshal()) {
 		t.Fatal("a refusing primary changed the replica")
 	}
+}
+
+// TestGetDeltaIsServedInASpan: obj.getdelta is served like every read
+// operation, in a serve.getdelta span under the transport's rpc.serve,
+// so one check leaves the pair in the primary's span ring.
+func TestGetDeltaIsServedInASpan(t *testing.T) {
+	_, _, puller, tel := deltaWorld(t)
+	if _, err := puller.CheckOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	spans := tel.Ring.Spans()
+	byID := make(map[uint64]telemetry.SpanRecord, len(spans))
+	for _, s := range spans {
+		byID[s.SpanID] = s
+	}
+	for _, s := range spans {
+		if parent, ok := byID[s.ParentID]; ok && s.Name == "serve.getdelta" && parent.Name == "rpc.serve" {
+			return
+		}
+	}
+	var names []string
+	for _, s := range spans {
+		names = append(names, s.Name)
+	}
+	t.Fatalf("span ring holds %v, want rpc.serve > serve.getdelta", names)
 }

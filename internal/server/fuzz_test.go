@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/object"
 	"globedoc/internal/server"
 )
 
@@ -70,18 +72,18 @@ func FuzzDeltaDecode(f *testing.F) {
 	ok := &server.DeltaReply{
 		Key:  owner.Public(),
 		Cert: icert,
-		Items: []server.DeltaItem{
-			{Name: "index.html", Changed: true, Element: document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("seed")}},
-			{Name: "logo.png"},
+		Items: []object.BatchItem{
+			{Name: "index.html", Element: document.Element{Name: "index.html", ContentType: "text/html", Data: []byte("seed")}},
+			{Name: "logo.png", Held: true},
 		},
 	}
 	f.Add(ok.Marshal())
 	f.Add((&server.DeltaReply{Current: true, NewVersion: 7}).Marshal())
 	full := *ok
 	full.FullRequired = true
-	full.Items = []server.DeltaItem{
+	full.Items = []object.BatchItem{
 		ok.Items[0],
-		{Name: "logo.png", Changed: true, Element: document.Element{Name: "logo.png", ContentType: "image/png", Data: []byte("png")}},
+		{Name: "logo.png", Element: document.Element{Name: "logo.png", ContentType: "image/png", Data: []byte("png")}},
 	}
 	f.Add(full.Marshal())
 	// A truncated delta: it decodes, and only the completeness rule
@@ -89,6 +91,17 @@ func FuzzDeltaDecode(f *testing.F) {
 	truncated := *ok
 	truncated.Items = ok.Items[1:]
 	f.Add(truncated.Marshal())
+	// Refused: a declined item, a held one in a full reply, and an
+	// element carried under another item's name.
+	for _, items := range [][]object.BatchItem{
+		{ok.Items[0], {Name: "logo.png", Err: errors.New("declined")}},
+		{{Name: "index.html", Held: true}, full.Items[1]},
+		{{Name: "logo.png", Element: ok.Items[0].Element}},
+	} {
+		refused := full
+		refused.Items = items
+		f.Add(refused.Marshal())
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 21))
 	// What a served replica answers: a delta and a full reply as

@@ -399,7 +399,7 @@ func TestDeltaDecodeAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		oid := s.Hosted()[0]
-		reply, err := s.handleGetDelta(EncodeDeltaRequest(oid, 1))
+		reply, err := joined(s.handleGetDelta(context.Background(), EncodeDeltaRequest(oid, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,5 +412,39 @@ func TestDeltaDecodeAllocationBudget(t *testing.T) {
 		if got > deltaDecodeBudget {
 			t.Errorf("UnmarshalDeltaReply(%d items, 1 changed): %.1f allocations per call, budget %d", n, got, deltaDecodeBudget)
 		}
+	}
+}
+
+// TestServingADeltaCopiesNoElementByte pins what obj.getdelta allocates
+// to answer a delta in which 1 of 64 elements changed. The reply
+// references the head's element payloads where they lie, as obj.bind's
+// does, so it allocates the same for 4 KiB elements as for 64 KiB ones:
+// the items, their framing and a copy of the key and certificate.
+func TestServingADeltaCopiesNoElementByte(t *testing.T) {
+	const budget = 12 << 10
+	owner := keytest.RSA()
+	names := headNames(64)
+	var got [2]float64
+	for i, size := range []int{4 << 10, 64 << 10} {
+		s := New("delta-srv", "site", nil, nil, Limits{})
+		if err := s.Install(headBundle(t, owner, 1, names, size, 0x42, ""), "owner"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Update(headBundle(t, owner, 2, names, size, 0x42, names[7]), "owner"); err != nil {
+			t.Fatal(err)
+		}
+		req := EncodeDeltaRequest(s.Hosted()[0], 1)
+		got[i] = alloctest.BytesPerRun(t, 50, func() {
+			if _, err := s.handleGetDelta(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("obj.getdelta, 1 of 64 x %d KiB changed: %.0f B allocated", size>>10, got[i])
+	}
+	if got[0] > budget {
+		t.Errorf("serving a delta of 1 of 64 x 4 KiB allocates %.0f B, budget %d", got[0], budget)
+	}
+	if got[1] > got[0]+512 {
+		t.Errorf("serving a delta allocates %.0f B for 64 KiB elements and %.0f B for 4 KiB ones: element bytes are copied", got[1], got[0])
 	}
 }

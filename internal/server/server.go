@@ -188,7 +188,7 @@ func New(name, site string, keystore *keys.Keystore, identity *keys.KeyPair, lim
 	s.srv.HandleCtx(object.OpGetElement, s.traced("serve.getelement", s.handleGetElement))
 	s.srv.HandleCtx(object.OpGetElements, s.traced("serve.getelements", s.handleGetElements))
 	s.srv.HandleCtx(object.OpBind, s.traced("serve.bind", s.handleBind))
-	s.srv.Handle(OpGetDelta, s.handleGetDelta)
+	s.srv.HandleCtx(OpGetDelta, s.traced("serve.getdelta", s.handleGetDelta))
 	s.srv.Handle(OpChallenge, s.handleChallenge)
 	s.srv.Handle(OpAdmin, s.handleAdmin)
 	return s
@@ -458,7 +458,7 @@ func (s *Server) handleBind(ctx context.Context, body []byte) ([][]byte, error) 
 		names = v.wire.names
 	}
 	items := s.batch(ctx, h, v, names, req.Held, req.FromSite, req.At, len(key)+len(nameCerts)+len(icert))
-	return object.BindReplyBuffers(key, nameCerts, icert, items), nil
+	return object.BindReplyBuffers(nil, key, nameCerts, icert, items), nil
 }
 
 // batch answers names from version v in GetElements' item format. A

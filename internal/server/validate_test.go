@@ -17,6 +17,7 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/object"
 )
 
 // heldServer hosts four 1 KiB elements at version 1 and returns the
@@ -149,9 +150,9 @@ func TestApplyHashesWhatTheReplyClaims(t *testing.T) {
 			b := certifiedAs(t, owner, 2, elems, map[string][globeid.Size]byte{elems[1].Name: tc.listed})
 			d := &DeltaReply{Key: owner.Public(), Cert: b.Cert}
 			for i, e := range elems {
-				it := DeltaItem{Name: e.Name}
+				it := object.BatchItem{Name: e.Name, Held: true}
 				if i == 1 && tc.changed {
-					it.Changed, it.Element = true, document.Element{Name: e.Name, ContentType: e.ContentType, Data: tc.data}
+					it = object.BatchItem{Name: e.Name, Element: document.Element{Name: e.Name, ContentType: e.ContentType, Data: tc.data}}
 				}
 				d.Items = append(d.Items, it)
 			}

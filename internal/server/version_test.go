@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -239,7 +240,7 @@ func TestDeltaSinceReturnsOnlyChangedElements(t *testing.T) {
 	}
 	changed, unchanged := 0, 0
 	for _, it := range d.Items {
-		if it.Changed {
+		if !it.Held {
 			changed++
 			if it.Name != "index.html" {
 				t.Errorf("unexpected changed item %q", it.Name)
@@ -278,7 +279,7 @@ func TestDeltaSinceDeclinesEvictedVersion(t *testing.T) {
 	}
 	// The full state: every element.
 	for _, it := range d.Items {
-		if !it.Changed {
+		if it.Held {
 			t.Fatalf("full reply marks %q unchanged", it.Name)
 		}
 	}
@@ -349,10 +350,17 @@ func TestDeltaReplyMarshalRoundTrip(t *testing.T) {
 	if !got.FullRequired || !bytes.Equal(got.Marshal(), wire) {
 		t.Fatalf("full round trip = %+v", got)
 	}
-	// A full reply that marks an item unchanged is refused.
-	full.Items[0].Changed = false
+	// A full reply that holds an item is refused, and so is any reply
+	// that declines one: no honest primary sends either.
+	full.Items[0] = object.BatchItem{Name: full.Items[0].Name, Held: true}
 	if _, err := UnmarshalDeltaReply(full.Marshal()); err == nil {
-		t.Fatal("full reply with an unchanged item decoded")
+		t.Fatal("full reply with a held item decoded")
+	}
+	for _, reply := range []*DeltaReply{full, d} {
+		reply.Items[0] = object.BatchItem{Name: reply.Items[0].Name, Err: errors.New("declined")}
+		if _, err := UnmarshalDeltaReply(reply.Marshal()); err == nil || !strings.Contains(err.Error(), "declines") {
+			t.Fatalf("reply (full %v) with a declined item: %v, want it refused", reply.FullRequired, err)
+		}
 	}
 }
 
@@ -385,7 +393,7 @@ func TestGetDeltaServesDeltaSinceBytes(t *testing.T) {
 		have          uint64
 		current, full bool
 	}{{have: 2, current: true}, {have: 1}, {have: 0, full: true}} {
-		served, err := s.handleGetDelta(EncodeDeltaRequest(oid, tc.have))
+		served, err := joined(s.handleGetDelta(context.Background(), EncodeDeltaRequest(oid, tc.have)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,17 +425,27 @@ func TestDeltaRequestRoundTrip(t *testing.T) {
 }
 
 // TestFullDeltaReplyKeepsDecoderBounds checks that a full reply, like a
-// delta, is refused before allocation when it claims more items than the
-// decoder allows.
+// delta and an obj.bind reply, is refused before its items are decoded
+// when it claims more items than the decoder allows or than its bytes
+// can hold.
 func TestFullDeltaReplyKeepsDecoderBounds(t *testing.T) {
-	w := enc.NewWriter(64)
-	w.Byte(deltaWireVersion)
-	w.Byte(deltaStatusFull)
-	w.BytesPrefixed([]byte("key"))
-	w.BytesPrefixed([]byte("cert"))
-	w.Uvarint(0)
-	w.Uvarint(maxDeltaItems + 1)
-	if _, err := UnmarshalDeltaReply(w.Bytes()); err == nil || !strings.Contains(err.Error(), "implausible delta item count") {
-		t.Fatalf("full reply over the item bound: %v", err)
+	for _, tc := range []struct {
+		items uint64
+		pad   int
+		want  string
+	}{
+		{items: 1<<16 + 1, pad: 2 * (1<<16 + 1), want: "implausible batch size"},
+		{items: 1 << 16, want: enc.ErrTooLarge.Error()},
+	} {
+		w := enc.NewWriter(16 + tc.pad)
+		w.Raw([]byte{deltaWireVersion, deltaStatusFull})
+		w.BytesPrefixed([]byte("key"))
+		w.BytesPrefixed(object.EncodeCertList(nil))
+		w.BytesPrefixed([]byte("cert"))
+		w.Uvarint(tc.items)
+		w.Raw(make([]byte, tc.pad))
+		if _, err := UnmarshalDeltaReply(w.Bytes()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("full reply claiming %d items: %v, want %q", tc.items, err, tc.want)
+		}
 	}
 }

@@ -495,3 +495,17 @@ func TestHandleBindAnswersHeldSlots(t *testing.T) {
 		t.Errorf("ReadCount = %d after held and declined slots, want still 2", s.ReadCount(oid))
 	}
 }
+
+// TestReplicaListSizesNoSliceFromABareCount: the admin list reply's
+// decoder refuses a count of OIDs that cannot fit in the bytes after it
+// before allocating for them, so 3 bytes claiming 2^20 replicas
+// allocate at most 1 KiB.
+func TestReplicaListSizesNoSliceFromABareCount(t *testing.T) {
+	body := []byte{0x80, 0x80, 0x40} // 2^20, the list bound
+	if _, err := decodeReplicaList(body); err == nil {
+		t.Fatal("a bare count of 2^20 replicas decoded")
+	}
+	if got := alloctest.BytesPerRun(t, 20, func() { _, _ = decodeReplicaList(body) }); got > 1<<10 {
+		t.Errorf("decoding a bare count allocates %.0f B, budget 1024", got)
+	}
+}
