@@ -25,12 +25,12 @@ import (
 // Allocation budgets of the fetch plan's two operations, in heap objects
 // per call across the whole process (the replica's serving side
 // included): the counts of a cold binding made in one obj.bind exchange
-// (157 and 241 with go1.24 on linux/amd64, identical over repeated runs;
-// the step-RPC binding it replaced took 431 and 571) plus 2 %, so a
+// (110 and 165–166 with go1.24 on linux/amd64 over repeated runs; the
+// step-RPC binding it replaced took 431 and 571) plus 2 %, so a
 // toolchain difference does not flake.
 const (
-	coldFetchAllocBudget    = 160
-	coldFetchAllAllocBudget = 245
+	coldFetchAllocBudget    = 112
+	coldFetchAllAllocBudget = 169
 )
 
 func TestFetchPlanAllocationBudget(t *testing.T) {

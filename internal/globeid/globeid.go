@@ -66,8 +66,13 @@ func (oid OID) IsZero() bool { return oid == Zero }
 // String returns the OID as 40 lowercase hex digits.
 func (oid OID) String() string { return hex.EncodeToString(oid[:]) }
 
-// Short returns the first 8 hex digits, for logs.
-func (oid OID) Short() string { return oid.String()[:8] }
+// Short returns the first 8 hex digits, for logs. It encodes only the
+// four bytes they show, so the string is its one allocation.
+func (oid OID) Short() string {
+	var digits [8]byte
+	hex.Encode(digits[:], oid[:4])
+	return string(digits[:])
+}
 
 // Parse converts a 40-hex-digit string into an OID.
 func Parse(s string) (OID, error) {

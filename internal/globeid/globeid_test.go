@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
 )
@@ -91,6 +92,15 @@ func TestShort(t *testing.T) {
 	oid := globeid.FromPublicKey(keytest.RSA().Public())
 	if got := oid.Short(); len(got) != 8 || !strings.HasPrefix(oid.String(), got) {
 		t.Errorf("Short = %q", got)
+	}
+}
+
+// A cold fetch names its object in a span and an error or two: Short
+// costs the string it returns and nothing more.
+func TestShortAllocatesOnce(t *testing.T) {
+	oid := globeid.OID(globeid.HashElement([]byte("short")))
+	if got := alloctest.AllocsPerRun(t, 100, func() { _ = oid.Short() }); got > 1 {
+		t.Errorf("Short allocates %.0f objects, want 1: the string", got)
 	}
 }
 

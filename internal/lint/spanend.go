@@ -7,10 +7,11 @@ import (
 )
 
 // SpanEnd enforces the tracer's lifetime contract: a span started with
-// StartSpan, StartSpanFrom or StartChild is only exported when End() is
-// called, so a span that is started, kept local to the function, and
-// never ended silently vanishes from every trace — the hardest
-// observability bug to notice, because everything else still works.
+// StartSpan, StartSpanFrom, StartRPCSpan or StartChild is only exported
+// when End() is called, so a span that is started, kept local to the
+// function, and never ended silently vanishes from every trace — the
+// hardest observability bug to notice, because everything else still
+// works.
 //
 // A started span must therefore either reach an End() call in the same
 // function (a defer or a plain call), or escape to an owner that ends
@@ -158,15 +159,15 @@ func markSpanUses(p *Package, byObj map[types.Object]*spanVar, n ast.Node) {
 }
 
 // isSpanStart reports whether call is a tracer span constructor: a
-// StartSpan/StartSpanFrom/StartChild method call whose result is the
-// telemetry package's *Span.
+// StartSpan/StartSpanFrom/StartRPCSpan/StartChild method call whose
+// result is the telemetry package's *Span.
 func isSpanStart(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "StartSpan", "StartSpanFrom", "StartChild":
+	case "StartSpan", "StartSpanFrom", "StartRPCSpan", "StartChild":
 	default:
 		return false
 	}

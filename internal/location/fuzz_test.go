@@ -3,6 +3,8 @@ package location
 import (
 	"bytes"
 	"testing"
+
+	"globedoc/internal/alloctest"
 )
 
 // FuzzLookupDecode holds the lookup-reply decoder — loc.lookup2's
@@ -19,7 +21,7 @@ func FuzzLookupDecode(f *testing.F) {
 		encodeLookupResultExt(res),
 		encodeLookupResultExt(LookupResult{Rings: 1, Addresses: res.Addresses[1:]}),
 		encodeLookupResultExt(LookupResult{}),
-		{0, 0x80, 0x80, 0x04},                                   // an implausible address count
+		{0, 0x80, 0x80, 0x04},                                   // a bare count of 65,536 addresses
 		{0, 1, 1, 'a', 1, 'b', 0, 0x80, 0x80, 0x80, 0x80, 0x10}, // a weight past uint32
 	} {
 		f.Add(seed)
@@ -34,4 +36,18 @@ func FuzzLookupDecode(f *testing.F) {
 			t.Fatalf("decode∘encode is not the identity:\n in %x\nout %x (%+v)", body, again, got)
 		}
 	})
+}
+
+// TestLookupReplySizesNoSliceFromABareCount: the lookup-reply decoder
+// refuses an address count that cannot fit in the bytes after it before
+// allocating for the addresses, so a 4-byte reply from an untrusted
+// location service claiming 65,536 addresses allocates at most 1 KiB.
+func TestLookupReplySizesNoSliceFromABareCount(t *testing.T) {
+	body := []byte{0, 0x80, 0x80, 0x04} // ring 0, then 65,536, the count bound
+	if _, err := decodeLookupResultExt(body); err == nil {
+		t.Fatal("a bare count of 65,536 addresses decoded")
+	}
+	if got := alloctest.BytesPerRun(t, 20, func() { _, _ = decodeLookupResultExt(body) }); got > 1<<10 {
+		t.Errorf("decoding a bare count allocates %.0f B, budget 1024", got)
+	}
 }

@@ -111,9 +111,12 @@ func decodeLookupResultExt(body []byte) (LookupResult, error) {
 	r := enc.NewReader(body)
 	var res LookupResult
 	res.Rings = int(r.Uvarint())
-	n := r.Uvarint()
+	n := r.Count(4) // an address is at least three string lengths and a weight
 	if n > 1<<16 {
 		return LookupResult{}, fmt.Errorf("location: implausible address count %d", n)
+	}
+	if n > 0 {
+		res.Addresses = make([]ContactAddress, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		res.Addresses = append(res.Addresses, UnmarshalContactAddressExt(r))

@@ -293,20 +293,13 @@ func (t *Tree) Lookup(_ context.Context, fromSite string, oid globeid.OID) (Look
 	result := LookupResult{Rings: -1}
 	var visited *node
 	for ring, n := 0, start; n != nil; ring, n = ring+1, n.parent {
-		var found []ContactAddress
-		if n.isSite() {
-			found = append(found, n.addrs[oid]...)
-		} else {
-			// Collect from the subtree, excluding the child we came from
-			// (already searched in the previous rings).
-			found = collect(n, oid, visited)
-		}
+		// Collect from the subtree, excluding the child we came from
+		// (already searched in the previous rings).
+		had := len(result.Addresses)
+		result.Addresses = collect(result.Addresses, n, oid, visited)
 		visited = n
-		if len(found) > 0 {
-			if result.Rings < 0 {
-				result.Rings = ring
-			}
-			result.Addresses = append(result.Addresses, found...)
+		if result.Rings < 0 && len(result.Addresses) > had {
+			result.Rings = ring
 		}
 	}
 	if result.Rings < 0 {
@@ -315,31 +308,29 @@ func (t *Tree) Lookup(_ context.Context, fromSite string, oid globeid.OID) (Look
 	return result, nil
 }
 
-// collect gathers all contact addresses for oid in n's subtree, skipping
-// the subtree rooted at exclude, in deterministic (sorted child name)
-// order.
-func collect(n *node, oid globeid.OID, exclude *node) []ContactAddress {
+// collect appends to dst all contact addresses for oid in n's subtree,
+// skipping the subtree rooted at exclude, in deterministic (sorted child
+// name) order.
+func collect(dst []ContactAddress, n *node, oid globeid.OID, exclude *node) []ContactAddress {
 	if n.isSite() {
-		return append([]ContactAddress(nil), n.addrs[oid]...)
+		return append(dst, n.addrs[oid]...)
 	}
 	set := n.pointers[oid]
 	if len(set) == 0 {
-		return nil
+		return dst
 	}
-	names := make([]string, 0, len(set))
+	var room [8]string // a region's children holding oid, most often
+	names := room[:0]
 	for name := range set {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var out []ContactAddress
 	for _, name := range names {
-		child := n.children[name]
-		if child == exclude {
-			continue
+		if child := n.children[name]; child != exclude {
+			dst = collect(dst, child, oid, exclude)
 		}
-		out = append(out, collect(child, oid, exclude)...)
 	}
-	return out
+	return dst
 }
 
 // AllAddresses returns every contact address recorded for oid anywhere in
@@ -348,7 +339,7 @@ func collect(n *node, oid globeid.OID, exclude *node) []ContactAddress {
 func (t *Tree) AllAddresses(oid globeid.OID) []ContactAddress {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return collect(t.root, oid, nil)
+	return collect(nil, t.root, oid, nil)
 }
 
 // SiteOf returns the site at which addr is recorded for oid, if any.

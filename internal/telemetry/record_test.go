@@ -138,6 +138,42 @@ func TestSpanLifecycleAllocationBudget(t *testing.T) {
 	}
 }
 
+// An RPC span is allocated with room for its attributes: one object for
+// its whole lifecycle, and the record it exports is the one StartSpanFrom
+// gives, past the room's four attributes too.
+func TestRPCSpanIsOneObject(t *testing.T) {
+	tr := telemetry.NewTracer(nil)
+	ring := telemetry.NewRingExporter(16)
+	tr.AddExporter(ring)
+	parent := telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true}
+	for _, start := range []func(string, telemetry.SpanContext) *telemetry.Span{tr.StartSpanFrom, tr.StartRPCSpan} {
+		sp := start("rpc.call", parent)
+		for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+			sp.Annotate(k, k)
+		}
+		sp.End()
+	}
+	spans := ring.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans exported, want 2", len(spans))
+	}
+	from, rpc := spans[0], spans[1]
+	if rpc.Name != from.Name || rpc.TraceID != from.TraceID || rpc.ParentID != from.ParentID || !reflect.DeepEqual(rpc.Attrs, from.Attrs) {
+		t.Errorf("StartRPCSpan exported %+v, StartSpanFrom %+v", rpc, from)
+	}
+
+	got := alloctest.AllocsPerRun(t, 100, func() {
+		sp := tr.StartRPCSpan("rpc.serve", parent)
+		sp.Annotate("op", "obj.bind")
+		sp.Annotate("remote", "true")
+		sp.Annotate("outcome", "ok")
+		sp.End()
+	})
+	if got > 1 {
+		t.Errorf("StartRPCSpan, three Annotates and End allocate %.0f objects, want 1", got)
+	}
+}
+
 func TestContextCarriesSpan(t *testing.T) {
 	ctx := context.Background()
 	if got := telemetry.ContextWith(ctx, nil); got != ctx {

@@ -181,15 +181,7 @@ func (t *Tracer) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	id := t.nextID()
-	return &Span{
-		tracer:  t,
-		name:    name,
-		traceID: id,
-		spanID:  id,
-		sampled: t.sampleRoot(id),
-		start:   t.now(),
-	}
+	return t.startFrom(new(Span), name, SpanContext{})
 }
 
 // StartSpanFrom continues the trace identified by sc: the new span joins
@@ -201,10 +193,46 @@ func (t *Tracer) StartSpanFrom(name string, sc SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
-	if !sc.Valid() {
-		return t.StartSpan(name)
+	return t.startFrom(new(Span), name, sc)
+}
+
+// StartRPCSpan is StartSpanFrom for a span that carries several
+// attributes, as an RPC span's two to four do: the span is allocated
+// together with room for spanAttrCap attributes, so it costs one heap
+// object where StartSpanFrom's costs a second once a second attribute
+// arrives.
+func (t *Tracer) StartRPCSpan(name string, sc SpanContext) *Span {
+	if t == nil {
+		return nil
 	}
-	return &Span{
+	r := new(roomySpan)
+	s := t.startFrom(&r.span, name, sc)
+	s.attrs = r.room[:0]
+	return s
+}
+
+// roomySpan is a span and its attribute array in one allocation.
+type roomySpan struct {
+	span Span
+	room [spanAttrCap]Attr
+}
+
+// startFrom fills s as a new span named name: a child of sc's span in
+// sc's trace when sc is valid, else the root of a new trace.
+func (t *Tracer) startFrom(s *Span, name string, sc SpanContext) *Span {
+	if !sc.Valid() {
+		id := t.nextID()
+		*s = Span{
+			tracer:  t,
+			name:    name,
+			traceID: id,
+			spanID:  id,
+			sampled: t.sampleRoot(id),
+			start:   t.now(),
+		}
+		return s
+	}
+	*s = Span{
 		tracer:   t,
 		name:     name,
 		traceID:  sc.TraceID,
@@ -213,15 +241,16 @@ func (t *Tracer) StartSpanFrom(name string, sc SpanContext) *Span {
 		sampled:  sc.Sampled,
 		start:    t.now(),
 	}
+	return s
 }
 
 // Span is one timed operation. All methods are safe on a nil span.
 //
 // A span is one heap object plus at most one attribute allocation: its
 // first attribute lives in the span itself, and a second moves them all to
-// one slice with room for spanAttrCap. End freezes the attributes — an
-// Annotate after it is dropped — so the exported record shares them
-// instead of copying.
+// one slice with room for spanAttrCap — unless StartRPCSpan made that room
+// with the span. End freezes the attributes — an Annotate after it is
+// dropped — so the exported record shares them instead of copying.
 type Span struct {
 	tracer   *Tracer
 	name     string
@@ -281,11 +310,13 @@ func (s *Span) Annotate(key, value string) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		switch len(s.attrs) {
-		case 0:
-			s.attrs = s.inline[:0]
-		case len(s.inline):
-			s.attrs = append(make([]Attr, 0, spanAttrCap), s.attrs...)
+		if len(s.attrs) == cap(s.attrs) {
+			switch cap(s.attrs) {
+			case 0:
+				s.attrs = s.inline[:0]
+			case len(s.inline):
+				s.attrs = append(make([]Attr, 0, spanAttrCap), s.attrs...)
+			}
 		}
 		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	}

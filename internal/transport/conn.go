@@ -51,6 +51,10 @@ type poolConn struct {
 	// write takes it. Guarded by wmu.
 	preamble []byte
 
+	// lenBuf is the read loop's scratch: the accept, then each frame's
+	// length prefix.
+	lenBuf [4]byte
+
 	mu          sync.Mutex
 	budget      int                          // concurrent streams: 1 before the accept, then DefaultStreamBudget
 	negotiating bool                         // the preamble's accept has not arrived
@@ -62,6 +66,13 @@ type poolConn struct {
 	deadErr     error
 }
 
+// resultChans holds stream result channels for reuse. A channel goes
+// back only once its caller has received the one result it carries:
+// nothing else sends on it then, because take and fail each remove it
+// from the stream table before their one send. An abandoned stream's
+// channel may still get a late send, so it is never put back.
+var resultChans = sync.Pool{New: func() any { return make(chan streamResult, 1) }}
+
 // register reserves a fresh stream ID and its response channel.
 func (pc *poolConn) register() (uint32, chan streamResult, error) {
 	pc.mu.Lock()
@@ -71,7 +82,7 @@ func (pc *poolConn) register() (uint32, chan streamResult, error) {
 	}
 	pc.nextID++
 	id := pc.nextID
-	ch := make(chan streamResult, 1)
+	ch := resultChans.Get().(chan streamResult)
 	pc.streams[id] = ch
 	return id, ch, nil
 }
@@ -135,7 +146,7 @@ func (pc *poolConn) fail(cause error) {
 	pc.dead = true
 	pc.deadErr = err
 	pending := pc.streams
-	pc.streams = make(map[uint32]chan streamResult)
+	pc.streams = nil // a dead conn registers no stream
 	pc.mu.Unlock()
 	pc.conn.Close()
 	for _, ch := range pending {
@@ -154,12 +165,12 @@ func (pc *poolConn) fail(cause error) {
 // a framing that peer does not speak.
 func (pc *poolConn) awaitAccept(conn net.Conn) bool {
 	c := pc.c
-	var accept [preambleLen]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
+	accept := pc.lenBuf[:preambleLen]
+	if _, err := io.ReadFull(conn, accept); err != nil {
 		pc.fail(err)
 		return false
 	}
-	agreed, err := parseAccept(accept[:], V2)
+	agreed, err := parseAccept(accept, V2)
 	if err != nil {
 		pc.fail(err)
 		return false
@@ -190,7 +201,7 @@ func (pc *poolConn) readLoop(conn net.Conn) {
 		return
 	}
 	for {
-		f, wire, err := readFramed(conn, frameResponse)
+		f, wire, err := readFramed(conn, frameResponse, &pc.lenBuf)
 		if err != nil {
 			pc.fail(err)
 			return
@@ -219,7 +230,8 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	defer tel.StreamsActive.Add(-1)
 
 	f := v2Frame{Type: frameRequest, StreamID: id, Trace: sc}
-	head := requestHead(op, len(body))
+	var room [headRoom]byte
+	head := appendRequestHead(room[:0], op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
 	pc.wmu.Lock()
 	pre := pc.preamble
@@ -250,6 +262,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	}
 	select {
 	case r := <-ch:
+		resultChans.Put(ch)
 		if r.err != nil {
 			return nil, ctxError(ctx, fmt.Errorf("transport: receive %q: %w", op, r.err))
 		}
@@ -275,7 +288,7 @@ func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	tel.PoolDials.Inc()
 	pc := &poolConn{
 		c: c, conn: conn, budget: 1, negotiating: true,
-		preamble: clientPreamble(V2), streams: make(map[uint32]chan streamResult),
+		preamble: v2Preamble[:], streams: make(map[uint32]chan streamResult),
 	}
 	tel.PoolConns.Add(1)
 	go pc.readLoop(pc.conn)

@@ -50,12 +50,10 @@ const preambleLen = 4
 
 var preambleMagic = [3]byte{'G', 'D', 0xF2}
 
-// clientPreamble encodes the version-negotiation opener proposing
-// version v. The server accept has the same layout, so it doubles as
-// the accept encoder.
-func clientPreamble(v byte) []byte {
-	return []byte{preambleMagic[0], preambleMagic[1], preambleMagic[2], v}
-}
+// v2Preamble is the client preamble proposing V2. The server accept has
+// the same layout, so it is also the accept of V2. Both sides write it
+// as it is, never modified, so sending it allocates nothing.
+var v2Preamble = [preambleLen]byte{preambleMagic[0], preambleMagic[1], preambleMagic[2], V2}
 
 // parsePreamble reports whether b is a well-formed negotiation preamble
 // (or accept) and extracts its version byte. A version of zero is not
@@ -161,10 +159,12 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 // the trace-context extension with flagTrace set), and returns the bytes
 // it put on the wire, pre included. f's Payload, which the read side
 // fills, is not written. pre, which may be nil, is a negotiation
-// preamble riding in front of the frame (a client's first flight). It
-// and head, the short leading part of the payload (an envelope header),
-// are copied into the frame header's buffer; body's buffers are not (see
-// writeSplit).
+// preamble riding in front of the frame (a client's first flight). It,
+// the frame header and head, the short leading part of the payload (an
+// envelope head), are copied into one pooled buffer, together with a
+// body small enough to coalesce; a larger body's buffers are sent where
+// they lie (see writeSplit). The buffer goes back to the pool when the
+// write returns: an io.Writer must not retain what it is given.
 func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
 	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
@@ -177,7 +177,8 @@ func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte
 		f.Flags |= flagTrace
 		fixed += traceExtLen
 	}
-	buf := frameBuf(len(pre)+4+fixed+len(head), bufsLen(body))
+	bp := writeBufs.Get().(*[]byte)
+	buf := frameBuf(*bp, len(pre)+4+fixed+len(head), bufsLen(body))
 	buf = append(buf, pre...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(fixed+n))
 	buf = append(buf, f.Type, f.Flags)
@@ -186,32 +187,37 @@ func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte
 		buf = appendTraceExt(buf, f.Trace)
 	}
 	buf = append(buf, head...)
-	return writeSplit(w, buf, body)
+	sent, err := writeSplit(w, buf, body)
+	putWriteBuf(bp, buf)
+	return sent, err
 }
 
 // readFramed receives one frame of type want and reports its size on the
-// wire. A frame of another type is a protocol violation.
-func readFramed(r io.Reader, want byte) (f v2Frame, wire int, err error) {
-	f, err = readV2Frame(r)
+// wire. A frame of another type is a protocol violation. lenBuf is the
+// connection's scratch for the frame's length prefix.
+func readFramed(r io.Reader, want byte, lenBuf *[4]byte) (f v2Frame, wire int, err error) {
+	f, err = readV2Frame(r, lenBuf)
 	if err == nil && f.Type != want {
 		err = fmt.Errorf("%w: unexpected frame type 0x%02x", ErrProtocol, f.Type)
 	}
 	return f, f.wireLen(), err
 }
 
-// readV2Frame receives and validates one frame.
+// readV2Frame receives and validates one frame, reading its length
+// prefix into lenBuf, the connection's scratch.
 //
 // Ownership: the buffer a frame is read into is allocated for that
 // frame, handed to exactly one call and never pooled or reused. That is
 // what lets everything decoded from it — the frame's Payload,
 // decodeRequest's and decodeResponse's body, the element
 // object.DecodeElement cuts out of that — alias it instead of copying.
-func readV2Frame(r io.Reader) (v2Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Only the four length bytes, which nothing decoded aliases, are read
+// into scratch.
+func readV2Frame(r io.Reader, lenBuf *[4]byte) (v2Frame, error) {
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return v2Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > MaxFrame+v2FrameOverhead+traceExtLen {
 		return v2Frame{}, ErrFrameTooLarge
 	}

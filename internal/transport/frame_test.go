@@ -69,7 +69,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 	var wire bytes.Buffer
 	binary.Write(&wire, binary.BigEndian, uint32(len(body)))
 	wire.Write(body)
-	if _, err := readV2Frame(&wire); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readV2Frame(&wire, new([4]byte)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("readV2Frame err = %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"globedoc/internal/enc"
@@ -114,7 +116,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			if callErr != nil {
 				sent = nil
 			}
-			head, envelope := responseHead(len(sent), callErr), refEncodeResponse(body, callErr)
+			head, envelope := appendResponseHead(nil, len(sent), callErr), refEncodeResponse(body, callErr)
 
 			wire := sameFrame(t, "v2 "+name, len(sent),
 				func(w io.Writer) (int, error) {
@@ -124,7 +126,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
 				})
 			n := wire.Len()
-			f, err := readV2Frame(wire)
+			f, err := readV2Frame(wire, new([4]byte))
 			if err != nil {
 				t.Fatalf("v2 %s: reading the frame back: %v", name, err)
 			}
@@ -137,7 +139,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		// Requests: head (op + body length) and body, as the client
 		// writes them, against the joined envelope.
 		const op = "obj.getelement"
-		head, envelope := requestHead(op, len(body)), refEncodeRequest(op, body)
+		head, envelope := appendRequestHead(nil, op, len(body)), refEncodeRequest(op, body)
 		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
 			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
 			wire := sameFrame(t, name, len(body),
@@ -147,7 +149,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 				func(w io.Writer) error {
 					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
 				})
-			f, err := readV2Frame(wire)
+			f, err := readV2Frame(wire, new([4]byte))
 			if err != nil {
 				t.Fatalf("%s: reading the frame back: %v", name, err)
 			}
@@ -160,7 +162,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		// A first flight: the preamble rides in front of the request, in
 		// its header's write.
 		name := fmt.Sprintf("first flight, %d bytes", size)
-		pre := clientPreamble(V2)
+		pre := v2Preamble[:]
 		wire := sameFrame(t, name, len(body),
 			func(w io.Writer) (int, error) {
 				return writeFramed(w, pre, v2Frame{Type: frameRequest, StreamID: 1}, head, body)
@@ -174,7 +176,7 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		if got := wire.Next(preambleLen); !bytes.Equal(got, pre) {
 			t.Fatalf("%s: opens with %x, want the preamble", name, got)
 		}
-		f, err := readV2Frame(wire)
+		f, err := readV2Frame(wire, new([4]byte))
 		if err != nil {
 			t.Fatalf("%s: reading the frame back: %v", name, err)
 		}
@@ -224,7 +226,7 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 
 func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	body := make([]byte, MaxFrame)
-	head := responseHead(len(body), nil)
+	head := appendResponseHead(nil, len(body), nil)
 	if n, err := writeFramed(io.Discard, nil, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
@@ -255,7 +257,7 @@ func (b *burstRecorder) WriteBuffers(bufs ...[]byte) (int, error) {
 func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 	for _, size := range []int{coalesceMax, coalesceMax + 1} {
 		body := bytes.Repeat([]byte{0xa5}, size)
-		head := responseHead(len(body), nil)
+		head := appendResponseHead(nil, len(body), nil)
 		var want bytes.Buffer
 		if err := refWriteV2Frame(&want, v2Frame{Type: frameResponse, StreamID: 3, Payload: refEncodeResponse(body, nil)}); err != nil {
 			t.Fatal(err)
@@ -275,4 +277,59 @@ func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 			t.Errorf("%d-byte body: WriteBuffers calls %v, want one of [header, %d]", size, got.bursts, size)
 		}
 	}
+}
+
+// yieldingWriter takes a frame only after yielding to other goroutines,
+// so a write buffer another writer could still scribble on would show in
+// what it recorded.
+type yieldingWriter struct{ bytes.Buffer }
+
+func (w *yieldingWriter) Write(p []byte) (int, error) {
+	runtime.Gosched()
+	return w.Buffer.Write(p)
+}
+
+// Frame writers on many connections at once draw their buffers from one
+// pool: every frame each writes must still be the reference encoding of
+// its own request or response, byte for byte, on both sides of
+// coalesceMax.
+func TestConcurrentFrameWritersMatchTheReference(t *testing.T) {
+	const writers, frames = 8, 64
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var got yieldingWriter
+			var want bytes.Buffer
+			for i := 0; i < frames; i++ {
+				body := make([]byte, frameBodySizes[rng.Intn(len(frameBodySizes))])
+				rng.Read(body)
+				id := uint32(g*frames + i)
+				var err error
+				if i%2 == 0 {
+					const op = "obj.getelement"
+					sc := telemetry.SpanContext{TraceID: uint64(g + 1), SpanID: uint64(i + 1), Sampled: true}
+					_, err = writeFramed(&got, nil, v2Frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body)
+					if err == nil {
+						err = refWriteV2Frame(&want, v2Frame{Type: frameRequest, StreamID: id, Trace: sc, Payload: refEncodeRequest(op, body)})
+					}
+				} else {
+					_, err = writeFramed(&got, nil, v2Frame{Type: frameResponse, StreamID: id}, appendResponseHead(nil, len(body), nil), body)
+					if err == nil {
+						err = refWriteV2Frame(&want, v2Frame{Type: frameResponse, StreamID: id, Payload: refEncodeResponse(body, nil)})
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("writer %d: %d frames differ from the reference", g, frames)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,13 +29,19 @@ func classicFrame(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
+// preamble encodes the negotiation opener proposing version v, which is
+// also the layout of an accept of v.
+func preamble(v byte) []byte {
+	return []byte{preambleMagic[0], preambleMagic[1], preambleMagic[2], v}
+}
+
 // addRefused adds each of seeds to f's corpus after checking that a
 // server refuses it: read as a request frame, it fails to decode or does
 // not carry a well-formed request envelope.
 func addRefused(f *testing.F, seeds ...[]byte) {
 	f.Helper()
 	for _, seed := range seeds {
-		if fr, _, err := readFramed(bytes.NewReader(seed), frameRequest); err == nil {
+		if fr, _, err := readFramed(bytes.NewReader(seed), frameRequest, new([4]byte)); err == nil {
 			if _, _, err := decodeRequest(fr.Payload); err == nil {
 				f.Fatalf("seed %x decodes as a request; it must be refused", seed)
 			}
@@ -82,7 +88,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if callErr != nil {
 			body = nil
 		}
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameResponse, StreamID: 9}, responseHead(len(body), callErr), body); err != nil {
+		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameResponse, StreamID: 9}, appendResponseHead(nil, len(body), callErr), body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -93,7 +99,7 @@ func FuzzFrameDecode(f *testing.F) {
 	addRefused(f, classicFrame(refEncodeRequest("obj.getelement", []byte("index.html"))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readV2Frame(bytes.NewReader(data))
+		fr, err := readV2Frame(bytes.NewReader(data), new([4]byte))
 		if err != nil {
 			// Every rejection must be a typed error, never a panic; the
 			// only acceptable classes are framing violations, size bounds
@@ -142,7 +148,7 @@ func FuzzRequestDecode(f *testing.F) {
 	// req frames op‖body followed, inside the same frame, by extra.
 	req := func(sc telemetry.SpanContext, op string, body []byte, extra ...byte) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: 1, Trace: sc}, requestHead(op, len(body)), append(body, extra...)); err != nil {
+		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: 1, Trace: sc}, appendRequestHead(nil, op, len(body)), append(body, extra...)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -179,7 +185,7 @@ func FuzzRequestDecode(f *testing.F) {
 	)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := readFramed(bytes.NewReader(data), frameRequest)
+		fr, _, err := readFramed(bytes.NewReader(data), frameRequest, new([4]byte))
 		if err != nil {
 			if !errors.Is(err, ErrProtocol) && !errors.Is(err, ErrFrameTooLarge) &&
 				!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -194,7 +200,7 @@ func FuzzRequestDecode(f *testing.F) {
 		// Round-trip: re-encoding an accepted request reproduces the
 		// consumed bytes, so the server saw exactly what was sent.
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: fr.StreamID, Trace: fr.Trace}, requestHead(op, len(body)), body); err != nil {
+		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: fr.StreamID, Trace: fr.Trace}, appendRequestHead(nil, op, len(body)), body); err != nil {
 			t.Fatalf("re-encoding accepted request: %v", err)
 		}
 		if consumed := data[:4+binary.BigEndian.Uint32(data[:4])]; !bytes.Equal(buf.Bytes(), consumed) {
@@ -206,7 +212,7 @@ func FuzzRequestDecode(f *testing.F) {
 // FuzzVersionNegotiation drives both halves of the handshake. The client
 // half parses raw as a preamble and as an accept of proposed. The server
 // half feeds a live serveConn, over an unbuffered pipe, the first flight
-// clientPreamble(proposed)‖raw — a preamble with whatever frame bytes
+// preamble(proposed)‖raw — a preamble with whatever frame bytes
 // behind it, or for a proposal of zero no preamble at all — written in
 // pieces whose lengths cuts gives, so the server's bounded first read
 // ends anywhere (see serveFirstFlight for the invariants). A flight that
@@ -214,7 +220,7 @@ func FuzzRequestDecode(f *testing.F) {
 func FuzzVersionNegotiation(f *testing.F) {
 	req := func(id uint32, op string, body []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: id, Trace: sc}, requestHead(op, len(body)), body); err != nil {
+		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -248,8 +254,8 @@ func FuzzVersionNegotiation(f *testing.F) {
 				t.Fatalf("parsePreamble accepted invalid version %d", v)
 			}
 			// Round-trip: re-encoding the parsed version reproduces raw.
-			if !bytes.Equal(clientPreamble(v), raw) {
-				t.Fatalf("preamble round-trip mismatch: %x -> v%d -> %x", raw, v, clientPreamble(v))
+			if !bytes.Equal(preamble(v), raw) {
+				t.Fatalf("preamble round-trip mismatch: %x -> v%d -> %x", raw, v, preamble(v))
 			}
 		}
 		agreed, err := parseAccept(raw, proposed)
@@ -269,7 +275,7 @@ func FuzzVersionNegotiation(f *testing.F) {
 
 		flight := raw
 		if proposed != 0 {
-			flight = append(clientPreamble(proposed), raw...)
+			flight = append(preamble(proposed), raw...)
 		}
 		serveFirstFlight(t, flight, cuts)
 	})
@@ -328,12 +334,12 @@ func serveFirstFlight(t *testing.T, flight, cuts []byte) {
 	var accept, rest []byte
 	if len(flight) >= preambleLen {
 		if v, ok := parsePreamble(flight[:preambleLen]); ok && v >= V2 {
-			accept, rest = clientPreamble(V2), flight[preambleLen:]
+			accept, rest = v2Preamble[:], flight[preambleLen:]
 		}
 	}
 	requests := 0
 	for r := bytes.NewReader(rest); ; {
-		f, _, err := readFramed(r, frameRequest)
+		f, _, err := readFramed(r, frameRequest, new([4]byte))
 		if err != nil {
 			break
 		}
@@ -359,7 +365,7 @@ func serveFirstFlight(t *testing.T, flight, cuts []byte) {
 		t.Fatalf("server output %x does not open with the accept %x", got, accept)
 	}
 	for r := bytes.NewReader(got[preambleLen:]); r.Len() > 0; {
-		if _, _, err := readFramed(r, frameResponse); err != nil {
+		if _, _, err := readFramed(r, frameResponse, new([4]byte)); err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 				break // a response cut off by the close
 			}

@@ -20,6 +20,13 @@
 // permanent ErrVersionMismatch. A server drops a connection that does
 // not open by proposing v2. A Client remembers nothing about its peer,
 // so no fault changes how it makes its next call.
+//
+// A call allocates little beyond the frames it reads. A frame is
+// written from a pooled buffer that goes back when its Write returns, a
+// stream's result channel is reused once its caller has received the
+// reply, a frame's length prefix is read into per-connection scratch,
+// and a served connection's state is one object. A received frame is
+// never pooled: everything decoded from it aliases it (readV2Frame).
 package transport
 
 import (
@@ -29,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,13 +75,33 @@ func (e *RemoteError) Error() string {
 // after the header, so a payload is never copied just to be framed.
 const coalesceMax = 16 << 10
 
-// frameBuf returns an empty buffer with room for hdr header bytes, plus
-// a body of n bytes when it is small enough to ride in the same Write.
-func frameBuf(hdr, n int) []byte {
+// frameBuf returns buf emptied, with room for hdr header bytes plus a
+// body of n bytes when it is small enough to ride in the same Write.
+func frameBuf(buf []byte, hdr, n int) []byte {
 	if n <= coalesceMax {
 		hdr += n
 	}
-	return make([]byte, 0, hdr)
+	return slices.Grow(buf[:0], hdr)
+}
+
+// writeBufs holds the buffers frames are written from (writeFramed).
+// A buffer is taken for one frame and put back as soon as that frame's
+// Write returns, so it never outlives the Write; frames are read into
+// buffers of their own, which are never pooled (see readV2Frame).
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledWrite bounds the buffers writeBufs keeps: a coalesced frame
+// with room to spare. A larger one, made for a long error message, is
+// left to the collector.
+const maxPooledWrite = 2 * coalesceMax
+
+// putWriteBuf returns buf, the buffer taken as bp, to writeBufs.
+func putWriteBuf(bp *[]byte, buf []byte) {
+	if cap(buf) > maxPooledWrite {
+		return
+	}
+	*bp = buf[:0]
+	writeBufs.Put(bp)
 }
 
 // bufsLen is the summed length of bufs.
@@ -124,15 +152,20 @@ func writeSplit(w io.Writer, prefix []byte, body [][]byte) (int, error) {
 	return n, err
 }
 
-// requestHead encodes a request envelope up to, and not including, its
-// body: the operation name and the body's length prefix. The envelope is
-// head‖body, sent by the frame writers without joining the two parts
-// (see responseHead), so a request body reaches the socket uncopied.
-func requestHead(op string, bodyLen int) []byte {
-	w := enc.NewWriter(2*binary.MaxVarintLen64 + len(op))
-	w.String(op)
-	w.Uvarint(uint64(bodyLen))
-	return w.Bytes()
+// headRoom is the stack space a frame writer encodes an envelope head
+// in: every operation name and every body length fit, and only a long
+// error message makes appendResponseHead grow it onto the heap.
+const headRoom = 64
+
+// appendRequestHead appends a request envelope up to, and not including,
+// its body: the operation name and the body's length prefix, in package
+// enc's encoding. The envelope is head‖body, sent by the frame writers
+// without joining the two parts (see appendResponseHead), so a request
+// body reaches the socket uncopied.
+func appendRequestHead(dst []byte, op string, bodyLen int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(op)))
+	dst = append(dst, op...)
+	return binary.AppendUvarint(dst, uint64(bodyLen))
 }
 
 // decodeRequest decodes a request envelope, rejecting any trailing byte.
@@ -147,22 +180,22 @@ func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	return op, body, nil
 }
 
-// responseHead encodes a response envelope up to, and not including, its
-// body: status, error string and the body's length prefix. The envelope
-// is head‖body; the frame writers send the two parts without joining
-// them, so a handler's body reaches the socket uncopied. A failed call
-// carries its message and an empty body.
-func responseHead(bodyLen int, callErr error) []byte {
+// appendResponseHead appends a response envelope up to, and not
+// including, its body: status, error string and the body's length
+// prefix, in package enc's encoding. The envelope is head‖body; the
+// frame writers send the two parts without joining them, so a handler's
+// body reaches the socket uncopied. A failed call carries its message
+// and an empty body.
+func appendResponseHead(dst []byte, bodyLen int, callErr error) []byte {
 	var status byte
 	var msg string
 	if callErr != nil {
 		status, msg, bodyLen = 1, callErr.Error(), 0
 	}
-	w := enc.NewWriter(2 + 2*binary.MaxVarintLen64 + len(msg))
-	w.Byte(status)
-	w.String(msg)
-	w.Uvarint(uint64(bodyLen))
-	return w.Bytes()
+	dst = append(dst, status)
+	dst = binary.AppendUvarint(dst, uint64(len(msg)))
+	dst = append(dst, msg...)
+	return binary.AppendUvarint(dst, uint64(bodyLen))
 }
 
 // decodeResponse decodes a response envelope. The returned body aliases
@@ -326,20 +359,37 @@ func (s *Server) clock() clock.Clock {
 // again — no second turnaround between the accept and the response.
 const firstReadLen = 512
 
-// readAhead is a connection read through the bytes its first read took
-// beyond what serveConn consumed.
-type readAhead struct {
-	conn net.Conn
-	rest []byte
-	buf  [firstReadLen]byte
+// servedConn is one served connection and its state, all in one object:
+// the read-ahead of its first read, the request loop's length scratch,
+// the response writers' mutex and the handler count that bounds and
+// tracks the handlers in flight. Closing the connection ends the request
+// loop's read and fails any handler's write.
+type servedConn struct {
+	net.Conn // read through the read-ahead (Read)
+	s        *Server
+
+	// rest is what the first read took beyond what serveConn consumed:
+	// Read returns it ahead of the conn.
+	rest   []byte
+	first  [firstReadLen]byte
+	lenBuf [4]byte // the request loop's scratch for each frame's length
+
+	wmu sync.Mutex // serialises response frames
+
+	mu     sync.Mutex
+	freed  sync.Cond // signalled when a handler finishes; L is &mu
+	active int       // handlers in flight, at most DefaultServerStreams
+	wg     sync.WaitGroup
 }
 
-func (r *readAhead) Read(p []byte) (int, error) {
-	if len(r.rest) == 0 {
-		return r.conn.Read(p)
+// Read reads the connection through the bytes its first read took
+// beyond the preamble.
+func (sc *servedConn) Read(p []byte) (int, error) {
+	if len(sc.rest) == 0 {
+		return sc.Conn.Read(p)
 	}
-	n := copy(p, r.rest)
-	r.rest = r.rest[n:]
+	n := copy(p, sc.rest)
+	sc.rest = sc.rest[n:]
 	return n, nil
 }
 
@@ -360,29 +410,31 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	in := &readAhead{conn: conn}
-	n, err := io.ReadAtLeast(conn, in.buf[:], preambleLen)
+	sc := &servedConn{Conn: conn, s: s}
+	sc.freed.L = &sc.mu
+	n, err := io.ReadAtLeast(conn, sc.first[:], preambleLen)
 	if err != nil {
 		return
 	}
-	if proposed, ok := parsePreamble(in.buf[:preambleLen]); !ok || proposed < V2 {
+	if proposed, ok := parsePreamble(sc.first[:preambleLen]); !ok || proposed < V2 {
 		return
 	}
-	in.rest = in.buf[preambleLen:n]
-	if _, err := conn.Write(clientPreamble(V2)); err != nil {
+	sc.rest = sc.first[preambleLen:n]
+	if _, err := conn.Write(v2Preamble[:]); err != nil {
 		return
 	}
 	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(V2)).Inc()
-	s.serve(conn, in)
+	sc.serve()
 }
 
-// serve is the request loop: it reads request frames from r and handles
-// each on its own goroutine, answering on the stream the request arrived
-// on. It runs up to DefaultServerStreams handlers at once, so one slow
+// serve is the request loop: it reads request frames and handles each
+// on its own goroutine, answering on the stream the request arrived on.
+// It runs up to DefaultServerStreams handlers at once, so one slow
 // handler never blocks its siblings' responses. Any frame that is not a
 // well-formed request — including a re-sent negotiation preamble
 // attempting a mid-connection downgrade — drops the connection.
-func (s *Server) serve(conn net.Conn, r io.Reader) {
+func (sc *servedConn) serve() {
+	s, conn := sc.s, sc.Conn
 	if s.IdleTimeout > 0 {
 		// Clear the negotiation deadline; from here on reads and writes
 		// are armed separately so a parked handler on one stream cannot
@@ -391,97 +443,122 @@ func (s *Server) serve(conn net.Conn, r io.Reader) {
 			return
 		}
 	}
-	sem := make(chan struct{}, DefaultServerStreams)
-	var (
-		wmu    sync.Mutex
-		active atomic.Int64
-		wg     sync.WaitGroup
-	)
-	defer wg.Wait()
+	defer sc.wg.Wait()
 	for {
 		if s.IdleTimeout > 0 {
 			var deadline time.Time // zero: no idle reaping while streams are active
-			if active.Load() == 0 {
+			if sc.handlers() == 0 {
 				deadline = s.clock().Now().Add(s.IdleTimeout)
 			}
 			if err := conn.SetReadDeadline(deadline); err != nil {
 				return
 			}
 		}
-		f, _, err := readFramed(r, frameRequest)
+		f, _, err := readFramed(sc, frameRequest, &sc.lenBuf)
 		if err != nil {
 			return
 		}
-		sem <- struct{}{} // backpressure: bound concurrent handlers
-		active.Add(1)
-		wg.Add(1)
-		go func(f v2Frame) {
-			defer wg.Done()
-			head, body := s.dispatch(f.Payload, f.Trace)
-			wmu.Lock()
-			var werr error
-			if s.IdleTimeout > 0 {
-				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
-			}
-			if werr == nil {
-				_, werr = writeFramed(conn, nil, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, body...)
-			}
-			wmu.Unlock()
-			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
-				// The conn just quiesced: restart the idle clock under
-				// the blocked read loop (SetReadDeadline takes effect on
-				// an in-progress Read).
-				werr = conn.SetReadDeadline(s.clock().Now().Add(s.IdleTimeout))
-			}
-			<-sem
-			if werr != nil {
-				conn.Close() // unblocks the read loop; conn is unusable
-			}
-		}(f)
+		sc.acquire() // backpressure: bound concurrent handlers
+		sc.wg.Add(1)
+		go sc.handle(f)
+	}
+}
+
+// handlers returns the number of handlers in flight.
+func (sc *servedConn) handlers() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.active
+}
+
+// acquire waits until fewer than DefaultServerStreams handlers are in
+// flight and counts one more.
+func (sc *servedConn) acquire() {
+	sc.mu.Lock()
+	for sc.active == DefaultServerStreams {
+		sc.freed.Wait()
+	}
+	sc.active++
+	sc.mu.Unlock()
+}
+
+// release counts a handler finished and reports whether it was the last
+// in flight.
+func (sc *servedConn) release() (idle bool) {
+	sc.mu.Lock()
+	sc.active--
+	idle = sc.active == 0
+	sc.mu.Unlock()
+	sc.freed.Signal()
+	return idle
+}
+
+// handle runs one request's handler and writes its response frame.
+func (sc *servedConn) handle(f v2Frame) {
+	defer sc.wg.Done()
+	s, conn := sc.s, sc.Conn
+	resp, err := s.dispatch(f.Payload, f.Trace)
+	var room [headRoom]byte
+	head := appendResponseHead(room[:0], bufsLen(resp), err)
+	sc.wmu.Lock()
+	var werr error
+	if s.IdleTimeout > 0 {
+		werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
+	}
+	if werr == nil {
+		_, werr = writeFramed(conn, nil, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, resp...)
+	}
+	sc.wmu.Unlock()
+	if sc.release() && s.IdleTimeout > 0 && werr == nil {
+		// The conn just quiesced: restart the idle clock under the
+		// blocked read loop (SetReadDeadline takes effect on an
+		// in-progress Read).
+		werr = conn.SetReadDeadline(s.clock().Now().Add(s.IdleTimeout))
+	}
+	if werr != nil {
+		conn.Close() // unblocks the read loop; conn is unusable
 	}
 }
 
 // dispatch decodes one request payload, runs its handler and returns
-// the response envelope in two parts: the encoded head and the handler's
-// body buffers, which are written to the connection as returned — a
-// handler answers with bytes it will not modify afterwards (the object
-// server's precomputed wire tables are replaced whole, never edited in
-// place). sc is the span context the frame header carried; a valid one
-// is adopted so the rpc.serve span — and every handler span under it —
+// the response body buffers, which are written to the connection as
+// returned — a handler answers with bytes it will not modify afterwards
+// (the object server's precomputed wire tables are replaced whole, never
+// edited in place) — or the error the response reports, with no body.
+// sc is the span context the frame header carried; a valid one is
+// adopted so the rpc.serve span — and every handler span under it —
 // exports with the caller's trace ID.
-func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) (head []byte, resp [][]byte) {
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) ([][]byte, error) {
 	op, body, err := decodeRequest(payload)
-	if err == nil {
-		s.mu.RLock()
-		h, ok := s.handlers[op]
-		s.mu.RUnlock()
-		if !ok {
-			err = fmt.Errorf("unknown operation %q", op)
-		} else {
-			tel := telemetry.Or(s.Telemetry)
-			sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
-			sp.Annotate("op", op)
-			if sc.Valid() {
-				// The parent span lives in the calling process: mark the
-				// boundary for the trace renderer.
-				sp.Annotate("remote", "true")
-			}
-			//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
-			ctx := telemetry.ContextWith(context.Background(), sp)
-			resp, err = h(ctx, body)
-			outcome := "ok"
-			if err != nil {
-				outcome = "error"
-			}
-			sp.Annotate("outcome", outcome)
-			sp.End()
-			tel.RPCServed.With(op, outcome).Inc()
-		}
-	}
 	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	h, ok := s.handlers[op]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown operation %q", op)
+	}
+	tel := telemetry.Or(s.Telemetry)
+	sp := tel.Tracer.StartRPCSpan("rpc.serve", sc)
+	sp.Annotate("op", op)
+	if sc.Valid() {
+		// The parent span lives in the calling process: mark the
+		// boundary for the trace renderer.
+		sp.Annotate("remote", "true")
+	}
+	//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
+	ctx := telemetry.ContextWith(context.Background(), sp)
+	resp, err := h(ctx, body)
+	outcome := "ok"
+	if err != nil {
+		outcome = "error"
 		resp = nil
 	}
-	return responseHead(bufsLen(resp), err), resp
+	sp.Annotate("outcome", outcome)
+	sp.End()
+	tel.RPCServed.With(op, outcome).Inc()
+	return resp, err
 }
 
 // Close stops accepting connections on all listeners passed to Serve,
@@ -608,7 +685,7 @@ type Config struct {
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
 	tel := telemetry.Or(c.Telemetry)
 	caller := telemetry.SpanContextFrom(ctx)
-	sp := tel.Tracer.StartSpanFrom("rpc.call", caller)
+	sp := tel.Tracer.StartRPCSpan("rpc.call", caller)
 	sp.Annotate("op", op)
 
 	// When the caller is tracing, the rpc.call span is the wire-
