@@ -35,7 +35,7 @@ func healthyReport() *bench.Report {
 			Elements: 16, ElementBytes: 4096,
 			SingleCold: phase(5, 100*time.Millisecond), BatchCold: phase(5, 139*time.Millisecond), SerialCold: phase(5, 800*time.Millisecond),
 			BatchRatio: 1.39, SerialRatio: 8,
-			BatchFetches: 5, BatchElements: 80, StreamsOpened: 40, NegotiatedV2: 15,
+			BatchFetches: 5, BatchElements: 80, StreamsOpened: 40,
 			AblationIdentical: true,
 			SingleNet:         bench.NetCharge{Bursts: 4, Latency: 40 * time.Millisecond, Transfer: 6 * time.Millisecond},
 			BatchNet:          bench.NetCharge{Bursts: 4, Latency: 40 * time.Millisecond, Transfer: 68 * time.Millisecond},
@@ -98,7 +98,7 @@ func TestGates(t *testing.T) {
 			{"ratio past bar", func(r *bench.Report) { r.Multiplex.LatencyRatio = 2.01 }, "cold 16-element fetch is 2.01x a cold single-element fetch beyond transfer time, want <= 2.0x"},
 			{"an exchange missing", func(r *bench.Report) { r.Multiplex.BatchFetches = 4 }, "batch_fetch_total = 4, want >= 5 (one exchange per batch sample)"},
 			{"an element not carried", func(r *bench.Report) { r.Multiplex.BatchElements = 79 }, "batch_fetch_elements_total = 79, want >= 80 (16 elements per exchange)"},
-			{"never negotiated v2", func(r *bench.Report) { r.Multiplex.NegotiatedV2 = 0 }, "negotiations{v2} = 0"},
+			{"a batch sample without a stream", func(r *bench.Report) { r.Multiplex.StreamsOpened = 4 }, "transport_streams_opened_total = 4, want >= 5 (a stream per batch sample)"},
 			{"ablation differs", func(r *bench.Report) { r.Multiplex.AblationIdentical = false }, "ablation check failed: serial-RPC client fetched different bytes"},
 		},
 		"traceoverhead": {

@@ -18,9 +18,9 @@ import (
 )
 
 // MultiplexResult is the -experiment multiplex output: cold fetch
-// latency for one element vs. the whole wide object over the batched v2
-// transport, the serial-RPC ablation for contrast, and the transport
-// counters that prove the batch path actually ran.
+// latency for one element vs. the whole wide object over the batched
+// multiplexed transport, the serial-RPC ablation for contrast, and the
+// transport counters that prove the batch path actually ran.
 type MultiplexResult struct {
 	// Elements is the width of the measured object; ElementBytes the
 	// size of each element.
@@ -48,7 +48,6 @@ type MultiplexResult struct {
 	BatchFetches  uint64 `json:"batch_fetch_total"`
 	BatchElements uint64 `json:"batch_fetch_elements_total"`
 	StreamsOpened uint64 `json:"transport_streams_opened_total"`
-	NegotiatedV2  uint64 `json:"negotiations_v2"`
 
 	// AblationIdentical reports the in-run check: the serial-RPC client
 	// fetched bytes identical to the batched client's, element by
@@ -107,11 +106,11 @@ const (
 //
 //   - single: fetch one element — the secure pipeline plus one element
 //     round trip, the baseline;
-//   - batch: FetchAll over the v2 transport — the same pipeline, whose
-//     one obj.bind exchange carries all 16 elements;
+//   - batch: FetchAll over the multiplexed transport — the same
+//     pipeline, whose one obj.bind exchange carries all 16 elements;
 //   - serial: Elements, then one Fetch per entry on a client that keeps
 //     the binding warm — every element pays its own sequential round
-//     trip, the pre-v2 cost.
+//     trip, what a wide object costs without the batch.
 //
 // The run finishes by checking the batched and serial clients fetched
 // byte-identical content.
@@ -252,7 +251,6 @@ func RunMultiplex(cfg Config) (*MultiplexResult, error) {
 	res.BatchFetches = tel.BatchFetches.Value()
 	res.BatchElements = tel.BatchElements.Value()
 	res.StreamsOpened = tel.StreamsOpened.Value()
-	res.NegotiatedV2 = tel.Negotiations.With("v2").Value()
 	return res, nil
 }
 
@@ -275,8 +273,8 @@ func (r *MultiplexResult) Format() string {
 	fmt.Fprintf(&b, "\n  latency ratio (batch cold / single cold, each less its transfer time): %.2fx\n", r.LatencyRatio)
 	fmt.Fprintf(&b, "  batch ratio (batch cold / single cold): %.2fx (serial ablation: %.2fx)\n",
 		r.BatchRatio, r.SerialRatio)
-	fmt.Fprintf(&b, "  counters: batch_fetches=%d batch_elements=%d streams_opened=%d negotiations{v2}=%d\n",
-		r.BatchFetches, r.BatchElements, r.StreamsOpened, r.NegotiatedV2)
+	fmt.Fprintf(&b, "  counters: batch_fetches=%d batch_elements=%d streams_opened=%d\n",
+		r.BatchFetches, r.BatchElements, r.StreamsOpened)
 	fmt.Fprintf(&b, "  ablation (serial client fetches identical bytes): %v\n", r.AblationIdentical)
 	return b.String()
 }
@@ -287,7 +285,8 @@ const multiplexMaxLatencyRatio = 2.0
 // gate: a cold wide-object fetch makes no more round trips than a cold
 // single-element fetch and, apart from what its bytes take at the link's
 // bandwidth, stays within the bar of one; the batch path really ran over
-// negotiated v2, and the serial-RPC ablation fetched identical bytes.
+// multiplexed streams, and the serial-RPC ablation fetched identical
+// bytes.
 func (m *MultiplexResult) gate() (string, error) {
 	wantFetches := uint64(m.BatchCold.Ops)
 	switch {
@@ -306,8 +305,8 @@ func (m *MultiplexResult) gate() (string, error) {
 	case m.BatchElements < wantFetches*uint64(m.Elements):
 		return "", fmt.Errorf("batch_fetch_elements_total = %d, want >= %d (%d elements per exchange)",
 			m.BatchElements, wantFetches*uint64(m.Elements), m.Elements)
-	case m.NegotiatedV2 == 0:
-		return "", errors.New("negotiations{v2} = 0: the run never negotiated the multiplexed transport")
+	case m.StreamsOpened < wantFetches:
+		return "", fmt.Errorf("transport_streams_opened_total = %d, want >= %d (a stream per batch sample)", m.StreamsOpened, wantFetches)
 	case !m.AblationIdentical:
 		return "", errors.New("ablation check failed: serial-RPC client fetched different bytes")
 	}

@@ -31,8 +31,8 @@ func TestRunMultiplexQuick(t *testing.T) {
 	if res.BatchElements != 32 {
 		t.Errorf("batch_fetch_elements_total = %d, want 32", res.BatchElements)
 	}
-	if res.NegotiatedV2 == 0 {
-		t.Error("no v2 negotiation recorded")
+	if res.StreamsOpened < 2 {
+		t.Errorf("transport_streams_opened_total = %d, want >= 2 (a stream per batch sample)", res.StreamsOpened)
 	}
 	if !res.AblationIdentical {
 		t.Error("serial-RPC client fetched different bytes")

@@ -64,8 +64,8 @@ func rewriting(rewrite func(object.BindRequest, []byte) []byte) func(object.Bind
 
 // replicaRoundTrips counts the exchanges a client made with replicas —
 // its obj.bind calls, refused ones included — from the telemetry only
-// its replica connections report into. A connection's version
-// negotiation rides its first call and is no exchange of its own.
+// its replica connections report into. A connection's hello rides its
+// first call and is no exchange of its own.
 func replicaRoundTrips(tel *telemetry.Telemetry) uint64 {
 	return tel.RPCCalls.With(object.OpBind, "ok").Value() + tel.RPCCalls.With(object.OpBind, "error").Value()
 }
@@ -102,7 +102,7 @@ func fetchAll(ctx context.Context, c *core.Client, oid globeid.OID) ([]core.Fetc
 
 // TestColdBindIsOneReplicaExchange: a cold Fetch or FetchAll makes
 // exactly one exchange with the replica, obj.bind, whose first flight
-// also negotiates the connection, and every fetch step it served is
+// also carries the connection's hello, and every fetch step it served is
 // traced as served by it.
 func TestColdBindIsOneReplicaExchange(t *testing.T) {
 	const n = 3
@@ -128,8 +128,8 @@ func TestColdBindIsOneReplicaExchange(t *testing.T) {
 			if got := replicaRoundTrips(tel); got != 1 {
 				t.Errorf("replica round trips = %d, want 1: obj.bind", got)
 			}
-			if got := tel.Negotiations.With("v2").Value(); got != 1 {
-				t.Errorf("negotiations{v2} = %d, want 1, inside obj.bind's exchange", got)
+			if got := tel.PoolDials.Value(); got != 1 {
+				t.Errorf("transport_pool_dials_total = %d, want 1, whose hello rides obj.bind's exchange", got)
 			}
 			fromBind := map[string]int{}
 			for _, s := range tel.Ring.Spans() {

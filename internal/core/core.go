@@ -77,7 +77,7 @@ const (
 	StepNameResolve        = "name.resolve"                // 1: hybrid name -> OID
 	StepBindingCache       = "binding.cache"               // 2: verified-binding cache consult
 	StepLocationLookup     = "location.lookup"             // 3: OID -> contact addresses
-	StepDial               = "replica.dial"                // 4: connect (the version negotiation rides the first bind.fetch)
+	StepDial               = "replica.dial"                // 4: connect (the hello rides the first bind.fetch)
 	StepKeyFetch           = "key.fetch"                   // 5: retrieve object public key
 	StepKeyVerify          = "key.verify"                  // 6: SHA-1(key) == OID
 	StepNameCertFetch      = "namecert.fetch"              // 7: retrieve identity certificates

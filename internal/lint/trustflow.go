@@ -76,7 +76,7 @@ type taintRule struct {
 
 var taintSources = []taintRule{
 	{"internal/transport", "Client", "Call", "reply bytes from transport.Client.Call", "internal/transport:FuzzFrameDecode"},
-	{"internal/transport", "", "readV2Frame", "raw frame off the conn", "internal/transport:FuzzFrameDecode"},
+	{"internal/transport", "", "readFrame", "raw frame off the conn", "internal/transport:FuzzFrameDecode"},
 	{"internal/object", "Client", "GetElement", "element payload from object.Client.GetElement", "internal/object:FuzzObjectDecode"},
 	{"internal/object", "Client", "GetElements", "batch payloads from object.Client.GetElements", "internal/object:FuzzObjectDecode"},
 	{"internal/object", "Client", "GetPublicKey", "key bytes from object.Client.GetPublicKey", "internal/keys:FuzzUnmarshalPublicKey"},

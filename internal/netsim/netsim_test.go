@@ -370,7 +370,7 @@ func TestChargedAccountsAnExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := n.Charged().Sub(before)
-	wire := int(c.BytesSent.Load()+c.BytesReceived.Load()) + 8 // frames, preamble and accept
+	wire := int(c.BytesSent.Load()+c.BytesReceived.Load()) + 8 // frames, the hello and its answer
 	want := netsim.Charge{Bursts: 2, Latency: 2 * link.Latency, Transfer: link.TransferTime(wire)}
 	if got != want {
 		t.Errorf("one call on a fresh connection charged %+v, want %+v", got, want)
@@ -381,8 +381,8 @@ func TestChargedAccountsAnExchange(t *testing.T) {
 // body. The simulator must charge the pair what it charged the joined
 // frame — the transfer time of all its bytes, in one piece — whatever the
 // connection's reader does meanwhile. On a fresh connection the response
-// shares its burst, and so its one propagation delay, with the
-// negotiation accept that leads it.
+// shares its burst, and so its one propagation delay, with the answer
+// to the hello that leads it.
 func TestSplitFrameIsChargedAsOneWrite(t *testing.T) {
 	log := &sleepLog{Clock: clock.Real}
 	n := netsim.NewNetwork()

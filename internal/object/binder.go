@@ -60,8 +60,8 @@ func (b *Binder) Candidates(ctx context.Context, oid globeid.OID) ([]location.Co
 
 // Connect installs a proxy LR talking to the replica at addr: it dials
 // the connection the proxy's calls will use and writes nothing on it.
-// The proxy's first call negotiates the protocol version on that
-// connection, its request riding behind the preamble, so a replica is
+// The proxy's first call sends the connection's hello, its request
+// riding behind it, so a replica is
 // proved alive by its first answer — the only exchange a cold bind has.
 func (b *Binder) Connect(ctx context.Context, oid globeid.OID, addr string) (*Client, error) {
 	client := NewClient(oid, addr, b.Dial(addr))

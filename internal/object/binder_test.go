@@ -102,9 +102,8 @@ func (c writeCounter) Write(p []byte) (int, error) {
 }
 
 // TestConnectSendsNoRequest: Connect only dials the proxy's connection.
-// It writes nothing on it — no request and no negotiation preamble — and
-// the proxy's first call negotiates on that very connection, its request
-// riding behind the preamble.
+// It writes nothing on it — no request and no hello — and the proxy's
+// first call rides that very connection, its request behind the hello.
 func TestConnectSendsNoRequest(t *testing.T) {
 	w, pub := bindWorld(t)
 	tel := telemetry.New(nil)
@@ -135,16 +134,10 @@ func TestConnectSendsNoRequest(t *testing.T) {
 	if got := tel.PoolDials.Value(); got != 1 {
 		t.Errorf("Connect dialed %d connections, want 1", got)
 	}
-	if got := tel.Negotiations.Total(); got != 0 {
-		t.Errorf("Connect negotiated %d times, want 0", got)
-	}
 	if _, err := client.GetElement(context.Background(), "index.html"); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.PoolDials.Value(); got != 1 {
 		t.Errorf("Connect and one call dialed %d connections, want 1", got)
-	}
-	if got := tel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("negotiations{v2} = %d, want 1: the first call's, on the connection Connect dialled", got)
 	}
 }

@@ -25,10 +25,9 @@ const (
 	MetricPoolReuse = "transport_pool_reuse_total" // calls served from an idle pooled conn
 	MetricPoolConns = "transport_pool_conns"       // open pooled connections (gauge)
 
-	// Transport v2 multiplexing instruments (transport.Client/Server).
+	// Transport multiplexing instruments (transport.Client).
 	MetricStreamsOpened = "transport_streams_opened_total" // streams opened
 	MetricStreamsActive = "transport_streams_active"       // in-flight streams (gauge)
-	MetricNegotiations  = "transport_negotiations_total"   // {version} concluded version negotiations
 
 	// Batched element fetch instruments (core.Client).
 	MetricBatchFetches  = "batch_fetch_total"          // obj.bind replies carrying a batch of elements
@@ -97,10 +96,9 @@ type Telemetry struct {
 	PoolDials *Counter
 	PoolReuse *Counter
 	PoolConns *Gauge
-	// Transport v2 multiplexing instruments.
+	// Transport multiplexing instruments.
 	StreamsOpened *Counter
 	StreamsActive *Gauge
-	Negotiations  *CounterVec // {version}
 	// Batched element fetch instruments (core.Client).
 	BatchFetches  *Counter
 	BatchElements *Counter
@@ -162,7 +160,6 @@ func New(clk clock.Clock) *Telemetry {
 
 		StreamsOpened: reg.Counter(MetricStreamsOpened),
 		StreamsActive: reg.Gauge(MetricStreamsActive),
-		Negotiations:  reg.CounterVec(MetricNegotiations, "version"),
 
 		BatchFetches:  reg.Counter(MetricBatchFetches),
 		BatchElements: reg.Counter(MetricBatchElements),

@@ -1,14 +1,14 @@
 package transport_test
 
-// The negotiation matrix. A server answers only a preamble proposing v2:
-// a connection that opens with a classic frame or proposes an older
-// version is dropped unanswered. A client speaks v2 or fails: against a
-// peer that hangs up on the preamble or accepts only v1 its call fails —
-// the hang-up as an ordinary, retryable failure, the v1 accept as a
-// permanent version mismatch — the request runs nowhere, and nothing is
-// latched: the next dial negotiates again. Once a connection has
-// negotiated, any attempt to renegotiate mid-connection is refused by
-// dropping the connection, in both directions.
+// The hello matrix. Nothing is negotiated: a connection opens with one
+// fixed 4-byte hello and the server answers with the same bytes. A
+// server drops a connection that opens with anything else — a classic
+// frame, an opener naming another version — unanswered. Against a peer
+// that hangs up on the hello or answers anything but the hello, a
+// client's call fails as an ordinary, retryable failure, the request
+// runs nowhere, and nothing is latched: the next call dials afresh. A
+// hello sent again mid-connection is refused by dropping the connection,
+// in both directions.
 
 import (
 	"bytes"
@@ -28,9 +28,9 @@ import (
 	"globedoc/internal/transport"
 )
 
-// rawPreamble is the 4-byte negotiation opener proposing v2, as raw
-// bytes (the tests below speak the wire format by hand).
-var rawPreamble = []byte{'G', 'D', 0xF2, 2}
+// rawHello is the 4-byte hello that opens a connection and answers it,
+// as raw bytes (the tests below speak the wire format by hand).
+var rawHello = []byte{'G', 'D', 0xF2, 2}
 
 // classicRequest is an echo request in the retired classic framing: a
 // length prefix and op‖body, nothing naming a stream.
@@ -41,11 +41,11 @@ func classicRequest(body string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(w.Bytes()))), w.Bytes()...)
 }
 
-// TestServerRefusesPreV2Openers: a server answers only a preamble
-// proposing v2 or above. A connection that opens with a classic frame,
-// or with a preamble proposing version 1 or 0 in front of one, is
-// dropped before a frame is read: no handler runs, no request is
-// counted and no byte comes back.
+// TestServerRefusesPreV2Openers: a server answers only the hello. A
+// connection that opens with a classic frame, or with an opener naming
+// version 1 or 0 in front of one, is not the hello and is dropped before
+// a frame is read: no handler runs, no request is counted and no byte
+// comes back.
 func TestServerRefusesPreV2Openers(t *testing.T) {
 	classic := classicRequest("refuse me")
 	for _, tc := range []struct {
@@ -97,13 +97,13 @@ func TestServerRefusesPreV2Openers(t *testing.T) {
 }
 
 func TestCompatAutoClientOldServer(t *testing.T) {
-	// A server older than negotiation reads the preamble as an oversized
-	// classic length header and hangs up. The client, which proposes v2,
-	// fails each call there and latches nothing: every call dials and
-	// negotiates again, and no classic request ever reaches the server.
+	// A server that predates the hello reads it as an oversized classic
+	// length header and hangs up. The client fails each call there and
+	// latches nothing: every call dials afresh, and no classic request
+	// ever reaches the server.
 	t.Run("v2", func(t *testing.T) {
 		tel := telemetry.New(nil)
-		dial, dispatched := strictOldServer(t, false)
+		dial, dispatched := strictOldServer(t)
 		cd := &countingDial{dial: dial}
 		c := transport.NewClient(cd.fn()).Configure(transport.Config{Telemetry: tel})
 		defer c.Close()
@@ -111,26 +111,26 @@ func TestCompatAutoClientOldServer(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			_, err := c.Call(context.Background(), "echo", []byte("old"))
 			if err == nil {
-				t.Fatalf("call %d succeeded against a server that cannot speak v2", i)
+				t.Fatalf("call %d succeeded against a server that does not answer the hello", i)
 			}
-			if errors.Is(err, transport.ErrVersionMismatch) || !transport.Retryable(err) {
+			if !transport.Retryable(err) {
 				t.Fatalf("call %d: err = %v, want an ordinary retryable connection failure", i, err)
 			}
 		}
 		if got := cd.count.Load(); got != calls {
-			t.Errorf("dials = %d, want %d (each call negotiates afresh)", got, calls)
+			t.Errorf("dials = %d, want %d (each call dials afresh)", got, calls)
 		}
 		if got := dispatched.Load(); got != 0 {
 			t.Errorf("the old server dispatched %d requests, want 0", got)
 		}
-		if got := tel.Negotiations.Total(); got != 0 {
-			t.Errorf("negotiations = %d, want 0", got)
+		if got := tel.PoolDials.Value(); got != calls {
+			t.Errorf("transport_pool_dials_total = %d, want %d", got, calls)
 		}
 	})
 }
 
 func TestCompatAutoClientNewServer(t *testing.T) {
-	// Both sides speak v2: one negotiation, then every concurrent call
+	// Both sides exchange the hello once, then every concurrent call
 	// multiplexes onto the single connection.
 	clientTel := telemetry.New(nil)
 	serverTel := telemetry.New(nil)
@@ -171,115 +171,126 @@ func TestCompatAutoClientNewServer(t *testing.T) {
 	if got := cd.count.Load(); got != 1 {
 		t.Errorf("%d concurrent calls dialed %d conns, want 1 (multiplexed)", calls, got)
 	}
-	if got := clientTel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("client negotiations{v2} = %d, want 1", got)
+	if got := clientTel.PoolDials.Value(); got != 1 {
+		t.Errorf("transport_pool_dials_total = %d, want 1", got)
 	}
-	if got := serverTel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("server negotiations{v2} = %d, want 1", got)
+	if got := serverTel.RPCServed.With("park", "ok").Value(); got != calls {
+		t.Errorf("server rpc_served_total{park,ok} = %d, want %d", got, calls)
 	}
 	if got := clientTel.StreamsOpened.Value(); got != calls {
 		t.Errorf("transport_streams_opened_total = %d, want %d", got, calls)
 	}
 }
 
-func TestCompatServerCappedAtV1(t *testing.T) {
-	// A peer that answers the preamble with a v1 accept. The first
-	// flight's request was v2-framed, which that peer refuses unrun, so
-	// the client's call fails permanently: a retry policy does not
-	// repeat it. The mismatch is not remembered — the next call dials
-	// and negotiates again.
-	tel := telemetry.New(nil)
-	dial, dispatched := strictOldServer(t, true)
-	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn()).Configure(transport.Config{
-		Telemetry: tel,
-		Retry:     &transport.RetryPolicy{MaxAttempts: 3},
+func TestCompatEarlyFrame(t *testing.T) {
+	// A new connection's first request rides behind the hello. A peer
+	// that predates the hello hangs up on it and runs none of the
+	// request, and the call fails on that one dial as any dropped
+	// connection does.
+	t.Run("pre-v2 hang-up", func(t *testing.T) {
+		dial, dispatched := strictOldServer(t)
+		cd := &countingDial{dial: dial}
+		c := transport.NewClient(cd.fn())
+		defer c.Close()
+		_, err := c.Call(context.Background(), "echo", []byte("early"))
+		if err == nil {
+			t.Fatal("the first flight succeeded against a peer that does not answer the hello")
+		}
+		if !transport.Retryable(err) {
+			t.Errorf("err = %v, want it retryable", err)
+		}
+		if got := cd.count.Load(); got != 1 {
+			t.Errorf("dials = %d, want 1", got)
+		}
+		if got := dispatched.Load(); got != 0 {
+			t.Errorf("requests dispatched = %d, want 0", got)
+		}
 	})
-	defer c.Close()
-	for i := 1; i <= 2; i++ {
-		_, err := c.Call(context.Background(), "echo", []byte("x"))
-		if !errors.Is(err, transport.ErrVersionMismatch) || transport.Retryable(err) {
-			t.Fatalf("call %d: err = %v, want a permanent ErrVersionMismatch", i, err)
-		}
-		if got := cd.count.Load(); got != int64(i) {
-			t.Errorf("after call %d: dials = %d, want %d", i, got, i)
-		}
-		if got := tel.Negotiations.With("1").Value(); got != uint64(i) {
-			t.Errorf("after call %d: negotiations{1} = %d, want %d", i, got, i)
-		}
-	}
-	if got := dispatched.Load(); got != 0 {
-		t.Errorf("the v1 server dispatched %d requests, want 0", got)
-	}
-	if got := tel.RPCRetries.Value(); got != 0 {
-		t.Errorf("rpc_retries_total = %d, want 0 (the mismatch is permanent)", got)
-	}
 }
 
-func TestCompatEarlyFrame(t *testing.T) {
-	// A negotiating connection's first request rides behind the preamble.
-	// A peer that cannot speak v2 runs none of it — one that predates
-	// negotiation hangs up on the preamble, a v1-capped one refuses the
-	// v2-framed request — and the call fails on that one dial: a hang-up
-	// as any dropped connection does, a v1 accept with a version
-	// mismatch.
+// TestWrongAnswerFailsRetryably: a peer that answers the hello with
+// anything but the hello — an answer naming version 1, 0 or 3, or bytes
+// of another protocol — fails the call with ErrProtocol, retryably,
+// however well-formed a response it sends behind the answer. No handler
+// runs, nothing is latched, and the next call dials afresh and succeeds
+// against a server that answers the hello.
+func TestWrongAnswerFailsRetryably(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		acceptV1 bool
-		mismatch bool
+		name   string
+		answer []byte
 	}{
-		{"pre-v2 hang-up", false, false},
-		{"v1-capped", true, true},
+		{"version 1", []byte{'G', 'D', 0xF2, 1}},
+		{"version 0", []byte{'G', 'D', 0xF2, 0}},
+		{"version 3", []byte{'G', 'D', 0xF2, 3}},
+		{"another protocol", []byte("HTTP")},
 	} {
+		answer := tc.answer
 		t.Run(tc.name, func(t *testing.T) {
-			dial, dispatched := strictOldServer(t, tc.acceptV1)
-			cd := &countingDial{dial: dial}
-			c := transport.NewClient(cd.fn())
+			var runs atomic.Int64
+			good := startServer(t, func(s *transport.Server) {
+				s.Handle("echo", func(b []byte) ([]byte, error) {
+					runs.Add(1)
+					return b, nil
+				})
+			})
+			var dials atomic.Int64
+			c := transport.NewClient(func() (net.Conn, error) {
+				if dials.Add(1) > 1 {
+					return good()
+				}
+				client, peer := net.Pipe()
+				go wrongAnswerPeer(peer, answer)
+				return client, nil
+			})
 			defer c.Close()
-			_, err := c.Call(context.Background(), "echo", []byte("early"))
+
+			_, err := c.Call(context.Background(), "echo", []byte("first"))
 			if err == nil {
-				t.Fatal("the first flight succeeded against a peer that cannot speak v2")
+				t.Fatalf("call succeeded behind the answer %x", answer)
 			}
-			if got := errors.Is(err, transport.ErrVersionMismatch); got != tc.mismatch {
-				t.Errorf("err = %v, version mismatch = %v, want %v", err, got, tc.mismatch)
+			if !errors.Is(err, transport.ErrProtocol) || !transport.Retryable(err) {
+				t.Fatalf("err = %v, want a retryable ErrProtocol", err)
 			}
-			if got := transport.Retryable(err); got == tc.mismatch {
-				t.Errorf("err = %v, retryable = %v, want %v", err, got, !tc.mismatch)
+			if got := runs.Load(); got != 0 {
+				t.Errorf("handler ran %d times after the wrong answer, want 0", got)
 			}
-			if got := cd.count.Load(); got != 1 {
-				t.Errorf("dials = %d, want 1", got)
+			if got := dials.Load(); got != 1 {
+				t.Errorf("dials = %d after the failed call, want 1", got)
 			}
-			if got := dispatched.Load(); got != 0 {
-				t.Errorf("requests dispatched = %d, want 0", got)
+			if resp, err := c.Call(context.Background(), "echo", []byte("next")); err != nil || string(resp) != "next" {
+				t.Fatalf("next call = %q, %v", resp, err)
+			}
+			if got := dials.Load(); got != 2 {
+				t.Errorf("dials = %d, want 2 (the next call dials afresh)", got)
+			}
+			if got := runs.Load(); got != 1 {
+				t.Errorf("handler ran %d times, want 1", got)
 			}
 		})
 	}
 }
 
-func TestCompatRequiredV2AgainstV1CappedServerFailsPermanently(t *testing.T) {
-	// Every client requires v2, so a v1 accept fails the call on its one
-	// dial with a permanent version mismatch.
-	dial, dispatched := strictOldServer(t, true)
-	cd := &countingDial{dial: dial}
-	c := transport.NewClient(cd.fn())
-	defer c.Close()
-	_, err := c.Call(context.Background(), "echo", nil)
-	if !errors.Is(err, transport.ErrVersionMismatch) {
-		t.Fatalf("err = %v, want ErrVersionMismatch", err)
+// wrongAnswerPeer reads a client's first flight, answers it with answer
+// and a well-formed response to the flight's request, and reads on until
+// the client hangs up.
+func wrongAnswerPeer(conn net.Conn, answer []byte) {
+	defer conn.Close()
+	hdr := make([]byte, 8)
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		return
 	}
-	if transport.Retryable(err) {
-		t.Error("version mismatch must be permanent, not retryable")
+	frame := make([]byte, binary.BigEndian.Uint32(hdr[4:]))
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		return
 	}
-	if got := cd.count.Load(); got != 1 {
-		t.Errorf("dials = %d, want 1", got)
+	if _, err := conn.Write(append(append([]byte{}, answer...), response(binary.BigEndian.Uint32(frame[2:6]), []byte("first"))...)); err != nil {
+		return
 	}
-	if got := dispatched.Load(); got != 0 {
-		t.Errorf("requests dispatched = %d, want 0", got)
-	}
+	io.Copy(io.Discard, conn)
 }
 
-// v2Response frames body as the v2 response to stream id.
-func v2Response(id uint32, body []byte) []byte {
+// response frames body as the response to stream id.
+func response(id uint32, body []byte) []byte {
 	w := enc.NewWriter(16 + len(body))
 	w.Byte(0)
 	w.String("")
@@ -292,10 +303,10 @@ func v2Response(id uint32, body []byte) []byte {
 }
 
 func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
-	// A peer that reads exactly the 4-byte preamble and answers it before
+	// A peer that reads exactly the 4-byte hello and answers it before
 	// reading on, over an unbuffered pipe, while the first request is
 	// 64 KiB: the client's write of the first flight blocks until the
-	// peer reads it, so the accept must be taken by a reader that runs
+	// peer reads it, so the answer must be taken by a reader that runs
 	// beside that write.
 	clientEnd, serverEnd := net.Pipe()
 	defer serverEnd.Close()
@@ -305,7 +316,7 @@ func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
 		if _, err := io.ReadFull(serverEnd, pre); err != nil {
 			return
 		}
-		if _, err := serverEnd.Write(rawPreamble); err != nil {
+		if _, err := serverEnd.Write(rawHello); err != nil {
 			return
 		}
 		hdr := make([]byte, 4)
@@ -316,7 +327,7 @@ func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
 		if _, err := io.ReadFull(serverEnd, frame); err != nil {
 			return
 		}
-		serverEnd.Write(v2Response(binary.BigEndian.Uint32(frame[2:6]), []byte("got it")))
+		serverEnd.Write(response(binary.BigEndian.Uint32(frame[2:6]), []byte("got it")))
 	}()
 	c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).
 		Configure(transport.Config{CallTimeout: 10 * time.Second})
@@ -328,7 +339,7 @@ func TestFirstFlightDoesNotDeadlockAPreambleReader(t *testing.T) {
 }
 
 // resetFirstDial returns a dialer whose first connection's peer takes
-// the first flight and resets before any accept, and whose later
+// the first flight and resets before any answer, and whose later
 // connections reach srv. It counts the dials.
 func resetFirstDial(t *testing.T, srv *transport.Server) (transport.DialFunc, *atomic.Int64) {
 	t.Helper()
@@ -352,9 +363,9 @@ func resetFirstDial(t *testing.T, srv *transport.Server) (transport.DialFunc, *a
 
 func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
 	// The first connection's peer takes the first flight and resets
-	// before any accept. That is an ordinary failed attempt: the retry
-	// policy resends the request once, on a freshly negotiated
-	// connection, counts that retry, and the handler runs once.
+	// before any answer. That is an ordinary failed attempt: the retry
+	// policy resends the request once, on a freshly dialled connection,
+	// counts that retry, and the handler runs once.
 	var served atomic.Int64
 	srv := transport.NewServer()
 	srv.Handle("echo", func(b []byte) ([]byte, error) {
@@ -380,15 +391,14 @@ func TestFirstFlightResetBeforeAcceptIsAResend(t *testing.T) {
 	if got := tel.RPCRetries.Value(); got != 1 {
 		t.Errorf("rpc_retries_total = %d, want 1", got)
 	}
-	if got := tel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("negotiations{v2} = %d, want 1 (the retry negotiated afresh)", got)
+	if got := tel.PoolDials.Value(); got != 2 {
+		t.Errorf("transport_pool_dials_total = %d, want 2 (the retry dialled afresh)", got)
 	}
 }
 
 func TestResetBeforeAcceptLatchesNothing(t *testing.T) {
-	// One reset before the accept must not change how the client makes
-	// its later calls: concurrent calls after it share one negotiated v2
-	// connection, as they do on a client that never saw a reset
+	// One reset before the answer must not change how the client makes
+	// its later calls: concurrent calls after it share one connection, as they do on a client that never saw a reset
 	// (TestCompatAutoClientNewServer).
 	release := make(chan struct{})
 	arrived := make(chan struct{}, 8)
@@ -435,15 +445,11 @@ func TestResetBeforeAcceptLatchesNothing(t *testing.T) {
 	if got := dials.Load() - before; got != 1 {
 		t.Errorf("%d concurrent calls dialled %d connections, want 1", calls, got)
 	}
-	if got := tel.Negotiations.With("v2").Value(); got != 1 {
-		t.Errorf("negotiations{v2} = %d, want 1", got)
-	}
 }
 
 func TestCompatMidConnectionDowngradeRefusedByServer(t *testing.T) {
-	// After negotiating v2, a client re-sending the preamble is asking
-	// for a mid-connection downgrade; the server must drop the
-	// connection rather than renegotiate.
+	// A client that sends the hello again after the answer breaks the
+	// framing; the server must drop the connection rather than answer.
 	dial := startServer(t, func(s *transport.Server) {
 		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
 	})
@@ -452,17 +458,17 @@ func TestCompatMidConnectionDowngradeRefusedByServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(rawPreamble); err != nil {
+	if _, err := conn.Write(rawHello); err != nil {
 		t.Fatal(err)
 	}
-	accept := make([]byte, 4)
-	if _, err := io.ReadFull(conn, accept); err != nil {
-		t.Fatalf("reading accept: %v", err)
+	answer := make([]byte, 4)
+	if _, err := io.ReadFull(conn, answer); err != nil {
+		t.Fatalf("reading the answer: %v", err)
 	}
-	if accept[3] != 2 {
-		t.Fatalf("server agreed v%d, want v2", accept[3])
+	if !bytes.Equal(answer, rawHello) {
+		t.Fatalf("server answered %x, want the hello %x", answer, rawHello)
 	}
-	if _, err := conn.Write(rawPreamble); err != nil {
+	if _, err := conn.Write(rawHello); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
@@ -470,23 +476,23 @@ func TestCompatMidConnectionDowngradeRefusedByServer(t *testing.T) {
 	}
 	buf := make([]byte, 1)
 	if n, err := conn.Read(buf); err == nil {
-		t.Fatalf("server answered %d bytes to a mid-connection renegotiation, want hangup", n)
+		t.Fatalf("server answered %d bytes to a second hello, want hangup", n)
 	} else if errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatal("server neither answered nor hung up on a mid-connection renegotiation")
+		t.Fatal("server neither answered nor hung up on a second hello")
 	}
 }
 
 func TestCompatMidConnectionDowngradeRefusedByClient(t *testing.T) {
-	// The mirror image: a server that negotiates v2 and then emits a
-	// preamble mid-stream (as if renegotiating) violates framing; the
-	// client must kill the connection and fail the in-flight call.
+	// The mirror image: a server that answers the hello and then sends
+	// it again mid-stream violates framing; the client must kill the
+	// connection and fail the in-flight call.
 	clientEnd, serverEnd := net.Pipe()
 	go func() {
 		pre := make([]byte, 4)
 		if _, err := io.ReadFull(serverEnd, pre); err != nil {
 			return
 		}
-		if _, err := serverEnd.Write(rawPreamble); err != nil { // accept v2
+		if _, err := serverEnd.Write(rawHello); err != nil { // the answer
 			return
 		}
 		// Consume the request frame: length prefix, then body.
@@ -498,14 +504,14 @@ func TestCompatMidConnectionDowngradeRefusedByClient(t *testing.T) {
 		if _, err := io.ReadFull(serverEnd, make([]byte, n)); err != nil {
 			return
 		}
-		// "Renegotiate": raw preamble bytes where a response frame belongs.
-		serverEnd.Write(rawPreamble)
+		// The hello again, where a response frame belongs.
+		serverEnd.Write(rawHello)
 	}()
 	c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil })
 	defer c.Close()
 	_, err := c.Call(context.Background(), "echo", []byte("x"))
 	if err == nil {
-		t.Fatal("call succeeded across a mid-connection renegotiation attempt")
+		t.Fatal("call succeeded across a second hello")
 	}
 	if !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("err = %v, want the connection killed (ErrClosed)", err)
@@ -524,7 +530,7 @@ func findServe(tel *telemetry.Telemetry) []telemetry.SpanRecord {
 }
 
 func TestCompatTracedClientV2Server(t *testing.T) {
-	// A tracing client against a tracing v2 server: the trace context
+	// A tracing client against a tracing server: the trace context
 	// rides the frame-header extension and the server's rpc.serve span
 	// exports with the client's trace ID, parented on the rpc.call span.
 	clientTel := telemetry.New(nil)
@@ -565,16 +571,13 @@ func TestCompatTracedClientV2Server(t *testing.T) {
 	}
 }
 
-// strictOldServer is a wire-level stand-in for a peer that speaks only
-// the classic framing, as version 1. Without acceptV1 it predates
-// negotiation: a length header above MaxFrame — which is how the v2
-// preamble reads — hangs up the connection. With acceptV1 it answers
-// the preamble with a v1 accept and serves classic frames on that
-// connection. Either way the request envelope is decoded strictly,
-// failing the call on any trailing bytes exactly like enc.Reader.Finish.
-// It also counts the requests its decoder accepted and echoed — the ones
-// a handler would have run.
-func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.Int64) {
+// strictOldServer is a wire-level stand-in for a peer that predates the
+// hello and speaks only the classic framing: a length header above
+// MaxFrame — which is how the hello reads — hangs up the connection.
+// Its request envelope is decoded strictly, failing the call on any
+// trailing bytes exactly like enc.Reader.Finish. It counts the requests
+// its decoder accepted and echoed — the ones a handler would have run.
+func strictOldServer(t *testing.T) (transport.DialFunc, *atomic.Int64) {
 	t.Helper()
 	var dispatched atomic.Int64
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -595,15 +598,9 @@ func strictOldServer(t *testing.T, acceptV1 bool) (transport.DialFunc, *atomic.I
 					if _, err := io.ReadFull(conn, hdr); err != nil {
 						return
 					}
-					if acceptV1 && bytes.Equal(hdr[:3], rawPreamble[:3]) {
-						if _, err := conn.Write(append(hdr[:3:3], 1)); err != nil {
-							return
-						}
-						continue
-					}
 					n := binary.BigEndian.Uint32(hdr)
 					if n > transport.MaxFrame {
-						return // the preamble read as an oversized frame: hang up
+						return // the hello read as an oversized frame: hang up
 					}
 					payload := make([]byte, n)
 					if _, err := io.ReadFull(conn, payload); err != nil {

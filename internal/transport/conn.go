@@ -2,24 +2,24 @@ package transport
 
 // One pooled client connection.
 //
-// A poolConn carries up to budget concurrent calls. Each call reserves a
-// stream, writes one request frame, and parks on a per-stream channel
-// until the connection's read loop — its only reader — delivers the
-// response. Frames name their stream, responses arrive in whatever order
-// the server finishes them, and one slow call never blocks its siblings.
+// A poolConn carries up to DefaultStreamBudget concurrent calls. Each
+// call reserves a stream, writes one request frame, and parks on a
+// per-stream channel until the connection's read loop — its only reader
+// — delivers the response. Frames name their stream, responses arrive in
+// whatever order the server finishes them, and one slow call never
+// blocks its siblings.
 //
-// Negotiation needs no exchange of its own. A connection's first call
-// writes the preamble and its request in one write (the first flight),
-// and its read loop reads the accept ahead of the first response, so
-// opening the connection costs the call no extra round trip. Until the
-// accept arrives the connection carries that one call; the accept raises
-// the budget to DefaultStreamBudget and wakes the calls waiting for it.
-// A connection speaks v2 or fails: a peer that hangs up before the
-// accept fails the call like any dropped connection, and an accept below
-// v2 fails it permanently. Neither is remembered; the next dial
-// negotiates again.
+// The hello needs no exchange of its own. A connection's first write
+// carries the hello and a request together (the first flight), and its
+// read loop reads the server's answer ahead of the first response, so
+// opening the connection costs the call no extra round trip. The answer
+// proves the connection (see abandon). A peer that hangs up before the
+// answer, or answers anything but the hello, fails the connection's
+// calls like any dropped connection, and nothing is remembered: the next
+// call dials afresh.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -31,9 +31,8 @@ import (
 	"globedoc/internal/telemetry"
 )
 
-// DefaultStreamBudget bounds concurrent streams per connection once it
-// has negotiated: a client carries up to MaxConns × DefaultStreamBudget
-// calls in flight.
+// DefaultStreamBudget bounds concurrent streams per connection: a client
+// carries up to MaxConns × DefaultStreamBudget calls in flight.
 const DefaultStreamBudget = 32
 
 type streamResult struct {
@@ -47,23 +46,22 @@ type poolConn struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serialises frame writes
-	// preamble rides in front of the connection's first frame; the first
+	// hello rides in front of the connection's first frame; the first
 	// write takes it. Guarded by wmu.
-	preamble []byte
+	hello []byte
 
-	// lenBuf is the read loop's scratch: the accept, then each frame's
+	// lenBuf is the read loop's scratch: the answer, then each frame's
 	// length prefix.
 	lenBuf [4]byte
 
-	mu          sync.Mutex
-	budget      int                          // concurrent streams: 1 before the accept, then DefaultStreamBudget
-	negotiating bool                         // the preamble's accept has not arrived
-	streams     map[uint32]chan streamResult // in-flight calls by stream ID
-	nextID      uint32
-	inflight    int  // reserved stream slots (also counts calls mid-setup)
-	draining    bool // Close was called mid-flight: close when drained
-	dead        bool
-	deadErr     error
+	mu       sync.Mutex
+	unproven bool                         // the server's answer has not arrived
+	streams  map[uint32]chan streamResult // in-flight calls by stream ID
+	nextID   uint32
+	inflight int  // reserved stream slots (also counts calls mid-setup)
+	draining bool // Close was called mid-flight: close when drained
+	dead     bool
+	deadErr  error
 }
 
 // resultChans holds stream result channels for reuse. A channel goes
@@ -99,11 +97,11 @@ func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 // abandon gives up on a stream whose caller stopped waiting (timeout or
 // cancellation). A late response names its stream and readLoop drops
 // it, so the connection and its sibling streams stay healthy — unless
-// the connection's accept never came: it has proved nothing and dies
-// with its abandoned call.
+// the server's answer never came: the connection has proved nothing and
+// dies with its abandoned call.
 func (pc *poolConn) abandon(id uint32, why error) {
 	pc.mu.Lock()
-	unproven := pc.negotiating
+	unproven := pc.unproven
 	delete(pc.streams, id)
 	pc.mu.Unlock()
 	if unproven {
@@ -156,48 +154,35 @@ func (pc *poolConn) fail(cause error) {
 	pc.c.wake()
 }
 
-// awaitAccept is the read loop's first read: the peer's answer to the
-// preamble. A v2 accept raises the stream budget and wakes the calls
-// waiting for it. A connection that ends first — a reset, or a peer
-// that cannot negotiate hanging up on the preamble — fails its call as
-// any dropped connection does. An accept below v2 fails it permanently
-// with ErrVersionMismatch: the first request is already on the wire in
-// a framing that peer does not speak.
-func (pc *poolConn) awaitAccept(conn net.Conn) bool {
-	c := pc.c
-	accept := pc.lenBuf[:preambleLen]
-	if _, err := io.ReadFull(conn, accept); err != nil {
+// awaitAnswer is the read loop's first read: the server's answer to the
+// hello, which must be the hello itself. It proves the connection. A
+// connection that ends first — a reset, or a peer hanging up on the
+// hello — or answers anything else fails its calls as any dropped
+// connection does.
+func (pc *poolConn) awaitAnswer(conn net.Conn) bool {
+	answer := pc.lenBuf[:len(hello)]
+	if _, err := io.ReadFull(conn, answer); err != nil {
 		pc.fail(err)
 		return false
 	}
-	agreed, err := parseAccept(accept, V2)
-	if err != nil {
-		pc.fail(err)
-		return false
-	}
-	negotiated := telemetry.Or(c.Telemetry).Negotiations.With(versionLabel(agreed))
-	if agreed < V2 {
-		negotiated.Inc()
-		pc.fail(Permanent(fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed)))
+	if !bytes.Equal(answer, hello[:]) {
+		pc.fail(fmt.Errorf("%w: answer % x is not the hello", ErrProtocol, answer))
 		return false
 	}
 	pc.mu.Lock()
-	pc.negotiating = false
-	pc.budget = DefaultStreamBudget
+	pc.unproven = false
 	pc.mu.Unlock()
-	negotiated.Inc() // counted once the budget is up
-	c.wake()
 	return true
 }
 
-// readLoop is the single reader of a connection: after the accept, it
+// readLoop is the single reader of a connection: after the answer, it
 // hands each response frame to the stream waiting for it. A response for
 // an unknown stream is dropped (the caller timed out first); any read
 // error and any protocol violation kill the connection and fail every
 // pending stream. conn is the shutdown handle: closing it (fail,
 // Client.Close) unblocks the read and ends the loop.
 func (pc *poolConn) readLoop(conn net.Conn) {
-	if !pc.awaitAccept(conn) {
+	if !pc.awaitAnswer(conn) {
 		return
 	}
 	for {
@@ -215,7 +200,7 @@ func (pc *poolConn) readLoop(conn net.Conn) {
 
 // roundTrip performs one framed exchange on a reserved stream, bounded
 // by the tighter of CallTimeout and ctx (see abandon for what giving up
-// costs); before the accept the same bound covers it.
+// costs); before the answer the same bound covers it.
 // A genuinely dead conn is detected by the read loop and fails every
 // stream at once.
 func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
@@ -229,13 +214,13 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	tel.StreamsActive.Add(1)
 	defer tel.StreamsActive.Add(-1)
 
-	f := v2Frame{Type: frameRequest, StreamID: id, Trace: sc}
+	f := frame{Type: frameRequest, StreamID: id, Trace: sc}
 	var room [headRoom]byte
 	head := appendRequestHead(room[:0], op, len(body))
 	deadline := c.deadline(ctx, c.CallTimeout)
 	pc.wmu.Lock()
-	pre := pc.preamble
-	pc.preamble = nil
+	pre := pc.hello
+	pc.hello = nil
 	var werr error
 	if !deadline.IsZero() {
 		werr = pc.conn.SetWriteDeadline(deadline)
@@ -254,7 +239,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 		pc.fail(fmt.Errorf("send failed: %v", werr))
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
 	}
-	c.BytesSent.Add(uint64(sent - len(pre))) // the preamble is not a frame
+	c.BytesSent.Add(uint64(sent - len(pre))) // the hello is not a frame
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {
@@ -277,8 +262,8 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 }
 
 // dialConn opens one connection for the pool. Its first write carries
-// the preamble and its read loop takes the accept (awaitAccept);
-// dialling writes nothing.
+// the hello and its read loop takes the answer (awaitAnswer); dialling
+// writes nothing.
 func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	conn, err := c.dialContext(ctx)
 	if err != nil {
@@ -287,8 +272,8 @@ func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
 	tel := telemetry.Or(c.Telemetry)
 	tel.PoolDials.Inc()
 	pc := &poolConn{
-		c: c, conn: conn, budget: 1, negotiating: true,
-		preamble: v2Preamble[:], streams: make(map[uint32]chan streamResult),
+		c: c, conn: conn, unproven: true,
+		hello: hello[:], streams: make(map[uint32]chan streamResult),
 	}
 	tel.PoolConns.Add(1)
 	go pc.readLoop(pc.conn)

@@ -78,17 +78,17 @@ func startEcho(t *testing.T, wrap func(attempt int, c net.Conn) net.Conn) transp
 }
 
 // readRequestFrame consumes the client's first flight from the raw
-// server end of a pipe: it takes the preamble, answers it with the v2
-// accept, and reads the request frame behind it.
+// server end of a pipe: it takes the hello, answers it with the hello,
+// and reads the request frame behind it.
 func readRequestFrame(t *testing.T, conn net.Conn) {
 	t.Helper()
-	var preamble [4]byte
-	if _, err := io.ReadFull(conn, preamble[:]); err != nil {
-		t.Errorf("server reading preamble: %v", err)
+	var opener [4]byte
+	if _, err := io.ReadFull(conn, opener[:]); err != nil {
+		t.Errorf("server reading the hello: %v", err)
 		return
 	}
-	if _, err := conn.Write(rawPreamble); err != nil {
-		t.Errorf("server writing accept: %v", err)
+	if _, err := conn.Write(rawHello); err != nil {
+		t.Errorf("server writing the answer: %v", err)
 		return
 	}
 	var hdr [4]byte
@@ -131,7 +131,7 @@ func TestCallErrorPaths(t *testing.T) {
 			misbehave: func(t *testing.T, conn net.Conn) {
 				readRequestFrame(t, conn)
 				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+64) // past the v2 header allowance too
+				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+64) // past the frame header allowance too
 				conn.Write(hdr[:])
 			},
 			check: func(t *testing.T, err error) {

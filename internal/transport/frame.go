@@ -1,13 +1,12 @@
 package transport
 
-// The wire framing: negotiated, stream-multiplexed.
+// The wire framing: one fixed hello, then stream-multiplexed frames.
 //
-// A connection opens with a 4-byte client preamble — the 3-byte magic
-// "GD\xF2" followed by the highest version the client speaks, V2 —
-// answered by a server accept of the same shape carrying the agreed
-// version (never above the proposal). The client's first request frame
-// follows its preamble in the same write, ahead of the accept (conn.go).
-// After the preamble, every frame is
+// A connection opens with the 4-byte hello "GD\xF2\x02", and the server
+// answers with the same 4 bytes. Nothing is negotiated: each side
+// compares what it reads with the hello for equality. The client's first
+// request frame follows its hello in the same write, ahead of the answer
+// (conn.go). After the hello, every frame is
 //
 //	uint32 length | type byte | flags byte | uint32 streamID | payload
 //
@@ -19,92 +18,38 @@ package transport
 // payload; all other bits are reserved and must be zero.
 //
 // The server answers nothing else: a connection that opens with
-// anything but a preamble proposing V2 or above is dropped before a
-// frame is read.
+// anything but the hello is dropped before a frame is read.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"globedoc/internal/telemetry"
 )
 
-// V2 is the protocol version this build speaks, the only one it
-// accepts: the negotiated preamble and stream-multiplexed frames.
-const V2 byte = 2
+// ErrProtocol marks traffic that breaks the framing rules: a wrong
+// hello or answer, or a malformed frame.
+var ErrProtocol = errors.New("transport: protocol violation")
 
-// Protocol-violation errors. ErrProtocol marks malformed v2 traffic (a
-// peer breaking framing rules); ErrVersionMismatch means negotiation
-// concluded the peer cannot speak a version the caller requires.
-var (
-	ErrProtocol        = errors.New("transport: protocol violation")
-	ErrVersionMismatch = errors.New("transport: peer cannot speak required protocol version")
-)
+// hello opens every connection, and the server answers with the same
+// bytes. Both sides write it as it is, never modified, so sending it
+// allocates nothing.
+var hello = [4]byte{'G', 'D', 0xF2, 0x02}
 
-// preambleLen is the size of both the client preamble and the server
-// accept: 3 magic bytes plus a version byte.
-const preambleLen = 4
-
-var preambleMagic = [3]byte{'G', 'D', 0xF2}
-
-// v2Preamble is the client preamble proposing V2. The server accept has
-// the same layout, so it is also the accept of V2. Both sides write it
-// as it is, never modified, so sending it allocates nothing.
-var v2Preamble = [preambleLen]byte{preambleMagic[0], preambleMagic[1], preambleMagic[2], V2}
-
-// parsePreamble reports whether b is a well-formed negotiation preamble
-// (or accept) and extracts its version byte. A version of zero is not
-// well-formed.
-func parsePreamble(b []byte) (version byte, ok bool) {
-	if len(b) != preambleLen {
-		return 0, false
-	}
-	if b[0] != preambleMagic[0] || b[1] != preambleMagic[1] || b[2] != preambleMagic[2] {
-		return 0, false
-	}
-	if b[3] == 0 {
-		return 0, false
-	}
-	return b[3], true
-}
-
-// parseAccept validates a server accept against the client's proposal:
-// it must be a well-formed preamble whose version does not exceed what
-// the client offered.
-func parseAccept(b []byte, proposed byte) (byte, error) {
-	v, ok := parsePreamble(b)
-	if !ok {
-		return 0, fmt.Errorf("%w: malformed negotiation accept % x", ErrProtocol, b)
-	}
-	if v > proposed {
-		return 0, fmt.Errorf("%w: server accepted version %d above proposal %d", ErrProtocol, v, proposed)
-	}
-	return v, nil
-}
-
-// versionLabel renders a version byte as a telemetry label.
-func versionLabel(v byte) string {
-	if v == V2 {
-		return "v2"
-	}
-	return strconv.Itoa(int(v))
-}
-
-// v2 frame types. Anything else is a protocol violation and drops the
+// Frame types. Anything else is a protocol violation and drops the
 // connection.
 const (
 	frameRequest  byte = 1
 	frameResponse byte = 2
 )
 
-// v2FrameOverhead is the fixed header inside a v2 frame's length-
-// delimited body: type, flags and stream ID.
-const v2FrameOverhead = 6
+// frameOverhead is the fixed header inside a frame's length-delimited
+// body: type, flags and stream ID.
+const frameOverhead = 6
 
-// v2 frame flag bits. flagTrace marks the trace-context extension;
+// Frame flag bits. flagTrace marks the trace-context extension;
 // every other bit is reserved and rejected.
 const (
 	flagTrace        byte = 0x01
@@ -113,8 +58,8 @@ const (
 	traceFlagSampled      = 0x01
 )
 
-// v2Frame is one parsed multiplexed frame.
-type v2Frame struct {
+// frame is one parsed multiplexed frame.
+type frame struct {
 	Type     byte
 	Flags    byte
 	StreamID uint32
@@ -126,8 +71,8 @@ type v2Frame struct {
 
 // wireLen is the size a parsed frame had on the wire: length prefix,
 // fixed header, the trace extension when flagged, and the payload.
-func (f v2Frame) wireLen() int {
-	n := 4 + v2FrameOverhead + len(f.Payload)
+func (f frame) wireLen() int {
+	n := 4 + frameOverhead + len(f.Payload)
 	if f.Flags&flagTrace != 0 {
 		n += traceExtLen
 	}
@@ -158,21 +103,21 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 // type, flags, stream and trace context (a valid f.Trace is written as
 // the trace-context extension with flagTrace set), and returns the bytes
 // it put on the wire, pre included. f's Payload, which the read side
-// fills, is not written. pre, which may be nil, is a negotiation
-// preamble riding in front of the frame (a client's first flight). It,
+// fills, is not written. pre, which may be nil, is the hello riding in
+// front of the frame (a client's first flight). It,
 // the frame header and head, the short leading part of the payload (an
 // envelope head), are copied into one pooled buffer, together with a
 // body small enough to coalesce; a larger body's buffers are sent where
 // they lie (see writeSplit). The buffer goes back to the pool when the
 // write returns: an io.Writer must not retain what it is given.
-func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte) (int, error) {
+func writeFramed(w io.Writer, pre []byte, f frame, head []byte, body ...[]byte) (int, error) {
 	n := len(head) + bufsLen(body)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
 	// fixed is what a frame holds between its length prefix and head:
 	// type, flags, stream ID and, when traced, the trace extension.
-	fixed, traced := v2FrameOverhead, f.Trace.Valid()
+	fixed, traced := frameOverhead, f.Trace.Valid()
 	if traced {
 		f.Flags |= flagTrace
 		fixed += traceExtLen
@@ -195,15 +140,15 @@ func writeFramed(w io.Writer, pre []byte, f v2Frame, head []byte, body ...[]byte
 // readFramed receives one frame of type want and reports its size on the
 // wire. A frame of another type is a protocol violation. lenBuf is the
 // connection's scratch for the frame's length prefix.
-func readFramed(r io.Reader, want byte, lenBuf *[4]byte) (f v2Frame, wire int, err error) {
-	f, err = readV2Frame(r, lenBuf)
+func readFramed(r io.Reader, want byte, lenBuf *[4]byte) (f frame, wire int, err error) {
+	f, err = readFrame(r, lenBuf)
 	if err == nil && f.Type != want {
 		err = fmt.Errorf("%w: unexpected frame type 0x%02x", ErrProtocol, f.Type)
 	}
 	return f, f.wireLen(), err
 }
 
-// readV2Frame receives and validates one frame, reading its length
+// readFrame receives and validates one frame, reading its length
 // prefix into lenBuf, the connection's scratch.
 //
 // Ownership: the buffer a frame is read into is allocated for that
@@ -213,64 +158,64 @@ func readFramed(r io.Reader, want byte, lenBuf *[4]byte) (f v2Frame, wire int, e
 // object.DecodeElement cuts out of that — alias it instead of copying.
 // Only the four length bytes, which nothing decoded aliases, are read
 // into scratch.
-func readV2Frame(r io.Reader, lenBuf *[4]byte) (v2Frame, error) {
+func readFrame(r io.Reader, lenBuf *[4]byte) (frame, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return v2Frame{}, err
+		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrame+v2FrameOverhead+traceExtLen {
-		return v2Frame{}, ErrFrameTooLarge
+	if n > MaxFrame+frameOverhead+traceExtLen {
+		return frame{}, ErrFrameTooLarge
 	}
-	if n < v2FrameOverhead {
-		return v2Frame{}, fmt.Errorf("%w: v2 frame length %d below header size", ErrProtocol, n)
+	if n < frameOverhead {
+		return frame{}, fmt.Errorf("%w: frame length %d below header size", ErrProtocol, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return v2Frame{}, err
+		return frame{}, err
 	}
-	return parseV2Frame(body)
+	return parseFrame(body)
 }
 
-// parseV2Frame decodes a frame body (everything after the length
+// parseFrame decodes a frame body (everything after the length
 // prefix), enforcing the framing invariants an untrusted peer might
 // break: known type, known flag bits only, complete header, a
 // complete, canonical trace extension when flagged (reserved trace
 // flag bits must be zero), and a payload within MaxFrame after the
-// extension is stripped — the readV2Frame length prefilter budgets for
+// extension is stripped — the readFrame length prefilter budgets for
 // the extension whether or not the frame carries one, so the exact
 // bound is enforced here. Together these make decode∘encode the
 // identity on every accepted frame.
-func parseV2Frame(body []byte) (v2Frame, error) {
-	if len(body) < v2FrameOverhead {
-		return v2Frame{}, fmt.Errorf("%w: truncated v2 frame header (%d bytes)", ErrProtocol, len(body))
+func parseFrame(body []byte) (frame, error) {
+	if len(body) < frameOverhead {
+		return frame{}, fmt.Errorf("%w: truncated frame header (%d bytes)", ErrProtocol, len(body))
 	}
-	f := v2Frame{
+	f := frame{
 		Type:     body[0],
 		Flags:    body[1],
 		StreamID: binary.BigEndian.Uint32(body[2:6]),
 		Payload:  body[6:],
 	}
 	if f.Type != frameRequest && f.Type != frameResponse {
-		return v2Frame{}, fmt.Errorf("%w: unknown v2 frame type 0x%02x", ErrProtocol, f.Type)
+		return frame{}, fmt.Errorf("%w: unknown frame type 0x%02x", ErrProtocol, f.Type)
 	}
 	if f.Flags&^knownFlags != 0 {
-		return v2Frame{}, fmt.Errorf("%w: reserved v2 flag bits 0x%02x set", ErrProtocol, f.Flags&^knownFlags)
+		return frame{}, fmt.Errorf("%w: reserved flag bits 0x%02x set", ErrProtocol, f.Flags&^knownFlags)
 	}
 	if f.Flags&flagTrace != 0 {
 		if len(f.Payload) < traceExtLen {
-			return v2Frame{}, fmt.Errorf("%w: truncated trace-context extension (%d bytes)", ErrProtocol, len(f.Payload))
+			return frame{}, fmt.Errorf("%w: truncated trace-context extension (%d bytes)", ErrProtocol, len(f.Payload))
 		}
 		if tf := f.Payload[traceExtLen-1]; tf&^traceFlagSampled != 0 {
-			return v2Frame{}, fmt.Errorf("%w: reserved trace flag bits 0x%02x set", ErrProtocol, tf&^traceFlagSampled)
+			return frame{}, fmt.Errorf("%w: reserved trace flag bits 0x%02x set", ErrProtocol, tf&^traceFlagSampled)
 		}
 		f.Trace = parseTraceExt(f.Payload[:traceExtLen])
 		f.Payload = f.Payload[traceExtLen:]
 		if !f.Trace.Valid() {
-			return v2Frame{}, fmt.Errorf("%w: trace-context extension with zero trace or span ID", ErrProtocol)
+			return frame{}, fmt.Errorf("%w: trace-context extension with zero trace or span ID", ErrProtocol)
 		}
 	}
 	if len(f.Payload) > MaxFrame {
-		return v2Frame{}, ErrFrameTooLarge
+		return frame{}, ErrFrameTooLarge
 	}
 	return f, nil
 }

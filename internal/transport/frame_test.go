@@ -1,10 +1,10 @@
 package transport
 
-// Unit tests for the v2 frame parser's size bound. The length prefilter
-// in readV2Frame budgets for the optional trace extension whether or
+// Unit tests for the frame parser's size bound. The length prefilter
+// in readFrame budgets for the optional trace extension whether or
 // not the frame carries one, so an untraced frame can reach the parser
 // with up to traceExtLen payload bytes above MaxFrame — the exact bound
-// is parseV2Frame's job, keeping decode∘encode the identity (writeFramed
+// is parseFrame's job, keeping decode∘encode the identity (writeFramed
 // refuses such payloads too).
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func TestParseV2FramePayloadBound(t *testing.T) {
 	build := func(traced bool, payloadLen int) []byte {
-		body := make([]byte, 0, v2FrameOverhead+traceExtLen+payloadLen)
+		body := make([]byte, 0, frameOverhead+traceExtLen+payloadLen)
 		var flags byte
 		if traced {
 			flags = flagTrace
@@ -43,7 +43,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 		{"traced above bound", true, MaxFrame + 1, ErrFrameTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := parseV2Frame(build(tc.traced, tc.payload))
+			f, err := parseFrame(build(tc.traced, tc.payload))
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -51,7 +51,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("parseV2Frame: %v", err)
+				t.Fatalf("parseFrame: %v", err)
 			}
 			if len(f.Payload) != tc.payload {
 				t.Fatalf("payload = %d bytes, want %d", len(f.Payload), tc.payload)
@@ -64,12 +64,12 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 	}
 
 	// End to end: an untraced frame one byte over MaxFrame fits inside
-	// readV2Frame's length prefilter but must still be rejected.
+	// readFrame's length prefilter but must still be rejected.
 	body := build(false, MaxFrame+1)
 	var wire bytes.Buffer
 	binary.Write(&wire, binary.BigEndian, uint32(len(body)))
 	wire.Write(body)
-	if _, err := readV2Frame(&wire, new([4]byte)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("readV2Frame err = %v, want ErrFrameTooLarge", err)
+	if _, err := readFrame(&wire, new([4]byte)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("readFrame err = %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -1,7 +1,7 @@
 package transport
 
 // Wire compatibility of the frame writer. refEncodeRequest,
-// refEncodeResponse and refWriteV2Frame are the concatenating encoders
+// refEncodeResponse and refWriteFrame are the concatenating encoders
 // this package used before a frame was written as header + body without
 // joining them; they stay here as the reference the writer must match
 // byte for byte, on both sides of coalesceMax.
@@ -44,14 +44,14 @@ func refEncodeResponse(body []byte, callErr error) []byte {
 	return w.Bytes()
 }
 
-func refWriteV2Frame(w io.Writer, f v2Frame) error {
+func refWriteFrame(w io.Writer, f frame) error {
 	ext := 0
 	if f.Trace.Valid() {
 		f.Flags |= flagTrace
 		ext = traceExtLen
 	}
-	buf := make([]byte, 0, 4+v2FrameOverhead+ext+len(f.Payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+len(f.Payload)))
+	buf := make([]byte, 0, 4+frameOverhead+ext+len(f.Payload))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(frameOverhead+ext+len(f.Payload)))
 	buf = append(buf, f.Type, f.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
 	if ext > 0 {
@@ -118,22 +118,22 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			}
 			head, envelope := appendResponseHead(nil, len(sent), callErr), refEncodeResponse(body, callErr)
 
-			wire := sameFrame(t, "v2 "+name, len(sent),
+			wire := sameFrame(t, name, len(sent),
 				func(w io.Writer) (int, error) {
-					return writeFramed(w, nil, v2Frame{Type: frameResponse, StreamID: 5}, head, sent)
+					return writeFramed(w, nil, frame{Type: frameResponse, StreamID: 5}, head, sent)
 				},
 				func(w io.Writer) error {
-					return refWriteV2Frame(w, v2Frame{Type: frameResponse, StreamID: 5, Payload: envelope})
+					return refWriteFrame(w, frame{Type: frameResponse, StreamID: 5, Payload: envelope})
 				})
 			n := wire.Len()
-			f, err := readV2Frame(wire, new([4]byte))
+			f, err := readFrame(wire, new([4]byte))
 			if err != nil {
-				t.Fatalf("v2 %s: reading the frame back: %v", name, err)
+				t.Fatalf("%s: reading the frame back: %v", name, err)
 			}
 			if f.wireLen() != n {
-				t.Fatalf("v2 %s: wireLen = %d, the frame is %d bytes", name, f.wireLen(), n)
+				t.Fatalf("%s: wireLen = %d, the frame is %d bytes", name, f.wireLen(), n)
 			}
-			checkDecodedResponse(t, "v2 "+name, f.Payload, body, callErr)
+			checkDecodedResponse(t, name, f.Payload, body, callErr)
 		}
 
 		// Requests: head (op + body length) and body, as the client
@@ -141,15 +141,15 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 		const op = "obj.getelement"
 		head, envelope := appendRequestHead(nil, op, len(body)), refEncodeRequest(op, body)
 		for _, sc := range []telemetry.SpanContext{{}, {TraceID: 7, SpanID: 9, Sampled: true}} {
-			name := fmt.Sprintf("v2 request, %d bytes, traced=%v", size, sc.Valid())
+			name := fmt.Sprintf("request, %d bytes, traced=%v", size, sc.Valid())
 			wire := sameFrame(t, name, len(body),
 				func(w io.Writer) (int, error) {
-					return writeFramed(w, nil, v2Frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
+					return writeFramed(w, nil, frame{Type: frameRequest, StreamID: 3, Trace: sc}, head, body)
 				},
 				func(w io.Writer) error {
-					return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
+					return refWriteFrame(w, frame{Type: frameRequest, StreamID: 3, Payload: envelope, Trace: sc})
 				})
-			f, err := readV2Frame(wire, new([4]byte))
+			f, err := readFrame(wire, new([4]byte))
 			if err != nil {
 				t.Fatalf("%s: reading the frame back: %v", name, err)
 			}
@@ -159,24 +159,24 @@ func TestFrameWritersMatchConcatenatingReference(t *testing.T) {
 			checkDecodedRequest(t, name, f.Payload, op, body)
 		}
 
-		// A first flight: the preamble rides in front of the request, in
+		// A first flight: the hello rides in front of the request, in
 		// its header's write.
 		name := fmt.Sprintf("first flight, %d bytes", size)
-		pre := v2Preamble[:]
+		pre := hello[:]
 		wire := sameFrame(t, name, len(body),
 			func(w io.Writer) (int, error) {
-				return writeFramed(w, pre, v2Frame{Type: frameRequest, StreamID: 1}, head, body)
+				return writeFramed(w, pre, frame{Type: frameRequest, StreamID: 1}, head, body)
 			},
 			func(w io.Writer) error {
 				if _, err := w.Write(pre); err != nil {
 					return err
 				}
-				return refWriteV2Frame(w, v2Frame{Type: frameRequest, StreamID: 1, Payload: envelope})
+				return refWriteFrame(w, frame{Type: frameRequest, StreamID: 1, Payload: envelope})
 			})
-		if got := wire.Next(preambleLen); !bytes.Equal(got, pre) {
-			t.Fatalf("%s: opens with %x, want the preamble", name, got)
+		if got := wire.Next(len(hello)); !bytes.Equal(got, pre) {
+			t.Fatalf("%s: opens with %x, want the hello", name, got)
 		}
-		f, err := readV2Frame(wire, new([4]byte))
+		f, err := readFrame(wire, new([4]byte))
 		if err != nil {
 			t.Fatalf("%s: reading the frame back: %v", name, err)
 		}
@@ -227,7 +227,7 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	body := make([]byte, MaxFrame)
 	head := appendResponseHead(nil, len(body), nil)
-	if n, err := writeFramed(io.Discard, nil, v2Frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+	if n, err := writeFramed(io.Discard, nil, frame{Type: frameResponse, StreamID: 1}, head, body); !errors.Is(err, ErrFrameTooLarge) || n != 0 {
 		t.Fatalf("n=%d err=%v, want ErrFrameTooLarge and nothing written", n, err)
 	}
 }
@@ -259,11 +259,11 @@ func TestLargeFrameReachesABuffersWriterInOneCall(t *testing.T) {
 		body := bytes.Repeat([]byte{0xa5}, size)
 		head := appendResponseHead(nil, len(body), nil)
 		var want bytes.Buffer
-		if err := refWriteV2Frame(&want, v2Frame{Type: frameResponse, StreamID: 3, Payload: refEncodeResponse(body, nil)}); err != nil {
+		if err := refWriteFrame(&want, frame{Type: frameResponse, StreamID: 3, Payload: refEncodeResponse(body, nil)}); err != nil {
 			t.Fatal(err)
 		}
 		var got burstRecorder
-		n, err := writeFramed(&got, nil, v2Frame{Type: frameResponse, StreamID: 3}, head, body)
+		n, err := writeFramed(&got, nil, frame{Type: frameResponse, StreamID: 3}, head, body)
 		if err != nil || n != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d-byte body: wrote %d bytes, err %v; want the reference's %d", size, n, err, want.Len())
 		}
@@ -311,14 +311,14 @@ func TestConcurrentFrameWritersMatchTheReference(t *testing.T) {
 				if i%2 == 0 {
 					const op = "obj.getelement"
 					sc := telemetry.SpanContext{TraceID: uint64(g + 1), SpanID: uint64(i + 1), Sampled: true}
-					_, err = writeFramed(&got, nil, v2Frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body)
+					_, err = writeFramed(&got, nil, frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body)
 					if err == nil {
-						err = refWriteV2Frame(&want, v2Frame{Type: frameRequest, StreamID: id, Trace: sc, Payload: refEncodeRequest(op, body)})
+						err = refWriteFrame(&want, frame{Type: frameRequest, StreamID: id, Trace: sc, Payload: refEncodeRequest(op, body)})
 					}
 				} else {
-					_, err = writeFramed(&got, nil, v2Frame{Type: frameResponse, StreamID: id}, appendResponseHead(nil, len(body), nil), body)
+					_, err = writeFramed(&got, nil, frame{Type: frameResponse, StreamID: id}, appendResponseHead(nil, len(body), nil), body)
 					if err == nil {
-						err = refWriteV2Frame(&want, v2Frame{Type: frameResponse, StreamID: id, Payload: refEncodeResponse(body, nil)})
+						err = refWriteFrame(&want, frame{Type: frameResponse, StreamID: id, Payload: refEncodeResponse(body, nil)})
 					}
 				}
 				if err != nil {

@@ -1,9 +1,9 @@
 package transport
 
 // Fuzz targets for the wire surface an untrusted peer controls: the
-// multiplexed frame decoder, the version-negotiation preamble parser, a
-// server's handling of a client's first flight, and the request envelope
-// as a server reads it off a request frame. All are driven from raw
+// multiplexed frame decoder, a server's handling of a client's first
+// flight against the fixed hello, and the request envelope as a server
+// reads it off a request frame. All are driven from raw
 // bytes exactly as they arrive off a connection; the properties checked
 // are memory-safety (no panics, no unbounded allocation), encode/decode
 // round-trip consistency and, for the first flight, what the server
@@ -29,12 +29,6 @@ func classicFrame(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// preamble encodes the negotiation opener proposing version v, which is
-// also the layout of an accept of v.
-func preamble(v byte) []byte {
-	return []byte{preambleMagic[0], preambleMagic[1], preambleMagic[2], v}
-}
-
 // addRefused adds each of seeds to f's corpus after checking that a
 // server refuses it: read as a request frame, it fails to decode or does
 // not carry a well-formed request envelope.
@@ -55,14 +49,14 @@ func FuzzFrameDecode(f *testing.F) {
 	// truncated header, unknown type, reserved flags, huge length.
 	ok := func(t byte, id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: t, StreamID: id}, nil, payload); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: t, StreamID: id}, nil, payload); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	okTraced := func(t byte, id uint32, payload []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: t, StreamID: id, Trace: sc}, nil, payload); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: t, StreamID: id, Trace: sc}, nil, payload); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -80,7 +74,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 23, 1, 0x01, 0, 0, 0, 1},
 		[]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x30}...)) // reserved trace flag bits
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
-	f.Add([]byte("GD\xF2\x02"))           // a preamble is not a frame
+	f.Add([]byte("GD\xF2\x02"))           // the hello is not a frame
 	// Response frames as the servers write them — envelope head apart
 	// from the body — coalesced and split, ok and refused.
 	resp := func(body []byte, callErr error) []byte {
@@ -88,7 +82,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if callErr != nil {
 			body = nil
 		}
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameResponse, StreamID: 9}, appendResponseHead(nil, len(body), callErr), body); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: frameResponse, StreamID: 9}, appendResponseHead(nil, len(body), callErr), body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -99,14 +93,14 @@ func FuzzFrameDecode(f *testing.F) {
 	addRefused(f, classicFrame(refEncodeRequest("obj.getelement", []byte("index.html"))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readV2Frame(bytes.NewReader(data), new([4]byte))
+		fr, err := readFrame(bytes.NewReader(data), new([4]byte))
 		if err != nil {
 			// Every rejection must be a typed error, never a panic; the
 			// only acceptable classes are framing violations, size bounds
 			// and plain truncation.
 			if !errors.Is(err, ErrProtocol) && !errors.Is(err, ErrFrameTooLarge) &&
 				!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("readV2Frame(%x) = unexpected error class %v", data, err)
+				t.Fatalf("readFrame(%x) = unexpected error class %v", data, err)
 			}
 			return
 		}
@@ -148,14 +142,14 @@ func FuzzRequestDecode(f *testing.F) {
 	// req frames op‖body followed, inside the same frame, by extra.
 	req := func(sc telemetry.SpanContext, op string, body []byte, extra ...byte) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: 1, Trace: sc}, appendRequestHead(nil, op, len(body)), append(body, extra...)); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: frameRequest, StreamID: 1, Trace: sc}, appendRequestHead(nil, op, len(body)), append(body, extra...)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	// frame frames a raw payload as a request on stream 1.
-	frame := func(payload ...byte) []byte {
-		return append([]byte{0, 0, 0, byte(v2FrameOverhead + len(payload)), frameRequest, 0, 0, 0, 0, 1}, payload...)
+	// rawFrame frames a raw payload as a request on stream 1.
+	rawFrame := func(payload ...byte) []byte {
+		return append([]byte{0, 0, 0, byte(frameOverhead + len(payload)), frameRequest, 0, 0, 0, 0, 1}, payload...)
 	}
 	trailer := func(flags byte) []byte {
 		ext := appendTraceExt(nil, telemetry.SpanContext{TraceID: 42, SpanID: 43})
@@ -169,12 +163,12 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(req(telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true}, "echo", []byte("traced")))
 	f.Add(req(untraced, "echo", []byte("traced"), trailer(traceFlagSampled)...))
 	f.Add(req(untraced, "echo", []byte("traced"), trailer(0x02)...))
-	f.Add(frame(0x80, 0x00, 0))                                     // non-canonical op length
-	f.Add(frame(1, 'x', 9, 'y'))                                    // body length beyond the frame
-	f.Add(frame(4, 'e', 'c', 'h', 'o')[:12])                        // truncated frame
+	f.Add(rawFrame(0x80, 0x00, 0))                                  // non-canonical op length
+	f.Add(rawFrame(1, 'x', 9, 'y'))                                 // body length beyond the frame
+	f.Add(rawFrame(4, 'e', 'c', 'h', 'o')[:12])                     // truncated frame
 	f.Add(append([]byte{0, 0, 0, 6, frameResponse, 0}, 0, 0, 0, 1)) // a response is not a request
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                           // absurd length prefix
-	f.Add([]byte("GD\xF2\x02"))                                     // a preamble is not a request
+	f.Add([]byte("GD\xF2\x02"))                                     // the hello is not a request
 	// The same requests and traps in the classic framing.
 	addRefused(f,
 		classicFrame(refEncodeRequest("obj.getelement", []byte("index.html"))),
@@ -200,7 +194,7 @@ func FuzzRequestDecode(f *testing.F) {
 		// Round-trip: re-encoding an accepted request reproduces the
 		// consumed bytes, so the server saw exactly what was sent.
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: fr.StreamID, Trace: fr.Trace}, appendRequestHead(nil, op, len(body)), body); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: frameRequest, StreamID: fr.StreamID, Trace: fr.Trace}, appendRequestHead(nil, op, len(body)), body); err != nil {
 			t.Fatalf("re-encoding accepted request: %v", err)
 		}
 		if consumed := data[:4+binary.BigEndian.Uint32(data[:4])]; !bytes.Equal(buf.Bytes(), consumed) {
@@ -209,74 +203,48 @@ func FuzzRequestDecode(f *testing.F) {
 	})
 }
 
-// FuzzVersionNegotiation drives both halves of the handshake. The client
-// half parses raw as a preamble and as an accept of proposed. The server
-// half feeds a live serveConn, over an unbuffered pipe, the first flight
-// preamble(proposed)‖raw — a preamble with whatever frame bytes
-// behind it, or for a proposal of zero no preamble at all — written in
-// pieces whose lengths cuts gives, so the server's bounded first read
-// ends anywhere (see serveFirstFlight for the invariants). A flight that
-// proposes version 1, or opens with a classic frame, must be refused.
+// FuzzVersionNegotiation feeds a live serveConn, over an unbuffered
+// pipe, a client's first flight: whatever opener, then whatever frame
+// bytes, written in pieces whose lengths cuts gives, so the server's
+// bounded first read ends anywhere (see serveFirstFlight for the
+// invariants). Nothing is negotiated: only a flight that opens with the
+// hello is answered. An opener naming any other version — version 1, 0
+// or a later one — and a classic frame with no opener are seeds that
+// must be refused.
 func FuzzVersionNegotiation(f *testing.F) {
 	req := func(id uint32, op string, body []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if _, err := writeFramed(&buf, nil, v2Frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body); err != nil {
+		if _, err := writeFramed(&buf, nil, frame{Type: frameRequest, StreamID: id, Trace: sc}, appendRequestHead(nil, op, len(body)), body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
+	// opened puts opener in front of the frames.
+	opened := func(opener string, frames ...[]byte) []byte {
+		return append([]byte(opener), bytes.Join(frames, nil)...)
+	}
 	traced := telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true}
-	f.Add([]byte("GD\xF2\x01"), byte(2), []byte{})
-	f.Add([]byte("GD\xF2\x02"), byte(2), []byte{2})       // a second preamble behind the first
-	f.Add([]byte("GD\xF2\x00"), byte(2), []byte{})        // version zero is not negotiable
-	f.Add([]byte("GD\xF3\x02"), byte(2), []byte{})        // wrong magic
-	f.Add([]byte("GET "), byte(2), []byte{})              // an HTTP client, say
-	f.Add([]byte{}, byte(1), []byte{})                    // a bare version-1 preamble
-	f.Add([]byte("GD\xF2\x7F"), byte(2), []byte{1, 1, 1}) // accept above proposal
-	f.Add(req(1, "echo", []byte("first"), traced), byte(2), []byte{})
-	f.Add(req(1, "echo", []byte("first"), telemetry.SpanContext{}), byte(2), []byte{4, 3})
-	f.Add(append(req(1, "echo", []byte("a"), traced), req(2, "echo", []byte("b"), traced)...), byte(2), []byte{9})
-	f.Add(req(1, "echo", bytes.Repeat([]byte("x"), firstReadLen), traced), byte(2), []byte{})
-	f.Add(req(1, "nope", nil, traced), byte(2), []byte{})
-	f.Add(req(1, "echo", []byte("behind a version-1 preamble"), traced), byte(1), []byte{})
+	h := string(hello[:])
+	echo := req(1, "echo", []byte("first"), traced)
 	classic := classicFrame(refEncodeRequest("echo", []byte("classic")))
-	f.Add(classic, byte(1), []byte{6}) // a classic frame behind a version-1 preamble
-	f.Add(classic, byte(0), []byte{})  // a classic frame with no preamble
-	f.Add(classic, byte(2), []byte{})  // a classic frame behind a version-2 preamble
+	f.Add(opened(h, echo), []byte{})
+	f.Add(opened(h, req(1, "echo", []byte("first"), telemetry.SpanContext{})), []byte{4, 3})
+	f.Add(opened(h, req(1, "echo", []byte("a"), traced), req(2, "echo", []byte("b"), traced)), []byte{9})
+	f.Add(opened(h, req(1, "echo", bytes.Repeat([]byte("x"), firstReadLen), traced)), []byte{})
+	f.Add(opened(h, req(1, "nope", nil, traced)), []byte{})
+	f.Add(opened(h+h), []byte{2})               // a second hello behind the first
+	f.Add(opened(h), []byte{1, 1, 1})           // a bare hello, a byte at a time
+	f.Add(opened(h, classic), []byte{})         // a classic frame behind the hello
+	f.Add(opened("GD\xF2\x01", echo), []byte{}) // a version-1 opener
+	f.Add(opened("GD\xF2\x01", classic), []byte{6})
+	f.Add(opened("GD\xF2\x00", echo), []byte{}) // version zero
+	f.Add(opened("GD\xF2\x03", echo), []byte{}) // a later version
+	f.Add(opened("GD\xF3\x02", echo), []byte{}) // wrong magic
+	f.Add(opened("GD\xF2"), []byte{})           // a truncated hello
+	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), []byte{})
+	f.Add(classic, []byte{}) // a classic frame with no opener
 
-	f.Fuzz(func(t *testing.T, raw []byte, proposed byte, cuts []byte) {
-		v, ok := parsePreamble(raw)
-		if ok {
-			if len(raw) != preambleLen || raw[0] != preambleMagic[0] || raw[1] != preambleMagic[1] || raw[2] != preambleMagic[2] {
-				t.Fatalf("parsePreamble accepted non-preamble bytes %x", raw)
-			}
-			if v == 0 {
-				t.Fatalf("parsePreamble accepted invalid version %d", v)
-			}
-			// Round-trip: re-encoding the parsed version reproduces raw.
-			if !bytes.Equal(preamble(v), raw) {
-				t.Fatalf("preamble round-trip mismatch: %x -> v%d -> %x", raw, v, preamble(v))
-			}
-		}
-		agreed, err := parseAccept(raw, proposed)
-		if err == nil {
-			if !ok {
-				t.Fatalf("parseAccept accepted bytes parsePreamble rejects: %x", raw)
-			}
-			if agreed > proposed {
-				t.Fatalf("parseAccept agreed on version %d above proposal %d", agreed, proposed)
-			}
-			if agreed == 0 {
-				t.Fatalf("parseAccept agreed on invalid version %d", agreed)
-			}
-		} else if !errors.Is(err, ErrProtocol) {
-			t.Fatalf("parseAccept(%x, %d) = unexpected error class %v", raw, proposed, err)
-		}
-
-		flight := raw
-		if proposed != 0 {
-			flight = append(preamble(proposed), raw...)
-		}
+	f.Fuzz(func(t *testing.T, flight, cuts []byte) {
 		serveFirstFlight(t, flight, cuts)
 	})
 }
@@ -286,11 +254,11 @@ func FuzzVersionNegotiation(f *testing.F) {
 // rest goes last), closes the client end and checks that:
 //   - serveConn returns, so no goroutine it started outlives the
 //     connection (it waits for its handlers);
-//   - a flight that does not open with a preamble proposing v2 or above
-//     gets no byte back and runs no handler;
-//   - otherwise the server's output is the v2 accept followed by
-//     response frames, and the handler ran at most once per well-formed
-//     request frame behind the preamble.
+//   - a flight that does not open with the hello gets no byte back and
+//     runs no handler;
+//   - otherwise the server's output is the hello followed by response
+//     frames, and the handler ran at most once per well-formed request
+//     frame behind the hello.
 func serveFirstFlight(t *testing.T, flight, cuts []byte) {
 	var runs atomic.Int64
 	s := NewServer()
@@ -331,11 +299,10 @@ func serveFirstFlight(t *testing.T, flight, cuts []byte) {
 	<-drained
 
 	// The reference reading of the flight.
-	var accept, rest []byte
-	if len(flight) >= preambleLen {
-		if v, ok := parsePreamble(flight[:preambleLen]); ok && v >= V2 {
-			accept, rest = v2Preamble[:], flight[preambleLen:]
-		}
+	answered := bytes.HasPrefix(flight, hello[:])
+	var rest []byte
+	if answered {
+		rest = flight[len(hello):]
 	}
 	requests := 0
 	for r := bytes.NewReader(rest); ; {
@@ -352,24 +319,24 @@ func serveFirstFlight(t *testing.T, flight, cuts []byte) {
 	}
 
 	got := out.Bytes()
-	if accept == nil {
+	if !answered {
 		if len(got) > 0 {
 			t.Fatalf("server answered %x to a flight it must refuse (flight %x)", got, flight)
 		}
 		return
 	}
-	if !bytes.HasPrefix(got, accept) {
+	if !bytes.HasPrefix(got, hello[:]) {
 		if len(got) == 0 && runs.Load() == 0 {
-			return // the accept write lost the race with the close
+			return // the answer's write lost the race with the close
 		}
-		t.Fatalf("server output %x does not open with the accept %x", got, accept)
+		t.Fatalf("server output %x does not open with the hello %x", got, hello)
 	}
-	for r := bytes.NewReader(got[preambleLen:]); r.Len() > 0; {
+	for r := bytes.NewReader(got[len(hello):]); r.Len() > 0; {
 		if _, _, err := readFramed(r, frameResponse, new([4]byte)); err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 				break // a response cut off by the close
 			}
-			t.Fatalf("server output after the accept is not responses: %v (output %x)", err, out.Bytes())
+			t.Fatalf("server output after the hello is not responses: %v (output %x)", err, out.Bytes())
 		}
 	}
 }

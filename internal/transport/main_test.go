@@ -8,5 +8,5 @@ import (
 
 // TestMain fails the package when a test leaves a goroutine running —
 // above all a connection's read loop, which a failed, refused or
-// timed-out negotiation must end with its connection.
+// timed-out hello must end with its connection.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

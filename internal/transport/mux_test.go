@@ -105,23 +105,36 @@ func TestMuxStreamTimeoutAbandonsOnlyItself(t *testing.T) {
 	c.Pool = transport.PoolConfig{MaxConns: 1}
 	defer c.Close()
 
+	// A warm-up call proves the connection: a call abandoned before the
+	// server's answer takes its unproven connection with it. It leaves
+	// the doomed call on a reused connection, so a timeout there is
+	// re-sent once at once.
+	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
+		t.Fatal(err)
+	}
 	timedOut := make(chan error, 1)
 	go func() {
 		_, err := c.Call(context.Background(), "park", nil)
 		timedOut <- err
 	}()
 	<-arrived // the doomed stream is parked server-side
-	// Wait until the caller is parked in its timeout select and its
-	// connection has taken the accept (a call abandoned before the accept
-	// takes its unproven connection with it), then fire the fake-clock
-	// timer.
-	for clk.Waiters() == 0 || tel.Negotiations.With("v2").Value() == 0 {
-		time.Sleep(time.Millisecond)
+	// Advance the fake clock until both attempts have timed out; an
+	// advance before the re-sent attempt arms its timer moves nothing.
+	var err error
+	for waiting := true; waiting; {
+		select {
+		case err = <-timedOut:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			clk.Advance(31 * time.Second)
+		}
 	}
-	clk.Advance(31 * time.Second)
-	err := <-timedOut
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded from the stream timeout", err)
+	}
+	<-arrived // the re-sent attempt reached the server too
+	if got := tel.RPCRetries.Value(); got != 1 {
+		t.Errorf("rpc_retries_total = %d, want 1 (the timed-out call on a reused connection is re-sent once)", got)
 	}
 	// The conn must still be healthy for new streams.
 	for i := 0; i < 3; i++ {

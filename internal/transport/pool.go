@@ -53,17 +53,13 @@ func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 		}
 		c.conns = kept
 
-		// Least-loaded live conn with stream headroom wins. A conn still
-		// awaiting its accept is about to have headroom, so it holds off
-		// a dial the way a dial in flight does.
+		// Least-loaded live conn with stream headroom wins.
 		var best *poolConn
 		bestLoad := 0
-		settling := false
 		for _, pc := range c.conns {
 			pc.mu.Lock()
-			ok := !pc.dead && pc.inflight < pc.budget
+			ok := !pc.dead && pc.inflight < DefaultStreamBudget
 			load := pc.inflight
-			settling = settling || (!pc.dead && pc.negotiating)
 			pc.mu.Unlock()
 			if ok && (best == nil || load < bestLoad) {
 				best, bestLoad = pc, load
@@ -71,7 +67,7 @@ func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 		}
 		if best != nil {
 			best.mu.Lock()
-			if !best.dead && best.inflight < best.budget {
+			if !best.dead && best.inflight < DefaultStreamBudget {
 				best.inflight++
 				best.mu.Unlock()
 				c.mu.Unlock()
@@ -84,10 +80,9 @@ func (c *Client) acquireStream(ctx context.Context) (*poolConn, bool, error) {
 
 		// Dials are singleflight: a cold burst coalesces onto the one
 		// connection being opened instead of racing a dial per call
-		// (waiters park below and re-check when the dial lands or its
-		// accept raises the budget). Another dial starts only once every
-		// live conn is stream-saturated.
-		if !c.dialing && !settling && len(c.conns) < c.Pool.maxConns() {
+		// (waiters park below and re-check when the dial lands). Another
+		// dial starts only once every live conn is stream-saturated.
+		if !c.dialing && len(c.conns) < c.Pool.maxConns() {
 			c.dialing = true
 			c.mu.Unlock()
 			pc, err := c.dialConn(ctx)

@@ -130,7 +130,7 @@ func TestLateReplyNeverReachesAnotherCall(t *testing.T) {
 			t.Fatalf("call %q got %q, %v; want its own reply", body, resp, err)
 		}
 	}
-	own("warm-up") // negotiates: an abandoned call on a proven connection leaves it pooled
+	own("warm-up") // proves the connection: an abandoned call on it leaves it pooled
 
 	// A reply long after the timeout.
 	now := make(chan struct{})
@@ -197,10 +197,11 @@ func warmCall(tb testing.TB) func() {
 // connection, both sides of it, with go1.24 on linux/amd64: the frame
 // each side reads, the rpc.call and rpc.serve spans (each with its
 // attributes inside it), the context carrying the rpc.serve span, the
-// handler's goroutine and Handle's one-buffer reply — 8, where 2 % more
-// rounds to none. The frames written come from a pool and the result
-// channel is reused, so neither counts.
-const warmCallAllocBudget = 8
+// handler's goroutine and the request's decoded operation name — 7,
+// where 2 % more rounds to none. The frames written come from a pool,
+// the result channel is reused and a plain handler's reply is framed
+// from the serving goroutine's stack, so none of them counts.
+const warmCallAllocBudget = 7
 
 func TestWarmCallAllocationBudget(t *testing.T) {
 	call := warmCall(t)

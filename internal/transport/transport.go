@@ -7,29 +7,32 @@
 // encoded by the callers with package enc, keeping this layer free of any
 // knowledge of the messages it carries.
 //
-// One framing carries that exchange: a negotiated frame that names a
-// stream, so many calls interleave on one connection (frame.go). The
-// client keeps one bounded pool of connections (pool.go, conn.go) and
-// the server one request loop per connection. A hard frame-size limit
-// defends against malicious peers — remember that GlobeDoc clients
-// routinely talk to untrusted servers.
+// One framing carries that exchange: a frame that names a stream, so
+// many calls interleave on one connection (frame.go). The client keeps
+// one bounded pool of connections (pool.go, conn.go) and the server one
+// request loop per connection. A hard frame-size limit defends against
+// malicious peers — remember that GlobeDoc clients routinely talk to
+// untrusted servers.
 //
-// Every peer is built from this tree, so there are no older peers to
-// fall back for. A client speaks v2 or fails: a hang-up before the
-// accept is an ordinary failed attempt, and an accept below v2 a
-// permanent ErrVersionMismatch. A server drops a connection that does
-// not open by proposing v2. A Client remembers nothing about its peer,
-// so no fault changes how it makes its next call.
+// Every peer is built from this tree, so nothing is negotiated: a
+// connection opens with one fixed 4-byte hello and the server answers
+// with the same bytes. A server drops a connection that does not open
+// with the hello. A client whose peer hangs up before the answer, or
+// answers anything else, fails the attempt like any dropped connection
+// (ErrProtocol for a wrong answer), retryably. A Client remembers
+// nothing about its peer, so no fault changes how it makes its next
+// call.
 //
 // A call allocates little beyond the frames it reads. A frame is
 // written from a pooled buffer that goes back when its Write returns, a
 // stream's result channel is reused once its caller has received the
 // reply, a frame's length prefix is read into per-connection scratch,
 // and a served connection's state is one object. A received frame is
-// never pooled: everything decoded from it aliases it (readV2Frame).
+// never pooled: everything decoded from it aliases it (readFrame).
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -87,7 +90,7 @@ func frameBuf(buf []byte, hdr, n int) []byte {
 // writeBufs holds the buffers frames are written from (writeFramed).
 // A buffer is taken for one frame and put back as soon as that frame's
 // Write returns, so it never outlives the Write; frames are read into
-// buffers of their own, which are never pooled (see readV2Frame).
+// buffers of their own, which are never pooled (see readFrame).
 var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledWrite bounds the buffers writeBufs keeps: a coalesced frame
@@ -169,7 +172,7 @@ func appendRequestHead(dst []byte, op string, bodyLen int) []byte {
 }
 
 // decodeRequest decodes a request envelope, rejecting any trailing byte.
-// The returned body aliases payload (see readV2Frame).
+// The returned body aliases payload (see readFrame).
 func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	r := enc.NewReader(payload)
 	op = r.String()
@@ -199,7 +202,7 @@ func appendResponseHead(dst []byte, bodyLen int, callErr error) []byte {
 }
 
 // decodeResponse decodes a response envelope. The returned body aliases
-// payload (see readV2Frame for why that is safe).
+// payload (see readFrame for why that is safe).
 func decodeResponse(op string, payload []byte) ([]byte, error) {
 	r := enc.NewReader(payload)
 	status := r.Byte()
@@ -221,7 +224,7 @@ func decodeResponse(op string, payload []byte) ([]byte, error) {
 // modified after the handler returns.
 type Handler func(body []byte) ([]byte, error)
 
-// HandlerCtx is the one shape a registered handler has. Its ctx carries
+// HandlerCtx is a handler that takes the request's context. Its ctx carries
 // the adopted trace context (telemetry.SpanContextFrom), so server-side
 // spans started under it join the caller's trace. It returns the response
 // body as buffers, which the frame writer sends where they lie — a reply
@@ -250,7 +253,7 @@ type Server struct {
 	Clock clock.Clock
 
 	mu       sync.RWMutex
-	handlers map[string]HandlerCtx
+	handlers map[string]route
 
 	closeMu   sync.Mutex // orders registering below against Close
 	listeners sync.Map   // net.Listener -> struct{}
@@ -259,26 +262,35 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
+// route is one registered handler, in the shape it was registered in:
+// exactly one of plain and ctx is set.
+type route struct {
+	plain Handler
+	ctx   HandlerCtx
+}
+
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]HandlerCtx)}
+	return &Server{handlers: make(map[string]route)}
 }
 
 // Handle registers h for the given operation name, replacing any previous
-// handler.
+// handler. Its one response buffer is framed from the serving
+// goroutine's stack, so answering it allocates no buffer list.
 func (s *Server) Handle(op string, h Handler) {
-	s.HandleCtx(op, func(_ context.Context, body []byte) ([][]byte, error) {
-		resp, err := h(body)
-		return [][]byte{resp}, err
-	})
+	s.register(op, route{plain: h})
 }
 
 // HandleCtx registers a context-aware handler for the given operation
 // name, replacing any previous handler.
 func (s *Server) HandleCtx(op string, h HandlerCtx) {
+	s.register(op, route{ctx: h})
+}
+
+func (s *Server) register(op string, r route) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[op] = h
+	s.handlers[op] = r
 }
 
 // Ops returns the registered operation names (unordered).
@@ -351,12 +363,12 @@ func (s *Server) clock() clock.Clock {
 }
 
 // firstReadLen bounds a connection's first read. A client's first flight
-// is its preamble and first request in one write, and a cold client's
-// first flights are small: with the preamble and the trace extension,
+// is its hello and first request in one write, and a cold client's
+// first flights are small: with the hello and the trace extension,
 // name.resolve is 56 bytes, loc.lookup2 71 and a cold obj.bind naming one
 // element 89 (examples/quickstart). One read of up to 512 bytes takes the
 // whole flight, so the server answers it without reading the socket
-// again — no second turnaround between the accept and the response.
+// again — no second turnaround between the answer and the response.
 const firstReadLen = 512
 
 // servedConn is one served connection and its state, all in one object:
@@ -383,7 +395,7 @@ type servedConn struct {
 }
 
 // Read reads the connection through the bytes its first read took
-// beyond the preamble.
+// beyond the hello.
 func (sc *servedConn) Read(p []byte) (int, error) {
 	if len(sc.rest) == 0 {
 		return sc.Conn.Read(p)
@@ -393,13 +405,13 @@ func (sc *servedConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// serveConn negotiates the connection and serves it. One bounded read
-// takes the connection's first bytes, and the first four decide: a
-// negotiation preamble proposing v2 or above is answered with the v2
-// accept, and anything else — a bare frame, a proposal of an older
-// version — drops the connection unanswered, before a frame is read.
-// Whatever the read took beyond the preamble, a first request riding
-// behind it, goes to the request loop ahead of the conn.
+// serveConn answers the hello and serves the connection. One bounded
+// read takes the connection's first bytes, and the first four decide:
+// the hello is answered with the hello, and anything else — a bare
+// frame, an opener naming another version — drops the connection
+// unanswered, before a frame is read. Whatever the read took beyond the
+// hello, a first request riding behind it, goes to the request loop
+// ahead of the conn.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.conns.Delete(conn)
 	defer conn.Close()
@@ -412,18 +424,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	sc := &servedConn{Conn: conn, s: s}
 	sc.freed.L = &sc.mu
-	n, err := io.ReadAtLeast(conn, sc.first[:], preambleLen)
-	if err != nil {
+	n, err := io.ReadAtLeast(conn, sc.first[:], len(hello))
+	if err != nil || !bytes.Equal(sc.first[:len(hello)], hello[:]) {
 		return
 	}
-	if proposed, ok := parsePreamble(sc.first[:preambleLen]); !ok || proposed < V2 {
+	sc.rest = sc.first[len(hello):n]
+	if _, err := conn.Write(hello[:]); err != nil {
 		return
 	}
-	sc.rest = sc.first[preambleLen:n]
-	if _, err := conn.Write(v2Preamble[:]); err != nil {
-		return
-	}
-	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(V2)).Inc()
 	sc.serve()
 }
 
@@ -431,12 +439,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // on its own goroutine, answering on the stream the request arrived on.
 // It runs up to DefaultServerStreams handlers at once, so one slow
 // handler never blocks its siblings' responses. Any frame that is not a
-// well-formed request — including a re-sent negotiation preamble
-// attempting a mid-connection downgrade — drops the connection.
+// well-formed request — including a re-sent hello — drops the
+// connection.
 func (sc *servedConn) serve() {
 	s, conn := sc.s, sc.Conn
 	if s.IdleTimeout > 0 {
-		// Clear the negotiation deadline; from here on reads and writes
+		// Clear the hello's deadline; from here on reads and writes
 		// are armed separately so a parked handler on one stream cannot
 		// leave a stale deadline that kills sibling traffic.
 		if err := conn.SetDeadline(time.Time{}); err != nil {
@@ -494,10 +502,11 @@ func (sc *servedConn) release() (idle bool) {
 }
 
 // handle runs one request's handler and writes its response frame.
-func (sc *servedConn) handle(f v2Frame) {
+func (sc *servedConn) handle(f frame) {
 	defer sc.wg.Done()
 	s, conn := sc.s, sc.Conn
-	resp, err := s.dispatch(f.Payload, f.Trace)
+	var one [1][]byte // a plain handler's reply
+	resp, err := s.dispatch(f.Payload, f.Trace, &one)
 	var room [headRoom]byte
 	head := appendResponseHead(room[:0], bufsLen(resp), err)
 	sc.wmu.Lock()
@@ -506,7 +515,7 @@ func (sc *servedConn) handle(f v2Frame) {
 		werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 	}
 	if werr == nil {
-		_, werr = writeFramed(conn, nil, v2Frame{Type: frameResponse, StreamID: f.StreamID}, head, resp...)
+		_, werr = writeFramed(conn, nil, frame{Type: frameResponse, StreamID: f.StreamID}, head, resp...)
 	}
 	sc.wmu.Unlock()
 	if sc.release() && s.IdleTimeout > 0 && werr == nil {
@@ -527,14 +536,15 @@ func (sc *servedConn) handle(f v2Frame) {
 // edited in place) — or the error the response reports, with no body.
 // sc is the span context the frame header carried; a valid one is
 // adopted so the rpc.serve span — and every handler span under it —
-// exports with the caller's trace ID.
-func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) ([][]byte, error) {
+// exports with the caller's trace ID. A plain handler's reply is
+// returned in one, the caller's.
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext, one *[1][]byte) ([][]byte, error) {
 	op, body, err := decodeRequest(payload)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
-	h, ok := s.handlers[op]
+	r, ok := s.handlers[op]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("unknown operation %q", op)
@@ -549,7 +559,13 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) ([][]byte, e
 	}
 	//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
 	ctx := telemetry.ContextWith(context.Background(), sp)
-	resp, err := h(ctx, body)
+	var resp [][]byte
+	if r.plain != nil {
+		one[0], err = r.plain(body)
+		resp = one[:]
+	} else {
+		resp, err = r.ctx(ctx, body)
+	}
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
@@ -624,8 +640,8 @@ type Client struct {
 	notify  chan struct{} // closed+replaced when stream capacity frees up
 
 	// BytesSent and BytesReceived count the bytes of every frame written
-	// and read, headers included (the negotiation preamble and accept are
-	// not frames, even where the preamble shares its first frame's write),
+	// and read, headers included (the hello and its answer are not
+	// frames, even where the hello shares its first frame's write),
 	// used by the benchmark harness to report protocol overhead.
 	BytesSent     atomic.Uint64
 	BytesReceived atomic.Uint64
@@ -719,7 +735,7 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 // Open readies the pool for calls without making one: it reserves a
 // stream, dialling a connection unless a live one is pooled, and gives
 // the stream straight back, leaving the connection warm for the next
-// call. It writes nothing: a connection's preamble rides its first call
+// call. It writes nothing: a connection's hello rides its first call
 // (see dialConn), so a dial proves only that the peer accepts
 // connections. Dial failures are retried, and recorded as health
 // failures, as a call's would be; a successful dial records no sample,

@@ -262,9 +262,9 @@ func (c countingConn) Read(p []byte) (int, error) {
 // TestByteCounters holds BytesSent and BytesReceived to what a counting
 // connection saw: every frame byte, headers and the trace extension
 // included, traced and untraced. The first call is a
-// warm-up, except in the first-flight row: there the negotiation
-// preamble shares the first frame's write and the accept precedes its
-// response, and neither is a frame, so each side counts 4 bytes fewer
+// warm-up, except in the first-flight row: there the hello shares the
+// first frame's write and the answer precedes its response, and neither
+// is a frame, so each side counts 4 bytes fewer
 // than the connection carried.
 func TestByteCounters(t *testing.T) {
 	for _, tc := range []struct {
@@ -298,9 +298,9 @@ func TestByteCounters(t *testing.T) {
 				defer root.End()
 				ctx = telemetry.ContextWith(ctx, root)
 			}
-			var preamble int64
+			var hello int64
 			if tc.firstFlight {
-				preamble = 4
+				hello = 4
 			} else if _, err := c.Call(ctx, "echo", []byte("warm-up")); err != nil {
 				t.Fatal(err)
 			}
@@ -311,11 +311,11 @@ func TestByteCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			wire, counted := sent.Load()-sent0-preamble, c.BytesSent.Load()-counted0
+			wire, counted := sent.Load()-sent0-hello, c.BytesSent.Load()-counted0
 			if uint64(wire) != counted || wire < 101000 {
 				t.Errorf("BytesSent grew by %d, the connection carried %d", counted, wire)
 			}
-			wire, counted = received.Load()-received0-preamble, c.BytesReceived.Load()-countedRecv0
+			wire, counted = received.Load()-received0-hello, c.BytesReceived.Load()-countedRecv0
 			if uint64(wire) != counted || wire < 101000 {
 				t.Errorf("BytesReceived grew by %d, the connection carried %d", counted, wire)
 			}
