@@ -25,7 +25,7 @@ func TestTraceRenderRoundTrip(t *testing.T) {
 	client.AddExporter(telemetry.NewJSONLExporter(&buf))
 	root := client.StartSpan("secure.fetch")
 	root.Annotate("element", "index.html")
-	call := root.StartChild("rpc.call")
+	call := client.StartSpanFrom("rpc.call", root.Context())
 	call.Annotate("op", "obj.getelement")
 
 	// The "server process": a separate tracer adopting the propagated

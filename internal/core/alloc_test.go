@@ -25,12 +25,14 @@ import (
 // Allocation budgets of the fetch plan's two operations, in heap objects
 // per call across the whole process (the replica's serving side
 // included): the counts of a cold binding made in one obj.bind exchange
-// (110 and 165–166 with go1.24 on linux/amd64 over repeated runs; the
-// step-RPC binding it replaced took 431 and 571) plus 2 %, so a
+// with every pipeline step, element verification, vcache.lookup and
+// serve.element a stack-held leaf (92 and 104 with go1.24 on
+// linux/amd64 over repeated runs; 110 and 165–166 when each leaf was a
+// heap span, 431 and 571 with the step-RPC binding) plus 2 %, so a
 // toolchain difference does not flake.
 const (
-	coldFetchAllocBudget    = 112
-	coldFetchAllAllocBudget = 169
+	coldFetchAllocBudget    = 93
+	coldFetchAllAllocBudget = 106
 )
 
 func TestFetchPlanAllocationBudget(t *testing.T) {
@@ -81,11 +83,11 @@ func TestFetchPlanAllocationBudget(t *testing.T) {
 
 // warmHitAllocBudget is the heap objects of one warm hit — FetchNamed
 // with the verified binding, the name and the element's bytes all cached,
-// so no RPC is made — across the process: the pipeline, its four spans,
-// the one attribute slice the root span's second attribute moves to, and
-// the context node carrying the root span: 7 with go1.24 on linux/amd64,
-// plus 2 %.
-const warmHitAllocBudget = 7
+// so no RPC is made — across the process: the pipeline, its root span
+// (its attributes in the span's room, its three steps leaves on the
+// stack), and the context node carrying the root span: 3 with go1.24 on
+// linux/amd64, plus 2 %, which rounds to no object.
+const warmHitAllocBudget = 3
 
 // warmHit returns a FetchNamed of home.vu.nl's index.html that is a warm
 // hit: the caching client has fetched it twice already.

@@ -283,18 +283,18 @@ type pipeline struct {
 	timing Timing
 }
 
-// step runs one named pipeline step under a child span, crediting the
-// span's duration to the given Timing field (nil to time without
-// crediting).
+// step runs one named pipeline step under a leaf span, crediting the
+// duration its End returns to the given Timing field (nil to time
+// without crediting).
 func (p *pipeline) step(name string, field *time.Duration, f func() error) error {
-	sp := p.root.StartChild(name)
+	sp := p.root.Leaf(name)
 	err := f()
 	if err != nil {
 		sp.Annotate("error", err.Error())
 	}
-	sp.End()
+	d := sp.End()
 	if field != nil {
-		*field += sp.Duration()
+		*field += d
 	}
 	return err
 }
@@ -303,7 +303,7 @@ func (p *pipeline) step(name string, field *time.Duration, f func() error) error
 // a zero-length span — and credits the step's share of that exchange's
 // time to field.
 func (p *pipeline) credit(name string, field *time.Duration, share time.Duration) {
-	sp := p.root.StartChild(name)
+	sp := p.root.Leaf(name)
 	sp.End()
 	*field += share
 }
@@ -887,9 +887,9 @@ type boundFetch struct {
 // binding this call established comes with the prefill its bind reply
 // carried; a cached or shared one comes with none.
 func (c *Client) bind(ctx context.Context, p *pipeline, pl *fetchPlan, now time.Time, excluded map[string]bool) (boundFetch, prefill, error) {
-	var cacheSp *telemetry.Span
+	var cacheSp telemetry.Leaf
 	if p.single {
-		cacheSp = p.root.StartChild(StepBindingCache)
+		cacheSp = p.root.Leaf(StepBindingCache)
 	}
 	b := boundFetch{oid: pl.oid, now: now}
 	if c.cacheBindings {
@@ -948,7 +948,7 @@ func (b boundFetch) result(p *pipeline, elem document.Element, hash [globeid.Siz
 // counters, whether the verified-content cache supplied a delivered
 // element's bytes: once per element, however often the plan decided it.
 func (p *pipeline) lookedUp(hit bool) {
-	sp := p.root.StartChild(StepVCacheLookup)
+	sp := p.root.Leaf(StepVCacheLookup)
 	outcome, counter := "miss", p.tel.VCacheMisses
 	if hit {
 		outcome, counter = "hit", p.tel.VCacheHits
@@ -1207,15 +1207,14 @@ var errOlderCertificate = errors.New("core: replica moved to a certificate no ne
 // n of its bytes. A failed exchange carried nothing for the steps: its
 // time is a cost of binding to the replica.
 func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.Client, req object.BindRequest) (object.BindReply, func(n int) time.Duration, error) {
-	sp := p.root.StartChild(StepBindFetch)
+	sp := p.root.Leaf(StepBindFetch)
 	reply, err := client.Bind(ctx, req)
 	if err != nil {
 		sp.Annotate("error", err.Error())
-		sp.End()
-		p.timing.Bind += sp.Duration()
+		p.timing.Bind += sp.End()
 		return object.BindReply{}, nil, fmt.Errorf("core: binding: %w", err)
 	}
-	sp.End()
+	d := sp.End()
 	total := len(reply.Key) + len(reply.NameCerts) + len(reply.Cert)
 	for _, it := range reply.Items {
 		total += len(it.Element.Data)
@@ -1224,7 +1223,7 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 		if total == 0 {
 			return 0
 		}
-		return sp.Duration() * time.Duration(n) / time.Duration(total)
+		return d * time.Duration(n) / time.Duration(total)
 	}
 	return reply, share, nil
 }

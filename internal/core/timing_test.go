@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
+	"globedoc/internal/clock"
 	"globedoc/internal/core"
+	"globedoc/internal/netsim"
+	"globedoc/internal/telemetry"
 )
 
 func fullTiming(unit time.Duration) core.Timing {
@@ -89,5 +93,70 @@ func TestTimingAddScaleRoundTrip(t *testing.T) {
 	}
 	if got := sum.Scale(5); got != one {
 		t.Errorf("mean of 5 identical samples:\n got %+v\nwant %+v", got, one)
+	}
+}
+
+// tickingClock is a clock.Fake that moves a millisecond forward at every
+// reading, so each span measures a distinct, nonzero interval.
+type tickingClock struct{ *clock.Fake }
+
+func (c tickingClock) Now() time.Time {
+	c.Advance(time.Millisecond)
+	return c.Fake.Now()
+}
+
+// TestTimingIsTheSumOfItsSteps: a fetch's Timing is credited from its
+// steps' leaf durations, so each field equals the sum of the durations
+// its exported steps record — the steps timed in place for NameResolve,
+// Bind and each verification, and for the four fetch fields, which share
+// the one obj.bind exchange by their bytes, the bind.fetch step they
+// split (less at most the nanosecond each share rounds away).
+func TestTimingIsTheSumOfItsSteps(t *testing.T) {
+	w, _, _ := batchWorld(t, 4)
+	tel := telemetry.New(tickingClock{clock.NewFake(time.Unix(0, 0))})
+	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	res, err := client.FetchNamed(context.Background(), "batch.vu.nl", "part-01.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make(map[string]time.Duration)
+	for _, rec := range tel.Ring.Spans() {
+		steps[rec.Name] += rec.Duration()
+	}
+	sum := func(names ...string) time.Duration {
+		var d time.Duration
+		for _, n := range names {
+			d += steps[n]
+		}
+		return d
+	}
+	tm := res.Timing
+	for _, c := range []struct {
+		field     string
+		got, want time.Duration
+	}{
+		{"NameResolve", tm.NameResolve, sum(core.StepNameResolve)},
+		{"Bind", tm.Bind, sum(core.StepLocationLookup, core.StepDial)},
+		{"KeyVerify", tm.KeyVerify, sum(core.StepKeyVerify)},
+		{"NameCertVerify", tm.NameCertVerify, sum(core.StepNameCertVerify)},
+		{"CertVerify", tm.CertVerify, sum(core.StepCertVerify)},
+		{"ElementVerify", tm.ElementVerify, sum(core.StepVerifyConsistency, core.StepVerifyAuthenticity, core.StepVerifyFreshness)},
+	} {
+		if c.got != c.want || c.got <= 0 {
+			t.Errorf("Timing.%s = %v, its steps' spans sum to %v; want them equal and nonzero", c.field, c.got, c.want)
+		}
+	}
+	fetched := tm.KeyFetch + tm.NameCertFetch + tm.CertFetch + tm.ElementFetch
+	if exchange := sum(core.StepBindFetch); fetched > exchange || fetched < exchange-4 || fetched <= 0 {
+		t.Errorf("the fetch fields sum to %v (%+v), the bind.fetch span to %v", fetched, tm, exchange)
+	}
+	for _, name := range []string{core.StepKeyFetch, core.StepNameCertFetch, core.StepCertFetch, core.StepElementFetch} {
+		if _, ok := steps[name]; !ok {
+			t.Errorf("no %s span was exported", name)
+		}
 	}
 }

@@ -7,17 +7,18 @@ import (
 )
 
 // SpanEnd enforces the tracer's lifetime contract: a span started with
-// StartSpan, StartSpanFrom, StartRPCSpan or StartChild is only exported
-// when End() is called, so a span that is started, kept local to the
-// function, and never ended silently vanishes from every trace — the
-// hardest observability bug to notice, because everything else still
-// works.
+// StartSpan or StartSpanFrom, or a leaf started with Leaf or LeafFrom,
+// is only exported when End() is called, so one that is started, kept
+// local to the function, and never ended silently vanishes from every
+// trace — the hardest observability bug to notice, because everything
+// else still works. A leaf's End also returns the duration a pipeline
+// step credits to core.Timing, so a lost End loses that too.
 //
-// A started span must therefore either reach an End() call in the same
-// function (a defer or a plain call), or escape to an owner that ends
-// it: returned to the caller, stored in a struct or variable visible
-// outside the function, or handed to another function. Escaping spans
-// are skipped, not tracked across functions.
+// A started span or leaf must therefore either reach an End() call in
+// the same function (a defer or a plain call), or escape to an owner
+// that ends it: returned to the caller, stored in a struct or variable
+// visible outside the function, or handed to another function. Escaping
+// spans are skipped, not tracked across functions.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc:  "every locally-held span reaches End() or escapes to an owner",
@@ -159,31 +160,36 @@ func markSpanUses(p *Package, byObj map[types.Object]*spanVar, n ast.Node) {
 }
 
 // isSpanStart reports whether call is a tracer span constructor: a
-// StartSpan/StartSpanFrom/StartRPCSpan/StartChild method call whose
-// result is the telemetry package's *Span.
+// StartSpan/StartSpanFrom method call whose result is the telemetry
+// package's *Span, or a Leaf/LeafFrom method call whose result is its
+// Leaf value.
 func isSpanStart(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "StartSpan", "StartSpanFrom", "StartRPCSpan", "StartChild":
-	default:
 		return false
 	}
 	tv, ok := p.Info.Types[call]
 	if !ok {
 		return false
 	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
+	want, t := "", tv.Type
+	switch sel.Sel.Name {
+	case "StartSpan", "StartSpanFrom":
+		ptr, ok := t.(*types.Pointer)
+		if !ok {
+			return false
+		}
+		want, t = "Span", ptr.Elem()
+	case "Leaf", "LeafFrom":
+		want = "Leaf"
+	default:
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Span" && obj.Pkg() != nil &&
+	return obj.Name() == want && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "internal/telemetry")
 }

@@ -1,6 +1,10 @@
 package pipeline
 
-import "fixture/internal/telemetry"
+import (
+	"time"
+
+	"fixture/internal/telemetry"
+)
 
 type holder struct {
 	root *telemetry.Span
@@ -23,11 +27,11 @@ func blanked(t *telemetry.Tracer) {
 	_ = t.StartSpan("fetch")
 }
 
-// leakedChild forgets a child span while correctly ending the parent.
+// leakedChild forgets a leaf while correctly ending the parent.
 func leakedChild(t *telemetry.Tracer) {
 	sp := t.StartSpan("fetch")
 	defer sp.End()
-	child := sp.StartChild("verify")
+	child := sp.Leaf("verify")
 	child.Annotate("outcome", "ok")
 }
 
@@ -80,16 +84,47 @@ func closureEnd(t *telemetry.Tracer) {
 	sp.Annotate("outcome", "ok")
 }
 
-// leakedRPC forgets a span from the RPC constructor, which the rule
-// tracks like the others.
-func leakedRPC(t *telemetry.Tracer, sc telemetry.SpanContext) {
-	sp := t.StartRPCSpan("rpc.call", sc)
-	sp.Annotate("op", "ping")
+// leakedLeaf forgets a leaf started from a wire context.
+func leakedLeaf(t *telemetry.Tracer, sc telemetry.SpanContext) {
+	lf := t.LeafFrom("serve.element", sc)
+	lf.Annotate("element", "index.html")
 }
 
-// endedRPC ends its RPC span; clean.
-func endedRPC(t *telemetry.Tracer, sc telemetry.SpanContext) {
-	sp := t.StartRPCSpan("rpc.serve", sc)
-	sp.Annotate("op", "ping")
-	sp.End()
+// discardedLeaf drops a leaf without binding it.
+func discardedLeaf(sp *telemetry.Span) {
+	sp.Leaf("verify")
+}
+
+// timedLeaf ends its leaf for the duration End returns; clean.
+func timedLeaf(sp *telemetry.Span, total *time.Duration) {
+	lf := sp.Leaf("verify")
+	lf.Annotate("outcome", "ok")
+	*total += lf.End()
+}
+
+// deferredLeaf ends its leaf from a defer; clean.
+func deferredLeaf(t *telemetry.Tracer, sc telemetry.SpanContext) {
+	lf := t.LeafFrom("serve.element", sc)
+	defer lf.End()
+	lf.Annotate("element", "index.html")
+}
+
+// assignedLeaf declares the leaf before starting it, as a conditional
+// leaf does: the rebinding is not tracked, so it is clean.
+func assignedLeaf(sp *telemetry.Span, traced bool) {
+	var lf telemetry.Leaf
+	if traced {
+		lf = sp.Leaf("binding.cache")
+	}
+	lf.End()
+}
+
+// handedOffLeaf passes its leaf to a helper that ends it.
+func handedOffLeaf(sp *telemetry.Span) {
+	lf := sp.Leaf("verify")
+	finishLeaf(&lf)
+}
+
+func finishLeaf(lf *telemetry.Leaf) {
+	lf.End()
 }

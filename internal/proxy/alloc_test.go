@@ -13,11 +13,11 @@ import (
 )
 
 // proxyWarmHitAllocBudget is the heap objects of one warm hit through
-// ServeHTTP into a reusable ResponseWriter: core's warm hit (7), the
-// proxy.request span with its attribute slice and context node, the ETag,
-// and the one array every header value shares: 12 with go1.24 on
-// linux/amd64, plus 2 %.
-const proxyWarmHitAllocBudget = 12
+// ServeHTTP into a reusable ResponseWriter: core's warm hit (3), the
+// proxy.request span (one object, its attributes in its room) and its
+// context node, the ETag, and the one array every header value shares: 7
+// with go1.24 on linux/amd64, plus 2 %, which rounds to no object.
+const proxyWarmHitAllocBudget = 7
 
 // reusableWriter is an http.ResponseWriter whose header map is cleared,
 // not remade, between requests, so a budget counts the proxy's

@@ -381,10 +381,10 @@ func (s *Server) handleGetCert(ctx context.Context, body []byte) ([][]byte, erro
 }
 
 // serveElement counts the replica's read (ReadCount), fires the access
-// observer and emits the per-element payload-serve span common to the
-// single and batched element paths.
+// observer and emits the per-element payload-serve leaf span common to
+// the single and batched element paths.
 func (s *Server) serveElement(ctx context.Context, h *hostedReplica, name, fromSite string) {
-	sp := telemetry.Or(s.srv.Telemetry).Tracer.StartSpanFrom("serve.element", telemetry.SpanContextFrom(ctx))
+	sp := telemetry.Or(s.srv.Telemetry).Tracer.LeafFrom("serve.element", telemetry.SpanContextFrom(ctx))
 	sp.Annotate("element", name)
 	h.reads.Add(1)
 	if obs := s.AccessObserver; obs != nil {

@@ -14,7 +14,8 @@ func TestDebugHandlerServesSnapshot(t *testing.T) {
 	tel.RPCCalls.With("obj.getelement", "ok").Inc()
 	tel.FetchLatency.Observe(0.25)
 	sp := tel.Tracer.StartSpan("fetch.secure")
-	sp.StartChild("key.fetch").End()
+	leaf := sp.Leaf("key.fetch")
+	leaf.End()
 	sp.End()
 
 	srv := httptest.NewServer(tel.DebugHandler())

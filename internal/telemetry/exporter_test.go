@@ -26,12 +26,12 @@ func TestRingWraparoundStitchesPartialTrace(t *testing.T) {
 	tracer.AddExporter(ring)
 
 	root := tracer.StartSpan("fetch.all")
-	var children []*telemetry.Span
+	var children []telemetry.Leaf
 	for i := 0; i < 8; i++ {
-		children = append(children, root.StartChild(fmt.Sprintf("element.%d", i)))
+		children = append(children, root.Leaf(fmt.Sprintf("element.%d", i)))
 	}
-	for _, c := range children {
-		c.End()
+	for i := range children {
+		children[i].End()
 	}
 	root.End() // exports last, evicting all but the newest children... and itself
 
@@ -62,7 +62,7 @@ func TestRingWraparoundStitchesPartialTrace(t *testing.T) {
 
 	// Now lose the root too: reset and export only children.
 	ring.Reset()
-	late := root.StartChild("late")
+	late := root.Leaf("late")
 	late.End()
 	orphans := telemetry.BuildTrace(ring.Spans(), root.TraceID())
 	if len(orphans) != 1 || !orphans[0].Orphaned {

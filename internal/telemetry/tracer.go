@@ -10,9 +10,16 @@
 // harness and the tracer measure the same interval by construction and
 // can never disagree.
 //
+// Every fetch times its steps, sampled or not. A span that other spans
+// hang off — a trace's root, an RPC, a serve — is one heap object (Span);
+// one that parents nothing — each of the 14 steps, an element's serve —
+// is a Leaf, held by value on its caller's stack, and timing and
+// exporting it allocates nothing (DESIGN.md §8, "What a span costs").
+//
 // Everything here is safe for concurrent use and nil-tolerant: a nil
-// *Span or nil instrument is a no-op, so instrumented code never has to
-// guard its telemetry calls.
+// *Span or nil instrument is a no-op, and so is the leaf a nil span
+// starts, so instrumented code never has to guard its telemetry calls. A
+// Leaf itself belongs to the goroutine that started it.
 package telemetry
 
 import (
@@ -36,8 +43,9 @@ type Attr struct {
 
 // SpanRecord is a finished span as handed to exporters: plain data, safe
 // to retain, marshal or compare after the span itself is gone. Its Attrs
-// are shared with the ended span, which never changes them again; an
-// exporter must not write to them either.
+// are a copy no span writes again: the ring keeps them in room of its
+// own, and every other exporter of one span shares a single heap copy,
+// so an exporter must not write to them.
 type SpanRecord struct {
 	TraceID  uint64    `json:"trace_id"`
 	SpanID   uint64    `json:"span_id"`
@@ -181,7 +189,7 @@ func (t *Tracer) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.startFrom(new(Span), name, SpanContext{})
+	return t.start(name, SpanContext{})
 }
 
 // StartSpanFrom continues the trace identified by sc: the new span joins
@@ -193,46 +201,46 @@ func (t *Tracer) StartSpanFrom(name string, sc SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.startFrom(new(Span), name, sc)
+	return t.start(name, sc)
 }
 
-// StartRPCSpan is StartSpanFrom for a span that carries several
-// attributes, as an RPC span's two to four do: the span is allocated
-// together with room for spanAttrCap attributes, so it costs one heap
-// object where StartSpanFrom's costs a second once a second attribute
-// arrives.
-func (t *Tracer) StartRPCSpan(name string, sc SpanContext) *Span {
-	if t == nil {
-		return nil
-	}
-	r := new(roomySpan)
-	s := t.startFrom(&r.span, name, sc)
-	s.attrs = r.room[:0]
+func (t *Tracer) start(name string, sc SpanContext) *Span {
+	s := &Span{head: t.begin(name, sc)}
+	s.attrs = s.room[:0]
 	return s
 }
 
-// roomySpan is a span and its attribute array in one allocation.
-type roomySpan struct {
-	span Span
-	room [spanAttrCap]Attr
+// LeafFrom is StartSpanFrom for a leaf: a span that parents no other,
+// held by value on the caller's stack. A nil tracer returns a no-op
+// leaf.
+func (t *Tracer) LeafFrom(name string, sc SpanContext) Leaf {
+	if t == nil {
+		return Leaf{}
+	}
+	return Leaf{head: t.begin(name, sc)}
 }
 
-// startFrom fills s as a new span named name: a child of sc's span in
-// sc's trace when sc is valid, else the root of a new trace.
-func (t *Tracer) startFrom(s *Span, name string, sc SpanContext) *Span {
+// head is what a span and a leaf share: the identity, name and start of
+// one timed operation.
+type head struct {
+	tracer   *Tracer
+	name     string
+	traceID  uint64
+	spanID   uint64
+	parentID uint64
+	sampled  bool
+	start    time.Time
+}
+
+// begin starts a span or leaf named name: a child of sc's span in sc's
+// trace, inheriting its sampling decision, when sc is valid, else the
+// root of a new trace.
+func (t *Tracer) begin(name string, sc SpanContext) head {
 	if !sc.Valid() {
 		id := t.nextID()
-		*s = Span{
-			tracer:  t,
-			name:    name,
-			traceID: id,
-			spanID:  id,
-			sampled: t.sampleRoot(id),
-			start:   t.now(),
-		}
-		return s
+		return head{tracer: t, name: name, traceID: id, spanID: id, sampled: t.sampleRoot(id), start: t.now()}
 	}
-	*s = Span{
+	return head{
 		tracer:   t,
 		name:     name,
 		traceID:  sc.TraceID,
@@ -241,55 +249,76 @@ func (t *Tracer) startFrom(s *Span, name string, sc SpanContext) *Span {
 		sampled:  sc.Sampled,
 		start:    t.now(),
 	}
-	return s
 }
 
-// Span is one timed operation. All methods are safe on a nil span.
-//
-// A span is one heap object plus at most one attribute allocation: its
-// first attribute lives in the span itself, and a second moves them all to
-// one slice with room for spanAttrCap — unless StartRPCSpan made that room
-// with the span. End freezes the attributes — an Annotate after it is
-// dropped — so the exported record shares them instead of copying.
+// finish stamps the end of h's operation and, unless head sampling
+// decided against its trace, exports it with attrs — an "error"
+// attribute overrides the decision, so failing operations are always
+// visible. It returns the operation's duration.
+func (h *head) finish(attrs []Attr) time.Duration {
+	end := h.tracer.now()
+	if h.sampled || hasError(attrs) {
+		h.tracer.export(SpanRecord{
+			TraceID:  h.traceID,
+			SpanID:   h.spanID,
+			ParentID: h.parentID,
+			Name:     h.name,
+			Start:    h.start,
+			End:      end,
+		}, attrs)
+	}
+	return end.Sub(h.start)
+}
+
+// hasError reports whether attrs hold an "error" attribute.
+func hasError(attrs []Attr) bool {
+	for _, a := range attrs {
+		if a.Key == "error" {
+			return true
+		}
+	}
+	return false
+}
+
+// export hands rec, with attrs as its attributes, to every exporter
+// without retaining attrs, which may be a leaf's storage on its
+// caller's stack: a ring copies them into the slot it keeps rec in, and
+// the other exporters share one heap copy. No interface call receives
+// attrs itself, so the compiler can keep a leaf off the heap.
+func (t *Tracer) export(rec SpanRecord, attrs []Attr) {
+	t.mu.RLock()
+	exporters := t.exporters
+	t.mu.RUnlock()
+	for _, e := range exporters {
+		if r, ok := e.(*RingExporter); ok {
+			r.keep(rec, attrs)
+			continue
+		}
+		if rec.Attrs == nil && len(attrs) > 0 {
+			rec.Attrs = append(make([]Attr, 0, len(attrs)), attrs...)
+		}
+		e.ExportSpan(rec)
+	}
+}
+
+// Span is one timed operation that other spans may hang off: a trace's
+// root, an RPC or a serve. All methods are safe on a nil span. A span is
+// one heap object: its attributes live in room until a fifth moves them
+// to a slice. A span that parents nothing is better a Leaf, which costs
+// no heap object at all.
 type Span struct {
-	tracer   *Tracer
-	name     string
-	traceID  uint64
-	spanID   uint64
-	parentID uint64
-	start    time.Time
+	head
 
-	mu      sync.Mutex
-	sampled bool // immutable after creation
-	ended   bool
-	attrs   []Attr // a view of inline until it outgrows it
-	inline  [1]Attr
-	end     time.Time
+	mu    sync.Mutex
+	ended bool
+	attrs []Attr // a view of room until it outgrows it
+	room  [spanAttrCap]Attr
 }
 
-// spanAttrCap is the room a span's attribute slice is made with when its
-// attributes outgrow the inline slot: every RPC and root span fits, the
-// most being a failed rpc.call's four. Most spans carry at most one
-// attribute, and every slot made inline costs all spans 32 bytes
-// (EXPERIMENTS.md, "Warm hits without garbage").
+// spanAttrCap is the attributes a span or a leaf holds in itself, and a
+// ring slot copies a record's into: every span in the tree fits, the
+// most being a failed rpc.call's four.
 const spanAttrCap = 4
-
-// StartChild begins a child span within the same trace, inheriting the
-// parent's sampling decision.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{
-		tracer:   s.tracer,
-		name:     name,
-		traceID:  s.traceID,
-		spanID:   s.tracer.nextID(),
-		parentID: s.spanID,
-		sampled:  s.sampled,
-		start:    s.tracer.now(),
-	}
-}
 
 // Context returns the span's propagatable identity, for carrying across
 // the wire (via the transport) or starting a span from (StartSpanFrom).
@@ -301,23 +330,23 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.traceID, SpanID: s.spanID, Sampled: s.sampled}
 }
 
+// Leaf begins a leaf child of s within the same trace, inheriting its
+// sampling decision. A nil span returns a no-op leaf.
+func (s *Span) Leaf(name string) Leaf {
+	if s == nil {
+		return Leaf{}
+	}
+	return s.tracer.LeafFrom(name, s.Context())
+}
+
 // Annotate attaches a key/value attribute to the span. An Annotate after
-// End is dropped: the exported record shares the span's attributes, which
-// End froze.
+// End is dropped.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	if !s.ended {
-		if len(s.attrs) == cap(s.attrs) {
-			switch cap(s.attrs) {
-			case 0:
-				s.attrs = s.inline[:0]
-			case len(s.inline):
-				s.attrs = append(make([]Attr, 0, spanAttrCap), s.attrs...)
-			}
-		}
 		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	}
 	s.mu.Unlock()
@@ -336,47 +365,8 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.end = s.tracer.now()
-	export := s.sampled || s.hasErrorLocked()
-	var rec SpanRecord
-	if export {
-		rec = s.recordLocked()
-	}
 	s.mu.Unlock()
-	if !export {
-		return
-	}
-
-	s.tracer.mu.RLock()
-	exporters := s.tracer.exporters
-	s.tracer.mu.RUnlock()
-	for _, e := range exporters {
-		e.ExportSpan(rec)
-	}
-}
-
-// hasErrorLocked reports whether the span recorded an "error" attribute.
-func (s *Span) hasErrorLocked() bool {
-	for _, a := range s.attrs {
-		if a.Key == "error" {
-			return true
-		}
-	}
-	return false
-}
-
-// Duration returns the span's elapsed time: end-start once ended, the
-// running interval otherwise. A nil span reports zero.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.end.Sub(s.start)
-	}
-	return s.tracer.now().Sub(s.start)
+	s.finish(s.attrs) // ended froze attrs: nothing writes them again
 }
 
 // TraceID returns the span's trace identifier (0 for a nil span).
@@ -387,27 +377,62 @@ func (s *Span) TraceID() uint64 {
 	return s.traceID
 }
 
-func (s *Span) recordLocked() SpanRecord {
-	rec := SpanRecord{
-		TraceID:  s.traceID,
-		SpanID:   s.spanID,
-		ParentID: s.parentID,
-		Name:     s.name,
-		Start:    s.start,
-		End:      s.end,
+// Leaf is a span that parents no other span — a pipeline step, an
+// element's serve — held by value on its caller's stack, so timing and
+// exporting it costs no heap object: its first spanAttrCap attributes
+// live in it, and End hands exporters a copy (see Tracer.export). A leaf
+// belongs to the goroutine that started it. The zero Leaf, which a nil
+// parent or tracer returns, is a no-op whose End reports zero.
+type Leaf struct {
+	head
+	ended bool
+	n     int
+	room  [spanAttrCap]Attr
+	more  []Attr // every attribute, once there are more than room holds
+	dur   time.Duration
+}
+
+// Annotate attaches a key/value attribute to the leaf. An Annotate after
+// End is dropped.
+func (l *Leaf) Annotate(key, value string) {
+	if l.tracer == nil || l.ended {
+		return
 	}
-	if n := len(s.attrs); n > 0 {
-		rec.Attrs = s.attrs[:n:n] // full, so an exporter's append copies
+	a := Attr{Key: key, Value: value}
+	switch {
+	case l.more != nil:
+		l.more = append(l.more, a)
+	case l.n < len(l.room):
+		l.room[l.n] = a
+		l.n++
+	default:
+		l.more = append(append(make([]Attr, 0, 2*len(l.room)), l.room[:]...), a)
 	}
-	return rec
+}
+
+// End finishes the leaf, exports it as Span.End would, and returns its
+// duration. Ending twice exports once and reports the same duration.
+func (l *Leaf) End() time.Duration {
+	if l.tracer == nil || l.ended {
+		return l.dur
+	}
+	l.ended = true
+	attrs := l.room[:l.n]
+	if l.more != nil {
+		attrs = l.more
+	}
+	l.dur = l.finish(attrs)
+	return l.dur
 }
 
 // RingExporter keeps the most recent spans in a fixed-size ring buffer —
 // the in-memory exporter backing tests and the /debugz "recent spans"
-// view.
+// view. Each slot has room for spanAttrCap attributes, made with the
+// ring, so keeping a record allocates nothing unless it carries more.
 type RingExporter struct {
 	mu    sync.Mutex
 	buf   []SpanRecord
+	room  []Attr // spanAttrCap attributes for each slot of buf
 	next  int
 	total uint64
 }
@@ -417,29 +442,59 @@ func NewRingExporter(n int) *RingExporter {
 	if n < 1 {
 		n = 1
 	}
-	return &RingExporter{buf: make([]SpanRecord, 0, n)}
+	return &RingExporter{buf: make([]SpanRecord, 0, n), room: make([]Attr, n*spanAttrCap)}
 }
 
 // ExportSpan implements Exporter.
 func (r *RingExporter) ExportSpan(rec SpanRecord) {
+	r.keep(rec, rec.Attrs)
+}
+
+// keep stores rec, with a copy of attrs as its attributes, in the next
+// slot, overwriting the oldest record once the ring is full. It never
+// retains attrs.
+func (r *RingExporter) keep(rec SpanRecord, attrs []Attr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
+	i := r.next
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-		return
+		i = len(r.buf)
+		r.buf = r.buf[:i+1]
+	} else {
+		r.next = (r.next + 1) % cap(r.buf)
 	}
-	r.buf[r.next] = rec
-	r.next = (r.next + 1) % cap(r.buf)
+	rec.Attrs = nil
+	switch n := len(attrs); {
+	case n > spanAttrCap:
+		rec.Attrs = append(make([]Attr, 0, n), attrs...)
+	case n > 0:
+		at := i * spanAttrCap
+		rec.Attrs = r.room[at : at+n : at+n]
+		copy(rec.Attrs, attrs)
+	}
+	r.buf[i] = rec
 }
 
-// Spans returns the retained spans, oldest first.
+// Spans returns the retained spans, oldest first. The records' Attrs are
+// copies, which a later export into their slot leaves as they are.
 func (r *RingExporter) Spans() []SpanRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]SpanRecord, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
+	n := 0
+	for _, rec := range out {
+		n += len(rec.Attrs)
+	}
+	attrs := make([]Attr, 0, n)
+	for i := range out {
+		if k := len(out[i].Attrs); k > 0 {
+			attrs = append(attrs, out[i].Attrs...)
+			out[i].Attrs = attrs[len(attrs)-k : len(attrs) : len(attrs)]
+		}
+	}
 	return out
 }
 

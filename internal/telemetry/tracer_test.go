@@ -20,10 +20,12 @@ func TestSpanParentChildStructure(t *testing.T) {
 
 	root := tr.StartSpan("fetch.secure")
 	fake.Advance(10 * time.Millisecond)
-	child := root.StartChild("key.fetch")
+	child := root.Leaf("key.fetch")
 	fake.Advance(5 * time.Millisecond)
-	child.End()
-	grand := root.StartChild("key.verify")
+	if d := child.End(); d != 5*time.Millisecond {
+		t.Errorf("key.fetch End = %v, want 5ms", d)
+	}
+	grand := tr.StartSpanFrom("key.verify", root.Context())
 	fake.Advance(2 * time.Millisecond)
 	grand.End()
 	root.End()
@@ -70,8 +72,19 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 	if got := ring.Total(); got != 1 {
 		t.Fatalf("span exported %d times, want 1", got)
 	}
-	if d := sp.Duration(); d != time.Second {
-		t.Errorf("duration after second End = %v, want 1s", d)
+	if d := ring.Spans()[0].Duration(); d != time.Second {
+		t.Errorf("exported duration = %v, want 1s", d)
+	}
+
+	leaf := tr.LeafFrom("leaf", sp.Context())
+	fake.Advance(time.Second)
+	first := leaf.End()
+	fake.Advance(time.Second)
+	if again := leaf.End(); again != first || first != time.Second {
+		t.Errorf("leaf End = %v, then %v; want 1s both times", first, again)
+	}
+	if got := ring.Total(); got != 2 {
+		t.Fatalf("span and leaf exported %d times, want 2", got)
 	}
 }
 
@@ -82,15 +95,18 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 		t.Fatal("nil tracer returned a non-nil span")
 	}
 	// All of these must be safe on the nil span.
-	child := sp.StartChild("child")
-	if child != nil {
-		t.Fatal("nil span returned a non-nil child")
+	leaf := sp.Leaf("child")
+	leaf.Annotate("error", "e")
+	if d := leaf.End(); d != 0 {
+		t.Errorf("a nil span's leaf reports %v", d)
+	}
+	leaf = tr.LeafFrom("child", telemetry.SpanContext{TraceID: 1, SpanID: 2, Sampled: true})
+	leaf.Annotate("error", "e")
+	if d := leaf.End(); d != 0 {
+		t.Errorf("a nil tracer's leaf reports %v", d)
 	}
 	sp.Annotate("k", "v")
 	sp.End()
-	if sp.Duration() != 0 {
-		t.Error("nil span has non-zero duration")
-	}
 	if sp.TraceID() != 0 {
 		t.Error("nil span has a trace ID")
 	}
@@ -159,7 +175,7 @@ func TestConcurrentSpansUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				sp := tr.StartSpan("op")
-				child := sp.StartChild("step")
+				child := sp.Leaf("step")
 				child.Annotate("i", "x")
 				child.End()
 				sp.End()

@@ -550,7 +550,7 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext, one *[1][]by
 		return nil, fmt.Errorf("unknown operation %q", op)
 	}
 	tel := telemetry.Or(s.Telemetry)
-	sp := tel.Tracer.StartRPCSpan("rpc.serve", sc)
+	sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
 	sp.Annotate("op", op)
 	if sc.Valid() {
 		// The parent span lives in the calling process: mark the
@@ -701,7 +701,7 @@ type Config struct {
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
 	tel := telemetry.Or(c.Telemetry)
 	caller := telemetry.SpanContextFrom(ctx)
-	sp := tel.Tracer.StartRPCSpan("rpc.call", caller)
+	sp := tel.Tracer.StartSpanFrom("rpc.call", caller)
 	sp.Annotate("op", op)
 
 	// When the caller is tracing, the rpc.call span is the wire-
