@@ -33,20 +33,25 @@ type NameCertificate struct {
 	Sig       []byte
 }
 
-func (nc *NameCertificate) signedBytes() []byte {
-	w := enc.NewWriter(128)
-	w.Raw(nc.ObjectID[:])
-	w.String(nc.Subject)
-	w.String(nc.Issuer)
-	w.Time(nc.NotBefore)
-	w.Time(nc.Expires)
-	return w.Bytes()
+// nameCertRoom is stack room for a name certificate's signed encoding:
+// 38 bytes plus the subject and the issuer.
+const nameCertRoom = 192
+
+// appendSigned appends the encoding nc's signature covers to dst: the
+// one encoder for signing, checking and marshalling a certificate.
+func (nc *NameCertificate) appendSigned(dst []byte) []byte {
+	dst = append(dst, nc.ObjectID[:]...)
+	dst = enc.AppendString(dst, nc.Subject)
+	dst = enc.AppendString(dst, nc.Issuer)
+	dst = enc.AppendTime(dst, nc.NotBefore)
+	return enc.AppendTime(dst, nc.Expires)
 }
 
 // Marshal returns the canonical binary encoding, including the signature.
 func (nc *NameCertificate) Marshal() []byte {
+	var room [nameCertRoom]byte
 	w := enc.NewWriter(256)
-	w.BytesPrefixed(nc.signedBytes())
+	w.BytesPrefixed(nc.appendSigned(room[:0]))
 	w.BytesPrefixed(nc.Sig)
 	return w.Bytes()
 }
@@ -100,7 +105,8 @@ func (ca *CA) IssueNameCertificate(oid globeid.OID, subject string, notBefore, e
 		NotBefore: notBefore,
 		Expires:   expires,
 	}
-	sig, err := ca.Key.Sign(nc.signedBytes())
+	var room [nameCertRoom]byte
+	sig, err := ca.Key.Sign(nc.appendSigned(room[:0]))
 	if err != nil {
 		return nil, fmt.Errorf("cert: CA %q signing: %w", ca.Name, err)
 	}
@@ -146,7 +152,8 @@ func (ts *TrustStore) Verify(nc *NameCertificate, oid globeid.OID, now time.Time
 		return "", fmt.Errorf("%w: certificate is for object %s, not %s",
 			ErrNameCertInvalid, nc.ObjectID.Short(), oid.Short())
 	}
-	if err := caKey.Verify(nc.signedBytes(), nc.Sig); err != nil {
+	var room [nameCertRoom]byte
+	if err := caKey.Verify(nc.appendSigned(room[:0]), nc.Sig); err != nil {
 		return "", fmt.Errorf("%w: bad signature from CA %q", ErrNameCertInvalid, nc.Issuer)
 	}
 	if !nc.NotBefore.IsZero() && now.Before(nc.NotBefore) {

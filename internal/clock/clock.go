@@ -20,8 +20,24 @@ type Clock interface {
 	// Sleep blocks for d.
 	Sleep(d time.Duration)
 	// After returns a channel that receives the clock's time once d has
-	// elapsed.
+	// elapsed. Nothing can cancel it: a wait that may end first takes a
+	// NewTimer and stops it.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a timer whose channel receives the clock's time
+	// once d has elapsed, unless it is stopped first.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is one pending wake-up that can be cancelled. Stopping it lets
+// go of everything it holds at once, where an After channel stays
+// pending, and alive, until its time comes.
+type Timer interface {
+	// Chan returns the channel the clock's time is sent on when the
+	// timer fires.
+	Chan() <-chan time.Time
+	// Stop cancels the timer and reports whether that kept it from
+	// firing: false once it has fired or been stopped.
+	Stop() bool
 }
 
 // Real is the wall clock.
@@ -32,18 +48,44 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) NewTimer(d time.Duration) Timer         { return (*realTimer)(time.NewTimer(d)) }
 
-// Fake is a manually advanced clock. Sleepers and After channels wake
-// only when Advance (or Set) moves the clock past their deadline.
+// realTimer is a time.Timer as a Timer: a pointer to it converts to the
+// interface without a further object.
+type realTimer time.Timer
+
+func (t *realTimer) Chan() <-chan time.Time { return t.C }
+func (t *realTimer) Stop() bool             { return (*time.Timer)(t).Stop() }
+
+// Fake is a manually advanced clock. Sleepers, After channels and timers
+// wake only when Advance (or Set) moves the clock past their deadline.
 type Fake struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []*waiter
 }
 
+// waiter is one Fake timer: pending while it is in its clock's waiters.
 type waiter struct {
+	f        *Fake
 	deadline time.Time
 	ch       chan time.Time
+}
+
+func (w *waiter) Chan() <-chan time.Time { return w.ch }
+
+// Stop removes w from its clock's waiters and reports whether it was
+// still among them.
+func (w *waiter) Stop() bool {
+	w.f.mu.Lock()
+	defer w.f.mu.Unlock()
+	for i, other := range w.f.waiters {
+		if other == w {
+			w.f.waiters = append(w.f.waiters[:i], w.f.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // NewFake returns a fake clock starting at start.
@@ -69,15 +111,22 @@ func (f *Fake) Sleep(d time.Duration) {
 
 // After returns a channel that fires when the clock passes now+d.
 func (f *Fake) After(d time.Duration) <-chan time.Time {
+	return f.NewTimer(d).Chan()
+}
+
+// NewTimer returns a timer that fires when the clock passes now+d; a
+// non-positive d has fired already. Until it fires or is stopped it
+// counts among the Waiters.
+func (f *Fake) NewTimer(d time.Duration) Timer {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ch := make(chan time.Time, 1)
+	w := &waiter{f: f, deadline: f.now.Add(d), ch: make(chan time.Time, 1)}
 	if d <= 0 {
-		ch <- f.now
-		return ch
+		w.ch <- f.now
+		return w
 	}
-	f.waiters = append(f.waiters, &waiter{deadline: f.now.Add(d), ch: ch})
-	return ch
+	f.waiters = append(f.waiters, w)
+	return w
 }
 
 // Advance moves the clock forward by d, waking every sleeper whose
@@ -100,8 +149,9 @@ func (f *Fake) Set(t time.Time) {
 	f.mu.Unlock()
 }
 
-// Waiters reports how many sleepers are currently blocked — used by
-// tests that must advance only once a sleeper has parked.
+// Waiters reports how many sleepers and timers are pending — used by
+// tests that must advance only once a sleeper has parked, and by tests
+// that check a finished wait left no timer behind.
 func (f *Fake) Waiters() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

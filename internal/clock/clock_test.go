@@ -90,3 +90,48 @@ func TestFakeConcurrentSleepers(t *testing.T) {
 	f.Advance(8 * time.Second)
 	wg.Wait()
 }
+
+// A stopped timer leaves the fake clock's waiters and never fires; one
+// that fired is no longer pending, so stopping it reports false.
+func TestFakeTimerStop(t *testing.T) {
+	f := clock.NewFake(time.Unix(0, 0))
+	stopped, fired := f.NewTimer(time.Second), f.NewTimer(time.Second)
+	if got := f.Waiters(); got != 2 {
+		t.Fatalf("%d waiters, want 2", got)
+	}
+	if !stopped.Stop() {
+		t.Error("Stop on a pending timer reported false")
+	}
+	if got := f.Waiters(); got != 1 {
+		t.Fatalf("%d waiters after Stop, want 1", got)
+	}
+	f.Advance(time.Second)
+	select {
+	case <-stopped.Chan():
+		t.Error("a stopped timer fired")
+	default:
+	}
+	select {
+	case <-fired.Chan():
+	default:
+		t.Error("a pending timer did not fire at its deadline")
+	}
+	if fired.Stop() || stopped.Stop() {
+		t.Error("Stop on a fired or stopped timer reported true")
+	}
+	if got := f.Waiters(); got != 0 {
+		t.Errorf("%d waiters left, want 0", got)
+	}
+}
+
+func TestRealTimerStop(t *testing.T) {
+	tm := clock.Real.NewTimer(time.Hour)
+	if !tm.Stop() {
+		t.Error("Stop on a pending real timer reported false")
+	}
+	tm = clock.Real.NewTimer(0)
+	<-tm.Chan()
+	if tm.Stop() {
+		t.Error("Stop on a fired real timer reported true")
+	}
+}

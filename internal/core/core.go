@@ -336,7 +336,7 @@ type Client struct {
 
 	mu         sync.Mutex
 	cache      map[globeid.OID]*list.Element // of *bindingEntry
-	bindingLRU *list.List                    // front = most recently used
+	bindingLRU list.List                     // front = most recently used
 	flights    map[globeid.OID]*flight
 }
 
@@ -386,7 +386,6 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		maxBindings:     maxBindings,
 		selector:        selector,
 		cache:           make(map[globeid.OID]*list.Element),
-		bindingLRU:      list.New(),
 		flights:         make(map[globeid.OID]*flight),
 	}, nil
 }
@@ -1090,19 +1089,19 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, pl *fetchPlan, 
 	if err != nil {
 		return fail(fmt.Errorf("core: fetching object key: %w", err))
 	}
-	p.credit(StepKeyFetch, &p.timing.KeyFetch, share(len(reply.Key)))
+	p.credit(StepKeyFetch, &p.timing.KeyFetch, share.of(len(reply.Key)))
 	var nameCerts []*cert.NameCertificate
 	if req.NameCerts {
 		if nameCerts, err = object.DecodeCertList(reply.NameCerts); err != nil {
 			return fail(fmt.Errorf("core: fetching identity certificates: %w", err))
 		}
-		p.credit(StepNameCertFetch, &p.timing.NameCertFetch, share(len(reply.NameCerts)))
+		p.credit(StepNameCertFetch, &p.timing.NameCertFetch, share.of(len(reply.NameCerts)))
 	}
 	icert, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
 	if err != nil {
 		return fail(fmt.Errorf("core: fetching integrity certificate: %w", err))
 	}
-	p.credit(StepCertFetch, &p.timing.CertFetch, share(len(reply.Cert)))
+	p.credit(StepCertFetch, &p.timing.CertFetch, share.of(len(reply.Cert)))
 
 	// Step 6: self-certify the object's public key.
 	err = p.step(StepKeyVerify, &p.timing.KeyVerify, func() error {
@@ -1179,7 +1178,7 @@ func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all b
 		return false, pre, err
 	}
 	if moved = len(reply.Cert) > 0; moved {
-		p.credit(StepCertFetch, &p.timing.CertFetch, share(len(reply.Cert)))
+		p.credit(StepCertFetch, &p.timing.CertFetch, share.of(len(reply.Cert)))
 		icert, err := cert.UnmarshalIntegrityCertificate(reply.Cert)
 		if err != nil {
 			return false, pre, fmt.Errorf("core: fetching integrity certificate: %w", err)
@@ -1202,28 +1201,34 @@ func (c *Client) exchange(ctx context.Context, p *pipeline, b *boundFetch, all b
 // owner has already superseded.
 var errOlderCertificate = errors.New("core: replica moved to a certificate no newer than the one held")
 
+// byteShare apportions one exchange's time to its bytes.
+type byteShare struct {
+	d     time.Duration // the exchange's time
+	total int           // the bytes it carried
+}
+
+// of is the share of the exchange's time that n of its bytes take.
+func (s byteShare) of(n int) time.Duration {
+	if s.total == 0 {
+		return 0
+	}
+	return s.d * time.Duration(n) / time.Duration(s.total)
+}
+
 // bindExchange makes one obj.bind exchange under a bind.fetch span, and
-// returns the reply with share, which apportions the exchange's time to
-// n of its bytes. A failed exchange carried nothing for the steps: its
-// time is a cost of binding to the replica.
-func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.Client, req object.BindRequest) (object.BindReply, func(n int) time.Duration, error) {
+// returns the reply with its byteShare. A failed exchange carried
+// nothing for the steps: its time is a cost of binding to the replica.
+func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.Client, req object.BindRequest) (object.BindReply, byteShare, error) {
 	sp := p.root.Leaf(StepBindFetch)
 	reply, err := client.Bind(ctx, req)
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		p.timing.Bind += sp.End()
-		return object.BindReply{}, nil, fmt.Errorf("core: binding: %w", err)
+		return object.BindReply{}, byteShare{}, fmt.Errorf("core: binding: %w", err)
 	}
-	d := sp.End()
-	total := len(reply.Key) + len(reply.NameCerts) + len(reply.Cert)
+	share := byteShare{d: sp.End(), total: len(reply.Key) + len(reply.NameCerts) + len(reply.Cert)}
 	for _, it := range reply.Items {
-		total += len(it.Element.Data)
-	}
-	share := func(n int) time.Duration {
-		if total == 0 {
-			return 0
-		}
-		return d * time.Duration(n) / time.Duration(total)
+		share.total += len(it.Element.Data)
 	}
 	return reply, share, nil
 }
@@ -1235,7 +1240,7 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 // there are several. A batch — a reply carrying any element for FetchAll
 // or for several names — is counted in batch_fetch_total and
 // batch_fetch_elements_total.
-func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) time.Duration, batch bool) prefill {
+func (c *Client) prefillOf(pre prefill, reply object.BindReply, share byteShare, batch bool) prefill {
 	n, carried := 0, 0
 	for _, it := range reply.Items {
 		if it.Err == nil && !it.Held { // a declined item is asked for again
@@ -1256,7 +1261,7 @@ func (c *Client) prefillOf(pre prefill, reply object.BindReply, share func(int) 
 	}
 	for _, it := range reply.Items {
 		if it.Err == nil && !it.Held {
-			pre[it.Name] = prefetched{elem: it.Element, share: share(len(it.Element.Data)), inFrame: inFrame, frame: frame}
+			pre[it.Name] = prefetched{elem: it.Element, share: share.of(len(it.Element.Data)), inFrame: inFrame, frame: frame}
 		}
 	}
 	if batch {

@@ -87,16 +87,14 @@ func (w *Writer) Bool(b bool) {
 	}
 }
 
-// Bytes8 appends b with a varint length prefix.
+// BytesPrefixed appends b with a varint length prefix.
 func (w *Writer) BytesPrefixed(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	w.buf = AppendBytesPrefixed(w.buf, b)
 }
 
 // String appends s with a varint length prefix.
 func (w *Writer) String(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	w.buf = AppendString(w.buf, s)
 }
 
 // Raw appends b verbatim, with no length prefix. Use only for fixed-size
@@ -108,11 +106,33 @@ func (w *Writer) Raw(b []byte) {
 // Time appends t as Unix nanoseconds (fixed 8 bytes). The zero time is
 // encoded as math.MinInt64 so it round-trips distinguishably.
 func (w *Writer) Time(t time.Time) {
+	w.buf = AppendTime(w.buf, t)
+}
+
+// AppendBytesPrefixed, AppendString and AppendTime append to dst what
+// the Writer methods of the same names write. They build an encoding in
+// room the caller provides, which stays on the caller's stack unless the
+// encoding outgrows it; a Writer's buffer always escapes.
+
+// AppendBytesPrefixed appends b with a varint length prefix.
+func AppendBytesPrefixed(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// AppendString appends s with a varint length prefix.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendTime appends t as Unix nanoseconds (fixed 8 bytes), the zero
+// time as math.MinInt64.
+func AppendTime(dst []byte, t time.Time) []byte {
 	if t.IsZero() {
-		w.Uint64(uint64(uint64(1) << 63)) // math.MinInt64 bit pattern
-		return
+		return binary.BigEndian.AppendUint64(dst, uint64(1)<<63) // math.MinInt64 bit pattern
 	}
-	w.Uint64(uint64(t.UnixNano()))
+	return binary.BigEndian.AppendUint64(dst, uint64(t.UnixNano()))
 }
 
 // Float64 appends v as its IEEE-754 bit pattern (fixed 8 bytes).

@@ -56,14 +56,18 @@ type Record struct {
 	Sig     []byte
 }
 
-func (rec *Record) signedBytes() []byte {
-	w := enc.NewWriter(96)
-	w.String("globedoc-name-record")
-	w.String(rec.Name)
-	w.Raw(rec.OID[:])
-	w.Time(rec.Issued)
-	w.Time(rec.Expires)
-	return w.Bytes()
+// recordRoom is stack room for a record's signed encoding: 58 bytes
+// plus the name.
+const recordRoom = 128
+
+// appendSigned appends the encoding rec's signature covers to dst: the
+// one encoder for signing and checking a record.
+func (rec *Record) appendSigned(dst []byte) []byte {
+	dst = enc.AppendString(dst, "globedoc-name-record")
+	dst = enc.AppendString(dst, rec.Name)
+	dst = append(dst, rec.OID[:]...)
+	dst = enc.AppendTime(dst, rec.Issued)
+	return enc.AppendTime(dst, rec.Expires)
 }
 
 // Delegation transfers authority over child from parent: the parent
@@ -77,15 +81,20 @@ type Delegation struct {
 	Sig      []byte
 }
 
-func (d *Delegation) signedBytes() []byte {
-	w := enc.NewWriter(128)
-	w.String("globedoc-name-delegation")
-	w.String(d.Parent)
-	w.String(d.Child)
-	w.BytesPrefixed(d.ChildKey.Marshal())
-	w.Time(d.Issued)
-	w.Time(d.Expires)
-	return w.Bytes()
+// delegationRoom is stack room for a delegation's signed encoding: 43
+// bytes plus the zone names and the child's prefixed key, under 300
+// bytes for RSA-2048.
+const delegationRoom = 512
+
+// appendSigned appends the encoding d's signature covers to dst: the one
+// encoder for signing and checking a delegation.
+func (d *Delegation) appendSigned(dst []byte) []byte {
+	dst = enc.AppendString(dst, "globedoc-name-delegation")
+	dst = enc.AppendString(dst, d.Parent)
+	dst = enc.AppendString(dst, d.Child)
+	dst = enc.AppendBytesPrefixed(dst, d.ChildKey.Marshal())
+	dst = enc.AppendTime(dst, d.Issued)
+	return enc.AppendTime(dst, d.Expires)
 }
 
 // Chain is everything a resolver needs to validate one name binding:
@@ -196,7 +205,8 @@ func (a *Authority) CreateZone(parentZone, zoneName string) error {
 		Issued:   now,
 		Expires:  now.Add(a.DelegationTTL),
 	}
-	sig, err := parent.key.Sign(d.signedBytes())
+	var room [delegationRoom]byte
+	sig, err := parent.key.Sign(d.appendSigned(room[:0]))
 	if err != nil {
 		return err
 	}
@@ -255,7 +265,8 @@ func (a *Authority) Register(name string, oid globeid.OID) error {
 	z := a.owningZoneLocked(name)
 	now := a.Now()
 	rec := &Record{Name: name, OID: oid, Issued: now, Expires: now.Add(a.RecordTTL)}
-	sig, err := z.key.Sign(rec.signedBytes())
+	var room [recordRoom]byte
+	sig, err := z.key.Sign(rec.appendSigned(room[:0]))
 	if err != nil {
 		return err
 	}
@@ -314,7 +325,8 @@ func VerifyChain(chain Chain, name string, rootKey keys.PublicKey, now time.Time
 			return globeid.Zero, fmt.Errorf("%w: zone %q not inside %q",
 				ErrChainInvalid, d.Child, zoneName)
 		}
-		if err := key.Verify(d.signedBytes(), d.Sig); err != nil {
+		var room [delegationRoom]byte
+		if err := key.Verify(d.appendSigned(room[:0]), d.Sig); err != nil {
 			return globeid.Zero, fmt.Errorf("%w: bad signature on delegation of %q",
 				ErrChainInvalid, d.Child)
 		}
@@ -333,7 +345,8 @@ func VerifyChain(chain Chain, name string, rootKey keys.PublicKey, now time.Time
 		return globeid.Zero, fmt.Errorf("%w: record %q outside zone %q",
 			ErrRecordInvalid, rec.Name, zoneName)
 	}
-	if err := key.Verify(rec.signedBytes(), rec.Sig); err != nil {
+	var room [recordRoom]byte
+	if err := key.Verify(rec.appendSigned(room[:0]), rec.Sig); err != nil {
 		return globeid.Zero, fmt.Errorf("%w: bad signature on record %q", ErrRecordInvalid, name)
 	}
 	if now.After(rec.Expires) || now.Before(rec.Issued) {

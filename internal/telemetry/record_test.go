@@ -181,15 +181,18 @@ func TestSpanLifecycleAllocationBudget(t *testing.T) {
 	}
 }
 
-// An RPC span carries two to four attributes, all in the span's room: one
-// object for its whole lifecycle. Past the room its attributes move to a
+// An rpc.call or a plain handler's rpc.serve is a leaf: it carries two
+// to four attributes, all in its room, and its Context, which parents
+// the far side's span over the wire, is its own identity, so its whole
+// lifecycle allocates nothing. Past the room its attributes move to a
 // slice, and the record still carries every one, in order.
-func TestRPCSpanIsOneObject(t *testing.T) {
+func TestRPCSpanIsALeaf(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
 	ring := telemetry.NewRingExporter(16)
 	tr.AddExporter(ring)
 	parent := telemetry.SpanContext{TraceID: 7, SpanID: 9, Sampled: true}
-	sp := tr.StartSpanFrom("rpc.call", parent)
+	sp := tr.LeafFrom("rpc.call", parent)
+	wire := sp.Context()
 	var want []telemetry.Attr
 	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
 		sp.Annotate(k, k)
@@ -203,17 +206,25 @@ func TestRPCSpanIsOneObject(t *testing.T) {
 	if rec := spans[0]; rec.Name != "rpc.call" || rec.TraceID != 7 || rec.ParentID != 9 || !reflect.DeepEqual(rec.Attrs, want) {
 		t.Errorf("exported %+v, want rpc.call under 7/9 with attributes %v", rec, want)
 	}
+	if rec := spans[0]; wire != (telemetry.SpanContext{TraceID: 7, SpanID: rec.SpanID, Sampled: true}) {
+		t.Errorf("Context() = %+v, want the leaf's own identity %d/%d, sampled", wire, rec.TraceID, rec.SpanID)
+	}
+	var none telemetry.Leaf
+	if none.Context().Valid() {
+		t.Error("a no-op leaf's Context is valid")
+	}
 
 	got := alloctest.AllocsPerRun(t, 100, func() {
-		sp := tr.StartSpanFrom("rpc.call", parent)
+		sp := tr.LeafFrom("rpc.call", parent)
 		sp.Annotate("op", "obj.bind")
+		_ = sp.Context()
 		sp.Annotate("error", "reset")
 		sp.Annotate("attempts", "2")
 		sp.Annotate("outcome", "error")
 		sp.End()
 	})
-	if got > 1 {
-		t.Errorf("StartSpanFrom, four Annotates and End allocate %.0f objects, want 1", got)
+	if got != 0 {
+		t.Errorf("LeafFrom, Context, four Annotates and End allocate %.0f objects, want 0", got)
 	}
 }
 

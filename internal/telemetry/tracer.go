@@ -11,10 +11,12 @@
 // can never disagree.
 //
 // Every fetch times its steps, sampled or not. A span that other spans
-// hang off — a trace's root, an RPC, a serve — is one heap object (Span);
-// one that parents nothing — each of the 14 steps, an element's serve —
-// is a Leaf, held by value on its caller's stack, and timing and
-// exporting it allocates nothing (DESIGN.md §8, "What a span costs").
+// in its process hang off — a trace's root, a context handler's serve —
+// is one heap object (Span); one that parents nothing here — each of the
+// 14 steps, an element's serve, an RPC's call, whose child is the
+// server's — is a Leaf, held by value on its caller's stack, and timing
+// and exporting it allocates nothing (DESIGN.md §8, "What a span
+// costs").
 //
 // Everything here is safe for concurrent use and nil-tolerant: a nil
 // *Span or nil instrument is a no-op, and so is the leaf a nil span
@@ -302,10 +304,11 @@ func (t *Tracer) export(rec SpanRecord, attrs []Attr) {
 }
 
 // Span is one timed operation that other spans may hang off: a trace's
-// root, an RPC or a serve. All methods are safe on a nil span. A span is
-// one heap object: its attributes live in room until a fifth moves them
-// to a slice. A span that parents nothing is better a Leaf, which costs
-// no heap object at all.
+// root, or the serve of a handler that starts spans of its own. All
+// methods are safe on a nil span. A span is one heap object: its
+// attributes live in room until a fifth moves them to a slice. A span
+// that parents nothing in its process is better a Leaf, which costs no
+// heap object at all.
 type Span struct {
 	head
 
@@ -377,12 +380,15 @@ func (s *Span) TraceID() uint64 {
 	return s.traceID
 }
 
-// Leaf is a span that parents no other span — a pipeline step, an
-// element's serve — held by value on its caller's stack, so timing and
+// Leaf is a span that parents no other span in this process — a
+// pipeline step, an element's serve, an RPC's call and a plain
+// handler's serve — held by value on its caller's stack, so timing and
 // exporting it costs no heap object: its first spanAttrCap attributes
-// live in it, and End hands exporters a copy (see Tracer.export). A leaf
-// belongs to the goroutine that started it. The zero Leaf, which a nil
-// parent or tracer returns, is a no-op whose End reports zero.
+// live in it, and End hands exporters a copy (see Tracer.export). A
+// span in another process may still hang off it: its Context crosses
+// the wire as a span's does. A leaf belongs to the goroutine that
+// started it. The zero Leaf, which a nil parent or tracer returns, is a
+// no-op whose End reports zero.
 type Leaf struct {
 	head
 	ended bool
@@ -390,6 +396,16 @@ type Leaf struct {
 	room  [spanAttrCap]Attr
 	more  []Attr // every attribute, once there are more than room holds
 	dur   time.Duration
+}
+
+// Context returns the leaf's propagatable identity, for carrying across
+// the wire: the remote span started from it joins the leaf's trace as
+// its child. A no-op leaf returns the zero (invalid) SpanContext.
+func (l *Leaf) Context() SpanContext {
+	if l.tracer == nil {
+		return SpanContext{}
+	}
+	return SpanContext{TraceID: l.traceID, SpanID: l.spanID, Sampled: l.sampled}
 }
 
 // Annotate attaches a key/value attribute to the leaf. An Annotate after

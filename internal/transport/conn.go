@@ -26,6 +26,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"globedoc/internal/telemetry"
@@ -40,10 +41,27 @@ type streamResult struct {
 	err     error
 }
 
+// inlineStreams is how many in-flight streams a connection tracks in
+// itself; more spill into a map made when they first do.
+const inlineStreams = 4
+
+// stream is one in-flight call: its ID and the channel its result goes
+// to. The zero stream is a free slot (stream IDs start at 1).
+type stream struct {
+	id uint32
+	ch chan streamResult
+}
+
 // poolConn is one pooled connection and the streams in flight on it.
+// The connection, its stream table and its goroutine's closure are all
+// a dial allocates.
 type poolConn struct {
 	c    *Client
-	conn net.Conn
+	conn net.Conn // set by dial before dialConn returns pc
+
+	// landed is set by whichever comes first: the dial's outcome, or
+	// dialConn giving up on it.
+	landed atomic.Bool
 
 	wmu sync.Mutex // serialises frame writes
 	// hello rides in front of the connection's first frame; the first
@@ -55,8 +73,11 @@ type poolConn struct {
 	lenBuf [4]byte
 
 	mu       sync.Mutex
-	unproven bool                         // the server's answer has not arrived
-	streams  map[uint32]chan streamResult // in-flight calls by stream ID
+	unproven bool // the server's answer has not arrived
+	// streams and more are the in-flight calls: the first
+	// inlineStreams in streams, the rest in more.
+	streams  [inlineStreams]stream
+	more     map[uint32]chan streamResult
 	nextID   uint32
 	inflight int  // reserved stream slots (also counts calls mid-setup)
 	draining bool // Close was called mid-flight: close when drained
@@ -81,17 +102,48 @@ func (pc *poolConn) register() (uint32, chan streamResult, error) {
 	pc.nextID++
 	id := pc.nextID
 	ch := resultChans.Get().(chan streamResult)
-	pc.streams[id] = ch
+	pc.addLocked(stream{id: id, ch: ch})
 	return id, ch, nil
+}
+
+// addLocked adds st to the in-flight streams: in a free slot of
+// streams, else in more. The caller holds pc.mu.
+func (pc *poolConn) addLocked(st stream) {
+	for i := range pc.streams {
+		if pc.streams[i].id == 0 {
+			pc.streams[i] = st
+			return
+		}
+	}
+	if pc.more == nil {
+		pc.more = make(map[uint32]chan streamResult)
+	}
+	pc.more[st.id] = st.ch
+}
+
+// removeLocked removes the stream named id from the in-flight streams
+// and returns its channel, if it was there. The caller holds pc.mu.
+func (pc *poolConn) removeLocked(id uint32) (chan streamResult, bool) {
+	if id == 0 {
+		return nil, false // a free slot's ID, which names no stream
+	}
+	for i := range pc.streams {
+		if pc.streams[i].id == id {
+			ch := pc.streams[i].ch
+			pc.streams[i] = stream{}
+			return ch, true
+		}
+	}
+	ch, ok := pc.more[id]
+	delete(pc.more, id)
+	return ch, ok
 }
 
 // take removes and returns the stream a response frame names.
 func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	ch, ok := pc.streams[id]
-	delete(pc.streams, id)
-	return ch, ok
+	return pc.removeLocked(id)
 }
 
 // abandon gives up on a stream whose caller stopped waiting (timeout or
@@ -102,7 +154,7 @@ func (pc *poolConn) take(id uint32) (chan streamResult, bool) {
 func (pc *poolConn) abandon(id uint32, why error) {
 	pc.mu.Lock()
 	unproven := pc.unproven
-	delete(pc.streams, id)
+	pc.removeLocked(id)
 	pc.mu.Unlock()
 	if unproven {
 		pc.fail(fmt.Errorf("call abandoned: %v", why))
@@ -141,13 +193,18 @@ func (pc *poolConn) fail(cause error) {
 		return
 	}
 	err := fmt.Errorf("%w (%w)", ErrClosed, cause)
-	pc.dead = true
+	pc.dead = true // a dead conn registers no stream
 	pc.deadErr = err
-	pending := pc.streams
-	pc.streams = nil // a dead conn registers no stream
+	pending, more := pc.streams, pc.more
+	pc.streams, pc.more = [inlineStreams]stream{}, nil
 	pc.mu.Unlock()
 	pc.conn.Close()
-	for _, ch := range pending {
+	for _, st := range pending {
+		if st.id != 0 {
+			st.ch <- streamResult{err: err}
+		}
+	}
+	for _, ch := range more {
 		ch <- streamResult{err: err}
 	}
 	telemetry.Or(pc.c.Telemetry).PoolConns.Add(-1)
@@ -243,7 +300,11 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {
-		timeout = c.clock().After(c.CallTimeout)
+		// Stopped once the call ends, so a finished call leaves no
+		// timer pending.
+		t := c.clock().NewTimer(c.CallTimeout)
+		defer t.Stop()
+		timeout = t.Chan()
 	}
 	select {
 	case r := <-ch:
@@ -261,21 +322,91 @@ func (pc *poolConn) roundTrip(ctx context.Context, sc telemetry.SpanContext, op 
 	return nil, err
 }
 
-// dialConn opens one connection for the pool. Its first write carries
-// the hello and its read loop takes the answer (awaitAnswer); dialling
+// dialResults holds the channels a dial reports its outcome on. Exactly
+// one of a dial and its dialConn sets landed (poolConn.dial), and only
+// the dial that set it sends, to a dialConn that always receives, so a
+// channel goes back empty in every case.
+var dialResults = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// dialConn opens one connection for the pool, bounded by DialTimeout
+// and ctx. The DialFunc has no cancellation surface, so when either
+// bound is set it runs on the goroutine that becomes the connection's
+// read loop (open), and a dial given up on closes its connection when
+// it arrives; with neither, nothing can end the wait first, and the
+// dial runs on the caller's goroutine. Its first write carries the
+// hello and its read loop takes the answer (awaitAnswer); dialling
 // writes nothing.
 func (c *Client) dialConn(ctx context.Context) (*poolConn, error) {
-	conn, err := c.dialContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial: %w", err)
+	pc := &poolConn{c: c, unproven: true, hello: hello[:]}
+	if c.DialTimeout <= 0 && ctx.Done() == nil {
+		if _, err := pc.dial(); err != nil {
+			return nil, fmt.Errorf("transport: dial: %w", err)
+		}
+		go pc.readLoop(pc.conn)
+		return pc, nil
 	}
-	tel := telemetry.Or(c.Telemetry)
-	tel.PoolDials.Inc()
-	pc := &poolConn{
-		c: c, conn: conn, unproven: true,
-		hello: hello[:], streams: make(map[uint32]chan streamResult),
+	dialed := dialResults.Get().(chan error)
+	defer dialResults.Put(dialed)
+	go pc.open(dialed)
+	var timeout <-chan time.Time
+	if c.DialTimeout > 0 {
+		t := time.NewTimer(c.DialTimeout)
+		defer t.Stop()
+		timeout = t.C
 	}
-	tel.PoolConns.Add(1)
-	go pc.readLoop(pc.conn)
-	return pc, nil
+	var err error
+	select {
+	case err = <-dialed:
+		if err != nil {
+			return nil, fmt.Errorf("transport: dial: %w", err)
+		}
+		return pc, nil
+	case <-timeout:
+		err = fmt.Errorf("%w after %v", ErrDialTimeout, c.DialTimeout)
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	if !pc.landed.CompareAndSwap(false, true) {
+		// The dial landed as the wait ended: retire what it opened.
+		if <-dialed == nil {
+			pc.mu.Lock()
+			pc.retireLocked()
+			pc.mu.Unlock()
+		}
+	}
+	return nil, fmt.Errorf("transport: dial: %w", err)
+}
+
+// open runs the dial on the goroutine that, unless dialConn has given up
+// on it, reports the outcome on dialed and becomes the connection's read
+// loop.
+func (pc *poolConn) open(dialed chan<- error) {
+	landed, err := pc.dial()
+	if !landed {
+		return
+	}
+	dialed <- err
+	if err == nil {
+		pc.readLoop(pc.conn)
+	}
+}
+
+// dial runs the DialFunc and sets landed unless dialConn gave up on the
+// dial first, in which case it closes the connection the dial made and
+// reports false. A connection that landed is counted into the pool.
+func (pc *poolConn) dial() (landed bool, err error) {
+	conn, err := pc.c.dial()
+	pc.conn = conn
+	if !pc.landed.CompareAndSwap(false, true) {
+		if conn != nil {
+			conn.Close()
+		}
+		return false, err
+	}
+	if err == nil {
+		tel := telemetry.Or(pc.c.Telemetry)
+		tel.PoolDials.Inc()
+		tel.PoolConns.Add(1)
+	}
+	return true, err
 }

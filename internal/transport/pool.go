@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"net"
-	"time"
 
 	"globedoc/internal/telemetry"
 )
@@ -145,57 +143,13 @@ func (c *Client) wakeLocked() {
 	}
 }
 
-// dialContext runs dial, bounded by DialTimeout and ctx. The underlying
-// DialFunc has no cancellation surface, so on timeout or cancellation
-// the late connection (if any) is closed when it eventually arrives.
-func (c *Client) dialContext(ctx context.Context) (net.Conn, error) {
-	if c.DialTimeout <= 0 && ctx.Done() == nil {
-		return c.dial()
-	}
-	type result struct {
-		conn net.Conn
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		conn, err := c.dial()
-		ch <- result{conn, err}
-	}()
-	reapLate := func() {
-		go func() {
-			if r := <-ch; r.conn != nil {
-				r.conn.Close()
-			}
-		}()
-	}
-	var timeout <-chan time.Time
-	if c.DialTimeout > 0 {
-		t := time.NewTimer(c.DialTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case r := <-ch:
-		return r.conn, r.err
-	case <-timeout:
-		reapLate()
-		return nil, fmt.Errorf("%w after %v", ErrDialTimeout, c.DialTimeout)
-	case <-ctx.Done():
-		reapLate()
-		return nil, ctx.Err()
-	}
-}
-
 // Close closes every idle pooled connection. Connections with calls in
 // flight drain: their calls finish and the last one to return closes the
 // connection instead of pooling it. A later Call reopens the pool.
 func (c *Client) Close() {
 	c.mu.Lock()
-	conns := c.conns
-	c.conns = nil
-	c.wakeLocked()
-	c.mu.Unlock()
-	for _, pc := range conns {
+	defer c.mu.Unlock()
+	for _, pc := range c.conns {
 		pc.mu.Lock()
 		if pc.inflight > 0 {
 			pc.draining = true
@@ -204,6 +158,9 @@ func (c *Client) Close() {
 		}
 		pc.mu.Unlock()
 	}
+	clear(c.conns)
+	c.conns = c.conns[:0]
+	c.wakeLocked()
 }
 
 // ConnsInUse reports how many connections are currently serving calls —

@@ -284,3 +284,56 @@ func TestOpenDialsWithoutWriting(t *testing.T) {
 		t.Errorf("health of the dead address = %+v, want one failure", h)
 	}
 }
+
+// TestGivenUpDialClosesItsConnection: a dial its caller gave up on, by
+// DialTimeout or by ctx, closes the connection it makes when it lands
+// late, and the pool never counts that connection.
+func TestGivenUpDialClosesItsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		want    error
+	}{
+		{"dial timeout", 10 * time.Millisecond, transport.ErrDialTimeout},
+		{"ctx cancelled", 0, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			started, release := make(chan struct{}), make(chan struct{})
+			made := make(chan *closingConn, 1)
+			tel := telemetry.New(nil)
+			c := transport.NewClient(func() (net.Conn, error) {
+				close(started)
+				<-release
+				client, server := net.Pipe()
+				server.Close() // the dial is given up on before a byte is sent
+				late := &closingConn{Conn: client, closed: make(chan struct{})}
+				made <- late
+				return late, nil
+			}).Configure(transport.Config{DialTimeout: tc.timeout, Telemetry: tel})
+			defer c.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.timeout == 0 {
+				go func() {
+					<-started
+					cancel()
+				}()
+			}
+			if _, err := c.Call(ctx, "echo", nil); !errors.Is(err, tc.want) {
+				t.Fatalf("Call: %v, want %v", err, tc.want)
+			}
+			close(release)
+			select {
+			case <-(<-made).closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the late connection was never closed")
+			}
+			if n := tel.PoolDials.Value(); n != 0 {
+				t.Errorf("%d dials counted, want 0", n)
+			}
+			if n := tel.PoolConns.Value(); n != 0 {
+				t.Errorf("pool gauge reads %d, want 0", n)
+			}
+		})
+	}
+}

@@ -3,8 +3,9 @@ package transport_test
 // What the transport reuses between calls, and what that must never
 // change: a stream's result channel goes back for reuse only once its
 // caller received the reply, so a reply that lands after its caller gave
-// up reaches no other call; and a warm connection's call allocates only
-// what its frames and spans need.
+// up reaches no other call; a finished call leaves no timer behind; and
+// a warm connection's call allocates only the frames it reads and the
+// handler's goroutine.
 
 import (
 	"context"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"globedoc/internal/alloctest"
+	"globedoc/internal/clock"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
 )
@@ -60,27 +62,34 @@ func (c *deliveryConn) expect(n int) {
 // empty error string, body length and body.
 func echoReplyLen(body string) int { return 4 + 6 + 1 + 1 + 1 + len(body) }
 
-// expiringClock is the real clock, except that After can be armed once
-// to wait for an event and then return a timeout that has already
+// expiringClock is the real clock, except that NewTimer can be armed
+// once to wait for an event and then return a timer that has already
 // fired: a call's CallTimeout expires at the moment its reply lands.
 type expiringClock struct {
-	armed chan (<-chan struct{}) // the event the next After waits for
+	armed chan (<-chan struct{}) // the event the next NewTimer waits for
 }
 
-func (c *expiringClock) Now() time.Time        { return time.Now() }
-func (c *expiringClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (c *expiringClock) Now() time.Time                         { return time.Now() }
+func (c *expiringClock) Sleep(d time.Duration)                  { time.Sleep(d) }
+func (c *expiringClock) After(d time.Duration) <-chan time.Time { return c.NewTimer(d).Chan() }
 
-func (c *expiringClock) After(d time.Duration) <-chan time.Time {
+func (c *expiringClock) NewTimer(d time.Duration) clock.Timer {
 	select {
 	case event := <-c.armed:
 		<-event
-		fired := make(chan time.Time, 1)
+		fired := make(firedTimer, 1)
 		fired <- time.Now()
 		return fired
 	default:
-		return time.After(d)
+		return clock.Real.NewTimer(d)
 	}
 }
+
+// firedTimer is a timer that fired when it was made.
+type firedTimer chan time.Time
+
+func (t firedTimer) Chan() <-chan time.Time { return t }
+func (t firedTimer) Stop() bool             { return false }
 
 // TestLateReplyNeverReachesAnotherCall abandons calls by CallTimeout on
 // one connection in the two ways a reply can come late: long after the
@@ -195,13 +204,14 @@ func warmCall(tb testing.TB) func() {
 
 // warmCallAllocBudget is the heap objects of one call on a warm
 // connection, both sides of it, with go1.24 on linux/amd64: the frame
-// each side reads, the rpc.call and rpc.serve spans (each with its
-// attributes inside it), the context carrying the rpc.serve span, the
-// handler's goroutine and the request's decoded operation name — 7,
-// where 2 % more rounds to none. The frames written come from a pool,
-// the result channel is reused and a plain handler's reply is framed
-// from the serving goroutine's stack, so none of them counts.
-const warmCallAllocBudget = 7
+// each side reads and the handler's goroutine — 3, where 2 % more rounds
+// to none. The rpc.call and the plain handler's rpc.serve spans are
+// leaves on their goroutines' stacks, no context is built for a plain
+// handler, its operation is looked up by its bytes, the frames written
+// come from a pool, the result channel is reused and a plain handler's
+// reply is framed from the serving goroutine's stack, so none of them
+// counts.
+const warmCallAllocBudget = 3
 
 func TestWarmCallAllocationBudget(t *testing.T) {
 	call := warmCall(t)
@@ -221,5 +231,26 @@ func BenchmarkWarmCall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		call()
+	}
+}
+
+// TestFinishedCallLeavesNoTimer: a call bounded by CallTimeout stops its
+// timer when the reply arrives, so however many calls finish, none
+// leaves a timer pending until its timeout would have come.
+func TestFinishedCallLeavesNoTimer(t *testing.T) {
+	dial := startServer(t, func(s *transport.Server) {
+		s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
+	})
+	fake := clock.NewFake(time.Now()) // the write deadline is set on a real socket
+	c := transport.NewClient(dial).Configure(transport.Config{CallTimeout: 10 * time.Second, Telemetry: telemetry.New(nil)})
+	c.Clock = fake
+	defer c.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := c.Call(context.Background(), "echo", []byte("timed")); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if n := fake.Waiters(); n != 0 {
+			t.Fatalf("after call %d, %d timers are pending, want 0", i, n)
+		}
 	}
 }

@@ -23,12 +23,15 @@
 // nothing about its peer, so no fault changes how it makes its next
 // call.
 //
-// A call allocates little beyond the frames it reads. A frame is
-// written from a pooled buffer that goes back when its Write returns, a
-// stream's result channel is reused once its caller has received the
-// reply, a frame's length prefix is read into per-connection scratch,
-// and a served connection's state is one object. A received frame is
-// never pooled: everything decoded from it aliases it (readFrame).
+// A call allocates the frames it reads and, on the server, the
+// handler's goroutine; a connection adds one object and one goroutine on
+// each side. A frame is written from a pooled buffer that goes back when
+// its Write returns, a stream's result channel is reused once its caller
+// has received the reply, a frame's length prefix is read into
+// per-connection scratch, the rpc.call span and a plain handler's
+// rpc.serve are stack-held leaves, and a route is found by its
+// operation's bytes. A received frame is never pooled: everything
+// decoded from it aliases it (readFrame).
 package transport
 
 import (
@@ -171,14 +174,14 @@ func appendRequestHead(dst []byte, op string, bodyLen int) []byte {
 	return binary.AppendUvarint(dst, uint64(bodyLen))
 }
 
-// decodeRequest decodes a request envelope, rejecting any trailing byte.
-// The returned body aliases payload (see readFrame).
-func decodeRequest(payload []byte) (op string, body []byte, err error) {
+// splitRequest splits a request envelope into its operation name and
+// body, rejecting any trailing byte. Both alias payload (see readFrame).
+func splitRequest(payload []byte) (op, body []byte, err error) {
 	r := enc.NewReader(payload)
-	op = r.String()
+	op = r.BytesPrefixed()
 	body = r.BytesPrefixed()
 	if err := r.Finish(); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	return op, body, nil
 }
@@ -255,42 +258,49 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]route
 
-	closeMu   sync.Mutex // orders registering below against Close
-	listeners sync.Map   // net.Listener -> struct{}
-	conns     sync.Map   // net.Conn -> struct{}
+	// closeMu guards the listeners and connections Close shuts, and
+	// orders registering them against Close.
+	closeMu   sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[net.Conn]struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
 }
 
-// route is one registered handler, in the shape it was registered in:
-// exactly one of plain and ctx is set.
+// route is one registered handler under its operation name, in the
+// shape it was registered in: exactly one of plain and ctx is set.
 type route struct {
+	op    string
 	plain Handler
 	ctx   HandlerCtx
 }
 
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]route)}
+	return &Server{
+		handlers:  make(map[string]route),
+		listeners: make(map[net.Listener]struct{}),
+		conns:     make(map[net.Conn]struct{}),
+	}
 }
 
 // Handle registers h for the given operation name, replacing any previous
 // handler. Its one response buffer is framed from the serving
 // goroutine's stack, so answering it allocates no buffer list.
 func (s *Server) Handle(op string, h Handler) {
-	s.register(op, route{plain: h})
+	s.register(route{op: op, plain: h})
 }
 
 // HandleCtx registers a context-aware handler for the given operation
 // name, replacing any previous handler.
 func (s *Server) HandleCtx(op string, h HandlerCtx) {
-	s.register(op, route{ctx: h})
+	s.register(route{op: op, ctx: h})
 }
 
-func (s *Server) register(op string, r route) {
+func (s *Server) register(r route) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[op] = r
+	s.handlers[r.op] = r
 }
 
 // Ops returns the registered operation names (unordered).
@@ -308,11 +318,11 @@ func (s *Server) Ops() []string {
 // down. Each connection is served on its own goroutine, its calls
 // concurrently up to DefaultServerStreams.
 func (s *Server) Serve(l net.Listener) error {
-	if !s.track(func() { s.listeners.Store(l, struct{}{}) }) {
+	if !s.track(func() { s.listeners[l] = struct{}{} }) {
 		l.Close()
 		return nil
 	}
-	defer s.listeners.Delete(l)
+	defer s.untrack(func() { delete(s.listeners, l) })
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -322,7 +332,7 @@ func (s *Server) Serve(l net.Listener) error {
 			return err
 		}
 		if !s.track(func() {
-			s.conns.Store(conn, struct{}{})
+			s.conns[conn] = struct{}{}
 			s.wg.Add(1)
 		}) {
 			conn.Close()
@@ -336,9 +346,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // track runs register, which records a listener or connection for Close
-// to shut, unless Close has begun, and reports whether it ran. Close
-// starts under the same lock, so whatever is registered it shuts, and
-// it waits for no connection registered after its wait began.
+// to shut, under closeMu unless Close has begun, and reports whether it
+// ran. Close starts under the same lock, so whatever is registered it
+// shuts, and it waits for no connection registered after its wait began.
 func (s *Server) track(register func()) bool {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -347,6 +357,14 @@ func (s *Server) track(register func()) bool {
 	}
 	register()
 	return true
+}
+
+// untrack runs unregister, which forgets a listener or connection that
+// has closed, under closeMu.
+func (s *Server) untrack(unregister func()) {
+	s.closeMu.Lock()
+	unregister()
+	s.closeMu.Unlock()
 }
 
 // Start runs Serve on its own goroutine and returns immediately.
@@ -413,7 +431,7 @@ func (sc *servedConn) Read(p []byte) (int, error) {
 // hello, a first request riding behind it, goes to the request loop
 // ahead of the conn.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.conns.Delete(conn)
+	defer s.untrack(func() { delete(s.conns, conn) })
 	defer conn.Close()
 	if s.IdleTimeout > 0 {
 		// A failed SetDeadline means the conn is already dead; an
@@ -536,45 +554,61 @@ func (sc *servedConn) handle(f frame) {
 // edited in place) — or the error the response reports, with no body.
 // sc is the span context the frame header carried; a valid one is
 // adopted so the rpc.serve span — and every handler span under it —
-// exports with the caller's trace ID. A plain handler's reply is
-// returned in one, the caller's.
+// exports with the caller's trace ID. The handler is found by the
+// request's operation bytes and known by its registered name, so no
+// name is decoded. A plain handler's reply is returned in one, the
+// caller's, and its rpc.serve span is a leaf: nothing in this process
+// hangs off it, so it needs no context. A context handler's is a span
+// its context carries, which the handler's own spans hang off.
 func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext, one *[1][]byte) ([][]byte, error) {
-	op, body, err := decodeRequest(payload)
+	op, body, err := splitRequest(payload)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
-	r, ok := s.handlers[op]
+	r, ok := s.handlers[string(op)]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("unknown operation %q", op)
 	}
 	tel := telemetry.Or(s.Telemetry)
-	sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
-	sp.Annotate("op", op)
-	if sc.Valid() {
-		// The parent span lives in the calling process: mark the
-		// boundary for the trace renderer.
-		sp.Annotate("remote", "true")
-	}
-	//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
-	ctx := telemetry.ContextWith(context.Background(), sp)
+	// A valid sc means the parent span lives in the calling process:
+	// "remote" marks the boundary for the trace renderer.
 	var resp [][]byte
 	if r.plain != nil {
+		sp := tel.Tracer.LeafFrom("rpc.serve", sc)
+		sp.Annotate("op", r.op)
+		if sc.Valid() {
+			sp.Annotate("remote", "true")
+		}
 		one[0], err = r.plain(body)
 		resp = one[:]
+		sp.Annotate("outcome", outcome(err))
+		sp.End()
 	} else {
-		resp, err = r.ctx(ctx, body)
+		sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
+		sp.Annotate("op", r.op)
+		if sc.Valid() {
+			sp.Annotate("remote", "true")
+		}
+		//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
+		resp, err = r.ctx(telemetry.ContextWith(context.Background(), sp), body)
+		sp.Annotate("outcome", outcome(err))
+		sp.End()
 	}
-	outcome := "ok"
 	if err != nil {
-		outcome = "error"
 		resp = nil
 	}
-	sp.Annotate("outcome", outcome)
-	sp.End()
-	tel.RPCServed.With(op, outcome).Inc()
+	tel.RPCServed.With(r.op, outcome(err)).Inc()
 	return resp, err
+}
+
+// outcome is the outcome label of a call or serve that returned err.
+func outcome(err error) string {
+	if err != nil {
+		return "error"
+	}
+	return "ok"
 }
 
 // Close stops accepting connections on all listeners passed to Serve,
@@ -583,15 +617,13 @@ func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext, one *[1][]by
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	s.closed.Store(true)
+	for l := range s.listeners {
+		l.Close()
+	}
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.closeMu.Unlock()
-	s.listeners.Range(func(key, _ any) bool {
-		key.(net.Listener).Close()
-		return true
-	})
-	s.conns.Range(func(key, _ any) bool {
-		key.(net.Conn).Close()
-		return true
-	})
 	s.wg.Wait()
 }
 
@@ -638,6 +670,9 @@ type Client struct {
 	conns   []*poolConn   // live pooled connections
 	dialing bool          // a dial is in flight (there is at most one)
 	notify  chan struct{} // closed+replaced when stream capacity frees up
+	// connRoom is conns' backing array until a second connection opens,
+	// so a client that keeps one connection allocates no list.
+	connRoom [1]*poolConn
 
 	// BytesSent and BytesReceived count the bytes of every frame written
 	// and read, headers included (the hello and its answer are not
@@ -649,7 +684,9 @@ type Client struct {
 
 // NewClient returns a client that connects lazily using dial.
 func NewClient(dial DialFunc) *Client {
-	return &Client{dial: dial}
+	c := &Client{dial: dial}
+	c.conns = c.connRoom[:0]
+	return c
 }
 
 // Configure applies cfg's timeouts, retry policy, telemetry and pool
@@ -701,13 +738,14 @@ type Config struct {
 func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, error) {
 	tel := telemetry.Or(c.Telemetry)
 	caller := telemetry.SpanContextFrom(ctx)
-	sp := tel.Tracer.StartSpanFrom("rpc.call", caller)
+	sp := tel.Tracer.LeafFrom("rpc.call", caller)
 	sp.Annotate("op", op)
 
 	// When the caller is tracing, the rpc.call span is the wire-
 	// propagated parent: the server's rpc.serve span nests under it,
 	// completing the client→server tree. A call outside any trace stays
 	// untraced on the wire (the peer starts its own root, unmarked).
+	// Nothing in this process hangs off the call, so it is a leaf.
 	var wire telemetry.SpanContext
 	if caller.Valid() {
 		wire = sp.Context()
@@ -717,15 +755,13 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 		resp, reused, err = c.attempt(ctx, wire, op, body)
 		return reused, err
 	})
-	outcome := "ok"
 	if err != nil {
-		outcome = "error"
 		sp.Annotate("error", err.Error())
 	}
 	sp.Annotate("attempts", strconv.Itoa(attempts))
-	sp.Annotate("outcome", outcome)
+	sp.Annotate("outcome", outcome(err))
 	sp.End()
-	tel.RPCCalls.With(op, outcome).Inc()
+	tel.RPCCalls.With(op, outcome(err)).Inc()
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ type sigCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
-	lru     *list.List // of *sigEntry; front = most recently used
+	lru     list.List // of *sigEntry; front = most recently used
 	flights map[string]*sigFlight
 
 	hits *telemetry.Counter
@@ -45,7 +45,6 @@ type sigFlight struct {
 func (s *sigCache) init(max int) {
 	s.max = max
 	s.entries = make(map[string]*list.Element)
-	s.lru = list.New()
 	s.flights = make(map[string]*sigFlight)
 }
 

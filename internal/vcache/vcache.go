@@ -127,7 +127,7 @@ type Cache struct {
 	maxBytes int64
 	bytes    int64
 	entries  map[[globeid.Size]byte]*list.Element
-	lru      *list.List // of *entry; front = most recently used
+	lru      list.List // of *entry; front = most recently used
 	byOID    map[globeid.OID]map[[globeid.Size]byte]struct{}
 
 	evictions  *telemetry.Counter
@@ -147,7 +147,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		maxBytes: cfg.MaxBytes,
 		entries:  make(map[[globeid.Size]byte]*list.Element),
-		lru:      list.New(),
 		byOID:    make(map[globeid.OID]map[[globeid.Size]byte]struct{}),
 	}
 	c.sig.init(cfg.MaxSignatures)
