@@ -96,7 +96,8 @@ FUZZ_TARGETS = \
 	internal/server:FuzzDecodeDeltaRequest \
 	internal/transport:FuzzFrameDecode \
 	internal/transport:FuzzRequestDecode \
-	internal/transport:FuzzVersionNegotiation
+	internal/transport:FuzzVersionNegotiation \
+	internal/vcache:FuzzCacheMatchesModel
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \

@@ -43,6 +43,32 @@ func TestBinariesLinkNoSimulator(t *testing.T) {
 	}
 }
 
+// baselinePackages are comparators only the tests and the perfbench
+// module measure against: the SFSRO-style Merkle tree, whose diff the
+// object server no longer runs — a delta walks two certificates'
+// name-ordered entries instead.
+var baselinePackages = []string{"globedoc/internal/merkle"}
+
+// TestBinariesLinkNoBaseline fails when any cmd/ binary depends on a
+// baseline, directly or through any package it imports.
+func TestBinariesLinkNoBaseline(t *testing.T) {
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cmds {
+		if !c.IsDir() {
+			continue
+		}
+		deps := moduleDeps(t, "globedoc/cmd/"+c.Name())
+		for _, pkg := range baselinePackages {
+			if via, ok := deps[pkg]; ok {
+				t.Errorf("cmd/%s links %s (imported by %s)", c.Name(), pkg, via)
+			}
+		}
+	}
+}
+
 // moduleDeps returns the module packages root depends on, each mapped
 // to a package that imports it.
 func moduleDeps(t *testing.T, root string) map[string]string {

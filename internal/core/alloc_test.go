@@ -9,11 +9,13 @@ import (
 	"time"
 
 	"globedoc/internal/alloctest"
+	"globedoc/internal/cert"
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/location"
 	"globedoc/internal/netsim"
 	"globedoc/internal/object"
 	"globedoc/internal/server"
@@ -26,14 +28,17 @@ import (
 // per call across the whole process (the replica's serving side
 // included): the counts of a cold binding made in one obj.bind exchange
 // with every pipeline step, element verification, vcache.lookup,
-// serve.element and rpc.call a stack-held leaf, and a byte share that is
-// a value (81 and 93 with go1.24 on linux/amd64 over repeated runs; 92
-// and 104 with rpc.call a heap span and the share a closure, 110 and
-// 165–166 when each leaf was a heap span, 431 and 571 with the step-RPC
-// binding) plus 2 %, so a toolchain difference does not flake.
+// serve.element and rpc.call a stack-held leaf, a byte share that is a
+// value, the prefill one name-ordered slice and each element's content
+// type the decoder's interned string (79 and 80 with go1.24 on
+// linux/amd64 over repeated runs; 81 and 93 with a prefill map and a
+// copied content type per element, 92 and 104 with rpc.call a heap span
+// and the share a closure, 110 and 165–166 when each leaf was a heap
+// span, 431 and 571 with the step-RPC binding) plus 2 %, so a toolchain
+// difference does not flake.
 const (
-	coldFetchAllocBudget    = 82
-	coldFetchAllAllocBudget = 94
+	coldFetchAllocBudget    = 80
+	coldFetchAllAllocBudget = 81
 )
 
 func TestFetchPlanAllocationBudget(t *testing.T) {
@@ -79,6 +84,66 @@ func TestFetchPlanAllocationBudget(t *testing.T) {
 	}
 	if all > coldFetchAllAllocBudget {
 		t.Errorf("cold FetchAll allocates %.0f objects, budget %d", all, coldFetchAllAllocBudget)
+	}
+}
+
+// coldPageAllocBudget is the heap objects of wan-page's page at
+// TimeScale 0, across the process: a brand-new binding-caching client
+// over a new verified-content cache does a FetchAll of the 11-element
+// composite document (a 5 KB text element and ten 10 KB images) from
+// Paris, and is closed. 145 with go1.24 on linux/amd64, per page:
+//   - 13 build the client, its binder and its cache (5 of them the
+//     cache's maps and the memo's);
+//   - 24 locate the replica, dialling the location service included;
+//   - 21 dial the replica;
+//   - 30 make the obj.bind exchange and verify what it carried, 14 of
+//     them the signature checks through the memo, each verdict kept in
+//     one node;
+//   - 2 park the binding: its node and its map slot;
+//   - 16 keep the page in the cache: a node per element, the entries
+//     map's growth, and the byOID slot heading the object's chain;
+//   - 2 hold the prefill, one name-ordered slice, and the reply's frame;
+//   - about 23 serve the page on the replica's side;
+//   - the rest are the pipeline, its spans' context, the singleflight
+//     and the fetch plan's slices.
+//
+// Plus 2 %. It was 181–182 with container/list nodes, a hash set per
+// object, a copied content type per element, a prefill map and a set of
+// listed hashes built on every cold bind.
+const coldPageAllocBudget = 147
+
+func TestColdPageAllocationBudget(t *testing.T) {
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := w.Publish(workload.CompositeDoc(10*workload.KB, 1), deploy.PublishOptions{Name: "page.vu.nl", OwnerKey: keytest.RSA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := cert.NewTrustStore()
+	trust.TrustCA(w.CA.Name, w.CA.Key.Public())
+	tel := telemetry.New(nil)
+	ctx := context.Background()
+	page := alloctest.AllocsPerRun(t, 20, func() {
+		client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Trust: trust, CacheBindings: true, VCache: vcache.New(vcache.Config{}), Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.FetchAll(ctx, pub.OID)
+		client.Close()
+		client.Binder.Locator.(*location.Client).Close()
+		if err != nil || len(res) != 11 || res[0].FromCache {
+			t.Fatalf("FetchAll: %d results, %v", len(res), err)
+		}
+	})
+	t.Logf("cold page: %.0f allocs", page)
+	if page > coldPageAllocBudget {
+		t.Errorf("a cold page allocates %.0f objects, budget %d", page, coldPageAllocBudget)
 	}
 }
 

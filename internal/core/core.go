@@ -45,10 +45,11 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,6 +58,7 @@ import (
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/location"
+	"globedoc/internal/lru"
 	"globedoc/internal/object"
 	"globedoc/internal/telemetry"
 	"globedoc/internal/transport"
@@ -335,8 +337,8 @@ type Client struct {
 	selector        Selector
 
 	mu         sync.Mutex
-	cache      map[globeid.OID]*list.Element // of *bindingEntry
-	bindingLRU list.List                     // front = most recently used
+	cache      map[globeid.OID]*lru.Node[bindingEntry]
+	bindingLRU lru.List[bindingEntry] // front = most recently used
 	flights    map[globeid.OID]*flight
 }
 
@@ -385,7 +387,7 @@ func NewClient(binder *object.Binder, opts Options) (*Client, error) {
 		vcache:          opts.VCache,
 		maxBindings:     maxBindings,
 		selector:        selector,
-		cache:           make(map[globeid.OID]*list.Element),
+		cache:           make(map[globeid.OID]*lru.Node[bindingEntry]),
 		flights:         make(map[globeid.OID]*flight),
 	}, nil
 }
@@ -406,7 +408,7 @@ func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for oid, node := range c.cache {
-		node.Value.(*bindingEntry).vb.client.Close()
+		node.Value.vb.client.Close()
 		c.bindingLRU.Remove(node)
 		delete(c.cache, oid)
 	}
@@ -597,7 +599,7 @@ func (c *Client) fetch(ctx context.Context, p *pipeline, pl *fetchPlan, b *bound
 		}
 		declines++
 		for _, name := range missing {
-			if _, ok := pre[name]; ok {
+			if _, ok := pre.lookup(name); ok {
 				declines = 0
 				break
 			}
@@ -672,19 +674,31 @@ func (c *Client) entries(pl *fetchPlan, b boundFetch, buf []cert.ElementEntry) (
 	return entries, nil, nil
 }
 
-// prefill is element bytes a replica already sent in an obj.bind reply,
-// keyed by name: untrusted like any replica bytes — each still runs
-// verifyElement — so they travel beside the binding, never inside it.
-type prefill map[string]prefetched
+// prefill is element bytes a replica already sent in obj.bind replies,
+// in name order, each name once: untrusted like any replica bytes — each
+// still runs verifyElement — so they travel beside the binding, never
+// inside it.
+type prefill []prefetched
 
-// prefetched is one prefilled element and its share of the exchange that
-// carried it. inFrame reports that the reply the element arrived in is
-// little more than the elements it carried (see frameShare), as on a warm
-// content miss of more than a few hundred bytes or a FetchAll of a
-// composite document, so the cache may keep the bytes where they are.
+// lookup returns the prefilled element named name.
+func (pre prefill) lookup(name string) (prefetched, bool) {
+	i, ok := slices.BinarySearchFunc(pre, name, func(pf prefetched, name string) int { return strings.Compare(pf.name, name) })
+	if !ok {
+		return prefetched{}, false
+	}
+	return pre[i], true
+}
+
+// prefetched is one prefilled element, under the name its reply carried
+// it, and its share of the exchange that carried it. inFrame reports
+// that the reply the element arrived in is little more than the elements
+// it carried (see frameShare), as on a warm content miss of more than a
+// few hundred bytes or a FetchAll of a composite document, so the cache
+// may keep the bytes where they are.
 // frame is then the reply's vcache handle when sibling elements share it,
 // and nil when the element is the reply's only one: it owns the frame.
 type prefetched struct {
+	name    string
 	elem    document.Element
 	share   time.Duration
 	inFrame bool
@@ -724,7 +738,7 @@ func (c *Client) take(entries []cert.ElementEntry, in []held, pre prefill, now t
 				continue
 			}
 		}
-		if pf, ok := pre[e.Name]; ok {
+		if pf, ok := pre.lookup(e.Name); ok {
 			in[i] = held{prefetched: pf, ok: true}
 			continue
 		}
@@ -1233,13 +1247,15 @@ func (c *Client) bindExchange(ctx context.Context, p *pipeline, client *object.C
 	return reply, share, nil
 }
 
-// prefillOf adds to pre the elements a bind reply carried — neither
+// prefillOf returns pre with the elements a bind reply carried — neither
 // declined nor answered held — each with its share of the exchange and
 // where the cache may keep it: the whole reply passes frameShare or fails
 // it, and the elements of a passing reply share one vcache.Frame when
-// there are several. A batch — a reply carrying any element for FetchAll
-// or for several names — is counted in batch_fetch_total and
-// batch_fetch_elements_total.
+// there are several. The result is one new slice in name order; an
+// element carried under a name already in it replaces the earlier one,
+// as the later of two replies' bytes would. A batch — a reply carrying
+// any element for FetchAll or for several names — is counted in
+// batch_fetch_total and batch_fetch_elements_total.
 func (c *Client) prefillOf(pre prefill, reply object.BindReply, share byteShare, batch bool) prefill {
 	n, carried := 0, 0
 	for _, it := range reply.Items {
@@ -1256,19 +1272,32 @@ func (c *Client) prefillOf(pre prefill, reply object.BindReply, share byteShare,
 	if inFrame && n > 1 && c.vcache != nil {
 		frame = c.vcache.NewFrame(int64(carried))
 	}
-	if pre == nil {
-		pre = make(prefill, n)
-	}
+	next := append(make(prefill, 0, len(pre)+n), pre...)
 	for _, it := range reply.Items {
 		if it.Err == nil && !it.Held {
-			pre[it.Name] = prefetched{elem: it.Element, share: share.of(len(it.Element.Data)), inFrame: inFrame, frame: frame}
+			next = append(next, prefetched{name: it.Name, elem: it.Element, share: share.of(len(it.Element.Data)), inFrame: inFrame, frame: frame})
 		}
 	}
 	if batch {
 		c.tel().BatchFetches.Inc()
 		c.tel().BatchElements.Add(uint64(n))
 	}
-	return pre
+	return byName(next)
+}
+
+// byName sorts pre by name, keeping of each name the element added last,
+// in place. A reply's elements come in the order of the certificate's
+// name-ordered entries, so the sort usually finds pre sorted already.
+func byName(pre prefill) prefill {
+	slices.SortStableFunc(pre, func(a, b prefetched) int { return strings.Compare(a.name, b.name) })
+	out := pre[:0]
+	for i, pf := range pre {
+		if i+1 < len(pre) && pre[i+1].name == pf.name {
+			continue // a later element under the same name replaces it
+		}
+		out = append(out, pf)
+	}
+	return out
 }
 
 // lookupBindingLocked returns the cached binding for oid, promoting it
@@ -1279,7 +1308,7 @@ func (c *Client) lookupBindingLocked(oid globeid.OID) (*verifiedBinding, bool) {
 		return nil, false
 	}
 	c.bindingLRU.MoveToFront(node)
-	return node.Value.(*bindingEntry).vb, true
+	return node.Value.vb, true
 }
 
 // storeBindingLocked parks a freshly verified binding, replacing any
@@ -1290,24 +1319,26 @@ func (c *Client) lookupBindingLocked(oid globeid.OID) (*verifiedBinding, bool) {
 // being servable the moment it is verified. Caller holds c.mu.
 func (c *Client) storeBindingLocked(oid globeid.OID, vb *verifiedBinding) {
 	if node, ok := c.cache[oid]; ok {
-		old := node.Value.(*bindingEntry)
+		old := &node.Value
 		if old.vb.client != vb.client {
 			old.vb.client.Close()
 		}
 		old.vb = vb
 		c.bindingLRU.MoveToFront(node)
 	} else {
-		c.cache[oid] = c.bindingLRU.PushFront(&bindingEntry{oid: oid, vb: vb})
+		c.cache[oid] = c.bindingLRU.PushFront(bindingEntry{oid: oid, vb: vb})
 		for len(c.cache) > c.maxBindings {
 			tail := c.bindingLRU.Back()
-			evicted := tail.Value.(*bindingEntry)
+			evicted := tail.Value
 			c.bindingLRU.Remove(tail)
 			delete(c.cache, evicted.oid)
 			evicted.vb.client.Close()
 		}
 	}
 	c.tel().BindingCacheEntries.Set(int64(len(c.cache)))
-	if c.vcache != nil {
+	// A cold bind finds nothing cached for the object: nothing to
+	// reconcile, and no set of listed hashes to build.
+	if c.vcache != nil && c.vcache.Holds(oid) {
 		listed := make(map[[globeid.Size]byte]bool, len(vb.icert.Entries))
 		for _, e := range vb.icert.Entries {
 			listed[e.Hash] = true
@@ -1327,7 +1358,7 @@ func (c *Client) storeBinding(oid globeid.OID, vb *verifiedBinding) {
 // connection since.
 func (c *Client) dropBinding(oid globeid.OID, vb *verifiedBinding) {
 	c.mu.Lock()
-	if node, ok := c.cache[oid]; ok && node.Value.(*bindingEntry).vb.client == vb.client {
+	if node, ok := c.cache[oid]; ok && node.Value.vb.client == vb.client {
 		c.bindingLRU.Remove(node)
 		delete(c.cache, oid)
 		c.tel().BindingCacheEntries.Set(int64(len(c.cache)))

@@ -171,7 +171,13 @@ func GuessContentType(name string) string {
 	if ct := mime.TypeByExtension(path.Ext(name)); ct != "" {
 		return ct
 	}
-	switch strings.ToLower(path.Ext(name)) {
+	return fallbackContentType(path.Ext(name))
+}
+
+// fallbackContentType is GuessContentType's answer for an extension the
+// system's MIME tables do not know.
+func fallbackContentType(ext string) string {
+	switch strings.ToLower(ext) {
 	case ".html", ".htm":
 		return "text/html; charset=utf-8"
 	case ".txt":
@@ -189,6 +195,43 @@ func GuessContentType(name string) string {
 	default:
 		return "application/octet-stream"
 	}
+}
+
+// wellKnownContentTypes are the content types GuessContentType emits for
+// the files a Web page is made of — Go's built-in MIME table and
+// fallbackContentType's answers — and the bare forms of its text types.
+// The table is fixed: no content type a peer sends is added to it.
+var wellKnownContentTypes = [...]string{
+	"application/octet-stream",
+	"text/html; charset=utf-8",
+	"text/plain; charset=utf-8",
+	"text/plain",
+	"text/css; charset=utf-8",
+	"text/css",
+	"text/javascript; charset=utf-8",
+	"text/javascript",
+	"text/xml; charset=utf-8",
+	"image/png",
+	"image/jpeg",
+	"image/gif",
+	"image/svg+xml",
+	"image/webp",
+	"image/avif",
+	"application/json",
+	"application/pdf",
+	"application/wasm",
+}
+
+// InternContentType returns the content type b spells: the table's own
+// string when it is well known, so decoding one allocates nothing, and
+// an exact-size copy of b otherwise, which shares no memory with b.
+func InternContentType(b []byte) string {
+	for _, ct := range wellKnownContentTypes {
+		if string(b) == ct {
+			return ct
+		}
+	}
+	return string(b)
 }
 
 // FromFS loads every file under root in fsys as an element of a new

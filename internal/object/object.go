@@ -140,7 +140,7 @@ func DecodeElement(body []byte) (document.Element, error) {
 	if err != nil {
 		return document.Element{}, err
 	}
-	return document.Element{Name: string(name), ContentType: string(contentType), Data: data}, nil
+	return document.Element{Name: string(name), ContentType: document.InternContentType(contentType), Data: data}, nil
 }
 
 // elementFields reads an element's wire fields, each aliasing body.
@@ -351,7 +351,7 @@ func readItems(r *enc.Reader) ([]BatchItem, error) {
 		switch r.Byte() {
 		case itemElement:
 			name, contentType, data, _ := elementFields(r.BytesPrefixed())
-			it.Element = document.Element{Name: it.Name, ContentType: string(contentType), Data: data}
+			it.Element = document.Element{Name: it.Name, ContentType: document.InternContentType(contentType), Data: data}
 			if string(name) != it.Name {
 				it.Element.Name = string(name)
 			}

@@ -33,7 +33,6 @@ import (
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
-	"globedoc/internal/merkle"
 	"globedoc/internal/object"
 )
 
@@ -72,10 +71,9 @@ type validated struct {
 	// icert is the certificate's canonical encoding, the bytes its
 	// signature was verified over and the ones the version serves.
 	icert []byte
-	// elems are the bundle's elements in name order, each name once, and
-	// leaves their names with their certificate hashes, index for index.
+	// elems are the bundle's elements in name order, each name once,
+	// index for index with the certificate's entries.
 	elems  []document.Element
-	leaves []merkle.Leaf
 	size   int64 // summed element bytes
 	hashed int   // elements whose bytes were hashed; the rest were held's
 }
@@ -103,7 +101,6 @@ func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 		return nil, fmt.Errorf("server: bundle certificate: %w", err)
 	}
 	v := &validated{icert: icert, elems: byName(b.Elements)}
-	v.leaves = make([]merkle.Leaf, len(v.elems))
 	for i, e := range v.elems {
 		if i > 0 && v.elems[i-1].Name == e.Name {
 			return nil, fmt.Errorf("server: bundle lists element %q twice", e.Name)
@@ -112,7 +109,6 @@ func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: bundle element %q not in certificate", e.Name)
 		}
-		v.leaves[i] = merkle.Leaf{Name: e.Name, Hash: entry.Hash}
 		v.size += int64(len(e.Data))
 		if held.holds(e.Name, entry.Hash, e.Data) {
 			continue
@@ -126,6 +122,13 @@ func (b *Bundle) validate(held *versionSnapshot) (*validated, error) {
 	// certificate's lacks a listed element: a replica is the full state.
 	if len(v.elems) != len(b.Cert.Entries) {
 		return nil, fmt.Errorf("server: bundle lacks %d of the %d elements its certificate lists", len(b.Cert.Entries)-len(v.elems), len(b.Cert.Entries))
+	}
+	// The version indexes its elements by the certificate's entries, which
+	// a signed certificate lists in name order.
+	for i, e := range v.elems {
+		if b.Cert.Entries[i].Name != e.Name {
+			return nil, fmt.Errorf("server: bundle certificate does not list its elements in name order")
+		}
 	}
 	return v, nil
 }

@@ -10,7 +10,6 @@ import (
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
-	"globedoc/internal/merkle"
 	"globedoc/internal/object"
 )
 
@@ -212,22 +211,26 @@ func (s *Server) deltaSince(oid globeid.OID, have uint64) (h *hostedReplica, hea
 	if have != 0 && have >= head.version {
 		return h, head, deltaStatusCurrent, nil, nil
 	}
-	status, changed := deltaStatusFull, head.wire.names // the names whose elements the reply carries, sorted
+	status, base := deltaStatusFull, []cert.ElementEntry(nil)
 	for _, snap := range versions {
 		if have != 0 && snap.version == have {
-			status = deltaStatusDelta
-			changed, _ = merkle.DiffSorted(snap.leaves, head.leaves)
+			status, base = deltaStatusDelta, snap.entries
 			break
 		}
 	}
-	items = make([]object.BatchWireItem, len(head.wire.names))
-	for i, name := range head.wire.names {
-		items[i].Name = name
-		if len(changed) > 0 && changed[0] == name {
-			changed = changed[1:]
-			items[i].Wire = head.wire.elements[i].wire
-		} else {
+	// One walk over the two versions' name-ordered entries: an element
+	// the base lists under the head's hash is held, every other one —
+	// changed, added, or all of them on a full reply — is carried.
+	items = make([]object.BatchWireItem, len(head.entries))
+	for i, e := range head.entries {
+		items[i].Name = e.Name
+		for len(base) > 0 && base[0].Name < e.Name {
+			base = base[1:] // gone from the head
+		}
+		if len(base) > 0 && base[0].Name == e.Name && base[0].Hash == e.Hash {
 			items[i].Held = true
+		} else {
+			items[i].Wire = head.wire.elements[i].wire
 		}
 	}
 	return h, head, status, items, nil

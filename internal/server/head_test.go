@@ -132,8 +132,8 @@ func TestSupersededVersionsHoldNoPayloads(t *testing.T) {
 		if snap.wire.elements != nil || snap.wire.icert[0] != nil || snap.cert != nil || snap.size != 0 || snap.certHash != ([globeid.Size]byte{}) {
 			t.Errorf("superseded version at index %d still holds servable state", i)
 		}
-		if snap.version == 0 || len(snap.leaves) != 3 {
-			t.Errorf("superseded version at index %d lost its version or leaf hashes", i)
+		if snap.version == 0 || len(snap.entries) != 3 {
+			t.Errorf("superseded version at index %d lost its version or entries", i)
 		}
 	}
 	if head := versions[len(versions)-1]; len(head.wire.elements) != 3 || head.cert == nil {

@@ -79,7 +79,7 @@ type wirePayloads struct {
 	icert     [1][]byte
 	nameCerts [1][]byte
 	// names are the version's element names in order, and elements their
-	// payloads, index for index with each other and the version's leaves.
+	// payloads, index for index with each other and the version's entries.
 	names    []string
 	elements []elementPayload
 }
@@ -133,7 +133,7 @@ func buildWire(b *Bundle, v *validated, prev *versionSnapshot) wirePayloads {
 	}
 	for i, e := range v.elems {
 		w.names[i] = e.Name
-		p, held := prev.payload(e.Name, v.leaves[i].Hash)
+		p, held := prev.payload(e.Name, b.Cert.Entries[i].Hash)
 		if !held || p.contentType != e.ContentType {
 			p = elementPayload{wire: object.EncodeElement(e), contentType: e.ContentType, size: len(e.Data)}
 		}
@@ -483,7 +483,7 @@ func (s *Server) batch(ctx context.Context, h *hostedReplica, v *versionSnapshot
 		switch {
 		case !ok:
 			it.ErrMsg = errNoSuchElement(name).Error()
-		case held != nil && held[i] == v.leaves[j].Hash:
+		case held != nil && held[i] == v.entries[j].Hash:
 			it.Held = true
 		case !at.IsZero() && !v.freshAt(name, at):
 			it.ErrMsg = "certificate entry not fresh at the requested time"

@@ -219,7 +219,7 @@ func TestValidateRefusesARepeatedName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.leaves[0].Name != "a.html" || v.elems[1].Name != "b.html" || reversed.Elements[0].Name != "b.html" {
-		t.Fatalf("validated %v, %v; want name order, the bundle left as given", v.leaves, v.elems)
+	if v.elems[0].Name != "a.html" || v.elems[1].Name != "b.html" || reversed.Elements[0].Name != "b.html" {
+		t.Fatalf("validated %v; want name order, the bundle left as given", v.elems)
 	}
 }

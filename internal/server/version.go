@@ -10,7 +10,6 @@ import (
 	"globedoc/internal/document"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
-	"globedoc/internal/merkle"
 )
 
 // DefaultVersionRetention is how many versions of a hosted replica a
@@ -20,18 +19,18 @@ import (
 const DefaultVersionRetention = 8
 
 // versionSnapshot is one immutable version of a hosted replica. Every
-// retained version keeps its certificate's signed version and its
-// elements' certificate hashes — all a delta needs of a base. Only the
+// retained version keeps its certificate's signed version and entries —
+// all a delta needs of a base. Only the
 // head, the version being served, also holds the certificates, the hash
 // of the certificate's encoding, the summed element size counted against
 // Limits.MaxBytes and the wire payloads (the element bytes);
 // appendVersion drops them with the version it supersedes.
 type versionSnapshot struct {
 	version uint64
-	// leaves are the elements' names and certificate hashes in name
-	// order, the certificate's own: the version's one index, which the
-	// head's wire names and payloads follow index for index.
-	leaves []merkle.Leaf
+	// entries are the certificate's entries, in name order: the
+	// version's one index, which the head's wire names and payloads
+	// follow index for index.
+	entries []cert.ElementEntry
 
 	// certHash is the hash of the served certificate encoding, what a
 	// warm obj.bind names as the certificate it holds.
@@ -72,7 +71,7 @@ func (v *versionSnapshot) payload(name string, hash [globeid.Size]byte) (element
 		return elementPayload{}, false
 	}
 	i, ok := slices.BinarySearch(v.wire.names, name)
-	if !ok || v.leaves[i].Hash != hash {
+	if !ok || v.entries[i].Hash != hash {
 		return elementPayload{}, false
 	}
 	return v.wire.elements[i], true
@@ -92,7 +91,7 @@ func (v *versionSnapshot) holds(name string, hash [globeid.Size]byte, data []byt
 func newSnapshot(b *Bundle, v *validated, prev *versionSnapshot) *versionSnapshot {
 	return &versionSnapshot{
 		version:   b.Cert.Version,
-		leaves:    v.leaves,
+		entries:   b.Cert.Entries,
 		certHash:  globeid.HashElement(v.icert),
 		cert:      b.Cert,
 		nameCerts: b.NameCerts,
@@ -103,7 +102,7 @@ func newSnapshot(b *Bundle, v *validated, prev *versionSnapshot) *versionSnapsho
 
 // appendVersion produces the retained versions that serve a bundle,
 // which validate proved to be v, after old (empty on install): the old
-// head is trimmed to its version and leaves, and the versions are cut to
+// head is trimmed to its version and entries, and the versions are cut to
 // DefaultVersionRetention. A bundle whose certificate does not supersede
 // the head's is refused, so an update never rewinds or forks the served
 // state. The result is a new slice: one cut out of the old backing array
@@ -118,6 +117,6 @@ func appendVersion(old []*versionSnapshot, b *Bundle, v *validated) ([]*versionS
 	}
 	kept := old[max(0, len(old)-(DefaultVersionRetention-1)):]
 	next := append(make([]*versionSnapshot, 0, len(kept)+1), kept...)
-	next[len(kept)-1] = &versionSnapshot{version: head.version, leaves: head.leaves}
+	next[len(kept)-1] = &versionSnapshot{version: head.version, entries: head.entries}
 	return append(next, newSnapshot(b, v, head)), nil
 }

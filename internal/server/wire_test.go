@@ -477,7 +477,7 @@ func TestHandleBindAnswersHeldSlots(t *testing.T) {
 		}
 		return fmt.Sprint(out)
 	}
-	index, logo := head.leaves[0].Hash, head.leaves[1].Hash
+	index, logo := head.entries[0].Hash, head.entries[1].Hash
 	stale := logo
 	stale[0] ^= 1
 

@@ -43,8 +43,8 @@ func accounted(t *testing.T, c *Cache) int64 {
 	defer c.mu.Unlock()
 	var sum int64
 	refs := map[*Frame]int{}
-	for node := c.lru.Front(); node != nil; node = node.Next() {
-		e := node.Value.(*entry)
+	for node := c.lru.Back(); node != nil; node = node.Prev() {
+		e := &node.Value
 		sum += e.elem.own()
 		if f := e.elem.Frame; f != nil {
 			if f.cache != c {

@@ -1,12 +1,12 @@
 package vcache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
+	"globedoc/internal/lru"
 	"globedoc/internal/telemetry"
 )
 
@@ -23,17 +23,21 @@ import (
 type sigCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element
-	lru     list.List // of *sigEntry; front = most recently used
-	flights map[string]*sigFlight
+	entries map[memoKey]*lru.Node[sigEntry]
+	lru     lru.List[sigEntry] // front = most recently used
+	flights map[memoKey]*sigFlight
 
 	hits *telemetry.Counter
 }
 
+// memoKey is a (public key, message, signature) triple's digests, in
+// that order: see sigKey.
+type memoKey = [3 * globeid.Size]byte
+
 // sigEntry records one verified (key, message, signature) triple and the
 // end of the validity window it was verified for.
 type sigEntry struct {
-	key     string
+	key     memoKey
 	expires time.Time // zero = no bound
 }
 
@@ -44,8 +48,8 @@ type sigFlight struct {
 
 func (s *sigCache) init(max int) {
 	s.max = max
-	s.entries = make(map[string]*list.Element)
-	s.flights = make(map[string]*sigFlight)
+	s.entries = make(map[memoKey]*lru.Node[sigEntry])
+	s.flights = make(map[memoKey]*sigFlight)
 }
 
 func (s *sigCache) wireMetrics(hits *telemetry.Counter) {
@@ -76,8 +80,7 @@ func (s *sigCache) verify(pk keys.PublicKey, message, sig []byte, validUntil, no
 	for {
 		s.mu.Lock()
 		if node, ok := s.entries[key]; ok {
-			e := node.Value.(*sigEntry)
-			if e.expires.IsZero() || !now.After(e.expires) {
+			if e := &node.Value; e.expires.IsZero() || !now.After(e.expires) {
 				s.lru.MoveToFront(node)
 				hits := s.hits
 				s.mu.Unlock()
@@ -118,33 +121,32 @@ func (s *sigCache) verify(pk keys.PublicKey, message, sig []byte, validUntil, no
 	}
 }
 
-func (s *sigCache) insertLocked(key string, expires time.Time) {
+func (s *sigCache) insertLocked(key memoKey, expires time.Time) {
 	if node, ok := s.entries[key]; ok {
-		node.Value.(*sigEntry).expires = expires
+		node.Value.expires = expires
 		s.lru.MoveToFront(node)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&sigEntry{key: key, expires: expires})
+	s.entries[key] = s.lru.PushFront(sigEntry{key: key, expires: expires})
 	for len(s.entries) > s.max {
 		tail := s.lru.Back()
 		if tail == nil {
 			break
 		}
 		s.lru.Remove(tail)
-		delete(s.entries, tail.Value.(*sigEntry).key)
+		delete(s.entries, tail.Value.key)
 	}
 }
 
 // sigKey derives the memoization key from the audited element digest
 // over each component, length-prefix-free because the digests are
-// fixed-size.
-func sigKey(pk keys.PublicKey, message, sig []byte) string {
+// fixed-size. The key is a value: it costs no allocation.
+func sigKey(pk keys.PublicKey, message, sig []byte) (key memoKey) {
 	kh := globeid.HashElement(pk.Marshal())
 	mh := globeid.HashElement(message)
 	sh := globeid.HashElement(sig)
-	buf := make([]byte, 0, 3*globeid.Size)
-	buf = append(buf, kh[:]...)
-	buf = append(buf, mh[:]...)
-	buf = append(buf, sh[:]...)
-	return string(buf)
+	copy(key[:], kh[:])
+	copy(key[globeid.Size:], mh[:])
+	copy(key[2*globeid.Size:], sh[:])
+	return key
 }

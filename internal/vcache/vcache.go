@@ -46,11 +46,11 @@
 package vcache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
 	"globedoc/internal/globeid"
+	"globedoc/internal/lru"
 	"globedoc/internal/telemetry"
 )
 
@@ -112,13 +112,22 @@ type Config struct {
 }
 
 // entry is one cached element, tagged with the object whose verified
-// certificate vouched for it (the invalidation handle).
+// certificate vouched for it (the invalidation handle). It lives inline
+// in its LRU node, the one heap object an entry costs, and links that
+// node into the chain of entries tagged with the same object.
 type entry struct {
 	hash    [globeid.Size]byte
 	oid     globeid.OID
 	elem    Element
 	expires time.Time // latest verified validity bound; zero = no bound
+
+	// oidPrev and oidNext are the neighbours in oid's chain, which
+	// Cache.byOID heads.
+	oidPrev, oidNext *lru.Node[entry]
 }
+
+// node is an entry in the cache's LRU list.
+type node = lru.Node[entry]
 
 // Cache is the verified-content cache. Construct with New; the zero
 // value is not usable.
@@ -126,9 +135,10 @@ type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	entries  map[[globeid.Size]byte]*list.Element
-	lru      list.List // of *entry; front = most recently used
-	byOID    map[globeid.OID]map[[globeid.Size]byte]struct{}
+	entries  map[[globeid.Size]byte]*node
+	lru      lru.List[entry] // front = most recently used
+	// byOID heads each object's chain of the entries tagged with it.
+	byOID map[globeid.OID]*node
 
 	evictions  *telemetry.Counter
 	bytesGauge *telemetry.Gauge
@@ -146,8 +156,8 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		maxBytes: cfg.MaxBytes,
-		entries:  make(map[[globeid.Size]byte]*list.Element),
-		byOID:    make(map[globeid.OID]map[[globeid.Size]byte]struct{}),
+		entries:  make(map[[globeid.Size]byte]*node),
+		byOID:    make(map[globeid.OID]*node),
 	}
 	c.sig.init(cfg.MaxSignatures)
 	return c
@@ -183,14 +193,13 @@ func (c *Cache) WireMetrics(evictions *telemetry.Counter, bytes *telemetry.Gauge
 func (c *Cache) Get(hash [globeid.Size]byte, now, validUntil time.Time) (Element, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	node, ok := c.entries[hash]
+	n, ok := c.entries[hash]
 	if !ok {
 		return Element{}, false
 	}
-	e := node.Value.(*entry)
-	e.expires = validUntil
-	c.lru.MoveToFront(node)
-	return e.elem, true
+	n.Value.expires = validUntil
+	c.lru.MoveToFront(n)
+	return n.Value.elem, true
 }
 
 // Contains reports whether the content hash is cached, without promoting
@@ -209,7 +218,7 @@ func (c *Cache) Contains(hash [globeid.Size]byte) bool {
 func (c *Cache) Holds(oid globeid.OID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.byOID[oid]) > 0
+	return c.byOID[oid] != nil
 }
 
 // Put stores a freshly verified element under its certificate hash,
@@ -237,19 +246,18 @@ func (c *Cache) Put(oid globeid.OID, hash [globeid.Size]byte, elem Element, vali
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.holdLocked(elem)
-	if node, ok := c.entries[hash]; ok {
-		e := node.Value.(*entry)
-		c.untagLocked(e.oid, hash)
-		c.releaseLocked(e.elem)
-		e.oid = oid
-		e.elem = elem
-		e.expires = validUntil
-		c.tagLocked(oid, hash)
-		c.lru.MoveToFront(node)
+	if n, ok := c.entries[hash]; ok {
+		c.untagLocked(n)
+		c.releaseLocked(n.Value.elem)
+		n.Value.oid = oid
+		n.Value.elem = elem
+		n.Value.expires = validUntil
+		c.tagLocked(n)
+		c.lru.MoveToFront(n)
 	} else {
-		e := &entry{hash: hash, oid: oid, elem: elem, expires: validUntil}
-		c.entries[hash] = c.lru.PushFront(e)
-		c.tagLocked(oid, hash)
+		n := c.lru.PushFront(entry{hash: hash, oid: oid, elem: elem, expires: validUntil})
+		c.entries[hash] = n
+		c.tagLocked(n)
 	}
 	for c.bytes > c.maxBytes {
 		tail := c.lru.Back()
@@ -267,10 +275,10 @@ func (c *Cache) Put(oid globeid.OID, hash [globeid.Size]byte, elem Element, vali
 func (c *Cache) InvalidateOID(oid globeid.OID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for hash := range c.byOID[oid] {
-		if node, ok := c.entries[hash]; ok {
-			c.removeLocked(node)
-		}
+	for n := c.byOID[oid]; n != nil; {
+		next := n.Value.oidNext
+		c.removeLocked(n)
+		n = next
 	}
 }
 
@@ -281,12 +289,12 @@ func (c *Cache) InvalidateOID(oid globeid.OID) {
 func (c *Cache) Reconcile(oid globeid.OID, listed map[[globeid.Size]byte]bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for hash := range c.byOID[oid] {
-		if !listed[hash] {
-			if node, ok := c.entries[hash]; ok {
-				c.removeLocked(node)
-			}
+	for n := c.byOID[oid]; n != nil; {
+		next := n.Value.oidNext
+		if !listed[n.Value.hash] {
+			c.removeLocked(n)
 		}
+		n = next
 	}
 }
 
@@ -296,15 +304,12 @@ func (c *Cache) Reconcile(oid globeid.OID, listed map[[globeid.Size]byte]bool) {
 func (c *Cache) Purge(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var expired []*list.Element
-	for node := c.lru.Back(); node != nil; node = node.Prev() {
-		e := node.Value.(*entry)
-		if !e.expires.IsZero() && now.After(e.expires) {
-			expired = append(expired, node)
+	for n := c.lru.Back(); n != nil; {
+		prev := n.Prev()
+		if e := &n.Value; !e.expires.IsZero() && now.After(e.expires) {
+			c.removeLocked(n)
 		}
-	}
-	for _, node := range expired {
-		c.removeLocked(node)
+		n = prev
 	}
 }
 
@@ -324,30 +329,40 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-func (c *Cache) tagLocked(oid globeid.OID, hash [globeid.Size]byte) {
-	set, ok := c.byOID[oid]
-	if !ok {
-		set = make(map[[globeid.Size]byte]struct{})
-		c.byOID[oid] = set
+// tagLocked links n in at the head of its object's chain.
+func (c *Cache) tagLocked(n *node) {
+	e := &n.Value
+	head := c.byOID[e.oid]
+	e.oidPrev, e.oidNext = nil, head
+	if head != nil {
+		head.Value.oidPrev = n
 	}
-	set[hash] = struct{}{}
+	c.byOID[e.oid] = n
 }
 
-func (c *Cache) untagLocked(oid globeid.OID, hash [globeid.Size]byte) {
-	if set, ok := c.byOID[oid]; ok {
-		delete(set, hash)
-		if len(set) == 0 {
-			delete(c.byOID, oid)
-		}
+// untagLocked unlinks n from its object's chain, and drops the chain
+// with its last entry.
+func (c *Cache) untagLocked(n *node) {
+	e := &n.Value
+	switch {
+	case e.oidPrev != nil:
+		e.oidPrev.Value.oidNext = e.oidNext
+	case e.oidNext != nil:
+		c.byOID[e.oid] = e.oidNext
+	default:
+		delete(c.byOID, e.oid)
 	}
+	if e.oidNext != nil {
+		e.oidNext.Value.oidPrev = e.oidPrev
+	}
+	e.oidPrev, e.oidNext = nil, nil
 }
 
-func (c *Cache) removeLocked(node *list.Element) {
-	e := node.Value.(*entry)
-	c.lru.Remove(node)
-	delete(c.entries, e.hash)
-	c.untagLocked(e.oid, e.hash)
-	c.releaseLocked(e.elem)
+func (c *Cache) removeLocked(n *node) {
+	c.lru.Remove(n)
+	delete(c.entries, n.Value.hash)
+	c.untagLocked(n)
+	c.releaseLocked(n.Value.elem)
 	c.evictions.Inc()
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"globedoc/internal/alloctest"
 	"globedoc/internal/globeid"
 	"globedoc/internal/keys"
 	"globedoc/internal/keys/keytest"
@@ -454,5 +455,34 @@ func TestNilMetricsSafe(t *testing.T) {
 	}
 	if err := c.VerifySignature(kp.Public(), []byte("m"), sig, t0.Add(time.Hour), t0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// putAllocBudget is the heap objects a Put of a new element under an
+// object the cache already holds costs, averaged over enough Puts that
+// the growth of the entries map amortises below one: the LRU node the
+// entry lives in, its links into the object's chain included (1 with
+// go1.24 on linux/amd64, plus 2 %, which rounds to no object; 2 when
+// container/list held a pointer to the entry).
+const putAllocBudget = 1
+
+func TestPutAllocationBudget(t *testing.T) {
+	const runs = 4096
+	c := New(Config{})
+	oid := oidN(1)
+	_, held := elemN(0)
+	c.Put(oid, hashN(0), held, t0.Add(time.Hour))
+	elem := Element{ContentType: "application/octet-stream", Data: []byte("shared bytes")}
+	i := 0
+	got := alloctest.AllocsPerRun(t, runs, func() {
+		i++
+		c.Put(oid, hashN(i), elem, t0.Add(time.Hour))
+	})
+	if c.Len() != runs+2 || !c.Holds(oid) {
+		t.Fatalf("the cache holds %d elements, want %d under the object", c.Len(), runs+2)
+	}
+	t.Logf("Put of a new element under a held object: %.0f allocs", got)
+	if got > putAllocBudget {
+		t.Errorf("a Put allocates %.0f objects, budget %d", got, putAllocBudget)
 	}
 }
